@@ -29,7 +29,8 @@ from .games import QuadraticGame, monotonicity_constants
 from .noise import NoiseModel, with_seed
 from .profiles import StrategyProfile
 from .prox import prox_apply
-from .sampling import BestResponseBatch, SampleCounter, schedule_size
+from .sampling import (BestResponseBatch, SampleCounter, check_schedule,
+                       schedule_size)
 from .trace import RunTrace
 
 
@@ -251,6 +252,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
     if x0.dims != tuple(game.dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
     schedule = resolved_schedule(game, config)
+    check_schedule(schedule, config.max_iter, max(game.dims))
     noises = [with_seed(game.player_noise(i), config.seed)
               for i in range(game.n_players)]
     counter = SampleCounter()

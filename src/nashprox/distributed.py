@@ -29,8 +29,8 @@ from .games import AggregativeGame, monotonicity_constants
 from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import BRANCH_TOL, _reseeded
 from .profiles import StrategyProfile
-from .prox import prox_profile
-from .sampling import RootGeometricBatch, SampleCounter, schedule_size
+from .sampling import (RootGeometricBatch, SampleCounter, check_schedule,
+                       schedule_size)
 from .trace import RunTrace
 
 
@@ -100,11 +100,6 @@ class DistComplexity(NamedTuple):
     samples: float
 
 
-def _midpoint_profile(game: AggregativeGame) -> StrategyProfile:
-    return StrategyProfile(tuple(
-        np.array([(l + h) / 2.0]) for l, h in zip(game.lo, game.hi)))
-
-
 def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
                  x_star: StrategyProfile | None = None, replication: int = 0,
                  x0: StrategyProfile | None = None,
@@ -131,11 +126,11 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     if not beta > 0.0:
         raise ValueError("mixing rate beta must be positive to schedule batches")
     schedule = RootGeometricBatch(beta)
+    check_schedule(schedule, config.max_iter)
     sampled = _reseeded(game, config.seed)
-    regs = game.regularizers
 
     if x0 is None:
-        x0 = _midpoint_profile(game)
+        x0 = game.midpoint()
     if x0.dims != tuple(game.dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
     x = x0.vector
@@ -159,17 +154,15 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         if on_state is not None:
             on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
         n_k = schedule_size(schedule, k)
-        grads = np.empty(n)
-        for i in range(n):
-            e_i = sampled.noises[i].averaged(1, n_k, (replication, k, i))
-            grads[i] = game.player_gradient(i, x[i], n * v_hat[i])[0] + e_i[0]
-            counter.total_samples += n_k
-        step = x - config.alpha * grads
+        e = np.array([nm.averaged(1, n_k, (replication, k, i))[0]
+                      for i, nm in enumerate(sampled.noises)])
+        counter.total_samples += n * n_k
+        step = x - config.alpha * (game.gradients(x, n * v_hat) + e)
         if not np.all(np.isfinite(step)):
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
-        x_next = prox_profile(regs, StrategyProfile.from_vector(step, game.dims),
-                              config.alpha, counter).vector
+        x_next = game.project(step)
+        counter.prox_evals += 1
         # Evaluated as (v - x) + x_next so that v stays bitwise equal to x
         # whenever v_0 = x_0.
         v = (v - x) + x_next

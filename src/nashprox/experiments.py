@@ -17,7 +17,7 @@ from .distributed import (DistConfig, dist_complexity, dist_envelope_params,
                           dist_rate_constants, run_dist_pgr)
 from .errors import ConfigError
 from .games import (AggregativeGame, Game, QuadraticGame,
-                    monotonicity_constants, solve_ne_oracle)
+                    monotonicity_constants, ne_error_bound, solve_ne_oracle)
 from .graphs import CommGraph, mixing_params
 from .noise import GaussianNoise, ZeroNoise, substream
 from .pgr import (PgrConfig, complexity_K, complexity_M, envelope_params,
@@ -197,6 +197,7 @@ class RunReport:
     fit: dict | None
     equilibrium: list | None
     graph: dict | None
+    oracle_error_bound: float | None = None
 
     def as_dict(self) -> dict:
         out = {"scheme": self.scheme, "seed": self.seed,
@@ -214,6 +215,8 @@ class RunReport:
             out["fit"] = self.fit
         if self.equilibrium is not None:
             out["equilibrium"] = self.equilibrium
+        if self.oracle_error_bound is not None:
+            out["oracle_error_bound"] = self.oracle_error_bound
         if self.graph is not None:
             out["graph"] = self.graph
         return as_builtin(out)
@@ -221,8 +224,7 @@ class RunReport:
 
 def _default_x0(game: Game) -> StrategyProfile:
     if isinstance(game, AggregativeGame):
-        return StrategyProfile(tuple(
-            np.array([(l + h) / 2.0]) for l, h in zip(game.lo, game.hi)))
+        return game.midpoint()
     zeros = StrategyProfile.zeros(game.dims)
     return prox_profile(game.regularizers, zeros, 1.0)
 
@@ -328,7 +330,8 @@ def _run_pgr_experiment(spec: ExperimentSpec):
         counters=traces[0].counter.as_dict(), iterations=k_iter,
         mean_final_error=float(mean_errors[-1]),
         fit=_fit_dict(mean_errors, spec.fit, k_iter),
-        equilibrium=list(x_star.vector), graph=None)
+        equilibrium=list(x_star.vector), graph=None,
+        oracle_error_bound=ne_error_bound(game, x_star))
     return report, traces
 
 
@@ -376,7 +379,8 @@ def _run_dist_experiment(spec: ExperimentSpec):
         fit=_fit_dict(mean_errors, spec.fit, k_iter),
         equilibrium=list(x_star.vector),
         graph={"nodes": graph.n_nodes, "edges": len(graph.edges),
-               "beta": mp.beta, "theta": mp.theta})
+               "beta": mp.beta, "theta": mp.theta},
+        oracle_error_bound=ne_error_bound(game, x_star))
     return report, traces
 
 
@@ -425,7 +429,8 @@ def _run_pbr_experiment(spec: ExperimentSpec):
         counters=traces[0].counter.as_dict(), iterations=k_iter,
         mean_final_error=float(mean_errors[-1]),
         fit=_fit_dict(mean_errors, spec.fit, k_iter),
-        equilibrium=list(x_star.vector), graph=None)
+        equilibrium=list(x_star.vector), graph=None,
+        oracle_error_bound=ne_error_bound(game, x_star))
     return report, traces
 
 

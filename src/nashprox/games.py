@@ -10,13 +10,17 @@ by consensus.
 
 A Nash equilibrium of either game with regularizers r_i is a fixed point of
 x = prox_{alpha r}(x - alpha G(x)) for every alpha > 0, which is how the
-oracle solver and the residual are defined.
+residual and the forward-backward oracle are defined. When every player's
+own curvature a_i + c_price is positive, the equilibrium of an aggregative
+game is instead a best reply to one scalar, the aggregate, which the oracle
+finds by bisection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -181,10 +185,15 @@ class AggregativeGame:
     def dim(self) -> int:
         return self.n_players
 
-    @property
+    @cached_property
     def regularizers(self) -> tuple[Regularizer, ...]:
         return tuple(BoxIndicator(np.array([l]), np.array([h]))
                      for l, h in zip(self.lo, self.hi))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, lo, hi) as float arrays, one entry per player."""
+        return tuple(np.array(v) for v in (self.a, self.b, self.lo, self.hi))
 
     @property
     def aggregate_lipschitz(self) -> tuple[float, ...]:
@@ -196,9 +205,6 @@ class AggregativeGame:
         return np.diag(np.asarray(self.a) + self.c_price) + \
             self.c_price * np.ones((n, n))
 
-    def aggregate(self, x: StrategyProfile) -> float:
-        return float(np.sum(x.vector))
-
     def player_gradient(self, i: int, x_i, y) -> np.ndarray:
         """Own gradient of player i at strategy x_i and aggregate estimate y."""
         x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
@@ -206,9 +212,22 @@ class AggregativeGame:
         return self.a[i] * x_i + self.b[i] - self.d + \
             self.c_price * y + self.c_price * x_i
 
-    def player_cost(self, i: int, x_i: float, y: float) -> float:
-        return 0.5 * self.a[i] * x_i ** 2 + self.b[i] * x_i + \
-            x_i * (self.c_price * y - self.d)
+    def gradients(self, x: np.ndarray, y) -> np.ndarray:
+        """Own gradients of all players at strategies x against aggregate
+        estimates y (one shared value or one per player); elementwise the
+        same arithmetic as player_gradient."""
+        a, b, _, _ = self._arrays
+        return a * x + b - self.d + self.c_price * y + self.c_price * x
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Clip every player's strategy to its box (the joint prox)."""
+        _, _, lo, hi = self._arrays
+        return np.clip(x, lo, hi)
+
+    def midpoint(self) -> StrategyProfile:
+        """The profile at the centre of every player's box."""
+        _, _, lo, hi = self._arrays
+        return StrategyProfile.from_vector((lo + hi) / 2.0, self.dims)
 
 
 Game = QuadraticGame | AggregativeGame
@@ -218,11 +237,13 @@ def gradient_map(game: Game, x: StrategyProfile) -> np.ndarray:
     """Exact joint gradient G(x) stacked over players."""
     if x.dims != tuple(game.dims):
         raise ValueError(f"profile dims {x.dims} do not match game dims {tuple(game.dims)}")
+    return _gradient_vector(game, x.vector)
+
+
+def _gradient_vector(game: Game, vec: np.ndarray) -> np.ndarray:
     if isinstance(game, QuadraticGame):
-        return game.h @ x.vector + game.c
-    y = game.aggregate(x)
-    return np.concatenate([
-        game.player_gradient(i, x.blocks[i], y) for i in range(game.n_players)])
+        return game.h @ vec + game.c
+    return game.gradients(vec, float(np.sum(vec)))
 
 
 def monotonicity_constants(game: Game) -> GameConstants:
@@ -263,12 +284,27 @@ def ne_residual(game: Game, x: StrategyProfile, alpha: float) -> float:
     """
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    vec = x.vector - alpha * gradient_map(game, x)
-    prox_vec = _prox_vector(game, vec, alpha)
-    return float(np.linalg.norm(x.vector - prox_vec))
+    vec = x.vector
+    step = vec - alpha * _gradient_vector(game, vec)
+    return float(np.linalg.norm(vec - _prox_vector(game, step, alpha)))
+
+
+def ne_error_bound(game: Game, x: StrategyProfile) -> float:
+    """Certified bound on the distance from x to the equilibrium x*.
+
+    For a strongly monotone map with modulus eta and Lipschitz constant L,
+    ||x - x*|| <= (1 + alpha L) / (alpha eta) * ne_residual(game, x, alpha)
+    for every alpha > 0 and every x; it is evaluated at alpha = eta / L^2.
+    """
+    consts = monotonicity_constants(game)
+    alpha = consts.eta / consts.lip ** 2
+    return (1.0 + alpha * consts.lip) / (alpha * consts.eta) * \
+        ne_residual(game, x, alpha)
 
 
 def _prox_vector(game: Game, vec: np.ndarray, alpha: float) -> np.ndarray:
+    if isinstance(game, AggregativeGame):
+        return game.project(vec)
     pieces = []
     offset = 0
     for reg, d in zip(game.regularizers, game.dims):
@@ -279,13 +315,21 @@ def _prox_vector(game: Game, vec: np.ndarray, alpha: float) -> np.ndarray:
 
 def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
                     max_iter: int = 200_000) -> StrategyProfile:
-    """Deterministic prox-gradient solve of the equilibrium fixed point.
+    """Deterministic solve of the equilibrium fixed point.
 
-    Iterates x <- prox_{alpha r}(x - alpha G(x)) with the exact gradient
-    until the displacement (equal to the fixed-point residual at the current
-    iterate) drops to tol. With alpha < 2 eta / lip^2 the iteration is a
-    contraction, so this terminates for any validated game; the default step
-    alpha = eta / lip^2 is always admissible.
+    An aggregative game whose players all have positive own curvature
+    a_i + c_price is solved through its aggregate: each player's best reply
+    to the total y is x_i(y) = clip((d - b_i - c_price y) / (a_i + c_price),
+    lo_i, hi_i), and phi(y) = sum_i x_i(y) - y is strictly decreasing on
+    [sum lo, sum hi], so bisection finds its root to the last bit and the
+    equilibrium is x(y). tol and max_iter do not apply to that path.
+
+    Every other game is solved forward-backward: x <- prox_{alpha r}(x -
+    alpha G(x)) with the exact gradient until the displacement (equal to
+    the fixed-point residual at the current iterate) drops to tol. With
+    alpha < 2 eta / lip^2 the iteration is a contraction, so this
+    terminates for any validated game; the default step alpha = eta / lip^2
+    is always admissible.
     """
     consts = monotonicity_constants(game)
     if alpha is None:
@@ -294,16 +338,49 @@ def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
         raise InvalidStep(
             f"oracle step {alpha} outside (0, 2 eta/L^2) = "
             f"(0, {2.0 * consts.eta / consts.lip ** 2})")
+    if isinstance(game, AggregativeGame):
+        x = _aggregate_bisection(game)
+        if x is not None:
+            return StrategyProfile.from_vector(x, game.dims)
+    return _forward_backward(game, alpha, tol, max_iter)
+
+
+def _aggregate_bisection(game: AggregativeGame) -> np.ndarray | None:
+    """Equilibrium of an aggregative game via its aggregate, or None when
+    some a_i + c_price <= 0 (the best reply is then not a clip of the
+    stationary point) or the box sums overflow."""
+    a, b, lo, hi = game._arrays
+    curvature = a + game.c_price
+    y_lo, y_hi = float(np.sum(lo)), float(np.sum(hi))
+    if not (np.min(curvature) > 0.0 and math.isfinite(y_lo + y_hi)):
+        return None
+
+    def reply(y: float) -> np.ndarray:
+        return np.clip((game.d - b - game.c_price * y) / curvature, lo, hi)
+
+    while True:
+        y = 0.5 * (y_lo + y_hi)
+        if y == y_lo or y == y_hi:
+            return reply(y)
+        phi = float(np.sum(reply(y))) - y
+        if phi == 0.0:
+            return reply(y)
+        if phi > 0.0:
+            y_lo = y
+        else:
+            y_hi = y
+
+
+def _forward_backward(game: Game, alpha: float, tol: float,
+                      max_iter: int) -> StrategyProfile:
     x = _prox_vector(game, np.zeros(game.dim), alpha)
-    profile = StrategyProfile.from_vector(x, game.dims)
     for _ in range(max_iter):
-        step = x - alpha * gradient_map(game, profile)
+        step = x - alpha * _gradient_vector(game, x)
         x_next = _prox_vector(game, step, alpha)
         disp = float(np.linalg.norm(x_next - x))
         x = x_next
-        profile = StrategyProfile.from_vector(x, game.dims)
         if disp <= tol:
-            return profile
+            return StrategyProfile.from_vector(x, game.dims)
     raise NonConvergence(
         f"equilibrium solve did not reach displacement {tol} in {max_iter} "
         f"iterations", residual=disp, iterations=max_iter)

@@ -24,7 +24,8 @@ from .games import AggregativeGame, Game, QuadraticGame, monotonicity_constants
 from .noise import with_seed
 from .profiles import StrategyProfile
 from .prox import prox_profile
-from .sampling import GeometricBatch, SampleCounter, sample_batch_gradient, schedule_size
+from .sampling import (GeometricBatch, SampleCounter, check_schedule,
+                       sample_batch_gradient, schedule_size)
 from .trace import RunTrace
 
 # Relative width of the band around rho == q (or beta == varrho^2) inside
@@ -204,6 +205,8 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
                             consts.nu, c_start)
         n_iter = min(n_iter, max(1, math.ceil(
             complexity_K(rc, config.rho, config.target_eps))))
+    check_schedule(schedule, n_iter,
+                   1 if isinstance(game, AggregativeGame) else game.dim)
 
     counter = SampleCounter()
     errors = np.full(n_iter + 1, np.nan)

@@ -92,6 +92,35 @@ def schedule_size(schedule: BatchSchedule, k: int) -> int:
     return int(schedule.size(int(k)))
 
 
+def check_schedule(schedule: BatchSchedule, n_iter: int, dim: int = 1) -> None:
+    """Reject a schedule whose batches overflow a float within n_iter steps.
+
+    Noise draws scale by 1/sqrt(dim * N_k), so dim * N_k must convert to a
+    finite float for every k < n_iter. Batch sizes never shrink, so the last
+    iteration decides; on failure the message names the largest usable
+    iteration count, found by bisection.
+    """
+    def fits(k: int) -> bool:
+        try:
+            float(dim * schedule_size(schedule, k))
+        except OverflowError:
+            return False
+        return True
+
+    if fits(n_iter - 1):
+        return
+    good, bad = -1, n_iter - 1
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    raise ValueError(
+        f"batch size N_k of {schedule} overflows a float at iteration {bad}; "
+        f"max_iter must be at most {good + 1}")
+
+
 @dataclass
 class SampleCounter:
     """Cumulative effort of a run: oracle samples, prox evals, communication

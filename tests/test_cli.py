@@ -128,3 +128,52 @@ def test_module_entry_point_matches_the_console_script(tmp_path: Path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+# One iteration past each limit the last batch size overflows a double:
+# 2 * 0.5^-1023 (the joint dimension is 2), 0.01^-154.5, and
+# (m_max c_r)^2 * 0.1^-308 with (m_max c_r)^2 about 3.6.
+OVERFLOW_CASES = [
+    ("pgr", PGR_DOC, {"alpha": 0.2, "rho": 0.5}, 1022),
+    ("dist-pgr", DIST_DOC, {"alpha": 0.02, "beta": 0.01}, 308),
+    ("pbr", PBR_DOC, {"mu": 1.0, "eta_br": 0.1}, 154),
+]
+
+
+@pytest.mark.parametrize("command,doc,solver,limit", OVERFLOW_CASES)
+def test_batch_schedule_overflow_is_an_assumption_error(
+        tmp_path: Path, capsys, command: str, doc: dict, solver: dict,
+        limit: int):
+    over = dict(doc, solver=dict(solver, max_iter=limit + 1))
+    assert main([command, "--config", _write(tmp_path, over), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert f"max_iter must be at most {limit}" in err
+    assert "Traceback" not in err
+    at_limit = dict(doc, solver=dict(solver, max_iter=limit))
+    assert main([command, "--config", _write(tmp_path, at_limit, "ok.json"),
+                 "--quiet"]) == 0
+
+
+def test_overflowing_pgr_config_exits_cleanly_from_the_console(tmp_path: Path):
+    doc = dict(PGR_DOC, solver={"alpha": 0.2, "rho": 0.5, "max_iter": 1100})
+    proc = subprocess.run(
+        [sys.executable, "-m", "nashprox", "pgr", "--config",
+         _write(tmp_path, doc), "--quiet"],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "max_iter must be at most 1022" in proc.stderr
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("pgr", PGR_DOC),
+    ("dist-pgr", DIST_DOC),
+    ("pbr", PBR_DOC),
+])
+def test_report_records_the_oracle_error_bound(tmp_path: Path, command: str,
+                                               doc: dict):
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert 0.0 <= report["oracle_error_bound"] <= 1e-9

@@ -12,17 +12,22 @@ from nashprox import (
     GaussianNoise,
     InvalidStep,
     PgrConfig,
+    RootGeometricBatch,
     StrategyProfile,
     complete_graph,
+    consensus_apply,
     dist_complexity,
     dist_envelope_params,
     dist_rate_constants,
     mixing_params,
     monotonicity_constants,
+    prox_apply,
     ring_graph,
     run_dist_pgr,
     run_pgr,
+    schedule_size,
     solve_ne_oracle,
+    with_seed,
 )
 
 
@@ -202,3 +207,51 @@ def test_default_start_is_the_box_midpoint():
                          x_star=solve_ne_oracle(game))
     mid = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
     assert trace.errors[0] == pytest.approx(mid.distance(solve_ne_oracle(game)) ** 2, abs=1e-12)
+
+
+def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
+                        x_star: StrategyProfile, replication: int):
+    """Per-player loop run_dist_pgr replaces: player_gradient and prox_apply
+    one player at a time, noise from the substreams (seed, r, k, i)."""
+    schedule = RootGeometricBatch(mixing_params(graph).beta)
+    noises = [with_seed(nm, config.seed) for nm in game.noises]
+    n = game.n_players
+    x = np.array([(l + h) / 2.0 for l, h in zip(game.lo, game.hi)])
+    v = x.copy()
+    errors = [float(np.linalg.norm(x - x_star.vector) ** 2)]
+    consensus_errors = []
+    for k in range(config.max_iter):
+        v_hat = consensus_apply(graph, v, k + 1)
+        n_k = schedule_size(schedule, k)
+        x_next = np.empty(n)
+        for i in range(n):
+            e_i = noises[i].averaged(1, n_k, (replication, k, i))
+            g_i = game.player_gradient(i, x[i], n * v_hat[i]) + e_i
+            x_next[i] = prox_apply(game.regularizers[i],
+                                   x[i:i + 1] - config.alpha * g_i,
+                                   config.alpha)[0]
+        v = (v - x) + x_next
+        consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
+        x = x_next
+        errors.append(float(np.linalg.norm(x - x_star.vector) ** 2))
+    return np.array(errors), np.array(consensus_errors), x
+
+
+def test_vectorized_run_matches_the_per_player_reference_loop():
+    # two of the upper bounds bind at the equilibrium
+    game = AggregativeGame(
+        a=(1.0, 1.5, 2.0, 1.2, 1.8), b=(0.0, 0.1, 0.05, 0.2, 0.0), d=2.0,
+        c_price=1.0, lo=(0.0,) * 5, hi=(1.0, 0.1, 1.0, 1.0, 0.05),
+        noises=tuple(GaussianNoise(0.5, seed=i) for i in range(5)))
+    graph = ring_graph(5)
+    consts = monotonicity_constants(game)
+    config = DistConfig(alpha=0.5 * consts.eta / consts.lip ** 2,
+                        max_iter=12, seed=3)
+    x_star = solve_ne_oracle(game)
+    trace = run_dist_pgr(game, graph, config, x_star=x_star, replication=1)
+    errors, consensus_errors, final = _reference_dist_run(
+        game, graph, config, x_star, replication=1)
+    assert np.array_equal(trace.errors, errors)
+    assert np.array_equal(trace.consensus_errors, consensus_errors)
+    assert np.array_equal(trace.final.vector, final)
+    assert np.count_nonzero(final == game.hi) >= 1

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashprox import (
     AggregativeGame,
@@ -13,9 +15,11 @@ from nashprox import (
     generate_quadratic_game,
     gradient_map,
     monotonicity_constants,
+    ne_error_bound,
     ne_residual,
     solve_ne_oracle,
 )
+from nashprox.games import _aggregate_bisection, _forward_backward
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -152,3 +156,77 @@ def test_player_noise_splits_total_second_moment_by_block_size():
     const = monotonicity_constants(game)
     assert const.nu == pytest.approx(np.sqrt(3.0))
     assert const.nu_i[0] ** 2 + const.nu_i[1] ** 2 == pytest.approx(3.0)
+
+
+@st.composite
+def _cournot_games(draw) -> AggregativeGame:
+    """Cournot games with positive own curvature a_i + c_price in [0.5, 3],
+    boxes that may bind and may collapse to a point (lo == hi)."""
+    n = draw(st.integers(1, 4))
+    c_price = draw(st.floats(0.0, 2.0))
+    curvature = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    lo = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    width = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                          min_size=n, max_size=n))
+    return AggregativeGame(
+        a=tuple(k - c_price for k in curvature),
+        b=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
+        d=draw(st.floats(0.0, 5.0)), c_price=c_price, lo=tuple(lo),
+        hi=tuple(l + w for l, w in zip(lo, width)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cournot_games())
+def test_closed_form_cournot_oracle_matches_forward_backward(game):
+    x_star = solve_ne_oracle(game)
+    for alpha in (0.01, 0.1, 1.0):
+        assert ne_residual(game, x_star, alpha) <= 1e-12
+    consts = monotonicity_constants(game)
+    alpha = consts.eta / consts.lip ** 2
+    x_fb = _forward_backward(game, alpha, 1e-12, 200_000)
+    # x_fb is within its certified bound of the equilibrium; x_star is
+    # exact up to rounding.
+    assert x_star.distance(x_fb) <= ne_error_bound(game, x_fb) + 1e-13
+
+
+def test_cournot_with_negative_own_curvature_takes_the_forward_backward_path():
+    # a_1 + c_price < 0: the map is still strongly monotone, but player 1's
+    # best reply to the aggregate is not a clip of its stationary point.
+    game = AggregativeGame(a=(-1.5, 5.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
+                           lo=(0.0, 0.0), hi=(1.0, 1.0))
+    assert _aggregate_bisection(game) is None
+    x_star = solve_ne_oracle(game)
+    distance = np.linalg.norm(x_star.vector - [1.0, 1.0 / 7.0])
+    assert distance <= ne_error_bound(game, x_star) <= 1e-9
+
+
+def test_oracle_error_bound_covers_distance_on_unconstrained_quadratic_game():
+    game = _reference_game()
+    exact = np.linalg.solve(REF_H, -REF_C)
+    x_star = solve_ne_oracle(game, tol=1e-6)
+    rng = np.random.default_rng(3)
+    points = [x_star.vector] + [exact + rng.normal(scale=s, size=2)
+                                for s in (1e-8, 1e-3, 1.0)]
+    for p in points:
+        x = StrategyProfile.from_vector(p, (1, 1))
+        assert ne_error_bound(game, x) >= np.linalg.norm(p - exact)
+
+
+def test_oracle_error_bound_covers_distance_on_symmetric_cournot_game():
+    game = AggregativeGame(a=(1.0,) * 5, b=(0.0,) * 5, d=2.0, c_price=1.0,
+                           lo=(0.0,) * 5, hi=(1.0,) * 5)
+    exact = np.full(5, 2.0 / 7.0)
+    consts = monotonicity_constants(game)
+    x_fb = _forward_backward(game, consts.eta / consts.lip ** 2, 1e-6, 200_000)
+    rng = np.random.default_rng(4)
+    points = [x_fb.vector] + [exact + rng.normal(scale=s, size=5)
+                              for s in (1e-8, 1e-3, 1.0)]
+    for p in points:
+        x = StrategyProfile.from_vector(p, (1,) * 5)
+        assert ne_error_bound(game, x) >= np.linalg.norm(p - exact)
+
+
+def test_aggregative_regularizers_are_built_once_per_game():
+    game = AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
+                           lo=(0.0, 0.0), hi=(1.0, 1.0))
+    assert game.regularizers is game.regularizers

@@ -15,6 +15,7 @@ from nashprox import (
     SampleCounter,
     StrategyProfile,
     ZeroNoise,
+    check_schedule,
     gradient_map,
     sample_batch_gradient,
     schedule_size,
@@ -130,3 +131,15 @@ def test_counter_as_dict_round_trip():
     counter.inner_solves += 1
     assert counter.as_dict() == {
         "total_samples": 5, "prox_evals": 2, "comm_rounds": 3, "inner_solves": 1}
+
+
+def test_schedule_check_names_the_largest_usable_iteration_count():
+    # 0.5^-1023 is the last power of two below the largest double
+    check_schedule(GeometricBatch(0.5), 1023)
+    with pytest.raises(ValueError, match="at most 1023"):
+        check_schedule(GeometricBatch(0.5), 1100)
+    with pytest.raises(ValueError, match="at most 1022"):
+        check_schedule(GeometricBatch(0.5), 1100, dim=2)
+    with pytest.raises(ValueError, match="at most 0"):
+        check_schedule(BestResponseBatch(1e200, 1e200, 0.5), 5)
+    check_schedule(ConstantBatch(7), 10 ** 9)
