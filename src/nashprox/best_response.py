@@ -28,7 +28,7 @@ from .errors import InnerSolveFailure
 from .games import QuadraticGame, monotonicity_constants
 from .noise import NoiseModel, with_seed
 from .profiles import StrategyProfile
-from .prox import prox_apply
+from .prox import L1, BoxIndicator, Regularizer, Zero
 from .sampling import (BestResponseBatch, SampleCounter, check_schedule,
                        schedule_size)
 from .trace import RunTrace
@@ -61,40 +61,54 @@ def contraction_certificate(game: QuadraticGame, mu: float) -> ContractionCertif
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
-    n = game.n_players
-    zeta_min = []
-    for i in range(n):
-        zeta_min.append(float(np.linalg.eigvalsh(game.block(i, i))[0]))
-        if mu + zeta_min[i] <= 0.0:
+    zeta_min = tuple(lo for lo, _ in game.own_spectra)
+    for i, z in enumerate(zeta_min):
+        if mu + z <= 0.0:
             raise ValueError(
                 f"subproblem of player {i} is not strongly convex: "
-                f"mu + zeta_min = {mu + zeta_min[i]}")
-    zeta_max = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                zeta_max[i, j] = float(np.linalg.norm(game.block(i, j), 2))
-    gamma = np.zeros((n, n))
-    for i in range(n):
-        gamma[i, i] = mu / (mu + zeta_min[i])
-        for j in range(n):
-            if i != j:
-                gamma[i, j] = zeta_max[i, j] / (mu + zeta_min[i])
+                f"mu + zeta_min = {mu + z}")
+    zeta_max = np.array(game.block_norms)
+    np.fill_diagonal(zeta_max, 0.0)
+    curvature = mu + np.array(zeta_min)
+    gamma = zeta_max / curvature[:, None]
+    np.fill_diagonal(gamma, mu / curvature)
     a = float(np.linalg.norm(gamma, 2))
     return ContractionCertificate(mu=mu, gamma=gamma, a=a,
-                                  zeta_min=tuple(zeta_min), zeta_max=zeta_max)
+                                  zeta_min=zeta_min, zeta_max=zeta_max)
 
 
 def br_noise_gain(mu: float, lip: float) -> float:
     """Gain c_r from gradient observation error to best-response error.
 
     c_r = (mu / (mu^2 + lip^2)) / (1 - lip / sqrt(mu^2 + lip^2)), with lip
-    the largest own-block gradient Lipschitz constant max_i ||Q_ii||_2.
+    the largest own-block gradient Lipschitz constant max_i ||Q_ii||_2. It
+    is evaluated as (1 + lip / s) / mu with s = hypot(mu, lip), the same
+    value without the cancellation in 1 - lip / s when mu << lip.
     """
     if not (mu > 0.0 and lip >= 0.0):
         raise ValueError(f"need mu > 0 and lip >= 0, got mu={mu}, lip={lip}")
-    denom = 1.0 - lip / math.sqrt(mu ** 2 + lip ** 2)
-    return (mu / (mu ** 2 + lip ** 2)) / denom
+    return (1.0 + lip / math.hypot(mu, lip)) / mu
+
+
+def _lowered_prox(reg: Regularizer, step: float, shape: tuple[int, ...]):
+    """prox_{step r} as one elementwise map, with prox_apply's checks made
+    once: the same arithmetic as prox_apply(reg, v, step) for a float
+    vector v of the given shape."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"prox step must be finite and > 0, got {step}")
+    if isinstance(reg, Zero):
+        return lambda v: v
+    if isinstance(reg, L1):
+        t = step * reg.weight
+        return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    if isinstance(reg, BoxIndicator):
+        if shape != reg.lo.shape:
+            raise ValueError(
+                f"point of shape {shape} does not match box of shape "
+                f"{reg.lo.shape}")
+        lo, hi = reg.lo, reg.hi
+        return lambda v: np.minimum(np.maximum(v, lo), hi)
+    raise TypeError(f"unknown regularizer {type(reg).__name__}")
 
 
 def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
@@ -105,17 +119,16 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
     Deterministic proximal gradient with the optimal constant step for the
     strongly convex smooth part; returns (argmin, iterations used).
     """
-    qii = game.block(i, i)
-    eigs = np.linalg.eigvalsh(qii)
-    lam_min = mu + float(eigs[0])
-    lam_max = mu + float(eigs[-1])
-    step = 2.0 / (lam_min + lam_max)
-    reg = game.regularizers[i]
+    qii = game.blocks[i][i]
+    e_min, e_max = game.own_spectra[i]
+    step = 2.0 / ((mu + e_min) + (mu + e_max))
+    prox = _lowered_prox(game.regularizers[i], step, anchor.shape)
     z = anchor.copy()
     for it in range(max_inner):
         grad = qii @ z + linear + mu * (z - anchor)
-        z_next = prox_apply(reg, z - step * grad, step)
-        disp = float(np.linalg.norm(z_next - z))
+        z_next = prox(z - step * grad)
+        d = z_next - z
+        disp = math.sqrt(d.dot(d))  # what np.linalg.norm(d) computes
         z = z_next
         if disp <= tol:
             return z, it + 1
@@ -125,12 +138,18 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
 
 
 def _coupling_linear(game: QuadraticGame, i: int, y: StrategyProfile) -> np.ndarray:
-    sl = game.block_slice(i)
-    lin = game.c[sl].copy()
-    for j in range(game.n_players):
+    lin = game.c[game.block_slice(i)].copy()
+    for j, q_ij in enumerate(game.blocks[i]):
         if j != i:
-            lin += game.block(i, j) @ y.blocks[j]
+            lin += q_ij @ y.blocks[j]
     return lin
+
+
+def _check_inner(tol: float, max_inner: int) -> None:
+    if not tol > 0.0:
+        raise ValueError(f"inner tolerance must be > 0, got {tol}")
+    if max_inner < 1:
+        raise ValueError(f"max_inner must be >= 1, got {max_inner}")
 
 
 def proximal_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
@@ -139,6 +158,7 @@ def proximal_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
     """Exact anchored best response of player i at profile y."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
+    _check_inner(tol, max_inner)
     lin = _coupling_linear(game, i, y)
     z, _ = _solve_anchored(game, i, lin, y.blocks[i], mu, tol, max_inner)
     return z
@@ -157,6 +177,7 @@ def saa_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
+    _check_inner(inner_tol, max_inner)
     if noise is None:
         noise = game.player_noise(i)
     w = noise.averaged(game.dims[i], batch, path)
@@ -216,8 +237,7 @@ class PbrComplexity(NamedTuple):
 
 
 def _own_block_lip(game: QuadraticGame) -> float:
-    return max(float(np.linalg.norm(game.block(i, i), 2))
-               for i in range(game.n_players))
+    return float(np.max(np.diagonal(game.block_norms)))
 
 
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:

@@ -47,7 +47,6 @@ class DistConfig:
     max_iter: int
     beta: float | None = None
     seed: int = 0
-    replications: int = 1
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
@@ -58,9 +57,6 @@ class DistConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.replications < 1:
-            raise ValueError(
-                f"replications must be >= 1, got {self.replications}")
 
 
 @dataclass

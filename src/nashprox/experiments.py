@@ -344,8 +344,7 @@ def _run_dist_experiment(spec: ExperimentSpec):
     x0 = _spec_x0(spec, game)
     solver = dict(spec.solver)
     config = DistConfig(alpha=solver["alpha"], max_iter=solver["max_iter"],
-                        beta=solver.get("beta"), seed=spec.seed,
-                        replications=spec.replications)
+                        beta=solver.get("beta"), seed=spec.seed)
     traces = [run_dist_pgr(game, graph, config, x_star, replication=r, x0=x0)
               for r in range(spec.replications)]
     mean_errors = _mean_errors(traces)

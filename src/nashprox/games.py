@@ -57,6 +57,10 @@ class QuadraticGame:
     H the full block matrix (Q_ij) and c the stacked linear terms. Diagonal
     blocks must be symmetric; the symmetric part of H must be positive
     definite (strong monotonicity), which is checked at construction.
+
+    h and c are stored as read-only copies, so the per-game data derived
+    from them (block views, own-block spectra, block norms, the strong
+    monotonicity modulus and ||h||_2) is computed once and cannot go stale.
     """
 
     dims: tuple[int, ...]
@@ -70,8 +74,8 @@ class QuadraticGame:
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"player dimensions must be positive, got {dims}")
         n = sum(dims)
-        h = np.asarray(self.h, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        h = np.array(self.h, dtype=float)
+        c = np.array(self.c, dtype=float)
         if h.shape != (n, n):
             raise ValueError(f"coupling matrix must be {(n, n)}, got {h.shape}")
         if c.shape != (n,):
@@ -80,6 +84,8 @@ class QuadraticGame:
             Zero() for _ in dims)
         if len(regs) != len(dims):
             raise ValueError(f"{len(regs)} regularizers for {len(dims)} players")
+        h.setflags(write=False)
+        c.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "c", c)
@@ -90,11 +96,10 @@ class QuadraticGame:
             qii = self.block(i, i)
             if not np.allclose(qii, qii.T, atol=1e-9):
                 raise ValueError(f"diagonal block {i} must be symmetric")
-        sym_min = float(np.linalg.eigvalsh((h + h.T) / 2.0)[0])
-        if sym_min <= 0.0:
+        if self._eta <= 0.0:
             raise NotStronglyMonotone(
                 f"symmetric part of the coupling matrix has minimum eigenvalue "
-                f"{sym_min:.3e}; the gradient map is not strongly monotone")
+                f"{self._eta:.3e}; the gradient map is not strongly monotone")
 
     @property
     def n_players(self) -> int:
@@ -109,6 +114,41 @@ class QuadraticGame:
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.h[self.block_slice(i), self.block_slice(j)]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Views of the blocks Q_ij of h, indexed [i][j]."""
+        n = self.n_players
+        return tuple(tuple(self.block(i, j) for j in range(n))
+                     for i in range(n))
+
+    @cached_property
+    def own_spectra(self) -> tuple[tuple[float, float], ...]:
+        """(smallest, largest) eigenvalue of each own block Q_ii."""
+        out = []
+        for i in range(self.n_players):
+            eigs = np.linalg.eigvalsh(self.blocks[i][i])
+            out.append((float(eigs[0]), float(eigs[-1])))
+        return tuple(out)
+
+    @cached_property
+    def block_norms(self) -> np.ndarray:
+        """Spectral norms ||Q_ij||_2 as a read-only (N, N) array."""
+        n = self.n_players
+        norms = np.array([[float(np.linalg.norm(self.blocks[i][j], 2))
+                           for j in range(n)] for i in range(n)])
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
+    def _eta(self) -> float:
+        """Smallest eigenvalue of the symmetric part of h."""
+        return float(np.linalg.eigvalsh((self.h + self.h.T) / 2.0)[0])
+
+    @cached_property
+    def _lip(self) -> float:
+        """Spectral norm ||h||_2."""
+        return float(np.linalg.norm(self.h, 2))
 
     def player_noise(self, i: int) -> NoiseModel:
         """Noise model of player i's gradient block.
@@ -253,9 +293,7 @@ def monotonicity_constants(game: Game) -> GameConstants:
     for validated instances, kept for raw use).
     """
     if isinstance(game, QuadraticGame):
-        sym = (game.h + game.h.T) / 2.0
-        eta = float(np.linalg.eigvalsh(sym)[0])
-        lip = float(np.linalg.norm(game.h, 2))
+        eta, lip = game._eta, game._lip
         nu = game.noise.nu
         n = game.dim
         nu_i = tuple(nu * math.sqrt(d / n) for d in game.dims)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nashprox import (
     solve_ne_oracle,
 )
 from nashprox.best_response import resolved_schedule
+from nashprox.errors import InnerSolveFailure
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -65,6 +67,38 @@ def test_noise_gain_hand_value():
     hand = (mu / (mu ** 2 + lip ** 2)) / (1.0 - lip / math.sqrt(mu ** 2 + lip ** 2))
     assert br_noise_gain(mu, lip) == pytest.approx(hand, rel=1e-12)
     assert br_noise_gain(1.0, 2.0) == pytest.approx(1.8944271909999155, rel=1e-9)
+
+
+def test_noise_gain_has_no_cancellation_for_small_mu():
+    # reference: the defining formula in 80-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for mu, lip in [(1.0, 2.0), (1e-6, 3.0), (1e-8, 2.5), (0.3, 1e-9),
+                        (1e3, 1.0), (2.0, 0.0)]:
+            m, l = Decimal(mu), Decimal(lip)
+            s = (m * m + l * l).sqrt()
+            exact = (m / (m * m + l * l)) / (1 - l / s)
+            assert br_noise_gain(mu, lip) == pytest.approx(float(exact),
+                                                           rel=1e-15)
+    assert br_noise_gain(1e-6, 3.0) == pytest.approx(2.0e6, rel=1e-12)
+    for mu in (1e-300, 1e300):
+        assert math.isfinite(br_noise_gain(mu, 3.0))
+    assert br_noise_gain(1e-300, 3.0) == pytest.approx(2e300, rel=1e-15)
+    assert br_noise_gain(1e300, 3.0) == pytest.approx(1e-300, rel=1e-15)
+
+
+def test_inner_solve_limits_are_validated():
+    game = _reference_game()
+    y = StrategyProfile.zeros((1, 1))
+    for kwargs in ({"max_inner": 0}, {"tol": 0.0}, {"tol": -1e-12}):
+        with pytest.raises(ValueError):
+            proximal_best_response(game, 0, y, 1.0, **kwargs)
+    for kwargs in ({"max_inner": 0}, {"inner_tol": 0.0},
+                   {"inner_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            saa_best_response(game, 0, y, 4, 1.0, (0, 0, 0), **kwargs)
+    with pytest.raises(InnerSolveFailure):
+        proximal_best_response(game, 0, y, 1.0, max_inner=1)
 
 
 def test_exact_best_response_scalar_closed_form():

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashprox.cli import main
 
@@ -177,3 +180,51 @@ def test_report_records_the_oracle_error_bound(tmp_path: Path, command: str,
                  "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["oracle_error_bound"] <= 1e-9
+
+
+def test_pbr_with_tiny_mu_runs(tmp_path: Path):
+    # the default c_r is about 2/mu; 1 - lip/sqrt(mu^2 + lip^2) rounds to
+    # zero here, so c_r must not be evaluated through it
+    doc = dict(PBR_DOC, solver={"mu": 1e-8, "eta_br": 0.7, "max_iter": 3})
+    out = tmp_path / "out"
+    assert main(["pbr", "--config", _write(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    c_r = json.loads((out / "report.json").read_text())["theory"]["c_r"]
+    assert c_r == pytest.approx(2e8, rel=1e-12)
+
+
+FUZZ_PBR_GAME = {
+    "kind": "quadratic", "dims": [1, 2, 1],
+    "h": [[2.0, 0.2, -0.1, 0.0], [0.1, 1.5, 0.3, 0.1],
+          [0.0, 0.3, 2.5, -0.2], [0.2, 0.0, 0.1, 1.0]],
+    "c": [-1.0, 0.5, 0.2, -0.3],
+    "regularizers": [{"kind": "box", "lo": -1.0, "hi": 1.0},
+                     {"kind": "l1", "weight": 0.2}, {"kind": "zero"}],
+    "noise": {"kind": "gaussian", "nu": 1.0},
+}
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=_log_uniform(-12, 3), eta_br=st.floats(0.05, 0.95),
+       m_max=st.none() | st.floats(0.0, 10.0),
+       c_r=st.none() | _log_uniform(-6, 6),
+       inner_tol=st.floats(1e-13, 1e-3), max_iter=st.integers(1, 4))
+def test_fuzzed_pbr_configs_exit_with_a_documented_code(
+        mu, eta_br, m_max, c_r, inner_tol, max_iter):
+    solver = {"mu": mu, "eta_br": eta_br, "inner_tol": inner_tol,
+              "max_iter": max_iter}
+    if m_max is not None:
+        solver["m_max"] = m_max
+    if c_r is not None:
+        solver["c_r"] = c_r
+    doc = {"scheme": "pbr", "seed": 3, "replications": 1,
+           "game": FUZZ_PBR_GAME, "solver": solver}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), doc)
+        code = main(["pbr", "--config", cfg, "--out", str(Path(tmp) / "out"),
+                     "--quiet"])
+    assert code in (0, 2, 3, 4)

@@ -36,6 +36,21 @@ def test_reference_game_constants():
     assert const.kappa == pytest.approx(3.0, abs=1e-9)
 
 
+def test_game_keeps_read_only_copies_of_h_and_c():
+    h, c = REF_H.copy(), REF_C.copy()
+    game = QuadraticGame(dims=(1, 1), h=h, c=c)
+    with pytest.raises(ValueError):
+        game.h[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        game.c[0] = 1.0
+    with pytest.raises(ValueError):
+        game.blocks[0][0][0, 0] = 1.0
+    h[0, 0] = 5.0
+    c[0] = 5.0
+    assert game.h[0, 0] == 2.0 and game.c[0] == -1.0
+    assert game.own_spectra == ((2.0, 2.0), (2.0, 2.0))
+
+
 def test_gradient_map_values_on_reference_game():
     game = _reference_game()
     at_zero = gradient_map(game, StrategyProfile.zeros((1, 1)))
