@@ -28,7 +28,7 @@ from .errors import InnerSolveFailure
 from .games import QuadraticGame, monotonicity_constants
 from .noise import NoiseModel, with_seed
 from .profiles import StrategyProfile
-from .prox import L1, BoxIndicator, Regularizer, Zero
+from .prox import lowered_prox
 from .sampling import (BestResponseBatch, SampleCounter, check_schedule,
                        schedule_size)
 from .trace import RunTrace
@@ -90,27 +90,6 @@ def br_noise_gain(mu: float, lip: float) -> float:
     return (1.0 + lip / math.hypot(mu, lip)) / mu
 
 
-def _lowered_prox(reg: Regularizer, step: float, shape: tuple[int, ...]):
-    """prox_{step r} as one elementwise map, with prox_apply's checks made
-    once: the same arithmetic as prox_apply(reg, v, step) for a float
-    vector v of the given shape."""
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"prox step must be finite and > 0, got {step}")
-    if isinstance(reg, Zero):
-        return lambda v: v
-    if isinstance(reg, L1):
-        t = step * reg.weight
-        return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-    if isinstance(reg, BoxIndicator):
-        if shape != reg.lo.shape:
-            raise ValueError(
-                f"point of shape {shape} does not match box of shape "
-                f"{reg.lo.shape}")
-        lo, hi = reg.lo, reg.hi
-        return lambda v: np.minimum(np.maximum(v, lo), hi)
-    raise TypeError(f"unknown regularizer {type(reg).__name__}")
-
-
 def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
                     anchor: np.ndarray, mu: float, tol: float,
                     max_inner: int) -> tuple[np.ndarray, int]:
@@ -122,7 +101,7 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
     qii = game.blocks[i][i]
     e_min, e_max = game.own_spectra[i]
     step = 2.0 / ((mu + e_min) + (mu + e_max))
-    prox = _lowered_prox(game.regularizers[i], step, anchor.shape)
+    prox = lowered_prox(game.regularizers[i], step, anchor.shape)
     z = anchor.copy()
     for it in range(max_inner):
         grad = qii @ z + linear + mu * (z - anchor)

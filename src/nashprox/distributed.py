@@ -27,7 +27,8 @@ import numpy as np
 from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, monotonicity_constants
 from .graphs import CommGraph, consensus_apply, mixing_params
-from .pgr import BRANCH_TOL, _reseeded
+from .noise import with_seed
+from .pgr import BRANCH_TOL, power_or_inf
 from .profiles import StrategyProfile
 from .sampling import (RootGeometricBatch, SampleCounter, check_schedule,
                        schedule_size)
@@ -123,7 +124,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         raise ValueError("mixing rate beta must be positive to schedule batches")
     schedule = RootGeometricBatch(beta)
     check_schedule(schedule, config.max_iter)
-    sampled = _reseeded(game, config.seed)
+    noises = tuple(with_seed(nm, config.seed) for nm in game.noises)
 
     if x0 is None:
         x0 = game.midpoint()
@@ -151,7 +152,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
             on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
         n_k = schedule_size(schedule, k)
         e = np.array([nm.averaged(1, n_k, (replication, k, i))[0]
-                      for i, nm in enumerate(sampled.noises)])
+                      for i, nm in enumerate(noises)])
         counter.total_samples += n * n_k
         step = x - config.alpha * (game.gradients(x, n * v_hat) + e)
         if not np.all(np.isfinite(step)):
@@ -225,6 +226,8 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
         c1 = m_compact * theta
         c2 = 0.0
         c3 = alpha ** 2 * sum_nu2
+    elif beta ** -0.5 == 1.0:
+        raise ValueError(f"beta={beta} is too close to 1: ln(beta^(-1/2)) is 0")
     else:
         c1 = m_compact * theta * (1.0 + 2.0 * math.e *
                                   math.sqrt(1.0 / math.log(beta ** -0.5)))
@@ -290,5 +293,5 @@ def dist_complexity(rc: DistRateConstants, beta: float, eps: float,
     root_beta = math.sqrt(beta)
     lead = 1.0 / (root_beta * math.log(1.0 / root_beta))
     exponent = math.log(1.0 / root_beta) / math.log(1.0 / rate)
-    samples = lead * (constant / eps) ** exponent + k_eps
+    samples = lead * power_or_inf(constant / eps, exponent) + k_eps
     return DistComplexity(k_eps=k_eps, comm_rounds=comm, samples=samples)

@@ -225,8 +225,7 @@ class RunReport:
 def _default_x0(game: Game) -> StrategyProfile:
     if isinstance(game, AggregativeGame):
         return game.midpoint()
-    zeros = StrategyProfile.zeros(game.dims)
-    return prox_profile(game.regularizers, zeros, 1.0)
+    return prox_profile(game.regularizers, StrategyProfile.zeros(game.dims), 1.0)
 
 
 def _mean_errors(traces: list[RunTrace]) -> np.ndarray:
@@ -310,12 +309,12 @@ def _run_pgr_experiment(spec: ExperimentSpec):
     config = PgrConfig(alpha=solver["alpha"], rho=solver["rho"],
                        max_iter=solver["max_iter"], seed=spec.seed,
                        target_eps=solver.get("target_eps"))
-    traces = [run_pgr(game, config, x0, x_star, replication=r)
-              for r in range(spec.replications)]
-    mean_errors = _mean_errors(traces)
     c_start = x0.distance(x_star) ** 2
     rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                         consts.nu, c_start)
+    traces = [run_pgr(game, config, x0, x_star, replication=r)
+              for r in range(spec.replications)]
+    mean_errors = _mean_errors(traces)
     constant, rate = envelope_params(rc, config.rho)
     theory = {"q": rc.q, "c_start": c_start, "c_rho_q": rc.c_rho_q,
               "d_tilde": rc.d_tilde, "rho_tilde": rc.rho_tilde,
@@ -345,13 +344,13 @@ def _run_dist_experiment(spec: ExperimentSpec):
     solver = dict(spec.solver)
     config = DistConfig(alpha=solver["alpha"], max_iter=solver["max_iter"],
                         beta=solver.get("beta"), seed=spec.seed)
-    traces = [run_dist_pgr(game, graph, config, x_star, replication=r, x0=x0)
-              for r in range(spec.replications)]
-    mean_errors = _mean_errors(traces)
     mp = mixing_params(graph)
     beta = config.beta if config.beta is not None else mp.beta
     rc = dist_rate_constants(game, graph, config.alpha, beta=beta,
                              theta=mp.theta)
+    traces = [run_dist_pgr(game, graph, config, x_star, replication=r, x0=x0)
+              for r in range(spec.replications)]
+    mean_errors = _mean_errors(traces)
     c_start = x0.distance(x_star) ** 2
     constant, rate = dist_envelope_params(rc, c_start)
     cerr = np.max(np.stack([t.consensus_errors for t in traces]), axis=0)

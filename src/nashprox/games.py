@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidStep, NonConvergence, NotStronglyMonotone
 from .noise import NoiseModel, ZeroNoise, scaled_noise
 from .profiles import StrategyProfile
-from .prox import BoxIndicator, Regularizer, Zero, prox_apply
+from .prox import BoxIndicator, Regularizer, Zero, compiled_prox
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,8 @@ class QuadraticGame:
             raise ValueError(f"coupling matrix must be {(n, n)}, got {h.shape}")
         if c.shape != (n,):
             raise ValueError(f"linear term must have shape {(n,)}, got {c.shape}")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
+            raise ValueError("game parameters must be finite")
         regs = tuple(self.regularizers) if self.regularizers else tuple(
             Zero() for _ in dims)
         if len(regs) != len(dims):
@@ -273,11 +275,16 @@ class AggregativeGame:
 Game = QuadraticGame | AggregativeGame
 
 
-def gradient_map(game: Game, x: StrategyProfile) -> np.ndarray:
-    """Exact joint gradient G(x) stacked over players."""
-    if x.dims != tuple(game.dims):
-        raise ValueError(f"profile dims {x.dims} do not match game dims {tuple(game.dims)}")
-    return _gradient_vector(game, x.vector)
+def gradient_map(game: Game, x: StrategyProfile | np.ndarray) -> np.ndarray:
+    """Exact joint gradient G(x) stacked over players, at a profile or at
+    its stacked vector."""
+    if isinstance(x, StrategyProfile):
+        if x.dims != tuple(game.dims):
+            raise ValueError(f"profile dims {x.dims} do not match game dims {tuple(game.dims)}")
+        x = x.vector
+    elif np.shape(x) != (game.dim,):
+        raise ValueError(f"vector of shape {np.shape(x)} does not match game dimension {game.dim}")
+    return _gradient_vector(game, x)
 
 
 def _gradient_vector(game: Game, vec: np.ndarray) -> np.ndarray:
@@ -324,7 +331,9 @@ def ne_residual(game: Game, x: StrategyProfile, alpha: float) -> float:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     vec = x.vector
     step = vec - alpha * _gradient_vector(game, vec)
-    return float(np.linalg.norm(vec - _prox_vector(game, step, alpha)))
+    prox = game.project if isinstance(game, AggregativeGame) else \
+        compiled_prox(game.regularizers, game.dims, alpha)
+    return float(np.linalg.norm(vec - prox(step)))
 
 
 def ne_error_bound(game: Game, x: StrategyProfile) -> float:
@@ -338,17 +347,6 @@ def ne_error_bound(game: Game, x: StrategyProfile) -> float:
     alpha = consts.eta / consts.lip ** 2
     return (1.0 + alpha * consts.lip) / (alpha * consts.eta) * \
         ne_residual(game, x, alpha)
-
-
-def _prox_vector(game: Game, vec: np.ndarray, alpha: float) -> np.ndarray:
-    if isinstance(game, AggregativeGame):
-        return game.project(vec)
-    pieces = []
-    offset = 0
-    for reg, d in zip(game.regularizers, game.dims):
-        pieces.append(prox_apply(reg, vec[offset:offset + d], alpha))
-        offset += d
-    return np.concatenate(pieces)
 
 
 def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
@@ -411,10 +409,11 @@ def _aggregate_bisection(game: AggregativeGame) -> np.ndarray | None:
 
 def _forward_backward(game: Game, alpha: float, tol: float,
                       max_iter: int) -> StrategyProfile:
-    x = _prox_vector(game, np.zeros(game.dim), alpha)
+    prox = compiled_prox(game.regularizers, game.dims, alpha)
+    x = prox(np.zeros(game.dim))
     for _ in range(max_iter):
         step = x - alpha * _gradient_vector(game, x)
-        x_next = _prox_vector(game, step, alpha)
+        x_next = prox(step)
         disp = float(np.linalg.norm(x_next - x))
         x = x_next
         if disp <= tol:

@@ -64,14 +64,6 @@ class CommGraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", a)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [j for (u, j) in self.edges if u == i]
-        out += [u for (u, j) in self.edges if j == i]
-        return tuple(sorted(out))
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
 
 @dataclass(frozen=True)
 class MixingParams:

@@ -34,8 +34,9 @@ class GaussianNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.nu >= 0.0 and np.isfinite(self.nu)):
-            raise ValueError(f"noise level must be finite and >= 0, got {self.nu}")
+        if not (self.nu >= 0.0 and np.isfinite(self.nu * self.nu)):
+            raise ValueError(f"noise level nu must be >= 0 with nu^2 finite, "
+                             f"got {self.nu}")
 
     def averaged(self, dim: int, batch: int, path: tuple[int, ...]) -> np.ndarray:
         """Empirical mean of `batch` iid draws on a block of size `dim`.

@@ -15,7 +15,7 @@ K(eps), and oracle-sample bound M(eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, Game, QuadraticGame, monotonicity_constants
 from .noise import with_seed
 from .profiles import StrategyProfile
-from .prox import prox_profile
+from .prox import compiled_prox
 from .sampling import (GeometricBatch, SampleCounter, check_schedule,
                        sample_batch_gradient, schedule_size)
 from .trace import RunTrace
@@ -107,8 +107,9 @@ def rate_constants(eta: float, lip: float, alpha: float, rho: float, nu: float,
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if c_start < 0.0 or nu < 0.0:
-        raise ValueError("c_start and nu must be >= 0")
+    if not (c_start >= 0.0 and 0.0 <= nu * nu < math.inf):
+        raise ValueError(f"need c_start >= 0 and nu >= 0 with nu^2 finite, "
+                         f"got c_start={c_start}, nu={nu}")
     q = contraction_factor_q(eta, lip, alpha)
     if abs(rho - q) <= BRANCH_TOL:
         if rho_tilde is None:
@@ -119,7 +120,7 @@ def rate_constants(eta: float, lip: float, alpha: float, rho: float, nu: float,
         d_tilde = c_start + alpha ** 2 * nu ** 2 / (math.e * math.log(rho_tilde / rho))
         return RateConstants(q=q, c_start=c_start, c_rho_q=None,
                              d_tilde=d_tilde, rho_tilde=rho_tilde)
-    gap = 1.0 - min(rho / q, q / rho)
+    gap = 1.0 - (q / rho if q < rho else rho / q)  # min of the two; q may be 0
     c_rho_q = c_start + alpha ** 2 * nu ** 2 / gap
     return RateConstants(q=q, c_start=c_start, c_rho_q=c_rho_q,
                          d_tilde=None, rho_tilde=None)
@@ -156,7 +157,15 @@ def complexity_M(rc: RateConstants, rho: float, eps: float) -> float:
     lead = 1.0 / (rho * math.log(1.0 / rho))
     constant, rate = envelope_params(rc, rho)
     exponent = math.log(1.0 / rho) / math.log(1.0 / rate)
-    return lead * (constant / eps) ** exponent + k_eps
+    return lead * power_or_inf(constant / eps, exponent) + k_eps
+
+
+def power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where that overflows a float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
@@ -170,13 +179,6 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
         raise ValueError(f"need 0 < eta <= lip, got eta={eta}, lip={lip}")
     kappa = lip / eta
     return eta / lip ** 2, 1.0 - 1.0 / (2.0 * kappa ** 2)
-
-
-def _reseeded(game: Game, seed: int) -> Game:
-    """Copy of the game whose noise streams are keyed by the run seed."""
-    if isinstance(game, QuadraticGame):
-        return replace(game, noise=with_seed(game.noise, seed))
-    return replace(game, noises=tuple(with_seed(nm, seed) for nm in game.noises))
 
 
 def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
@@ -194,7 +196,6 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     contraction_factor_q(consts.eta, consts.lip, config.alpha)
     if x0.dims != tuple(game.dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
-    sampled_game = _reseeded(game, config.seed)
     schedule = GeometricBatch(config.rho)
     n_iter = config.max_iter
     if config.target_eps is not None:
@@ -203,8 +204,9 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
         c_start = x0.distance(x_star) ** 2
         rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                             consts.nu, c_start)
-        n_iter = min(n_iter, max(1, math.ceil(
-            complexity_K(rc, config.rho, config.target_eps))))
+        k_eps = complexity_K(rc, config.rho, config.target_eps)
+        if k_eps < n_iter:
+            n_iter = max(1, math.ceil(k_eps))
     check_schedule(schedule, n_iter,
                    1 if isinstance(game, AggregativeGame) else game.dim)
 
@@ -213,24 +215,29 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     batches: list[int] = []
     cum_samples: list[int] = []
     cum_prox: list[int] = []
-    x = x0
-    if x_star is not None:
-        errors[0] = x.distance(x_star) ** 2
+    noise = (with_seed(game.noise, config.seed)
+             if isinstance(game, QuadraticGame)
+             else tuple(with_seed(nm, config.seed) for nm in game.noises))
+    prox = compiled_prox(game.regularizers, game.dims, config.alpha)
+    star = x_star.vector if x_star is not None else None
+    x = x0.vector
+    if star is not None:
+        errors[0] = float(np.linalg.norm(x - star)) ** 2
     for k in range(n_iter):
         n_k = schedule_size(schedule, k)
-        g = sample_batch_gradient(sampled_game, x, n_k, (replication, k), counter)
-        step = x.vector - config.alpha * g
-        if not np.all(np.isfinite(step)):
+        g = sample_batch_gradient(game, x, n_k, (replication, k), counter,
+                                  noise=noise)
+        step = x - config.alpha * g
+        if not np.isfinite(step).all():
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
-        x = prox_profile(game.regularizers,
-                         StrategyProfile.from_vector(step, game.dims),
-                         config.alpha, counter)
+        x = prox(step)
+        counter.prox_evals += 1
         batches.append(n_k)
         cum_samples.append(counter.total_samples)
         cum_prox.append(counter.prox_evals)
-        if x_star is not None:
-            errors[k + 1] = x.distance(x_star) ** 2
+        if star is not None:
+            errors[k + 1] = float(np.linalg.norm(x - star)) ** 2
     return RunTrace(errors=errors, error_metric="squared_distance",
-                    batches=batches, cum_samples=cum_samples,
-                    cum_prox=cum_prox, final=x, counter=counter)
+                    batches=batches, cum_samples=cum_samples, cum_prox=cum_prox,
+                    final=StrategyProfile.from_vector(x, game.dims), counter=counter)

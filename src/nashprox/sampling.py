@@ -138,24 +138,27 @@ class SampleCounter:
                 "inner_solves": self.inner_solves}
 
 
-def sample_batch_gradient(game: Game, x: StrategyProfile, batch: int,
-                          path: tuple[int, ...],
-                          counter: SampleCounter | None = None) -> np.ndarray:
-    """Average of `batch` noisy joint-gradient observations at x.
+def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,
+                          batch: int, path: tuple[int, ...],
+                          counter: SampleCounter | None = None,
+                          noise: NoiseModel | tuple[NoiseModel, ...] | None = None
+                          ) -> np.ndarray:
+    """Average of `batch` noisy joint-gradient observations at x (a profile
+    or its stacked vector).
 
-    The error is drawn from the game's noise model(s) with second moment
-    nu^2 / batch. `path` names the draw site (for example (replication,
+    The error is drawn with second moment nu^2 / batch from `noise`: by
+    default the game's noise model, or its per-player models for an
+    aggregative game. `path` names the draw site (for example (replication,
     iteration)); equal seeds and paths reproduce the draw bit for bit.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     g = gradient_map(game, x)
     if isinstance(game, QuadraticGame):
-        w = game.noise.averaged(g.size, batch, path)
+        w = (noise or game.noise).averaged(g.size, batch, path)
     else:
-        w = np.concatenate([
-            game.noises[i].averaged(1, batch, tuple(path) + (i,))
-            for i in range(game.n_players)])
+        w = np.concatenate([nm.averaged(1, batch, tuple(path) + (i,))
+                            for i, nm in enumerate(noise or game.noises)])
     if counter is not None:
         counter.total_samples += int(batch)
     return g + w

@@ -228,3 +228,72 @@ def test_fuzzed_pbr_configs_exit_with_a_documented_code(
         code = main(["pbr", "--config", cfg, "--out", str(Path(tmp) / "out"),
                      "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("field,value", [("h", [[float("nan"), 1.0], [1.0, 2.0]]),
+                                         ("c", [float("inf"), -1.0])])
+def test_non_finite_quadratic_game_is_an_assumption_error(
+        tmp_path: Path, capsys, field: str, value: list):
+    doc = dict(PGR_DOC, game=dict(PGR_DOC["game"], **{field: value}))
+    assert main(["pgr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    assert "game parameters must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,game", [
+    ("pgr", PGR_DOC, {"noise": {"kind": "gaussian", "nu": 1e160}}),
+    ("dist-pgr", DIST_DOC, {"nu": 1e160}),
+])
+def test_overflowing_noise_level_is_rejected_before_any_replication(
+        tmp_path: Path, capsys, monkeypatch, command: str, doc: dict,
+        game: dict):
+    from nashprox import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "run_pgr", no_run)
+    monkeypatch.setattr(experiments, "run_dist_pgr", no_run)
+    over = dict(doc, game=dict(doc["game"], **game))
+    assert main([command, "--config", _write(tmp_path, over), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "noise level nu must be >= 0 with nu^2 finite, got 1e+160" in err
+
+
+def _fuzz_solver(draw_solver: dict) -> dict:
+    return {k: v for k, v in draw_solver.items() if v is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_log_uniform(-6, 1), rho=st.floats(0.0, 1.0),
+       max_iter=st.integers(1, 40),
+       target_eps=st.none() | _log_uniform(-12, 3),
+       nu=st.just(0.0) | _log_uniform(-6, 300))
+def test_fuzzed_pgr_configs_exit_with_a_documented_code(
+        alpha, rho, max_iter, target_eps, nu):
+    solver = _fuzz_solver({"alpha": alpha, "rho": rho, "max_iter": max_iter,
+                           "target_eps": target_eps})
+    game = dict(PGR_DOC["game"], noise={"kind": "gaussian", "nu": nu})
+    doc = {"scheme": "pgr", "seed": 3, "replications": 2, "game": game,
+           "solver": solver}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), doc)
+        code = main(["pgr", "--config", cfg, "--out", str(Path(tmp) / "out"),
+                     "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=_log_uniform(-6, 0), beta=st.none() | st.floats(0.0, 1.0),
+       max_iter=st.integers(1, 25),
+       target_eps=st.none() | _log_uniform(-12, 3),
+       nu=st.just(0.0) | _log_uniform(-6, 300))
+def test_fuzzed_dist_pgr_configs_exit_with_a_documented_code(
+        alpha, beta, max_iter, target_eps, nu):
+    solver = _fuzz_solver({"alpha": alpha, "beta": beta, "max_iter": max_iter,
+                           "target_eps": target_eps})
+    doc = dict(DIST_DOC, game=dict(DIST_DOC["game"], nu=nu), solver=solver)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), doc)
+        code = main(["dist-pgr", "--config", cfg, "--out",
+                     str(Path(tmp) / "out"), "--quiet"])
+    assert code in (0, 2, 3, 4)
