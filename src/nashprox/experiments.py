@@ -225,7 +225,8 @@ class RunReport:
 def _default_x0(game: Game) -> StrategyProfile:
     if isinstance(game, AggregativeGame):
         return game.midpoint()
-    return prox_profile(game.regularizers, StrategyProfile.zeros(game.dims), 1.0)
+    zeros = StrategyProfile.zeros(game.dims)
+    return prox_profile(game.regularizers, zeros, 1.0)
 
 
 def _mean_errors(traces: list[RunTrace]) -> np.ndarray:

@@ -331,8 +331,7 @@ def ne_residual(game: Game, x: StrategyProfile, alpha: float) -> float:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     vec = x.vector
     step = vec - alpha * _gradient_vector(game, vec)
-    prox = game.project if isinstance(game, AggregativeGame) else \
-        compiled_prox(game.regularizers, game.dims, alpha)
+    prox = compiled_prox(game.regularizers, game.dims, alpha)
     return float(np.linalg.norm(vec - prox(step)))
 
 

@@ -107,7 +107,7 @@ def rate_constants(eta: float, lip: float, alpha: float, rho: float, nu: float,
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if not (c_start >= 0.0 and 0.0 <= nu * nu < math.inf):
+    if not (c_start >= 0.0 and nu >= 0.0 and nu * nu < math.inf):
         raise ValueError(f"need c_start >= 0 and nu >= 0 with nu^2 finite, "
                          f"got c_start={c_start}, nu={nu}")
     q = contraction_factor_q(eta, lip, alpha)
@@ -239,5 +239,6 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
         if star is not None:
             errors[k + 1] = float(np.linalg.norm(x - star)) ** 2
     return RunTrace(errors=errors, error_metric="squared_distance",
-                    batches=batches, cum_samples=cum_samples, cum_prox=cum_prox,
-                    final=StrategyProfile.from_vector(x, game.dims), counter=counter)
+                    batches=batches, cum_samples=cum_samples,
+                    cum_prox=cum_prox, counter=counter,
+                    final=StrategyProfile.from_vector(x, game.dims))

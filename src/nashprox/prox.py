@@ -115,9 +115,7 @@ def compiled_prox(regs, dims, step: float):
         elif isinstance(reg, L1):
             t[a:b], shrink[a:b] = step * reg.weight, True
     clip, soft = _clip(lo, hi), _soft_threshold(t)
-    if shrink.all():
-        return soft
-    return (lambda v: np.where(shrink, soft(v), clip(v))) if shrink.any() else clip
+    return lambda v: np.where(shrink, soft(v), clip(v))
 
 
 def prox_profile(regs, x: StrategyProfile, alpha: float, counter=None) -> StrategyProfile:

@@ -62,6 +62,12 @@ def test_rate_constants_rejects_invalid_rho():
         rate_constants(1.0, 2.0, 0.25, 0.0, 1.0, 1.0)
 
 
+def test_rate_constants_rejects_negative_or_overflowing_nu():
+    for nu in (-1.0, 1e160, float("nan")):
+        with pytest.raises(ValueError, match="nu"):
+            rate_constants(1.0, 2.0, 0.25, 0.5, nu, 1.0)
+
+
 def test_iteration_bound_hand_value():
     rc = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
     k01 = complexity_K(rc, 0.5, 0.01)
