@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import InnerSolveFailure
 from .games import QuadraticGame, monotonicity_constants
-from .noise import NoiseModel, with_seed
+from .noise import NoiseModel, seeded
+from .pgr import power_or_inf
 from .profiles import StrategyProfile
 from .prox import lowered_prox
 from .sampling import (BestResponseBatch, SampleCounter, check_schedule,
@@ -211,7 +212,7 @@ class PbrConfig:
 
 class PbrComplexity(NamedTuple):
     k_eps: int
-    samples: int
+    samples: int | float
     order_value: float
 
 
@@ -252,8 +253,8 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
     schedule = resolved_schedule(game, config)
     check_schedule(schedule, config.max_iter, max(game.dims))
-    noises = [with_seed(game.player_noise(i), config.seed)
-              for i in range(game.n_players)]
+    noises = seeded([game.player_noise(i) for i in range(game.n_players)],
+                    config.seed, replication, config.max_iter)
     counter = SampleCounter()
     errors = np.full(config.max_iter + 1, np.nan)
     y = x0
@@ -292,7 +293,9 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
     bound. k_eps is the smallest integer k with envelope <= eps; samples is
     the exact schedule sum N * sum_{k < k_eps} N_k; order_value evaluates
     the asymptotic form (sqrt(N)(c_start + d)/eps)^{2 ln(1/eta_br) /
-    ln(1/eta_tilde)} that the exact sum tracks up to constants.
+    ln(1/eta_tilde)} that the exact sum tracks up to constants. samples
+    and order_value are inf where a batch size or the power overflows a
+    float.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -309,8 +312,10 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
             f"got {eta_tilde}")
     d = 1.0 / (math.e * math.log(eta_tilde / c))
     envelope0 = math.sqrt(n_players) * (c_start + d)
-    k_eps = max(0, math.ceil(math.log(envelope0 / eps) /
-                             math.log(1.0 / eta_tilde)))
+    ratio = envelope0 / eps
+    log_ratio = math.log(ratio) if ratio < math.inf \
+        else math.log(envelope0) - math.log(eps)
+    k_eps = max(0, math.ceil(log_ratio / math.log(1.0 / eta_tilde)))
     m_max = config.m_max
     c_r = config.c_r
     if m_max is None or c_r is None:
@@ -318,8 +323,12 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
             "pbr_complexity needs m_max and c_r resolved in the config "
             "(see resolved_schedule)")
     schedule = BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
-    samples = n_players * sum(schedule_size(schedule, k) for k in range(k_eps))
-    order_value = (envelope0 / eps) ** (2.0 * math.log(1.0 / config.eta_br) /
-                                        math.log(1.0 / eta_tilde))
-    return PbrComplexity(k_eps=int(k_eps), samples=int(samples),
+    try:
+        samples = n_players * sum(schedule_size(schedule, k)
+                                  for k in range(k_eps))
+    except OverflowError:
+        samples = math.inf
+    order_value = power_or_inf(ratio, 2.0 * math.log(1.0 / config.eta_br) /
+                               math.log(1.0 / eta_tilde))
+    return PbrComplexity(k_eps=int(k_eps), samples=samples,
                          order_value=float(order_value))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, monotonicity_constants
 from .graphs import CommGraph, consensus_apply, mixing_params
-from .noise import with_seed
+from .noise import seeded
 from .pgr import BRANCH_TOL, power_or_inf
 from .profiles import StrategyProfile
 from .sampling import (RootGeometricBatch, SampleCounter, check_schedule,
@@ -124,7 +124,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         raise ValueError("mixing rate beta must be positive to schedule batches")
     schedule = RootGeometricBatch(beta)
     check_schedule(schedule, config.max_iter)
-    noises = tuple(with_seed(nm, config.seed) for nm in game.noises)
+    noises = seeded(game.noises, config.seed, replication, config.max_iter)
 
     if x0 is None:
         x0 = game.midpoint()

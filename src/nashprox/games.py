@@ -170,7 +170,9 @@ class AggregativeGame:
     gradient (through its full dependence on x_i) is
     a_i x_i + b_i - d + c_price * y + c_price * x_i.
     Strategy sets are compact boxes by construction. The gradient map's
-    Jacobian diag(a_i + c_price) + c_price * ones must be positive definite.
+    Jacobian diag(a_i + c_price) + c_price * ones must be positive definite,
+    and the total noise level nu^2 = sum_i nu_i^2 finite, like a single
+    Gaussian level's square.
     """
 
     a: tuple[float, ...]
@@ -202,6 +204,9 @@ class AggregativeGame:
             ZeroNoise() for _ in range(n))
         if len(noises) != n:
             raise ValueError(f"{len(noises)} noise models for {n} players")
+        if not math.isfinite(sum(nm.nu ** 2 for nm in noises)):
+            raise ValueError("total noise level nu must have nu^2 = "
+                             "sum_i nu_i^2 finite, got nu^2 = inf")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", float(self.d))

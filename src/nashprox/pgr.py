@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, Game, QuadraticGame, monotonicity_constants
-from .noise import with_seed
+from .noise import seeded
 from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import (GeometricBatch, SampleCounter, check_schedule,
@@ -215,9 +215,8 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     batches: list[int] = []
     cum_samples: list[int] = []
     cum_prox: list[int] = []
-    noise = (with_seed(game.noise, config.seed)
-             if isinstance(game, QuadraticGame)
-             else tuple(with_seed(nm, config.seed) for nm in game.noises))
+    noise = seeded(game.noise if isinstance(game, QuadraticGame)
+                   else game.noises, config.seed, replication, n_iter)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
     star = x_star.vector if x_star is not None else None
     x = x0.vector

@@ -193,6 +193,43 @@ def test_pbr_with_tiny_mu_runs(tmp_path: Path):
     assert c_r == pytest.approx(2e8, rel=1e-12)
 
 
+@pytest.mark.parametrize("solver", [
+    {"mu": 1.0, "eta_br": 0.7, "max_iter": 3, "target_eps": 1e-300},
+    # eta_tilde next to max(a, eta_br): the envelope constant over eps
+    # overflows, its logarithm does not
+    {"mu": 1.0, "eta_br": 0.7, "max_iter": 3, "target_eps": 1e-300,
+     "eta_tilde": 0.7000000000001},
+])
+def test_pbr_sample_bound_past_the_float_range_is_infinity(
+        tmp_path: Path, capsys, solver: dict):
+    doc = dict(PBR_DOC, solver=solver)
+    out = tmp_path / "out"
+    assert main(["pbr", "--config", _write(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    theory = json.loads((out / "report.json").read_text())["theory"]
+    assert theory["m_eps"] == float("inf")
+    assert theory["m_eps_order"] == float("inf")
+    assert 0 < theory["k_eps"] < 10 ** 5
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("pgr", dict(PGR_DOC, solver={"alpha": 0.05, "rho": 0.9, "max_iter": 20})),
+    ("dist-pgr", DIST_DOC),
+])
+def test_cournot_noise_levels_whose_squares_overflow_are_rejected(
+        tmp_path: Path, capsys, command: str, doc: dict):
+    # each of the five levels squares to 1e308, their sum overflows
+    over = dict(doc, game=dict(DIST_DOC["game"], nu=1e154))
+    assert main([command, "--config", _write(tmp_path, over), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "total noise level nu must have nu^2 = sum_i nu_i^2 finite" in err
+    assert "Traceback" not in err
+    fits = dict(doc, game=dict(DIST_DOC["game"], nu=5e153))
+    assert main([command, "--config", _write(tmp_path, fits, "ok.json"),
+                 "--quiet"]) == 0
+
+
 FUZZ_PBR_GAME = {
     "kind": "quadratic", "dims": [1, 2, 1],
     "h": [[2.0, 0.2, -0.1, 0.0], [0.1, 1.5, 0.3, 0.1],
@@ -212,15 +249,18 @@ def _log_uniform(lo_exp: float, hi_exp: float):
 @given(mu=_log_uniform(-12, 3), eta_br=st.floats(0.05, 0.95),
        m_max=st.none() | st.floats(0.0, 10.0),
        c_r=st.none() | _log_uniform(-6, 6),
-       inner_tol=st.floats(1e-13, 1e-3), max_iter=st.integers(1, 4))
+       inner_tol=st.floats(1e-13, 1e-3), max_iter=st.integers(1, 4),
+       target_eps=st.none() | _log_uniform(-300, 3))
 def test_fuzzed_pbr_configs_exit_with_a_documented_code(
-        mu, eta_br, m_max, c_r, inner_tol, max_iter):
+        mu, eta_br, m_max, c_r, inner_tol, max_iter, target_eps):
     solver = {"mu": mu, "eta_br": eta_br, "inner_tol": inner_tol,
               "max_iter": max_iter}
     if m_max is not None:
         solver["m_max"] = m_max
     if c_r is not None:
         solver["c_r"] = c_r
+    if target_eps is not None:
+        solver["target_eps"] = target_eps
     doc = {"scheme": "pbr", "seed": 3, "replications": 1,
            "game": FUZZ_PBR_GAME, "solver": solver}
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,0 +1,131 @@
+"""run_pbr against a copy of its loop that seeds every draw site on its own.
+
+The reference below is the run_pbr loop with each player's noise drawn at
+iteration k of replication r from substream(seed, r, k, i), one
+SeedSequence per site. run_pbr seeds the sites of a replication in one
+batch, so its errors, counters and final profile must match the reference
+bit for bit, signed zeros included.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nashprox import (
+    L1,
+    BoxIndicator,
+    GaussianNoise,
+    PbrConfig,
+    QuadraticGame,
+    SampleCounter,
+    StrategyProfile,
+    Zero,
+    ZeroNoise,
+    run_pbr,
+    saa_best_response,
+    schedule_size,
+    solve_ne_oracle,
+    substream,
+)
+from nashprox.best_response import resolved_schedule
+
+
+class _PerSiteNoise:
+    """A player's noise, seeding a SeedSequence at every draw site."""
+
+    def __init__(self, noise, seed):
+        self.noise, self.seed = noise, seed
+
+    def averaged(self, dim, batch, path):
+        if isinstance(self.noise, ZeroNoise):
+            return np.zeros(dim)
+        return substream(self.seed, *path).standard_normal(dim) * \
+            (self.noise.nu / math.sqrt(dim * batch))
+
+
+def _reference_run_pbr(game, config, x0, x_star, replication):
+    schedule = resolved_schedule(game, config)
+    noises = [_PerSiteNoise(game.player_noise(i), config.seed)
+              for i in range(game.n_players)]
+    counter = SampleCounter()
+    errors = np.full(config.max_iter + 1, np.nan)
+    y = x0
+    errors[0] = y.distance(x_star)
+    batches, cum_samples, cum_inner = [], [], []
+    for k in range(config.max_iter):
+        n_k = schedule_size(schedule, k)
+        y = StrategyProfile(tuple(
+            saa_best_response(game, i, y, n_k, config.mu, (replication, k, i),
+                              inner_tol=config.inner_tol, counter=counter,
+                              noise=noises[i])
+            for i in range(game.n_players)))
+        batches.append(n_k)
+        cum_samples.append(counter.total_samples)
+        cum_inner.append(counter.inner_solves)
+        errors[k + 1] = y.distance(x_star)
+    return errors, batches, cum_samples, cum_inner, counter, y
+
+
+def _regularizer(kind, dim, rng):
+    if kind == "box":
+        lo = -rng.uniform(0.1, 2.0, dim)
+        return BoxIndicator(lo, lo + rng.uniform(0.0, 3.0, dim))
+    if kind == "l1":
+        return L1(float(rng.uniform(0.0, 1.5)))
+    return Zero()
+
+
+@st.composite
+def quadratic_games(draw):
+    """A game with blocks of size 1-5, own blocks of curvature at least 1,
+    weak coupling, a mix of box, l1 and zero regularizers and zero or
+    Gaussian noise, plus an rng for points."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    kinds = [draw(st.sampled_from(("box", "l1", "zero"))) for _ in dims]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = sum(dims)
+    offsets = np.cumsum((0,) + dims)
+    h = 0.2 * rng.standard_normal((n, n)) / n
+    for i, d in enumerate(dims):
+        sl = slice(offsets[i], offsets[i + 1])
+        a = rng.standard_normal((d, d))
+        h[sl, sl] = np.eye(d) + a @ a.T / d
+    noise = draw(st.sampled_from((ZeroNoise(), GaussianNoise(0.0),
+                                  GaussianNoise(0.3), GaussianNoise(2.0))))
+    game = QuadraticGame(dims=dims, h=h, c=rng.standard_normal(n),
+                         regularizers=tuple(_regularizer(k, d, rng)
+                                            for k, d in zip(kinds, dims)),
+                         noise=noise)
+    return game, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=quadratic_games(), mu=st.floats(0.2, 3.0),
+       eta_br=st.floats(0.3, 0.9), max_iter=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16) | st.integers(2 ** 32, 2 ** 70),
+       replication=st.integers(0, 5))
+def test_run_matches_the_per_site_reference_loop_bit_for_bit(
+        drawn, mu, eta_br, max_iter, seed, replication):
+    game, rng = drawn
+    config = PbrConfig(mu=mu, eta_br=eta_br, max_iter=max_iter, seed=seed,
+                       allow_uncontractive=True)
+    x_star = solve_ne_oracle(game)
+    x0 = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = run_pbr(game, config, x0, x_star, replication=replication)
+    errors, batches, cum_samples, cum_inner, counter, final = \
+        _reference_run_pbr(game, config, x0, x_star, replication)
+    assert np.array_equal(trace.errors, errors)
+    assert trace.errors.tobytes() == errors.tobytes()
+    assert trace.batches == batches
+    assert trace.cum_samples == cum_samples
+    assert trace.cum_inner == cum_inner
+    assert trace.counter == counter
+    assert trace.final.dims == final.dims
+    assert trace.final.vector.tobytes() == final.vector.tobytes()
