@@ -216,6 +216,27 @@ class PbrComplexity(NamedTuple):
     order_value: float
 
 
+def pbr_envelope(config: PbrConfig, a: float, n_players: int,
+                 c_start: float) -> tuple[float, float, float]:
+    """(eta_tilde, d, constant) of the envelope E||y_k - x*|| <= constant *
+    eta_tilde^k of a pbr run.
+
+    With c = max(a, eta_br) and eta_tilde in (c, 1) (default (1 + c) / 2),
+    constant = sqrt(N) (c_start + d) with d = 1 / (e ln(eta_tilde / c))
+    and c_start a per-player initial distance bound. Raises ValueError for
+    an eta_tilde outside (c, 1), which includes every game with a >= 1.
+    """
+    c = max(a, config.eta_br)
+    eta_tilde = config.eta_tilde if config.eta_tilde is not None \
+        else (1.0 + c) / 2.0
+    if not (c < eta_tilde < 1.0):
+        raise ValueError(
+            f"eta_tilde must lie in (max(a, eta_br), 1) = ({c}, 1), "
+            f"got {eta_tilde}")
+    d = 1.0 / (math.e * math.log(eta_tilde / c))
+    return eta_tilde, d, math.sqrt(n_players) * (c_start + d)
+
+
 def _own_block_lip(game: QuadraticGame) -> float:
     return float(np.max(np.diagonal(game.block_norms)))
 
@@ -285,12 +306,10 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
 
 def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
                    c_start: float) -> PbrComplexity:
-    """Iteration and sample counts for the best-response envelope.
+    """Iteration and sample counts for the best-response envelope
+    (pbr_envelope).
 
-    With c = max(a, eta_br) and eta_tilde in (c, 1), the expected distance
-    obeys E||y_k - x*|| <= sqrt(N) (c_start + d) eta_tilde^k with
-    d = 1 / (e ln(eta_tilde / c)) and c_start a per-player initial distance
-    bound. k_eps is the smallest integer k with envelope <= eps; samples is
+    k_eps is the smallest integer k with envelope <= eps; samples is
     the exact schedule sum N * sum_{k < k_eps} N_k; order_value evaluates
     the asymptotic form (sqrt(N)(c_start + d)/eps)^{2 ln(1/eta_br) /
     ln(1/eta_tilde)} that the exact sum tracks up to constants. samples
@@ -303,15 +322,7 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
         raise ValueError(f"n_players must be >= 1, got {n_players}")
     if c_start < 0.0 or a < 0.0:
         raise ValueError("a and c_start must be >= 0")
-    c = max(a, config.eta_br)
-    eta_tilde = config.eta_tilde if config.eta_tilde is not None \
-        else (1.0 + c) / 2.0
-    if not (c < eta_tilde < 1.0):
-        raise ValueError(
-            f"eta_tilde must lie in (max(a, eta_br), 1) = ({c}, 1), "
-            f"got {eta_tilde}")
-    d = 1.0 / (math.e * math.log(eta_tilde / c))
-    envelope0 = math.sqrt(n_players) * (c_start + d)
+    eta_tilde, _, envelope0 = pbr_envelope(config, a, n_players, c_start)
     ratio = envelope0 / eps
     log_ratio = math.log(ratio) if ratio < math.inf \
         else math.log(envelope0) - math.log(eps)

@@ -8,17 +8,18 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .best_response import (PbrConfig, contraction_certificate, pbr_complexity,
-                            resolved_schedule, run_pbr)
+                            pbr_envelope, resolved_schedule, run_pbr)
 from .distributed import (DistConfig, dist_complexity, dist_envelope_params,
                           dist_rate_constants, run_dist_pgr)
 from .errors import ConfigError
 from .games import (AggregativeGame, Game, QuadraticGame,
                     monotonicity_constants, ne_error_bound, solve_ne_oracle)
-from .graphs import CommGraph, mixing_params
+from .graphs import mixing_params
 from .noise import GaussianNoise, ZeroNoise, substream
 from .pgr import (PgrConfig, complexity_K, complexity_M, envelope_params,
                   rate_constants, run_pgr)
@@ -26,15 +27,6 @@ from .profiles import StrategyProfile
 from .prox import prox_profile
 from .serialize import as_builtin, build_game, build_graph, validate_config
 from .trace import RunTrace
-
-TRACE_COLUMNS = {
-    "pgr": ["k", "N_k", "cum_samples", "cum_prox", "sq_error",
-            "replication_id"],
-    "dist-pgr": ["k", "N_k", "tau_k", "cum_samples", "cum_prox", "cum_comm",
-                 "consensus_error", "sq_error", "replication_id"],
-    "pbr": ["k", "batch_N_k", "cum_samples", "inner_solves", "error_norm",
-            "replication_id"],
-}
 
 
 def generate_quadratic_game(n_players: int, dim: int, coupling_strength: float,
@@ -181,56 +173,25 @@ class ExperimentSpec:
                    fit=doc.get("fit"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
-    """Summary of an experiment; as_dict() is JSON-ready and deterministic."""
+    """Summary of an experiment: the fields of report.json, which as_dict()
+    returns JSON-ready and deterministic."""
 
-    scheme: str
-    seed: int
-    replications: int
-    solver: dict
-    game_constants: dict | None
-    theory: dict
-    counters: dict | None
-    iterations: int | None
-    mean_final_error: float | None
-    fit: dict | None
-    equilibrium: list | None
-    graph: dict | None
-    oracle_error_bound: float | None = None
+    fields: dict
 
     def as_dict(self) -> dict:
-        out = {"scheme": self.scheme, "seed": self.seed,
-               "replications": self.replications, "solver": self.solver,
-               "theory": self.theory}
-        if self.game_constants is not None:
-            out["game_constants"] = self.game_constants
-        if self.counters is not None:
-            out["counters"] = self.counters
-        if self.iterations is not None:
-            out["iterations"] = self.iterations
-        if self.mean_final_error is not None:
-            out["mean_final_error"] = self.mean_final_error
-        if self.fit is not None:
-            out["fit"] = self.fit
-        if self.equilibrium is not None:
-            out["equilibrium"] = self.equilibrium
-        if self.oracle_error_bound is not None:
-            out["oracle_error_bound"] = self.oracle_error_bound
-        if self.graph is not None:
-            out["graph"] = self.graph
-        return as_builtin(out)
+        return as_builtin(self.fields)
 
 
-def _default_x0(game: Game) -> StrategyProfile:
+def _spec_x0(spec: ExperimentSpec, game: Game) -> StrategyProfile:
+    if spec.x0 is not None:
+        return StrategyProfile.from_vector(np.asarray(spec.x0, dtype=float),
+                                           game.dims)
     if isinstance(game, AggregativeGame):
         return game.midpoint()
-    zeros = StrategyProfile.zeros(game.dims)
-    return prox_profile(game.regularizers, zeros, 1.0)
-
-
-def _mean_errors(traces: list[RunTrace]) -> np.ndarray:
-    return np.mean(np.stack([t.errors for t in traces]), axis=0)
+    return prox_profile(game.regularizers, StrategyProfile.zeros(game.dims),
+                        1.0)
 
 
 def _envelope_check(mean_errors: np.ndarray, constant: float,
@@ -247,190 +208,159 @@ def _envelope_check(mean_errors: np.ndarray, constant: float,
 
 def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
               max_k: int) -> dict:
-    skip = 5
-    window = None
-    if fit_doc:
-        skip = int(fit_doc.get("skip", 5))
-        if "window" in fit_doc:
-            window = tuple(fit_doc["window"])
-    if window is None:
-        window = (min(skip, max(0, max_k - 3)), max_k)
+    fit_doc = fit_doc or {}
+    skip = int(fit_doc.get("skip", 5))
+    window = tuple(fit_doc["window"]) if "window" in fit_doc \
+        else (min(skip, max(0, max_k - 3)), max_k)
     fit = fit_linear_rate(mean_errors, window=window)
     return {"slope": fit.slope, "intercept": fit.intercept,
             "r_squared": fit.r_squared, "n_points": fit.n_points,
             "window": list(window)}
 
 
-def _constants_dict(game: Game) -> dict:
-    consts = monotonicity_constants(game)
-    return {"eta": consts.eta, "lip": consts.lip, "kappa": consts.kappa,
-            "nu": consts.nu, "nu_i": list(consts.nu_i),
-            "m_compact": consts.m_compact}
+# A scheme's setup step takes (spec, game, game constants, x0, x*) and
+# returns (replicate, finish): replicate(r) runs replication r, and
+# finish(mean errors, traces) returns the theory dict and the graph summary
+# (or None). Solvers are called through their module globals at call time.
 
-
-def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunReport:
-    """Run the replicated experiment an ExperimentSpec describes.
-
-    When out_dir is given, writes trace.csv (one row per executed iteration
-    per replication) and report.json there; both byte-stable for a fixed
-    spec on one platform.
-    """
-    if spec.scheme == "pgr":
-        report, traces = _run_pgr_experiment(spec)
-    elif spec.scheme == "dist-pgr":
-        report, traces = _run_dist_experiment(spec)
-    elif spec.scheme == "pbr":
-        report, traces = _run_pbr_experiment(spec)
-    elif spec.scheme == "bounds":
-        report, traces = _run_bounds(spec), []
-    else:
-        raise ConfigError(f"unknown scheme '{spec.scheme}'")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if traces:
-            write_trace_csv(os.path.join(out_dir, "trace.csv"), spec.scheme,
-                            traces)
-        write_report_json(os.path.join(out_dir, "report.json"), report)
-    return report
-
-
-def _spec_x0(spec: ExperimentSpec, game: Game) -> StrategyProfile:
-    if spec.x0 is None:
-        return _default_x0(game)
-    return StrategyProfile.from_vector(np.asarray(spec.x0, dtype=float),
-                                       game.dims)
-
-
-def _run_pgr_experiment(spec: ExperimentSpec):
-    game = build_game(spec.game, spec.seed)
-    consts = monotonicity_constants(game)
-    x_star = solve_ne_oracle(game)
-    x0 = _spec_x0(spec, game)
-    solver = dict(spec.solver)
-    config = PgrConfig(alpha=solver["alpha"], rho=solver["rho"],
-                       max_iter=solver["max_iter"], seed=spec.seed,
-                       target_eps=solver.get("target_eps"))
+def _pgr_setup(spec, game, consts, x0, x_star):
+    s = spec.solver
+    config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
+                       seed=spec.seed, target_eps=s.get("target_eps"))
     c_start = x0.distance(x_star) ** 2
     rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                         consts.nu, c_start)
-    traces = [run_pgr(game, config, x0, x_star, replication=r)
-              for r in range(spec.replications)]
-    mean_errors = _mean_errors(traces)
-    constant, rate = envelope_params(rc, config.rho)
     theory = {"q": rc.q, "c_start": c_start, "c_rho_q": rc.c_rho_q,
-              "d_tilde": rc.d_tilde, "rho_tilde": rc.rho_tilde,
-              "envelope": _envelope_check(mean_errors, constant, rate)}
+              "d_tilde": rc.d_tilde, "rho_tilde": rc.rho_tilde}
     if config.target_eps is not None:
         theory["k_eps"] = complexity_K(rc, config.rho, config.target_eps)
         theory["m_eps"] = complexity_M(rc, config.rho, config.target_eps)
-    k_iter = traces[0].iterations
-    report = RunReport(
-        scheme="pgr", seed=spec.seed, replications=spec.replications,
-        solver=solver, game_constants=_constants_dict(game), theory=theory,
-        counters=traces[0].counter.as_dict(), iterations=k_iter,
-        mean_final_error=float(mean_errors[-1]),
-        fit=_fit_dict(mean_errors, spec.fit, k_iter),
-        equilibrium=list(x_star.vector), graph=None,
-        oracle_error_bound=ne_error_bound(game, x_star))
-    return report, traces
+
+    def finish(mean_errors, traces):
+        theory["envelope"] = _envelope_check(
+            mean_errors, *envelope_params(rc, config.rho))
+        return theory, None
+    return lambda r: run_pgr(game, config, x0, x_star, replication=r), finish
 
 
-def _run_dist_experiment(spec: ExperimentSpec):
-    game = build_game(spec.game, spec.seed)
-    if not isinstance(game, AggregativeGame):
-        raise ConfigError("the distributed scheme needs an aggregative game")
+def _dist_setup(spec, game, consts, x0, x_star):
+    s = spec.solver
     graph = build_graph(spec.graph)
-    x_star = solve_ne_oracle(game)
-    x0 = _spec_x0(spec, game)
-    solver = dict(spec.solver)
-    config = DistConfig(alpha=solver["alpha"], max_iter=solver["max_iter"],
-                        beta=solver.get("beta"), seed=spec.seed)
+    config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
+                        beta=s.get("beta"), seed=spec.seed)
     mp = mixing_params(graph)
     beta = config.beta if config.beta is not None else mp.beta
     rc = dist_rate_constants(game, graph, config.alpha, beta=beta,
                              theta=mp.theta)
-    traces = [run_dist_pgr(game, graph, config, x_star, replication=r, x0=x0)
-              for r in range(spec.replications)]
-    mean_errors = _mean_errors(traces)
     c_start = x0.distance(x_star) ** 2
-    constant, rate = dist_envelope_params(rc, c_start)
-    cerr = np.max(np.stack([t.consensus_errors for t in traces]), axis=0)
-    taus = np.asarray(traces[0].taus)
-    cerr_bound = rc.m_compact * mp.theta * beta ** taus
-    consensus_ok = bool(np.all(cerr <= cerr_bound + 1e-12))
     theory = {"varrho": rc.varrho, "c1": rc.c1, "c2": rc.c2, "c3": rc.c3,
               "m_compact": rc.m_compact, "beta": beta, "theta": mp.theta,
-              "c_start": c_start,
-              "envelope": _envelope_check(mean_errors, constant, rate),
-              "consensus_bound_ok": consensus_ok,
-              "max_consensus_error": float(np.max(cerr))}
-    if solver.get("target_eps") is not None:
-        comp = dist_complexity(rc, beta, solver["target_eps"], c_start)
-        theory["k_eps"] = comp.k_eps
-        theory["comm_eps"] = comp.comm_rounds
-        theory["m_eps"] = comp.samples
-    k_iter = traces[0].iterations
-    report = RunReport(
-        scheme="dist-pgr", seed=spec.seed, replications=spec.replications,
-        solver=solver, game_constants=_constants_dict(game), theory=theory,
-        counters=traces[0].counter.as_dict(), iterations=k_iter,
-        mean_final_error=float(mean_errors[-1]),
-        fit=_fit_dict(mean_errors, spec.fit, k_iter),
-        equilibrium=list(x_star.vector),
-        graph={"nodes": graph.n_nodes, "edges": len(graph.edges),
-               "beta": mp.beta, "theta": mp.theta},
-        oracle_error_bound=ne_error_bound(game, x_star))
-    return report, traces
+              "c_start": c_start}
+    if s.get("target_eps") is not None:
+        comp = dist_complexity(rc, beta, s["target_eps"], c_start)
+        theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
+                      m_eps=comp.samples)
+
+    def finish(mean_errors, traces):
+        cerr = np.max(np.stack([t.consensus_errors for t in traces]), axis=0)
+        taus = np.asarray(traces[0].taus)
+        cerr_bound = rc.m_compact * mp.theta * beta ** taus
+        theory.update(
+            envelope=_envelope_check(mean_errors,
+                                     *dist_envelope_params(rc, c_start)),
+            consensus_bound_ok=bool(np.all(cerr <= cerr_bound + 1e-12)),
+            max_consensus_error=float(np.max(cerr)))
+        return theory, {"nodes": graph.n_nodes, "edges": len(graph.edges),
+                        "beta": mp.beta, "theta": mp.theta}
+    return (lambda r: run_dist_pgr(game, graph, config, x_star, replication=r,
+                                   x0=x0)), finish
 
 
-def _run_pbr_experiment(spec: ExperimentSpec):
-    game = build_game(spec.game, spec.seed)
-    if not isinstance(game, QuadraticGame):
-        raise ConfigError("the best-response scheme needs a quadratic game")
-    x_star = solve_ne_oracle(game)
-    x0 = _spec_x0(spec, game)
-    solver = dict(spec.solver)
-    config = PbrConfig(mu=solver["mu"], eta_br=solver["eta_br"],
-                       max_iter=solver["max_iter"], seed=spec.seed,
-                       m_max=solver.get("m_max"), c_r=solver.get("c_r"),
-                       eta_tilde=solver.get("eta_tilde"),
-                       inner_tol=solver.get("inner_tol", 1e-12),
-                       allow_uncontractive=solver.get("allow_uncontractive",
-                                                      False))
-    traces = [run_pbr(game, config, x0, x_star, replication=r)
-              for r in range(spec.replications)]
-    mean_errors = _mean_errors(traces)
+def _pbr_setup(spec, game, consts, x0, x_star):
+    s = spec.solver
+    config = PbrConfig(mu=s["mu"], eta_br=s["eta_br"], max_iter=s["max_iter"],
+                       seed=spec.seed, m_max=s.get("m_max"), c_r=s.get("c_r"),
+                       eta_tilde=s.get("eta_tilde"),
+                       inner_tol=s.get("inner_tol", 1e-12))
     cert = contraction_certificate(game, config.mu)
     schedule = resolved_schedule(game, config)
-    resolved = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
-    c = max(cert.a, config.eta_br)
-    eta_tilde = config.eta_tilde if config.eta_tilde is not None \
-        else (1.0 + c) / 2.0
-    d = 1.0 / (math.e * math.log(eta_tilde / c))
-    c_start = max(
-        float(np.linalg.norm(x0.blocks[i] - x_star.blocks[i]))
-        for i in range(game.n_players))
-    constant = math.sqrt(game.n_players) * (c_start + d)
-    theory = {"a": cert.a, "c_r": schedule.c_r,
-              "m_max": schedule.m_max, "eta_tilde": eta_tilde, "d": d,
-              "c_start": c_start,
-              "envelope": _envelope_check(mean_errors, constant, eta_tilde)}
-    if solver.get("target_eps") is not None:
-        comp = pbr_complexity(resolved, cert.a, solver["target_eps"],
+    c_start = max(float(np.linalg.norm(x0.blocks[i] - x_star.blocks[i]))
+                  for i in range(game.n_players))
+    eta_tilde, d, constant = pbr_envelope(config, cert.a, game.n_players,
+                                          c_start)
+    theory = {"a": cert.a, "c_r": schedule.c_r, "m_max": schedule.m_max,
+              "eta_tilde": eta_tilde, "d": d, "c_start": c_start}
+    if s.get("target_eps") is not None:
+        resolved = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
+        comp = pbr_complexity(resolved, cert.a, s["target_eps"],
                               game.n_players, c_start)
-        theory["k_eps"] = comp.k_eps
-        theory["m_eps"] = comp.samples
-        theory["m_eps_order"] = comp.order_value
+        theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
+                      m_eps_order=comp.order_value)
+
+    def finish(mean_errors, traces):
+        theory["envelope"] = _envelope_check(mean_errors, constant, eta_tilde)
+        return theory, None
+    return lambda r: run_pbr(game, config, x0, x_star, replication=r), finish
+
+
+class _Scheme(NamedTuple):
+    """What a solver scheme adds to the shared experiment protocol: the
+    game type it needs with the error for any other, its setup step, and
+    its trace.csv columns between k and replication_id as (header,
+    RunTrace field) pairs."""
+
+    game_type: type | None
+    game_error: str | None
+    setup: Callable
+    columns: tuple[tuple[str, str], ...]
+
+
+SCHEMES = {
+    "pgr": _Scheme(None, None, _pgr_setup, (
+        ("N_k", "batches"), ("cum_samples", "cum_samples"),
+        ("cum_prox", "cum_prox"), ("sq_error", "errors"))),
+    "dist-pgr": _Scheme(
+        AggregativeGame, "the distributed scheme needs an aggregative game",
+        _dist_setup, (
+            ("N_k", "batches"), ("tau_k", "taus"),
+            ("cum_samples", "cum_samples"), ("cum_prox", "cum_prox"),
+            ("cum_comm", "cum_comm"), ("consensus_error", "consensus_errors"),
+            ("sq_error", "errors"))),
+    "pbr": _Scheme(
+        QuadraticGame, "the best-response scheme needs a quadratic game",
+        _pbr_setup, (
+            ("batch_N_k", "batches"), ("cum_samples", "cum_samples"),
+            ("inner_solves", "cum_inner"), ("error_norm", "errors"))),
+}
+
+
+def _run_solver(spec: ExperimentSpec, scheme: _Scheme):
+    game = build_game(spec.game, spec.seed)
+    if scheme.game_type is not None and not isinstance(game, scheme.game_type):
+        raise ConfigError(scheme.game_error)
+    consts = monotonicity_constants(game)
+    x_star = solve_ne_oracle(game)
+    x0 = _spec_x0(spec, game)
+    replicate, finish = scheme.setup(spec, game, consts, x0, x_star)
+    traces = [replicate(r) for r in range(spec.replications)]
+    mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
+    theory, graph = finish(mean_errors, traces)
     k_iter = traces[0].iterations
-    report = RunReport(
-        scheme="pbr", seed=spec.seed, replications=spec.replications,
-        solver=solver, game_constants=_constants_dict(game), theory=theory,
-        counters=traces[0].counter.as_dict(), iterations=k_iter,
-        mean_final_error=float(mean_errors[-1]),
-        fit=_fit_dict(mean_errors, spec.fit, k_iter),
-        equilibrium=list(x_star.vector), graph=None,
-        oracle_error_bound=ne_error_bound(game, x_star))
-    return report, traces
+    fields = {
+        "scheme": spec.scheme, "seed": spec.seed,
+        "replications": spec.replications, "solver": dict(spec.solver),
+        "theory": theory, "counters": traces[0].counter.as_dict(),
+        "game_constants": {"eta": consts.eta, "lip": consts.lip,
+                           "kappa": consts.kappa, "nu": consts.nu,
+                           "nu_i": list(consts.nu_i),
+                           "m_compact": consts.m_compact},
+        "iterations": k_iter, "mean_final_error": float(mean_errors[-1]),
+        "fit": _fit_dict(mean_errors, spec.fit, k_iter),
+        "equilibrium": list(x_star.vector),
+        "oracle_error_bound": ne_error_bound(game, x_star)}
+    if graph is not None:
+        fields["graph"] = graph
+    return RunReport(fields), traces
 
 
 def _run_bounds(spec: ExperimentSpec) -> RunReport:
@@ -443,45 +373,49 @@ def _run_bounds(spec: ExperimentSpec) -> RunReport:
               "envelope_rate": rate,
               "k_eps": complexity_K(rc, s["rho"], s["eps"]),
               "m_eps": complexity_M(rc, s["rho"], s["eps"])}
-    return RunReport(scheme="bounds", seed=spec.seed,
-                     replications=spec.replications, solver=s, theory=theory,
-                     game_constants=None, counters=None, iterations=None,
-                     mean_final_error=None, fit=None, equilibrium=None,
-                     graph=None)
+    return RunReport({"scheme": "bounds", "seed": spec.seed,
+                      "replications": spec.replications, "solver": s,
+                      "theory": theory})
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunReport:
+    """Run the replicated experiment an ExperimentSpec describes.
 
-
-def trace_rows(scheme: str, traces: list[RunTrace]):
-    """Rows of the trace table: one per executed iteration per replication."""
-    for rep, tr in enumerate(traces):
-        for k in range(tr.iterations):
-            if scheme == "pgr":
-                yield (k, tr.batches[k], tr.cum_samples[k], tr.cum_prox[k],
-                       tr.errors[k], rep)
-            elif scheme == "dist-pgr":
-                yield (k, tr.batches[k], tr.taus[k], tr.cum_samples[k],
-                       tr.cum_prox[k], tr.cum_comm[k],
-                       tr.consensus_errors[k], tr.errors[k], rep)
-            elif scheme == "pbr":
-                yield (k, tr.batches[k], tr.cum_samples[k], tr.cum_inner[k],
-                       tr.errors[k], rep)
-            else:
-                raise ValueError(f"no trace format for scheme '{scheme}'")
+    When out_dir is given, writes trace.csv (one row per executed iteration
+    per replication) and report.json there; both byte-stable for a fixed
+    spec on one platform.
+    """
+    if spec.scheme == "bounds":
+        report, traces = _run_bounds(spec), []
+    elif spec.scheme in SCHEMES:
+        report, traces = _run_solver(spec, SCHEMES[spec.scheme])
+    else:
+        raise ConfigError(f"unknown scheme '{spec.scheme}'")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        if traces:
+            write_trace_csv(os.path.join(out_dir, "trace.csv"), spec.scheme,
+                            traces)
+        write_report_json(os.path.join(out_dir, "report.json"), report)
+    return report
 
 
 def write_trace_csv(path: str, scheme: str, traces: list[RunTrace]) -> None:
-    """Write the per-iteration trace table (error columns record the state
-    entering each iteration)."""
+    """Write the per-iteration trace table, one row per executed iteration
+    per replication (error columns record the state entering each
+    iteration), formatting one column at a time."""
+    columns = SCHEMES[scheme].columns
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS[scheme])
-        for row in trace_rows(scheme, traces):
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerow(["k", *(header for header, _ in columns),
+                         "replication_id"])
+        for rep, tr in enumerate(traces):
+            n = tr.iterations
+            cols = [getattr(tr, field)[:n] for _, field in columns]
+            # csv writes a Python float by repr and an int by str
+            writer.writerows(zip(range(n), *(
+                c.tolist() if isinstance(c, np.ndarray) else c for c in cols),
+                [rep] * n))
 
 
 def write_report_json(path: str, report: RunReport) -> None:

@@ -252,17 +252,10 @@ class AggregativeGame:
         return np.diag(np.asarray(self.a) + self.c_price) + \
             self.c_price * np.ones((n, n))
 
-    def player_gradient(self, i: int, x_i, y) -> np.ndarray:
-        """Own gradient of player i at strategy x_i and aggregate estimate y."""
-        x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return self.a[i] * x_i + self.b[i] - self.d + \
-            self.c_price * y + self.c_price * x_i
-
     def gradients(self, x: np.ndarray, y) -> np.ndarray:
         """Own gradients of all players at strategies x against aggregate
-        estimates y (one shared value or one per player); elementwise the
-        same arithmetic as player_gradient."""
+        estimates y (one shared value or one per player):
+        a_i x_i + b_i - d + c_price y_i + c_price x_i."""
         a, b, _, _ = self._arrays
         return a * x + b - self.d + self.c_price * y + self.c_price * x
 

@@ -102,6 +102,8 @@ def build_metropolis_weights(n_nodes: int, edges) -> CommGraph:
     for i, j in edge_set:
         if i == j:
             raise ValueError(f"self-loop ({i}, {j}) is not an edge")
+        if not (0 <= i < j < n):
+            raise ValueError(f"edge ({i}, {j}) is not ordered within 0..{n - 1}")
     deg = [0] * n
     for i, j in edge_set:
         deg[i] += 1
@@ -210,21 +212,6 @@ def consensus_apply(g: CommGraph, values, tau: int,
     if counter is not None:
         counter.comm_rounds += int(tau)
     return out
-
-
-def transition_matrix(g: CommGraph, k: int, s: int,
-                      tau_schedule=None) -> np.ndarray:
-    """Product of the per-iteration consensus powers from s through k.
-
-    With tau_schedule(p) rounds at iteration p (default p + 1), this is
-    A^{tau_k} ... A^{tau_s} = A^{sum of taus}. Requires 0 <= s <= k.
-    """
-    if not (0 <= s <= k):
-        raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
-    if tau_schedule is None:
-        tau_schedule = lambda p: p + 1
-    total = sum(int(tau_schedule(p)) for p in range(s, k + 1))
-    return np.linalg.matrix_power(g.weights, total)
 
 
 def max_mixing_deviation(g: CommGraph, k: int) -> float:

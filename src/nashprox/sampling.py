@@ -66,23 +66,7 @@ class BestResponseBatch:
                                 self.eta_br ** (-2 * k)))
 
 
-@dataclass(frozen=True)
-class ConstantBatch:
-    """N_k = size for every k (classical fixed mini-batch)."""
-
-    size_value: int
-
-    def __post_init__(self):
-        if int(self.size_value) < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.size_value}")
-        object.__setattr__(self, "size_value", int(self.size_value))
-
-    def size(self, k: int) -> int:
-        return self.size_value
-
-
-BatchSchedule = Union[GeometricBatch, RootGeometricBatch, BestResponseBatch,
-                      ConstantBatch]
+BatchSchedule = Union[GeometricBatch, RootGeometricBatch, BestResponseBatch]
 
 
 def schedule_size(schedule: BatchSchedule, k: int) -> int:

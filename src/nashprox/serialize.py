@@ -218,7 +218,6 @@ CONFIG_SCHEMAS: dict[str, dict] = {
             "m_max": {"type": "number", "minimum": 0.0},
             "c_r": {"type": "number", "exclusiveMinimum": 0.0},
             "inner_tol": {"type": "number", "exclusiveMinimum": 0.0},
-            "allow_uncontractive": {"type": "boolean"},
             "target_eps": {"type": "number", "exclusiveMinimum": 0.0},
         },
         ["mu", "eta_br", "max_iter"],
@@ -308,6 +307,9 @@ def build_game(doc: dict, seed: int = 0) -> Game:
         c = np.asarray(doc["c"], dtype=float)
         dims = tuple(doc.get("dims", (1,) * c.size))
         regs = doc.get("regularizers")
+        if regs and len(regs) != len(dims):
+            raise ValueError(
+                f"{len(regs)} regularizers for {len(dims)} players")
         built_regs = tuple(
             _build_regularizer(r, d) for r, d in zip(regs, dims)) if regs else ()
         return QuadraticGame(dims=dims, h=np.asarray(doc["h"], dtype=float),

@@ -250,9 +250,10 @@ def _log_uniform(lo_exp: float, hi_exp: float):
        m_max=st.none() | st.floats(0.0, 10.0),
        c_r=st.none() | _log_uniform(-6, 6),
        inner_tol=st.floats(1e-13, 1e-3), max_iter=st.integers(1, 4),
-       target_eps=st.none() | _log_uniform(-300, 3))
+       target_eps=st.none() | _log_uniform(-300, 3),
+       eta_tilde=st.none() | st.floats(0.0, 1.0))
 def test_fuzzed_pbr_configs_exit_with_a_documented_code(
-        mu, eta_br, m_max, c_r, inner_tol, max_iter, target_eps):
+        mu, eta_br, m_max, c_r, inner_tol, max_iter, target_eps, eta_tilde):
     solver = {"mu": mu, "eta_br": eta_br, "inner_tol": inner_tol,
               "max_iter": max_iter}
     if m_max is not None:
@@ -261,13 +262,77 @@ def test_fuzzed_pbr_configs_exit_with_a_documented_code(
         solver["c_r"] = c_r
     if target_eps is not None:
         solver["target_eps"] = target_eps
+    if eta_tilde is not None:
+        solver["eta_tilde"] = eta_tilde
     doc = {"scheme": "pbr", "seed": 3, "replications": 1,
            "game": FUZZ_PBR_GAME, "solver": solver}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(Path(tmp), doc)
-        code = main(["pbr", "--config", cfg, "--out", str(Path(tmp) / "out"),
-                     "--quiet"])
+        out = Path(tmp) / "out"
+        code = main(["pbr", "--config", cfg, "--out", str(out), "--quiet"])
+        if code == 0:
+            envelope = json.loads(
+                (out / "report.json").read_text())["theory"]["envelope"]
+            assert envelope["constant"] > 0.0
+            assert 0.0 < envelope["rate"] < 1.0
     assert code in (0, 2, 3, 4)
+
+
+# h = [[2, 0.1], [0.1, 2]] at mu = 1 has a = 1.1/3, so with eta_br = 0.5 the
+# envelope needs eta_tilde in (0.5, 1)
+@pytest.mark.parametrize("solver", [
+    {"eta_tilde": 0.5}, {"eta_tilde": 0.3},
+    {"eta_tilde": 0.3, "target_eps": 0.01},
+])
+def test_pbr_eta_tilde_outside_its_interval_is_rejected_before_any_run(
+        tmp_path: Path, capsys, monkeypatch, solver: dict):
+    from nashprox import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "run_pbr", no_run)
+    doc = dict(PBR_DOC, game=dict(PBR_DOC["game"], h=[[2.0, 0.1], [0.1, 2.0]]),
+               solver=dict(solver, mu=1.0, eta_br=0.5, max_iter=5))
+    assert main(["pbr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "eta_tilde must lie in (max(a, eta_br), 1) = (0.5, 1)" in err
+    assert "Traceback" not in err
+
+
+def test_pbr_on_an_uncontractive_game_exits_3_and_has_no_override_key(
+        tmp_path: Path, capsys):
+    # a = 1.25 >= 1: no eta_tilde in (max(a, eta_br), 1) exists
+    game = dict(PBR_DOC["game"], h=[[1.0, 1.5], [-1.5, 1.0]])
+    doc = dict(PBR_DOC, game=game,
+               solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 5})
+    assert main(["pbr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    assert "eta_tilde must lie in (max(a, eta_br), 1) = (1.25, 1)" in \
+        capsys.readouterr().err
+    loose = dict(doc, solver=dict(doc["solver"], allow_uncontractive=True))
+    assert main(["pbr", "--config", _write(tmp_path, loose, "loose.json"),
+                 "--quiet"]) == 2
+    assert "allow_uncontractive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dist-pgr", "validate"])
+def test_graph_edge_outside_the_node_range_is_an_assumption_error(
+        tmp_path: Path, capsys, command: str):
+    doc = dict(DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 3, b=[0.0] * 3),
+               graph={"nodes": 3, "edges": [[0, 5], [1, 2]]})
+    assert main([command, "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "edge (0, 5) is not ordered within 0..2" in err
+    assert "Traceback" not in err
+
+
+def test_surplus_regularizers_are_an_assumption_error(tmp_path: Path, capsys):
+    game = dict(PGR_DOC["game"], dims=[1, 1],
+                regularizers=[{"kind": "zero"}, {"kind": "zero"},
+                              {"kind": "l1", "weight": 0.1}])
+    doc = dict(PGR_DOC, game=game)
+    assert main(["pgr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    assert "3 regularizers for 2 players" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [("h", [[float("nan"), 1.0], [1.0, 2.0]]),

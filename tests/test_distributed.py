@@ -209,9 +209,18 @@ def test_default_start_is_the_box_midpoint():
     assert trace.errors[0] == pytest.approx(mid.distance(solve_ne_oracle(game)) ** 2, abs=1e-12)
 
 
+def _player_gradient(game: AggregativeGame, i: int, x_i, y) -> np.ndarray:
+    """Own gradient of player i at strategy x_i and aggregate estimate y,
+    one player at a time (the former AggregativeGame.player_gradient)."""
+    x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return game.a[i] * x_i + game.b[i] - game.d + \
+        game.c_price * y + game.c_price * x_i
+
+
 def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
                         x_star: StrategyProfile, replication: int):
-    """Per-player loop run_dist_pgr replaces: player_gradient and prox_apply
+    """Per-player loop run_dist_pgr replaces: _player_gradient and prox_apply
     one player at a time, noise from the substreams (seed, r, k, i)."""
     schedule = RootGeometricBatch(mixing_params(graph).beta)
     noises = [with_seed(nm, config.seed) for nm in game.noises]
@@ -226,7 +235,7 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
         x_next = np.empty(n)
         for i in range(n):
             e_i = noises[i].averaged(1, n_k, (replication, k, i))
-            g_i = game.player_gradient(i, x[i], n * v_hat[i]) + e_i
+            g_i = _player_gradient(game, i, x[i], n * v_hat[i]) + e_i
             x_next[i] = prox_apply(game.regularizers[i],
                                    x[i:i + 1] - config.alpha * g_i,
                                    config.alpha)[0]

@@ -39,8 +39,7 @@ def _is_int(cell: str) -> bool:
 def _diff_json(got, want, where: str = "") -> list[str]:
     if isinstance(want, dict):
         if not isinstance(got, dict) or sorted(got) != sorted(want):
-            return [f"{where}: keys {sorted(got) if isinstance(got, dict) else got}"
-                    f" != {sorted(want)}"]
+            return [f"{where}: {got!r} has not the keys {sorted(want)}"]
         return [d for k in want for d in _diff_json(got[k], want[k],
                                                      f"{where}/{k}")]
     if isinstance(want, list):

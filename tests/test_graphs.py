@@ -15,7 +15,6 @@ from nashprox import (
     mixing_params,
     path_graph,
     ring_graph,
-    transition_matrix,
 )
 
 
@@ -89,15 +88,6 @@ def test_consensus_preserves_the_mean():
         v = rng.normal(size=6) * 3.0
         out = consensus_apply(g, v, 3)
         assert abs(out.mean() - v.mean()) <= 1e-14 * max(1.0, abs(v.mean()))
-
-
-def test_transition_matrix_composes_round_schedules():
-    g = path_graph(3)
-    a = g.weights
-    # a single-index window applies tau_k = k + 1 rounds
-    assert np.allclose(transition_matrix(g, 2, 2), np.linalg.matrix_power(a, 3), atol=1e-15)
-    # a window from s to k applies tau_s + ... + tau_k rounds
-    assert np.allclose(transition_matrix(g, 3, 1), np.linalg.matrix_power(a, 2 + 3 + 4), atol=1e-15)
 
 
 def test_powers_of_the_weight_matrix_stay_symmetric_doubly_stochastic():
