@@ -13,6 +13,15 @@ curvature and cross-block coupling norms) has spectral norm a < 1, and the
 subproblem's argmin perturbs by at most c_r times the gradient observation
 error, so batches N_k = ceil(max_i M_i^2 c_r^2 / eta_br^{2k}) keep the
 sampling error on the geometric decay eta_br.
+
+The subproblem is solved by proximal gradient until a step moves z by at
+most inner_tol; until the active set recurs, and at most d + 1 times, a step
+is replaced by a primal-dual active-set Newton point (Hintermueller, Ito and
+Kunisch, SIAM J. Optim. 13, 2003): coordinates the prox clips or zeroes stay
+fixed, the rest solve K_FF z_F = -(linear - mu anchor + w sign(z) + K
+z_fixed)_F (w the l1 weight) with K = Q_ii + mu I, inverted once per game,
+player and mu. The coupling term is one mat-vec with the player's rows of
+the off-diagonal part of h.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .games import QuadraticGame, monotonicity_constants
 from .noise import NoiseModel, seeded
 from .pgr import power_or_inf
 from .profiles import StrategyProfile
-from .prox import lowered_prox
+from .prox import compiled_prox, prox_pieces
 from .sampling import (BestResponseBatch, SampleCounter, check_schedule,
                        schedule_size)
 from .trace import RunTrace
@@ -94,35 +103,50 @@ def br_noise_gain(mu: float, lip: float) -> float:
 def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
                     anchor: np.ndarray, mu: float, tol: float,
                     max_inner: int) -> tuple[np.ndarray, int]:
-    """Minimize 0.5 z'Q_ii z + linear'z + mu/2 ||z - anchor||^2 + r_i(z).
-
-    Deterministic proximal gradient with the optimal constant step for the
-    strongly convex smooth part; returns (argmin, iterations used).
-    """
-    qii = game.blocks[i][i]
-    e_min, e_max = game.own_spectra[i]
-    step = 2.0 / ((mu + e_min) + (mu + e_max))
-    prox = lowered_prox(game.regularizers[i], step, anchor.shape)
-    z = anchor.copy()
+    """Minimize 0.5 z'Q_ii z + linear'z + mu/2 ||z - anchor||^2 + r_i(z)
+    as the module docstring says; returns (argmin, iterations used)."""
+    key, qii, d = ("anchored", i, mu), game.blocks[i][i], anchor.size
+    if key not in game.solver_cache:  # the step, prox, K and its inverse
+        step = 2.0 / sum(mu + e for e in game.own_spectra[i])  # optimal
+        regs, k = game.regularizers[i:i + 1], qii + mu * np.eye(d)
+        _, _, t, shrink = prox_pieces(regs, (d,), step)
+        game.solver_cache[key] = (step, compiled_prox(regs, (d,), step), k,
+                                  np.linalg.inv(k), t / step, shrink)
+    step, prox, k, k_inv, weight, shrink = game.solver_cache[key]
+    z, seen, newton = anchor.copy(), set(), d + 1
     for it in range(max_inner):
-        grad = qii @ z + linear + mu * (z - anchor)
-        z_next = prox(z - step * grad)
-        d = z_next - z
-        disp = math.sqrt(d.dot(d))  # what np.linalg.norm(d) computes
-        z = z_next
+        v = z - step * (qii @ z + linear + mu * (z - anchor))
+        z_next = prox(v)
+        dz = z_next - z
+        disp = math.sqrt(dz.dot(dz))  # what np.linalg.norm(dz) computes
         if disp <= tol:
-            return z, it + 1
+            return z_next, it + 1
+        if newton and it + 1 < max_inner:
+            # the prox fixes a box coordinate it moves and an l1 one it zeroes
+            fixed = np.where(shrink, z_next == 0.0, z_next != v)
+            z_fix = np.where(fixed, z_next, 0.0) + 0.0  # drops -0.0
+            shift = weight * np.sign(z_next)
+            system = (fixed.tobytes(), (z_fix + shift).tobytes())
+            if system in seen:  # the active set recurred: Newton is done
+                newton = 0
+            else:
+                seen.add(system)
+                newton, free = newton - 1, ~fixed
+                rhs = -(linear - mu * anchor + shift + k @ z_fix)
+                if free.all():
+                    z_next = k_inv @ rhs
+                else:
+                    z_next = z_fix
+                    z_next[free] = np.linalg.solve(k[free][:, free], rhs[free])
+        z = z_next
     raise InnerSolveFailure(
         f"anchored best response of player {i} did not reach displacement "
         f"{tol} in {max_inner} iterations", residual=disp)
 
 
 def _coupling_linear(game: QuadraticGame, i: int, y: StrategyProfile) -> np.ndarray:
-    lin = game.c[game.block_slice(i)].copy()
-    for j, q_ij in enumerate(game.blocks[i]):
-        if j != i:
-            lin += q_ij @ y.blocks[j]
-    return lin
+    sl = game.block_slice(i)
+    return game.c[sl] + game.off_diagonal[sl] @ y.vector
 
 
 def _check_inner(tol: float, max_inner: int) -> None:
@@ -310,7 +334,8 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
     (pbr_envelope).
 
     k_eps is the smallest integer k with envelope <= eps; samples is
-    the exact schedule sum N * sum_{k < k_eps} N_k; order_value evaluates
+    the schedule sum N * sum_{k < k_eps} N_k (BestResponseBatch.total:
+    exact while every N_k is below 2^32); order_value evaluates
     the asymptotic form (sqrt(N)(c_start + d)/eps)^{2 ln(1/eta_br) /
     ln(1/eta_tilde)} that the exact sum tracks up to constants. samples
     and order_value are inf where a batch size or the power overflows a
@@ -335,8 +360,7 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
             "(see resolved_schedule)")
     schedule = BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
     try:
-        samples = n_players * sum(schedule_size(schedule, k)
-                                  for k in range(k_eps))
+        samples = n_players * schedule.total(k_eps)
     except OverflowError:
         samples = math.inf
     order_value = power_or_inf(ratio, 2.0 * math.log(1.0 / config.eta_br) /

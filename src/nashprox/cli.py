@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: pgr, dist-pgr, pbr (replicated solver runs), bounds (rate and
-complexity calculators only), validate (check a config document and its
-game/graph assumptions without running). Exit codes: 0 success, 2 config or
+complexity calculators only), validate (every check a run makes before its
+first replication, without running). Exit codes: 0 success, 2 config or
 schema rejection, 3 assumption or parameter validation failure, 4 runtime
 failure of an iterative procedure.
 """
@@ -15,7 +15,7 @@ import sys
 from .best_response import contraction_certificate
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
                      NoGeometricMixing, NonConvergence, NotStronglyMonotone)
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import ExperimentSpec, prepare_experiment, run_experiment
 from .games import QuadraticGame, monotonicity_constants
 from .graphs import mixing_params
 from .serialize import build_game, build_graph, load_config
@@ -96,11 +96,9 @@ def _run(args) -> int:
 
 
 def _validate(args) -> int:
-    doc = load_config(args.config)
-    scheme = doc["scheme"] if "scheme" in doc else None
-    if scheme is None:
-        raise ConfigError("validate needs a 'scheme' key in the config")
-    lines = [f"config: valid for scheme '{scheme}'"]
+    doc = load_config(args.config)  # rejects a document without a scheme
+    prepare_experiment(ExperimentSpec.from_config(doc))
+    lines = [f"config: valid for scheme '{doc['scheme']}'"]
     seed = int(doc.get("seed", 0))
     if "game" in doc:
         game = build_game(doc["game"], seed)
@@ -110,7 +108,7 @@ def _validate(args) -> int:
             f"kappa = {consts.kappa:.6g}, nu = {consts.nu:.6g}"
             + (f", m_compact = {consts.m_compact:.6g}"
                if consts.m_compact is not None else ""))
-        if scheme == "pbr" and isinstance(game, QuadraticGame):
+        if doc["scheme"] == "pbr" and isinstance(game, QuadraticGame):
             cert = contraction_certificate(game, float(doc["solver"]["mu"]))
             lines.append(
                 f"best response: a = {cert.a:.6g} "

@@ -334,35 +334,6 @@ SCHEMES = {
 }
 
 
-def _run_solver(spec: ExperimentSpec, scheme: _Scheme):
-    game = build_game(spec.game, spec.seed)
-    if scheme.game_type is not None and not isinstance(game, scheme.game_type):
-        raise ConfigError(scheme.game_error)
-    consts = monotonicity_constants(game)
-    x_star = solve_ne_oracle(game)
-    x0 = _spec_x0(spec, game)
-    replicate, finish = scheme.setup(spec, game, consts, x0, x_star)
-    traces = [replicate(r) for r in range(spec.replications)]
-    mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
-    theory, graph = finish(mean_errors, traces)
-    k_iter = traces[0].iterations
-    fields = {
-        "scheme": spec.scheme, "seed": spec.seed,
-        "replications": spec.replications, "solver": dict(spec.solver),
-        "theory": theory, "counters": traces[0].counter.as_dict(),
-        "game_constants": {"eta": consts.eta, "lip": consts.lip,
-                           "kappa": consts.kappa, "nu": consts.nu,
-                           "nu_i": list(consts.nu_i),
-                           "m_compact": consts.m_compact},
-        "iterations": k_iter, "mean_final_error": float(mean_errors[-1]),
-        "fit": _fit_dict(mean_errors, spec.fit, k_iter),
-        "equilibrium": list(x_star.vector),
-        "oracle_error_bound": ne_error_bound(game, x_star)}
-    if graph is not None:
-        fields["graph"] = graph
-    return RunReport(fields), traces
-
-
 def _run_bounds(spec: ExperimentSpec) -> RunReport:
     s = dict(spec.solver)
     rc = rate_constants(s["eta"], s["lip"], s["alpha"], s["rho"], s["nu"],
@@ -378,6 +349,47 @@ def _run_bounds(spec: ExperimentSpec) -> RunReport:
                       "theory": theory})
 
 
+def prepare_experiment(spec: ExperimentSpec) -> Callable:
+    """Make every check run_experiment makes before its first replication,
+    raising what it would raise, and return the function that runs the
+    rest and returns (report, traces)."""
+    if spec.scheme == "bounds":
+        report = _run_bounds(spec)
+        return lambda: (report, [])
+    if spec.scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme '{spec.scheme}'")
+    scheme = SCHEMES[spec.scheme]
+    game = build_game(spec.game, spec.seed)
+    if scheme.game_type is not None and not isinstance(game, scheme.game_type):
+        raise ConfigError(scheme.game_error)
+    consts = monotonicity_constants(game)
+    x_star = solve_ne_oracle(game)
+    x0 = _spec_x0(spec, game)
+    replicate, finish = scheme.setup(spec, game, consts, x0, x_star)
+
+    def run():
+        traces = [replicate(r) for r in range(spec.replications)]
+        mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
+        theory, graph = finish(mean_errors, traces)
+        k_iter = traces[0].iterations
+        fields = {
+            "scheme": spec.scheme, "seed": spec.seed,
+            "replications": spec.replications, "solver": dict(spec.solver),
+            "theory": theory, "counters": traces[0].counter.as_dict(),
+            "game_constants": {"eta": consts.eta, "lip": consts.lip,
+                               "kappa": consts.kappa, "nu": consts.nu,
+                               "nu_i": list(consts.nu_i),
+                               "m_compact": consts.m_compact},
+            "iterations": k_iter, "mean_final_error": float(mean_errors[-1]),
+            "fit": _fit_dict(mean_errors, spec.fit, k_iter),
+            "equilibrium": list(x_star.vector),
+            "oracle_error_bound": ne_error_bound(game, x_star)}
+        if graph is not None:
+            fields["graph"] = graph
+        return RunReport(fields), traces
+    return run
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunReport:
     """Run the replicated experiment an ExperimentSpec describes.
 
@@ -385,12 +397,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunRepor
     per replication) and report.json there; both byte-stable for a fixed
     spec on one platform.
     """
-    if spec.scheme == "bounds":
-        report, traces = _run_bounds(spec), []
-    elif spec.scheme in SCHEMES:
-        report, traces = _run_solver(spec, SCHEMES[spec.scheme])
-    else:
-        raise ConfigError(f"unknown scheme '{spec.scheme}'")
+    report, traces = prepare_experiment(spec)()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if traces:

@@ -143,6 +143,19 @@ class QuadraticGame:
         return norms
 
     @cached_property
+    def off_diagonal(self) -> np.ndarray:
+        """h with its diagonal blocks zeroed, read-only."""
+        owner = np.repeat(np.arange(self.n_players), self.dims)
+        off = np.where(owner[:, None] == owner, 0.0, self.h)
+        off.setflags(write=False)
+        return off
+
+    @cached_property
+    def solver_cache(self) -> dict:
+        """Solver data derived from the game, keyed by the solver."""
+        return {}
+
+    @cached_property
     def _eta(self) -> float:
         """Smallest eigenvalue of the symmetric part of h."""
         return float(np.linalg.eigvalsh((self.h + self.h.T) / 2.0)[0])

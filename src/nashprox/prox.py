@@ -65,57 +65,42 @@ def prox_apply(reg: Regularizer, x, alpha: float) -> np.ndarray:
     soft thresholding at level alpha*weight, for BoxIndicator the projection.
     """
     x = np.array(x, dtype=float)
-    return lowered_prox(reg, alpha, x.shape)(x)
+    return compiled_prox((reg,), (x.size,), alpha)(x.ravel()).reshape(x.shape)
 
 
-def _clip(lo, hi):
-    return lambda v: np.minimum(np.maximum(v, lo), hi)
-
-
-def _soft_threshold(t):
-    return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def lowered_prox(reg: Regularizer, step: float, shape: tuple[int, ...]):
-    """prox_{step r} of one block as one elementwise map, with the checks
-    made once; for Zero the map returns its argument itself."""
+def prox_pieces(regs, dims, step: float):
+    """prox_{step r} of a stacked profile vector in per-coordinate form
+    (lo, hi, t, shrink): soft thresholding at t where shrink is set, else
+    the clip to [lo, hi] (infinite off the boxes, so Zero coordinates pass
+    unchanged)."""
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"prox step must be finite and > 0, got {step}")
-    if isinstance(reg, Zero):
-        return lambda v: v
-    if isinstance(reg, L1):
-        return _soft_threshold(step * reg.weight)
-    if isinstance(reg, BoxIndicator):
-        if tuple(shape) != reg.lo.shape:
-            raise ValueError(
-                f"point of shape {tuple(shape)} does not match box of shape "
-                f"{reg.lo.shape}")
-        return _clip(reg.lo, reg.hi)
-    raise TypeError(f"unknown regularizer {type(reg).__name__}")
-
-
-def compiled_prox(regs, dims, step: float):
-    """prox_{step r} of a stacked profile vector as one elementwise map.
-
-    Each block is checked as lowered_prox checks it, and its map is stacked
-    into per-coordinate clip bounds (infinite off the boxes, so Zero
-    coordinates pass unchanged) and l1 thresholds: a call costs a fixed
-    number of numpy operations, with the same arithmetic on each
-    coordinate as prox_apply on its block.
-    """
     if len(regs) != len(dims):
         raise ValueError(f"{len(regs)} regularizers for {len(dims)} players")
     offsets = np.cumsum((0,) + tuple(dims)).tolist()
     lo, hi = np.full(offsets[-1], -np.inf), np.full(offsets[-1], np.inf)
     t, shrink = np.zeros(offsets[-1]), np.zeros(offsets[-1], dtype=bool)
     for reg, a, b in zip(regs, offsets[:-1], offsets[1:]):
-        lowered_prox(reg, step, (b - a,))
         if isinstance(reg, BoxIndicator):
+            if reg.lo.shape != (b - a,):
+                raise ValueError(f"point of shape {(b - a,)} does not match "
+                                 f"box of shape {reg.lo.shape}")
             lo[a:b], hi[a:b] = reg.lo, reg.hi
         elif isinstance(reg, L1):
             t[a:b], shrink[a:b] = step * reg.weight, True
-    clip, soft = _clip(lo, hi), _soft_threshold(t)
-    return lambda v: np.where(shrink, soft(v), clip(v))
+        elif not isinstance(reg, Zero):
+            raise TypeError(f"unknown regularizer {type(reg).__name__}")
+    return lo, hi, t, shrink
+
+
+def compiled_prox(regs, dims, step: float):
+    """prox_{step r} of a stacked profile vector as one elementwise map
+    built from prox_pieces: a call costs a fixed number of numpy
+    operations, with the same arithmetic on each coordinate as prox_apply
+    on its block."""
+    lo, hi, t, shrink = prox_pieces(regs, dims, step)
+    return lambda v: np.where(shrink, np.sign(v) * np.maximum(abs(v) - t, 0.0),
+                              np.minimum(np.maximum(v, lo), hi))
 
 
 def prox_profile(regs, x: StrategyProfile, alpha: float, counter=None) -> StrategyProfile:

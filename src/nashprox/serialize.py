@@ -289,15 +289,23 @@ def _build_noise(doc: dict | None, seed: int) -> NoiseModel:
     return GaussianNoise(nu=float(doc.get("nu", 1.0)), seed=seed)
 
 
-def _build_regularizer(doc: dict, dim: int):
+def _spread(value, size: int, what: str) -> np.ndarray:
+    """A number or a `size`-array as a float array; `what` ends the error."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim and arr.shape != (size,):
+        raise ValueError(f"{arr.size} {what}")
+    return np.broadcast_to(arr, (size,)).copy()
+
+
+def _build_regularizer(doc: dict, dim: int, i: int):
     kind = doc["kind"]
     if kind == "zero":
         return Zero()
     if kind == "l1":
         return L1(weight=float(doc["weight"]))
-    lo = np.broadcast_to(np.asarray(doc["lo"], dtype=float), (dim,))
-    hi = np.broadcast_to(np.asarray(doc["hi"], dtype=float), (dim,))
-    return BoxIndicator(lo.copy(), hi.copy())
+    return BoxIndicator(*(_spread(doc[key], dim, f"'{key}' bounds for player "
+                                  f"{i} of dimension {dim}")
+                          for key in ("lo", "hi")))
 
 
 def build_game(doc: dict, seed: int = 0) -> Game:
@@ -310,8 +318,8 @@ def build_game(doc: dict, seed: int = 0) -> Game:
         if regs and len(regs) != len(dims):
             raise ValueError(
                 f"{len(regs)} regularizers for {len(dims)} players")
-        built_regs = tuple(
-            _build_regularizer(r, d) for r, d in zip(regs, dims)) if regs else ()
+        built_regs = tuple(_build_regularizer(r, d, i) for i, (r, d) in
+                           enumerate(zip(regs, dims))) if regs else ()
         return QuadraticGame(dims=dims, h=np.asarray(doc["h"], dtype=float),
                              c=c, regularizers=built_regs,
                              noise=_build_noise(doc.get("noise"), seed))
@@ -326,9 +334,8 @@ def build_game(doc: dict, seed: int = 0) -> Game:
     if kind == "cournot":
         a = [float(v) for v in doc["a"]]
         n = len(a)
-        lo = np.broadcast_to(np.asarray(doc["lo"], dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(doc["hi"], dtype=float), (n,))
-        nu = np.broadcast_to(np.asarray(doc.get("nu", 0.0), dtype=float), (n,))
+        lo, hi, nu = (_spread(doc.get(key, 0.0), n, f"'{key}' entries for "
+                              f"{n} players") for key in ("lo", "hi", "nu"))
         noises = tuple(
             GaussianNoise(nu=float(v), seed=seed) if v > 0.0
             else ZeroNoise(seed=seed) for v in nu)

@@ -4,9 +4,11 @@ Each directory next to this script holds one case: config.json, and the
 trace.csv (not for the bounds scheme) and report.json that the command line
 writes for it. Run from the repository root:
 
-    PYTHONPATH=src python3 tests/golden/regenerate.py
+    PYTHONPATH=src python3 tests/golden/regenerate.py [case ...]
 
-A change that regenerates these files must say why in CHANGES.md.
+With case names (the directory names), only those cases are rewritten;
+without, every case is. A change that regenerates these files must say why
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def write_outputs(case: str, out_dir: str) -> None:
 
 
 if __name__ == "__main__":
-    for name in cases():
+    unknown = sorted(set(sys.argv[1:]) - set(cases()))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}; "
+                 f"expected some of {', '.join(cases())}")
+    for name in sys.argv[1:] or cases():
         write_outputs(name, os.path.join(GOLDEN, name))
         print(f"wrote {name}", file=sys.stderr)

@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashprox import (
     GaussianNoise,
@@ -22,6 +24,7 @@ from nashprox import (
     solve_ne_oracle,
 )
 from nashprox.best_response import resolved_schedule
+from nashprox.sampling import BestResponseBatch
 from nashprox.errors import InnerSolveFailure
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -259,3 +262,60 @@ def test_default_shifted_rate_splits_the_gap_to_one():
     d = 1.0 / (math.e * math.log(0.85 / 0.7))
     k_hand = math.ceil(math.log(math.sqrt(2.0) * (1.0 + d) / 0.5) / math.log(1 / 0.85))
     assert out.k_eps == k_hand
+
+
+def _loop_total(schedule, n):
+    """The reference schedule sum: size(k) one k at a time, infinite
+    where a batch overflows."""
+    try:
+        return sum(schedule_size(schedule, k) for k in range(n))
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(m_max=st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1e3)
+       | st.floats(1e100, 1e200),
+       c_r=st.sampled_from((1.0, 2.0)) | st.floats(1e-6, 1e3),
+       eta_br=st.sampled_from((0.5, 0.25, 0.9)) | st.floats(0.01, 0.9999),
+       n=st.integers(0, 400))
+def test_batch_total_equals_the_per_k_loop(m_max, c_r, eta_br, n):
+    """Exact wherever every batch is below 2^32 or one overflows; above
+    2^32 the batches come from np.power and are summed in floats."""
+    schedule = BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=eta_br)
+    want = _loop_total(schedule, n)
+    try:
+        got = schedule.total(n)
+    except OverflowError:
+        got = math.inf
+    if want == math.inf or n == 0 or schedule_size(schedule, n - 1) < 2 ** 32:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+# np.power (SVML on AVX-512) and the scalar pow round eta_br^(-2k) an ulp
+# apart here, which puts m_max^2 eta_br^(-2k) on both sides of an integer
+@pytest.mark.parametrize("m_max,eta_br,k", [
+    (199.26668856005162, 0.8, 6), (392.1684773700256, 0.95, 4),
+    (44.16192488944523, 0.95, 50)])
+def test_batch_total_is_exact_where_an_ulp_moves_a_batch(m_max, eta_br, k):
+    schedule = BestResponseBatch(m_max=m_max, c_r=1.0, eta_br=eta_br)
+    assert schedule.total(k + 1) == _loop_total(schedule, k + 1)
+
+
+def test_complexity_near_eta_br_one_is_fast_and_matches_the_loop():
+    # eta_br = 0.999999 and eps = 1e-3 give k_eps = 41,525,963; the per-k
+    # loop took 16 s for this sum on a 2-vCPU VM (50.7 s through the CLI),
+    # and gave 4206940740105320469573366437542859785038862
+    import time
+    config = PbrConfig(mu=1.0, eta_br=0.999999, max_iter=2,
+                       m_max=1.0000000000000002, c_r=1.8944271909999157)
+    start = time.perf_counter()
+    out = pbr_complexity(config, a=2 / 3, eps=1e-3, n_players=2,
+                         c_start=0.3333333333321395)
+    elapsed = time.perf_counter() - start
+    assert out.k_eps == 41_525_963
+    loop = 4206940740105320469573366437542859785038862
+    assert abs(out.samples - loop) <= 1e-15 * loop
+    assert elapsed < 10.0

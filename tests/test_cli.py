@@ -402,3 +402,57 @@ def test_fuzzed_dist_pgr_configs_exit_with_a_documented_code(
         code = main(["dist-pgr", "--config", cfg, "--out",
                      str(Path(tmp) / "out"), "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+def _no_replication(monkeypatch):
+    from nashprox import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    for name in ("run_pgr", "run_dist_pgr", "run_pbr"):
+        monkeypatch.setattr(experiments, name, no_run)
+
+
+@pytest.mark.parametrize("doc", [
+    dict(PGR_DOC, solver={"alpha": 5.0, "rho": 0.9, "max_iter": 20}),
+    dict(PBR_DOC, game=dict(PBR_DOC["game"], h=[[2.0, 0.1], [0.1, 2.0]]),
+         solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 5, "eta_tilde": 0.3}),
+], ids=["pgr-alpha", "pbr-eta-tilde"])
+def test_validate_rejects_solver_parameters_as_the_run_does(
+        tmp_path: Path, capsys, monkeypatch, doc: dict):
+    _no_replication(monkeypatch)
+    cfg = _write(tmp_path, doc)
+    assert main([doc["scheme"], "--config", cfg, "--quiet"]) == 3
+    run_err = capsys.readouterr().err
+    assert main(["validate", "--config", cfg, "--quiet"]) == 3
+    assert capsys.readouterr().err == run_err
+    assert run_err and "Traceback" not in run_err
+
+
+@pytest.mark.parametrize("doc", [PGR_DOC, DIST_DOC, PBR_DOC, BOUNDS_DOC],
+                         ids=["pgr", "dist-pgr", "pbr", "bounds"])
+def test_validate_runs_no_replication(tmp_path: Path, monkeypatch, doc: dict):
+    _no_replication(monkeypatch)
+    assert main(["validate", "--config", _write(tmp_path, doc), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command", ["pgr", "validate"])
+@pytest.mark.parametrize("game,message", [
+    (dict(PGR_DOC["game"], dims=[1, 1],
+          regularizers=[{"kind": "zero"},
+                        {"kind": "box", "lo": [0.0, 0.0], "hi": 1.0}]),
+     "2 'lo' bounds for player 1 of dimension 1"),
+    (dict(PGR_DOC["game"], dims=[2], regularizers=[
+        {"kind": "box", "lo": -1.0, "hi": [1.0, 1.0, 1.0]}]),
+     "3 'hi' bounds for player 0 of dimension 2"),
+    (dict(DIST_DOC["game"], hi=[1.0, 1.0, 1.0]), "3 'hi' entries for 5 players"),
+], ids=["box-lo", "box-hi", "cournot-hi"])
+def test_per_player_arrays_of_the_wrong_length_are_an_assumption_error(
+        tmp_path: Path, capsys, command: str, game: dict, message: str):
+    doc = dict(PGR_DOC, solver={"alpha": 0.05, "rho": 0.9, "max_iter": 5},
+               game=game)
+    assert main([command, "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

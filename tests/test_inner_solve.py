@@ -2,10 +2,13 @@
 
 The reference below is the plain form of the solve: a fresh eigvalsh of the
 own block on every call, the generic prox_apply and np.linalg.norm on every
-step, and block(i, j) for the coupling term. The solver reads the same
-quantities from per-game caches and applies the prox lowered once per
-solve, with the same floating-point operations in the same order, so its
-argmin and iteration count must match the reference exactly.
+step, and block(i, j) for the coupling term, run as proximal gradient from
+the anchor. The solver starts from an active-set Newton point instead, so
+its argmin differs from the reference's within what the stopping test
+allows: the prox-gradient map contracts with q = (kappa - 1)/(kappa + 1),
+kappa = (mu + e_max)/(mu + e_min), so a point whose last step moved it by
+at most tol lies within (q tol + r)/(1 - q) of the argmin, with r the
+rounding of one evaluation of the map.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from nashprox import (
     prox_apply,
     proximal_best_response,
 )
-from nashprox.best_response import _solve_anchored
+from nashprox.best_response import _coupling_linear, _solve_anchored
 from nashprox.errors import InnerSolveFailure
 
 
@@ -78,17 +81,27 @@ def _regularizer(kind: str, dim: int, rng: np.random.Generator):
     if kind == "box":
         lo = -rng.uniform(0.1, 2.0, dim)
         return BoxIndicator(lo, lo + rng.uniform(0.0, 3.0, dim))
+    if kind == "point":  # lo == hi
+        lo = rng.uniform(-1.0, 1.0, dim)
+        return BoxIndicator(lo, lo.copy())
     if kind == "l1":
         return L1(float(rng.uniform(0.0, 1.0)))
+    if kind == "l1-zero":
+        return L1(0.0)
+    if kind == "l1-all":  # every coordinate of the argmin is zero
+        return L1(1e4)
     return Zero()
 
 
 @st.composite
 def games(draw):
     """A strongly monotone game with blocks of size 1-6 and a mix of box,
-    l1 and zero regularizers, plus an rng for points."""
+    l1 and zero regularizers, degenerate ones included (a box with
+    lo == hi, l1 weight 0, and an l1 weight that zeroes every coordinate),
+    plus an rng for points."""
     dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
-    kinds = [draw(st.sampled_from(("box", "l1", "zero"))) for _ in dims]
+    kinds = [draw(st.sampled_from(("box", "point", "l1", "l1-zero", "l1-all",
+                                   "zero"))) for _ in dims]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = sum(dims)
     a = rng.standard_normal((n, n))
@@ -104,25 +117,71 @@ def games(draw):
     return game, rng
 
 
+def _check_within_bound(game, i, linear, anchor, mu, tol):
+    """The solver's argmin is within the contraction bound of the
+    reference's, and one more prox-gradient step moves it by at most tol."""
+    want, _ = _reference_solve(game, i, linear, anchor, mu, tol, 100_000)
+    got, _ = _solve_anchored(game, i, linear, anchor, mu, tol, 100_000)
+    qii, reg = game.block(i, i), game.regularizers[i]
+    e_min, e_max = (float(e) for e in np.linalg.eigvalsh(qii)[[0, -1]])
+    kappa = (mu + e_max) / (mu + e_min)
+    q = (kappa - 1.0) / (kappa + 1.0)
+    step = 2.0 / ((mu + e_min) + (mu + e_max))
+    norm = np.linalg.norm
+    r = 8.0 * np.finfo(float).eps * (norm(want) + step * (
+        norm(qii @ want) + norm(linear) + mu * norm(want - anchor)))
+    assert norm(got - want) <= 2.0 * (q * tol + r) / (1.0 - q)
+    grad = qii @ got + linear + mu * (got - anchor)
+    assert norm(prox_apply(reg, got - step * grad, step) - got) <= tol
+
+
 @settings(max_examples=150, deadline=None)
 @given(games(), st.floats(0.1, 10.0), st.sampled_from((1e-12, 1e-9, 1e-6)))
-def test_inner_solve_matches_the_reference_bit_for_bit(drawn, mu, tol):
+def test_inner_solve_matches_the_reference_within_the_contraction_bound(
+        drawn, mu, tol):
     game, rng = drawn
     y = StrategyProfile.from_vector(2.0 * rng.standard_normal(game.dim),
                                     game.dims)
     for i in range(game.n_players):
         linear = _reference_coupling(game, i, y) + rng.standard_normal(
             game.dims[i])
-        want, want_it = _reference_solve(game, i, linear, y.blocks[i], mu,
-                                         tol, 100_000)
-        got, got_it = _solve_anchored(game, i, linear, y.blocks[i], mu, tol,
-                                      100_000)
-        assert np.array_equal(got, want)
-        assert got_it == want_it
-        exact, _ = _reference_solve(game, i, _reference_coupling(game, i, y),
-                                    y.blocks[i], mu, tol, 100_000)
-        assert np.array_equal(proximal_best_response(game, i, y, mu, tol),
-                              exact)
+        _check_within_bound(game, i, linear, y.blocks[i], mu, tol)
+        if isinstance(game.regularizers[i], L1) and \
+                game.regularizers[i].weight == 1e4:
+            assert not np.any(_solve_anchored(game, i, linear, y.blocks[i],
+                                              mu, tol, 100_000)[0])
+        # the coupling term is one mat-vec with the off-diagonal part of h
+        lin, ref = _coupling_linear(game, i, y), _reference_coupling(game, i, y)
+        sl = game.block_slice(i)
+        scale = np.abs(game.c[sl]) + np.abs(game.h[sl]) @ np.abs(y.vector)
+        assert np.all(np.abs(lin - ref) <= 2 * game.dim *
+                      np.finfo(float).eps * scale)
+        assert np.array_equal(
+            proximal_best_response(game, i, y, mu, tol),
+            _solve_anchored(game, i, lin, y.blocks[i], mu, tol, 100_000)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(games(), st.floats(0.1, 10.0), st.sampled_from((1e-12, 1e-9, 1e-6)))
+def test_inner_solve_with_the_argmin_tied_at_box_bounds(drawn, mu, tol):
+    """A box whose bounds pass through the unconstrained argmin: the argmin
+    sits on a bound with a zero multiplier, coordinate by coordinate."""
+    game, rng = drawn
+    dims = game.dims
+    anchor = [rng.standard_normal(d) for d in dims]
+    target = [rng.standard_normal(d) for d in dims]
+    regs = []
+    for z in target:
+        side = rng.integers(0, 3, z.size)  # tie at lo, tie at hi, inside
+        lo = np.where(side == 0, z, z - rng.uniform(0.0, 1.0, z.size))
+        hi = np.where(side == 1, z, z + rng.uniform(0.0, 1.0, z.size))
+        regs.append(BoxIndicator(lo, hi))
+    tied = QuadraticGame(dims=dims, h=game.h, c=game.c,
+                         regularizers=tuple(regs))
+    for i in range(tied.n_players):
+        k = tied.block(i, i) + mu * np.eye(dims[i])
+        linear = mu * anchor[i] - k @ target[i]  # unconstrained argmin target
+        _check_within_bound(tied, i, linear, anchor[i], mu, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,3 +219,34 @@ def test_inner_solve_keeps_the_prox_step_and_shape_checks():
     with pytest.raises(ValueError, match="prox step must be finite and > 0"):
         proximal_best_response(QuadraticGame(dims=(1,), h=np.array([[1.0]]),
                                              c=np.zeros(1)), 0, y, 1e308)
+
+
+def test_a_zero_player_needs_one_newton_solve():
+    """The first step's Newton point is the argmin; one step confirms it,
+    where plain proximal gradient takes dozens at this conditioning."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5))
+    game = QuadraticGame(dims=(5,), h=np.eye(5) + 2.0 * a @ a.T,
+                         c=np.zeros(5))
+    linear, anchor = rng.standard_normal(5), rng.standard_normal(5)
+    _, used = _solve_anchored(game, 0, linear, anchor, 0.5, 1e-12, 100_000)
+    _, plain = _reference_solve(game, 0, linear, anchor, 0.5, 1e-12, 100_000)
+    assert used == 2
+    assert plain > 20
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_unsettled_newton_points_fall_back_to_prox_gradient(tol):
+    """On this l1 block the Newton points jump between active sets without
+    settling, so proximal gradient finishes the solve: the argmin still
+    meets the contraction bound, at no more iterations than the plain loop
+    plus the d + 1 Newton steps."""
+    game = QuadraticGame(dims=(3,), h=np.array([[2.27, 1.02, -0.12],
+                                                [1.02, 1.41, -0.32],
+                                                [-0.12, -0.32, 0.33]]),
+                         c=np.zeros(3), regularizers=(L1(1.3),))
+    linear, anchor = np.array([-2.8, 0.9, 0.5]), np.array([-1.1, -0.3, -1.0])
+    _, used = _solve_anchored(game, 0, linear, anchor, 0.1, tol, 100_000)
+    _, plain = _reference_solve(game, 0, linear, anchor, 0.1, tol, 100_000)
+    assert 3 + 2 < used <= plain + 3 + 1
+    _check_within_bound(game, 0, linear, anchor, 0.1, tol)
