@@ -34,7 +34,7 @@ from .graphs import (CommGraph, MixingParams, build_metropolis_weights,
                      complete_graph, consensus_apply, erdos_renyi_graph,
                      grid_graph, max_mixing_deviation, mixing_params,
                      path_graph, ring_graph)
-from .noise import GaussianNoise, NoiseModel, ZeroNoise, substream, with_seed
+from .noise import GaussianNoise, NoiseModel, ZeroNoise, substream
 from .pgr import (PgrConfig, RateConstants, complexity_K, complexity_M,
                   contraction_factor_q, envelope_params, rate_constants,
                   recommended_parameters, run_pgr)
@@ -73,6 +73,6 @@ __all__ = [
     "rate_constants", "recommended_parameters", "ring_graph",
     "run_dist_pgr", "run_experiment", "run_pbr", "run_pgr",
     "saa_best_response", "sample_batch_gradient", "schedule_size",
-    "solve_ne_oracle", "substream", "validate_config", "with_seed",
+    "solve_ne_oracle", "substream", "validate_config",
     "write_report_json", "write_trace_csv",
 ]

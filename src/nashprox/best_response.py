@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InnerSolveFailure
 from .games import QuadraticGame, monotonicity_constants
-from .noise import NoiseModel, seeded
+from .noise import replication_errors
 from .pgr import power_or_inf
 from .profiles import StrategyProfile
 from .prox import compiled_prox, prox_pieces
@@ -172,20 +172,21 @@ def saa_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
                       batch: int, mu: float, path: tuple[int, ...],
                       inner_tol: float = 1e-12, max_inner: int = 100_000,
                       counter: SampleCounter | None = None,
-                      noise: NoiseModel | None = None) -> np.ndarray:
+                      error: np.ndarray | None = None) -> np.ndarray:
     """Sampled anchored best response: the smooth gradient carries an
-    averaged observation error over `batch` draws from player i's noise
-    stream at `path`.
+    averaged observation error over `batch` draws.
 
-    Counts `batch` samples and one inner solve.
+    `error` is that error, drawn by the caller (run_pbr passes player i's
+    block of its row of noise.replication_errors); without it the error is
+    drawn from player i's noise model at the draw site `path`. Counts
+    `batch` samples and one inner solve.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     _check_inner(inner_tol, max_inner)
-    if noise is None:
-        noise = game.player_noise(i)
-    w = noise.averaged(game.dims[i], batch, path)
-    lin = _coupling_linear(game, i, y) + w
+    if error is None:
+        error = game.player_noise(i).averaged(game.dims[i], batch, path)
+    lin = _coupling_linear(game, i, y) + error
     z, _ = _solve_anchored(game, i, lin, y.blocks[i], mu, inner_tol, max_inner)
     if counter is not None:
         counter.total_samples += int(batch)
@@ -280,11 +281,12 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
     """One growing-batch proximal best-response run.
 
     All players respond to the same profile y_k and the update is
-    y_{k+1} = x_{k+1}. Player i's draws at iteration k come from the stream
-    (config.seed, replication, k, i). errors[k] records the plain distance
-    ||y_k - x*|| (not squared). Raises ValueError when the contraction
-    certificate has a >= 1, unless allow_uncontractive is set, which only
-    warns.
+    y_{k+1} = x_{k+1}. Player i's error at iteration k is its block of row
+    k of replication_errors for (config.seed, replication), at its share
+    of the game's noise (QuadraticGame.player_noise). errors[k] records
+    the plain distance ||y_k - x*|| (not squared). Raises ValueError when
+    the contraction certificate has a >= 1, unless allow_uncontractive is
+    set, which only warns.
     """
     cert = contraction_certificate(game, config.mu)
     if cert.a >= 1.0:
@@ -298,26 +300,26 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
     schedule = resolved_schedule(game, config)
     check_schedule(schedule, config.max_iter, max(game.dims))
-    noises = seeded([game.player_noise(i) for i in range(game.n_players)],
-                    config.seed, replication, config.max_iter)
+    batches = [schedule_size(schedule, k) for k in range(config.max_iter)]
+    noise = replication_errors(
+        [game.player_noise(i) for i in range(game.n_players)], game.dims,
+        config.seed, replication, batches)
+    slices = [game.block_slice(i) for i in range(game.n_players)]
     counter = SampleCounter()
     errors = np.full(config.max_iter + 1, np.nan)
     y = x0
     if x_star is not None:
         errors[0] = y.distance(x_star)
-    batches: list[int] = []
     cum_samples: list[int] = []
     cum_prox: list[int] = []
     cum_inner: list[int] = []
-    for k in range(config.max_iter):
-        n_k = schedule_size(schedule, k)
+    for k, n_k in enumerate(batches):
         blocks = tuple(
             saa_best_response(game, i, y, n_k, config.mu,
                               (replication, k, i), inner_tol=config.inner_tol,
-                              counter=counter, noise=noises[i])
-            for i in range(game.n_players))
+                              counter=counter, error=noise[k, sl])
+            for i, sl in enumerate(slices))
         y = StrategyProfile(blocks)
-        batches.append(n_k)
         cum_samples.append(counter.total_samples)
         cum_prox.append(counter.prox_evals)
         cum_inner.append(counter.inner_solves)

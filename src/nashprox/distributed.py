@@ -27,7 +27,7 @@ import numpy as np
 from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, monotonicity_constants
 from .graphs import CommGraph, consensus_apply, mixing_params
-from .noise import seeded
+from .noise import replication_errors
 from .pgr import BRANCH_TOL, power_or_inf
 from .profiles import StrategyProfile
 from .sampling import (RootGeometricBatch, SampleCounter, check_schedule,
@@ -103,10 +103,11 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
                  on_state: Callable[[int, DistState], None] | None = None) -> RunTrace:
     """One consensus-based growing-batch run on an aggregative game.
 
-    Players draw their gradient errors from per-player streams
-    (config.seed, replication, k, i). errors[k] is ||x_k - x*||^2 when
-    x_star is given. consensus_errors[k] records max_i |v_hat_{i,k} -
-    mean_j(x_{j,k})|, the aggregate estimation error before scaling by N.
+    Player i's gradient error at iteration k is entry i of row k of
+    replication_errors for (config.seed, replication). errors[k] is
+    ||x_k - x*||^2 when x_star is given. consensus_errors[k] records
+    max_i |v_hat_{i,k} - mean_j(x_{j,k})|, the aggregate estimation error
+    before scaling by N.
     The on_state hook, when given, observes (k, DistState) after each
     consensus refresh.
     """
@@ -124,7 +125,9 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         raise ValueError("mixing rate beta must be positive to schedule batches")
     schedule = RootGeometricBatch(beta)
     check_schedule(schedule, config.max_iter)
-    noises = seeded(game.noises, config.seed, replication, config.max_iter)
+    batches = [schedule_size(schedule, k) for k in range(config.max_iter)]
+    noise = replication_errors(game.noises, game.dims, config.seed,
+                               replication, batches)
 
     if x0 is None:
         x0 = game.midpoint()
@@ -138,23 +141,19 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     star = x_star.vector if x_star is not None else None
     if star is not None:
         errors[0] = float(np.linalg.norm(x - star) ** 2)
-    batches: list[int] = []
     taus: list[int] = []
     cum_samples: list[int] = []
     cum_prox: list[int] = []
     cum_comm: list[int] = []
     consensus_errors: list[float] = []
 
-    for k in range(config.max_iter):
+    for k, n_k in enumerate(batches):
         tau_k = k + 1
         v_hat = consensus_apply(graph, v, tau_k, counter)
         if on_state is not None:
             on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
-        n_k = schedule_size(schedule, k)
-        e = np.array([nm.averaged(1, n_k, (replication, k, i))[0]
-                      for i, nm in enumerate(noises)])
         counter.total_samples += n * n_k
-        step = x - config.alpha * (game.gradients(x, n * v_hat) + e)
+        step = x - config.alpha * (game.gradients(x, n * v_hat) + noise[k])
         if not np.all(np.isfinite(step)):
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
@@ -165,7 +164,6 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         v = (v - x) + x_next
         consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
         x = x_next
-        batches.append(n_k)
         taus.append(tau_k)
         cum_samples.append(counter.total_samples)
         cum_prox.append(counter.prox_evals)

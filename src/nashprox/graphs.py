@@ -9,8 +9,8 @@ mixing estimate the distributed rate constants consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +63,12 @@ class CommGraph:
         object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", a)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues in ascending order, orthonormal eigenvectors as
+        columns) of the weight matrix, read-only, computed once."""
+        return _eigh(self.weights)
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,13 @@ def erdos_renyi_graph(n: int, p: float, seed: int = 0,
         f"no connected graph in {max_tries} draws at n={n}, p={p}")
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lam, vec = np.linalg.eigh(a)
+    lam.setflags(write=False)
+    vec.setflags(write=False)
+    return lam, vec
+
+
 def mixing_params(g: CommGraph | np.ndarray) -> MixingParams:
     """theta and beta of the geometric mixing bound for symmetric doubly
     stochastic weights: theta = 1 and beta the second largest eigenvalue
@@ -180,7 +193,7 @@ def mixing_params(g: CommGraph | np.ndarray) -> MixingParams:
         raise ValueError(f"weight matrix must be square, got {a.shape}")
     if not np.allclose(a, a.T, atol=1e-9):
         raise ValueError("mixing constants require a symmetric weight matrix")
-    spectrum = np.linalg.eigvalsh(a)
+    spectrum = (g.spectrum if isinstance(g, CommGraph) else _eigh(a))[0]
     # Largest eigenvalue of a stochastic matrix is 1; beta is the runner-up
     # in modulus.
     beta = float(max(abs(spectrum[0]), abs(spectrum[-2]))) if len(spectrum) > 1 else 0.0
@@ -197,8 +210,13 @@ def consensus_apply(g: CommGraph, values, tau: int,
     """tau rounds of synchronous averaging: values <- A^tau values.
 
     values has one row per node (a 1-D array is treated as one scalar per
-    node). tau = 0 returns the input unchanged; the counter, when given,
-    accrues tau communication rounds.
+    node). A^tau is applied in closed form from the cached eigenpairs
+    (CommGraph.spectrum): the node mean is kept and the deviation from it
+    goes through V diag(lambda^tau) V' without the consensus eigenvector
+    (lambda = 1, the largest eigenvalue of a connected graph), then is
+    centred again, so the mean stays exact up to one rounding however
+    large tau is. tau = 0 returns a copy of the input; the counter, when
+    given, accrues tau communication rounds.
     """
     if tau < 0:
         raise ValueError(f"consensus rounds must be >= 0, got {tau}")
@@ -206,12 +224,16 @@ def consensus_apply(g: CommGraph, values, tau: int,
     if v.shape[0] != g.n_nodes:
         raise ValueError(
             f"values have {v.shape[0]} rows for {g.n_nodes} nodes")
-    out = v.copy()
-    for _ in range(int(tau)):
-        out = g.weights @ out
     if counter is not None:
         counter.comm_rounds += int(tau)
-    return out
+    if tau == 0:
+        return v.copy()
+    lam, vec = g.spectrum
+    mean = v.sum(axis=0) / g.n_nodes
+    basis = vec[:, :-1]
+    coef = basis.T @ (v - mean)
+    out = basis @ (coef.T * lam[:-1] ** int(tau)).T
+    return out + (mean - out.sum(axis=0) / g.n_nodes)
 
 
 def max_mixing_deviation(g: CommGraph, k: int) -> float:

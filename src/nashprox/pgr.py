@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, Game, QuadraticGame, monotonicity_constants
-from .noise import seeded
+from .noise import replication_errors
 from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import (GeometricBatch, SampleCounter, check_schedule,
@@ -186,11 +186,14 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
             replication: int = 0) -> RunTrace:
     """One growing-batch gradient-response run.
 
-    Oracle draws at iteration k of replication r come from the stream
-    (config.seed, r, k), so replications and reruns are reproducible. When
-    x_star is given, errors[k] records ||x_k - x*||^2 for k = 0..K; when
-    config.target_eps is also set, the run stops at ceil(K(target_eps)) if
-    that bound is smaller than max_iter.
+    The oracle error at iteration k of replication r is row k of
+    replication_errors for (config.seed, r): the joint gradient's noise of
+    a quadratic game, or one entry per player of a Cournot game.
+    Replications and reruns are reproducible, and a run cut short draws
+    the leading rows of the full run. When x_star is given, errors[k]
+    records ||x_k - x*||^2 for k = 0..K; when config.target_eps is also
+    set, the run stops at ceil(K(target_eps)) if that bound is smaller than
+    max_iter.
     """
     consts = monotonicity_constants(game)
     contraction_factor_q(consts.eta, consts.lip, config.alpha)
@@ -212,27 +215,27 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
 
     counter = SampleCounter()
     errors = np.full(n_iter + 1, np.nan)
-    batches: list[int] = []
+    batches = [schedule_size(schedule, k) for k in range(n_iter)]
     cum_samples: list[int] = []
     cum_prox: list[int] = []
-    noise = seeded(game.noise if isinstance(game, QuadraticGame)
-                   else game.noises, config.seed, replication, n_iter)
+    # a quadratic game's noise is one model on the joint gradient
+    models = ((game.noise,), (game.dim,)) if isinstance(game, QuadraticGame) \
+        else (game.noises, game.dims)
+    noise = replication_errors(*models, config.seed, replication, batches)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
     star = x_star.vector if x_star is not None else None
     x = x0.vector
     if star is not None:
         errors[0] = float(np.linalg.norm(x - star)) ** 2
-    for k in range(n_iter):
-        n_k = schedule_size(schedule, k)
+    for k, n_k in enumerate(batches):
         g = sample_batch_gradient(game, x, n_k, (replication, k), counter,
-                                  noise=noise)
+                                  error=noise[k])
         step = x - config.alpha * g
         if not np.isfinite(step).all():
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
         x = prox(step)
         counter.prox_evals += 1
-        batches.append(n_k)
         cum_samples.append(counter.total_samples)
         cum_prox.append(counter.prox_evals)
         if star is not None:

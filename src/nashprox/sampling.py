@@ -9,7 +9,6 @@ from typing import Union
 import numpy as np
 
 from .games import AggregativeGame, Game, QuadraticGame, gradient_map
-from .noise import NoiseModel
 from .profiles import StrategyProfile
 
 
@@ -150,24 +149,27 @@ class SampleCounter:
 def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,
                           batch: int, path: tuple[int, ...],
                           counter: SampleCounter | None = None,
-                          noise: NoiseModel | tuple[NoiseModel, ...] | None = None
-                          ) -> np.ndarray:
+                          error: np.ndarray | None = None) -> np.ndarray:
     """Average of `batch` noisy joint-gradient observations at x (a profile
     or its stacked vector).
 
-    The error is drawn with second moment nu^2 / batch from `noise`: by
-    default the game's noise model, or its per-player models for an
-    aggregative game. `path` names the draw site (for example (replication,
-    iteration)); equal seeds and paths reproduce the draw bit for bit.
+    `error` is the batch-averaged observation error, drawn by the caller
+    (the solvers pass their row of noise.replication_errors). Without it
+    the error is drawn with second moment nu^2 / batch from the game's
+    noise model, or its per-player models for an aggregative game, at the
+    draw site `path` (for example (replication, iteration)); equal seeds
+    and paths reproduce the draw bit for bit.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     g = gradient_map(game, x)
-    if isinstance(game, QuadraticGame):
-        w = (noise or game.noise).averaged(g.size, batch, path)
+    if error is not None:
+        w = error
+    elif isinstance(game, QuadraticGame):
+        w = game.noise.averaged(g.size, batch, path)
     else:
         w = np.concatenate([nm.averaged(1, batch, tuple(path) + (i,))
-                            for i, nm in enumerate(noise or game.noises)])
+                            for i, nm in enumerate(game.noises)])
     if counter is not None:
         counter.total_samples += int(batch)
     return g + w

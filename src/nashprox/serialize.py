@@ -32,6 +32,10 @@ _NOISE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# A number, or one number per coordinate or player.
+_NUMBER_OR_ARRAY = {"type": ["number", "array"], "items": {"type": "number"},
+                    "minItems": 1}
+
 _REG_SCHEMA = {
     "type": "object",
     "oneOf": [
@@ -41,8 +45,7 @@ _REG_SCHEMA = {
                         "weight": {"type": "number", "minimum": 0.0}},
          "required": ["kind", "weight"], "additionalProperties": False},
         {"properties": {"kind": {"const": "box"},
-                        "lo": {"type": ["number", "array"]},
-                        "hi": {"type": ["number", "array"]}},
+                        "lo": _NUMBER_OR_ARRAY, "hi": _NUMBER_OR_ARRAY},
          "required": ["kind", "lo", "hi"], "additionalProperties": False},
     ],
 }
@@ -84,9 +87,11 @@ _GAME_SCHEMA = {
                 "b": _NUMBER_ARRAY,
                 "d": {"type": "number"},
                 "c_price": {"type": "number", "minimum": 0.0},
-                "lo": {"type": ["number", "array"]},
-                "hi": {"type": ["number", "array"]},
-                "nu": {"type": ["number", "array"]},
+                "lo": _NUMBER_OR_ARRAY,
+                "hi": _NUMBER_OR_ARRAY,
+                "nu": {"type": ["number", "array"], "minimum": 0.0,
+                       "items": {"type": "number", "minimum": 0.0},
+                       "minItems": 1},
             },
             "required": ["kind", "a", "b", "d", "c_price", "lo", "hi"],
             "additionalProperties": False,

@@ -456,3 +456,34 @@ def test_per_player_arrays_of_the_wrong_length_are_an_assumption_error(
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pgr", "validate"])
+@pytest.mark.parametrize("game,where", [
+    (dict(PGR_DOC["game"], dims=[1, 1],
+          regularizers=[{"kind": "zero"},
+                        {"kind": "box", "lo": ["a"], "hi": 1.0}]),
+     "game/regularizers/1/lo/0"),
+    (dict(PGR_DOC["game"], dims=[1, 1],
+          regularizers=[{"kind": "zero"},
+                        {"kind": "box", "lo": 0.0, "hi": []}]),
+     "game/regularizers/1/hi"),
+    (dict(DIST_DOC["game"], lo=[[0.0]] * 5), "game/lo/0"),
+    (dict(DIST_DOC["game"], hi=[]), "game/hi"),
+    (dict(DIST_DOC["game"], nu=["x"] * 5), "game/nu/0"),
+    # jsonschema names the game, not the key, for a failure at the depth
+    # of the kind discriminator, as for a quadratic game's negative nu
+    (dict(DIST_DOC["game"], nu=-3.0), "game"),
+    (dict(DIST_DOC["game"], nu=[0.5, -1.0, 0.5, 0.5, 0.5]), "game/nu/1"),
+], ids=["box-lo-string", "box-hi-empty", "cournot-lo-nested",
+        "cournot-hi-empty", "cournot-nu-string", "cournot-nu-negative",
+        "cournot-nu-negative-entry"])
+def test_per_player_arrays_must_hold_numbers(tmp_path: Path, capsys,
+                                             command: str, game: dict,
+                                             where: str):
+    doc = dict(PGR_DOC, solver={"alpha": 0.05, "rho": 0.9, "max_iter": 5},
+               game=game)
+    assert main([command, "--config", _write(tmp_path, doc), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config invalid at {where}:" in err
+    assert "Traceback" not in err

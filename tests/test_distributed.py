@@ -27,7 +27,7 @@ from nashprox import (
     run_pgr,
     schedule_size,
     solve_ne_oracle,
-    with_seed,
+    substream,
 )
 
 
@@ -221,10 +221,13 @@ def _player_gradient(game: AggregativeGame, i: int, x_i, y) -> np.ndarray:
 def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
                         x_star: StrategyProfile, replication: int):
     """Per-player loop run_dist_pgr replaces: _player_gradient and prox_apply
-    one player at a time, noise from the substreams (seed, r, k, i)."""
+    one player at a time, player i's noise at iteration k drawn as entry
+    (k, i) of the replication's standard-normal block from the stream
+    (seed, r, 1), scaled by nu_i / sqrt(N_k)."""
     schedule = RootGeometricBatch(mixing_params(graph).beta)
-    noises = [with_seed(nm, config.seed) for nm in game.noises]
     n = game.n_players
+    z = substream(config.seed, replication, 1).standard_normal(
+        (config.max_iter, n))
     x = np.array([(l + h) / 2.0 for l, h in zip(game.lo, game.hi)])
     v = x.copy()
     errors = [float(np.linalg.norm(x - x_star.vector) ** 2)]
@@ -234,7 +237,7 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
         n_k = schedule_size(schedule, k)
         x_next = np.empty(n)
         for i in range(n):
-            e_i = noises[i].averaged(1, n_k, (replication, k, i))
+            e_i = z[k, i] * (game.noises[i].nu / math.sqrt(n_k))
             g_i = _player_gradient(game, i, x[i], n * v_hat[i]) + e_i
             x_next[i] = prox_apply(game.regularizers[i],
                                    x[i:i + 1] - config.alpha * g_i,

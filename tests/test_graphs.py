@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nashprox import (
     CommGraph,
@@ -131,3 +133,43 @@ def test_graph_family_sizes():
     g = grid_graph(2, 2)
     assert g.n_nodes == 4
     assert len(g.edges) == 4
+
+
+graphs = st.one_of(
+    st.integers(3, 24).map(ring_graph),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
+        lambda rc: grid_graph(*rc)),
+    st.tuples(st.integers(2, 16), st.floats(0.3, 1.0),
+              st.integers(0, 2 ** 16)).map(
+        lambda t: erdos_renyi_graph(t[0], t[1], seed=t[2])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(g=ring_graph(22), tau=1, columns=0, scale=1e-3, seed=0)
+@given(g=graphs, tau=st.integers(0, 200), columns=st.sampled_from((0, 1, 3)),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_consensus_matches_repeated_averaging(g, tau, columns,
+                                                          scale, seed):
+    """A^tau v from the eigenpairs against tau products with A.
+
+    Tolerance, fixed from the dtype: the product loop rounds by at most
+    tau n u ||v||_inf (u = eps / 2; the rows of A are nonnegative and sum
+    to one, so earlier errors are not amplified), and the eigendecomposition
+    adds O(n eps ||v||_inf), taken as 16 n eps ||v||_inf. The node mean is
+    kept within 4 eps ||v||_inf.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (g.n_nodes,) if columns == 0 else (g.n_nodes, columns)
+    v = scale * (rng.standard_normal(shape) + rng.uniform(-3.0, 3.0))
+    counter = SampleCounter()
+    out = consensus_apply(g, v, tau, counter=counter)
+    want = v.copy()
+    for _ in range(tau):
+        want = g.weights @ want
+    eps, n, size = np.finfo(float).eps, g.n_nodes, np.max(np.abs(v))
+    assert out.shape == v.shape
+    assert np.max(np.abs(out - want)) <= (tau / 2 + 16) * n * eps * size
+    assert np.max(np.abs(out.mean(axis=0) - v.mean(axis=0))) <= 4 * eps * size
+    assert counter.comm_rounds == tau

@@ -1,10 +1,12 @@
-"""run_pbr against a copy of its loop that seeds every draw site on its own.
+"""run_pbr against a copy of its loop that draws every site on its own.
 
-The reference below is the run_pbr loop with each player's noise drawn at
-iteration k of replication r from substream(seed, r, k, i), one
-SeedSequence per site. run_pbr seeds the sites of a replication in one
-batch, so its errors, counters and final profile must match the reference
-bit for bit, signed zeros included.
+The reference below is the run_pbr loop with player i's noise at
+iteration k of replication r taken from the stream's definition: block i
+of row k of the standard-normal block that substream(seed, r, 1) draws for
+the replication, scaled by nu_i / sqrt(d_i N_k) with nu_i the player's
+share of the game's noise. run_pbr scales the whole block at once, so its
+errors, counters and final profile must match the reference bit for bit,
+signed zeros included.
 """
 
 from __future__ import annotations
@@ -35,23 +37,10 @@ from nashprox import (
 from nashprox.best_response import resolved_schedule
 
 
-class _PerSiteNoise:
-    """A player's noise, seeding a SeedSequence at every draw site."""
-
-    def __init__(self, noise, seed):
-        self.noise, self.seed = noise, seed
-
-    def averaged(self, dim, batch, path):
-        if isinstance(self.noise, ZeroNoise):
-            return np.zeros(dim)
-        return substream(self.seed, *path).standard_normal(dim) * \
-            (self.noise.nu / math.sqrt(dim * batch))
-
-
 def _reference_run_pbr(game, config, x0, x_star, replication):
     schedule = resolved_schedule(game, config)
-    noises = [_PerSiteNoise(game.player_noise(i), config.seed)
-              for i in range(game.n_players)]
+    z = substream(config.seed, replication, 1).standard_normal(
+        (config.max_iter, game.dim))
     counter = SampleCounter()
     errors = np.full(config.max_iter + 1, np.nan)
     y = x0
@@ -59,11 +48,14 @@ def _reference_run_pbr(game, config, x0, x_star, replication):
     batches, cum_samples, cum_inner = [], [], []
     for k in range(config.max_iter):
         n_k = schedule_size(schedule, k)
-        y = StrategyProfile(tuple(
-            saa_best_response(game, i, y, n_k, config.mu, (replication, k, i),
-                              inner_tol=config.inner_tol, counter=counter,
-                              noise=noises[i])
-            for i in range(game.n_players)))
+        blocks = []
+        for i, d in enumerate(game.dims):
+            nu_i = game.player_noise(i).nu
+            w = z[k, game.block_slice(i)] * (nu_i / math.sqrt(d * float(n_k)))
+            blocks.append(saa_best_response(
+                game, i, y, n_k, config.mu, (replication, k, i),
+                inner_tol=config.inner_tol, counter=counter, error=w))
+        y = StrategyProfile(tuple(blocks))
         batches.append(n_k)
         cum_samples.append(counter.total_samples)
         cum_inner.append(counter.inner_solves)

@@ -1,10 +1,12 @@
 """The flat-vector pgr loop and the compiled joint prox against reference
 copies of the per-block forms they replace.
 
-The references below are the plain forms: a game copy per run whose noise
-is re-keyed by the run seed, a StrategyProfile per iterate, the generic
-per-block prox (np.clip for boxes) applied player by player, and the
-distance through StrategyProfile.distance. run_pgr, solve_ne_oracle and
+The references below are the plain forms: the oracle error drawn per
+iteration from the replication's standard-normal block (the stream
+(seed, r, 1)) and scaled per player or for the joint gradient, a
+StrategyProfile per iterate, the generic per-block prox (np.clip for
+boxes) applied player by player, and the distance through
+StrategyProfile.distance. run_pgr, solve_ne_oracle and
 ne_residual use the same floating-point operations in the same order, so
 their results must match the references bit for bit, signed zeros
 included.
@@ -13,8 +15,6 @@ included.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +40,7 @@ from nashprox import (
     sample_batch_gradient,
     schedule_size,
     solve_ne_oracle,
-    with_seed,
+    substream,
 )
 from nashprox import games as games_module
 from nashprox.errors import Divergence
@@ -82,20 +82,16 @@ def _reference_prox_vector(game, vec, alpha):
     return np.concatenate(pieces)
 
 
-def _reseeded(game, seed):
-    if isinstance(game, QuadraticGame):
-        return replace(game, noise=with_seed(game.noise, seed))
-    return replace(game, noises=tuple(with_seed(nm, seed) for nm in game.noises))
-
-
-def _reference_batch_gradient(game, x, batch, path, counter):
+def _reference_batch_gradient(game, x, batch, z_k, counter):
+    """The gradient plus row z_k of the standard-normal block scaled as the
+    game's noise: nu / sqrt(n N_k) on the joint gradient of a quadratic
+    game, nu_i / sqrt(N_k) on player i of a Cournot game."""
     g = _reference_gradient(game, x.vector)
     if isinstance(game, QuadraticGame):
-        w = game.noise.averaged(g.size, batch, path)
+        w = z_k * (game.noise.nu / math.sqrt(g.size * float(batch)))
     else:
-        w = np.concatenate([
-            game.noises[i].averaged(1, batch, tuple(path) + (i,))
-            for i in range(game.n_players)])
+        w = np.array([z_k[i] * (game.noises[i].nu / math.sqrt(batch))
+                      for i in range(game.n_players)])
     counter.total_samples += int(batch)
     return g + w
 
@@ -103,7 +99,6 @@ def _reference_batch_gradient(game, x, batch, path, counter):
 def _reference_run_pgr(game, config, x0, x_star, replication):
     consts = monotonicity_constants(game)
     contraction_factor_q(consts.eta, consts.lip, config.alpha)
-    sampled_game = _reseeded(game, config.seed)
     schedule = GeometricBatch(config.rho)
     n_iter = config.max_iter
     if config.target_eps is not None:
@@ -112,6 +107,8 @@ def _reference_run_pgr(game, config, x0, x_star, replication):
                             consts.nu, c_start)
         n_iter = min(n_iter, max(1, math.ceil(
             complexity_K(rc, config.rho, config.target_eps))))
+    z = substream(config.seed, replication, 1).standard_normal(
+        (n_iter, game.dim))
     counter = SampleCounter()
     errors = np.full(n_iter + 1, np.nan)
     batches, cum_samples, cum_prox = [], [], []
@@ -119,8 +116,7 @@ def _reference_run_pgr(game, config, x0, x_star, replication):
     errors[0] = x.distance(x_star) ** 2
     for k in range(n_iter):
         n_k = schedule_size(schedule, k)
-        g = _reference_batch_gradient(sampled_game, x, n_k, (replication, k),
-                                      counter)
+        g = _reference_batch_gradient(game, x, n_k, z[k], counter)
         step = x.vector - config.alpha * g
         if not np.all(np.isfinite(step)):
             raise Divergence(f"iterate became non-finite at iteration {k}",
@@ -295,13 +291,20 @@ def test_sampled_gradient_takes_a_vector_and_an_explicit_noise():
                               noises=(GaussianNoise(0.3), GaussianNoise(0.6)))
     for g in (game, cournot):
         x = StrategyProfile.from_vector(np.linspace(0.1, 0.9, g.dim), g.dims)
-        copy = _reseeded(g, 17)
-        noise = copy.noise if isinstance(g, QuadraticGame) else copy.noises
-        want = sample_batch_gradient(copy, x, 40, (2, 3))
-        _assert_same_bits(sample_batch_gradient(g, x.vector, 40, (2, 3),
-                                                noise=noise), want)
-        _assert_same_bits(sample_batch_gradient(g, x, 40, (2, 3),
-                                                noise=noise), want)
+        exact = _reference_gradient(g, x.vector)
+        error = np.linspace(-0.3, 0.2, g.dim)
+        for at in (x, x.vector):
+            _assert_same_bits(sample_batch_gradient(g, at, 40, (2, 3),
+                                                    error=error),
+                              exact + error)
+        # without an explicit error, the game's own models draw at the path
+        if isinstance(g, QuadraticGame):
+            drawn = g.noise.averaged(g.dim, 40, (2, 3))
+        else:
+            drawn = np.concatenate([nm.averaged(1, 40, (2, 3, i))
+                                    for i, nm in enumerate(g.noises)])
+        _assert_same_bits(sample_batch_gradient(g, x, 40, (2, 3)),
+                          exact + drawn)
         with pytest.raises(ValueError, match="does not match game dimension"):
             sample_batch_gradient(g, np.zeros(g.dim + 1), 40, (2, 3))
 
