@@ -144,9 +144,17 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         f"{tol} in {max_inner} iterations", residual=disp)
 
 
-def _coupling_linear(game: QuadraticGame, i: int, y: StrategyProfile) -> np.ndarray:
+def _coupling_linear(game: QuadraticGame, i: int,
+                     y: StrategyProfile | np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Player i's linear term c_i + sum_{j != i} Q_ij y_j and its anchor
+    y_i, at a profile or its stacked vector."""
+    vec = y.vector if isinstance(y, StrategyProfile) else y
+    if np.shape(vec) != (game.dim,):
+        raise ValueError(f"vector of shape {np.shape(vec)} does not match "
+                         f"game dimension {game.dim}")
     sl = game.block_slice(i)
-    return game.c[sl] + game.off_diagonal[sl] @ y.vector
+    return game.c[sl] + game.off_diagonal[sl] @ vec, vec[sl]
 
 
 def _check_inner(tol: float, max_inner: int) -> None:
@@ -156,25 +164,29 @@ def _check_inner(tol: float, max_inner: int) -> None:
         raise ValueError(f"max_inner must be >= 1, got {max_inner}")
 
 
-def proximal_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
-                           mu: float, tol: float = 1e-12,
+def proximal_best_response(game: QuadraticGame, i: int,
+                           y: StrategyProfile | np.ndarray, mu: float,
+                           tol: float = 1e-12,
                            max_inner: int = 100_000) -> np.ndarray:
-    """Exact anchored best response of player i at profile y."""
+    """Exact anchored best response of player i at y (a profile or its
+    stacked vector)."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     _check_inner(tol, max_inner)
-    lin = _coupling_linear(game, i, y)
-    z, _ = _solve_anchored(game, i, lin, y.blocks[i], mu, tol, max_inner)
+    lin, anchor = _coupling_linear(game, i, y)
+    z, _ = _solve_anchored(game, i, lin, anchor, mu, tol, max_inner)
     return z
 
 
-def saa_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
+def saa_best_response(game: QuadraticGame, i: int,
+                      y: StrategyProfile | np.ndarray,
                       batch: int, mu: float, path: tuple[int, ...],
                       inner_tol: float = 1e-12, max_inner: int = 100_000,
                       counter: SampleCounter | None = None,
                       error: np.ndarray | None = None) -> np.ndarray:
-    """Sampled anchored best response: the smooth gradient carries an
-    averaged observation error over `batch` draws.
+    """Sampled anchored best response at y (a profile or its stacked
+    vector): the smooth gradient carries an averaged observation error over
+    `batch` draws.
 
     `error` is that error, drawn by the caller (run_pbr passes player i's
     block of its row of noise.replication_errors); without it the error is
@@ -186,8 +198,9 @@ def saa_best_response(game: QuadraticGame, i: int, y: StrategyProfile,
     _check_inner(inner_tol, max_inner)
     if error is None:
         error = game.player_noise(i).averaged(game.dims[i], batch, path)
-    lin = _coupling_linear(game, i, y) + error
-    z, _ = _solve_anchored(game, i, lin, y.blocks[i], mu, inner_tol, max_inner)
+    lin, anchor = _coupling_linear(game, i, y)
+    z, _ = _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
+                           max_inner)
     if counter is not None:
         counter.total_samples += int(batch)
         counter.inner_solves += 1
@@ -307,26 +320,27 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
     slices = [game.block_slice(i) for i in range(game.n_players)]
     counter = SampleCounter()
     errors = np.full(config.max_iter + 1, np.nan)
-    y = x0
-    if x_star is not None:
-        errors[0] = y.distance(x_star)
+    star = x_star.vector if x_star is not None else None
+    y = x0.vector
+    if star is not None:
+        errors[0] = float(np.linalg.norm(y - star))
     cum_samples: list[int] = []
     cum_prox: list[int] = []
     cum_inner: list[int] = []
     for k, n_k in enumerate(batches):
-        blocks = tuple(
+        y = np.concatenate([
             saa_best_response(game, i, y, n_k, config.mu,
                               (replication, k, i), inner_tol=config.inner_tol,
                               counter=counter, error=noise[k, sl])
-            for i, sl in enumerate(slices))
-        y = StrategyProfile(blocks)
+            for i, sl in enumerate(slices)])
         cum_samples.append(counter.total_samples)
         cum_prox.append(counter.prox_evals)
         cum_inner.append(counter.inner_solves)
-        if x_star is not None:
-            errors[k + 1] = y.distance(x_star)
+        if star is not None:
+            errors[k + 1] = float(np.linalg.norm(y - star))
     return RunTrace(errors=errors, error_metric="distance", batches=batches,
-                    cum_samples=cum_samples, cum_prox=cum_prox, final=y,
+                    cum_samples=cum_samples, cum_prox=cum_prox,
+                    final=StrategyProfile.from_vector(y, game.dims),
                     counter=counter, cum_inner=cum_inner)
 
 

@@ -200,6 +200,8 @@ def _envelope_check(mean_errors: np.ndarray, constant: float,
     envelope = constant * rate ** ks
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = mean_errors / envelope
+    # a zero error meets even a zero envelope
+    ratios[mean_errors == 0.0] = 0.0
     max_ratio = float(np.nanmax(ratios))
     return {"constant": constant, "rate": rate,
             "log_rate": math.log(rate), "ok": bool(max_ratio <= 1.0 + 1e-9),
@@ -208,6 +210,9 @@ def _envelope_check(mean_errors: np.ndarray, constant: float,
 
 def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
               max_k: int) -> dict:
+    if not np.any(mean_errors):
+        raise ValueError("every mean error is 0, so there is no rate to fit "
+                         "(the run starts at the equilibrium and stays there)")
     fit_doc = fit_doc or {}
     skip = int(fit_doc.get("skip", 5))
     window = tuple(fit_doc["window"]) if "window" in fit_doc \

@@ -248,6 +248,42 @@ CONFIG_SCHEMAS: dict[str, dict] = {
 }
 
 
+_STOCK = jsonschema.Draft202012Validator.VALIDATORS
+
+
+def _items(validator, items, instance, schema):
+    """Stock `items`, except that a list of plain ints and floats under
+    {"type": "number"} passes in one pass instead of one descent per item.
+    Stock `items` accepts every such list, so acceptance is unchanged."""
+    if items == {"type": "number"} and type(instance) is list and all(
+            type(v) is float or type(v) is int for v in instance):
+        return ()
+    return _STOCK["items"](validator, items, instance, schema)
+
+
+def _one_of(validator, one_of, instance, schema):
+    """Stock `oneOf`, except that an object whose "kind" matches the `const`
+    of exactly one branch is checked against that branch alone. Every other
+    branch rejects that "kind", so acceptance is unchanged; the error's
+    context then holds that branch's errors only, so best_match names the
+    failing key instead of stopping at the object."""
+    kinds = [branch.get("properties", {}).get("kind", {}).get("const")
+             for branch in one_of]
+    if isinstance(instance, dict) and None not in kinds \
+            and kinds.count(instance.get("kind")) == 1:
+        one_of = [one_of[kinds.index(instance["kind"])]]
+    return _STOCK["oneOf"](validator, one_of, instance, schema)
+
+
+# One validator per scheme, built once. The schemas are constant, so the
+# metaschema check that jsonschema.validate repeats on every call runs in
+# the tests instead.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"items": _items, "oneOf": _one_of})
+_VALIDATORS = {scheme: _Validator(schema)
+               for scheme, schema in CONFIG_SCHEMAS.items()}
+
+
 def validate_config(doc: Any, scheme: str | None = None) -> dict:
     """Validate a configuration document against its scheme's schema.
 
@@ -265,13 +301,13 @@ def validate_config(doc: Any, scheme: str | None = None) -> dict:
     if doc_scheme is not None and doc_scheme != scheme:
         raise ConfigError(
             f"config names scheme '{doc_scheme}' but '{scheme}' was requested")
-    if scheme not in CONFIG_SCHEMAS:
+    if not isinstance(scheme, str) or scheme not in CONFIG_SCHEMAS:
         raise ConfigError(
             f"unknown scheme '{scheme}'; expected one of "
             f"{sorted(CONFIG_SCHEMAS)}")
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMAS[scheme])
-    except jsonschema.ValidationError as err:
+    # what jsonschema.validate reports, without its per-call schema check
+    err = jsonschema.exceptions.best_match(_VALIDATORS[scheme].iter_errors(doc))
+    if err is not None:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
     return doc

@@ -111,6 +111,11 @@ def test_exact_best_response_scalar_closed_form():
     # anchored scalar quadratic: (mu y_i - c_i - q_ij y_j) / (mu + q_ii)
     hand = (1.0 * 0.2 - (-1.0 + 1.0 * 0.4)) / (1.0 + 2.0)
     assert out[0] == pytest.approx(hand, abs=1e-11)
+    # the stacked vector is the same point as the profile
+    assert np.array_equal(proximal_best_response(game, 0, y.vector, 1.0), out)
+    for wrong in (np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="does not match game dimension"):
+            proximal_best_response(game, 0, wrong, 1.0)
 
 
 def test_exact_best_response_fixes_the_equilibrium():

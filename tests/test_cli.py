@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -471,13 +472,18 @@ def test_per_player_arrays_of_the_wrong_length_are_an_assumption_error(
     (dict(DIST_DOC["game"], lo=[[0.0]] * 5), "game/lo/0"),
     (dict(DIST_DOC["game"], hi=[]), "game/hi"),
     (dict(DIST_DOC["game"], nu=["x"] * 5), "game/nu/0"),
-    # jsonschema names the game, not the key, for a failure at the depth
-    # of the kind discriminator, as for a quadratic game's negative nu
-    (dict(DIST_DOC["game"], nu=-3.0), "game"),
+    # a failure at the depth of the kind discriminator names its key
+    (dict(DIST_DOC["game"], nu=-3.0), "game/nu"),
     (dict(DIST_DOC["game"], nu=[0.5, -1.0, 0.5, 0.5, 0.5]), "game/nu/1"),
+    (dict(PGR_DOC["game"], noise={"kind": "gaussian", "nu": -1}),
+     "game/noise/nu"),
+    (dict(PGR_DOC["game"], dims=[1, 1],
+          regularizers=[{"kind": "zero"}, {"kind": "l1", "weight": -1}]),
+     "game/regularizers/1/weight"),
 ], ids=["box-lo-string", "box-hi-empty", "cournot-lo-nested",
         "cournot-hi-empty", "cournot-nu-string", "cournot-nu-negative",
-        "cournot-nu-negative-entry"])
+        "cournot-nu-negative-entry", "quadratic-noise-nu-negative",
+        "l1-weight-negative"])
 def test_per_player_arrays_must_hold_numbers(tmp_path: Path, capsys,
                                              command: str, game: dict,
                                              where: str):
@@ -486,4 +492,21 @@ def test_per_player_arrays_must_hold_numbers(tmp_path: Path, capsys,
     assert main([command, "--config", _write(tmp_path, doc), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"config invalid at {where}:" in err
+    assert "Traceback" not in err
+
+
+def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
+        tmp_path: Path, capsys):
+    # the box midpoint is the equilibrium of this noise-free game
+    doc = {"scheme": "pgr",
+           "game": {"kind": "cournot", "a": [1.0, 1.0], "b": [0.0, 0.0],
+                    "d": 2.0, "c_price": 1.0, "lo": 0.0, "hi": 1.0,
+                    "nu": 0.0},
+           "solver": {"alpha": 0.1, "rho": 0.9, "max_iter": 30}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pgr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "every mean error is 0" in err
     assert "Traceback" not in err

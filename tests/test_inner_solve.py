@@ -151,7 +151,7 @@ def test_inner_solve_matches_the_reference_within_the_contraction_bound(
             assert not np.any(_solve_anchored(game, i, linear, y.blocks[i],
                                               mu, tol, 100_000)[0])
         # the coupling term is one mat-vec with the off-diagonal part of h
-        lin, ref = _coupling_linear(game, i, y), _reference_coupling(game, i, y)
+        lin, ref = _coupling_linear(game, i, y)[0], _reference_coupling(game, i, y)
         sl = game.block_slice(i)
         scale = np.abs(game.c[sl]) + np.abs(game.h[sl]) @ np.abs(y.vector)
         assert np.all(np.abs(lin - ref) <= 2 * game.dim *
