@@ -32,8 +32,7 @@ from .games import (AggregativeGame, GameConstants, QuadraticGame,
                     ne_residual, solve_ne_oracle)
 from .graphs import (CommGraph, MixingParams, build_metropolis_weights,
                      complete_graph, consensus_apply, erdos_renyi_graph,
-                     grid_graph, max_mixing_deviation, mixing_params,
-                     path_graph, ring_graph)
+                     grid_graph, mixing_params, path_graph, ring_graph)
 from .noise import GaussianNoise, NoiseModel, ZeroNoise, substream
 from .pgr import (PgrConfig, RateConstants, complexity_K, complexity_M,
                   contraction_factor_q, envelope_params, rate_constants,
@@ -67,7 +66,7 @@ __all__ = [
     "dist_envelope_params", "dist_rate_constants", "envelope_params",
     "erdos_renyi_graph", "fit_linear_rate", "generate_cournot_game",
     "generate_quadratic_game", "gradient_map", "grid_graph", "load_config",
-    "max_mixing_deviation", "mixing_params", "monotonicity_constants",
+    "mixing_params", "monotonicity_constants",
     "ne_error_bound", "ne_residual", "path_graph", "pbr_complexity",
     "prox_apply", "prox_profile", "proximal_best_response",
     "rate_constants", "recommended_parameters", "ring_graph",

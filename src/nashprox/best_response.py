@@ -27,7 +27,6 @@ the off-diagonal part of h.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,13 +34,11 @@ import numpy as np
 
 from .errors import InnerSolveFailure
 from .games import QuadraticGame, monotonicity_constants
-from .noise import replication_errors
 from .pgr import power_or_inf
 from .profiles import StrategyProfile
 from .prox import compiled_prox, prox_pieces
-from .sampling import (BestResponseBatch, SampleCounter, check_schedule,
-                       schedule_size)
-from .trace import RunTrace
+from .sampling import BestResponseBatch, SampleCounter
+from .trace import RunTrace, check_run, iterate
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +211,7 @@ class PbrConfig:
     m_max (default: the largest per-player noise level) and c_r (default:
     br_noise_gain at the game's own-block curvature) size the batch
     schedule; eta_br is its decay target. eta_tilde, used by the complexity
-    bound, defaults to (1 + max(a, eta_br)) / 2. allow_uncontractive turns
-    the a >= 1 rejection into a warning.
+    bound, defaults to (1 + max(a, eta_br)) / 2.
     """
 
     mu: float
@@ -226,17 +222,13 @@ class PbrConfig:
     c_r: float | None = None
     eta_tilde: float | None = None
     inner_tol: float = 1e-12
-    allow_uncontractive: bool = False
 
     def __post_init__(self):
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if not (0.0 < self.eta_br < 1.0):
             raise ValueError(f"eta_br must lie in (0, 1), got {self.eta_br}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_run(self.max_iter, self.seed)
         if self.m_max is not None and self.m_max < 0.0:
             raise ValueError(f"m_max must be >= 0, got {self.m_max}")
         if self.c_r is not None and not self.c_r > 0.0:
@@ -291,57 +283,31 @@ def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBat
 def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
             x_star: StrategyProfile | None = None,
             replication: int = 0) -> RunTrace:
-    """One growing-batch proximal best-response run.
+    """One growing-batch proximal best-response run (trace.iterate).
 
     All players respond to the same profile y_k and the update is
     y_{k+1} = x_{k+1}. Player i's error at iteration k is its block of row
     k of replication_errors for (config.seed, replication), at its share
     of the game's noise (QuadraticGame.player_noise). errors[k] records
     the plain distance ||y_k - x*|| (not squared). Raises ValueError when
-    the contraction certificate has a >= 1, unless allow_uncontractive is
-    set, which only warns.
+    the contraction certificate has a >= 1.
     """
     cert = contraction_certificate(game, config.mu)
     if cert.a >= 1.0:
-        msg = (f"best-response map is not certified contractive: "
-               f"a = {cert.a:.6f} >= 1")
-        if config.allow_uncontractive:
-            warnings.warn(msg)
-        else:
-            raise ValueError(msg + " (set allow_uncontractive to proceed)")
-    if x0.dims != tuple(game.dims):
-        raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
-    schedule = resolved_schedule(game, config)
-    check_schedule(schedule, config.max_iter, max(game.dims))
-    batches = [schedule_size(schedule, k) for k in range(config.max_iter)]
-    noise = replication_errors(
-        [game.player_noise(i) for i in range(game.n_players)], game.dims,
-        config.seed, replication, batches)
+        raise ValueError(f"best-response map is not certified contractive: "
+                         f"a = {cert.a:.6f} >= 1")
     slices = [game.block_slice(i) for i in range(game.n_players)]
-    counter = SampleCounter()
-    errors = np.full(config.max_iter + 1, np.nan)
-    star = x_star.vector if x_star is not None else None
-    y = x0.vector
-    if star is not None:
-        errors[0] = float(np.linalg.norm(y - star))
-    cum_samples: list[int] = []
-    cum_prox: list[int] = []
-    cum_inner: list[int] = []
-    for k, n_k in enumerate(batches):
-        y = np.concatenate([
+
+    def step(k, n_k, y, w, counter):
+        return np.concatenate([
             saa_best_response(game, i, y, n_k, config.mu,
                               (replication, k, i), inner_tol=config.inner_tol,
-                              counter=counter, error=noise[k, sl])
+                              counter=counter, error=w[sl])
             for i, sl in enumerate(slices)])
-        cum_samples.append(counter.total_samples)
-        cum_prox.append(counter.prox_evals)
-        cum_inner.append(counter.inner_solves)
-        if star is not None:
-            errors[k + 1] = float(np.linalg.norm(y - star))
-    return RunTrace(errors=errors, error_metric="distance", batches=batches,
-                    cum_samples=cum_samples, cum_prox=cum_prox,
-                    final=StrategyProfile.from_vector(y, game.dims),
-                    counter=counter, cum_inner=cum_inner)
+    noises = [game.player_noise(i) for i in range(game.n_players)]
+    return iterate(step, x0, x_star, game.dims,
+                   resolved_schedule(game, config), config.max_iter, noises,
+                   game.dims, config.seed, replication, "distance")
 
 
 def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,

@@ -27,12 +27,10 @@ import numpy as np
 from .errors import Divergence, InvalidStep
 from .games import AggregativeGame, monotonicity_constants
 from .graphs import CommGraph, consensus_apply, mixing_params
-from .noise import replication_errors
 from .pgr import BRANCH_TOL, power_or_inf
 from .profiles import StrategyProfile
-from .sampling import (RootGeometricBatch, SampleCounter, check_schedule,
-                       schedule_size)
-from .trace import RunTrace
+from .sampling import RootGeometricBatch
+from .trace import RunTrace, check_run, iterate
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,9 @@ class DistConfig:
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_run(self.max_iter, self.seed)
         if self.beta is not None and not (0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -123,60 +118,34 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     beta = config.beta if config.beta is not None else mixing_params(graph).beta
     if not beta > 0.0:
         raise ValueError("mixing rate beta must be positive to schedule batches")
-    schedule = RootGeometricBatch(beta)
-    check_schedule(schedule, config.max_iter)
-    batches = [schedule_size(schedule, k) for k in range(config.max_iter)]
-    noise = replication_errors(game.noises, game.dims, config.seed,
-                               replication, batches)
-
     if x0 is None:
         x0 = game.midpoint()
-    if x0.dims != tuple(game.dims):
-        raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
-    x = x0.vector
-    v = x.copy()
     n = game.n_players
-    counter = SampleCounter()
-    errors = np.full(config.max_iter + 1, np.nan)
-    star = x_star.vector if x_star is not None else None
-    if star is not None:
-        errors[0] = float(np.linalg.norm(x - star) ** 2)
-    taus: list[int] = []
-    cum_samples: list[int] = []
-    cum_prox: list[int] = []
-    cum_comm: list[int] = []
+    v = x0.vector
     consensus_errors: list[float] = []
 
-    for k, n_k in enumerate(batches):
-        tau_k = k + 1
-        v_hat = consensus_apply(graph, v, tau_k, counter)
+    def step(k, n_k, x, w, counter):
+        nonlocal v
+        v_hat = consensus_apply(graph, v, k + 1, counter)
         if on_state is not None:
             on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
         counter.total_samples += n * n_k
-        step = x - config.alpha * (game.gradients(x, n * v_hat) + noise[k])
-        if not np.all(np.isfinite(step)):
+        forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
+        if not np.all(np.isfinite(forward)):
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
-        x_next = game.project(step)
+        x_next = game.project(forward)
         counter.prox_evals += 1
         # Evaluated as (v - x) + x_next so that v stays bitwise equal to x
         # whenever v_0 = x_0.
         v = (v - x) + x_next
         consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
-        x = x_next
-        taus.append(tau_k)
-        cum_samples.append(counter.total_samples)
-        cum_prox.append(counter.prox_evals)
-        cum_comm.append(counter.comm_rounds)
-        if star is not None:
-            errors[k + 1] = float(np.linalg.norm(x - star) ** 2)
-
-    return RunTrace(errors=errors, error_metric="squared_distance",
-                    batches=batches, cum_samples=cum_samples,
-                    cum_prox=cum_prox,
-                    final=StrategyProfile.from_vector(x, game.dims),
-                    counter=counter, taus=taus, cum_comm=cum_comm,
-                    consensus_errors=consensus_errors)
+        return x_next
+    return iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
+                   config.max_iter, game.noises, game.dims, config.seed,
+                   replication, "squared_distance",
+                   taus=list(range(1, config.max_iter + 1)),
+                   consensus_errors=consensus_errors)
 
 
 def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,

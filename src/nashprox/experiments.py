@@ -224,9 +224,11 @@ def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
 
 
 # A scheme's setup step takes (spec, game, game constants, x0, x*) and
-# returns (replicate, finish): replicate(r) runs replication r, and
-# finish(mean errors, traces) returns the theory dict and the graph summary
-# (or None). Solvers are called through their module globals at call time.
+# returns (replicate, theory, envelope, finish): replicate(r) runs
+# replication r, envelope is the (constant, rate) the mean errors are
+# checked against, and finish(traces), or None, adds to the theory dict and
+# returns the graph summary. Solvers are called through their module
+# globals at call time.
 
 def _pgr_setup(spec, game, consts, x0, x_star):
     s = spec.solver
@@ -240,12 +242,8 @@ def _pgr_setup(spec, game, consts, x0, x_star):
     if config.target_eps is not None:
         theory["k_eps"] = complexity_K(rc, config.rho, config.target_eps)
         theory["m_eps"] = complexity_M(rc, config.rho, config.target_eps)
-
-    def finish(mean_errors, traces):
-        theory["envelope"] = _envelope_check(
-            mean_errors, *envelope_params(rc, config.rho))
-        return theory, None
-    return lambda r: run_pgr(game, config, x0, x_star, replication=r), finish
+    return (lambda r: run_pgr(game, config, x0, x_star, replication=r),
+            theory, envelope_params(rc, config.rho), None)
 
 
 def _dist_setup(spec, game, consts, x0, x_star):
@@ -266,19 +264,18 @@ def _dist_setup(spec, game, consts, x0, x_star):
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
                       m_eps=comp.samples)
 
-    def finish(mean_errors, traces):
+    def finish(traces):
         cerr = np.max(np.stack([t.consensus_errors for t in traces]), axis=0)
         taus = np.asarray(traces[0].taus)
         cerr_bound = rc.m_compact * mp.theta * beta ** taus
         theory.update(
-            envelope=_envelope_check(mean_errors,
-                                     *dist_envelope_params(rc, c_start)),
             consensus_bound_ok=bool(np.all(cerr <= cerr_bound + 1e-12)),
             max_consensus_error=float(np.max(cerr)))
-        return theory, {"nodes": graph.n_nodes, "edges": len(graph.edges),
-                        "beta": mp.beta, "theta": mp.theta}
-    return (lambda r: run_dist_pgr(game, graph, config, x_star, replication=r,
-                                   x0=x0)), finish
+        return {"nodes": graph.n_nodes, "edges": len(graph.edges),
+                "beta": mp.beta, "theta": mp.theta}
+    return (lambda r: run_dist_pgr(game, graph, config, x_star,
+                                   replication=r, x0=x0),
+            theory, dist_envelope_params(rc, c_start), finish)
 
 
 def _pbr_setup(spec, game, consts, x0, x_star):
@@ -301,11 +298,8 @@ def _pbr_setup(spec, game, consts, x0, x_star):
                               game.n_players, c_start)
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
-
-    def finish(mean_errors, traces):
-        theory["envelope"] = _envelope_check(mean_errors, constant, eta_tilde)
-        return theory, None
-    return lambda r: run_pbr(game, config, x0, x_star, replication=r), finish
+    return (lambda r: run_pbr(game, config, x0, x_star, replication=r),
+            theory, (constant, eta_tilde), None)
 
 
 class _Scheme(NamedTuple):
@@ -370,12 +364,14 @@ def prepare_experiment(spec: ExperimentSpec) -> Callable:
     consts = monotonicity_constants(game)
     x_star = solve_ne_oracle(game)
     x0 = _spec_x0(spec, game)
-    replicate, finish = scheme.setup(spec, game, consts, x0, x_star)
+    replicate, theory, envelope, finish = scheme.setup(spec, game, consts,
+                                                       x0, x_star)
 
     def run():
         traces = [replicate(r) for r in range(spec.replications)]
         mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
-        theory, graph = finish(mean_errors, traces)
+        theory["envelope"] = _envelope_check(mean_errors, *envelope)
+        graph = finish(traces) if finish is not None else None
         k_iter = traces[0].iterations
         fields = {
             "scheme": spec.scheme, "seed": spec.seed,

@@ -102,6 +102,7 @@ class QuadraticGame:
             raise NotStronglyMonotone(
                 f"symmetric part of the coupling matrix has minimum eigenvalue "
                 f"{self._eta:.3e}; the gradient map is not strongly monotone")
+        check_lipschitz(self._lip)
 
     @property
     def n_players(self) -> int:
@@ -232,6 +233,7 @@ class AggregativeGame:
             raise NotStronglyMonotone(
                 f"aggregative gradient map has minimum Jacobian eigenvalue "
                 f"{eig_min:.3e}; not strongly monotone")
+        check_lipschitz(float(np.linalg.norm(self.jacobian(), 2)))
 
     @property
     def n_players(self) -> int:
@@ -304,12 +306,17 @@ def _gradient_vector(game: Game, vec: np.ndarray) -> np.ndarray:
     return game.gradients(vec, float(np.sum(vec)))
 
 
-def monotonicity_constants(game: Game) -> GameConstants:
-    """Strong monotonicity modulus, Lipschitz constant, and oracle constants.
+def check_lipschitz(lip: float) -> None:
+    """Reject a Lipschitz constant whose square, which the step bounds and
+    rate constants divide by, could overflow a float."""
+    if not lip < 1e154:
+        raise ValueError(f"Lipschitz constant lip = {lip:.6g} of the gradient "
+                         f"map must be below 1e154, so that lip^2 stays finite")
 
-    Raises NotStronglyMonotone if the modulus is not positive (unreachable
-    for validated instances, kept for raw use).
-    """
+
+def monotonicity_constants(game: Game) -> GameConstants:
+    """Strong monotonicity modulus, Lipschitz constant, and oracle constants
+    (both game types reject eta <= 0 and lip >= 1e154 at construction)."""
     if isinstance(game, QuadraticGame):
         eta, lip = game._eta, game._lip
         nu = game.noise.nu
@@ -326,9 +333,6 @@ def monotonicity_constants(game: Game) -> GameConstants:
         nu = math.sqrt(sum(v ** 2 for v in nu_i))
         m_compact = float(sum(max(abs(l), abs(h))
                               for l, h in zip(game.lo, game.hi)))
-    if eta <= 0.0:
-        raise NotStronglyMonotone(
-            f"strong monotonicity modulus {eta:.3e} is not positive")
     return GameConstants(eta=eta, lip=lip, kappa=lip / eta, nu=nu,
                          nu_i=nu_i, m_compact=m_compact)
 

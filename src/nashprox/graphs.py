@@ -235,8 +235,3 @@ def consensus_apply(g: CommGraph, values, tau: int,
     out = basis @ (coef.T * lam[:-1] ** int(tau)).T
     return out + (mean - out.sum(axis=0) / g.n_nodes)
 
-
-def max_mixing_deviation(g: CommGraph, k: int) -> float:
-    """max_ij |[A^k]_ij - 1/N|, the quantity the mixing bound controls."""
-    power = np.linalg.matrix_power(g.weights, int(k))
-    return float(np.max(np.abs(power - 1.0 / g.n_nodes)))

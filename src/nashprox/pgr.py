@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergence, InvalidStep
-from .games import AggregativeGame, Game, QuadraticGame, monotonicity_constants
-from .noise import replication_errors
+from .games import Game, QuadraticGame, monotonicity_constants
 from .profiles import StrategyProfile
 from .prox import compiled_prox
-from .sampling import (GeometricBatch, SampleCounter, check_schedule,
-                       sample_batch_gradient, schedule_size)
-from .trace import RunTrace
+from .sampling import GeometricBatch, sample_batch_gradient
+from .trace import RunTrace, check_run, iterate
 
 # Relative width of the band around rho == q (or beta == varrho^2) inside
 # which the two decay rates are treated as matched.
@@ -53,10 +51,7 @@ class PgrConfig:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_run(self.max_iter, self.seed)
         if self.target_eps is not None and not self.target_eps > 0.0:
             raise ValueError(f"target_eps must be > 0, got {self.target_eps}")
 
@@ -83,8 +78,8 @@ def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:
 
     Raises InvalidStep when q >= 1, i.e. alpha outside (0, 2 eta / lip^2).
     """
-    if not (eta > 0.0 and lip >= eta):
-        raise ValueError(f"need 0 < eta <= lip, got eta={eta}, lip={lip}")
+    if not 0.0 < eta <= lip < 1e154:  # lip^2 must stay finite
+        raise ValueError(f"need 0 < eta <= lip < 1e154, got eta={eta}, lip={lip}")
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise InvalidStep(f"alpha must be finite and > 0, got {alpha}")
     q = 1.0 - 2.0 * alpha * eta + alpha ** 2 * lip ** 2
@@ -175,8 +170,8 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
     binding rate and the bounds scale as K = O(kappa^2 ln(1/eps)) iterations
     and M = O(kappa^2 / eps) samples.
     """
-    if not (eta > 0.0 and lip >= eta):
-        raise ValueError(f"need 0 < eta <= lip, got eta={eta}, lip={lip}")
+    if not 0.0 < eta <= lip < 1e154:  # lip^2 must stay finite
+        raise ValueError(f"need 0 < eta <= lip < 1e154, got eta={eta}, lip={lip}")
     kappa = lip / eta
     return eta / lip ** 2, 1.0 - 1.0 / (2.0 * kappa ** 2)
 
@@ -184,7 +179,7 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
 def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
             x_star: StrategyProfile | None = None,
             replication: int = 0) -> RunTrace:
-    """One growing-batch gradient-response run.
+    """One growing-batch gradient-response run (trace.iterate).
 
     The oracle error at iteration k of replication r is row k of
     replication_errors for (config.seed, r): the joint gradient's noise of
@@ -197,9 +192,6 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     """
     consts = monotonicity_constants(game)
     contraction_factor_q(consts.eta, consts.lip, config.alpha)
-    if x0.dims != tuple(game.dims):
-        raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(game.dims)}")
-    schedule = GeometricBatch(config.rho)
     n_iter = config.max_iter
     if config.target_eps is not None:
         if x_star is None:
@@ -210,37 +202,20 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
         k_eps = complexity_K(rc, config.rho, config.target_eps)
         if k_eps < n_iter:
             n_iter = max(1, math.ceil(k_eps))
-    check_schedule(schedule, n_iter,
-                   1 if isinstance(game, AggregativeGame) else game.dim)
-
-    counter = SampleCounter()
-    errors = np.full(n_iter + 1, np.nan)
-    batches = [schedule_size(schedule, k) for k in range(n_iter)]
-    cum_samples: list[int] = []
-    cum_prox: list[int] = []
     # a quadratic game's noise is one model on the joint gradient
     models = ((game.noise,), (game.dim,)) if isinstance(game, QuadraticGame) \
         else (game.noises, game.dims)
-    noise = replication_errors(*models, config.seed, replication, batches)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
-    star = x_star.vector if x_star is not None else None
-    x = x0.vector
-    if star is not None:
-        errors[0] = float(np.linalg.norm(x - star)) ** 2
-    for k, n_k in enumerate(batches):
+
+    def step(k, n_k, x, w, counter):
         g = sample_batch_gradient(game, x, n_k, (replication, k), counter,
-                                  error=noise[k])
-        step = x - config.alpha * g
-        if not np.isfinite(step).all():
+                                  error=w)
+        forward = x - config.alpha * g
+        if not np.isfinite(forward).all():
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
-        x = prox(step)
         counter.prox_evals += 1
-        cum_samples.append(counter.total_samples)
-        cum_prox.append(counter.prox_evals)
-        if star is not None:
-            errors[k + 1] = float(np.linalg.norm(x - star)) ** 2
-    return RunTrace(errors=errors, error_metric="squared_distance",
-                    batches=batches, cum_samples=cum_samples,
-                    cum_prox=cum_prox, counter=counter,
-                    final=StrategyProfile.from_vector(x, game.dims))
+        return prox(forward)
+    return iterate(step, x0, x_star, game.dims, GeometricBatch(config.rho),
+                   n_iter, *models, config.seed, replication,
+                   "squared_distance")

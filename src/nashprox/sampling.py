@@ -65,7 +65,7 @@ class BestResponseBatch:
                                 self.eta_br ** (-2 * k)))
 
     def total(self, n: int) -> int:
-        """sum_{k < n} size(k); OverflowError where size(n - 1) overflows.
+        """sum_{k < n} size(k); OverflowError where a batch or the sum does.
 
         The leading run of 1s is counted in closed form, the rest in numpy
         chunks. A batch below 2^32 that np.power, an ulp apart from pow,

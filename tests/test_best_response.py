@@ -211,17 +211,13 @@ def test_run_started_at_the_equilibrium_stays_there():
     assert max(trace.errors) <= 1e-10
 
 
-def test_uncontractive_game_is_rejected_unless_overridden():
+def test_uncontractive_game_is_rejected():
     game = QuadraticGame(dims=(1, 1), h=np.array([[1.0, 10.0], [-10.0, 1.0]]),
                          c=np.zeros(2))
     x0 = StrategyProfile.zeros((1, 1))
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=3, m_max=1.0, c_r=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not certified contractive"):
         run_pbr(game, config, x0)
-    loose = PbrConfig(mu=1.0, eta_br=0.7, max_iter=3, m_max=1.0, c_r=1.0,
-                      allow_uncontractive=True)
-    with pytest.warns(UserWarning):
-        run_pbr(game, loose, x0)
 
 
 def test_iteration_bound_hand_value():
@@ -271,9 +267,11 @@ def test_default_shifted_rate_splits_the_gap_to_one():
 
 def _loop_total(schedule, n):
     """The reference schedule sum: size(k) one k at a time, infinite
-    where a batch overflows."""
+    where a batch or the sum overflows a float."""
     try:
-        return sum(schedule_size(schedule, k) for k in range(n))
+        total = sum(schedule_size(schedule, k) for k in range(n))
+        float(total)
+        return total
     except OverflowError:
         return math.inf
 

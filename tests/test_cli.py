@@ -231,6 +231,36 @@ def test_cournot_noise_levels_whose_squares_overflow_are_rejected(
                  "--quiet"]) == 0
 
 
+# a Cournot game whose Jacobian has norm about 1e308, and a quadratic game
+# with h = 1e200 I: lip^2 overflows a float in either
+_HUGE_COURNOT = {"kind": "cournot", "a": [1e308, 1e308], "b": [0.0, 0.0],
+                 "d": 2.0, "c_price": 1.0, "lo": 0.0, "hi": 1.0, "nu": 0.5}
+
+
+_LIP_TOO_LARGE = "must be below 1e154, so that lip^2 stays finite"
+
+
+@pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])
+@pytest.mark.parametrize("command,doc,message", [
+    ("pgr", dict(PGR_DOC, game=_HUGE_COURNOT), _LIP_TOO_LARGE),
+    ("dist-pgr", dict(DIST_DOC, game=_HUGE_COURNOT,
+                      graph={"family": "path", "nodes": 2}), _LIP_TOO_LARGE),
+    ("pbr", dict(PBR_DOC, game=dict(PBR_DOC["game"],
+                                    h=[[1e200, 0.0], [0.0, 1e200]])),
+     _LIP_TOO_LARGE),
+    ("bounds", dict(BOUNDS_DOC, solver=dict(BOUNDS_DOC["solver"], lip=1e200)),
+     "need 0 < eta <= lip < 1e154, got eta=1.0, lip=1e+200"),
+])
+def test_lipschitz_constant_whose_square_overflows_is_an_assumption_error(
+        tmp_path: Path, capsys, command: str, doc: dict, message: str,
+        validate: bool):
+    argv = ["validate"] if validate else [command]
+    assert main(argv + ["--config", _write(tmp_path, doc), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 FUZZ_PBR_GAME = {
     "kind": "quadratic", "dims": [1, 2, 1],
     "h": [[2.0, 0.2, -0.1, 0.0], [0.1, 1.5, 0.3, 0.1],

@@ -245,3 +245,22 @@ def test_aggregative_regularizers_are_built_once_per_game():
     game = AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(1.0, 1.0))
     assert game.regularizers is game.regularizers
+
+
+def test_lipschitz_constant_must_keep_its_square_finite():
+    """Both game types reject lip >= 1e154, whose square the step bounds
+    would overflow, and accept a game just below it."""
+    message = "must be below 1e154, so that lip"
+    with pytest.raises(ValueError, match=message):
+        QuadraticGame(dims=(1, 1), h=np.eye(2) * 1e200, c=np.zeros(2))
+    with pytest.raises(ValueError, match=message):
+        AggregativeGame(a=(1e308, 1e308), b=(0.0, 0.0), d=2.0, c_price=1.0,
+                        lo=(0.0, 0.0), hi=(1.0, 1.0))
+    game = QuadraticGame(dims=(1, 1), h=np.eye(2) * 9e153, c=np.zeros(2))
+    consts = monotonicity_constants(game)
+    assert consts.lip == pytest.approx(9e153, rel=1e-12)
+    assert np.isfinite(consts.lip ** 2)
+    cournot = AggregativeGame(a=(4e153, 4e153), b=(0.0, 0.0), d=2.0,
+                              c_price=1.0, lo=(0.0, 0.0), hi=(1.0, 1.0))
+    assert monotonicity_constants(cournot).lip < 1e154
+

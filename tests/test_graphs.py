@@ -13,11 +13,16 @@ from nashprox import (
     consensus_apply,
     erdos_renyi_graph,
     grid_graph,
-    max_mixing_deviation,
     mixing_params,
     path_graph,
     ring_graph,
 )
+
+
+def max_mixing_deviation(g: CommGraph, k: int) -> float:
+    """max_ij |[A^k]_ij - 1/N|, the quantity the mixing bound controls."""
+    power = np.linalg.matrix_power(g.weights, int(k))
+    return float(np.max(np.abs(power - 1.0 / g.n_nodes)))
 
 
 def test_complete_graph_weights_are_uniform():

@@ -12,7 +12,6 @@ signed zeros included.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -104,13 +103,10 @@ def quadratic_games(draw):
 def test_run_matches_the_per_site_reference_loop_bit_for_bit(
         drawn, mu, eta_br, max_iter, seed, replication):
     game, rng = drawn
-    config = PbrConfig(mu=mu, eta_br=eta_br, max_iter=max_iter, seed=seed,
-                       allow_uncontractive=True)
+    config = PbrConfig(mu=mu, eta_br=eta_br, max_iter=max_iter, seed=seed)
     x_star = solve_ne_oracle(game)
     x0 = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        trace = run_pbr(game, config, x0, x_star, replication=replication)
+    trace = run_pbr(game, config, x0, x_star, replication=replication)
     errors, batches, cum_samples, cum_inner, counter, final = \
         _reference_run_pbr(game, config, x0, x_star, replication)
     assert np.array_equal(trace.errors, errors)

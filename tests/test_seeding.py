@@ -36,7 +36,7 @@ from nashprox import (
     solve_ne_oracle,
     substream,
 )
-from nashprox import best_response, distributed, pgr
+from nashprox import trace as trace_module
 from nashprox.cli import main
 from nashprox.noise import replication_errors
 
@@ -173,8 +173,9 @@ def test_replication_streams_differ_from_the_game_and_graph_streams(seed):
                                   substream(seed, 7002).standard_normal(4))
 
 
-def _recorded(monkeypatch, module) -> list[np.ndarray]:
-    """Every error block `module` draws through replication_errors."""
+def _recorded(monkeypatch) -> list[np.ndarray]:
+    """Every error block the solvers' shared loop (trace.iterate) draws
+    through replication_errors."""
     seen = []
 
     def recording(*args):
@@ -182,7 +183,7 @@ def _recorded(monkeypatch, module) -> list[np.ndarray]:
         seen.append(out)
         return out
 
-    monkeypatch.setattr(module, "replication_errors", recording)
+    monkeypatch.setattr(trace_module, "replication_errors", recording)
     return seen
 
 
@@ -206,15 +207,15 @@ def _pbr_runs(game, reps):
 
 _CASES = {
     # per-player nu_i of a Cournot game, one coordinate each
-    "pgr-cournot": (pgr, _pgr_runs, _cournot_game((0.3, 0.9, 1.4)), 300,
+    "pgr-cournot": (_pgr_runs, _cournot_game((0.3, 0.9, 1.4)), 300,
                     [(0.3, 1), (0.9, 1), (1.4, 1)]),
-    "dist-pgr-cournot": (distributed, _dist_runs,
+    "dist-pgr-cournot": (_dist_runs,
                          _cournot_game((0.5, 1.0, 2.0, 0.7)), 300,
                          [(0.5, 1), (1.0, 1), (2.0, 1), (0.7, 1)]),
     # one model on the joint gradient of a quadratic game
-    "pgr-quadratic": (pgr, _pgr_runs, _quadratic_game(1.5), 300, [(1.5, 3)]),
+    "pgr-quadratic": (_pgr_runs, _quadratic_game(1.5), 300, [(1.5, 3)]),
     # a quadratic game's per-block share nu_i = nu sqrt(d_i / n) in pbr
-    "pbr-quadratic": (best_response, _pbr_runs, _quadratic_game(1.5), 300,
+    "pbr-quadratic": (_pbr_runs, _quadratic_game(1.5), 300,
                       [(1.5 * math.sqrt(2 / 3), 2),
                        (1.5 * math.sqrt(1 / 3), 1)]),
 }
@@ -228,8 +229,8 @@ def test_errors_have_the_calibrated_second_moment(monkeypatch, case):
     correlation of consecutive replications, of standard error 1/sqrt(M)
     for M entries per replication, has mean 0 within 4 standard errors
     and no pair beyond 5/sqrt(M) (under 2e-4 for all pairs together)."""
-    module, runs, game, reps, blocks = _CASES[case]
-    seen = _recorded(monkeypatch, module)
+    runs, game, reps, blocks = _CASES[case]
+    seen = _recorded(monkeypatch)
     traces = runs(game, reps)
     assert len(seen) == reps
     ratios, variance, standardized = [], 0.0, []
