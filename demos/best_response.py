@@ -19,11 +19,13 @@ from nashprox import (
     StrategyProfile,
     br_noise_gain,
     contraction_certificate,
+    monotonicity_constants,
     proximal_best_response,
     run_pbr,
     saa_best_response,
     solve_ne_oracle,
 )
+from nashprox.noise import replication_errors
 
 
 def main() -> None:
@@ -39,8 +41,11 @@ def main() -> None:
     y = StrategyProfile.zeros(game.dims)
     exact = proximal_best_response(game, 0, y, mu)
     print(f"player 0 exact best response at y = 0: {exact}")
+    nu_i = monotonicity_constants(game).nu_i
     for batch in (4, 64, 1024):
-        approx = saa_best_response(game, 0, y, batch, mu, path=(0, 0))
+        # player 0's block of the batch-averaged error of replication 0
+        error = replication_errors(nu_i, game.dims, 0, 0, [batch])[0, :1]
+        approx = saa_best_response(game, 0, y, batch, mu, error)
         print(f"  sampled with batch {batch:4d}: {approx} "
               f"(gap {float(np.linalg.norm(approx - exact)):.2e})")
     print(f"per-sample noise gain C_r = {br_noise_gain(mu, 2.0):.4f}")

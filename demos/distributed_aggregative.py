@@ -28,8 +28,7 @@ def main() -> None:
     n = 5
     game = AggregativeGame(a=(1.0,) * n, b=(0.0,) * n, d=2.0, c_price=1.0,
                            lo=(0.0,) * n, hi=(1.0,) * n,
-                           noises=tuple(GaussianNoise(0.5, seed=i)
-                                        for i in range(n)))
+                           noises=(GaussianNoise(0.5),) * n)
     graph = ring_graph(n)
     mp = mixing_params(graph)
     print(f"ring of {n}: mixing rate beta = {mp.beta:.6f}, theta = {mp.theta:g}")

@@ -33,7 +33,7 @@ from .games import (AggregativeGame, GameConstants, QuadraticGame,
 from .graphs import (CommGraph, MixingParams, build_metropolis_weights,
                      complete_graph, consensus_apply, erdos_renyi_graph,
                      grid_graph, mixing_params, path_graph, ring_graph)
-from .noise import GaussianNoise, NoiseModel, ZeroNoise, substream
+from .noise import GaussianNoise, substream
 from .pgr import (PgrConfig, RateConstants, complexity_K, complexity_M,
                   contraction_factor_q, envelope_params, rate_constants,
                   recommended_parameters, run_pgr)
@@ -55,11 +55,11 @@ __all__ = [
     "DistRateConstants", "DistState", "Divergence", "ExperimentSpec",
     "FitResult", "GameConstants", "GaussianNoise", "GeometricBatch",
     "InnerSolveFailure", "InvalidStep", "L1", "MixingParams",
-    "NoGeometricMixing", "NoiseModel", "NonConvergence",
+    "NoGeometricMixing", "NonConvergence",
     "NotStronglyMonotone", "PbrComplexity", "PbrConfig", "PgrConfig",
     "QuadraticGame", "RateConstants", "Regularizer", "RootGeometricBatch",
     "RunReport", "RunTrace", "SampleCounter", "StrategyProfile", "Zero",
-    "ZeroNoise", "br_noise_gain", "build_game", "build_graph",
+    "br_noise_gain", "build_game", "build_graph",
     "build_metropolis_weights", "check_schedule", "complete_graph",
     "complexity_K", "complexity_M", "consensus_apply",
     "contraction_certificate", "contraction_factor_q", "dist_complexity",

@@ -177,24 +177,18 @@ def proximal_best_response(game: QuadraticGame, i: int,
 
 def saa_best_response(game: QuadraticGame, i: int,
                       y: StrategyProfile | np.ndarray,
-                      batch: int, mu: float, path: tuple[int, ...],
+                      batch: int, mu: float, error: np.ndarray,
                       inner_tol: float = 1e-12, max_inner: int = 100_000,
-                      counter: SampleCounter | None = None,
-                      error: np.ndarray | None = None) -> np.ndarray:
+                      counter: SampleCounter | None = None) -> np.ndarray:
     """Sampled anchored best response at y (a profile or its stacked
-    vector): the smooth gradient carries an averaged observation error over
-    `batch` draws.
-
-    `error` is that error, drawn by the caller (run_pbr passes player i's
-    block of its row of noise.replication_errors); without it the error is
-    drawn from player i's noise model at the draw site `path`. Counts
-    `batch` samples and one inner solve.
+    vector): the smooth gradient carries `error`, the averaged observation
+    error over `batch` draws, drawn by the caller (run_pbr passes player
+    i's block of its row of noise.replication_errors). Counts `batch`
+    samples and one inner solve.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     _check_inner(inner_tol, max_inner)
-    if error is None:
-        error = game.player_noise(i).averaged(game.dims[i], batch, path)
     lin, anchor = _coupling_linear(game, i, y)
     z, _ = _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
                            max_inner)
@@ -288,7 +282,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
     All players respond to the same profile y_k and the update is
     y_{k+1} = x_{k+1}. Player i's error at iteration k is its block of row
     k of replication_errors for (config.seed, replication), at its share
-    of the game's noise (QuadraticGame.player_noise). errors[k] records
+    nu_i of the game's noise (GameConstants.nu_i). errors[k] records
     the plain distance ||y_k - x*|| (not squared). Raises ValueError when
     the contraction certificate has a >= 1.
     """
@@ -300,14 +294,13 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
 
     def step(k, n_k, y, w, counter):
         return np.concatenate([
-            saa_best_response(game, i, y, n_k, config.mu,
-                              (replication, k, i), inner_tol=config.inner_tol,
-                              counter=counter, error=w[sl])
+            saa_best_response(game, i, y, n_k, config.mu, w[sl],
+                              inner_tol=config.inner_tol, counter=counter)
             for i, sl in enumerate(slices)])
-    noises = [game.player_noise(i) for i in range(game.n_players)]
     return iterate(step, x0, x_star, game.dims,
-                   resolved_schedule(game, config), config.max_iter, noises,
-                   game.dims, config.seed, replication, "distance")
+                   resolved_schedule(game, config), config.max_iter,
+                   monotonicity_constants(game).nu_i, game.dims, config.seed,
+                   replication, "distance")
 
 
 def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,

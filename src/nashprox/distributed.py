@@ -142,7 +142,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
         return x_next
     return iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
-                   config.max_iter, game.noises, game.dims, config.seed,
+                   config.max_iter, consts.nu_i, game.dims, config.seed,
                    replication, "squared_distance",
                    taus=list(range(1, config.max_iter + 1)),
                    consensus_errors=consensus_errors)

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .games import (AggregativeGame, Game, QuadraticGame,
                     monotonicity_constants, ne_error_bound, solve_ne_oracle)
 from .graphs import mixing_params
-from .noise import GaussianNoise, ZeroNoise, substream
+from .noise import GaussianNoise, substream
 from .pgr import (PgrConfig, complexity_K, complexity_M, envelope_params,
                   rate_constants, run_pgr)
 from .profiles import StrategyProfile
@@ -30,16 +30,12 @@ from .trace import RunTrace
 
 
 def generate_quadratic_game(n_players: int, dim: int, coupling_strength: float,
-                            seed: int = 0, nu: float = 0.0,
-                            regularizers=None,
-                            h: np.ndarray | None = None,
-                            c: np.ndarray | None = None) -> QuadraticGame:
+                            seed: int = 0, nu: float = 0.0) -> QuadraticGame:
     """Random strongly monotone block-quadratic game.
 
     Own blocks are I + 0.5 A'A/dim (eigenvalues in [1, about 3]); coupling
     blocks have spectral norm at most coupling_strength / (N - 1), so the
-    monotonicity modulus stays at least 1 - coupling_strength. Passing h
-    (and optionally c) bypasses the random construction and just validates.
+    monotonicity modulus stays at least 1 - coupling_strength.
     """
     if n_players < 1 or dim < 1:
         raise ValueError("n_players and dim must be >= 1")
@@ -49,30 +45,23 @@ def generate_quadratic_game(n_players: int, dim: int, coupling_strength: float,
     dims = (dim,) * n_players
     n = n_players * dim
     rng = substream(seed, 7001)
-    if h is None:
-        h = np.zeros((n, n))
+    h = np.zeros((n, n))
+    for i in range(n_players):
+        a = rng.standard_normal((dim, dim))
+        block = np.eye(dim) + 0.5 * (a.T @ a) / dim
+        h[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
+    if n_players > 1:
+        cap = coupling_strength / (n_players - 1)
         for i in range(n_players):
-            a = rng.standard_normal((dim, dim))
-            block = np.eye(dim) + 0.5 * (a.T @ a) / dim
-            h[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
-        if n_players > 1:
-            cap = coupling_strength / (n_players - 1)
-            for i in range(n_players):
-                for j in range(n_players):
-                    if i != j:
-                        b = rng.standard_normal((dim, dim))
-                        norm = np.linalg.norm(b, 2)
-                        if norm > 0:
-                            b = b * (cap / norm)
-                        h[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = b
-    else:
-        h = np.asarray(h, dtype=float)
-    if c is None:
-        c = rng.standard_normal(n)
-    noise = GaussianNoise(nu=nu, seed=seed) if nu > 0.0 else ZeroNoise(seed=seed)
-    return QuadraticGame(dims=dims, h=h, c=np.asarray(c, dtype=float),
-                         regularizers=tuple(regularizers) if regularizers else (),
-                         noise=noise)
+            for j in range(n_players):
+                if i != j:
+                    b = rng.standard_normal((dim, dim))
+                    norm = np.linalg.norm(b, 2)
+                    if norm > 0:
+                        b = b * (cap / norm)
+                    h[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = b
+    return QuadraticGame(dims=dims, h=h, c=rng.standard_normal(n),
+                         noise=GaussianNoise(nu))
 
 
 def generate_cournot_game(n_players: int, seed: int = 0, a=None, b=None,
@@ -95,12 +84,11 @@ def generate_cournot_game(n_players: int, seed: int = 0, a=None, b=None,
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (n_players,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_players,))
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (n_players,))
-    noises = tuple(GaussianNoise(nu=float(v), seed=seed) if v > 0.0
-                   else ZeroNoise(seed=seed) for v in nu)
     return AggregativeGame(a=tuple(float(v) for v in a),
                            b=tuple(float(v) for v in b), d=float(d),
                            c_price=float(c_price), lo=tuple(float(v) for v in lo),
-                           hi=tuple(float(v) for v in hi), noises=noises)
+                           hi=tuple(float(v) for v in hi),
+                           noises=tuple(map(GaussianNoise, nu)))
 
 
 @dataclass(frozen=True)
@@ -363,6 +351,7 @@ def prepare_experiment(spec: ExperimentSpec) -> Callable:
         raise ConfigError(scheme.game_error)
     consts = monotonicity_constants(game)
     x_star = solve_ne_oracle(game)
+    oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
     replicate, theory, envelope, finish = scheme.setup(spec, game, consts,
                                                        x0, x_star)
@@ -384,7 +373,7 @@ def prepare_experiment(spec: ExperimentSpec) -> Callable:
             "iterations": k_iter, "mean_final_error": float(mean_errors[-1]),
             "fit": _fit_dict(mean_errors, spec.fit, k_iter),
             "equilibrium": list(x_star.vector),
-            "oracle_error_bound": ne_error_bound(game, x_star)}
+            "oracle_error_bound": oracle_error_bound}
         if graph is not None:
             fields["graph"] = graph
         return RunReport(fields), traces

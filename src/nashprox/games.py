@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStep, NonConvergence, NotStronglyMonotone
-from .noise import NoiseModel, ZeroNoise, scaled_noise
+from .noise import GaussianNoise
 from .profiles import StrategyProfile
 from .prox import BoxIndicator, Regularizer, Zero, compiled_prox
 
@@ -36,15 +36,17 @@ class GameConstants:
 
     eta is the strong monotonicity modulus, lip the Lipschitz constant,
     kappa = lip/eta. nu is the total noise level of the joint gradient
-    oracle; nu_i its per-player split. m_compact is sum_i max_{x in R_i}
-    ||x_i|| when every strategy set is a (compact) box, else None.
+    oracle; nu_i its per-player split (a quadratic game's components are
+    iid, so block i carries nu sqrt(d_i / n)). m_compact is
+    sum_i max_{x in R_i} ||x_i|| when every strategy set is a (compact) box,
+    else None.
     """
 
     eta: float
     lip: float
     kappa: float
     nu: float
-    nu_i: tuple[float, ...] | None = None
+    nu_i: tuple[float, ...]
     m_compact: float | None = None
 
 
@@ -67,7 +69,7 @@ class QuadraticGame:
     h: np.ndarray
     c: np.ndarray
     regularizers: tuple[Regularizer, ...] = ()
-    noise: NoiseModel = ZeroNoise()
+    noise: GaussianNoise = GaussianNoise(0.0)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -166,14 +168,6 @@ class QuadraticGame:
         """Spectral norm ||h||_2."""
         return float(np.linalg.norm(self.h, 2))
 
-    def player_noise(self, i: int) -> NoiseModel:
-        """Noise model of player i's gradient block.
-
-        Components of the joint error are iid, so block i carries the share
-        nu_i = nu * sqrt(n_i / n) of the total second moment.
-        """
-        return scaled_noise(self.noise, math.sqrt(self.dims[i] / self.dim))
-
 
 @dataclass(frozen=True, eq=False)
 class AggregativeGame:
@@ -195,7 +189,7 @@ class AggregativeGame:
     c_price: float
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    noises: tuple[NoiseModel, ...] = ()
+    noises: tuple[GaussianNoise, ...] = ()
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)
@@ -214,8 +208,7 @@ class AggregativeGame:
             raise ValueError(f"price slope must be >= 0, got {self.c_price}")
         if any(l > h for l, h in zip(lo, hi)):
             raise ValueError("strategy boxes require lo <= hi")
-        noises = tuple(self.noises) if self.noises else tuple(
-            ZeroNoise() for _ in range(n))
+        noises = tuple(self.noises) or (GaussianNoise(0.0),) * n
         if len(noises) != n:
             raise ValueError(f"{len(noises)} noise models for {n} players")
         if not math.isfinite(sum(nm.nu ** 2 for nm in noises)):
@@ -355,9 +348,16 @@ def ne_error_bound(game: Game, x: StrategyProfile) -> float:
 
     For a strongly monotone map with modulus eta and Lipschitz constant L,
     ||x - x*|| <= (1 + alpha L) / (alpha eta) * ne_residual(game, x, alpha)
-    for every alpha > 0 and every x; it is evaluated at alpha = eta / L^2.
+    for every alpha > 0 and every x; it is evaluated at alpha = eta / L^2,
+    where the factor is kappa^2 + kappa. Raises ValueError when kappa^2
+    could overflow a float (its inverse alpha * eta would underflow).
     """
     consts = monotonicity_constants(game)
+    if not consts.kappa < 1e154:
+        raise ValueError(
+            f"condition number kappa = lip/eta = {consts.kappa:.6g} must be "
+            f"below 1e154, so that the equilibrium error bound's kappa^2 "
+            f"stays finite")
     alpha = consts.eta / consts.lip ** 2
     return (1.0 + alpha * consts.lip) / (alpha * consts.eta) * \
         ne_residual(game, x, alpha)

@@ -202,14 +202,13 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
         k_eps = complexity_K(rc, config.rho, config.target_eps)
         if k_eps < n_iter:
             n_iter = max(1, math.ceil(k_eps))
-    # a quadratic game's noise is one model on the joint gradient
-    models = ((game.noise,), (game.dim,)) if isinstance(game, QuadraticGame) \
-        else (game.noises, game.dims)
+    # a quadratic game's noise is one level on the joint gradient
+    levels = ((consts.nu,), (game.dim,)) if isinstance(game, QuadraticGame) \
+        else (consts.nu_i, game.dims)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
-        g = sample_batch_gradient(game, x, n_k, (replication, k), counter,
-                                  error=w)
+        g = sample_batch_gradient(game, x, n_k, w, counter)
         forward = x - config.alpha * g
         if not np.isfinite(forward).all():
             raise Divergence(f"iterate became non-finite at iteration {k}",
@@ -217,5 +216,5 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
         counter.prox_evals += 1
         return prox(forward)
     return iterate(step, x0, x_star, game.dims, GeometricBatch(config.rho),
-                   n_iter, *models, config.seed, replication,
+                   n_iter, *levels, config.seed, replication,
                    "squared_distance")

@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from .games import AggregativeGame, Game, QuadraticGame, gradient_map
+from .games import Game, gradient_map
 from .profiles import StrategyProfile
 
 
@@ -86,7 +86,9 @@ class BestResponseBatch:
             gap = sizes[:cut] - v[:cut]
             for j in np.flatnonzero(abs(gap - 0.5) > 0.5 - 2.0 ** -18):
                 sizes[j] = self.size(start + int(j))
-            total += int(sizes[:cut].sum()) + int(sizes[cut:].sum())
+            with np.errstate(over="ignore"):  # int(inf) raises below
+                tail = sizes[cut:].sum()
+            total += int(sizes[:cut].sum()) + int(tail)
         return total
 
 
@@ -147,29 +149,16 @@ class SampleCounter:
 
 
 def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,
-                          batch: int, path: tuple[int, ...],
-                          counter: SampleCounter | None = None,
-                          error: np.ndarray | None = None) -> np.ndarray:
+                          batch: int, error: np.ndarray,
+                          counter: SampleCounter | None = None) -> np.ndarray:
     """Average of `batch` noisy joint-gradient observations at x (a profile
-    or its stacked vector).
-
-    `error` is the batch-averaged observation error, drawn by the caller
-    (the solvers pass their row of noise.replication_errors). Without it
-    the error is drawn with second moment nu^2 / batch from the game's
-    noise model, or its per-player models for an aggregative game, at the
-    draw site `path` (for example (replication, iteration)); equal seeds
-    and paths reproduce the draw bit for bit.
+    or its stacked vector): the exact gradient plus `error`, the
+    batch-averaged observation error drawn by the caller (the solvers pass
+    their row of noise.replication_errors). Counts `batch` samples.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     g = gradient_map(game, x)
-    if error is not None:
-        w = error
-    elif isinstance(game, QuadraticGame):
-        w = game.noise.averaged(g.size, batch, path)
-    else:
-        w = np.concatenate([nm.averaged(1, batch, tuple(path) + (i,))
-                            for i, nm in enumerate(game.noises)])
     if counter is not None:
         counter.total_samples += int(batch)
-    return g + w
+    return g + error

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .games import AggregativeGame, Game, QuadraticGame
 from .graphs import (CommGraph, build_metropolis_weights, complete_graph,
                      erdos_renyi_graph, grid_graph, path_graph, ring_graph)
-from .noise import GaussianNoise, NoiseModel, ZeroNoise
+from .noise import GaussianNoise
 from .prox import BoxIndicator, L1, Zero
 
 _NOISE_SCHEMA = {
@@ -324,10 +324,12 @@ def load_config(path: str, scheme: str | None = None) -> dict:
     return validate_config(doc, scheme)
 
 
-def _build_noise(doc: dict | None, seed: int) -> NoiseModel:
-    if doc is None or doc["kind"] == "zero":
-        return ZeroNoise(seed=seed)
-    return GaussianNoise(nu=float(doc.get("nu", 1.0)), seed=seed)
+def _noise_level(doc: dict) -> float:
+    """nu of a quadratic game's "noise" object: 0 when absent or "zero"."""
+    noise = doc.get("noise")
+    if noise is None or noise["kind"] == "zero":
+        return 0.0
+    return float(noise.get("nu", 1.0))
 
 
 def _spread(value, size: int, what: str) -> np.ndarray:
@@ -363,28 +365,24 @@ def build_game(doc: dict, seed: int = 0) -> Game:
                            enumerate(zip(regs, dims))) if regs else ()
         return QuadraticGame(dims=dims, h=np.asarray(doc["h"], dtype=float),
                              c=c, regularizers=built_regs,
-                             noise=_build_noise(doc.get("noise"), seed))
+                             noise=GaussianNoise(_noise_level(doc)))
     if kind == "quadratic-random":
         from .experiments import generate_quadratic_game
-        noise = doc.get("noise")
-        nu = 0.0 if noise is None or noise["kind"] == "zero" \
-            else float(noise.get("nu", 1.0))
         return generate_quadratic_game(
             n_players=int(doc["players"]), dim=int(doc["dim"]),
-            coupling_strength=float(doc["coupling"]), seed=seed, nu=nu)
+            coupling_strength=float(doc["coupling"]), seed=seed,
+            nu=_noise_level(doc))
     if kind == "cournot":
         a = [float(v) for v in doc["a"]]
         n = len(a)
         lo, hi, nu = (_spread(doc.get(key, 0.0), n, f"'{key}' entries for "
                               f"{n} players") for key in ("lo", "hi", "nu"))
-        noises = tuple(
-            GaussianNoise(nu=float(v), seed=seed) if v > 0.0
-            else ZeroNoise(seed=seed) for v in nu)
         return AggregativeGame(a=tuple(a),
                                b=tuple(float(v) for v in doc["b"]),
                                d=float(doc["d"]),
                                c_price=float(doc["c_price"]),
-                               lo=tuple(lo), hi=tuple(hi), noises=noises)
+                               lo=tuple(lo), hi=tuple(hi),
+                               noises=tuple(map(GaussianNoise, nu)))
     raise ConfigError(f"unknown game kind '{kind}'")
 
 

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .noise import NoiseModel, replication_errors
+from .noise import replication_errors
 from .profiles import StrategyProfile
 from .sampling import (BatchSchedule, SampleCounter, check_schedule,
                        schedule_size)
@@ -56,7 +56,7 @@ def check_run(max_iter: int, seed: int) -> None:
 def iterate(step: Callable, x0: StrategyProfile,
             x_star: StrategyProfile | None, dims: Sequence[int],
             schedule: BatchSchedule, n_iter: int,
-            noises: Sequence[NoiseModel], noise_dims: Sequence[int],
+            nus: Sequence[float], noise_dims: Sequence[int],
             seed: int, replication: int, error_metric: str,
             **fields) -> RunTrace:
     """Run x_{k+1} = step(k, N_k, x_k, w_k, counter) for k < n_iter from x0,
@@ -64,16 +64,17 @@ def iterate(step: Callable, x0: StrategyProfile,
 
     N_k is schedule's batch size; check_schedule first rejects a schedule
     that overflows a float on a noise block of max(noise_dims) coordinates.
-    w_k is row k of replication_errors(noises, noise_dims, seed,
-    replication, batches). errors[k] is ||x_k - x*||, squared when
-    error_metric is "squared_distance". fields are the scheme's own
-    RunTrace fields (taus and consensus_errors of dist-pgr).
+    w_k is row k of replication_errors(nus, noise_dims, seed, replication,
+    batches): block i has level nus[i] on noise_dims[i] coordinates.
+    errors[k] is ||x_k - x*||, squared when error_metric is
+    "squared_distance". fields are the scheme's own RunTrace fields (taus
+    and consensus_errors of dist-pgr).
     """
     if x0.dims != tuple(dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(dims)}")
     check_schedule(schedule, n_iter, max(noise_dims))
     batches = [schedule_size(schedule, k) for k in range(n_iter)]
-    noise = replication_errors(noises, noise_dims, seed, replication, batches)
+    noise = replication_errors(nus, noise_dims, seed, replication, batches)
     counter = SampleCounter()
     cum_samples, cum_prox, cum_comm, cum_inner = [], [], [], []
     errors = np.full(n_iter + 1, np.nan)

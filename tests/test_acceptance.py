@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from nashprox.best_response import resolved_schedule
+from nashprox.noise import replication_errors
 
 from nashprox import (
     AggregativeGame,
@@ -216,7 +217,7 @@ def test_acceptance_06_tracking_and_collapse(capfd):
     # tracking identity under observation noise
     noisy = AggregativeGame(a=(1.0,) * 5, b=(0.0,) * 5, d=2.0, c_price=1.0,
                             lo=(0.0,) * 5, hi=(1.0,) * 5,
-                            noises=tuple(GaussianNoise(0.5, seed=i) for i in range(5)))
+                            noises=(GaussianNoise(0.5),) * 5)
     worst_tracking = 0.0
 
     def watch(k, state):
@@ -255,7 +256,7 @@ def test_acceptance_07_distributed_linear_rate(capfd):
     budget = 120.0
     game = AggregativeGame(a=(1.0,) * 5, b=(0.0,) * 5, d=2.0, c_price=1.0,
                            lo=(0.0,) * 5, hi=(1.0,) * 5,
-                           noises=tuple(GaussianNoise(0.5, seed=i) for i in range(5)))
+                           noises=(GaussianNoise(0.5),) * 5)
     graph = ring_graph(5)
     x_star = solve_ne_oracle(game)
     alpha = 0.02
@@ -329,12 +330,16 @@ def test_acceptance_09_sampling_error_bound(capfd):
     y = StrategyProfile.zeros((1, 1))
     exact = proximal_best_response(game, 0, y, 1.0)
     gain = br_noise_gain(1.0, 2.0)
+    nu_i = monotonicity_constants(game).nu_i
     ok = True
     detail = []
     for batch in (4, 16, 64):
+        # player 0's block of row 0 of replication rep of seed 0
         devs = np.array([
-            float(np.sum((saa_best_response(game, 0, y, batch, 1.0, (rep, 0, 0))
-                          - exact) ** 2))
+            float(np.sum((saa_best_response(
+                game, 0, y, batch, 1.0,
+                replication_errors(nu_i, game.dims, 0, rep, [batch])[0, :1])
+                - exact) ** 2))
             for rep in range(500)])
         bound = gain ** 2 / batch
         limit = bound + 2 * devs.std(ddof=1) / math.sqrt(devs.size)

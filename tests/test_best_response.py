@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -16,6 +17,7 @@ from nashprox import (
     br_noise_gain,
     contraction_certificate,
     generate_quadratic_game,
+    monotonicity_constants,
     pbr_complexity,
     proximal_best_response,
     run_pbr,
@@ -24,6 +26,7 @@ from nashprox import (
     solve_ne_oracle,
 )
 from nashprox.best_response import resolved_schedule
+from nashprox.noise import replication_errors
 from nashprox.sampling import BestResponseBatch
 from nashprox.errors import InnerSolveFailure
 
@@ -99,7 +102,7 @@ def test_inner_solve_limits_are_validated():
     for kwargs in ({"max_inner": 0}, {"inner_tol": 0.0},
                    {"inner_tol": float("nan")}):
         with pytest.raises(ValueError):
-            saa_best_response(game, 0, y, 4, 1.0, (0, 0, 0), **kwargs)
+            saa_best_response(game, 0, y, 4, 1.0, np.zeros(1), **kwargs)
     with pytest.raises(InnerSolveFailure):
         proximal_best_response(game, 0, y, 1.0, max_inner=1)
 
@@ -147,7 +150,7 @@ def test_sampled_best_response_with_zero_noise_equals_the_exact_one():
     game = _reference_game()
     y = StrategyProfile.from_vector(np.array([0.2, 0.4]), (1, 1))
     exact = proximal_best_response(game, 0, y, 1.0)
-    sampled = saa_best_response(game, 0, y, 100, 1.0, (0, 0, 0))
+    sampled = saa_best_response(game, 0, y, 100, 1.0, np.zeros(1))
     assert np.array_equal(sampled, exact)
 
 
@@ -158,10 +161,13 @@ def test_sampled_best_response_error_obeys_the_variance_bound():
     y = StrategyProfile.zeros((1, 1))
     exact = proximal_best_response(game, 0, y, 1.0)
     gain = br_noise_gain(1.0, 2.0)
+    nu_i = monotonicity_constants(game).nu_i
     for batch in (4, 16, 64):
         devs = []
         for rep in range(500):
-            out = saa_best_response(game, 0, y, batch, 1.0, (rep, 0, 0))
+            # player 0's block of row 0 of replication rep of seed 0
+            error = replication_errors(nu_i, game.dims, 0, rep, [batch])[0, :1]
+            out = saa_best_response(game, 0, y, batch, 1.0, error)
             devs.append(float(np.sum((out - exact) ** 2)))
         devs = np.array(devs)
         bound = gain ** 2 * 1.0 / batch
@@ -295,6 +301,18 @@ def test_batch_total_equals_the_per_k_loop(m_max, c_r, eta_br, n):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_batch_total_past_the_float_range_raises_without_a_warning():
+    """Every batch below k = 3365 is finite, their sum is not: the
+    OverflowError that pbr_complexity reports as Infinity comes with no
+    numpy RuntimeWarning."""
+    schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.9)
+    assert math.isfinite(schedule_size(schedule, 3364))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            schedule.total(3365)
 
 
 # np.power (SVML on AVX-512) and the scalar pow round eta_br^(-2k) an ulp

@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps nashprox functions, methods and constructors by
 name, and the benchmark smoke run fails when one of them is gone. These
 tests read its binding tables, without installing the tracer, so that a
-deletion or rename fails here first. Every name in nashprox.__all__ must
+deletion or rename fails here first, and so does a reordered parameter that
+an amount extractor reads by position. Every name in nashprox.__all__ must
 resolve too.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,26 @@ _TRACER = _tracer()
                          ids=[f"{m}.{n}" for m, n, _, _ in _TRACER.FUNCTIONS])
 def test_traced_function_exists_on_its_module(mod, name, span, amount):
     assert callable(getattr(importlib.import_module(f"nashprox.{mod}"), name))
+
+
+# the parameter each amount extractor reads, by name or by position
+_AMOUNTS = {"sampling.sample_batch_gradient": "batch",
+            "graphs.consensus_apply": "tau"}
+_EXTRACTORS = [(m, n, a) for m, n, _, a in _TRACER.FUNCTIONS if a is not None]
+
+
+@pytest.mark.parametrize("mod,name,amount", _EXTRACTORS,
+                         ids=[f"{m}.{n}" for m, n, _ in _EXTRACTORS])
+def test_amount_extractor_reads_its_parameter_by_position_and_name(
+        mod, name, amount):
+    """The extractors read a[2] when the amount is passed by position, so
+    a reordered signature would count the wrong argument."""
+    param = _AMOUNTS[f"{mod}.{name}"]
+    params = list(inspect.signature(getattr(
+        importlib.import_module(f"nashprox.{mod}"), name)).parameters)
+    position = amount(tuple(range(len(params))), {})
+    assert params[position] == param
+    assert amount((), {param: 7}) == 7
 
 
 @pytest.mark.parametrize("mod,cls,attr,span", _TRACER.METHODS,

@@ -261,6 +261,32 @@ def test_lipschitz_constant_whose_square_overflows_is_an_assumption_error(
     assert "Traceback" not in err
 
 
+# eta = 1e-170 against lip = 1: (eta / lip)^2 underflows to 0, so the
+# certified equilibrium error bound of report.json would divide by zero
+_ILL_CONDITIONED = dict(
+    DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0, 1.0, 1.0, 1e-170],
+                        b=[0.0] * 4, c_price=0.0),
+    graph={"family": "ring", "nodes": 4},
+    solver={"alpha": 1e-171, "max_iter": 5})
+
+
+@pytest.mark.parametrize("argv", [["dist-pgr"], ["validate"]])
+def test_condition_number_whose_square_overflows_stops_before_any_run(
+        tmp_path: Path, capsys, monkeypatch, argv: list[str]):
+    from nashprox import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "run_dist_pgr", no_run)
+    assert main(argv + ["--config", _write(tmp_path, _ILL_CONDITIONED),
+                        "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "condition number kappa = lip/eta = 1e+170 must be below 1e154" \
+        in err
+    assert "Traceback" not in err
+
+
 FUZZ_PBR_GAME = {
     "kind": "quadratic", "dims": [1, 2, 1],
     "h": [[2.0, 0.2, -0.1, 0.0], [0.1, 1.5, 0.3, 0.1],

@@ -32,13 +32,13 @@ from nashprox import (
 
 
 def _two_player_game(nu: float = 0.0) -> AggregativeGame:
-    noises = tuple(GaussianNoise(nu, seed=i) for i in range(2)) if nu > 0 else ()
+    noises = (GaussianNoise(nu),) * 2
     return AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(1.0, 1.0), noises=noises)
 
 
 def _five_player_game(nu_i: float = 0.0) -> AggregativeGame:
-    noises = tuple(GaussianNoise(nu_i, seed=i) for i in range(5)) if nu_i > 0 else ()
+    noises = (GaussianNoise(nu_i),) * 5
     return AggregativeGame(a=(1.0,) * 5, b=(0.0,) * 5, d=2.0, c_price=1.0,
                            lo=(0.0,) * 5, hi=(1.0,) * 5, noises=noises)
 
@@ -254,7 +254,7 @@ def test_vectorized_run_matches_the_per_player_reference_loop():
     game = AggregativeGame(
         a=(1.0, 1.5, 2.0, 1.2, 1.8), b=(0.0, 0.1, 0.05, 0.2, 0.0), d=2.0,
         c_price=1.0, lo=(0.0,) * 5, hi=(1.0, 0.1, 1.0, 1.0, 0.05),
-        noises=tuple(GaussianNoise(0.5, seed=i) for i in range(5)))
+        noises=(GaussianNoise(0.5),) * 5)
     graph = ring_graph(5)
     consts = monotonicity_constants(game)
     config = DistConfig(alpha=0.5 * consts.eta / consts.lip ** 2,

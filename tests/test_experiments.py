@@ -46,16 +46,6 @@ def test_zero_coupling_gives_block_diagonal_interactions():
     assert const.eta == pytest.approx(diag_min, rel=1e-12)
 
 
-def test_explicit_matrix_bypass_reports_reference_constants():
-    game = generate_quadratic_game(2, 1, 0.5, seed=0,
-                                   h=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                                   c=np.array([-1.0, -1.0]))
-    const = monotonicity_constants(game)
-    assert const.eta == pytest.approx(1.0, abs=1e-9)
-    assert const.lip == pytest.approx(3.0, abs=1e-9)
-    assert const.kappa == pytest.approx(3.0, abs=1e-9)
-
-
 def test_generated_cournot_game_constants():
     game = generate_cournot_game(4, seed=3, nu=0.5)
     const = monotonicity_constants(game)

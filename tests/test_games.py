@@ -166,9 +166,9 @@ def test_cournot_rejects_invalid_parameters():
 def test_player_noise_splits_total_second_moment_by_block_size():
     game = QuadraticGame(dims=(1, 2), h=2.0 * np.eye(3), c=np.zeros(3),
                          noise=GaussianNoise(np.sqrt(3.0)))
-    assert game.player_noise(0).nu == pytest.approx(1.0)
-    assert game.player_noise(1).nu == pytest.approx(np.sqrt(2.0))
     const = monotonicity_constants(game)
+    assert const.nu_i[0] == pytest.approx(1.0)
+    assert const.nu_i[1] == pytest.approx(np.sqrt(2.0))
     assert const.nu == pytest.approx(np.sqrt(3.0))
     assert const.nu_i[0] ** 2 + const.nu_i[1] ** 2 == pytest.approx(3.0)
 
@@ -239,6 +239,19 @@ def test_oracle_error_bound_covers_distance_on_symmetric_cournot_game():
     for p in points:
         x = StrategyProfile.from_vector(p, (1,) * 5)
         assert ne_error_bound(game, x) >= np.linalg.norm(p - exact)
+
+
+def test_error_bound_needs_a_condition_number_whose_square_is_finite():
+    """Past kappa = 1e154 the bound's factor kappa^2 + kappa overflows, and
+    at kappa = 1e170 its inverse (eta / lip)^2 underflows to 0."""
+    def game(a_min: float) -> AggregativeGame:
+        return AggregativeGame(a=(1.0, a_min), b=(0.0, 0.0), d=2.0,
+                               c_price=0.0, lo=(0.0, 0.0), hi=(1.0, 1.0))
+    x = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
+    with pytest.raises(ValueError, match=r"kappa = lip/eta = 1e\+170 must "
+                                         r"be below 1e154"):
+        ne_error_bound(game(1e-170), x)
+    assert np.isfinite(ne_error_bound(game(1e-153), x))
 
 
 def test_aggregative_regularizers_are_built_once_per_game():

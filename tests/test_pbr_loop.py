@@ -3,10 +3,10 @@
 The reference below is the run_pbr loop with player i's noise at
 iteration k of replication r taken from the stream's definition: block i
 of row k of the standard-normal block that substream(seed, r, 1) draws for
-the replication, scaled by nu_i / sqrt(d_i N_k) with nu_i the player's
-share of the game's noise. run_pbr scales the whole block at once, so its
-errors, counters and final profile must match the reference bit for bit,
-signed zeros included.
+the replication, scaled by nu_i / sqrt(d_i N_k) with nu_i = nu sqrt(d_i / n)
+the player's share of the game's noise. run_pbr scales the whole block at
+once, so its errors, counters and final profile must match the reference
+bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from nashprox import (
     SampleCounter,
     StrategyProfile,
     Zero,
-    ZeroNoise,
     run_pbr,
     saa_best_response,
     schedule_size,
@@ -49,11 +48,11 @@ def _reference_run_pbr(game, config, x0, x_star, replication):
         n_k = schedule_size(schedule, k)
         blocks = []
         for i, d in enumerate(game.dims):
-            nu_i = game.player_noise(i).nu
+            nu_i = game.noise.nu * math.sqrt(d / game.dim)
             w = z[k, game.block_slice(i)] * (nu_i / math.sqrt(d * float(n_k)))
             blocks.append(saa_best_response(
-                game, i, y, n_k, config.mu, (replication, k, i),
-                inner_tol=config.inner_tol, counter=counter, error=w))
+                game, i, y, n_k, config.mu, w, inner_tol=config.inner_tol,
+                counter=counter))
         y = StrategyProfile(tuple(blocks))
         batches.append(n_k)
         cum_samples.append(counter.total_samples)
@@ -86,8 +85,8 @@ def quadratic_games(draw):
         sl = slice(offsets[i], offsets[i + 1])
         a = rng.standard_normal((d, d))
         h[sl, sl] = np.eye(d) + a @ a.T / d
-    noise = draw(st.sampled_from((ZeroNoise(), GaussianNoise(0.0),
-                                  GaussianNoise(0.3), GaussianNoise(2.0))))
+    noise = draw(st.sampled_from((GaussianNoise(0.0), GaussianNoise(0.3),
+                                  GaussianNoise(2.0))))
     game = QuadraticGame(dims=dims, h=h, c=rng.standard_normal(n),
                          regularizers=tuple(_regularizer(k, d, rng)
                                             for k, d in zip(kinds, dims)),

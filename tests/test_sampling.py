@@ -13,13 +13,13 @@ from nashprox import (
     RootGeometricBatch,
     SampleCounter,
     StrategyProfile,
-    ZeroNoise,
     check_schedule,
     gradient_map,
     sample_batch_gradient,
     schedule_size,
     substream,
 )
+from nashprox.noise import replication_errors
 
 
 def test_substream_is_deterministic_per_path():
@@ -30,32 +30,37 @@ def test_substream_is_deterministic_per_path():
     assert not np.array_equal(a, c)
 
 
-def test_zero_noise_draws_zeros():
-    z = ZeroNoise()
-    assert z.nu == 0.0
-    assert np.array_equal(z.averaged(3, 10, (0,)), np.zeros(3))
+def test_noise_level_is_a_python_float_without_a_negative_zero():
+    """A level of -0.0 is level 0, as a config's "zero" noise is, and a
+    numpy level too large to square is rejected without a RuntimeWarning."""
+    for nu in (-0.0, np.float64(-0.0), 0.0):
+        level = GaussianNoise(nu).nu
+        assert type(level) is float and math.copysign(1.0, level) == 1.0
+    with pytest.raises(ValueError, match="nu\\^2 finite"):
+        GaussianNoise(np.float64(1e160))
 
 
 def test_batch_average_second_moment_matches_calibration():
     # for a batch of size m the averaged observation has E||w||^2 = nu^2 / m
-    noise = GaussianNoise(1.0, seed=0)
-    draws = np.array([noise.averaged(4, 100, (r,)) for r in range(2000)])
+    noise = GaussianNoise(1.0)
+    draws = np.array([noise.averaged(4, 100, (0, r)) for r in range(2000)])
     mean_sq = float(np.sum(draws ** 2, axis=1).mean())
     assert 0.8 * 0.01 <= mean_sq <= 1.2 * 0.01
 
 
 def test_batch_average_is_unbiased():
-    noise = GaussianNoise(1.0, seed=0)
+    noise = GaussianNoise(1.0)
     reps, batch = 2000, 100
-    draws = np.array([noise.averaged(4, batch, (r,)) for r in range(reps)])
+    draws = np.array([noise.averaged(4, batch, (0, r)) for r in range(reps)])
     bias = float(np.linalg.norm(draws.mean(axis=0)))
     assert bias <= 4.0 / math.sqrt(batch * reps)
 
 
 @pytest.mark.parametrize("batch", [1, 4, 16, 64])
 def test_second_moment_scales_inversely_with_batch(batch):
-    noise = GaussianNoise(1.0, seed=0)
-    draws = np.array([noise.averaged(4, batch, (9, batch, r)) for r in range(2000)])
+    noise = GaussianNoise(1.0)
+    draws = np.array([noise.averaged(4, batch, (0, 9, batch, r))
+                      for r in range(2000)])
     scaled = float(np.sum(draws ** 2, axis=1).mean()) * batch
     assert 0.8 <= scaled <= 1.2
 
@@ -92,24 +97,30 @@ def test_schedule_validation():
 
 def test_sampled_gradient_is_deterministic_and_counts_samples():
     game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                         c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0, seed=3))
+                         c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
     x = StrategyProfile.zeros((1, 1))
     counter = SampleCounter()
-    w1 = sample_batch_gradient(game, x, 50, (0, 1), counter=counter)
-    w2 = sample_batch_gradient(game, x, 50, (0, 1))
+    errors = replication_errors([game.noise.nu], [game.dim], 3, 0, [50] * 3)
+    again = replication_errors([game.noise.nu], [game.dim], 3, 0, [50] * 3)
+    w1 = sample_batch_gradient(game, x, 50, errors[1], counter=counter)
+    w2 = sample_batch_gradient(game, x, 50, again[1])
     assert np.array_equal(w1, w2)
     assert counter.total_samples == 50
-    w3 = sample_batch_gradient(game, x, 50, (0, 2))
+    w3 = sample_batch_gradient(game, x, 50, errors[2])
     assert not np.array_equal(w1, w3)
 
 
 def test_sampled_gradient_centers_on_exact_gradient():
     game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                         c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0, seed=3))
+                         c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
     x = StrategyProfile.zeros((1, 1))
     exact = gradient_map(game, x)
     reps, batch = 4000, 25
-    draws = np.array([sample_batch_gradient(game, x, batch, (5, r)) for r in range(reps)])
+    # rows 0..reps-1 of replication 5 of seed 3
+    errors = replication_errors([game.noise.nu], [game.dim], 3, 5,
+                                [batch] * reps)
+    draws = np.array([sample_batch_gradient(game, x, batch, w)
+                      for w in errors])
     bias = float(np.linalg.norm(draws.mean(axis=0) - exact))
     assert bias <= 4.0 / math.sqrt(batch * reps)
 

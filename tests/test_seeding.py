@@ -28,7 +28,6 @@ from nashprox import (
     PgrConfig,
     QuadraticGame,
     StrategyProfile,
-    ZeroNoise,
     ring_graph,
     run_dist_pgr,
     run_pbr,
@@ -56,8 +55,7 @@ def test_site_draws_equal_substream_draws(seed, replication, nus, data):
                               max_size=len(nus)))
     batches = data.draw(st.lists(st.integers(1, 10 ** 6) | st.just(2 ** 60),
                                  min_size=1, max_size=6))
-    models = [GaussianNoise(nu) if nu else ZeroNoise() for nu in nus]
-    got = replication_errors(models, dims, seed, replication, batches)
+    got = replication_errors(nus, dims, seed, replication, batches)
     z = substream(seed, replication, 1).standard_normal(
         (len(batches), sum(dims)))
     offsets = np.cumsum([0] + dims)
@@ -69,18 +67,18 @@ def test_site_draws_equal_substream_draws(seed, replication, nus, data):
 
 
 def test_rows_do_not_depend_on_how_many_are_drawn():
-    models, dims = (GaussianNoise(0.4), GaussianNoise(2.0)), (3, 1)
+    nus, dims = (0.4, 2.0), (3, 1)
     batches = [1, 2, 4, 9, 20, 41]
-    full = replication_errors(models, dims, 5, 3, batches)
+    full = replication_errors(nus, dims, 5, 3, batches)
     for n in range(1, len(batches)):
-        head = replication_errors(models, dims, 5, 3, batches[:n])
+        head = replication_errors(nus, dims, 5, 3, batches[:n])
         assert head.tobytes() == full[:n].tobytes()
 
 
 def _quadratic_game(nu: float) -> QuadraticGame:
     h = np.array([[2.0, 0.3, 0.1], [0.3, 2.5, 0.0], [0.1, 0.0, 3.0]])
     return QuadraticGame(dims=(2, 1), h=h, c=np.array([-1.0, 0.5, 1.0]),
-                         noise=GaussianNoise(nu) if nu else ZeroNoise())
+                         noise=GaussianNoise(nu))
 
 
 def _cournot_game(nus) -> AggregativeGame:
