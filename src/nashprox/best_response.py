@@ -27,7 +27,7 @@ the off-diagonal part of h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -267,8 +267,8 @@ def _own_block_lip(game: QuadraticGame) -> float:
 
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:
     """Batch schedule with config defaults filled in from the game."""
-    consts = monotonicity_constants(game)
-    m_max = config.m_max if config.m_max is not None else max(consts.nu_i)
+    m_max = config.m_max if config.m_max is not None else \
+        max(monotonicity_constants(game).nu_i)
     c_r = config.c_r if config.c_r is not None else \
         br_noise_gain(config.mu, _own_block_lip(game))
     return BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
@@ -291,6 +291,9 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
         raise ValueError(f"best-response map is not certified contractive: "
                          f"a = {cert.a:.6f} >= 1")
     slices = [game.block_slice(i) for i in range(game.n_players)]
+    nu_i = monotonicity_constants(game).nu_i
+    if config.m_max is None:  # so that the schedule needs no second call
+        config = replace(config, m_max=max(nu_i))
 
     def step(k, n_k, y, w, counter):
         return np.concatenate([
@@ -299,7 +302,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
             for i, sl in enumerate(slices)])
     return iterate(step, x0, x_star, game.dims,
                    resolved_schedule(game, config), config.max_iter,
-                   monotonicity_constants(game).nu_i, game.dims, config.seed,
+                   nu_i, game.dims, config.seed,
                    replication, "distance")
 
 

@@ -153,7 +153,10 @@ class ExperimentSpec:
     def from_config(cls, doc: dict, scheme: str | None = None) -> ExperimentSpec:
         doc = validate_config(doc, scheme)
         scheme = scheme or doc["scheme"]
-        return cls(scheme=scheme, solver=dict(doc["solver"]),
+        solver = dict(doc["solver"])
+        if "max_iter" in solver:  # the one integer solver key; may be 5.0
+            solver["max_iter"] = int(solver["max_iter"])
+        return cls(scheme=scheme, solver=solver,
                    game=doc.get("game"), graph=doc.get("graph"),
                    seed=int(doc.get("seed", 0)),
                    replications=int(doc.get("replications", 1)),

@@ -10,9 +10,11 @@ rejected.
 from __future__ import annotations
 
 import json
+import operator
+from collections import namedtuple
+from numbers import Number
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -248,40 +250,103 @@ CONFIG_SCHEMAS: dict[str, dict] = {
 }
 
 
-_STOCK = jsonschema.Draft202012Validator.VALIDATORS
+# as in JSON Schema, a bool is not a number and 5.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+# when a number fails a bound keyword, and how jsonschema says so
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+_Error = namedtuple("_Error", "path message context rank")
 
 
-def _items(validator, items, instance, schema):
-    """Stock `items`, except that a list of plain ints and floats under
-    {"type": "number"} passes in one pass instead of one descent per item.
-    Stock `items` accepts every such list, so acceptance is unchanged."""
-    if items == {"type": "number"} and type(instance) is list and all(
-            type(v) is float or type(v) is int for v in instance):
-        return ()
-    return _STOCK["items"](validator, items, instance, schema)
+def _is(value, types) -> bool:
+    return any(_TYPES[t](value)
+               for t in ([types] if isinstance(types, str) else types))
 
 
-def _one_of(validator, one_of, instance, schema):
-    """Stock `oneOf`, except that an object whose "kind" matches the `const`
-    of exactly one branch is checked against that branch alone. Every other
-    branch rejects that "kind", so acceptance is unchanged; the error's
-    context then holds that branch's errors only, so best_match names the
-    failing key instead of stopping at the object."""
-    kinds = [branch.get("properties", {}).get("kind", {}).get("const")
-             for branch in one_of]
-    if isinstance(instance, dict) and None not in kinds \
-            and kinds.count(instance.get("kind")) == 1:
-        one_of = [one_of[kinds.index(instance["kind"])]]
-    return _STOCK["oneOf"](validator, one_of, instance, schema)
+def _check(value, schema: dict, path: tuple, errors: list) -> list:
+    """Append to `errors`, and return it, what jsonschema's Draft 2020-12
+    validator finds in `value`, in its order and words ($schema is ignored)."""
+    def fail(keyword, message, context=()):
+        # jsonschema's relevance: shallower, later, non-oneOf, mistyped rank higher
+        errors.append(_Error(path, message, context, (
+            -len(path), path, keyword != "oneOf",
+            not _is(value, schema.get("type", ())))))
+    for keyword, arg in schema.items():
+        if keyword == "type" and not _is(value, arg):
+            fail(keyword, f"{value!r} is not of type " + ", ".join(
+                map(repr, [arg] if isinstance(arg, str) else arg)))
+        # enums and consts hold strings only, which == compares as JSON does
+        elif keyword == "enum" and value not in arg:
+            fail(keyword, f"{value!r} is not one of {arg!r}")
+        elif keyword == "const" and value != arg:
+            fail(keyword, f"{arg!r} was expected")
+        elif keyword in _BOUNDS and _TYPES["number"](value) \
+                and _BOUNDS[keyword][0](value, arg):
+            fail(keyword, f"{value!r} is {_BOUNDS[keyword][1]} {arg!r}")
+        elif keyword == "oneOf":
+            # A "kind" matching the const of one branch is checked against
+            # that branch alone: the others reject that "kind", and the error
+            # then names the failing key instead of the whole object.
+            kinds = [b["properties"].get("kind", {}).get("const") for b in arg]
+            if isinstance(value, dict) and kinds.count(value.get("kind", ...)) == 1:
+                arg = [arg[kinds.index(value["kind"])]]
+            found = [_check(value, branch, path, []) for branch in arg]
+            valid = [branch for branch, f in zip(arg, found) if not f]
+            if not valid:
+                fail(keyword, f"{value!r} is not valid under any of the given "
+                     "schemas", [err for f in found for err in f])
+            elif len(valid) > 1:  # the first valid branch is named last
+                fail(keyword, f"{value!r} is valid under each of "
+                     + ", ".join(map(repr, valid[1:] + valid[:1])))
+        elif isinstance(value, list):
+            # a list of plain ints and floats passes {"type": "number"} at once
+            if keyword == "items" and (arg != {"type": "number"} or not set(
+                    map(type, value)) <= {float, int}):
+                for i, item in enumerate(value):
+                    _check(item, arg, path + (i,), errors)
+            elif keyword == "minItems" and len(value) < arg:
+                fail(keyword, f"{value!r} " + ("should be non-empty" if arg == 1
+                                             else "is too short"))
+            elif keyword == "maxItems" and len(value) > arg:  # arg > 0 here
+                fail(keyword, f"{value!r} is too long")
+        elif isinstance(value, dict):
+            if keyword == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        _check(value[name], sub, path + (name,), errors)
+            elif keyword == "required":
+                for name in arg:
+                    if name not in value:
+                        fail(keyword, f"{name!r} is a required property")
+            elif keyword == "additionalProperties":  # always false here
+                if extra := sorted(value.keys() - schema["properties"], key=str):
+                    verb = "was" if len(extra) == 1 else "were"
+                    fail(keyword, "Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extra))} {verb} unexpected)")
+    return errors
 
 
-# One validator per scheme, built once. The schemas are constant, so the
-# metaschema check that jsonschema.validate repeats on every call runs in
-# the tests instead.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, {"items": _items, "oneOf": _one_of})
-_VALIDATORS = {scheme: _Validator(schema)
-               for scheme, schema in CONFIG_SCHEMAS.items()}
+def _best_match(errors: list) -> _Error | None:
+    """The error jsonschema's best_match (4.26) reports: the first of highest
+    rank, then down each context to its lowest-ranked error while unique."""
+    rank = operator.attrgetter("rank")
+    best = max(errors, key=rank, default=None)
+    while best is not None and best.context:
+        low = sorted(best.context, key=rank)[:2]
+        if len(low) == 2 and low[0].rank == low[1].rank:
+            break
+        best = low[0]
+    return best
 
 
 def validate_config(doc: Any, scheme: str | None = None) -> dict:
@@ -305,11 +370,10 @@ def validate_config(doc: Any, scheme: str | None = None) -> dict:
         raise ConfigError(
             f"unknown scheme '{scheme}'; expected one of "
             f"{sorted(CONFIG_SCHEMAS)}")
-    # what jsonschema.validate reports, without its per-call schema check
-    err = jsonschema.exceptions.best_match(_VALIDATORS[scheme].iter_errors(doc))
+    err = _best_match(_check(doc, CONFIG_SCHEMAS[scheme], (), []))
     if err is not None:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {err.message}") from err
+        path = "/".join(map(str, err.path)) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {err.message}")
     return doc
 
 

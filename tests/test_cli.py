@@ -134,6 +134,26 @@ def test_module_entry_point_matches_the_console_script(tmp_path: Path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("doc", [PGR_DOC, DIST_DOC, PBR_DOC],
+                         ids=["pgr", "dist-pgr", "pbr"])
+def test_an_integral_float_max_iter_runs_as_its_integer(
+        tmp_path: Path, capsys, doc: dict):
+    """JSON Schema's integer type takes 5.0, so validate and the run must
+    take it too, and write what max_iter 5 writes."""
+    written = []
+    for max_iter in (5, 5.0):
+        cfg = _write(tmp_path, dict(doc, solver=dict(doc["solver"],
+                                                     max_iter=max_iter)))
+        assert main(["validate", "--config", cfg, "--quiet"]) == 0
+        out = tmp_path / f"out-{max_iter}"
+        assert main([doc["scheme"], "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("trace.csv", "report.json")])
+    assert "Traceback" not in capsys.readouterr().err
+    assert written[0] == written[1]
+
+
 # One iteration past each limit the last batch size overflows a double:
 # 2 * 0.5^-1023 (the joint dimension is 2), 0.01^-154.5, and
 # (m_max c_r)^2 * 0.1^-308 with (m_max c_r)^2 about 3.6.

@@ -1,11 +1,13 @@
-"""Config validation: the per-scheme validators must accept and reject
-exactly what jsonschema.validate does, with the same error text."""
+"""Config validation: the plain checker must accept and reject exactly what
+jsonschema.validate does, with the same error text."""
 
 from __future__ import annotations
 
 import copy
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -20,8 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # the three benchmark workloads and the README examples
 CONFIGS = [json.loads(p.read_text())
            for p in sorted(GOLDEN.glob("*/config.json"))]
-REPLACEMENTS = [True, "a", None, [], [[0.0]], math.nan, math.inf, -math.inf,
-                10 ** 400, -1, (0.0, 1.0)]
+REPLACEMENTS = [True, False, "a", None, [], [[0.0]], {}, math.nan, math.inf,
+                -math.inf, 10 ** 400, -1, 5.0, -0.0, (0.0, 1.0)]
 
 
 @pytest.mark.parametrize("scheme", sorted(CONFIG_SCHEMAS))
@@ -29,12 +31,9 @@ def test_every_schema_passes_the_metaschema(scheme: str):
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMAS[scheme])
 
 
-@st.composite
-def _mutated(draw):
-    """A golden config with one leaf or array item replaced; returns
-    (document, scheme, path of the replaced value)."""
-    doc = copy.deepcopy(draw(st.sampled_from(CONFIGS)))
-    scheme, node, path = doc["scheme"], doc, []
+def _replace_leaf(draw, doc: dict) -> tuple:
+    """Replace one leaf or array item of `doc`; returns its path."""
+    node, path = doc, []
     while True:
         keys = list(node) if isinstance(node, dict) else range(len(node))
         key = draw(st.sampled_from(keys))
@@ -44,8 +43,18 @@ def _mutated(draw):
                 isinstance(node, list) and draw(st.booleans())):
             node = child
             continue
-        node[key] = draw(st.sampled_from(REPLACEMENTS))
-        return doc, scheme, tuple(path)
+        # a copy, since a second replacement may land inside this one
+        node[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        return tuple(path)
+
+
+@st.composite
+def _mutated(draw, leaves: int = 1):
+    """A golden config with `leaves` leaves or array items replaced; returns
+    (document, scheme, paths of the replaced values)."""
+    doc = copy.deepcopy(draw(st.sampled_from(CONFIGS)))
+    scheme = doc["scheme"]
+    return doc, scheme, [_replace_leaf(draw, doc) for _ in range(leaves)]
 
 
 def _config_error(doc, scheme: str | None) -> str | None:
@@ -56,10 +65,7 @@ def _config_error(doc, scheme: str | None) -> str | None:
     return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=_mutated())
-def test_validation_matches_stock_jsonschema(case):
-    doc, scheme, path = case
+def _assert_matches_stock_jsonschema(doc, scheme: str, paths: list):
     try:
         jsonschema.validate(doc, CONFIG_SCHEMAS[scheme])
         stock = None
@@ -67,14 +73,37 @@ def test_validation_matches_stock_jsonschema(case):
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         stock = f"config invalid at {where}: {err.message}"
     ours = _config_error(doc, scheme)
-    assert (ours is None) == (stock is None), (path, ours, stock)
+    assert (ours is None) == (stock is None), (paths, ours, stock)
     # a game error names its key, where stock stops at a oneOf branch; a
     # changed "scheme" is reported as a mismatch before the schema is read
-    if path[0] not in ("game", "scheme"):
+    if all(path[0] not in ("game", "scheme") for path in paths):
         assert ours == stock
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mutated())
+def test_validation_matches_stock_jsonschema(case):
+    _assert_matches_stock_jsonschema(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mutated(leaves=2))
+def test_the_error_picked_among_two_matches_stock_jsonschema(case):
+    """With two faults, both report the same one of them."""
+    _assert_matches_stock_jsonschema(*case)
 
 
 @pytest.mark.parametrize("scheme", [[], {"a": 1}, 3])
 def test_a_scheme_that_is_not_a_string_is_a_config_error(scheme):
     message = _config_error({"scheme": scheme, "solver": {}}, None)
     assert message.startswith("unknown scheme")
+
+
+def test_importing_nashprox_loads_no_jsonschema():
+    """Config validation is plain Python; jsonschema is the tests' oracle."""
+    code = ("import sys, nashprox; print(sorted(m for m in sys.modules if "
+            "m.startswith(('jsonschema', 'referencing'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
