@@ -27,13 +27,13 @@ the off-diagonal part of h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InnerSolveFailure
-from .games import QuadraticGame, monotonicity_constants
+from .games import QuadraticGame
 from .pgr import power_or_inf
 from .profiles import StrategyProfile
 from .prox import compiled_prox, prox_pieces
@@ -268,7 +268,7 @@ def _own_block_lip(game: QuadraticGame) -> float:
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:
     """Batch schedule with config defaults filled in from the game."""
     m_max = config.m_max if config.m_max is not None else \
-        max(monotonicity_constants(game).nu_i)
+        max(game.constants.nu_i)
     c_r = config.c_r if config.c_r is not None else \
         br_noise_gain(config.mu, _own_block_lip(game))
     return BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
@@ -291,9 +291,6 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
         raise ValueError(f"best-response map is not certified contractive: "
                          f"a = {cert.a:.6f} >= 1")
     slices = [game.block_slice(i) for i in range(game.n_players)]
-    nu_i = monotonicity_constants(game).nu_i
-    if config.m_max is None:  # so that the schedule needs no second call
-        config = replace(config, m_max=max(nu_i))
 
     def step(k, n_k, y, w, counter):
         return np.concatenate([
@@ -302,7 +299,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
             for i, sl in enumerate(slices)])
     return iterate(step, x0, x_star, game.dims,
                    resolved_schedule(game, config), config.max_iter,
-                   nu_i, game.dims, config.seed,
+                   game.constants.nu_i, game.dims, config.seed,
                    replication, "distance")
 
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .best_response import contraction_certificate
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
                      NoGeometricMixing, NonConvergence, NotStronglyMonotone)
 from .experiments import ExperimentSpec, prepare_experiment, run_experiment
-from .games import QuadraticGame, monotonicity_constants
-from .graphs import mixing_params
-from .serialize import build_game, build_graph, load_config
+from .serialize import load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,28 +94,22 @@ def _run(args) -> int:
 
 def _validate(args) -> int:
     doc = load_config(args.config)  # rejects a document without a scheme
-    prepare_experiment(ExperimentSpec.from_config(doc))
+    fields, _ = prepare_experiment(ExperimentSpec.from_config(doc))
     lines = [f"config: valid for scheme '{doc['scheme']}'"]
-    seed = int(doc.get("seed", 0))
-    if "game" in doc:
-        game = build_game(doc["game"], seed)
-        consts = monotonicity_constants(game)
+    if "game_constants" in fields:
+        c = fields["game_constants"]
         lines.append(
-            f"game: eta = {consts.eta:.6g}, lip = {consts.lip:.6g}, "
-            f"kappa = {consts.kappa:.6g}, nu = {consts.nu:.6g}"
-            + (f", m_compact = {consts.m_compact:.6g}"
-               if consts.m_compact is not None else ""))
-        if doc["scheme"] == "pbr" and isinstance(game, QuadraticGame):
-            cert = contraction_certificate(game, float(doc["solver"]["mu"]))
-            lines.append(
-                f"best response: a = {cert.a:.6g} "
-                f"({'contractive' if cert.a < 1.0 else 'NOT contractive'})")
-    if "graph" in doc:
-        graph = build_graph(doc["graph"])
-        mp = mixing_params(graph)
-        lines.append(
-            f"graph: {graph.n_nodes} nodes, {len(graph.edges)} edges, "
-            f"beta = {mp.beta:.6g}, theta = {mp.theta:.6g}")
+            f"game: eta = {c['eta']:.6g}, lip = {c['lip']:.6g}, "
+            f"kappa = {c['kappa']:.6g}, nu = {c['nu']:.6g}"
+            + (f", m_compact = {c['m_compact']:.6g}"
+               if c["m_compact"] is not None else ""))
+    if doc["scheme"] == "pbr":  # the setup rejects a >= 1
+        lines.append(f"best response: a = {fields['theory']['a']:.6g} "
+                     f"(contractive)")
+    if "graph" in fields:
+        g = fields["graph"]
+        lines.append(f"graph: {g['nodes']} nodes, {g['edges']} edges, "
+                     f"beta = {g['beta']:.6g}, theta = {g['theta']:.6g}")
     if not args.quiet:
         for line in lines:
             print(line)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import Divergence, InvalidStep
-from .games import AggregativeGame, monotonicity_constants
+from .games import AggregativeGame, GameConstants
 from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import BRANCH_TOL, power_or_inf
 from .profiles import StrategyProfile
@@ -52,7 +52,8 @@ class DistConfig:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         check_run(self.max_iter, self.seed)
         if self.beta is not None and not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+            raise ValueError(
+                f"mixing rate beta must lie in (0, 1), got {self.beta}")
 
 
 @dataclass
@@ -109,12 +110,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     if graph.n_nodes != game.n_players:
         raise ValueError(
             f"graph has {graph.n_nodes} nodes for {game.n_players} players")
-    consts = monotonicity_constants(game)
-    if not config.alpha < consts.eta / consts.lip ** 2:
-        raise InvalidStep(
-            f"alpha={config.alpha} outside (0, eta/lip^2) = "
-            f"(0, {consts.eta / consts.lip ** 2}); the distributed step "
-            f"contraction needs the smaller range")
+    _check_step(config.alpha, game.constants)
     beta = config.beta if config.beta is not None else mixing_params(graph).beta
     if not beta > 0.0:
         raise ValueError("mixing rate beta must be positive to schedule batches")
@@ -142,10 +138,20 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
         return x_next
     return iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
-                   config.max_iter, consts.nu_i, game.dims, config.seed,
+                   config.max_iter, game.constants.nu_i, game.dims, config.seed,
                    replication, "squared_distance",
                    taus=list(range(1, config.max_iter + 1)),
                    consensus_errors=consensus_errors)
+
+
+def _check_step(alpha: float, consts: GameConstants) -> None:
+    """Reject a step outside (0, eta/lip^2), where the distributed step
+    factor varrho = 1 - 2 alpha eta + 2 alpha^2 lip^2 is below one."""
+    if not 0.0 < alpha < consts.eta / consts.lip ** 2:
+        raise InvalidStep(
+            f"alpha={alpha} outside (0, eta/lip^2) = "
+            f"(0, {consts.eta / consts.lip ** 2}); the distributed step "
+            f"contraction needs the smaller range")
 
 
 def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
@@ -170,11 +176,8 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
     c3 = alpha^2 sum nu_i^2. Requires alpha in (0, eta/lip^2) so the step
     factor varrho = 1 - 2 alpha eta + 2 alpha^2 lip^2 stays below one.
     """
-    consts = monotonicity_constants(game)
-    if not (0.0 < alpha < consts.eta / consts.lip ** 2):
-        raise InvalidStep(
-            f"alpha={alpha} outside (0, eta/lip^2) = "
-            f"(0, {consts.eta / consts.lip ** 2})")
+    consts = game.constants
+    _check_step(alpha, consts)
     if beta is None or theta is None:
         mp = mixing_params(graph)
         beta = mp.beta if beta is None else beta

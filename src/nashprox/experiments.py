@@ -7,7 +7,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -206,7 +206,7 @@ def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
                          "(the run starts at the equilibrium and stays there)")
     fit_doc = fit_doc or {}
     skip = int(fit_doc.get("skip", 5))
-    window = tuple(fit_doc["window"]) if "window" in fit_doc \
+    window = tuple(map(int, fit_doc["window"])) if "window" in fit_doc \
         else (min(skip, max(0, max_k - 3)), max_k)
     fit = fit_linear_rate(mean_errors, window=window)
     return {"slope": fit.slope, "intercept": fit.intercept,
@@ -214,15 +214,16 @@ def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
             "window": list(window)}
 
 
-# A scheme's setup step takes (spec, game, game constants, x0, x*) and
-# returns (replicate, theory, envelope, finish): replicate(r) runs
-# replication r, envelope is the (constant, rate) the mean errors are
-# checked against, and finish(traces), or None, adds to the theory dict and
-# returns the graph summary. Solvers are called through their module
-# globals at call time.
+# A scheme's setup step takes (spec, game, x0, x*) and returns (replicate,
+# fields, envelope, finish): replicate(r) runs replication r with the solver
+# config the setup resolved, fields holds the scheme's report fields known
+# before the first replication ("theory", and "graph" for dist-pgr),
+# envelope is the (constant, rate) the mean errors are checked against, and
+# finish(traces), or None, adds what the run showed to the theory dict.
+# Solvers are called through their module globals at call time.
 
-def _pgr_setup(spec, game, consts, x0, x_star):
-    s = spec.solver
+def _pgr_setup(spec, game, x0, x_star):
+    s, consts = spec.solver, game.constants
     config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
                        seed=spec.seed, target_eps=s.get("target_eps"))
     c_start = x0.distance(x_star) ** 2
@@ -234,42 +235,42 @@ def _pgr_setup(spec, game, consts, x0, x_star):
         theory["k_eps"] = complexity_K(rc, config.rho, config.target_eps)
         theory["m_eps"] = complexity_M(rc, config.rho, config.target_eps)
     return (lambda r: run_pgr(game, config, x0, x_star, replication=r),
-            theory, envelope_params(rc, config.rho), None)
+            {"theory": theory}, envelope_params(rc, config.rho), None)
 
 
-def _dist_setup(spec, game, consts, x0, x_star):
+def _dist_setup(spec, game, x0, x_star):
     s = spec.solver
     graph = build_graph(spec.graph)
-    config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
-                        beta=s.get("beta"), seed=spec.seed)
     mp = mixing_params(graph)
-    beta = config.beta if config.beta is not None else mp.beta
-    rc = dist_rate_constants(game, graph, config.alpha, beta=beta,
+    config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
+                        beta=s.get("beta", mp.beta), seed=spec.seed)
+    rc = dist_rate_constants(game, graph, config.alpha, beta=config.beta,
                              theta=mp.theta)
     c_start = x0.distance(x_star) ** 2
     theory = {"varrho": rc.varrho, "c1": rc.c1, "c2": rc.c2, "c3": rc.c3,
-              "m_compact": rc.m_compact, "beta": beta, "theta": mp.theta,
-              "c_start": c_start}
+              "m_compact": rc.m_compact, "beta": config.beta,
+              "theta": mp.theta, "c_start": c_start}
     if s.get("target_eps") is not None:
-        comp = dist_complexity(rc, beta, s["target_eps"], c_start)
+        comp = dist_complexity(rc, config.beta, s["target_eps"], c_start)
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
                       m_eps=comp.samples)
 
     def finish(traces):
         cerr = np.max(np.stack([t.consensus_errors for t in traces]), axis=0)
         taus = np.asarray(traces[0].taus)
-        cerr_bound = rc.m_compact * mp.theta * beta ** taus
+        cerr_bound = rc.m_compact * mp.theta * config.beta ** taus
         theory.update(
             consensus_bound_ok=bool(np.all(cerr <= cerr_bound + 1e-12)),
             max_consensus_error=float(np.max(cerr)))
-        return {"nodes": graph.n_nodes, "edges": len(graph.edges),
-                "beta": mp.beta, "theta": mp.theta}
+    fields = {"theory": theory,
+              "graph": {"nodes": graph.n_nodes, "edges": len(graph.edges),
+                        "beta": mp.beta, "theta": mp.theta}}
     return (lambda r: run_dist_pgr(game, graph, config, x_star,
                                    replication=r, x0=x0),
-            theory, dist_envelope_params(rc, c_start), finish)
+            fields, dist_envelope_params(rc, c_start), finish)
 
 
-def _pbr_setup(spec, game, consts, x0, x_star):
+def _pbr_setup(spec, game, x0, x_star):
     s = spec.solver
     config = PbrConfig(mu=s["mu"], eta_br=s["eta_br"], max_iter=s["max_iter"],
                        seed=spec.seed, m_max=s.get("m_max"), c_r=s.get("c_r"),
@@ -277,20 +278,20 @@ def _pbr_setup(spec, game, consts, x0, x_star):
                        inner_tol=s.get("inner_tol", 1e-12))
     cert = contraction_certificate(game, config.mu)
     schedule = resolved_schedule(game, config)
+    config = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
     c_start = max(float(np.linalg.norm(x0.blocks[i] - x_star.blocks[i]))
                   for i in range(game.n_players))
     eta_tilde, d, constant = pbr_envelope(config, cert.a, game.n_players,
                                           c_start)
-    theory = {"a": cert.a, "c_r": schedule.c_r, "m_max": schedule.m_max,
+    theory = {"a": cert.a, "c_r": config.c_r, "m_max": config.m_max,
               "eta_tilde": eta_tilde, "d": d, "c_start": c_start}
     if s.get("target_eps") is not None:
-        resolved = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
-        comp = pbr_complexity(resolved, cert.a, s["target_eps"],
+        comp = pbr_complexity(config, cert.a, s["target_eps"],
                               game.n_players, c_start)
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
     return (lambda r: run_pbr(game, config, x0, x_star, replication=r),
-            theory, (constant, eta_tilde), None)
+            {"theory": theory}, (constant, eta_tilde), None)
 
 
 class _Scheme(NamedTuple):
@@ -339,13 +340,15 @@ def _run_bounds(spec: ExperimentSpec) -> RunReport:
                       "theory": theory})
 
 
-def prepare_experiment(spec: ExperimentSpec) -> Callable:
+def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     """Make every check run_experiment makes before its first replication,
-    raising what it would raise, and return the function that runs the
-    rest and returns (report, traces)."""
+    raising what it would raise. Returns the report.json fields known by
+    then (for a solver scheme: game_constants, equilibrium,
+    oracle_error_bound, theory, and graph for dist-pgr) and the function
+    that runs the rest and returns (report, traces)."""
     if spec.scheme == "bounds":
         report = _run_bounds(spec)
-        return lambda: (report, [])
+        return report.fields, lambda: (report, [])
     if spec.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme '{spec.scheme}'")
     scheme = SCHEMES[spec.scheme]
@@ -356,31 +359,25 @@ def prepare_experiment(spec: ExperimentSpec) -> Callable:
     x_star = solve_ne_oracle(game)
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
-    replicate, theory, envelope, finish = scheme.setup(spec, game, consts,
-                                                       x0, x_star)
+    replicate, fields, envelope, finish = scheme.setup(spec, game, x0, x_star)
+    fields.update(scheme=spec.scheme, seed=spec.seed,
+                  replications=spec.replications, solver=dict(spec.solver),
+                  game_constants=asdict(consts),
+                  equilibrium=list(x_star.vector),
+                  oracle_error_bound=oracle_error_bound)
 
     def run():
         traces = [replicate(r) for r in range(spec.replications)]
         mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
-        theory["envelope"] = _envelope_check(mean_errors, *envelope)
-        graph = finish(traces) if finish is not None else None
+        fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
+        if finish is not None:
+            finish(traces)
         k_iter = traces[0].iterations
-        fields = {
-            "scheme": spec.scheme, "seed": spec.seed,
-            "replications": spec.replications, "solver": dict(spec.solver),
-            "theory": theory, "counters": traces[0].counter.as_dict(),
-            "game_constants": {"eta": consts.eta, "lip": consts.lip,
-                               "kappa": consts.kappa, "nu": consts.nu,
-                               "nu_i": list(consts.nu_i),
-                               "m_compact": consts.m_compact},
-            "iterations": k_iter, "mean_final_error": float(mean_errors[-1]),
-            "fit": _fit_dict(mean_errors, spec.fit, k_iter),
-            "equilibrium": list(x_star.vector),
-            "oracle_error_bound": oracle_error_bound}
-        if graph is not None:
-            fields["graph"] = graph
-        return RunReport(fields), traces
-    return run
+        return RunReport(dict(
+            fields, counters=traces[0].counter.as_dict(), iterations=k_iter,
+            mean_final_error=float(mean_errors[-1]),
+            fit=_fit_dict(mean_errors, spec.fit, k_iter))), traces
+    return fields, run
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunReport:
@@ -390,7 +387,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunRepor
     per replication) and report.json there; both byte-stable for a fixed
     spec on one platform.
     """
-    report, traces = prepare_experiment(spec)()
+    _, run = prepare_experiment(spec)
+    report, traces = run()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if traces:

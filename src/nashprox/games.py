@@ -61,8 +61,9 @@ class QuadraticGame:
     definite (strong monotonicity), which is checked at construction.
 
     h and c are stored as read-only copies, so the per-game data derived
-    from them (block views, own-block spectra, block norms, the strong
-    monotonicity modulus and ||h||_2) is computed once and cannot go stale.
+    from them (block views, own-block spectra, block norms, and the game's
+    GameConstants, `constants`, set at construction) is computed once and
+    cannot go stale.
     """
 
     dims: tuple[int, ...]
@@ -100,11 +101,20 @@ class QuadraticGame:
             qii = self.block(i, i)
             if not np.allclose(qii, qii.T, atol=1e-9):
                 raise ValueError(f"diagonal block {i} must be symmetric")
-        if self._eta <= 0.0:
+        eta = float(np.linalg.eigvalsh((h + h.T) / 2.0)[0])
+        if eta <= 0.0:
             raise NotStronglyMonotone(
                 f"symmetric part of the coupling matrix has minimum eigenvalue "
-                f"{self._eta:.3e}; the gradient map is not strongly monotone")
-        check_lipschitz(self._lip)
+                f"{eta:.3e}; the gradient map is not strongly monotone")
+        lip = float(np.linalg.norm(h, 2))
+        check_lipschitz(lip)
+        nu = self.noise.nu
+        m_compact = float(sum(r.corner_norm() for r in regs)) \
+            if all(isinstance(r, BoxIndicator) for r in regs) else None
+        object.__setattr__(self, "constants", GameConstants(
+            eta=eta, lip=lip, kappa=lip / eta, nu=nu,
+            nu_i=tuple(nu * math.sqrt(d / n) for d in dims),
+            m_compact=m_compact))
 
     @property
     def n_players(self) -> int:
@@ -158,16 +168,6 @@ class QuadraticGame:
         """Solver data derived from the game, keyed by the solver."""
         return {}
 
-    @cached_property
-    def _eta(self) -> float:
-        """Smallest eigenvalue of the symmetric part of h."""
-        return float(np.linalg.eigvalsh((self.h + self.h.T) / 2.0)[0])
-
-    @cached_property
-    def _lip(self) -> float:
-        """Spectral norm ||h||_2."""
-        return float(np.linalg.norm(self.h, 2))
-
 
 @dataclass(frozen=True, eq=False)
 class AggregativeGame:
@@ -180,7 +180,8 @@ class AggregativeGame:
     Strategy sets are compact boxes by construction. The gradient map's
     Jacobian diag(a_i + c_price) + c_price * ones must be positive definite,
     and the total noise level nu^2 = sum_i nu_i^2 finite, like a single
-    Gaussian level's square.
+    Gaussian level's square. The game's GameConstants, `constants`, are set
+    at construction.
     """
 
     a: tuple[float, ...]
@@ -211,7 +212,9 @@ class AggregativeGame:
         noises = tuple(self.noises) or (GaussianNoise(0.0),) * n
         if len(noises) != n:
             raise ValueError(f"{len(noises)} noise models for {n} players")
-        if not math.isfinite(sum(nm.nu ** 2 for nm in noises)):
+        nu_i = tuple(nm.nu for nm in noises)
+        nu_sq = sum(v ** 2 for v in nu_i)
+        if not math.isfinite(nu_sq):
             raise ValueError("total noise level nu must have nu^2 = "
                              "sum_i nu_i^2 finite, got nu^2 = inf")
         object.__setattr__(self, "a", a)
@@ -221,12 +224,18 @@ class AggregativeGame:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "noises", noises)
-        eig_min = float(np.linalg.eigvalsh(self.jacobian())[0])
-        if eig_min <= 0.0:
+        jac = self.jacobian()
+        eta = float(np.linalg.eigvalsh(jac)[0])
+        if eta <= 0.0:
             raise NotStronglyMonotone(
                 f"aggregative gradient map has minimum Jacobian eigenvalue "
-                f"{eig_min:.3e}; not strongly monotone")
-        check_lipschitz(float(np.linalg.norm(self.jacobian(), 2)))
+                f"{eta:.3e}; not strongly monotone")
+        lip = float(np.linalg.norm(jac, 2))
+        check_lipschitz(lip)
+        object.__setattr__(self, "constants", GameConstants(
+            eta=eta, lip=lip, kappa=lip / eta, nu=math.sqrt(nu_sq), nu_i=nu_i,
+            m_compact=float(sum(max(abs(l), abs(h))
+                                for l, h in zip(lo, hi)))))
 
     @property
     def n_players(self) -> int:
@@ -308,26 +317,10 @@ def check_lipschitz(lip: float) -> None:
 
 
 def monotonicity_constants(game: Game) -> GameConstants:
-    """Strong monotonicity modulus, Lipschitz constant, and oracle constants
-    (both game types reject eta <= 0 and lip >= 1e154 at construction)."""
-    if isinstance(game, QuadraticGame):
-        eta, lip = game._eta, game._lip
-        nu = game.noise.nu
-        n = game.dim
-        nu_i = tuple(nu * math.sqrt(d / n) for d in game.dims)
-        m_compact = None
-        if all(isinstance(r, BoxIndicator) for r in game.regularizers):
-            m_compact = float(sum(r.corner_norm() for r in game.regularizers))
-    else:
-        jac = game.jacobian()
-        eta = float(np.linalg.eigvalsh(jac)[0])
-        lip = float(np.linalg.norm(jac, 2))
-        nu_i = tuple(nm.nu for nm in game.noises)
-        nu = math.sqrt(sum(v ** 2 for v in nu_i))
-        m_compact = float(sum(max(abs(l), abs(h))
-                              for l, h in zip(game.lo, game.hi)))
-    return GameConstants(eta=eta, lip=lip, kappa=lip / eta, nu=nu,
-                         nu_i=nu_i, m_compact=m_compact)
+    """The game's own strong monotonicity modulus, Lipschitz constant and
+    oracle constants (`game.constants`), computed once at construction,
+    which rejects eta <= 0 and lip >= 1e154."""
+    return game.constants
 
 
 def ne_residual(game: Game, x: StrategyProfile, alpha: float) -> float:
@@ -352,7 +345,7 @@ def ne_error_bound(game: Game, x: StrategyProfile) -> float:
     where the factor is kappa^2 + kappa. Raises ValueError when kappa^2
     could overflow a float (its inverse alpha * eta would underflow).
     """
-    consts = monotonicity_constants(game)
+    consts = game.constants
     if not consts.kappa < 1e154:
         raise ValueError(
             f"condition number kappa = lip/eta = {consts.kappa:.6g} must be "
@@ -381,7 +374,7 @@ def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
     terminates for any validated game; the default step alpha = eta / lip^2
     is always admissible.
     """
-    consts = monotonicity_constants(game)
+    consts = game.constants
     if alpha is None:
         alpha = consts.eta / consts.lip ** 2
     if not (0.0 < alpha < 2.0 * consts.eta / consts.lip ** 2):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergence, InvalidStep
-from .games import Game, QuadraticGame, monotonicity_constants
+from .games import Game, QuadraticGame
 from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
@@ -190,7 +190,7 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     set, the run stops at ceil(K(target_eps)) if that bound is smaller than
     max_iter.
     """
-    consts = monotonicity_constants(game)
+    consts = game.constants
     contraction_factor_q(consts.eta, consts.lip, config.alpha)
     n_iter = config.max_iter
     if config.target_eps is not None:

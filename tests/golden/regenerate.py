@@ -1,8 +1,9 @@
 """Rewrite the golden outputs from the committed configs.
 
-Each directory next to this script holds one case: config.json, and the
+Each directory next to this script holds one case: config.json, the
 trace.csv (not for the bounds scheme) and report.json that the command line
-writes for it. Run from the repository root:
+writes for it, and validate.txt, the stdout of `nashprox validate` on it.
+Run from the repository root:
 
     PYTHONPATH=src python3 tests/golden/regenerate.py [case ...]
 
@@ -13,6 +14,8 @@ in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -26,15 +29,24 @@ def cases() -> list[str]:
 
 
 def write_outputs(case: str, out_dir: str) -> None:
-    """Run the case's config through the command line into out_dir."""
+    """Run the case's config through the command line into out_dir, and
+    write the stdout of `nashprox validate` on it to validate.txt there."""
     from nashprox.cli import main
 
     config = os.path.join(GOLDEN, case, "config.json")
     with open(config, encoding="utf-8") as fh:
         scheme = json.load(fh)["scheme"]
-    code = main([scheme, "--config", config, "--out", out_dir, "--quiet"])
-    if code != 0:
-        raise RuntimeError(f"golden case {case} exited with code {code}")
+    stdout = io.StringIO()
+    for argv in ([scheme, "--config", config, "--out", out_dir, "--quiet"],
+                 ["validate", "--config", config]):
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"golden case {case}: `{argv[0]}` exited "
+                               f"with code {code}")
+    with open(os.path.join(out_dir, "validate.txt"), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write(stdout.getvalue())
 
 
 if __name__ == "__main__":

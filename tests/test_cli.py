@@ -495,7 +495,10 @@ def _no_replication(monkeypatch):
     dict(PGR_DOC, solver={"alpha": 5.0, "rho": 0.9, "max_iter": 20}),
     dict(PBR_DOC, game=dict(PBR_DOC["game"], h=[[2.0, 0.1], [0.1, 2.0]]),
          solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 5, "eta_tilde": 0.3}),
-], ids=["pgr-alpha", "pbr-eta-tilde"])
+    # a complete graph of 2 nodes mixes in one round: beta = 0
+    dict(DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 2, b=[0.0] * 2),
+         graph={"family": "complete", "nodes": 2}),
+], ids=["pgr-alpha", "pbr-eta-tilde", "dist-pgr-zero-beta"])
 def test_validate_rejects_solver_parameters_as_the_run_does(
         tmp_path: Path, capsys, monkeypatch, doc: dict):
     _no_replication(monkeypatch)
@@ -586,3 +589,46 @@ def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
     err = capsys.readouterr().err
     assert "every mean error is 0" in err
     assert "Traceback" not in err
+
+
+def test_a_fit_window_of_integral_floats_writes_the_report_of_its_ints(
+        tmp_path: Path):
+    written = []
+    for window in ([1, 4], [1.0, 4.0]):
+        cfg = _write(tmp_path, dict(PGR_DOC, fit={"window": window}))
+        out = tmp_path / f"out-{window[0]}"
+        assert main(["pgr", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        written.append((out / "report.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["fit"]["window"] == [1, 4]
+
+
+@pytest.mark.parametrize("doc,graphs", [
+    (dict(DIST_DOC, graph={"family": "erdos-renyi", "nodes": 5, "p": 0.6,
+                           "seed": 3}), 1),
+    (dict(PBR_DOC, game={"kind": "quadratic-random", "players": 3, "dim": 2,
+                         "coupling": 0.3, "noise": {"kind": "gaussian",
+                                                    "nu": 0.5}},
+          solver={"mu": 1.0, "eta_br": 0.7, "max_iter": 5}), 0),
+], ids=["dist-pgr-erdos-renyi", "pbr-quadratic-random"])
+def test_validate_builds_the_game_and_the_graph_once(
+        tmp_path: Path, monkeypatch, doc: dict, graphs: int):
+    from nashprox.games import AggregativeGame, QuadraticGame
+    from nashprox.graphs import CommGraph
+
+    built = {"game": 0, "graph": 0}
+
+    def counting(cls, what):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built[what] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    counting(QuadraticGame, "game")
+    counting(AggregativeGame, "game")
+    counting(CommGraph, "graph")
+    assert main(["validate", "--config", _write(tmp_path, doc)]) == 0
+    assert built == {"game": 1, "graph": graphs}

@@ -124,8 +124,12 @@ def test_step_size_must_sit_below_the_distributed_threshold():
     game = _five_player_game()
     graph = ring_graph(5)
     # eta/L^2 = 2/49; the centralized rule would allow twice that
-    with pytest.raises(InvalidStep):
+    with pytest.raises(InvalidStep) as run_err:
         run_dist_pgr(game, graph, DistConfig(alpha=0.05, max_iter=5, seed=0))
+    with pytest.raises(InvalidStep) as rate_err:
+        dist_rate_constants(game, graph, 0.05)
+    assert str(run_err.value) == str(rate_err.value)
+    assert "eta/lip^2" in str(run_err.value)
 
 
 def test_distributed_rate_constants_reference_values():

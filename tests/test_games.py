@@ -36,6 +36,16 @@ def test_reference_game_constants():
     assert const.kappa == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("game", [
+    _reference_game(noise=GaussianNoise(1.0)),
+    AggregativeGame(a=(1.0, 2.0), b=(0.0, 0.1), d=2.0, c_price=1.0,
+                    lo=(0.0, 0.0), hi=(1.0, 1.0),
+                    noises=(GaussianNoise(0.5),) * 2),
+], ids=["quadratic", "cournot"])
+def test_a_game_holds_its_constants_once(game):
+    assert monotonicity_constants(game) is monotonicity_constants(game)
+
+
 def test_game_keeps_read_only_copies_of_h_and_c():
     h, c = REF_H.copy(), REF_C.copy()
     game = QuadraticGame(dims=(1, 1), h=h, c=c)

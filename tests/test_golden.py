@@ -1,7 +1,8 @@
 """Golden outputs: each committed config must reproduce its committed
-trace.csv and report.json.
+trace.csv and report.json, and the stdout of `nashprox validate` on it
+byte for byte (validate.txt).
 
-Integers and strings must match exactly; floats at rtol=1e-10 plus an
+In trace.csv and report.json, integers and strings must match exactly; floats at rtol=1e-10 plus an
 absolute floor of 1e-13, since oracle_error_bound is a residual at the
 rounding level and differs between numpy versions. Regenerate with
 tests/golden/regenerate.py.
@@ -82,3 +83,5 @@ def test_golden_outputs_are_reproduced(tmp_path: Path, case: str):
     else:
         assert not (tmp_path / "trace.csv").exists()
     assert not diffs, "\n".join(diffs[:20])
+    assert (tmp_path / "validate.txt").read_bytes() == \
+        (want_dir / "validate.txt").read_bytes()
