@@ -25,7 +25,7 @@ from nashprox import (
     saa_best_response,
     solve_ne_oracle,
 )
-from nashprox.noise import replication_errors
+from nashprox.noise import iteration_errors
 
 
 def main() -> None:
@@ -44,7 +44,7 @@ def main() -> None:
     nu_i = monotonicity_constants(game).nu_i
     for batch in (4, 64, 1024):
         # player 0's block of the batch-averaged error of replication 0
-        error = replication_errors(nu_i, game.dims, 0, 0, [batch])[0, :1]
+        error = next(iteration_errors(nu_i, game.dims, 0, [0], [batch]))[0, :1]
         approx = saa_best_response(game, 0, y, batch, mu, error)
         print(f"  sampled with batch {batch:4d}: {approx} "
               f"(gap {float(np.linalg.norm(approx - exact)):.2e})")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def saa_best_response(game: QuadraticGame, i: int,
     """Sampled anchored best response at y (a profile or its stacked
     vector): the smooth gradient carries `error`, the averaged observation
     error over `batch` draws, drawn by the caller (run_pbr passes player
-    i's block of its row of noise.replication_errors). Counts `batch`
+    i's block of its row of noise.iteration_errors). Counts `batch`
     samples and one inner solve.
     """
     if batch < 1:
@@ -276,12 +276,12 @@ def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBat
 
 def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
             x_star: StrategyProfile | None = None,
-            replication: int = 0) -> RunTrace:
-    """One growing-batch proximal best-response run (trace.iterate).
+            replication: int | Sequence[int] = 0) -> RunTrace | list[RunTrace]:
+    """Growing-batch proximal best-response runs (trace.iterate).
 
     All players respond to the same profile y_k and the update is
-    y_{k+1} = x_{k+1}. Player i's error at iteration k is its block of row
-    k of replication_errors for (config.seed, replication), at its share
+    y_{k+1} = x_{k+1}. Player i's error at iteration k of replication r is
+    its block of r's row of iteration_errors for config.seed, at its share
     nu_i of the game's noise (GameConstants.nu_i). errors[k] records
     the plain distance ||y_k - x*|| (not squared). Raises ValueError when
     the contraction certificate has a >= 1.
@@ -291,12 +291,21 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
         raise ValueError(f"best-response map is not certified contractive: "
                          f"a = {cert.a:.6f} >= 1")
     slices = [game.block_slice(i) for i in range(game.n_players)]
+    reps = np.atleast_1d(replication)
 
     def step(k, n_k, y, w, counter):
-        return np.concatenate([
-            saa_best_response(game, i, y, n_k, config.mu, w[sl],
-                              inner_tol=config.inner_tol, counter=counter)
-            for i, sl in enumerate(slices)])
+        counter.total_samples += len(slices) * n_k
+        counter.inner_solves += len(slices)
+        x = np.empty_like(y)
+        try:
+            for r, y_r, w_r, x_r in zip(reps, y, w, x):
+                for i, sl in enumerate(slices):
+                    x_r[sl] = saa_best_response(game, i, y_r, n_k, config.mu,
+                                                w_r[sl], config.inner_tol)
+        except InnerSolveFailure as err:
+            raise InnerSolveFailure(f"{err} at iteration {k} of replication "
+                                    f"{r}", residual=err.residual) from err
+        return x
     return iterate(step, x0, x_star, game.dims,
                    resolved_schedule(game, config), config.max_iter,
                    game.constants.nu_i, game.dims, config.seed,

@@ -79,12 +79,10 @@ def _print_run_summary(report, out_dir) -> None:
 
 
 def _run(args) -> int:
-    doc = load_config(args.config, scheme=args.command)
-    doc = dict(doc)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.replications is not None:
-        doc["replications"] = args.replications
+    overrides = {"seed": args.seed, "replications": args.replications}
+    doc = load_config(args.config)
+    if isinstance(doc, dict):  # from_config rejects any other document
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
     spec = ExperimentSpec.from_config(doc, scheme=args.command)
     report = run_experiment(spec, out_dir=args.out)
     if not args.quiet:
@@ -93,7 +91,7 @@ def _run(args) -> int:
 
 
 def _validate(args) -> int:
-    doc = load_config(args.config)  # rejects a document without a scheme
+    doc = load_config(args.config)
     fields, _ = prepare_experiment(ExperimentSpec.from_config(doc))
     lines = [f"config: valid for scheme '{doc['scheme']}'"]
     if "game_constants" in fields:

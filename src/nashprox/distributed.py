@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import Divergence, InvalidStep
+from .errors import InvalidStep
 from .games import AggregativeGame, GameConstants
 from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import BRANCH_TOL, power_or_inf
 from .profiles import StrategyProfile
 from .sampling import RootGeometricBatch
-from .trace import RunTrace, check_run, iterate
+from .trace import RunTrace, check_finite, check_run, iterate
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class DistConfig:
 
 @dataclass
 class DistState:
-    """Per-node state at one iteration: strategies x, average-tracking
-    estimates v, and their consensus refresh v_hat."""
+    """Per-node state at one iteration, one row per replication: strategies
+    x, average-tracking estimates v, and their consensus refresh v_hat."""
 
     x: np.ndarray
     v: np.ndarray
@@ -94,13 +94,15 @@ class DistComplexity(NamedTuple):
 
 
 def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
-                 x_star: StrategyProfile | None = None, replication: int = 0,
+                 x_star: StrategyProfile | None = None,
+                 replication: int | Sequence[int] = 0,
                  x0: StrategyProfile | None = None,
-                 on_state: Callable[[int, DistState], None] | None = None) -> RunTrace:
-    """One consensus-based growing-batch run on an aggregative game.
+                 on_state: Callable[[int, DistState], None] | None = None
+                 ) -> RunTrace | list[RunTrace]:
+    """Consensus-based growing-batch runs on an aggregative game.
 
-    Player i's gradient error at iteration k is entry i of row k of
-    replication_errors for (config.seed, replication). errors[k] is
+    Player i's gradient error at iteration k of replication r is entry i
+    of r's row of iteration_errors for config.seed. errors[k] is
     ||x_k - x*||^2 when x_star is given. consensus_errors[k] records
     max_i |v_hat_{i,k} - mean_j(x_{j,k})|, the aggregate estimation error
     before scaling by N.
@@ -117,31 +119,33 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     if x0 is None:
         x0 = game.midpoint()
     n = game.n_players
-    v = x0.vector
-    consensus_errors: list[float] = []
+    reps = np.atleast_1d(replication)
+    v = np.tile(x0.vector, (len(reps), 1))
+    consensus_errors: list[list[float]] = []
 
     def step(k, n_k, x, w, counter):
         nonlocal v
-        v_hat = consensus_apply(graph, v, k + 1, counter)
+        # a product per row: one (N, R) product would not keep each row's bits
+        v_hat = np.array([consensus_apply(graph, v_r, k + 1) for v_r in v])
+        counter.comm_rounds += k + 1
         if on_state is not None:
             on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
         counter.total_samples += n * n_k
         forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
-        if not np.all(np.isfinite(forward)):
-            raise Divergence(f"iterate became non-finite at iteration {k}",
-                             iteration=k)
+        check_finite(forward, k, reps)
         x_next = game.project(forward)
         counter.prox_evals += 1
         # Evaluated as (v - x) + x_next so that v stays bitwise equal to x
         # whenever v_0 = x_0.
         v = (v - x) + x_next
-        consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
+        consensus_errors.append(np.max(np.abs(
+            v_hat - np.mean(x, axis=1)[:, None]), axis=1).tolist())
         return x_next
     return iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
                    config.max_iter, game.constants.nu_i, game.dims, config.seed,
                    replication, "squared_distance",
-                   taus=list(range(1, config.max_iter + 1)),
-                   consensus_errors=consensus_errors)
+                   taus=lambda j: list(range(1, config.max_iter + 1)),
+                   consensus_errors=lambda j: [c[j] for c in consensus_errors])
 
 
 def _check_step(alpha: float, consts: GameConstants) -> None:

@@ -151,6 +151,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_config(cls, doc: dict, scheme: str | None = None) -> ExperimentSpec:
+        """The spec of a config document, which is validated here only."""
         doc = validate_config(doc, scheme)
         scheme = scheme or doc["scheme"]
         solver = dict(doc["solver"])
@@ -214,10 +215,10 @@ def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
             "window": list(window)}
 
 
-# A scheme's setup step takes (spec, game, x0, x*) and returns (replicate,
-# fields, envelope, finish): replicate(r) runs replication r with the solver
-# config the setup resolved, fields holds the scheme's report fields known
-# before the first replication ("theory", and "graph" for dist-pgr),
+# A scheme's setup step takes (spec, game, x0, x*) and returns (solve,
+# fields, envelope, finish): solve(ids) runs those replications in one call
+# with the solver config the setup resolved, fields holds the scheme's
+# report fields known before the run ("theory", and "graph" for dist-pgr),
 # envelope is the (constant, rate) the mean errors are checked against, and
 # finish(traces), or None, adds what the run showed to the theory dict.
 # Solvers are called through their module globals at call time.
@@ -234,7 +235,7 @@ def _pgr_setup(spec, game, x0, x_star):
     if config.target_eps is not None:
         theory["k_eps"] = complexity_K(rc, config.rho, config.target_eps)
         theory["m_eps"] = complexity_M(rc, config.rho, config.target_eps)
-    return (lambda r: run_pgr(game, config, x0, x_star, replication=r),
+    return (lambda reps: run_pgr(game, config, x0, x_star, replication=reps),
             {"theory": theory}, envelope_params(rc, config.rho), None)
 
 
@@ -265,8 +266,8 @@ def _dist_setup(spec, game, x0, x_star):
     fields = {"theory": theory,
               "graph": {"nodes": graph.n_nodes, "edges": len(graph.edges),
                         "beta": mp.beta, "theta": mp.theta}}
-    return (lambda r: run_dist_pgr(game, graph, config, x_star,
-                                   replication=r, x0=x0),
+    return (lambda reps: run_dist_pgr(game, graph, config, x_star,
+                                      replication=reps, x0=x0),
             fields, dist_envelope_params(rc, c_start), finish)
 
 
@@ -290,7 +291,7 @@ def _pbr_setup(spec, game, x0, x_star):
                               game.n_players, c_start)
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
-    return (lambda r: run_pbr(game, config, x0, x_star, replication=r),
+    return (lambda reps: run_pbr(game, config, x0, x_star, replication=reps),
             {"theory": theory}, (constant, eta_tilde), None)
 
 
@@ -341,7 +342,7 @@ def _run_bounds(spec: ExperimentSpec) -> RunReport:
 
 
 def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
-    """Make every check run_experiment makes before its first replication,
+    """Make every check run_experiment makes before the solver runs,
     raising what it would raise. Returns the report.json fields known by
     then (for a solver scheme: game_constants, equilibrium,
     oracle_error_bound, theory, and graph for dist-pgr) and the function
@@ -359,7 +360,7 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     x_star = solve_ne_oracle(game)
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
-    replicate, fields, envelope, finish = scheme.setup(spec, game, x0, x_star)
+    solve, fields, envelope, finish = scheme.setup(spec, game, x0, x_star)
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
                   game_constants=asdict(consts),
@@ -367,7 +368,7 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
                   oracle_error_bound=oracle_error_bound)
 
     def run():
-        traces = [replicate(r) for r in range(spec.replications)]
+        traces = solve(range(spec.replications))
         mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
         fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
         if finish is not None:

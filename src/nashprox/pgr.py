@@ -15,16 +15,17 @@ K(eps), and oracle-sample bound M(eps).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, InvalidStep
+from .errors import InvalidStep
 from .games import Game, QuadraticGame
 from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
-from .trace import RunTrace, check_run, iterate
+from .trace import RunTrace, check_finite, check_run, iterate
 
 # Relative width of the band around rho == q (or beta == varrho^2) inside
 # which the two decay rates are treated as matched.
@@ -178,12 +179,12 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
 
 def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
             x_star: StrategyProfile | None = None,
-            replication: int = 0) -> RunTrace:
-    """One growing-batch gradient-response run (trace.iterate).
+            replication: int | Sequence[int] = 0) -> RunTrace | list[RunTrace]:
+    """Growing-batch gradient-response runs (trace.iterate).
 
-    The oracle error at iteration k of replication r is row k of
-    replication_errors for (config.seed, r): the joint gradient's noise of
-    a quadratic game, or one entry per player of a Cournot game.
+    The oracle error at iteration k of replication r is r's row of
+    iteration_errors for config.seed: the joint gradient's noise of a
+    quadratic game, or one entry per player of a Cournot game.
     Replications and reruns are reproducible, and a run cut short draws
     the leading rows of the full run. When x_star is given, errors[k]
     records ||x_k - x*||^2 for k = 0..K; when config.target_eps is also
@@ -206,13 +207,13 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     levels = ((consts.nu,), (game.dim,)) if isinstance(game, QuadraticGame) \
         else (consts.nu_i, game.dims)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
+    reps = np.atleast_1d(replication)
 
     def step(k, n_k, x, w, counter):
-        g = sample_batch_gradient(game, x, n_k, w, counter)
-        forward = x - config.alpha * g
-        if not np.isfinite(forward).all():
-            raise Divergence(f"iterate became non-finite at iteration {k}",
-                             iteration=k)
+        g = [sample_batch_gradient(game, xr, n_k, wr) for xr, wr in zip(x, w)]
+        counter.total_samples += n_k
+        forward = x - config.alpha * np.array(g)
+        check_finite(forward, k, reps)
         counter.prox_evals += 1
         return prox(forward)
     return iterate(step, x0, x_star, game.dims, GeometricBatch(config.rho),

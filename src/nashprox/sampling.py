@@ -27,14 +27,8 @@ class GeometricBatch:
 
 
 @dataclass(frozen=True)
-class RootGeometricBatch:
+class RootGeometricBatch(GeometricBatch):
     """N_k = ceil(ratio^{-(k+1)/2}); the square root of the geometric schedule."""
-
-    ratio: float
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError(f"batch ratio must lie in (0, 1), got {self.ratio}")
 
     def size(self, k: int) -> int:
         return math.ceil(self.ratio ** (-(k + 1) / 2.0))
@@ -154,7 +148,7 @@ def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,
     """Average of `batch` noisy joint-gradient observations at x (a profile
     or its stacked vector): the exact gradient plus `error`, the
     batch-averaged observation error drawn by the caller (the solvers pass
-    their row of noise.replication_errors). Counts `batch` samples.
+    their row of noise.iteration_errors). Counts `batch` samples.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")

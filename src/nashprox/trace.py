@@ -4,12 +4,13 @@ supplies only its update."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .noise import replication_errors
+from .errors import Divergence
+from .noise import iteration_errors
 from .profiles import StrategyProfile
 from .sampling import (BatchSchedule, SampleCounter, check_schedule,
                        schedule_size)
@@ -53,46 +54,53 @@ def check_run(max_iter: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def check_finite(forward: np.ndarray, k: int, reps: Sequence[int]) -> None:
+    """Raise Divergence naming reps[j] for the first non-finite row j."""
+    if not np.isfinite(forward).all():
+        j = np.argmin(np.isfinite(forward).all(axis=1))
+        raise Divergence(f"iterate became non-finite at iteration {k} of "
+                         f"replication {reps[j]}", iteration=k)
+
+
 def iterate(step: Callable, x0: StrategyProfile,
             x_star: StrategyProfile | None, dims: Sequence[int],
             schedule: BatchSchedule, n_iter: int,
             nus: Sequence[float], noise_dims: Sequence[int],
-            seed: int, replication: int, error_metric: str,
-            **fields) -> RunTrace:
-    """Run x_{k+1} = step(k, N_k, x_k, w_k, counter) for k < n_iter from x0,
-    on stacked strategy vectors; step counts its own effort on counter.
-
-    N_k is schedule's batch size; check_schedule first rejects a schedule
-    that overflows a float on a noise block of max(noise_dims) coordinates.
-    w_k is row k of replication_errors(nus, noise_dims, seed, replication,
-    batches): block i has level nus[i] on noise_dims[i] coordinates.
-    errors[k] is ||x_k - x*||, squared when error_metric is
-    "squared_distance". fields are the scheme's own RunTrace fields (taus
-    and consensus_errors of dist-pgr).
+            seed: int, replication: int | Sequence[int], error_metric: str,
+            **fields: Callable[[int], object]) -> RunTrace | list[RunTrace]:
+    """Run X_{k+1} = step(k, N_k, X_k, W_k, counter) for k < n_iter from x0
+    for one replication id (returning its RunTrace) or a sequence of ids
+    (returning their list). Row j of X_k and W_k is the j-th replication's
+    stacked strategy vector and its row of iteration_errors(nus, noise_dims,
+    seed, ids, batches). N_k is schedule's batch size, which check_schedule
+    first checks on a noise block of max(noise_dims) coordinates. step
+    counts an iteration's effort once, for all rows. errors[k] is
+    ||x_k - x*||, squared for error_metric "squared_distance". fields maps
+    the scheme's own RunTrace fields to functions of the row j.
     """
     if x0.dims != tuple(dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(dims)}")
     check_schedule(schedule, n_iter, max(noise_dims))
     batches = [schedule_size(schedule, k) for k in range(n_iter)]
-    noise = replication_errors(nus, noise_dims, seed, replication, batches)
-    counter = SampleCounter()
-    cum_samples, cum_prox, cum_comm, cum_inner = [], [], [], []
-    errors = np.full(n_iter + 1, np.nan)
+    if not len(reps := np.atleast_1d(replication)):
+        raise ValueError("a run needs at least one replication id")
+    noise = iteration_errors(nus, noise_dims, seed, reps, batches)
+    counter, cums = SampleCounter(), []
+    errors = np.full((len(reps), n_iter + 1), np.nan)
     power = 2 if error_metric == "squared_distance" else 1
-    star = x_star.vector if x_star is not None else None
-    x = x0.vector
-    if star is not None:
-        errors[0] = float(np.linalg.norm(x - star)) ** power
-    for k, n_k in enumerate(batches):
-        x = step(k, n_k, x, noise[k], counter)
-        cum_samples.append(counter.total_samples)
-        cum_prox.append(counter.prox_evals)
-        cum_comm.append(counter.comm_rounds)
-        cum_inner.append(counter.inner_solves)
+    star, x = x_star and x_star.vector, np.tile(x0.vector, (len(reps), 1))
+    for k in range(n_iter + 1):
         if star is not None:
-            errors[k + 1] = float(np.linalg.norm(x - star)) ** power
-    return RunTrace(errors=errors, error_metric=error_metric, batches=batches,
-                    cum_samples=cum_samples, cum_prox=cum_prox,
-                    cum_comm=cum_comm, cum_inner=cum_inner,
-                    final=StrategyProfile.from_vector(x, dims),
-                    counter=counter, **fields)
+            dx = x - star
+            # a (1, n) @ (n, 1) product is the dot np.linalg.norm takes
+            norms = np.sqrt((dx[:, None] @ dx[..., None]).ravel()).tolist()
+            errors[:, k] = [v ** power for v in norms]
+        if k < n_iter:
+            x = step(k, batches[k], x, next(noise), counter)
+            cums.append(astuple(counter))
+    traces = [RunTrace(errors[j], error_metric, list(batches),
+                       *map(list, zip(*cums)),
+                       StrategyProfile.from_vector(x[j], dims), replace(counter),
+                       **{name: field(j) for name, field in fields.items()})
+              for j in range(len(reps))]
+    return traces[0] if np.ndim(replication) == 0 else traces

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from nashprox.best_response import resolved_schedule
-from nashprox.noise import replication_errors
+from nashprox.noise import iteration_errors
 
 from nashprox import (
     AggregativeGame,
@@ -334,13 +334,13 @@ def test_acceptance_09_sampling_error_bound(capfd):
     ok = True
     detail = []
     for batch in (4, 16, 64):
-        # player 0's block of row 0 of replication rep of seed 0
+        # player 0's block of row 0 of replications 0..499 of seed 0
+        errors = next(iteration_errors(nu_i, game.dims, 0, range(500),
+                                       [batch]))[:, :1]
         devs = np.array([
-            float(np.sum((saa_best_response(
-                game, 0, y, batch, 1.0,
-                replication_errors(nu_i, game.dims, 0, rep, [batch])[0, :1])
-                - exact) ** 2))
-            for rep in range(500)])
+            float(np.sum((saa_best_response(game, 0, y, batch, 1.0, error)
+                          - exact) ** 2))
+            for error in errors])
         bound = gain ** 2 / batch
         limit = bound + 2 * devs.std(ddof=1) / math.sqrt(devs.size)
         detail.append((batch, float(devs.mean()), limit))

@@ -26,7 +26,7 @@ from nashprox import (
     solve_ne_oracle,
 )
 from nashprox.best_response import resolved_schedule
-from nashprox.noise import replication_errors
+from nashprox.noise import iteration_errors
 from nashprox.sampling import BestResponseBatch
 from nashprox.errors import InnerSolveFailure
 
@@ -164,9 +164,9 @@ def test_sampled_best_response_error_obeys_the_variance_bound():
     nu_i = monotonicity_constants(game).nu_i
     for batch in (4, 16, 64):
         devs = []
-        for rep in range(500):
-            # player 0's block of row 0 of replication rep of seed 0
-            error = replication_errors(nu_i, game.dims, 0, rep, [batch])[0, :1]
+        # player 0's block of row 0 of replications 0..499 of seed 0
+        for error in next(iteration_errors(nu_i, game.dims, 0, range(500),
+                                           [batch]))[:, :1]:
             out = saa_best_response(game, 0, y, batch, 1.0, error)
             devs.append(float(np.sum((out - exact) ** 2)))
         devs = np.array(devs)

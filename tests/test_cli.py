@@ -632,3 +632,52 @@ def test_validate_builds_the_game_and_the_graph_once(
     counting(CommGraph, "graph")
     assert main(["validate", "--config", _write(tmp_path, doc)]) == 0
     assert built == {"game": 1, "graph": graphs}
+
+
+@pytest.mark.parametrize("argv", [["pgr"], ["validate"],
+                                  ["pgr", "--seed", "4", "--replications", "3"]])
+def test_a_request_validates_its_config_once(tmp_path: Path, monkeypatch,
+                                             argv: list[str]):
+    from nashprox import experiments, serialize
+
+    calls, check = [], serialize.validate_config
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+    monkeypatch.setattr(serialize, "validate_config", counting)
+    monkeypatch.setattr(experiments, "validate_config", counting)
+    assert main(argv[:1] + ["--config", _write(tmp_path, PGR_DOC), "--quiet"]
+                + argv[1:]) == 0
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["validate"], "config error: no scheme given (config key 'scheme' or "
+                   "argument)"),
+    (["pgr", "--replications", "0"],
+     "config error: config invalid at replications: 0 is less than the "
+     "minimum of 1"),
+    (["pgr", "--seed", "-1"],
+     "config error: config invalid at seed: -1 is less than the minimum of 0"),
+])
+def test_the_one_validation_sees_the_overrides_and_a_missing_scheme(
+        tmp_path: Path, capsys, argv: list[str], message: str):
+    doc = {k: v for k, v in PGR_DOC.items() if k != "scheme"} \
+        if argv == ["validate"] else PGR_DOC
+    assert main(argv[:1] + ["--config", _write(tmp_path, doc), "--quiet"]
+                + argv[1:]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "config error: configuration must be a JSON object"),
+    ("{not json", "is not valid JSON"),
+])
+def test_a_document_that_is_not_an_object_is_a_config_error_with_overrides(
+        tmp_path: Path, capsys, text: str, message: str):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["pgr", "--config", str(bad), "--seed", "3",
+                 "--replications", "2", "--quiet"]) == 2
+    assert message in capsys.readouterr().err

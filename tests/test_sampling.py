@@ -19,7 +19,7 @@ from nashprox import (
     schedule_size,
     substream,
 )
-from nashprox.noise import replication_errors
+from nashprox.noise import iteration_errors
 
 
 def test_substream_is_deterministic_per_path():
@@ -100,13 +100,15 @@ def test_sampled_gradient_is_deterministic_and_counts_samples():
                          c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
     x = StrategyProfile.zeros((1, 1))
     counter = SampleCounter()
-    errors = replication_errors([game.noise.nu], [game.dim], 3, 0, [50] * 3)
-    again = replication_errors([game.noise.nu], [game.dim], 3, 0, [50] * 3)
-    w1 = sample_batch_gradient(game, x, 50, errors[1], counter=counter)
-    w2 = sample_batch_gradient(game, x, 50, again[1])
+    errors = list(iteration_errors([game.noise.nu], [game.dim], 3, [0],
+                                   [50] * 3))
+    again = list(iteration_errors([game.noise.nu], [game.dim], 3, [0],
+                                  [50] * 3))
+    w1 = sample_batch_gradient(game, x, 50, errors[1][0], counter=counter)
+    w2 = sample_batch_gradient(game, x, 50, again[1][0])
     assert np.array_equal(w1, w2)
     assert counter.total_samples == 50
-    w3 = sample_batch_gradient(game, x, 50, errors[2])
+    w3 = sample_batch_gradient(game, x, 50, errors[2][0])
     assert not np.array_equal(w1, w3)
 
 
@@ -117,9 +119,9 @@ def test_sampled_gradient_centers_on_exact_gradient():
     exact = gradient_map(game, x)
     reps, batch = 4000, 25
     # rows 0..reps-1 of replication 5 of seed 3
-    errors = replication_errors([game.noise.nu], [game.dim], 3, 5,
-                                [batch] * reps)
-    draws = np.array([sample_batch_gradient(game, x, batch, w)
+    errors = iteration_errors([game.noise.nu], [game.dim], 3, [5],
+                              [batch] * reps)
+    draws = np.array([sample_batch_gradient(game, x, batch, w[0])
                       for w in errors])
     bias = float(np.linalg.norm(draws.mean(axis=0) - exact))
     assert bias <= 4.0 / math.sqrt(batch * reps)

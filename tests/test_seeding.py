@@ -1,8 +1,9 @@
 """The noise stream of a replication and its calibration.
 
-Replication r of a run with seed s draws one standard-normal block from
+Replication r of a run with seed s draws its standard normals from
 substream(s, r, 1), row by row, and scales block i of row k by
-nu_i / sqrt(d_i N_k) (noise.replication_errors). These tests pin that
+nu_i / sqrt(d_i N_k) (noise.iteration_errors, which draws every
+replication of a run a few rows at a time). These tests pin that
 definition, check that a row does not depend on how many rows or
 replications are drawn, that the stream differs from the game-generator
 and graph streams, and that the solvers' errors have the calibrated second
@@ -37,11 +38,17 @@ from nashprox import (
 )
 from nashprox import trace as trace_module
 from nashprox.cli import main
-from nashprox.noise import replication_errors
+from nashprox.noise import DRAW_CHUNK, iteration_errors
 
 # one word, zero, and two or more words (at and above 2^32)
 component = (st.integers(0, 2 ** 32 - 1) | st.just(0)
              | st.integers(2 ** 32, 2 ** 160))
+
+
+def _rows(nus, dims, seed, replication, batches) -> np.ndarray:
+    """The rows iteration_errors draws for one replication, stacked."""
+    return np.concatenate(list(iteration_errors(nus, dims, seed,
+                                                [replication], batches)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -55,7 +62,7 @@ def test_site_draws_equal_substream_draws(seed, replication, nus, data):
                               max_size=len(nus)))
     batches = data.draw(st.lists(st.integers(1, 10 ** 6) | st.just(2 ** 60),
                                  min_size=1, max_size=6))
-    got = replication_errors(nus, dims, seed, replication, batches)
+    got = _rows(nus, dims, seed, replication, batches)
     z = substream(seed, replication, 1).standard_normal(
         (len(batches), sum(dims)))
     offsets = np.cumsum([0] + dims)
@@ -69,10 +76,30 @@ def test_site_draws_equal_substream_draws(seed, replication, nus, data):
 def test_rows_do_not_depend_on_how_many_are_drawn():
     nus, dims = (0.4, 2.0), (3, 1)
     batches = [1, 2, 4, 9, 20, 41]
-    full = replication_errors(nus, dims, 5, 3, batches)
+    full = _rows(nus, dims, 5, 3, batches)
     for n in range(1, len(batches)):
-        head = replication_errors(nus, dims, 5, 3, batches[:n])
+        head = _rows(nus, dims, 5, 3, batches[:n])
         assert head.tobytes() == full[:n].tobytes()
+
+
+@pytest.mark.parametrize("n_iter", [1, DRAW_CHUNK - 1, DRAW_CHUNK,
+                                    2 * DRAW_CHUNK + 1])
+def test_stacked_rows_are_each_replications_own_rows(n_iter):
+    """Row j of the k-th array iteration_errors yields, which draws every
+    replication a few iterations at a time, is row k of replication
+    ids[j]'s stream block, bit for bit."""
+    nus, dims, ids = (0.4, 2.0), (3, 1), [7, 0, 3]
+    batches = [3 ** k for k in range(n_iter)]
+    rows = list(iteration_errors(nus, dims, 5, ids, batches))
+    assert len(rows) == n_iter
+    assert all(w.shape == (len(ids), sum(dims)) for w in rows)
+    for j, r in enumerate(ids):
+        z = substream(5, r, 1).standard_normal((n_iter, sum(dims)))
+        for k, n_k in enumerate(batches):
+            want = np.concatenate([
+                z[k, :3] * (nus[0] / math.sqrt(3 * float(n_k))),
+                z[k, 3:] * (nus[1] / math.sqrt(1 * float(n_k)))])
+            assert rows[k][j].tobytes() == want.tobytes()
 
 
 def _quadratic_game(nu: float) -> QuadraticGame:
@@ -171,17 +198,20 @@ def test_replication_streams_differ_from_the_game_and_graph_streams(seed):
                                   substream(seed, 7002).standard_normal(4))
 
 
-def _recorded(monkeypatch) -> list[np.ndarray]:
-    """Every error block the solvers' shared loop (trace.iterate) draws
-    through replication_errors."""
+def _recorded(monkeypatch) -> list[list[np.ndarray]]:
+    """Every error row the solvers' shared loop (trace.iterate) draws
+    through iteration_errors, one list of (1, n) rows per one-replication
+    run."""
     seen = []
 
     def recording(*args):
-        out = replication_errors(*args)
-        seen.append(out)
-        return out
+        rows = []
+        seen.append(rows)
+        for w in iteration_errors(*args):
+            rows.append(w)
+            yield w
 
-    monkeypatch.setattr(trace_module, "replication_errors", recording)
+    monkeypatch.setattr(trace_module, "iteration_errors", recording)
     return seen
 
 
@@ -232,7 +262,8 @@ def test_errors_have_the_calibrated_second_moment(monkeypatch, case):
     traces = runs(game, reps)
     assert len(seen) == reps
     ratios, variance, standardized = [], 0.0, []
-    for w, trace in zip(seen, traces):
+    for rows, trace in zip(seen, traces):
+        w = np.concatenate(rows)
         n_k = np.array(trace.batches, dtype=float)[:, None]
         offset, cols = 0, []
         for nu, d in blocks:
