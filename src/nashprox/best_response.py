@@ -17,11 +17,11 @@ sampling error on the geometric decay eta_br.
 The subproblem is solved by proximal gradient until a step moves z by at
 most inner_tol; until the active set recurs, and at most d + 1 times, a step
 is replaced by a primal-dual active-set Newton point (Hintermueller, Ito and
-Kunisch, SIAM J. Optim. 13, 2003): coordinates the prox clips or zeroes stay
-fixed, the rest solve K_FF z_F = -(linear - mu anchor + w sign(z) + K
-z_fixed)_F (w the l1 weight) with K = Q_ii + mu I, inverted once per game,
-player and mu. The coupling term is one mat-vec with the player's rows of
-the off-diagonal part of h.
+Kunisch, SIAM J. Optim. 13, 2003): coordinates the prox clips (box) or
+zeroes (l1) stay fixed, the rest solve K_FF z_F = -(linear - mu anchor +
+w sign(z) + K z_fixed)_F (w the l1 weight) with K = Q_ii + mu I, inverted
+once per game, player and mu; a zero player fixes nothing. The coupling
+term is one mat-vec with the player's cached rows of the off-diagonal h.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .errors import InnerSolveFailure
 from .games import QuadraticGame
 from .pgr import power_or_inf
 from .profiles import StrategyProfile
-from .prox import compiled_prox, prox_pieces
-from .sampling import BestResponseBatch, SampleCounter
+from .prox import Zero, compiled_prox, prox_pieces
+from .sampling import BestResponseBatch
 from .trace import RunTrace, check_run, iterate
 
 
@@ -108,8 +108,9 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         regs, k = game.regularizers[i:i + 1], qii + mu * np.eye(d)
         _, _, t, shrink = prox_pieces(regs, (d,), step)
         game.solver_cache[key] = (step, compiled_prox(regs, (d,), step), k,
-                                  np.linalg.inv(k), t / step, shrink)
-    step, prox, k, k_inv, weight, shrink = game.solver_cache[key]
+                                  np.linalg.inv(k), t / step, shrink.any(),
+                                  isinstance(regs[0], Zero))
+    step, prox, k, k_inv, weight, l1, zero = game.solver_cache[key]
     z, seen, newton = anchor.copy(), set(), d + 1
     for it in range(max_inner):
         v = z - step * (qii @ z + linear + mu * (z - anchor))
@@ -118,9 +119,10 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         disp = math.sqrt(dz.dot(dz))  # what np.linalg.norm(dz) computes
         if disp <= tol:
             return z_next, it + 1
-        if newton and it + 1 < max_inner:
-            # the prox fixes a box coordinate it moves and an l1 one it zeroes
-            fixed = np.where(shrink, z_next == 0.0, z_next != v)
+        if newton and zero and it + 1 < max_inner:  # no active set
+            newton, z_next = 0, k_inv @ -(linear - mu * anchor)
+        elif newton and it + 1 < max_inner:
+            fixed = z_next == 0.0 if l1 else z_next != v
             z_fix = np.where(fixed, z_next, 0.0) + 0.0  # drops -0.0
             shift = weight * np.sign(z_next)
             system = (fixed.tobytes(), (z_fix + shift).tobytes())
@@ -147,11 +149,14 @@ def _coupling_linear(game: QuadraticGame, i: int,
     """Player i's linear term c_i + sum_{j != i} Q_ij y_j and its anchor
     y_i, at a profile or its stacked vector."""
     vec = y.vector if isinstance(y, StrategyProfile) else y
-    if np.shape(vec) != (game.dim,):
+    if np.shape(vec) != game.c.shape:  # (game.dim,)
         raise ValueError(f"vector of shape {np.shape(vec)} does not match "
                          f"game dimension {game.dim}")
-    sl = game.block_slice(i)
-    return game.c[sl] + game.off_diagonal[sl] @ vec, vec[sl]
+    if (key := ("coupling", i)) not in game.solver_cache:
+        sl = game.block_slice(i)  # c_i and the rows of off_diagonal
+        game.solver_cache[key] = (sl, game.c[sl], game.off_diagonal[sl])
+    sl, c_i, rows = game.solver_cache[key]
+    return c_i + rows @ vec, vec[sl]
 
 
 def _check_inner(tol: float, max_inner: int) -> None:
@@ -178,24 +183,19 @@ def proximal_best_response(game: QuadraticGame, i: int,
 def saa_best_response(game: QuadraticGame, i: int,
                       y: StrategyProfile | np.ndarray,
                       batch: int, mu: float, error: np.ndarray,
-                      inner_tol: float = 1e-12, max_inner: int = 100_000,
-                      counter: SampleCounter | None = None) -> np.ndarray:
+                      inner_tol: float = 1e-12,
+                      max_inner: int = 100_000) -> np.ndarray:
     """Sampled anchored best response at y (a profile or its stacked
     vector): the smooth gradient carries `error`, the averaged observation
     error over `batch` draws, drawn by the caller (run_pbr passes player
-    i's block of its row of noise.iteration_errors). Counts `batch`
-    samples and one inner solve.
+    i's block of its row of noise.iteration_errors).
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     _check_inner(inner_tol, max_inner)
     lin, anchor = _coupling_linear(game, i, y)
-    z, _ = _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
-                           max_inner)
-    if counter is not None:
-        counter.total_samples += int(batch)
-        counter.inner_solves += 1
-    return z
+    return _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
+                           max_inner)[0]
 
 
 @dataclass(frozen=True)

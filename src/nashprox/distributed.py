@@ -131,7 +131,8 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         if on_state is not None:
             on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
         counter.total_samples += n * n_k
-        forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
+        with np.errstate(over="ignore", invalid="ignore"):  # check_finite
+            forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
         check_finite(forward, k, reps)
         x_next = game.project(forward)
         counter.prox_evals += 1

@@ -227,7 +227,8 @@ def _pgr_setup(spec, game, x0, x_star):
     s, consts = spec.solver, game.constants
     config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
                        seed=spec.seed, target_eps=s.get("target_eps"))
-    c_start = x0.distance(x_star) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is reported
+        c_start = x0.distance(x_star) ** 2
     rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                         consts.nu, c_start)
     theory = {"q": rc.q, "c_start": c_start, "c_rho_q": rc.c_rho_q,
@@ -247,7 +248,8 @@ def _dist_setup(spec, game, x0, x_star):
                         beta=s.get("beta", mp.beta), seed=spec.seed)
     rc = dist_rate_constants(game, graph, config.alpha, beta=config.beta,
                              theta=mp.theta)
-    c_start = x0.distance(x_star) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is reported
+        c_start = x0.distance(x_star) ** 2
     theory = {"varrho": rc.varrho, "c1": rc.c1, "c2": rc.c2, "c3": rc.c3,
               "m_compact": rc.m_compact, "beta": config.beta,
               "theta": mp.theta, "c_start": c_start}

@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoGeometricMixing
-from .sampling import SampleCounter
 
 _STRUCT_TOL = 1e-12
 
@@ -205,8 +204,7 @@ def mixing_params(g: CommGraph | np.ndarray) -> MixingParams:
     return MixingParams(theta=1.0, beta=beta)
 
 
-def consensus_apply(g: CommGraph, values, tau: int,
-                    counter: SampleCounter | None = None) -> np.ndarray:
+def consensus_apply(g: CommGraph, values, tau: int) -> np.ndarray:
     """tau rounds of synchronous averaging: values <- A^tau values.
 
     values has one row per node (a 1-D array is treated as one scalar per
@@ -215,8 +213,7 @@ def consensus_apply(g: CommGraph, values, tau: int,
     goes through V diag(lambda^tau) V' without the consensus eigenvector
     (lambda = 1, the largest eigenvalue of a connected graph), then is
     centred again, so the mean stays exact up to one rounding however
-    large tau is. tau = 0 returns a copy of the input; the counter, when
-    given, accrues tau communication rounds.
+    large tau is. tau = 0 returns a copy of the input.
     """
     if tau < 0:
         raise ValueError(f"consensus rounds must be >= 0, got {tau}")
@@ -224,8 +221,6 @@ def consensus_apply(g: CommGraph, values, tau: int,
     if v.shape[0] != g.n_nodes:
         raise ValueError(
             f"values have {v.shape[0]} rows for {g.n_nodes} nodes")
-    if counter is not None:
-        counter.comm_rounds += int(tau)
     if tau == 0:
         return v.copy()
     lam, vec = g.spectrum

@@ -210,9 +210,11 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     reps = np.atleast_1d(replication)
 
     def step(k, n_k, x, w, counter):
-        g = [sample_batch_gradient(game, xr, n_k, wr) for xr, wr in zip(x, w)]
+        with np.errstate(over="ignore", invalid="ignore"):  # check_finite
+            g = [sample_batch_gradient(game, xr, n_k, wr)
+                 for xr, wr in zip(x, w)]
+            forward = x - config.alpha * np.array(g)
         counter.total_samples += n_k
-        forward = x - config.alpha * np.array(g)
         check_finite(forward, k, reps)
         counter.prox_evals += 1
         return prox(forward)

@@ -95,17 +95,20 @@ def prox_pieces(regs, dims, step: float):
 
 def compiled_prox(regs, dims, step: float):
     """prox_{step r} of a stacked profile vector as one elementwise map
-    built from prox_pieces: a call costs a fixed number of numpy
-    operations, with the same arithmetic on each coordinate as prox_apply
-    on its block."""
+    built from prox_pieces, with the same arithmetic on each coordinate as
+    prox_apply on its block: soft thresholding (all l1), the clip, a copy
+    (all zero), or both branches selected by np.where (mixed)."""
     lo, hi, t, shrink = prox_pieces(regs, dims, step)
-    return lambda v: np.where(shrink, np.sign(v) * np.maximum(abs(v) - t, 0.0),
-                              np.minimum(np.maximum(v, lo), hi))
+    soft = lambda v: np.sign(v) * np.maximum(abs(v) - t, 0.0)
+    clip = lambda v: np.minimum(np.maximum(v, lo), hi)
+    if shrink.all():
+        return soft
+    if shrink.any():
+        return lambda v: np.where(shrink, soft(v), clip(v))
+    return np.copy if np.isneginf(lo).all() else clip
 
 
-def prox_profile(regs, x: StrategyProfile, alpha: float, counter=None) -> StrategyProfile:
-    """Blockwise prox across players; counts as one composite prox evaluation."""
+def prox_profile(regs, x: StrategyProfile, alpha: float) -> StrategyProfile:
+    """Blockwise prox across players: one composite prox evaluation."""
     out = compiled_prox(regs, x.dims, alpha)(x.vector)
-    if counter is not None:
-        counter.prox_evals += 1
     return StrategyProfile.from_vector(out, x.dims)

@@ -143,16 +143,12 @@ class SampleCounter:
 
 
 def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,
-                          batch: int, error: np.ndarray,
-                          counter: SampleCounter | None = None) -> np.ndarray:
+                          batch: int, error: np.ndarray) -> np.ndarray:
     """Average of `batch` noisy joint-gradient observations at x (a profile
     or its stacked vector): the exact gradient plus `error`, the
     batch-averaged observation error drawn by the caller (the solvers pass
-    their row of noise.iteration_errors). Counts `batch` samples.
+    their row of noise.iteration_errors).
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
-    g = gradient_map(game, x)
-    if counter is not None:
-        counter.total_samples += int(batch)
-    return g + error
+    return gradient_map(game, x) + error

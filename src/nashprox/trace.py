@@ -93,7 +93,8 @@ def iterate(step: Callable, x0: StrategyProfile,
         if star is not None:
             dx = x - star
             # a (1, n) @ (n, 1) product is the dot np.linalg.norm takes
-            norms = np.sqrt((dx[:, None] @ dx[..., None]).ravel()).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):  # inf error
+                norms = np.sqrt((dx[:, None] @ dx[..., None]).ravel()).tolist()
             errors[:, k] = [v ** power for v in norms]
         if k < n_iter:
             x = step(k, batches[k], x, next(noise), counter)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nashprox import (
     CommGraph,
     NoGeometricMixing,
-    SampleCounter,
     complete_graph,
     consensus_apply,
     erdos_renyi_graph,
@@ -74,18 +73,11 @@ def test_consensus_two_steps_on_path_graph():
     assert np.allclose(out, [5 / 9, 3 / 9, 1 / 9], atol=1e-12)
 
 
-def test_consensus_zero_rounds_is_identity_and_counts_nothing():
+def test_consensus_zero_rounds_is_identity():
     values = np.array([1.0, 2.0, 3.0])
-    counter = SampleCounter()
-    out = consensus_apply(path_graph(3), values, 0, counter=counter)
+    out = consensus_apply(path_graph(3), values, 0)
     assert np.array_equal(out, values)
-    assert counter.comm_rounds == 0
-
-
-def test_consensus_counts_each_round():
-    counter = SampleCounter()
-    consensus_apply(complete_graph(3), np.array([1.0, 2.0, 3.0]), 4, counter=counter)
-    assert counter.comm_rounds == 4
+    assert out is not values
 
 
 def test_consensus_preserves_the_mean():
@@ -168,8 +160,7 @@ def test_closed_form_consensus_matches_repeated_averaging(g, tau, columns,
     rng = np.random.default_rng(seed)
     shape = (g.n_nodes,) if columns == 0 else (g.n_nodes, columns)
     v = scale * (rng.standard_normal(shape) + rng.uniform(-3.0, 3.0))
-    counter = SampleCounter()
-    out = consensus_apply(g, v, tau, counter=counter)
+    out = consensus_apply(g, v, tau)
     want = v.copy()
     for _ in range(tau):
         want = g.weights @ want
@@ -177,4 +168,3 @@ def test_closed_form_consensus_matches_repeated_averaging(g, tau, columns,
     assert out.shape == v.shape
     assert np.max(np.abs(out - want)) <= (tau / 2 + 16) * n * eps * size
     assert np.max(np.abs(out.mean(axis=0) - v.mean(axis=0))) <= 4 * eps * size
-    assert counter.comm_rounds == tau

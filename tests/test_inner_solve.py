@@ -30,6 +30,7 @@ from nashprox import (
 )
 from nashprox.best_response import _coupling_linear, _solve_anchored
 from nashprox.errors import InnerSolveFailure
+from nashprox.prox import prox_pieces
 
 
 def _reference_solve(game, i, linear, anchor, mu, tol, max_inner):
@@ -250,3 +251,97 @@ def test_unsettled_newton_points_fall_back_to_prox_gradient(tol):
     _, plain = _reference_solve(game, 0, linear, anchor, 0.1, tol, 100_000)
     assert 3 + 2 < used <= plain + 3 + 1
     _check_within_bound(game, 0, linear, anchor, 0.1, tol)
+
+
+def _joint_rule_solve(game, i, linear, anchor, mu, tol, max_inner):
+    """The solver's loop with its active set taken coordinate by coordinate
+    from prox_pieces (np.where between the l1 and the box rule) and the
+    general Newton system for every player, a zero player included."""
+    qii, d = game.block(i, i), anchor.size
+    step = 2.0 / sum(mu + e for e in game.own_spectra[i])
+    lo, hi, t, shrink = prox_pieces(game.regularizers[i:i + 1], (d,), step)
+    k, weight = qii + mu * np.eye(d), t / step
+    k_inv = np.linalg.inv(k)
+    z, seen, newton = anchor.copy(), set(), d + 1
+    for it in range(max_inner):
+        v = z - step * (qii @ z + linear + mu * (z - anchor))
+        z_next = np.where(shrink, np.sign(v) * np.maximum(abs(v) - t, 0.0),
+                          np.minimum(np.maximum(v, lo), hi))
+        dz = z_next - z
+        if np.sqrt(dz.dot(dz)) <= tol:
+            return z_next, it + 1
+        if newton and it + 1 < max_inner:
+            fixed = np.where(shrink, z_next == 0.0, z_next != v)
+            z_fix = np.where(fixed, z_next, 0.0) + 0.0
+            shift = weight * np.sign(z_next)
+            system = (fixed.tobytes(), (z_fix + shift).tobytes())
+            if system in seen:
+                newton = 0
+            else:
+                seen.add(system)
+                newton, free = newton - 1, ~fixed
+                rhs = -(linear - mu * anchor + shift + k @ z_fix)
+                if free.all():
+                    z_next = k_inv @ rhs
+                else:
+                    z_next = z_fix
+                    z_next[free] = np.linalg.solve(k[free][:, free], rhs[free])
+        z = z_next
+    raise InnerSolveFailure("joint-rule solve did not converge", residual=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(games(), st.floats(0.1, 10.0), st.sampled_from((1e-12, 1e-9, 1e-6)))
+def test_per_player_active_set_rules_give_the_bits_of_the_joint_rule(
+        drawn, mu, tol):
+    game, rng = drawn
+    for i, d in enumerate(game.dims):
+        linear = 3.0 * rng.standard_normal(d)
+        anchor = rng.standard_normal(d)
+        got, used = _solve_anchored(game, i, linear, anchor, mu, tol, 100_000)
+        want, plain = _joint_rule_solve(game, i, linear, anchor, mu, tol,
+                                        100_000)
+        assert got.tobytes() == want.tobytes()
+        assert used == plain
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_a_zero_player_stops_after_two_iterations_at_the_linear_solve(
+        seed, tol):
+    """The Newton point of a zero player is K^-1 (mu anchor - linear), the
+    unconstrained argmin; one prox-gradient step then moves it by at most
+    tol. The distance to np.linalg.solve allows for rounding: 16 eps
+    cond(K) ||argmin||."""
+    rng = np.random.default_rng(seed)
+    dims = (3, 4)
+    n, mu = sum(dims), 0.5
+    a, skew = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    h = np.eye(n) + a @ a.T / n + 0.2 * (skew - skew.T)
+    h[3:, 3:] = (h[3:, 3:] + h[3:, 3:].T) / 2.0
+    h[:3, :3] = (h[:3, :3] + h[:3, :3].T) / 2.0
+    game = QuadraticGame(dims=dims, h=h, c=np.zeros(n),
+                         regularizers=(L1(0.3), Zero()))
+    k = game.block(1, 1) + mu * np.eye(4)
+    linear, anchor = rng.standard_normal(4), rng.standard_normal(4)
+    got, used = _solve_anchored(game, 1, linear, anchor, mu, tol, 100_000)
+    want = np.linalg.solve(k, mu * anchor - linear)
+    assert used == 2
+    slack = 16 * np.finfo(float).eps * np.linalg.cond(k) * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= tol + slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(games())
+def test_solver_cache_is_keyed_by_player_and_mu(drawn):
+    """Every player at mu = 1 and then at mu = 2 on one game gives the
+    bits that each solve gives on a game of its own."""
+    game, rng = drawn
+    y = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
+    for mu in (1.0, 2.0):
+        for i in range(game.n_players):
+            fresh = QuadraticGame(dims=game.dims, h=game.h, c=game.c,
+                                  regularizers=game.regularizers)
+            got = proximal_best_response(game, i, y, mu)
+            want = proximal_best_response(fresh, i, y, mu)
+            assert got.tobytes() == want.tobytes()

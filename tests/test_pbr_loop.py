@@ -51,8 +51,9 @@ def _reference_run_pbr(game, config, x0, x_star, replication):
             nu_i = game.noise.nu * math.sqrt(d / game.dim)
             w = z[k, game.block_slice(i)] * (nu_i / math.sqrt(d * float(n_k)))
             blocks.append(saa_best_response(
-                game, i, y, n_k, config.mu, w, inner_tol=config.inner_tol,
-                counter=counter))
+                game, i, y, n_k, config.mu, w, inner_tol=config.inner_tol))
+            counter.total_samples += n_k
+            counter.inner_solves += 1
         y = StrategyProfile(tuple(blocks))
         batches.append(n_k)
         cum_samples.append(counter.total_samples)

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashprox import (
     BoxIndicator,
     L1,
-    SampleCounter,
     StrategyProfile,
     Zero,
     prox_apply,
     prox_profile,
 )
+from nashprox.prox import compiled_prox, prox_pieces
 
 
 def test_zero_regularizer_prox_is_identity():
@@ -105,14 +107,11 @@ def test_box_corner_norm():
     assert BoxIndicator(np.array([-2.0]), np.array([1.0])).corner_norm() == pytest.approx(2.0)
 
 
-def test_prox_profile_applies_blockwise_and_counts_one_evaluation():
-    counter = SampleCounter()
+def test_prox_profile_applies_blockwise():
     prof = StrategyProfile.from_vector(np.array([2.0, -0.3, 0.7]), (2, 1))
-    out = prox_profile((L1(1.0), Zero()), prof, 0.5, counter=counter)
+    out = prox_profile((L1(1.0), Zero()), prof, 0.5)
     assert np.allclose(out.blocks[0], [1.5, 0.0], atol=1e-15)
     assert np.array_equal(out.blocks[1], [0.7])
-    # one composite prox evaluation per profile, not per block
-    assert counter.prox_evals == 1
 
 
 def test_profile_vector_roundtrip_and_distance():
@@ -136,3 +135,57 @@ def test_profile_vector_is_a_copy():
     v = prof.vector
     v[0] = 99.0
     assert prof.blocks[0][0] == 0.0
+
+
+def _three_branch_prox(regs, dims, step):
+    """The reference: soft thresholding and the clip evaluated on every
+    coordinate and selected by np.where, Zero coordinates clipped to
+    infinite bounds."""
+    lo, hi, t, shrink = prox_pieces(regs, dims, step)
+    return lambda v: np.where(shrink, np.sign(v) * np.maximum(abs(v) - t, 0.0),
+                              np.minimum(np.maximum(v, lo), hi))
+
+
+_WIDTHS = st.just(0.0) | st.floats(0.0, 4.0)  # 0: a box with lo == hi
+
+
+@st.composite
+def _profile_points(draw):
+    """Regularizers all box, all l1, all zero or mixed (with lo == hi boxes
+    and weight-0 l1 among them), a prox step, and a point of shape (n,) or
+    (R, n) whose entries are signed zeros, infinities, NaN, the
+    coordinate's bounds and thresholds, or arbitrary floats."""
+    family = draw(st.sampled_from(("box", "l1", "zero", "mixed")))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    regs = []
+    for d in dims:
+        kind = family if family != "mixed" else \
+            draw(st.sampled_from(("box", "l1", "zero")))
+        if kind == "box":
+            lo = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=d,
+                                        max_size=d)))
+            width = draw(st.lists(_WIDTHS, min_size=d, max_size=d))
+            regs.append(BoxIndicator(lo, lo + np.array(width)))
+        elif kind == "l1":
+            regs.append(L1(draw(_WIDTHS)))
+        else:
+            regs.append(Zero())
+    step = draw(st.floats(1e-3, 10.0))
+    lo, hi, t, _ = prox_pieces(regs, dims, step)
+    rows, n = draw(st.sampled_from((None, 1, 3))), sum(dims)
+    flat = np.array([draw(st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan,
+                                           lo[j], hi[j], t[j], -t[j]))
+                          | st.floats(allow_nan=True, allow_infinity=True))
+                     for _ in range(rows or 1) for j in range(n)])
+    return regs, dims, step, flat if rows is None else flat.reshape(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_points())
+def test_compiled_prox_has_the_bits_of_the_three_branch_form(drawn):
+    regs, dims, step, v = drawn
+    got = compiled_prox(regs, dims, step)(v)
+    want = _three_branch_prox(regs, dims, step)(v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got is not v
