@@ -55,7 +55,7 @@ def main() -> None:
     trace = run_pbr(game, config, y, x_star=x_star)
     print("iterate distance to the equilibrium:")
     for k in (0, 5, 10, 15, 20, 25):
-        print(f"  k = {k:2d}  ||y_k - x*|| = {trace.errors[k]:.3e}  "
+        print(f"  k = {k:2d}  ||y_k - x*|| = {trace.errors[0, k]:.3e}  "
               f"batch = {trace.batches[k - 1] if k else '-'}")
     print(f"total samples {trace.counter.total_samples}, "
           f"inner solves {trace.counter.inner_solves}")

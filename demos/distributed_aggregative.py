@@ -44,7 +44,7 @@ def main() -> None:
     constant, rate = dist_envelope_params(rc, c_start=c_start)
     print(f"contraction varrho = {rc.varrho:.6f}, envelope rate = {rate:.6f}")
     for k in (0, 10, 20, 40):
-        print(f"  k = {k:3d}  error^2 = {trace.errors[k]:.3e}  "
+        print(f"  k = {k:3d}  error^2 = {trace.errors[0, k]:.3e}  "
               f"bound = {constant * rate ** k:.3e}")
 
     worst = float(np.max(trace.consensus_errors))

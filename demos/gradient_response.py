@@ -51,7 +51,7 @@ def main() -> None:
     print(f"envelope: {constant:.4f} * {rate:.6f}^k")
     for k in (0, 10, 20, 40, 80):
         bound = constant * rate ** k
-        print(f"  k = {k:3d}  error^2 = {trace.errors[k]:.3e}  "
+        print(f"  k = {k:3d}  error^2 = {trace.errors[0, k]:.3e}  "
               f"bound = {bound:.3e}  batch so far = "
               f"{trace.cum_samples[k - 1] if k else 0}")
 

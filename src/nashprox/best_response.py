@@ -276,13 +276,13 @@ def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBat
 
 def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
             x_star: StrategyProfile | None = None,
-            replication: int | Sequence[int] = 0) -> RunTrace | list[RunTrace]:
-    """Growing-batch proximal best-response runs (trace.iterate).
+            replications: Sequence[int] = (0,)) -> RunTrace:
+    """Growing-batch proximal best-response runs, one RunTrace (trace.iterate).
 
     All players respond to the same profile y_k and the update is
     y_{k+1} = x_{k+1}. Player i's error at iteration k of replication r is
     its block of r's row of iteration_errors for config.seed, at its share
-    nu_i of the game's noise (GameConstants.nu_i). errors[k] records
+    nu_i of the game's noise (GameConstants.nu_i). Row j of errors records
     the plain distance ||y_k - x*|| (not squared). Raises ValueError when
     the contraction certificate has a >= 1.
     """
@@ -291,14 +291,13 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
         raise ValueError(f"best-response map is not certified contractive: "
                          f"a = {cert.a:.6f} >= 1")
     slices = [game.block_slice(i) for i in range(game.n_players)]
-    reps = np.atleast_1d(replication)
 
     def step(k, n_k, y, w, counter):
         counter.total_samples += len(slices) * n_k
         counter.inner_solves += len(slices)
         x = np.empty_like(y)
         try:
-            for r, y_r, w_r, x_r in zip(reps, y, w, x):
+            for r, y_r, w_r, x_r in zip(replications, y, w, x):
                 for i, sl in enumerate(slices):
                     x_r[sl] = saa_best_response(game, i, y_r, n_k, config.mu,
                                                 w_r[sl], config.inner_tol)
@@ -309,7 +308,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
     return iterate(step, x0, x_star, game.dims,
                    resolved_schedule(game, config), config.max_iter,
                    game.constants.nu_i, game.dims, config.seed,
-                   replication, "distance")
+                   replications, "distance")
 
 
 def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,

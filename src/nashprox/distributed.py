@@ -19,7 +19,7 @@ varrho = 1 - 2 alpha eta + 2 alpha^2 lip^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,17 +95,17 @@ class DistComplexity(NamedTuple):
 
 def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
                  x_star: StrategyProfile | None = None,
-                 replication: int | Sequence[int] = 0,
+                 replications: Sequence[int] = (0,),
                  x0: StrategyProfile | None = None,
                  on_state: Callable[[int, DistState], None] | None = None
-                 ) -> RunTrace | list[RunTrace]:
-    """Consensus-based growing-batch runs on an aggregative game.
+                 ) -> RunTrace:
+    """Consensus-based growing-batch runs on an aggregative game, one RunTrace.
 
     Player i's gradient error at iteration k of replication r is entry i
-    of r's row of iteration_errors for config.seed. errors[k] is
-    ||x_k - x*||^2 when x_star is given. consensus_errors[k] records
-    max_i |v_hat_{i,k} - mean_j(x_{j,k})|, the aggregate estimation error
-    before scaling by N.
+    of r's row of iteration_errors for config.seed. errors[j, k] is row
+    j's ||x_k - x*||^2 when x_star is given. consensus_errors[j, k] records
+    max_i |v_hat_{i,k} - mean_j(x_{j,k})| of row j, the aggregate
+    estimation error before scaling by N.
     The on_state hook, when given, observes (k, DistState) after each
     consensus refresh.
     """
@@ -119,9 +119,8 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     if x0 is None:
         x0 = game.midpoint()
     n = game.n_players
-    reps = np.atleast_1d(replication)
-    v = np.tile(x0.vector, (len(reps), 1))
-    consensus_errors: list[list[float]] = []
+    v = np.tile(x0.vector, (np.size(replications), 1))
+    consensus_errors: list[np.ndarray] = []
 
     def step(k, n_k, x, w, counter):
         nonlocal v
@@ -133,20 +132,20 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         counter.total_samples += n * n_k
         with np.errstate(over="ignore", invalid="ignore"):  # check_finite
             forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
-        check_finite(forward, k, reps)
+        check_finite(forward, k, replications)
         x_next = game.project(forward)
         counter.prox_evals += 1
         # Evaluated as (v - x) + x_next so that v stays bitwise equal to x
         # whenever v_0 = x_0.
         v = (v - x) + x_next
         consensus_errors.append(np.max(np.abs(
-            v_hat - np.mean(x, axis=1)[:, None]), axis=1).tolist())
+            v_hat - np.mean(x, axis=1)[:, None]), axis=1))
         return x_next
-    return iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
-                   config.max_iter, game.constants.nu_i, game.dims, config.seed,
-                   replication, "squared_distance",
-                   taus=lambda j: list(range(1, config.max_iter + 1)),
-                   consensus_errors=lambda j: [c[j] for c in consensus_errors])
+    trace = iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
+                    config.max_iter, game.constants.nu_i, game.dims,
+                    config.seed, replications, "squared_distance")
+    return replace(trace, taus=list(range(1, config.max_iter + 1)),
+                   consensus_errors=np.array(consensus_errors).T)
 
 
 def _check_step(alpha: float, consts: GameConstants) -> None:

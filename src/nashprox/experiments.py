@@ -216,19 +216,18 @@ def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
 
 
 # A scheme's setup step takes (spec, game, x0, x*) and returns (solve,
-# fields, envelope, finish): solve(ids) runs those replications in one call
-# with the solver config the setup resolved, fields holds the scheme's
-# report fields known before the run ("theory", and "graph" for dist-pgr),
-# envelope is the (constant, rate) the mean errors are checked against, and
-# finish(traces), or None, adds what the run showed to the theory dict.
+# fields, envelope, finish): solve(ids) runs those replications into one
+# RunTrace with the solver config the setup resolved, fields holds the
+# scheme's report fields known before the run ("theory", and "graph" for
+# dist-pgr), envelope is the (constant, rate) the mean errors are checked
+# against, and finish(trace), or None, adds what the run showed to theory.
 # Solvers are called through their module globals at call time.
 
 def _pgr_setup(spec, game, x0, x_star):
     s, consts = spec.solver, game.constants
     config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
                        seed=spec.seed, target_eps=s.get("target_eps"))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf is reported
-        c_start = x0.distance(x_star) ** 2
+    c_start = x0.distance(x_star) ** 2
     rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                         consts.nu, c_start)
     theory = {"q": rc.q, "c_start": c_start, "c_rho_q": rc.c_rho_q,
@@ -236,7 +235,7 @@ def _pgr_setup(spec, game, x0, x_star):
     if config.target_eps is not None:
         theory["k_eps"] = complexity_K(rc, config.rho, config.target_eps)
         theory["m_eps"] = complexity_M(rc, config.rho, config.target_eps)
-    return (lambda reps: run_pgr(game, config, x0, x_star, replication=reps),
+    return (lambda reps: run_pgr(game, config, x0, x_star, replications=reps),
             {"theory": theory}, envelope_params(rc, config.rho), None)
 
 
@@ -248,8 +247,7 @@ def _dist_setup(spec, game, x0, x_star):
                         beta=s.get("beta", mp.beta), seed=spec.seed)
     rc = dist_rate_constants(game, graph, config.alpha, beta=config.beta,
                              theta=mp.theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf is reported
-        c_start = x0.distance(x_star) ** 2
+    c_start = x0.distance(x_star) ** 2
     theory = {"varrho": rc.varrho, "c1": rc.c1, "c2": rc.c2, "c3": rc.c3,
               "m_compact": rc.m_compact, "beta": config.beta,
               "theta": mp.theta, "c_start": c_start}
@@ -258,9 +256,9 @@ def _dist_setup(spec, game, x0, x_star):
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
                       m_eps=comp.samples)
 
-    def finish(traces):
-        cerr = np.max(np.stack([t.consensus_errors for t in traces]), axis=0)
-        taus = np.asarray(traces[0].taus)
+    def finish(trace):
+        cerr = np.max(trace.consensus_errors, axis=0)
+        taus = np.asarray(trace.taus)
         cerr_bound = rc.m_compact * mp.theta * config.beta ** taus
         theory.update(
             consensus_bound_ok=bool(np.all(cerr <= cerr_bound + 1e-12)),
@@ -269,7 +267,7 @@ def _dist_setup(spec, game, x0, x_star):
               "graph": {"nodes": graph.n_nodes, "edges": len(graph.edges),
                         "beta": mp.beta, "theta": mp.theta}}
     return (lambda reps: run_dist_pgr(game, graph, config, x_star,
-                                      replication=reps, x0=x0),
+                                      replications=reps, x0=x0),
             fields, dist_envelope_params(rc, c_start), finish)
 
 
@@ -293,7 +291,7 @@ def _pbr_setup(spec, game, x0, x_star):
                               game.n_players, c_start)
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
-    return (lambda reps: run_pbr(game, config, x0, x_star, replication=reps),
+    return (lambda reps: run_pbr(game, config, x0, x_star, replications=reps),
             {"theory": theory}, (constant, eta_tilde), None)
 
 
@@ -348,10 +346,10 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     raising what it would raise. Returns the report.json fields known by
     then (for a solver scheme: game_constants, equilibrium,
     oracle_error_bound, theory, and graph for dist-pgr) and the function
-    that runs the rest and returns (report, traces)."""
+    that runs the rest and returns (report, trace), trace None for bounds."""
     if spec.scheme == "bounds":
         report = _run_bounds(spec)
-        return report.fields, lambda: (report, [])
+        return report.fields, lambda: (report, None)
     if spec.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme '{spec.scheme}'")
     scheme = SCHEMES[spec.scheme]
@@ -362,6 +360,12 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     x_star = solve_ne_oracle(game)
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_distance = (dx := x0.vector - x_star.vector) @ dx
+    if not np.isfinite(sq_distance):
+        raise ValueError(f"x0 = {x0.vector.tolist()} has squared distance "
+                         f"{sq_distance} to the equilibrium; a run needs it "
+                         f"finite")
     solve, fields, envelope, finish = scheme.setup(spec, game, x0, x_star)
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
@@ -370,16 +374,16 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
                   oracle_error_bound=oracle_error_bound)
 
     def run():
-        traces = solve(range(spec.replications))
-        mean_errors = np.mean(np.stack([t.errors for t in traces]), axis=0)
+        trace = solve(range(spec.replications))
+        mean_errors = np.mean(trace.errors, axis=0)
         fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
         if finish is not None:
-            finish(traces)
-        k_iter = traces[0].iterations
+            finish(trace)
+        k_iter = trace.iterations
         return RunReport(dict(
-            fields, counters=traces[0].counter.as_dict(), iterations=k_iter,
+            fields, counters=trace.counter.as_dict(), iterations=k_iter,
             mean_final_error=float(mean_errors[-1]),
-            fit=_fit_dict(mean_errors, spec.fit, k_iter))), traces
+            fit=_fit_dict(mean_errors, spec.fit, k_iter))), trace
     return fields, run
 
 
@@ -391,32 +395,32 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunRepor
     spec on one platform.
     """
     _, run = prepare_experiment(spec)
-    report, traces = run()
+    report, trace = run()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        if traces:
+        if trace is not None:
             write_trace_csv(os.path.join(out_dir, "trace.csv"), spec.scheme,
-                            traces)
+                            trace)
         write_report_json(os.path.join(out_dir, "report.json"), report)
     return report
 
 
-def write_trace_csv(path: str, scheme: str, traces: list[RunTrace]) -> None:
+def write_trace_csv(path: str, scheme: str, trace: RunTrace) -> None:
     """Write the per-iteration trace table, one row per executed iteration
-    per replication (error columns record the state entering each
-    iteration), formatting one column at a time."""
-    columns = SCHEMES[scheme].columns
+    per replication, replication by replication (error columns record the
+    state entering each iteration), formatting one column at a time."""
+    columns, n = SCHEMES[scheme].columns, trace.iterations
+    # shared columns are lists of n entries, per-row ones (R, >= n) arrays
+    cols = [getattr(trace, field) for _, field in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", *(header for header, _ in columns),
                          "replication_id"])
-        for rep, tr in enumerate(traces):
-            n = tr.iterations
-            cols = [getattr(tr, field)[:n] for _, field in columns]
+        for rep in range(len(trace.errors)):
             # csv writes a Python float by repr and an int by str
             writer.writerows(zip(range(n), *(
-                c.tolist() if isinstance(c, np.ndarray) else c for c in cols),
-                [rep] * n))
+                c[rep, :n].tolist() if isinstance(c, np.ndarray) else c
+                for c in cols), [rep] * n))
 
 
 def write_report_json(path: str, report: RunReport) -> None:

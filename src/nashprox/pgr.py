@@ -179,17 +179,17 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
 
 def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
             x_star: StrategyProfile | None = None,
-            replication: int | Sequence[int] = 0) -> RunTrace | list[RunTrace]:
-    """Growing-batch gradient-response runs (trace.iterate).
+            replications: Sequence[int] = (0,)) -> RunTrace:
+    """Growing-batch gradient-response runs in one RunTrace (trace.iterate).
 
     The oracle error at iteration k of replication r is r's row of
     iteration_errors for config.seed: the joint gradient's noise of a
     quadratic game, or one entry per player of a Cournot game.
     Replications and reruns are reproducible, and a run cut short draws
-    the leading rows of the full run. When x_star is given, errors[k]
-    records ||x_k - x*||^2 for k = 0..K; when config.target_eps is also
-    set, the run stops at ceil(K(target_eps)) if that bound is smaller than
-    max_iter.
+    the leading rows of the full run. When x_star is given, errors[j, k]
+    records ||x_k - x*||^2 of row j for k = 0..K; when config.target_eps is
+    also set, the run stops at ceil(K(target_eps)) if that bound is smaller
+    than max_iter.
     """
     consts = game.constants
     contraction_factor_q(consts.eta, consts.lip, config.alpha)
@@ -207,7 +207,6 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     levels = ((consts.nu,), (game.dim,)) if isinstance(game, QuadraticGame) \
         else (consts.nu_i, game.dims)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
-    reps = np.atleast_1d(replication)
 
     def step(k, n_k, x, w, counter):
         with np.errstate(over="ignore", invalid="ignore"):  # check_finite
@@ -215,9 +214,9 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
                  for xr, wr in zip(x, w)]
             forward = x - config.alpha * np.array(g)
         counter.total_samples += n_k
-        check_finite(forward, k, reps)
+        check_finite(forward, k, replications)
         counter.prox_evals += 1
         return prox(forward)
     return iterate(step, x0, x_star, game.dims, GeometricBatch(config.rho),
-                   n_iter, *levels, config.seed, replication,
+                   n_iter, *levels, config.seed, replications,
                    "squared_distance")

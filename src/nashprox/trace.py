@@ -4,7 +4,7 @@ supplies only its update."""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,13 +18,15 @@ from .sampling import (BatchSchedule, SampleCounter, check_schedule,
 
 @dataclass
 class RunTrace:
-    """History of one run.
+    """History of one run: row j of errors, final and consensus_errors
+    belongs to the j-th replication id the run was given, and the other
+    fields are shared by every row.
 
-    errors[k] is the distance measure of the k-th iterate to the reference
-    equilibrium (squared for gradient-response runs, plain norm for
-    best-response runs, per error_metric); it has one entry more than the
-    run has iterations and is NaN when no reference was supplied. batches
-    and the cumulative counter columns cum_samples, cum_prox, cum_comm and
+    errors[j, k] is the distance measure of row j's k-th iterate to the
+    reference equilibrium (squared for gradient-response runs, plain norm
+    for best-response runs, per error_metric), NaN without a reference;
+    final[j] is row j's last stacked strategy vector. batches and the
+    cumulative counter columns cum_samples, cum_prox, cum_comm and
     cum_inner have one entry per executed iteration and end at the fields
     of counter. Distributed runs also carry taus and consensus_errors.
     """
@@ -36,10 +38,10 @@ class RunTrace:
     cum_prox: list[int]
     cum_comm: list[int]
     cum_inner: list[int]
-    final: StrategyProfile
+    final: np.ndarray
     counter: SampleCounter
     taus: list[int] | None = None
-    consensus_errors: list[float] | None = None
+    consensus_errors: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
@@ -66,29 +68,30 @@ def iterate(step: Callable, x0: StrategyProfile,
             x_star: StrategyProfile | None, dims: Sequence[int],
             schedule: BatchSchedule, n_iter: int,
             nus: Sequence[float], noise_dims: Sequence[int],
-            seed: int, replication: int | Sequence[int], error_metric: str,
-            **fields: Callable[[int], object]) -> RunTrace | list[RunTrace]:
+            seed: int, replications: Sequence[int],
+            error_metric: str) -> RunTrace:
     """Run X_{k+1} = step(k, N_k, X_k, W_k, counter) for k < n_iter from x0
-    for one replication id (returning its RunTrace) or a sequence of ids
-    (returning their list). Row j of X_k and W_k is the j-th replication's
-    stacked strategy vector and its row of iteration_errors(nus, noise_dims,
-    seed, ids, batches). N_k is schedule's batch size, which check_schedule
-    first checks on a noise block of max(noise_dims) coordinates. step
-    counts an iteration's effort once, for all rows. errors[k] is
-    ||x_k - x*||, squared for error_metric "squared_distance". fields maps
-    the scheme's own RunTrace fields to functions of the row j.
+    for every id in replications, returning their RunTrace. Row j of X_k
+    and W_k is the j-th replication's stacked strategy vector and its row
+    of iteration_errors(nus, noise_dims, seed, replications, batches). N_k
+    is schedule's batch size, which check_schedule first checks on a noise
+    block of max(noise_dims) coordinates. step counts an iteration's effort
+    once, for all rows. errors[j, k] is ||x_k - x*|| of row j, squared for
+    error_metric "squared_distance".
     """
+    if np.ndim(replications) != 1 or not len(replications):
+        raise ValueError(f"a run needs at least one replication id, as [r] "
+                         f"or range(R), got {replications!r}")
     if x0.dims != tuple(dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(dims)}")
     check_schedule(schedule, n_iter, max(noise_dims))
     batches = [schedule_size(schedule, k) for k in range(n_iter)]
-    if not len(reps := np.atleast_1d(replication)):
-        raise ValueError("a run needs at least one replication id")
-    noise = iteration_errors(nus, noise_dims, seed, reps, batches)
+    noise = iteration_errors(nus, noise_dims, seed, replications, batches)
     counter, cums = SampleCounter(), []
-    errors = np.full((len(reps), n_iter + 1), np.nan)
+    errors = np.full((len(replications), n_iter + 1), np.nan)
     power = 2 if error_metric == "squared_distance" else 1
-    star, x = x_star and x_star.vector, np.tile(x0.vector, (len(reps), 1))
+    star = x_star and x_star.vector
+    x = np.tile(x0.vector, (len(replications), 1))
     for k in range(n_iter + 1):
         if star is not None:
             dx = x - star
@@ -99,9 +102,5 @@ def iterate(step: Callable, x0: StrategyProfile,
         if k < n_iter:
             x = step(k, batches[k], x, next(noise), counter)
             cums.append(astuple(counter))
-    traces = [RunTrace(errors[j], error_metric, list(batches),
-                       *map(list, zip(*cums)),
-                       StrategyProfile.from_vector(x[j], dims), replace(counter),
-                       **{name: field(j) for name, field in fields.items()})
-              for j in range(len(reps))]
-    return traces[0] if np.ndim(replication) == 0 else traces
+    return RunTrace(errors, error_metric, batches, *map(list, zip(*cums)),
+                    x, counter)

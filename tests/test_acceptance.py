@@ -91,9 +91,9 @@ def _random_game(seed: int) -> QuadraticGame:
 
 
 def _mean_errors(game, config, x0, x_star, runner, replications: int) -> np.ndarray:
-    stack = [runner(game, config, x0, x_star=x_star, replication=r).errors
-             for r in range(replications)]
-    return np.mean(np.stack(stack), axis=0)
+    trace = runner(game, config, x0, x_star=x_star,
+                   replications=range(replications))
+    return np.mean(trace.errors, axis=0)
 
 
 def test_acceptance_01_fixed_point_equivalence(capfd):
@@ -129,7 +129,7 @@ def test_acceptance_02_deterministic_contraction(capfd):
         trace = run_pgr(game, PgrConfig(alpha=alpha, rho=0.9, max_iter=50, seed=0),
                         x0, x_star=x_star)
         for k in range(50):
-            worst_gap = max(worst_gap, trace.errors[k + 1] - q * trace.errors[k])
+            worst_gap = max(worst_gap, trace.errors[0, k + 1] - q * trace.errors[0, k])
     ok = worst_gap <= 1e-12
     elapsed = _verdict(capfd, 2, "noise-free squared-distance contraction", ok, started, budget)
     assert worst_gap <= 1e-12, worst_gap
@@ -172,12 +172,11 @@ def test_acceptance_04_complexity_bounds(capfd):
     k_bound = complexity_K(rc, rho, eps)
     m_bound = complexity_M(rc, rho, eps)
     config = PgrConfig(alpha=alpha, rho=rho, max_iter=math.ceil(k_bound) + 6, seed=3)
-    traces = [run_pgr(game, config, x0, x_star=x_star, replication=r)
-              for r in range(100)]
-    mean = np.mean(np.stack([t.errors for t in traces]), axis=0)
+    trace = run_pgr(game, config, x0, x_star=x_star, replications=range(100))
+    mean = np.mean(trace.errors, axis=0)
     reached = np.nonzero(mean <= eps)[0]
     first = int(reached[0]) if reached.size else 10 ** 9
-    samples_at_first = sum(traces[0].batches[:first])
+    samples_at_first = sum(trace.batches[:first])
     # frozen hand-plugged calculator values
     rc_a = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
     k_hand_ok = abs(complexity_K(rc_a, 0.5, 0.01)
@@ -263,9 +262,9 @@ def test_acceptance_07_distributed_linear_rate(capfd):
     beta = mixing_params(graph).beta
     m_compact = monotonicity_constants(game).m_compact
     config = DistConfig(alpha=alpha, max_iter=40, seed=5)
-    traces = [run_dist_pgr(game, graph, config, x_star=x_star, replication=r)
-              for r in range(100)]
-    mean = np.mean(np.stack([t.errors for t in traces]), axis=0)
+    trace = run_dist_pgr(game, graph, config, x_star=x_star,
+                         replications=range(100))
+    mean = np.mean(trace.errors, axis=0)
     rc = dist_rate_constants(game, graph, alpha)
     mid = StrategyProfile.from_vector(np.full(5, 0.5), (1,) * 5)
     constant, rate = dist_envelope_params(rc, c_start=mid.distance(x_star) ** 2)
@@ -273,8 +272,8 @@ def test_acceptance_07_distributed_linear_rate(capfd):
     slope = fit_linear_rate(mean, window=(5, 40)).slope
     slope_cap = math.log(rate) + 0.05
     worst_consensus = -np.inf
-    for t in traces:
-        for k, cerr in enumerate(t.consensus_errors):
+    for row in trace.consensus_errors:
+        for k, cerr in enumerate(row):
             worst_consensus = max(worst_consensus,
                                   cerr - 2.0 * m_compact * beta ** (k + 1))
     ok = max_ratio <= 1.0 and slope <= slope_cap and worst_consensus <= 1e-12
@@ -314,7 +313,7 @@ def test_acceptance_08_componentwise_contraction(capfd):
                                         m_max=1.0, c_r=1.0), x0, x_star=x_star)
         for k in range(15):
             worst_step = max(worst_step,
-                             trace.errors[k + 1] - cert.a * trace.errors[k])
+                             trace.errors[0, k + 1] - cert.a * trace.errors[0, k])
     ok = worst_pair <= 1e-10 and worst_step <= 1e-10
     elapsed = _verdict(capfd, 8, "best-response moves below the certificate matrix",
                        ok, started, budget)
@@ -357,9 +356,8 @@ def test_acceptance_10_best_response_rate_and_complexity(capfd):
     x_star = solve_ne_oracle(game)
     x0 = StrategyProfile.zeros((1, 1))
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=27, seed=5, eta_tilde=0.75)
-    traces = [run_pbr(game, config, x0, x_star=x_star, replication=r)
-              for r in range(100)]
-    mean = np.mean(np.stack([t.errors for t in traces]), axis=0)
+    trace = run_pbr(game, config, x0, x_star=x_star, replications=range(100))
+    mean = np.mean(trace.errors, axis=0)
     cert = contraction_certificate(game, 1.0)
     c_start = max(float(np.linalg.norm(x0.blocks[i] - x_star.blocks[i]))
                   for i in range(2))
@@ -372,7 +370,7 @@ def test_acceptance_10_best_response_rate_and_complexity(capfd):
     out = pbr_complexity(full, a=cert.a, eps=eps, n_players=2, c_start=c_start)
     reached = np.nonzero(mean <= eps)[0]
     first = int(reached[0]) if reached.size else 10 ** 9
-    counters_ok = all(t.counter.total_samples == 2 * sum(t.batches) for t in traces)
+    counters_ok = trace.counter.total_samples == 2 * sum(trace.batches)
     ok = max_ratio <= 1.0 and first <= out.k_eps + 2 and counters_ok
     elapsed = _verdict(capfd, 10, "best-response decay inside the shifted envelope",
                        ok, started, budget)

@@ -191,7 +191,7 @@ def test_run_records_norm_errors_and_exact_counters():
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=12, seed=5)
     trace = run_pbr(game, config, x0, x_star=x_star)
     assert trace.error_metric == "distance"
-    assert trace.errors[0] == pytest.approx(math.sqrt(2 / 9), abs=1e-9)
+    assert trace.errors[0, 0] == pytest.approx(math.sqrt(2 / 9), abs=1e-9)
     assert trace.counter.total_samples == 2 * sum(trace.batches)
     assert trace.counter.inner_solves == 2 * 12
     again = run_pbr(game, config, x0, x_star=x_star)
@@ -206,7 +206,7 @@ def test_noise_free_run_contracts_at_the_certificate_rate():
     trace = run_pbr(game, PbrConfig(mu=1.0, eta_br=0.7, max_iter=20, seed=5,
                                     m_max=1.0, c_r=1.0), x0, x_star=x_star)
     for k in range(20):
-        assert trace.errors[k + 1] <= cert.a * trace.errors[k] + 1e-10
+        assert trace.errors[0, k + 1] <= cert.a * trace.errors[0, k] + 1e-10
 
 
 def test_run_started_at_the_equilibrium_stays_there():
@@ -214,7 +214,7 @@ def test_run_started_at_the_equilibrium_stays_there():
     x_star = solve_ne_oracle(game)
     trace = run_pbr(game, PbrConfig(mu=1.0, eta_br=0.7, max_iter=15,
                                     m_max=1.0, c_r=1.0), x_star, x_star=x_star)
-    assert max(trace.errors) <= 1e-10
+    assert max(trace.errors[0]) <= 1e-10
 
 
 def test_uncontractive_game_is_rejected():

@@ -591,6 +591,36 @@ def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
     assert "Traceback" not in err
 
 
+README_PBR_DOC = json.loads(
+    (Path(__file__).parent / "golden" / "readme-pbr" / "config.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])
+@pytest.mark.parametrize("doc,x0,shown", [
+    # the squared distance overflows although x0 is finite
+    (PGR_DOC, [1e200, 1e200], "[1e+200, 1e+200] has squared distance inf"),
+    (README_PBR_DOC, [1e300, 1e300],
+     "[1e+300, 1e+300] has squared distance inf"),
+    (PGR_DOC, [float("nan"), 0.0], "[nan, 0.0] has squared distance nan"),
+    (PGR_DOC, [float("inf"), 0.0], "[inf, 0.0] has squared distance inf"),
+], ids=["pgr-1e200", "pbr-1e300", "pgr-nan", "pgr-inf"])
+def test_a_start_too_far_to_measure_exits_3_before_any_replication(
+        tmp_path: Path, capsys, doc: dict, x0: list, shown: str,
+        validate: bool):
+    out = tmp_path / "out"
+    argv = ["validate"] if validate else [doc["scheme"], "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--config", _write(tmp_path, dict(doc, x0=x0)),
+                            "--quiet"]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"invalid parameters: x0 = {shown} to the equilibrium; a run needs "
+        f"it finite\n")
+    assert not (out / "report.json").exists()
+
+
 def test_a_fit_window_of_integral_floats_writes_the_report_of_its_ints(
         tmp_path: Path):
     written = []

@@ -55,8 +55,7 @@ def test_noise_free_complete_graph_run_collapses_to_the_centralized_run():
                       mid, x_star=x_star)
     assert dist.batches == central.batches
     assert np.array_equal(dist.errors, central.errors)
-    for a, b in zip(dist.final.blocks, central.final.blocks):
-        assert np.array_equal(a, b)
+    assert np.array_equal(dist.final, central.final)
 
 
 def test_tracking_identity_holds_under_noise():
@@ -104,7 +103,7 @@ def test_consensus_error_decays_inside_the_mixing_bound():
                          x_star=x_star)
     beta = mixing_params(graph).beta
     m_compact = monotonicity_constants(game).m_compact
-    for k, cerr in enumerate(trace.consensus_errors):
+    for k, cerr in enumerate(trace.consensus_errors[0]):
         assert cerr <= 2.0 * m_compact * beta ** (k + 1) + 1e-12
 
 
@@ -116,7 +115,7 @@ def test_run_is_deterministic_per_seed_and_replication():
     t1 = run_dist_pgr(game, graph, cfg, x_star=x_star)
     t2 = run_dist_pgr(game, graph, cfg, x_star=x_star)
     assert np.array_equal(t1.errors, t2.errors)
-    t3 = run_dist_pgr(game, graph, cfg, x_star=x_star, replication=1)
+    t3 = run_dist_pgr(game, graph, cfg, x_star=x_star, replications=[1])
     assert not np.array_equal(t1.errors, t3.errors)
 
 
@@ -210,7 +209,7 @@ def test_default_start_is_the_box_midpoint():
     trace = run_dist_pgr(game, graph, DistConfig(alpha=0.05, max_iter=1, beta=0.25, seed=0),
                          x_star=solve_ne_oracle(game))
     mid = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
-    assert trace.errors[0] == pytest.approx(mid.distance(solve_ne_oracle(game)) ** 2, abs=1e-12)
+    assert trace.errors[0, 0] == pytest.approx(mid.distance(solve_ne_oracle(game)) ** 2, abs=1e-12)
 
 
 def _player_gradient(game: AggregativeGame, i: int, x_i, y) -> np.ndarray:
@@ -264,10 +263,10 @@ def test_vectorized_run_matches_the_per_player_reference_loop():
     config = DistConfig(alpha=0.5 * consts.eta / consts.lip ** 2,
                         max_iter=12, seed=3)
     x_star = solve_ne_oracle(game)
-    trace = run_dist_pgr(game, graph, config, x_star=x_star, replication=1)
+    trace = run_dist_pgr(game, graph, config, x_star=x_star, replications=[1])
     errors, consensus_errors, final = _reference_dist_run(
         game, graph, config, x_star, replication=1)
-    assert np.array_equal(trace.errors, errors)
-    assert np.array_equal(trace.consensus_errors, consensus_errors)
-    assert np.array_equal(trace.final.vector, final)
+    assert np.array_equal(trace.errors[0], errors)
+    assert np.array_equal(trace.consensus_errors[0], consensus_errors)
+    assert np.array_equal(trace.final[0], final)
     assert np.count_nonzero(final == game.hi) >= 1

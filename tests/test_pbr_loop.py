@@ -106,14 +106,14 @@ def test_run_matches_the_per_site_reference_loop_bit_for_bit(
     config = PbrConfig(mu=mu, eta_br=eta_br, max_iter=max_iter, seed=seed)
     x_star = solve_ne_oracle(game)
     x0 = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
-    trace = run_pbr(game, config, x0, x_star, replication=replication)
+    trace = run_pbr(game, config, x0, x_star, replications=[replication])
     errors, batches, cum_samples, cum_inner, counter, final = \
         _reference_run_pbr(game, config, x0, x_star, replication)
-    assert np.array_equal(trace.errors, errors)
-    assert trace.errors.tobytes() == errors.tobytes()
+    assert np.array_equal(trace.errors[0], errors)
+    assert trace.errors[0].tobytes() == errors.tobytes()
     assert trace.batches == batches
     assert trace.cum_samples == cum_samples
     assert trace.cum_inner == cum_inner
     assert trace.counter == counter
-    assert trace.final.dims == final.dims
-    assert trace.final.vector.tobytes() == final.vector.tobytes()
+    assert trace.final.shape == (1, sum(final.dims))
+    assert trace.final[0].tobytes() == final.vector.tobytes()

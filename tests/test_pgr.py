@@ -159,7 +159,7 @@ def test_run_is_deterministic_and_counts_work():
     again = run_pgr(game, config, x0, x_star=x_star)
     assert np.array_equal(trace.errors, again.errors)
     assert trace.error_metric == "squared_distance"
-    assert trace.errors[0] == pytest.approx(2 / 9, abs=1e-9)
+    assert trace.errors[0, 0] == pytest.approx(2 / 9, abs=1e-9)
     assert trace.batches[:5] == [2, 2, 2, 2, 2]
     assert all(trace.batches[k] == math.ceil((1 / 0.9) ** (k + 1)) for k in range(60))
     assert trace.counter.total_samples == sum(trace.batches)
@@ -176,7 +176,7 @@ def test_noise_free_run_contracts_at_q_every_step():
     trace = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=30, seed=0),
                     x0, x_star=x_star)
     for k in range(30):
-        assert trace.errors[k + 1] <= q * trace.errors[k] + 1e-12
+        assert trace.errors[0, k + 1] <= q * trace.errors[0, k] + 1e-12
 
 
 def test_run_rejects_unstable_step():
@@ -212,8 +212,8 @@ def test_replication_index_shifts_the_stream():
     x_star = solve_ne_oracle(game)
     x0 = StrategyProfile.zeros((1, 1))
     cfg = PgrConfig(alpha=0.2, rho=0.9, max_iter=20, seed=1)
-    t0 = run_pgr(game, cfg, x0, x_star=x_star, replication=0)
-    t1 = run_pgr(game, cfg, x0, x_star=x_star, replication=1)
+    t0 = run_pgr(game, cfg, x0, x_star=x_star, replications=[0])
+    t1 = run_pgr(game, cfg, x0, x_star=x_star, replications=[1])
     assert not np.array_equal(t0.errors, t1.errors)
 
 
@@ -238,5 +238,5 @@ def test_noise_free_run_beats_the_envelope_on_random_games():
         rc = rate_constants(const.eta, const.lip, alpha, 0.9, 0.0,
                             x0.distance(x_star) ** 2)
         constant, rate = envelope_params(rc, 0.9)
-        for k, err in enumerate(trace.errors):
+        for k, err in enumerate(trace.errors[0]):
             assert err <= constant * rate ** k + 1e-12

@@ -210,16 +210,16 @@ def _check_run(game, rng, step_share, rho, max_iter, seed, replication,
     x_star = solve_ne_oracle(game)
     x0 = StrategyProfile.from_vector(2.0 * rng.standard_normal(game.dim),
                                      game.dims)
-    trace = run_pgr(game, config, x0, x_star, replication=replication)
+    trace = run_pgr(game, config, x0, x_star, replications=[replication])
     errors, batches, cum_samples, cum_prox, counter, final = \
         _reference_run_pgr(game, config, x0, x_star, replication)
-    _assert_same_bits(trace.errors, errors)
+    _assert_same_bits(trace.errors[0], errors)
     assert trace.batches == batches
     assert trace.cum_samples == cum_samples
     assert trace.cum_prox == cum_prox
     assert trace.counter == counter
-    assert trace.final.dims == final.dims
-    _assert_same_bits(trace.final.vector, final.vector)
+    assert trace.final.shape == (1, sum(final.dims))
+    _assert_same_bits(trace.final[0], final.vector)
 
 
 _RUN_KEYS = dict(step_share=st.floats(0.05, 0.95), rho=st.floats(0.3, 0.95),
@@ -311,5 +311,5 @@ def test_run_builds_no_game_copy(monkeypatch):
     config = PgrConfig(alpha=0.2, rho=0.8, max_iter=10, seed=4)
     for r in range(3):
         run_pgr(game, config, StrategyProfile.zeros((1, 1)), x_star,
-                replication=r)
+                replications=[r])
     assert builds == []

@@ -1,12 +1,13 @@
 """All replications of a run in one solver call.
 
-run_pgr, run_dist_pgr and run_pbr take one replication id, for which they
-return one RunTrace, or a sequence of ids, for which they run every
-replication in one stacked loop and return one RunTrace per id. The
-stacked call must give each replication exactly the trace of its own
-one-replication call, and still make one oracle call, one consensus
-refresh and one inner solve per replication where one replication alone
-makes one. A run failure names the iteration and the replication.
+run_pgr, run_dist_pgr and run_pbr take a sequence of replication ids, run
+every replication in one stacked loop and return one RunTrace for all of
+them, row j for the j-th id; a bare int or an empty sequence is rejected.
+Row j of a stacked call must be exactly row 0 of the call with the j-th
+id alone, and the stacked call must still make one oracle call, one
+consensus refresh and one inner solve per replication where one
+replication alone makes one. A run failure names the iteration and the
+replication.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from nashprox import (
     solve_ne_oracle,
 )
 from nashprox import best_response as best_response_module
+from nashprox import pgr as pgr_module
 from nashprox import sampling as sampling_module
 from nashprox.cli import main
 
@@ -60,35 +62,39 @@ _COURNOT_STAR = solve_ne_oracle(_COURNOT)
 _RING = ring_graph(5)
 
 
-def _pgr(replication, seed=3):
+def _pgr(replications, seed=3):
     x0 = StrategyProfile.from_vector(np.array([0.9, -0.7, 0.8, 1.2]),
                                      _QUAD.dims)
     return run_pgr(_QUAD, PgrConfig(alpha=0.2, rho=0.8, max_iter=11,
-                                    seed=seed), x0, _QUAD_STAR, replication)
+                                    seed=seed), x0, _QUAD_STAR, replications)
 
 
-def _dist(replication, seed=3):
+def _dist(replications, seed=3):
     return run_dist_pgr(_COURNOT, _RING,
                         DistConfig(alpha=0.02, max_iter=9, seed=seed),
-                        _COURNOT_STAR, replication=replication)
+                        _COURNOT_STAR, replications=replications)
 
 
-def _pbr(replication, seed=3):
+def _pbr(replications, seed=3):
     return run_pbr(_QUAD, PbrConfig(mu=1.0, eta_br=0.6, max_iter=7, seed=seed),
-                   StrategyProfile.zeros(_QUAD.dims), _QUAD_STAR, replication)
+                   StrategyProfile.zeros(_QUAD.dims), _QUAD_STAR,
+                   replications)
 
 
 _RUNS = {"pgr": _pgr, "dist-pgr": _dist, "pbr": _pbr}
+_RUNS_DIM = {"pgr": _QUAD.dim, "dist-pgr": _COURNOT.dim, "pbr": _QUAD.dim}
 
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _assert_same_run(stacked: RunTrace, single: RunTrace) -> None:
-    assert _bits(stacked.errors) == _bits(single.errors)
-    assert _bits(stacked.final.vector) == _bits(single.final.vector)
-    assert stacked.final.dims == single.final.dims
+def _assert_same_row(stacked: RunTrace, j: int, single: RunTrace) -> None:
+    """Row j of stacked equals the one row of single, bit for bit, and
+    the shared columns are equal."""
+    assert len(single.errors) == len(single.final) == 1
+    assert _bits(stacked.errors[j]) == _bits(single.errors[0])
+    assert _bits(stacked.final[j]) == _bits(single.final[0])
     for column in ("batches", "cum_samples", "cum_prox", "cum_comm",
                    "cum_inner", "taus"):
         assert getattr(stacked, column) == getattr(single, column)
@@ -96,8 +102,8 @@ def _assert_same_run(stacked: RunTrace, single: RunTrace) -> None:
     if single.consensus_errors is None:
         assert stacked.consensus_errors is None
     else:
-        assert _bits(stacked.consensus_errors) == \
-            _bits(single.consensus_errors)
+        assert _bits(stacked.consensus_errors[j]) == \
+            _bits(single.consensus_errors[0])
 
 
 @pytest.mark.parametrize("reps", [1, 2, 7])
@@ -105,11 +111,11 @@ def _assert_same_run(stacked: RunTrace, single: RunTrace) -> None:
 def test_the_all_rows_call_equals_one_call_per_replication(scheme, reps):
     run = _RUNS[scheme]
     stacked = run(range(reps))
-    assert isinstance(stacked, list) and len(stacked) == reps
-    for r, trace in enumerate(stacked):
-        single = run(r)
-        assert isinstance(single, RunTrace)
-        _assert_same_run(trace, single)
+    assert isinstance(stacked, RunTrace)
+    assert stacked.errors.shape == (reps, stacked.iterations + 1)
+    assert stacked.final.shape == (reps, _RUNS_DIM[scheme])
+    for r in range(reps):
+        _assert_same_row(stacked, r, run([r]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -119,8 +125,9 @@ def test_the_all_rows_call_equals_one_call_per_replication(scheme, reps):
 def test_any_replication_ids_in_any_order_match_their_own_runs(scheme, seed,
                                                                  ids):
     run = _RUNS[scheme]
-    for r, trace in zip(ids, run(ids, seed=seed)):
-        _assert_same_run(trace, run(r, seed=seed))
+    stacked = run(ids, seed=seed)
+    for j, r in enumerate(ids):
+        _assert_same_row(stacked, j, run([r], seed=seed))
 
 
 @pytest.mark.parametrize("scheme", sorted(_RUNS))
@@ -129,13 +136,22 @@ def test_an_empty_sequence_of_replication_ids_is_rejected(scheme):
         _RUNS[scheme]([])
 
 
+@pytest.mark.parametrize("scheme", sorted(_RUNS))
+def test_a_bare_replication_id_is_rejected(scheme):
+    # a bare 50 would otherwise run the replication with id 50 alone
+    with pytest.raises(ValueError, match=r"id, as \[r\] or range\(R\), "
+                       r"got 50$"):
+        _RUNS[scheme](50)
+
+
 def test_replications_differ_and_each_trace_owns_its_columns():
-    first, second = _pgr([0, 1])
-    assert _bits(first.errors) != _bits(second.errors)
-    first.cum_samples.append(-1)
-    first.counter.total_samples += 1
-    assert second.cum_samples[-1] != -1
-    assert second.counter != first.counter
+    trace, again = _pgr([0, 1]), _pgr([0, 1])
+    assert _bits(trace.errors[0]) != _bits(trace.errors[1])
+    assert _bits(trace.final[0]) != _bits(trace.final[1])
+    trace.cum_samples.append(-1)
+    trace.counter.total_samples += 1
+    assert again.cum_samples[-1] != -1
+    assert again.counter != trace.counter
 
 
 def _rebind(monkeypatch, module, name: str, amount) -> list[int]:
@@ -203,35 +219,52 @@ _DIVERGING_DOC = {
 # A run can only diverge from a start whose distance to the equilibrium
 # already overflows: with lip < 1e154 a gradient at a start of finite
 # squared norm stays finite, and an admissible noise level (nu^2 finite) is
-# far below the spacing of floats near 1e308. The overflow is reported as
-# the divergence, without a numpy warning (which pytest turns into an
-# error here).
+# far below the spacing of floats near 1e308. The command line rejects
+# such a start before the first replication (exit 3); the library reports
+# the overflow as the divergence. Neither prints a numpy warning (which
+# pytest turns into an error here).
 def test_a_diverging_run_exits_4_naming_the_iteration_and_replication(
-        tmp_path: Path, capsys):
-    # H x overflows at the start: 2e308 + 1e308 is inf in every replication
+        tmp_path: Path, capsys, monkeypatch):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_DIVERGING_DOC))
+    assert main(["pgr", "--config", str(cfg), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "invalid parameters: x0 = [1e+308, 1e+308] has squared distance "
+        "inf to the equilibrium; a run needs it finite\n")
+    # from the default start, an oracle gradient that overflows at
+    # iteration 2 of the second of three replications (the 8th call)
+    gradient, calls = pgr_module.sample_batch_gradient, [0]
+
+    def overflowing(*args):
+        calls[0] += 1
+        g = gradient(*args)
+        return np.full_like(g, np.inf) if calls[0] == 2 * 3 + 2 else g
+
+    monkeypatch.setattr(pgr_module, "sample_batch_gradient", overflowing)
+    doc = {k: v for k, v in _DIVERGING_DOC.items() if k != "x0"}
+    cfg.write_text(json.dumps(doc))
     assert main(["pgr", "--config", str(cfg), "--quiet"]) == 4
     assert capsys.readouterr().err == (
-        "runtime failure: iterate became non-finite at iteration 0 of "
-        "replication 0\n")
+        "runtime failure: iterate became non-finite at iteration 2 of "
+        "replication 1\n")
 
 
-@pytest.mark.parametrize("replication,named", [(3, 3), ([5, 2], 5)])
+@pytest.mark.parametrize("replication,named", [
+    pytest.param([3], 3, id="3-3"), ([5, 2], 5)])
 def test_a_diverging_library_run_names_its_replication(replication, named):
     game = build_game(_DIVERGING_DOC["game"])
     x0 = StrategyProfile.from_vector(np.array(_HUGE_START), game.dims)
     with pytest.raises(Divergence, match=f"non-finite at iteration 0 of "
                        f"replication {named}$") as info:
         run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=5), x0,
-                replication=replication)
+                replications=replication)
     assert info.value.iteration == 0
     # the aggregate N v_hat = 1.5e308 plus a_i x_i overflows
     start = StrategyProfile.from_vector(np.full(5, 3e307), _COURNOT.dims)
     with pytest.raises(Divergence, match=f"non-finite at iteration 0 of "
                        f"replication {named}$"):
         run_dist_pgr(_COURNOT, _RING, DistConfig(alpha=0.02, max_iter=5),
-                     replication=replication, x0=start)
+                     replications=replication, x0=start)
 
 
 def test_an_inner_solve_failure_names_the_iteration_and_replication(

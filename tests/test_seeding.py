@@ -167,11 +167,11 @@ def test_a_run_cut_short_by_target_eps_draws_the_leading_rows(game):
     full = PgrConfig(alpha=0.1, rho=0.8, max_iter=40, seed=9)
     short = PgrConfig(alpha=0.1, rho=0.8, max_iter=40, seed=9,
                       target_eps=0.05)
-    whole = run_pgr(game, full, x0, x_star, replication=2)
-    cut = run_pgr(game, short, x0, x_star, replication=2)
+    whole = run_pgr(game, full, x0, x_star, replications=[2])
+    cut = run_pgr(game, short, x0, x_star, replications=[2])
     k = len(cut.batches)
     assert 1 <= k < len(whole.batches)
-    assert cut.errors.tobytes() == whole.errors[:k + 1].tobytes()
+    assert cut.errors[0].tobytes() == whole.errors[0, :k + 1].tobytes()
     assert cut.batches == whole.batches[:k]
 
 
@@ -199,9 +199,8 @@ def test_replication_streams_differ_from_the_game_and_graph_streams(seed):
 
 
 def _recorded(monkeypatch) -> list[list[np.ndarray]]:
-    """Every error row the solvers' shared loop (trace.iterate) draws
-    through iteration_errors, one list of (1, n) rows per one-replication
-    run."""
+    """Every error array the solvers' shared loop (trace.iterate) draws
+    through iteration_errors, one list of (R, n) arrays per run."""
     seen = []
 
     def recording(*args):
@@ -218,19 +217,19 @@ def _recorded(monkeypatch) -> list[list[np.ndarray]]:
 def _pgr_runs(game, reps):
     config = PgrConfig(alpha=0.1, rho=0.7, max_iter=12, seed=4)
     x0 = StrategyProfile.zeros(game.dims)
-    return [run_pgr(game, config, x0, replication=r) for r in range(reps)]
+    return run_pgr(game, config, x0, replications=range(reps))
 
 
 def _dist_runs(game, reps):
     config = DistConfig(alpha=0.02, max_iter=12, seed=6)
-    return [run_dist_pgr(game, ring_graph(game.n_players), config,
-                         replication=r) for r in range(reps)]
+    return run_dist_pgr(game, ring_graph(game.n_players), config,
+                        replications=range(reps))
 
 
 def _pbr_runs(game, reps):
     config = PbrConfig(mu=1.0, eta_br=0.6, max_iter=8, seed=8)
     x0 = StrategyProfile.zeros(game.dims)
-    return [run_pbr(game, config, x0, replication=r) for r in range(reps)]
+    return run_pbr(game, config, x0, replications=range(reps))
 
 
 _CASES = {
@@ -259,12 +258,11 @@ def test_errors_have_the_calibrated_second_moment(monkeypatch, case):
     and no pair beyond 5/sqrt(M) (under 2e-4 for all pairs together)."""
     runs, game, reps, blocks = _CASES[case]
     seen = _recorded(monkeypatch)
-    traces = runs(game, reps)
-    assert len(seen) == reps
+    trace = runs(game, reps)
+    assert len(seen) == 1 and all(w.shape[0] == reps for w in seen[0])
+    n_k = np.array(trace.batches, dtype=float)[:, None]
     ratios, variance, standardized = [], 0.0, []
-    for rows, trace in zip(seen, traces):
-        w = np.concatenate(rows)
-        n_k = np.array(trace.batches, dtype=float)[:, None]
+    for w in np.stack(seen[0], axis=1):  # one (K, n) block per replication
         offset, cols = 0, []
         for nu, d in blocks:
             block = w[:, offset:offset + d]

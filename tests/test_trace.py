@@ -1,6 +1,7 @@
 """The growing-batch loop the three solvers share (trace.iterate) and the
 RunTrace it returns: every scheme carries the four cumulative counter
-columns, one entry per iteration, ending at the run's counter."""
+columns, one entry per iteration and shared by every row, ending at the
+run's counter."""
 
 from __future__ import annotations
 
@@ -28,19 +29,19 @@ _COURNOT = generate_cournot_game(4, seed=2, nu=0.3)
 def _pgr(x0=None):
     x0 = x0 or StrategyProfile.zeros(_QUAD.dims)
     return run_pgr(_QUAD, PgrConfig(alpha=0.05, rho=0.8, max_iter=12, seed=3),
-                   x0, solve_ne_oracle(_QUAD), replication=1)
+                   x0, solve_ne_oracle(_QUAD), replications=[1])
 
 
 def _dist(x0=None):
     return run_dist_pgr(_COURNOT, ring_graph(4),
                         DistConfig(alpha=0.02, max_iter=12, seed=3),
-                        solve_ne_oracle(_COURNOT), replication=1, x0=x0)
+                        solve_ne_oracle(_COURNOT), replications=[1], x0=x0)
 
 
 def _pbr(x0=None):
     x0 = x0 or StrategyProfile.zeros(_QUAD.dims)
     return run_pbr(_QUAD, PbrConfig(mu=1.0, eta_br=0.6, max_iter=8, seed=3),
-                   x0, solve_ne_oracle(_QUAD), replication=1)
+                   x0, solve_ne_oracle(_QUAD), replications=[1])
 
 
 _RUNS = {"pgr": _pgr, "dist-pgr": _dist, "pbr": _pbr}
@@ -52,7 +53,7 @@ def test_counter_columns_have_one_entry_per_iteration_and_end_at_the_counter(
     trace = _RUNS[scheme]()
     n = trace.iterations
     assert n == len(trace.batches) > 0
-    assert trace.errors.shape == (n + 1,)
+    assert trace.errors.shape == (1, n + 1)
     assert np.all(np.isfinite(trace.errors))
     c = trace.counter
     for column, total in ((trace.cum_samples, c.total_samples),
@@ -78,7 +79,7 @@ def test_each_scheme_counts_its_own_effort():
     assert dist.cum_samples == (4 * np.cumsum(dist.batches)).tolist()
     assert dist.cum_prox == ks.tolist()
     assert dist.cum_inner == [0] * 12
-    assert len(dist.consensus_errors) == 12
+    assert dist.consensus_errors.shape == (1, 12)
     pbr = _pbr()
     assert pbr.cum_inner == (3 * np.arange(1, 9)).tolist()
     assert pbr.cum_samples == (3 * np.cumsum(pbr.batches)).tolist()
