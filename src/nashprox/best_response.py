@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InnerSolveFailure
 from .games import QuadraticGame
-from .pgr import power_or_inf
+from .pgr import geometric_complexity, power_or_inf
 from .profiles import StrategyProfile
 from .prox import Zero, compiled_prox, prox_pieces
 from .sampling import BestResponseBatch
@@ -324,29 +324,25 @@ def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
     and order_value are inf where a batch size or the power overflows a
     float.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
     if n_players < 1:
         raise ValueError(f"n_players must be >= 1, got {n_players}")
     if c_start < 0.0 or a < 0.0:
         raise ValueError("a and c_start must be >= 0")
     eta_tilde, _, envelope0 = pbr_envelope(config, a, n_players, c_start)
-    ratio = envelope0 / eps
-    log_ratio = math.log(ratio) if ratio < math.inf \
-        else math.log(envelope0) - math.log(eps)
-    k_eps = max(0, math.ceil(log_ratio / math.log(1.0 / eta_tilde)))
-    m_max = config.m_max
-    c_r = config.c_r
-    if m_max is None or c_r is None:
+    # the batches grow by 1 / eta_br^2 per iteration
+    k_eps = math.ceil(geometric_complexity(envelope0, eta_tilde,
+                                           config.eta_br ** 2, eps)[0])
+    if config.m_max is None or config.c_r is None:
         raise ValueError(
             "pbr_complexity needs m_max and c_r resolved in the config "
             "(see resolved_schedule)")
-    schedule = BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
+    schedule = BestResponseBatch(config.m_max, config.c_r, config.eta_br)
     try:
         samples = n_players * schedule.total(k_eps)
     except OverflowError:
         samples = math.inf
-    order_value = power_or_inf(ratio, 2.0 * math.log(1.0 / config.eta_br) /
+    order_value = power_or_inf(envelope0 / eps,
+                               2.0 * math.log(1.0 / config.eta_br) /
                                math.log(1.0 / eta_tilde))
     return PbrComplexity(k_eps=int(k_eps), samples=samples,
                          order_value=float(order_value))

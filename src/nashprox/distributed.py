@@ -27,8 +27,9 @@ import numpy as np
 from .errors import InvalidStep
 from .games import AggregativeGame, GameConstants
 from .graphs import CommGraph, consensus_apply, mixing_params
-from .pgr import BRANCH_TOL, power_or_inf
+from .pgr import geometric_complexity, geometric_envelope
 from .profiles import StrategyProfile
+from .prox import compiled_prox
 from .sampling import RootGeometricBatch
 from .trace import RunTrace, check_finite, check_run, iterate
 
@@ -121,6 +122,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     n = game.n_players
     v = np.tile(x0.vector, (np.size(replications), 1))
     consensus_errors: list[np.ndarray] = []
+    prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
         nonlocal v
@@ -133,7 +135,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
         with np.errstate(over="ignore", invalid="ignore"):  # check_finite
             forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
         check_finite(forward, k, replications)
-        x_next = game.project(forward)
+        x_next = prox(forward)
         counter.prox_evals += 1
         # Evaluated as (v - x) + x_next so that v stays bitwise equal to x
         # whenever v_0 = x_0.
@@ -218,29 +220,13 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
 
 def dist_envelope_params(rc: DistRateConstants, c_start: float,
                          varrho_tilde: float | None = None) -> tuple[float, float]:
-    """(constant, rate) of the distributed envelope constant * rate^k.
-
-    Off the knife edge beta == varrho^2 the rate is max(varrho, sqrt(beta))
-    and the constant is c_start + c3 / (1 - min(varrho/sqrt(beta),
-    sqrt(beta)/varrho)); on it a strictly larger varrho_tilde (default
-    midway to 1) gives constant c_start + c3 / (e ln(varrho_tilde/varrho)).
-    """
+    """(constant, rate) of the distributed envelope constant * rate^k:
+    pgr.geometric_envelope of c_start and the noise c3 at the rates
+    (varrho, sqrt(beta)), with varrho_tilde on the knife edge."""
     if c_start < 0.0:
         raise ValueError(f"c_start must be >= 0, got {c_start}")
-    varrho = rc.varrho
-    if abs(rc.beta - varrho ** 2) <= BRANCH_TOL:
-        if varrho_tilde is None:
-            varrho_tilde = (1.0 + varrho) / 2.0
-        if not (varrho < varrho_tilde < 1.0):
-            raise ValueError(
-                f"varrho_tilde must lie in ({varrho}, 1), got {varrho_tilde}")
-        constant = c_start + rc.c3 / (math.e * math.log(varrho_tilde / varrho))
-        return constant, varrho_tilde
-    root_beta = math.sqrt(rc.beta)
-    gap = 1.0 - min(varrho / root_beta, root_beta / varrho) if root_beta > 0.0 \
-        else 1.0
-    constant = c_start + rc.c3 / gap
-    return constant, max(varrho, root_beta)
+    return geometric_envelope(c_start, rc.c3, rc.varrho, math.sqrt(rc.beta),
+                              varrho_tilde)[:2]
 
 
 def dist_complexity(rc: DistRateConstants, beta: float, eps: float,
@@ -248,24 +234,17 @@ def dist_complexity(rc: DistRateConstants, beta: float, eps: float,
                     varrho_tilde: float | None = None) -> DistComplexity:
     """Iteration, communication, and sample bounds to reach eps.
 
-    K(eps) solves envelope = eps for the envelope of dist_envelope_params
-    (clamped at 0); communications under tau_k = k + 1 sum to
-    (K + 1)(K + 2) / 2; samples follow the schedule sum, whose closed form
-    is (constant/eps)^p / (sqrt(beta) ln(1/sqrt(beta))) + K with p the ratio
-    of ln(1/sqrt(beta)) to the envelope's log-rate.
+    K(eps) and samples are pgr.geometric_complexity's for the envelope of
+    dist_envelope_params and batches at rate sqrt(beta); communications
+    under tau_k = k + 1 sum to (K + 1)(K + 2) / 2.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if abs(beta - rc.beta) > 1e-9:
         raise ValueError(
             f"beta={beta} disagrees with rate constants built at {rc.beta}")
     constant, rate = dist_envelope_params(rc, c_start, varrho_tilde)
-    k_eps = max(0.0, math.log(constant / eps) / math.log(1.0 / rate))
-    comm = (k_eps + 1.0) * (k_eps + 2.0) / 2.0
-    root_beta = math.sqrt(beta)
-    lead = 1.0 / (root_beta * math.log(1.0 / root_beta))
-    exponent = math.log(1.0 / root_beta) / math.log(1.0 / rate)
-    samples = lead * power_or_inf(constant / eps, exponent) + k_eps
-    return DistComplexity(k_eps=k_eps, comm_rounds=comm, samples=samples)
+    k_eps, samples = geometric_complexity(constant, rate, math.sqrt(beta), eps)
+    return DistComplexity(k_eps=k_eps,
+                          comm_rounds=(k_eps + 1.0) * (k_eps + 2.0) / 2.0,
+                          samples=samples)

@@ -21,12 +21,12 @@ from .games import (AggregativeGame, Game, QuadraticGame,
                     monotonicity_constants, ne_error_bound, solve_ne_oracle)
 from .graphs import mixing_params
 from .noise import GaussianNoise, substream
-from .pgr import (PgrConfig, complexity_K, complexity_M, envelope_params,
+from .pgr import (PgrConfig, envelope_params, geometric_complexity,
                   rate_constants, run_pgr)
 from .profiles import StrategyProfile
 from .prox import prox_profile
 from .serialize import as_builtin, build_game, build_graph, validate_config
-from .trace import RunTrace
+from .trace import RunTrace, check_start
 
 
 def generate_quadratic_game(n_players: int, dim: int, coupling_strength: float,
@@ -228,15 +228,25 @@ def _pgr_setup(spec, game, x0, x_star):
     config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
                        seed=spec.seed, target_eps=s.get("target_eps"))
     c_start = x0.distance(x_star) ** 2
-    rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
-                        consts.nu, c_start)
-    theory = {"q": rc.q, "c_start": c_start, "c_rho_q": rc.c_rho_q,
-              "d_tilde": rc.d_tilde, "rho_tilde": rc.rho_tilde}
-    if config.target_eps is not None:
-        theory["k_eps"] = complexity_K(rc, config.rho, config.target_eps)
-        theory["m_eps"] = complexity_M(rc, config.rho, config.target_eps)
+    theory, envelope = _pgr_theory(consts.eta, consts.lip, config.alpha,
+                                   config.rho, consts.nu, c_start,
+                                   config.target_eps)
+    theory["c_start"] = c_start
     return (lambda reps: run_pgr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, envelope_params(rc, config.rho), None)
+            {"theory": theory}, envelope, None)
+
+
+def _pgr_theory(eta, lip, alpha, rho, nu, c_start, eps, rho_tilde=None):
+    """The theory fields a pgr run and `bounds` share (K(eps) and M(eps)
+    when eps is given) and the envelope's (constant, rate)."""
+    rc = rate_constants(eta, lip, alpha, rho, nu, c_start, rho_tilde)
+    theory = {"q": rc.q, "c_rho_q": rc.c_rho_q, "d_tilde": rc.d_tilde,
+              "rho_tilde": rc.rho_tilde}
+    envelope = envelope_params(rc, rho)
+    if eps is not None:
+        theory["k_eps"], theory["m_eps"] = geometric_complexity(
+            *envelope, rho, eps)
+    return theory, envelope
 
 
 def _dist_setup(spec, game, x0, x_star):
@@ -328,14 +338,10 @@ SCHEMES = {
 
 def _run_bounds(spec: ExperimentSpec) -> RunReport:
     s = dict(spec.solver)
-    rc = rate_constants(s["eta"], s["lip"], s["alpha"], s["rho"], s["nu"],
-                        s["c_start"], rho_tilde=s.get("rho_tilde"))
-    constant, rate = envelope_params(rc, s["rho"])
-    theory = {"q": rc.q, "c_rho_q": rc.c_rho_q, "d_tilde": rc.d_tilde,
-              "rho_tilde": rc.rho_tilde, "envelope_constant": constant,
-              "envelope_rate": rate,
-              "k_eps": complexity_K(rc, s["rho"], s["eps"]),
-              "m_eps": complexity_M(rc, s["rho"], s["eps"])}
+    theory, (constant, rate) = _pgr_theory(
+        s["eta"], s["lip"], s["alpha"], s["rho"], s["nu"], s["c_start"],
+        s["eps"], s.get("rho_tilde"))
+    theory.update(envelope_constant=constant, envelope_rate=rate)
     return RunReport({"scheme": "bounds", "seed": spec.seed,
                       "replications": spec.replications, "solver": s,
                       "theory": theory})
@@ -360,12 +366,7 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     x_star = solve_ne_oracle(game)
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq_distance = (dx := x0.vector - x_star.vector) @ dx
-    if not np.isfinite(sq_distance):
-        raise ValueError(f"x0 = {x0.vector.tolist()} has squared distance "
-                         f"{sq_distance} to the equilibrium; a run needs it "
-                         f"finite")
+    check_start(x0, x_star)
     solve, fields, envelope, finish = scheme.setup(spec, game, x0, x_star)
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),

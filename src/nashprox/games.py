@@ -276,11 +276,6 @@ class AggregativeGame:
         a, b, _, _ = self._arrays
         return a * x + b - self.d + self.c_price * y + self.c_price * x
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Clip every player's strategy to its box (the joint prox)."""
-        _, _, lo, hi = self._arrays
-        return np.clip(x, lo, hi)
-
     def midpoint(self) -> StrategyProfile:
         """The profile at the centre of every player's box."""
         _, _, lo, hi = self._arrays

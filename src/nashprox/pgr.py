@@ -25,10 +25,10 @@ from .games import Game, QuadraticGame
 from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
-from .trace import RunTrace, check_finite, check_run, iterate
+from .trace import RunTrace, check_finite, check_run, check_start, iterate
 
-# Relative width of the band around rho == q (or beta == varrho^2) inside
-# which the two decay rates are treated as matched.
+# Absolute width of the band |base - other| in which geometric_envelope treats
+# the rates (rho and q for pgr, varrho and sqrt(beta) for dist-pgr) as equal.
 BRANCH_TOL = 1e-12
 
 
@@ -93,13 +93,10 @@ def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:
 
 def rate_constants(eta: float, lip: float, alpha: float, rho: float, nu: float,
                    c_start: float, rho_tilde: float | None = None) -> RateConstants:
-    """Envelope constants for the mean squared error of the growing-batch run.
-
-    c_start bounds E||x_0 - x*||^2. Off the knife edge the geometric series
-    of noise terms sums to c_rho_q = c_start + alpha^2 nu^2 / (1 - min(rho/q,
-    q/rho)); on it (|rho - q| <= 1e-12) the envelope needs a strictly larger
-    rate rho_tilde (default midway to 1) and constant d_tilde = c_start +
-    alpha^2 nu^2 / (e ln(rho_tilde / rho)).
+    """Envelope constants for the mean squared error of the growing-batch run:
+    geometric_envelope of c_start, a bound on E||x_0 - x*||^2, and the noise
+    alpha^2 nu^2 at the rates (rho, q). Off the knife edge rho == q its
+    constant is c_rho_q; on it, d_tilde at rate rho_tilde.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
@@ -107,19 +104,33 @@ def rate_constants(eta: float, lip: float, alpha: float, rho: float, nu: float,
         raise ValueError(f"need c_start >= 0 and nu >= 0 with nu^2 finite, "
                          f"got c_start={c_start}, nu={nu}")
     q = contraction_factor_q(eta, lip, alpha)
-    if abs(rho - q) <= BRANCH_TOL:
-        if rho_tilde is None:
-            rho_tilde = (1.0 + rho) / 2.0
-        if not (rho < rho_tilde < 1.0):
-            raise ValueError(
-                f"rho_tilde must lie in ({rho}, 1), got {rho_tilde}")
-        d_tilde = c_start + alpha ** 2 * nu ** 2 / (math.e * math.log(rho_tilde / rho))
-        return RateConstants(q=q, c_start=c_start, c_rho_q=None,
-                             d_tilde=d_tilde, rho_tilde=rho_tilde)
-    gap = 1.0 - (q / rho if q < rho else rho / q)  # min of the two; q may be 0
-    c_rho_q = c_start + alpha ** 2 * nu ** 2 / gap
-    return RateConstants(q=q, c_start=c_start, c_rho_q=c_rho_q,
-                         d_tilde=None, rho_tilde=None)
+    constant, _, rho_tilde = geometric_envelope(c_start, alpha ** 2 * nu ** 2,
+                                                rho, q, rho_tilde)
+    c_rho_q, d_tilde = (None, constant) if rho_tilde else (constant, None)
+    return RateConstants(q, c_start, c_rho_q, d_tilde, rho_tilde)
+
+
+def geometric_envelope(c_start: float, noise: float, base: float,
+                       other: float, tilde: float | None = None
+                       ) -> tuple[float, float, float | None]:
+    """(constant, rate, tilde) of the envelope constant * rate^k of an error
+    that contracts at rate base and gains noise * other^k per step.
+
+    Off the knife edge, constant = c_start + noise / (1 - min(base/other,
+    other/base)), rate = max(base, other) and tilde is None. On it
+    (|base - other| <= BRANCH_TOL), rate = tilde in (base, 1), default
+    midway to 1, and constant = c_start + noise / (e ln(tilde / base)).
+    """
+    if abs(base - other) <= BRANCH_TOL:
+        if tilde is None:
+            tilde = (1.0 + base) / 2.0
+        if not (base < tilde < 1.0):
+            raise ValueError(f"rho_tilde / varrho_tilde must lie in "
+                             f"({base}, 1), got {tilde}")
+        constant = c_start + noise / (math.e * math.log(tilde / base))
+        return constant, tilde, tilde
+    gap = 1.0 - (other / base if other < base else base / other)
+    return c_start + noise / gap, max(base, other), None
 
 
 def envelope_params(rc: RateConstants, rho: float) -> tuple[float, float]:
@@ -130,30 +141,35 @@ def envelope_params(rc: RateConstants, rho: float) -> tuple[float, float]:
 
 
 def complexity_K(rc: RateConstants, rho: float, eps: float) -> float:
-    """Iterations needed for the envelope to reach eps (clamped at 0).
-
-    Uses the envelope rate: q when rho < q, rho when q < rho, rho_tilde on
-    the knife edge.
-    """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    constant, rate = envelope_params(rc, rho)
-    return max(0.0, math.log(constant / eps) / math.log(1.0 / rate))
+    """Iterations for rc's envelope to reach eps (geometric_complexity)."""
+    return geometric_complexity(*envelope_params(rc, rho), rho, eps)[0]
 
 
 def complexity_M(rc: RateConstants, rho: float, eps: float) -> float:
-    """Oracle samples consumed up to K(eps) under N_k = ceil(rho^{-(k+1)}).
+    """Oracle samples consumed up to K(eps) under N_k = ceil(rho^{-(k+1)})
+    (geometric_complexity)."""
+    return geometric_complexity(*envelope_params(rc, rho), rho, eps)[1]
 
-    The geometric sum is bounded by (1/(rho ln(1/rho))) * rho^{-K} plus the
-    ceiling corrections, one per iteration, giving the additive K term. The
-    exponent of (constant/eps) reflects which rate drives K: ln(1/rho)/ln(1/q)
-    when rho < q, 1 when q < rho, ln(1/rho)/ln(1/rho_tilde) on the knife edge.
+
+def geometric_complexity(constant: float, rate: float, batch_rate: float,
+                         eps: float) -> tuple[float, float]:
+    """(K, samples) for the envelope constant * rate^k to reach eps under
+    batches N_k = ceil(batch_rate^{-(k+1)}).
+
+    K = ln(constant / eps) / ln(1 / rate), clamped at 0 (finite when only
+    the ratio overflows). The batch sum is at most (constant / eps)^p /
+    (batch_rate ln(1 / batch_rate)), p = ln(1 / batch_rate) / ln(1 / rate),
+    plus one ceiling per iteration, K; samples is inf where that overflows.
     """
-    k_eps = complexity_K(rc, rho, eps)
-    lead = 1.0 / (rho * math.log(1.0 / rho))
-    constant, rate = envelope_params(rc, rho)
-    exponent = math.log(1.0 / rho) / math.log(1.0 / rate)
-    return lead * power_or_inf(constant / eps, exponent) + k_eps
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    ratio = constant / eps
+    log_ratio = math.log(ratio) if ratio < math.inf \
+        else math.log(constant) - math.log(eps)
+    k_eps = max(0.0, log_ratio / math.log(1.0 / rate))
+    lead = 1.0 / (batch_rate * math.log(1.0 / batch_rate))
+    exponent = math.log(1.0 / batch_rate) / math.log(1.0 / rate)
+    return k_eps, lead * power_or_inf(ratio, exponent) + k_eps
 
 
 def power_or_inf(base: float, exponent: float) -> float:
@@ -197,6 +213,7 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     if config.target_eps is not None:
         if x_star is None:
             raise ValueError("target_eps requires a reference equilibrium x_star")
+        check_start(x0, x_star)
         c_start = x0.distance(x_star) ** 2
         rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                             consts.nu, c_start)

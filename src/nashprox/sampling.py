@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -136,10 +136,7 @@ class SampleCounter:
     inner_solves: int = 0
 
     def as_dict(self) -> dict:
-        return {"total_samples": self.total_samples,
-                "prox_evals": self.prox_evals,
-                "comm_rounds": self.comm_rounds,
-                "inner_solves": self.inner_solves}
+        return asdict(self)
 
 
 def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,

@@ -64,6 +64,16 @@ def check_finite(forward: np.ndarray, k: int, reps: Sequence[int]) -> None:
                          f"replication {reps[j]}", iteration=k)
 
 
+def check_start(x0: StrategyProfile, x_star: StrategyProfile) -> None:
+    """Reject an x0 too far from x_star to measure any error of the run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_distance = (dx := x0.vector - x_star.vector) @ dx
+    if not np.isfinite(sq_distance):
+        raise ValueError(f"x0 = {x0.vector.tolist()} has squared distance "
+                         f"{sq_distance} to the equilibrium; a run needs it "
+                         f"finite")
+
+
 def iterate(step: Callable, x0: StrategyProfile,
             x_star: StrategyProfile | None, dims: Sequence[int],
             schedule: BatchSchedule, n_iter: int,
@@ -77,13 +87,16 @@ def iterate(step: Callable, x0: StrategyProfile,
     is schedule's batch size, which check_schedule first checks on a noise
     block of max(noise_dims) coordinates. step counts an iteration's effort
     once, for all rows. errors[j, k] is ||x_k - x*|| of row j, squared for
-    error_metric "squared_distance".
+    error_metric "squared_distance"; check_start rejects an x0 too far
+    from x* to measure.
     """
     if np.ndim(replications) != 1 or not len(replications):
         raise ValueError(f"a run needs at least one replication id, as [r] "
                          f"or range(R), got {replications!r}")
     if x0.dims != tuple(dims):
         raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(dims)}")
+    if x_star is not None:
+        check_start(x0, x_star)
     check_schedule(schedule, n_iter, max(noise_dims))
     batches = [schedule_size(schedule, k) for k in range(n_iter)]
     noise = iteration_errors(nus, noise_dims, seed, replications, batches)

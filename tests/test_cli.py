@@ -234,6 +234,21 @@ def test_pbr_sample_bound_past_the_float_range_is_infinity(
     assert 0 < theory["k_eps"] < 10 ** 5
 
 
+def test_bounds_past_the_float_range_keep_a_finite_iteration_bound(
+        tmp_path: Path, capsys):
+    # constant / eps overflows a float; K(eps) is about 2.0e4, M(eps) is inf
+    solver = {"eta": 1.0, "lip": 3.0, "nu": 1e150, "alpha": 0.1111,
+              "rho": 0.9444, "c_start": 1.0, "eps": 1e-200}
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", _write(tmp_path, dict(
+        BOUNDS_DOC, solver=solver)), "--out", str(out)]) == 0
+    theory = json.loads((out / "report.json").read_text())["theory"]
+    assert 1.9e4 < theory["k_eps"] < 2.1e4
+    assert theory["m_eps"] == float("inf")
+    assert f"K(eps) = {theory['k_eps']:.12g}, M(eps) = inf" in \
+        capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command,doc", [
     ("pgr", dict(PGR_DOC, solver={"alpha": 0.05, "rho": 0.9, "max_iter": 20})),
     ("dist-pgr", DIST_DOC),

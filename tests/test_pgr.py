@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nashprox import (
+    DistRateConstants,
     GaussianNoise,
     InvalidStep,
     PgrConfig,
@@ -14,6 +15,8 @@ from nashprox import (
     complexity_K,
     complexity_M,
     contraction_factor_q,
+    dist_complexity,
+    dist_envelope_params,
     envelope_params,
     generate_quadratic_game,
     monotonicity_constants,
@@ -74,6 +77,26 @@ def test_iteration_bound_hand_value():
     assert k01 == pytest.approx(math.log(118.75) / math.log(4 / 3), rel=1e-9)
     # the target equal to the envelope constant is reached at iteration zero
     assert complexity_K(rc, 0.5, 1.1875) == 0.0
+
+
+def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
+    # constant / eps is past the float range, its logarithm is about 1,150
+    rc = rate_constants(1.0, 3.0, 0.1111, 0.9444, 1e150, 1.0)
+    constant, rate = envelope_params(rc, 0.9444)
+    assert constant / 1e-200 == math.inf
+    hand = (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate)
+    assert complexity_K(rc, 0.9444, 1e-200) == pytest.approx(hand, rel=1e-12)
+    assert 1.9e4 < hand < 2.1e4
+    assert complexity_M(rc, 0.9444, 1e-200) == math.inf
+    drc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=1e300,
+                            m_compact=1.0, l_i=(1.0,), nu_i=(1.0,), beta=0.5,
+                            theta=1.0)
+    constant, rate = dist_envelope_params(drc, c_start=1.0)
+    out = dist_complexity(drc, 0.5, 1e-200, c_start=1.0)
+    assert out.k_eps == pytest.approx(
+        (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate),
+        rel=1e-12)
+    assert out.samples == math.inf
 
 
 def test_iteration_bound_is_symmetric_in_rho_and_q():

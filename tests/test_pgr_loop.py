@@ -73,7 +73,7 @@ def _reference_gradient(game, vec):
 
 def _reference_prox_vector(game, vec, alpha):
     if isinstance(game, AggregativeGame):
-        return game.project(vec)
+        return np.clip(vec, game.lo, game.hi)
     pieces = []
     offset = 0
     for reg, d in zip(game.regularizers, game.dims):

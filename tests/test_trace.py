@@ -10,8 +10,10 @@ import pytest
 
 from nashprox import (
     DistConfig,
+    GaussianNoise,
     PbrConfig,
     PgrConfig,
+    QuadraticGame,
     StrategyProfile,
     generate_cournot_game,
     generate_quadratic_game,
@@ -91,3 +93,27 @@ def test_each_scheme_counts_its_own_effort():
 def test_a_start_of_the_wrong_shape_is_rejected_by_every_solver(scheme):
     with pytest.raises(ValueError, match="x0 dims"):
         _RUNS[scheme](StrategyProfile.zeros((1,) * 7))
+
+
+def _far_start(game) -> StrategyProfile:
+    return StrategyProfile.from_vector(np.full(game.dim, 1e200), game.dims)
+
+
+@pytest.mark.parametrize("scheme", sorted(_RUNS))
+def test_a_start_too_far_to_measure_is_rejected_by_every_solver(scheme):
+    x0 = _far_start(_COURNOT if scheme == "dist-pgr" else _QUAD)
+    with pytest.raises(ValueError) as err:
+        _RUNS[scheme](x0)
+    assert str(err.value) == (
+        f"x0 = {x0.vector.tolist()} has squared distance inf to the "
+        f"equilibrium; a run needs it finite")
+
+
+def test_a_target_eps_run_from_a_start_too_far_to_measure_is_rejected():
+    # the start is checked before its distance sets the iteration bound
+    game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
+                         c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
+    config = PgrConfig(alpha=0.2, rho=0.9, max_iter=50, target_eps=1e-3)
+    with pytest.raises(ValueError, match=r"^x0 = \[1e\+200, 1e\+200\] has "
+                                         r"squared distance inf"):
+        run_pgr(game, config, _far_start(game), solve_ne_oracle(game))
