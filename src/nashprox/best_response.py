@@ -20,7 +20,8 @@ is replaced by a primal-dual active-set Newton point (Hintermueller, Ito and
 Kunisch, SIAM J. Optim. 13, 2003): coordinates the prox clips (box) or
 zeroes (l1) stay fixed, the rest solve K_FF z_F = -(linear - mu anchor +
 w sign(z) + K z_fixed)_F (w the l1 weight) with K = Q_ii + mu I, inverted
-once per game, player and mu; a zero player fixes nothing. The coupling
+once per game, player and mu, and K_FF sliced once per active-set pattern
+of that player and mu; a zero player fixes nothing. The coupling
 term is one mat-vec with the player's cached rows of the off-diagonal h.
 """
 
@@ -109,9 +110,9 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         _, _, t, shrink = prox_pieces(regs, (d,), step)
         game.solver_cache[key] = (step, compiled_prox(regs, (d,), step), k,
                                   np.linalg.inv(k), t / step, shrink.any(),
-                                  isinstance(regs[0], Zero))
-    step, prox, k, k_inv, weight, l1, zero = game.solver_cache[key]
-    z, seen, newton = anchor.copy(), set(), d + 1
+                                  isinstance(regs[0], Zero), {})
+    step, prox, k, k_inv, weight, l1, zero, systems = game.solver_cache[key]
+    z, seen, newton = anchor, set(), d + 1  # z is never written in place
     for it in range(max_inner):
         v = z - step * (qii @ z + linear + mu * (z - anchor))
         z_next = prox(v)
@@ -125,18 +126,23 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
             fixed = z_next == 0.0 if l1 else z_next != v
             z_fix = np.where(fixed, z_next, 0.0) + 0.0  # drops -0.0
             shift = weight * np.sign(z_next)
-            system = (fixed.tobytes(), (z_fix + shift).tobytes())
+            system = (pattern := fixed.tobytes(), (z_fix + shift).tobytes())
             if system in seen:  # the active set recurred: Newton is done
                 newton = 0
             else:
                 seen.add(system)
-                newton, free = newton - 1, ~fixed
+                if pattern not in systems:  # (free, K_FF), None if all free
+                    free = ~fixed
+                    systems[pattern] = (free, None if free.all()
+                                        else k[free][:, free])
+                free, k_ff = systems[pattern]
+                newton -= 1
                 rhs = -(linear - mu * anchor + shift + k @ z_fix)
-                if free.all():
+                if k_ff is None:
                     z_next = k_inv @ rhs
                 else:
                     z_next = z_fix
-                    z_next[free] = np.linalg.solve(k[free][:, free], rhs[free])
+                    z_next[free] = np.linalg.solve(k_ff, rhs[free])
         z = z_next
     raise InnerSolveFailure(
         f"anchored best response of player {i} did not reach displacement "
@@ -149,8 +155,9 @@ def _coupling_linear(game: QuadraticGame, i: int,
     """Player i's linear term c_i + sum_{j != i} Q_ij y_j and its anchor
     y_i, at a profile or its stacked vector."""
     vec = y.vector if isinstance(y, StrategyProfile) else y
-    if np.shape(vec) != game.c.shape:  # (game.dim,)
-        raise ValueError(f"vector of shape {np.shape(vec)} does not match "
+    shape = vec.shape if isinstance(vec, np.ndarray) else np.shape(vec)
+    if shape != game.vector_shape:
+        raise ValueError(f"vector of shape {shape} does not match "
                          f"game dimension {game.dim}")
     if (key := ("coupling", i)) not in game.solver_cache:
         sl = game.block_slice(i)  # c_i and the rows of off_diagonal

@@ -3,7 +3,6 @@ runs with envelope checks, and deterministic CSV/JSON outputs."""
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import warnings
@@ -409,19 +408,27 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunRepor
 def write_trace_csv(path: str, scheme: str, trace: RunTrace) -> None:
     """Write the per-iteration trace table, one row per executed iteration
     per replication, replication by replication (error columns record the
-    state entering each iteration), formatting one column at a time."""
+    state entering each iteration). The shared cells of row k are
+    formatted once, into a template with a %r slot per per-row float (the
+    repr a csv writer gives a float) and a %d slot for the replication id;
+    each replication fills the n templates with one % and one write."""
     columns, n = SCHEMES[scheme].columns, trace.iterations
     # shared columns are lists of n entries, per-row ones (R, >= n) arrays
     cols = [getattr(trace, field) for _, field in columns]
+    per_row = [c for c in cols if isinstance(c, np.ndarray)]
+    template = "".join(",".join([str(k), *(
+        "%r" if isinstance(c, np.ndarray) else str(c[k]) for c in cols),
+        "%d\n"]) for k in range(n))
+    width = len(per_row) + 1
+    values = [0] * (n * width)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", *(header for header, _ in columns),
-                         "replication_id"])
+        fh.write(",".join(["k", *(header for header, _ in columns),
+                           "replication_id"]) + "\n")
         for rep in range(len(trace.errors)):
-            # csv writes a Python float by repr and an int by str
-            writer.writerows(zip(range(n), *(
-                c[rep, :n].tolist() if isinstance(c, np.ndarray) else c
-                for c in cols), [rep] * n))
+            for j, c in enumerate(per_row):
+                values[j::width] = c[rep, :n].tolist()
+            values[width - 1::width] = [rep] * n
+            fh.write(template % tuple(values))
 
 
 def write_report_json(path: str, report: RunReport) -> None:

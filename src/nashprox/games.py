@@ -62,8 +62,8 @@ class QuadraticGame:
 
     h and c are stored as read-only copies, so the per-game data derived
     from them (block views, own-block spectra, block norms, and the game's
-    GameConstants, `constants`, set at construction) is computed once and
-    cannot go stale.
+    GameConstants, `constants`, and stacked-vector shape `vector_shape`,
+    set at construction) is computed once and cannot go stale.
     """
 
     dims: tuple[int, ...]
@@ -97,6 +97,7 @@ class QuadraticGame:
         object.__setattr__(self, "regularizers", regs)
         offsets = np.cumsum((0,) + dims)
         object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "vector_shape", (n,))
         for i in range(len(dims)):
             qii = self.block(i, i)
             if not np.allclose(qii, qii.T, atol=1e-9):
@@ -180,8 +181,8 @@ class AggregativeGame:
     Strategy sets are compact boxes by construction. The gradient map's
     Jacobian diag(a_i + c_price) + c_price * ones must be positive definite,
     and the total noise level nu^2 = sum_i nu_i^2 finite, like a single
-    Gaussian level's square. The game's GameConstants, `constants`, are set
-    at construction.
+    Gaussian level's square. The game's GameConstants, `constants`, and
+    stacked-vector shape `vector_shape` are set at construction.
     """
 
     a: tuple[float, ...]
@@ -224,6 +225,7 @@ class AggregativeGame:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "noises", noises)
+        object.__setattr__(self, "vector_shape", (n,))
         jac = self.jacobian()
         eta = float(np.linalg.eigvalsh(jac)[0])
         if eta <= 0.0:
@@ -288,13 +290,18 @@ Game = QuadraticGame | AggregativeGame
 def gradient_map(game: Game, x: StrategyProfile | np.ndarray) -> np.ndarray:
     """Exact joint gradient G(x) stacked over players, at a profile or at
     its stacked vector."""
-    if isinstance(x, StrategyProfile):
+    if isinstance(x, np.ndarray):  # the solvers' per-row path
+        if x.shape != game.vector_shape:
+            raise ValueError(f"vector of shape {x.shape} does not match game dimension {game.dim}")
+    elif isinstance(x, StrategyProfile):
         if x.dims != tuple(game.dims):
             raise ValueError(f"profile dims {x.dims} do not match game dims {tuple(game.dims)}")
         x = x.vector
     elif np.shape(x) != (game.dim,):
         raise ValueError(f"vector of shape {np.shape(x)} does not match game dimension {game.dim}")
-    return _gradient_vector(game, x)
+    if isinstance(game, QuadraticGame):
+        return game.h @ x + game.c
+    return game.gradients(x, float(np.sum(x)))
 
 
 def _gradient_vector(game: Game, vec: np.ndarray) -> np.ndarray:

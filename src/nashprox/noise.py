@@ -68,6 +68,8 @@ def iteration_errors(nus: Sequence[float], dims: Sequence[int], seed: int,
     streams = [substream(seed, r, 1) for r in replications]
     for start in range(0, len(batches), DRAW_CHUNK):
         chunk = batches[start:start + DRAW_CHUNK]
-        z = np.array([s.standard_normal((len(chunk), nu.size)) for s in streams])
+        z = np.empty((len(streams), len(chunk), nu.size))
+        for s, z_r in zip(streams, z):  # a stream fills rows in order
+            s.standard_normal(out=z_r)
         for j, n_k in enumerate(chunk):
             yield z[:, j] * (nu / np.sqrt(d * float(n_k)))

@@ -160,10 +160,13 @@ def geometric_complexity(constant: float, rate: float, batch_rate: float,
     the ratio overflows). The batch sum is at most (constant / eps)^p /
     (batch_rate ln(1 / batch_rate)), p = ln(1 / batch_rate) / ln(1 / rate),
     plus one ceiling per iteration, K; samples is inf where that overflows.
+    A zero ratio (a zero constant) gives K = 0 and samples = 0.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     ratio = constant / eps
+    if ratio == 0.0:  # ln would fail; the envelope is below eps at k = 0
+        return 0.0, 0.0
     log_ratio = math.log(ratio) if ratio < math.inf \
         else math.log(constant) - math.log(eps)
     k_eps = max(0.0, log_ratio / math.log(1.0 / rate))
@@ -226,10 +229,11 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
+        g = np.empty_like(x)
         with np.errstate(over="ignore", invalid="ignore"):  # check_finite
-            g = [sample_batch_gradient(game, xr, n_k, wr)
-                 for xr, wr in zip(x, w)]
-            forward = x - config.alpha * np.array(g)
+            for xr, wr, gr in zip(x, w, g):
+                gr[:] = sample_batch_gradient(game, xr, n_k, wr)
+            forward = x - config.alpha * g
         counter.total_samples += n_k
         check_finite(forward, k, replications)
         counter.prox_evals += 1

@@ -249,6 +249,18 @@ def test_bounds_past_the_float_range_keep_a_finite_iteration_bound(
         capsys.readouterr().out
 
 
+def test_bounds_of_a_zero_envelope_need_no_iterations(tmp_path: Path, capsys):
+    # c_start = 0 and nu = 0 make the envelope constant 0
+    solver = dict(BOUNDS_DOC["solver"], c_start=0.0, nu=0.0)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", _write(tmp_path, dict(
+        BOUNDS_DOC, solver=solver)), "--out", str(out)]) == 0
+    theory = json.loads((out / "report.json").read_text())["theory"]
+    assert (theory["envelope_constant"], theory["k_eps"], theory["m_eps"]) \
+        == (0.0, 0.0, 0.0)
+    assert "K(eps) = 0, M(eps) = 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command,doc", [
     ("pgr", dict(PGR_DOC, solver={"alpha": 0.05, "rho": 0.9, "max_iter": 20})),
     ("dist-pgr", DIST_DOC),

@@ -25,6 +25,7 @@ from nashprox import (
     run_pgr,
     solve_ne_oracle,
 )
+from nashprox.pgr import geometric_complexity
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -97,6 +98,20 @@ def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
         (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate),
         rel=1e-12)
     assert out.samples == math.inf
+
+
+def test_a_zero_envelope_needs_no_iterations_and_no_samples():
+    assert geometric_complexity(0.0, 0.9, 0.8, 1e-3) == (0.0, 0.0)
+    rc = rate_constants(1.0, 3.0, 0.1, 0.95, 0.0, 0.0)
+    assert (complexity_K(rc, 0.95, 1e-3), complexity_M(rc, 0.95, 1e-3)) \
+        == (0.0, 0.0)
+    # a noise-free run from x* stops after the one iteration a run makes
+    game = _reference_game()
+    x_star = solve_ne_oracle(game)
+    trace = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=30,
+                                    target_eps=1e-3), x_star, x_star)
+    assert trace.iterations == 1
+    assert trace.errors.shape == (1, 2) and trace.errors[0, 0] == 0.0
 
 
 def test_iteration_bound_is_symmetric_in_rho_and_q():

@@ -19,7 +19,7 @@ from nashprox import (
     schedule_size,
     substream,
 )
-from nashprox.noise import iteration_errors
+from nashprox.noise import DRAW_CHUNK, iteration_errors
 
 
 def test_substream_is_deterministic_per_path():
@@ -151,3 +151,23 @@ def test_schedule_check_names_the_largest_usable_iteration_count():
 
     # a schedule that never grows passes however many iterations run
     check_schedule(Fixed(), 10 ** 9)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("n_iter", [1, DRAW_CHUNK + 1, 2 * DRAW_CHUNK - 1])
+def test_iteration_errors_rows_survive_collection_at_chunk_edges(reps, n_iter):
+    """Collected into one list, the rows iteration_errors yields are each
+    stream's standard_normal((K, n)) rows, scaled, for K not a multiple of
+    DRAW_CHUNK and for one replication: no row aliases a reused buffer."""
+    nus, dims, ids = (0.7, 1.3), (2, 3), list(range(4, 4 + reps))
+    batches = [2 ** k for k in range(n_iter)]
+    rows = list(iteration_errors(nus, dims, 9, ids, batches))
+    assert len(rows) == n_iter
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(rows)
+                   for b in rows[i + 1:])
+    nu, d = np.repeat(nus, dims), np.repeat(dims, dims).astype(float)
+    for j, r in enumerate(ids):
+        z = substream(9, r, 1).standard_normal((n_iter, sum(dims)))
+        for k, n_k in enumerate(batches):
+            want = z[k] * (nu / np.sqrt(d * float(n_k)))
+            assert rows[k][j].tobytes() == want.tobytes()
