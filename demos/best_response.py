@@ -16,7 +16,6 @@ from nashprox import (
     GaussianNoise,
     PbrConfig,
     QuadraticGame,
-    StrategyProfile,
     br_noise_gain,
     contraction_certificate,
     monotonicity_constants,
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"certificate matrix Gamma =\n{np.round(cert.gamma, 4)}")
     print(f"spectral norm a = {cert.a:.4f} (< 1, so the map contracts)")
 
-    y = StrategyProfile.zeros(game.dims)
+    y = np.zeros(game.dim)  # the stacked strategy vector (y_1, y_2)
     exact = proximal_best_response(game, 0, y, mu)
     print(f"player 0 exact best response at y = 0: {exact}")
     nu_i = monotonicity_constants(game).nu_i

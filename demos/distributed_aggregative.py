@@ -34,13 +34,13 @@ def main() -> None:
     print(f"ring of {n}: mixing rate beta = {mp.beta:.6f}, theta = {mp.theta:g}")
 
     x_star = solve_ne_oracle(game)
-    print(f"equilibrium x* = {np.round(x_star.vector, 6)}")
+    print(f"equilibrium x* = {np.round(x_star, 6)}")
 
     config = DistConfig(alpha=0.02, max_iter=40, seed=3)
     trace = run_dist_pgr(game, graph, config, x_star=x_star)
 
     rc = dist_rate_constants(game, graph, config.alpha)
-    c_start = float(np.sum((np.full(n, 0.5) - x_star.vector) ** 2))
+    c_start = float(np.sum((np.full(n, 0.5) - x_star) ** 2))
     constant, rate = dist_envelope_params(rc, c_start=c_start)
     print(f"contraction varrho = {rc.varrho:.6f}, envelope rate = {rate:.6f}")
     for k in (0, 10, 20, 40):

@@ -14,7 +14,6 @@ from nashprox import (
     GaussianNoise,
     PgrConfig,
     QuadraticGame,
-    StrategyProfile,
     complexity_K,
     complexity_M,
     envelope_params,
@@ -39,14 +38,14 @@ def main() -> None:
     print(f"recommended step alpha = {alpha:.6f}, batch ratio rho = {rho:.6f}")
 
     x_star = solve_ne_oracle(game)
-    print(f"equilibrium x* = {np.round(x_star.vector, 6)}")
+    print(f"equilibrium x* = {np.round(x_star, 6)}")
 
-    x0 = StrategyProfile.zeros(game.dims)
+    x0 = np.zeros(game.dim)  # the stacked strategy vector (x_1, x_2)
     config = PgrConfig(alpha=alpha, rho=rho, max_iter=80, seed=7)
     trace = run_pgr(game, config, x0, x_star=x_star)
 
     rc = rate_constants(consts.eta, consts.lip, alpha, rho, 1.0,
-                        x0.distance(x_star) ** 2)
+                        float(np.linalg.norm(x0 - x_star)) ** 2)
     constant, rate = envelope_params(rc, rho)
     print(f"envelope: {constant:.4f} * {rate:.6f}^k")
     for k in (0, 10, 20, 40, 80):

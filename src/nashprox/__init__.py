@@ -37,8 +37,7 @@ from .noise import GaussianNoise, substream
 from .pgr import (PgrConfig, RateConstants, complexity_K, complexity_M,
                   contraction_factor_q, envelope_params, rate_constants,
                   recommended_parameters, run_pgr)
-from .profiles import StrategyProfile
-from .prox import BoxIndicator, L1, Regularizer, Zero, prox_apply, prox_profile
+from .prox import BoxIndicator, L1, Regularizer, Zero, prox_apply
 from .sampling import (BatchSchedule, BestResponseBatch, GeometricBatch,
                        RootGeometricBatch, SampleCounter, check_schedule,
                        sample_batch_gradient, schedule_size)
@@ -58,7 +57,7 @@ __all__ = [
     "NoGeometricMixing", "NonConvergence",
     "NotStronglyMonotone", "PbrComplexity", "PbrConfig", "PgrConfig",
     "QuadraticGame", "RateConstants", "Regularizer", "RootGeometricBatch",
-    "RunReport", "RunTrace", "SampleCounter", "StrategyProfile", "Zero",
+    "RunReport", "RunTrace", "SampleCounter", "Zero",
     "br_noise_gain", "build_game", "build_graph",
     "build_metropolis_weights", "check_schedule", "complete_graph",
     "complexity_K", "complexity_M", "consensus_apply",
@@ -68,7 +67,7 @@ __all__ = [
     "generate_quadratic_game", "gradient_map", "grid_graph", "load_config",
     "mixing_params", "monotonicity_constants",
     "ne_error_bound", "ne_residual", "path_graph", "pbr_complexity",
-    "prox_apply", "prox_profile", "proximal_best_response",
+    "prox_apply", "proximal_best_response",
     "rate_constants", "recommended_parameters", "ring_graph",
     "run_dist_pgr", "run_experiment", "run_pbr", "run_pgr",
     "saa_best_response", "sample_batch_gradient", "schedule_size",

@@ -36,7 +36,6 @@ import numpy as np
 from .errors import InnerSolveFailure
 from .games import QuadraticGame
 from .pgr import geometric_complexity, power_or_inf
-from .profiles import StrategyProfile
 from .prox import Zero, compiled_prox, prox_pieces
 from .sampling import BestResponseBatch
 from .trace import RunTrace, check_run, iterate
@@ -149,21 +148,18 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         f"{tol} in {max_inner} iterations", residual=disp)
 
 
-def _coupling_linear(game: QuadraticGame, i: int,
-                     y: StrategyProfile | np.ndarray
+def _coupling_linear(game: QuadraticGame, i: int, y: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Player i's linear term c_i + sum_{j != i} Q_ij y_j and its anchor
-    y_i, at a profile or its stacked vector."""
-    vec = y.vector if isinstance(y, StrategyProfile) else y
-    shape = vec.shape if isinstance(vec, np.ndarray) else np.shape(vec)
-    if shape != game.vector_shape:
-        raise ValueError(f"vector of shape {shape} does not match "
+    y_i, at the stacked strategy vector y (as gradient_map checks it)."""
+    if not (isinstance(y, np.ndarray) and y.shape == game.vector_shape):
+        raise ValueError(f"vector of shape {np.shape(y)} does not match "
                          f"game dimension {game.dim}")
     if (key := ("coupling", i)) not in game.solver_cache:
         sl = game.block_slice(i)  # c_i and the rows of off_diagonal
         game.solver_cache[key] = (sl, game.c[sl], game.off_diagonal[sl])
     sl, c_i, rows = game.solver_cache[key]
-    return c_i + rows @ vec, vec[sl]
+    return c_i + rows @ y, y[sl]
 
 
 def _check_inner(tol: float, max_inner: int) -> None:
@@ -173,12 +169,11 @@ def _check_inner(tol: float, max_inner: int) -> None:
         raise ValueError(f"max_inner must be >= 1, got {max_inner}")
 
 
-def proximal_best_response(game: QuadraticGame, i: int,
-                           y: StrategyProfile | np.ndarray, mu: float,
-                           tol: float = 1e-12,
+def proximal_best_response(game: QuadraticGame, i: int, y: np.ndarray,
+                           mu: float, tol: float = 1e-12,
                            max_inner: int = 100_000) -> np.ndarray:
-    """Exact anchored best response of player i at y (a profile or its
-    stacked vector)."""
+    """Exact anchored best response of player i at the stacked strategy
+    vector y."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     _check_inner(tol, max_inner)
@@ -187,15 +182,14 @@ def proximal_best_response(game: QuadraticGame, i: int,
     return z
 
 
-def saa_best_response(game: QuadraticGame, i: int,
-                      y: StrategyProfile | np.ndarray,
+def saa_best_response(game: QuadraticGame, i: int, y: np.ndarray,
                       batch: int, mu: float, error: np.ndarray,
                       inner_tol: float = 1e-12,
                       max_inner: int = 100_000) -> np.ndarray:
-    """Sampled anchored best response at y (a profile or its stacked
-    vector): the smooth gradient carries `error`, the averaged observation
-    error over `batch` draws, drawn by the caller (run_pbr passes player
-    i's block of its row of noise.iteration_errors).
+    """Sampled anchored best response at the stacked strategy vector y:
+    the smooth gradient carries `error`, the averaged observation error
+    over `batch` draws, drawn by the caller (run_pbr passes player i's
+    block of its row of noise.iteration_errors).
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
@@ -281,8 +275,8 @@ def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBat
     return BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
 
 
-def run_pbr(game: QuadraticGame, config: PbrConfig, x0: StrategyProfile,
-            x_star: StrategyProfile | None = None,
+def run_pbr(game: QuadraticGame, config: PbrConfig, x0: np.ndarray,
+            x_star: np.ndarray | None = None,
             replications: Sequence[int] = (0,)) -> RunTrace:
     """Growing-batch proximal best-response runs, one RunTrace (trace.iterate).
 

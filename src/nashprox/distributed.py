@@ -28,7 +28,6 @@ from .errors import InvalidStep
 from .games import AggregativeGame, GameConstants
 from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import geometric_complexity, geometric_envelope
-from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import RootGeometricBatch
 from .trace import RunTrace, check_finite, check_run, iterate
@@ -95,9 +94,9 @@ class DistComplexity(NamedTuple):
 
 
 def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
-                 x_star: StrategyProfile | None = None,
+                 x_star: np.ndarray | None = None,
                  replications: Sequence[int] = (0,),
-                 x0: StrategyProfile | None = None,
+                 x0: np.ndarray | None = None,
                  on_state: Callable[[int, DistState], None] | None = None
                  ) -> RunTrace:
     """Consensus-based growing-batch runs on an aggregative game, one RunTrace.
@@ -106,13 +105,11 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     of r's row of iteration_errors for config.seed. errors[j, k] is row
     j's ||x_k - x*||^2 when x_star is given. consensus_errors[j, k] records
     max_i |v_hat_{i,k} - mean_j(x_{j,k})| of row j, the aggregate
-    estimation error before scaling by N.
+    estimation error before scaling by N. x0 defaults to the box midpoint.
     The on_state hook, when given, observes (k, DistState) after each
     consensus refresh.
     """
-    if graph.n_nodes != game.n_players:
-        raise ValueError(
-            f"graph has {graph.n_nodes} nodes for {game.n_players} players")
+    _check_graph(game, graph)
     _check_step(config.alpha, game.constants)
     beta = config.beta if config.beta is not None else mixing_params(graph).beta
     if not beta > 0.0:
@@ -120,7 +117,7 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
     if x0 is None:
         x0 = game.midpoint()
     n = game.n_players
-    v = np.tile(x0.vector, (np.size(replications), 1))
+    v = np.tile(x0, (np.size(replications), 1))
     consensus_errors: list[np.ndarray] = []
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
@@ -148,6 +145,12 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
                     config.seed, replications, "squared_distance")
     return replace(trace, taus=list(range(1, config.max_iter + 1)),
                    consensus_errors=np.array(consensus_errors).T)
+
+
+def _check_graph(game: AggregativeGame, graph: CommGraph) -> None:
+    if graph.n_nodes != game.n_players:
+        raise ValueError(
+            f"graph has {graph.n_nodes} nodes for {game.n_players} players")
 
 
 def _check_step(alpha: float, consts: GameConstants) -> None:
@@ -179,9 +182,10 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
            + 4 alpha^2 N^2 (c1^2 beta^{3/2} + c2^2 beta^{1/2}) sum_i L_i^2.
 
     beta = 0 (perfect mixing) short-circuits to c1 = M theta, c2 = 0,
-    c3 = alpha^2 sum nu_i^2. Requires alpha in (0, eta/lip^2) so the step
-    factor varrho = 1 - 2 alpha eta + 2 alpha^2 lip^2 stays below one.
+    c3 = alpha^2 sum nu_i^2. Requires a graph node per player, and alpha
+    in (0, eta/lip^2) so that the step factor varrho stays below one.
     """
+    _check_graph(game, graph)
     consts = game.constants
     _check_step(alpha, consts)
     if beta is None or theta is None:

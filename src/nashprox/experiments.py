@@ -20,10 +20,10 @@ from .games import (AggregativeGame, Game, QuadraticGame,
                     monotonicity_constants, ne_error_bound, solve_ne_oracle)
 from .graphs import mixing_params
 from .noise import GaussianNoise, substream
-from .pgr import (PgrConfig, envelope_params, geometric_complexity,
+from .pgr import (PgrConfig, envelope_params, geometric_complexity, pgr_loop,
                   rate_constants, run_pgr)
-from .profiles import StrategyProfile
-from .prox import prox_profile
+from .prox import compiled_prox
+from .sampling import RootGeometricBatch, check_schedule
 from .serialize import as_builtin, build_game, build_graph, validate_config
 from .trace import RunTrace, check_start
 
@@ -175,14 +175,12 @@ class RunReport:
         return as_builtin(self.fields)
 
 
-def _spec_x0(spec: ExperimentSpec, game: Game) -> StrategyProfile:
-    if spec.x0 is not None:
-        return StrategyProfile.from_vector(np.asarray(spec.x0, dtype=float),
-                                           game.dims)
+def _spec_x0(spec: ExperimentSpec, game: Game) -> np.ndarray:
+    if spec.x0 is not None:  # check_start checks its shape
+        return np.array(spec.x0, dtype=float)
     if isinstance(game, AggregativeGame):
         return game.midpoint()
-    return prox_profile(game.regularizers, StrategyProfile.zeros(game.dims),
-                        1.0)
+    return compiled_prox(game.regularizers, game.dims, 1.0)(np.zeros(game.dim))
 
 
 def _envelope_check(mean_errors: np.ndarray, constant: float,
@@ -199,15 +197,10 @@ def _envelope_check(mean_errors: np.ndarray, constant: float,
             "max_ratio": max_ratio}
 
 
-def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
-              max_k: int) -> dict:
+def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
     if not np.any(mean_errors):
         raise ValueError("every mean error is 0, so there is no rate to fit "
                          "(the run starts at the equilibrium and stays there)")
-    fit_doc = fit_doc or {}
-    skip = int(fit_doc.get("skip", 5))
-    window = tuple(map(int, fit_doc["window"])) if "window" in fit_doc \
-        else (min(skip, max(0, max_k - 3)), max_k)
     fit = fit_linear_rate(mean_errors, window=window)
     return {"slope": fit.slope, "intercept": fit.intercept,
             "r_squared": fit.r_squared, "n_points": fit.n_points,
@@ -215,24 +208,26 @@ def _fit_dict(mean_errors: np.ndarray, fit_doc: dict | None,
 
 
 # A scheme's setup step takes (spec, game, x0, x*) and returns (solve,
-# fields, envelope, finish): solve(ids) runs those replications into one
-# RunTrace with the solver config the setup resolved, fields holds the
+# fields, envelope, finish, loop): solve(ids) runs those replications into
+# one RunTrace with the solver config the setup resolved, fields holds the
 # scheme's report fields known before the run ("theory", and "graph" for
 # dist-pgr), envelope is the (constant, rate) the mean errors are checked
-# against, and finish(trace), or None, adds what the run showed to theory.
+# against, finish(trace), or None, adds what the run showed to theory, and
+# loop is the (schedule, iterations, noise levels, noise dims) of its run.
 # Solvers are called through their module globals at call time.
 
 def _pgr_setup(spec, game, x0, x_star):
     s, consts = spec.solver, game.constants
     config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
                        seed=spec.seed, target_eps=s.get("target_eps"))
-    c_start = x0.distance(x_star) ** 2
+    c_start = float(np.linalg.norm(x0 - x_star)) ** 2
     theory, envelope = _pgr_theory(consts.eta, consts.lip, config.alpha,
                                    config.rho, consts.nu, c_start,
                                    config.target_eps)
     theory["c_start"] = c_start
     return (lambda reps: run_pgr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, envelope, None)
+            {"theory": theory}, envelope, None,
+            pgr_loop(game, config, x0, x_star))
 
 
 def _pgr_theory(eta, lip, alpha, rho, nu, c_start, eps, rho_tilde=None):
@@ -256,7 +251,7 @@ def _dist_setup(spec, game, x0, x_star):
                         beta=s.get("beta", mp.beta), seed=spec.seed)
     rc = dist_rate_constants(game, graph, config.alpha, beta=config.beta,
                              theta=mp.theta)
-    c_start = x0.distance(x_star) ** 2
+    c_start = float(np.linalg.norm(x0 - x_star)) ** 2
     theory = {"varrho": rc.varrho, "c1": rc.c1, "c2": rc.c2, "c3": rc.c3,
               "m_compact": rc.m_compact, "beta": config.beta,
               "theta": mp.theta, "c_start": c_start}
@@ -277,7 +272,9 @@ def _dist_setup(spec, game, x0, x_star):
                         "beta": mp.beta, "theta": mp.theta}}
     return (lambda reps: run_dist_pgr(game, graph, config, x_star,
                                       replications=reps, x0=x0),
-            fields, dist_envelope_params(rc, c_start), finish)
+            fields, dist_envelope_params(rc, c_start), finish,
+            (RootGeometricBatch(config.beta), config.max_iter,
+             game.constants.nu_i, game.dims))
 
 
 def _pbr_setup(spec, game, x0, x_star):
@@ -289,8 +286,8 @@ def _pbr_setup(spec, game, x0, x_star):
     cert = contraction_certificate(game, config.mu)
     schedule = resolved_schedule(game, config)
     config = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
-    c_start = max(float(np.linalg.norm(x0.blocks[i] - x_star.blocks[i]))
-                  for i in range(game.n_players))
+    c_start = max(float(np.linalg.norm(x0[sl] - x_star[sl]))
+                  for sl in map(game.block_slice, range(game.n_players)))
     eta_tilde, d, constant = pbr_envelope(config, cert.a, game.n_players,
                                           c_start)
     theory = {"a": cert.a, "c_r": config.c_r, "m_max": config.m_max,
@@ -301,7 +298,8 @@ def _pbr_setup(spec, game, x0, x_star):
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
     return (lambda reps: run_pbr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, (constant, eta_tilde), None)
+            {"theory": theory}, (constant, eta_tilde), None,
+            (schedule, config.max_iter, game.constants.nu_i, game.dims))
 
 
 class _Scheme(NamedTuple):
@@ -347,11 +345,12 @@ def _run_bounds(spec: ExperimentSpec) -> RunReport:
 
 
 def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
-    """Make every check run_experiment makes before the solver runs,
-    raising what it would raise. Returns the report.json fields known by
-    then (for a solver scheme: game_constants, equilibrium,
-    oracle_error_bound, theory, and graph for dist-pgr) and the function
-    that runs the rest and returns (report, trace), trace None for bounds."""
+    """Make every check run_experiment makes before the solver runs (the
+    batch schedule and the fit window included), raising what it would
+    raise. Returns the report.json fields known by then (for a solver
+    scheme: game_constants, equilibrium, oracle_error_bound, theory, and
+    graph for dist-pgr) and the function that runs the rest and returns
+    (report, trace), trace None for bounds."""
     if spec.scheme == "bounds":
         report = _run_bounds(spec)
         return report.fields, lambda: (report, None)
@@ -365,12 +364,18 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     x_star = solve_ne_oracle(game)
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
-    check_start(x0, x_star)
-    solve, fields, envelope, finish = scheme.setup(spec, game, x0, x_star)
+    check_start(x0, x_star, game.dims)
+    solve, fields, envelope, finish, (schedule, n_iter, _, noise_dims) = \
+        scheme.setup(spec, game, x0, x_star)
+    check_schedule(schedule, n_iter, max(noise_dims))
+    fit_doc = spec.fit or {}
+    window = tuple(map(int, fit_doc["window"])) if "window" in fit_doc else \
+        (min(int(fit_doc.get("skip", 5)), max(0, n_iter - 3)), n_iter)
+    fit_linear_rate(np.ones(n_iter + 1), window=window)  # as the run's fit
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
                   game_constants=asdict(consts),
-                  equilibrium=list(x_star.vector),
+                  equilibrium=list(x_star),
                   oracle_error_bound=oracle_error_bound)
 
     def run():
@@ -379,11 +384,10 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
         if finish is not None:
             finish(trace)
-        k_iter = trace.iterations
         return RunReport(dict(
-            fields, counters=trace.counter.as_dict(), iterations=k_iter,
+            fields, counters=trace.counter.as_dict(), iterations=n_iter,
             mean_final_error=float(mean_errors[-1]),
-            fit=_fit_dict(mean_errors, spec.fit, k_iter))), trace
+            fit=_fit_dict(mean_errors, window))), trace
     return fields, run
 
 

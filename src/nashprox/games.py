@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidStep, NonConvergence, NotStronglyMonotone
 from .noise import GaussianNoise
-from .profiles import StrategyProfile
 from .prox import BoxIndicator, Regularizer, Zero, compiled_prox
 
 
@@ -278,36 +277,25 @@ class AggregativeGame:
         a, b, _, _ = self._arrays
         return a * x + b - self.d + self.c_price * y + self.c_price * x
 
-    def midpoint(self) -> StrategyProfile:
-        """The profile at the centre of every player's box."""
+    def midpoint(self) -> np.ndarray:
+        """The strategy vector at the centre of every player's box."""
         _, _, lo, hi = self._arrays
-        return StrategyProfile.from_vector((lo + hi) / 2.0, self.dims)
+        return (lo + hi) / 2.0
 
 
 Game = QuadraticGame | AggregativeGame
 
 
-def gradient_map(game: Game, x: StrategyProfile | np.ndarray) -> np.ndarray:
-    """Exact joint gradient G(x) stacked over players, at a profile or at
-    its stacked vector."""
-    if isinstance(x, np.ndarray):  # the solvers' per-row path
-        if x.shape != game.vector_shape:
-            raise ValueError(f"vector of shape {x.shape} does not match game dimension {game.dim}")
-    elif isinstance(x, StrategyProfile):
-        if x.dims != tuple(game.dims):
-            raise ValueError(f"profile dims {x.dims} do not match game dims {tuple(game.dims)}")
-        x = x.vector
-    elif np.shape(x) != (game.dim,):
-        raise ValueError(f"vector of shape {np.shape(x)} does not match game dimension {game.dim}")
+def gradient_map(game: Game, x: np.ndarray) -> np.ndarray:
+    """Exact joint gradient G(x) at a stacked strategy vector x, an array
+    of shape (game.dim,); anything else, which numpy could broadcast, is
+    rejected. The test is inline: pgr calls this once per row."""
+    if not (isinstance(x, np.ndarray) and x.shape == game.vector_shape):
+        raise ValueError(f"vector of shape {np.shape(x)} does not match "
+                         f"game dimension {game.dim}")
     if isinstance(game, QuadraticGame):
         return game.h @ x + game.c
     return game.gradients(x, float(np.sum(x)))
-
-
-def _gradient_vector(game: Game, vec: np.ndarray) -> np.ndarray:
-    if isinstance(game, QuadraticGame):
-        return game.h @ vec + game.c
-    return game.gradients(vec, float(np.sum(vec)))
 
 
 def check_lipschitz(lip: float) -> None:
@@ -325,20 +313,19 @@ def monotonicity_constants(game: Game) -> GameConstants:
     return game.constants
 
 
-def ne_residual(game: Game, x: StrategyProfile, alpha: float) -> float:
+def ne_residual(game: Game, x: np.ndarray, alpha: float) -> float:
     """Fixed-point residual ||x - prox_{alpha r}(x - alpha G(x))||.
 
     Zero at exactly the Nash equilibria, for any alpha > 0.
     """
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    vec = x.vector
-    step = vec - alpha * _gradient_vector(game, vec)
+    step = x - alpha * gradient_map(game, x)
     prox = compiled_prox(game.regularizers, game.dims, alpha)
-    return float(np.linalg.norm(vec - prox(step)))
+    return float(np.linalg.norm(x - prox(step)))
 
 
-def ne_error_bound(game: Game, x: StrategyProfile) -> float:
+def ne_error_bound(game: Game, x: np.ndarray) -> float:
     """Certified bound on the distance from x to the equilibrium x*.
 
     For a strongly monotone map with modulus eta and Lipschitz constant L,
@@ -359,7 +346,7 @@ def ne_error_bound(game: Game, x: StrategyProfile) -> float:
 
 
 def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
-                    max_iter: int = 200_000) -> StrategyProfile:
+                    max_iter: int = 200_000) -> np.ndarray:
     """Deterministic solve of the equilibrium fixed point.
 
     An aggregative game whose players all have positive own curvature
@@ -386,7 +373,7 @@ def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
     if isinstance(game, AggregativeGame):
         x = _aggregate_bisection(game)
         if x is not None:
-            return StrategyProfile.from_vector(x, game.dims)
+            return x
     return _forward_backward(game, alpha, tol, max_iter)
 
 
@@ -417,16 +404,16 @@ def _aggregate_bisection(game: AggregativeGame) -> np.ndarray | None:
 
 
 def _forward_backward(game: Game, alpha: float, tol: float,
-                      max_iter: int) -> StrategyProfile:
+                      max_iter: int) -> np.ndarray:
     prox = compiled_prox(game.regularizers, game.dims, alpha)
     x = prox(np.zeros(game.dim))
     for _ in range(max_iter):
-        step = x - alpha * _gradient_vector(game, x)
+        step = x - alpha * gradient_map(game, x)
         x_next = prox(step)
         disp = float(np.linalg.norm(x_next - x))
         x = x_next
         if disp <= tol:
-            return StrategyProfile.from_vector(x, game.dims)
+            return x
     raise NonConvergence(
         f"equilibrium solve did not reach displacement {tol} in {max_iter} "
         f"iterations", residual=disp, iterations=max_iter)

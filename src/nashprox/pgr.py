@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import InvalidStep
 from .games import Game, QuadraticGame
-from .profiles import StrategyProfile
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
 from .trace import RunTrace, check_finite, check_run, check_start, iterate
@@ -196,8 +195,28 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
     return eta / lip ** 2, 1.0 - 1.0 / (2.0 * kappa ** 2)
 
 
-def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
-            x_star: StrategyProfile | None = None,
+def pgr_loop(game: Game, config: PgrConfig, x0: np.ndarray,
+             x_star: np.ndarray | None = None) -> tuple:
+    """(schedule, iterations, noise levels, noise dims) of run_pgr's loop:
+    max_iter iterations, or ceil(K(target_eps)) if fewer; one noise level
+    on a quadratic game's joint gradient, one per Cournot player."""
+    consts, n_iter = game.constants, config.max_iter
+    if config.target_eps is not None:
+        if x_star is None:
+            raise ValueError("target_eps requires a reference equilibrium x_star")
+        check_start(x0, x_star, game.dims)
+        rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
+                            consts.nu, float(np.linalg.norm(x0 - x_star)) ** 2)
+        k_eps = complexity_K(rc, config.rho, config.target_eps)
+        if k_eps < n_iter:
+            n_iter = max(1, math.ceil(k_eps))
+    levels = ((consts.nu,), (game.dim,)) if isinstance(game, QuadraticGame) \
+        else (consts.nu_i, game.dims)
+    return GeometricBatch(config.rho), n_iter, *levels
+
+
+def run_pgr(game: Game, config: PgrConfig, x0: np.ndarray,
+            x_star: np.ndarray | None = None,
             replications: Sequence[int] = (0,)) -> RunTrace:
     """Growing-batch gradient-response runs in one RunTrace (trace.iterate).
 
@@ -210,22 +229,8 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
     also set, the run stops at ceil(K(target_eps)) if that bound is smaller
     than max_iter.
     """
-    consts = game.constants
-    contraction_factor_q(consts.eta, consts.lip, config.alpha)
-    n_iter = config.max_iter
-    if config.target_eps is not None:
-        if x_star is None:
-            raise ValueError("target_eps requires a reference equilibrium x_star")
-        check_start(x0, x_star)
-        c_start = x0.distance(x_star) ** 2
-        rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
-                            consts.nu, c_start)
-        k_eps = complexity_K(rc, config.rho, config.target_eps)
-        if k_eps < n_iter:
-            n_iter = max(1, math.ceil(k_eps))
-    # a quadratic game's noise is one level on the joint gradient
-    levels = ((consts.nu,), (game.dim,)) if isinstance(game, QuadraticGame) \
-        else (consts.nu_i, game.dims)
+    contraction_factor_q(game.constants.eta, game.constants.lip, config.alpha)
+    loop = pgr_loop(game, config, x0, x_star)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
@@ -238,6 +243,5 @@ def run_pgr(game: Game, config: PgrConfig, x0: StrategyProfile,
         check_finite(forward, k, replications)
         counter.prox_evals += 1
         return prox(forward)
-    return iterate(step, x0, x_star, game.dims, GeometricBatch(config.rho),
-                   n_iter, *levels, config.seed, replications,
-                   "squared_distance")
+    return iterate(step, x0, x_star, game.dims, *loop, config.seed,
+                   replications, "squared_distance")

@@ -9,7 +9,6 @@ from typing import Union
 import numpy as np
 
 from .games import Game, gradient_map
-from .profiles import StrategyProfile
 
 
 @dataclass(frozen=True)
@@ -139,12 +138,12 @@ class SampleCounter:
         return asdict(self)
 
 
-def sample_batch_gradient(game: Game, x: StrategyProfile | np.ndarray,
-                          batch: int, error: np.ndarray) -> np.ndarray:
-    """Average of `batch` noisy joint-gradient observations at x (a profile
-    or its stacked vector): the exact gradient plus `error`, the
-    batch-averaged observation error drawn by the caller (the solvers pass
-    their row of noise.iteration_errors).
+def sample_batch_gradient(game: Game, x: np.ndarray, batch: int,
+                          error: np.ndarray) -> np.ndarray:
+    """Average of `batch` noisy joint-gradient observations at the stacked
+    strategy vector x: the exact gradient plus `error`, the batch-averaged
+    observation error drawn by the caller (the solvers pass their row of
+    noise.iteration_errors).
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")

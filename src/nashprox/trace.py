@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import Divergence
 from .noise import iteration_errors
-from .profiles import StrategyProfile
 from .sampling import (BatchSchedule, SampleCounter, check_schedule,
                        schedule_size)
 
@@ -64,18 +63,28 @@ def check_finite(forward: np.ndarray, k: int, reps: Sequence[int]) -> None:
                          f"replication {reps[j]}", iteration=k)
 
 
-def check_start(x0: StrategyProfile, x_star: StrategyProfile) -> None:
-    """Reject an x0 too far from x_star to measure any error of the run."""
+def check_start(x0: np.ndarray, x_star: np.ndarray | None,
+                dims: Sequence[int]) -> None:
+    """Reject an x0 or x_star that is not a vector of sum(dims) entries,
+    and an x0 too far from x_star to measure any error of the run."""
+    for name, x in (("x0", x0), ("x_star", x_star)):
+        if x is not None and not (isinstance(x, np.ndarray)
+                                  and x.shape == (sum(dims),)):
+            raise ValueError(f"{name} dims do not match game dims: vector of "
+                             f"size {np.size(x)} does not split into blocks "
+                             f"{tuple(dims)}")
+    if x_star is None:
+        return
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_distance = (dx := x0.vector - x_star.vector) @ dx
+        sq_distance = (dx := x0 - x_star) @ dx
     if not np.isfinite(sq_distance):
-        raise ValueError(f"x0 = {x0.vector.tolist()} has squared distance "
+        raise ValueError(f"x0 = {x0.tolist()} has squared distance "
                          f"{sq_distance} to the equilibrium; a run needs it "
                          f"finite")
 
 
-def iterate(step: Callable, x0: StrategyProfile,
-            x_star: StrategyProfile | None, dims: Sequence[int],
+def iterate(step: Callable, x0: np.ndarray,
+            x_star: np.ndarray | None, dims: Sequence[int],
             schedule: BatchSchedule, n_iter: int,
             nus: Sequence[float], noise_dims: Sequence[int],
             seed: int, replications: Sequence[int],
@@ -87,27 +96,23 @@ def iterate(step: Callable, x0: StrategyProfile,
     is schedule's batch size, which check_schedule first checks on a noise
     block of max(noise_dims) coordinates. step counts an iteration's effort
     once, for all rows. errors[j, k] is ||x_k - x*|| of row j, squared for
-    error_metric "squared_distance"; check_start rejects an x0 too far
-    from x* to measure.
+    error_metric "squared_distance"; check_start rejects an x0 or x* that
+    is not a stacked vector of dims, and an x0 too far from x* to measure.
     """
     if np.ndim(replications) != 1 or not len(replications):
         raise ValueError(f"a run needs at least one replication id, as [r] "
                          f"or range(R), got {replications!r}")
-    if x0.dims != tuple(dims):
-        raise ValueError(f"x0 dims {x0.dims} do not match game dims {tuple(dims)}")
-    if x_star is not None:
-        check_start(x0, x_star)
+    check_start(x0, x_star, dims)
     check_schedule(schedule, n_iter, max(noise_dims))
     batches = [schedule_size(schedule, k) for k in range(n_iter)]
     noise = iteration_errors(nus, noise_dims, seed, replications, batches)
     counter, cums = SampleCounter(), []
     errors = np.full((len(replications), n_iter + 1), np.nan)
     power = 2 if error_metric == "squared_distance" else 1
-    star = x_star and x_star.vector
-    x = np.tile(x0.vector, (len(replications), 1))
+    x = np.tile(x0.astype(float, copy=False), (len(replications), 1))
     for k in range(n_iter + 1):
-        if star is not None:
-            dx = x - star
+        if x_star is not None:
+            dx = x - x_star
             # a (1, n) @ (n, 1) product is the dot np.linalg.norm takes
             with np.errstate(over="ignore", invalid="ignore"):  # inf error
                 norms = np.sqrt((dx[:, None] @ dx[..., None]).ravel()).tolist()

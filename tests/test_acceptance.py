@@ -27,7 +27,6 @@ from nashprox import (
     PbrConfig,
     PgrConfig,
     QuadraticGame,
-    StrategyProfile,
     br_noise_gain,
     complete_graph,
     complexity_K,
@@ -107,7 +106,7 @@ def test_acceptance_01_fixed_point_equivalence(capfd):
         for alpha in (0.01, 0.1, 1.0):
             worst_residual = max(worst_residual, ne_residual(game, x_star, alpha))
         direct = np.linalg.solve(game.h, -game.c)
-        worst_direct = max(worst_direct, float(np.max(np.abs(x_star.vector - direct))))
+        worst_direct = max(worst_direct, float(np.max(np.abs(x_star - direct))))
     ok = worst_residual <= 1e-10 and worst_direct <= 1e-9
     elapsed = _verdict(capfd, 1, "fixed-point equivalence", ok, started, budget)
     assert worst_residual <= 1e-10, worst_residual
@@ -125,7 +124,7 @@ def test_acceptance_02_deterministic_contraction(capfd):
         alpha = const.eta / const.lip ** 2
         q = contraction_factor_q(const.eta, const.lip, alpha)
         x_star = solve_ne_oracle(game)
-        x0 = StrategyProfile.zeros(game.dims)
+        x0 = np.zeros(game.dim)
         trace = run_pgr(game, PgrConfig(alpha=alpha, rho=0.9, max_iter=50, seed=0),
                         x0, x_star=x_star)
         for k in range(50):
@@ -142,10 +141,11 @@ def test_acceptance_03_growing_batch_linear_rate(capfd):
     game = _reference_quadratic(nu=1.0)
     const = monotonicity_constants(game)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PgrConfig(alpha=0.2, rho=0.9, max_iter=60, seed=11)
     mean = _mean_errors(game, config, x0, x_star, run_pgr, 100)
-    rc = rate_constants(const.eta, const.lip, 0.2, 0.9, 1.0, x0.distance(x_star) ** 2)
+    rc = rate_constants(const.eta, const.lip, 0.2, 0.9, 1.0,
+                        float(np.linalg.norm(x0 - x_star)) ** 2)
     constant, rate = envelope_params(rc, 0.9)
     max_ratio = max(mean[k] / (constant * rate ** k) for k in range(61))
     slope = fit_linear_rate(mean, window=(5, 60)).slope
@@ -165,10 +165,10 @@ def test_acceptance_04_complexity_bounds(capfd):
     const = monotonicity_constants(game)
     alpha, rho = recommended_parameters(const.eta, const.lip)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     eps = 1e-3
     rc = rate_constants(const.eta, const.lip, alpha, rho, 1.0,
-                        x0.distance(x_star) ** 2)
+                        float(np.linalg.norm(x0 - x_star)) ** 2)
     k_bound = complexity_K(rc, rho, eps)
     m_bound = complexity_M(rc, rho, eps)
     config = PgrConfig(alpha=alpha, rho=rho, max_iter=math.ceil(k_bound) + 6, seed=3)
@@ -235,7 +235,7 @@ def test_acceptance_06_tracking_and_collapse(capfd):
     dist = run_dist_pgr(quiet, complete_graph(2),
                         DistConfig(alpha=0.05, max_iter=25, beta=0.25, seed=4),
                         x_star=x_star2)
-    mid = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
+    mid = np.array([0.5, 0.5])
     central = run_pgr(quiet, PgrConfig(alpha=0.05, rho=0.5, max_iter=25, seed=4),
                       mid, x_star=x_star2)
     collapse = np.array_equal(dist.errors, central.errors)
@@ -266,8 +266,9 @@ def test_acceptance_07_distributed_linear_rate(capfd):
                          replications=range(100))
     mean = np.mean(trace.errors, axis=0)
     rc = dist_rate_constants(game, graph, alpha)
-    mid = StrategyProfile.from_vector(np.full(5, 0.5), (1,) * 5)
-    constant, rate = dist_envelope_params(rc, c_start=mid.distance(x_star) ** 2)
+    mid = np.full(5, 0.5)
+    constant, rate = dist_envelope_params(
+        rc, c_start=float(np.linalg.norm(mid - x_star)) ** 2)
     max_ratio = max(mean[k] / (constant * rate ** k) for k in range(41))
     slope = fit_linear_rate(mean, window=(5, 40)).slope
     slope_cap = math.log(rate) + 0.05
@@ -298,17 +299,17 @@ def test_acceptance_08_componentwise_contraction(capfd):
         n = game.n_players
         dim = sum(game.dims)
         for _ in range(5):
-            y = StrategyProfile.from_vector(rng.normal(size=dim), game.dims)
-            z = StrategyProfile.from_vector(rng.normal(size=dim), game.dims)
-            dists = np.array([np.linalg.norm(y.blocks[j] - z.blocks[j])
-                              for j in range(n)])
+            y = rng.normal(size=dim)
+            z = rng.normal(size=dim)
+            dists = np.array([np.linalg.norm(y[sl] - z[sl]) for sl in
+                              map(game.block_slice, range(n))])
             bound = cert.gamma @ dists
             for i in range(n):
                 move = np.linalg.norm(proximal_best_response(game, i, y, 1.0)
                                       - proximal_best_response(game, i, z, 1.0))
                 worst_pair = max(worst_pair, move - bound[i])
         x_star = solve_ne_oracle(game)
-        x0 = StrategyProfile.zeros(game.dims)
+        x0 = np.zeros(game.dim)
         trace = run_pbr(game, PbrConfig(mu=1.0, eta_br=0.7, max_iter=15, seed=0,
                                         m_max=1.0, c_r=1.0), x0, x_star=x_star)
         for k in range(15):
@@ -326,7 +327,7 @@ def test_acceptance_09_sampling_error_bound(capfd):
     started = time.monotonic()
     budget = 30.0
     game = _reference_quadratic(nu=math.sqrt(2.0))  # per-player nu_i = 1
-    y = StrategyProfile.zeros((1, 1))
+    y = np.zeros(2)
     exact = proximal_best_response(game, 0, y, 1.0)
     gain = br_noise_gain(1.0, 2.0)
     nu_i = monotonicity_constants(game).nu_i
@@ -354,12 +355,12 @@ def test_acceptance_10_best_response_rate_and_complexity(capfd):
     budget = 60.0
     game = _reference_quadratic(nu=math.sqrt(2.0))
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=27, seed=5, eta_tilde=0.75)
     trace = run_pbr(game, config, x0, x_star=x_star, replications=range(100))
     mean = np.mean(trace.errors, axis=0)
     cert = contraction_certificate(game, 1.0)
-    c_start = max(float(np.linalg.norm(x0.blocks[i] - x_star.blocks[i]))
+    c_start = max(float(np.linalg.norm(x0[i:i + 1] - x_star[i:i + 1]))
                   for i in range(2))
     d = 1.0 / (math.e * math.log(0.75 / 0.7))
     envelope0 = math.sqrt(2.0) * (c_start + d)

@@ -13,7 +13,6 @@ from nashprox import (
     GaussianNoise,
     PbrConfig,
     QuadraticGame,
-    StrategyProfile,
     br_noise_gain,
     contraction_certificate,
     generate_quadratic_game,
@@ -29,6 +28,7 @@ from nashprox.best_response import resolved_schedule
 from nashprox.noise import iteration_errors
 from nashprox.sampling import BestResponseBatch
 from nashprox.errors import InnerSolveFailure
+from nashprox.profiles import StrategyProfile
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -95,7 +95,7 @@ def test_noise_gain_has_no_cancellation_for_small_mu():
 
 def test_inner_solve_limits_are_validated():
     game = _reference_game()
-    y = StrategyProfile.zeros((1, 1))
+    y = np.zeros(2)
     for kwargs in ({"max_inner": 0}, {"tol": 0.0}, {"tol": -1e-12}):
         with pytest.raises(ValueError):
             proximal_best_response(game, 0, y, 1.0, **kwargs)
@@ -109,14 +109,16 @@ def test_inner_solve_limits_are_validated():
 
 def test_exact_best_response_scalar_closed_form():
     game = _reference_game()
-    y = StrategyProfile.from_vector(np.array([0.2, 0.4]), (1, 1))
+    y = np.array([0.2, 0.4])
     out = proximal_best_response(game, 0, y, 1.0)
     # anchored scalar quadratic: (mu y_i - c_i - q_ij y_j) / (mu + q_ii)
     hand = (1.0 * 0.2 - (-1.0 + 1.0 * 0.4)) / (1.0 + 2.0)
     assert out[0] == pytest.approx(hand, abs=1e-11)
-    # the stacked vector is the same point as the profile
-    assert np.array_equal(proximal_best_response(game, 0, y.vector, 1.0), out)
-    for wrong in (np.zeros(3), np.zeros((2, 1))):
+    # the stacked vector is the only strategy type: a profile of the same
+    # point, a list and a size-1 vector numpy would broadcast are rejected
+    profile = StrategyProfile.from_vector(y, (1, 1))
+    for wrong in (np.zeros(3), np.zeros((2, 1)), profile, [0.2, 0.4],
+                  np.zeros(1)):
         with pytest.raises(ValueError, match="does not match game dimension"):
             proximal_best_response(game, 0, wrong, 1.0)
 
@@ -126,7 +128,7 @@ def test_exact_best_response_fixes_the_equilibrium():
     x_star = solve_ne_oracle(game)
     for i in range(2):
         out = proximal_best_response(game, i, x_star, 1.0)
-        assert abs(out[0] - x_star.blocks[i][0]) <= 1e-11
+        assert abs(out[0] - x_star[i]) <= 1e-11
 
 
 def test_componentwise_contraction_of_exact_best_responses():
@@ -136,9 +138,10 @@ def test_componentwise_contraction_of_exact_best_responses():
         cert = contraction_certificate(game, 1.0)
         assert cert.a < 1.0
         for _ in range(5):
-            y = StrategyProfile.from_vector(rng.normal(size=6), game.dims)
-            z = StrategyProfile.from_vector(rng.normal(size=6), game.dims)
-            dist = np.array([np.linalg.norm(y.blocks[j] - z.blocks[j]) for j in range(3)])
+            y = rng.normal(size=6)
+            z = rng.normal(size=6)
+            dist = np.array([np.linalg.norm(y[sl] - z[sl])
+                             for sl in map(game.block_slice, range(3))])
             bound = cert.gamma @ dist
             for i in range(3):
                 move = np.linalg.norm(proximal_best_response(game, i, y, 1.0)
@@ -148,7 +151,7 @@ def test_componentwise_contraction_of_exact_best_responses():
 
 def test_sampled_best_response_with_zero_noise_equals_the_exact_one():
     game = _reference_game()
-    y = StrategyProfile.from_vector(np.array([0.2, 0.4]), (1, 1))
+    y = np.array([0.2, 0.4])
     exact = proximal_best_response(game, 0, y, 1.0)
     sampled = saa_best_response(game, 0, y, 100, 1.0, np.zeros(1))
     assert np.array_equal(sampled, exact)
@@ -158,7 +161,7 @@ def test_sampled_best_response_error_obeys_the_variance_bound():
     # per-player observation noise nu_i = 1; the sampled subproblem solution
     # deviates from the exact one by at most gain^2 nu_i^2 / batch in mean square
     game = _reference_game(nu=math.sqrt(2.0))
-    y = StrategyProfile.zeros((1, 1))
+    y = np.zeros(2)
     exact = proximal_best_response(game, 0, y, 1.0)
     gain = br_noise_gain(1.0, 2.0)
     nu_i = monotonicity_constants(game).nu_i
@@ -187,7 +190,7 @@ def test_schedule_resolution_uses_calibrated_noise_and_gain():
 def test_run_records_norm_errors_and_exact_counters():
     game = _reference_game(nu=math.sqrt(2.0))
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=12, seed=5)
     trace = run_pbr(game, config, x0, x_star=x_star)
     assert trace.error_metric == "distance"
@@ -202,7 +205,7 @@ def test_noise_free_run_contracts_at_the_certificate_rate():
     game = _reference_game()
     cert = contraction_certificate(game, 1.0)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     trace = run_pbr(game, PbrConfig(mu=1.0, eta_br=0.7, max_iter=20, seed=5,
                                     m_max=1.0, c_r=1.0), x0, x_star=x_star)
     for k in range(20):
@@ -220,7 +223,7 @@ def test_run_started_at_the_equilibrium_stays_there():
 def test_uncontractive_game_is_rejected():
     game = QuadraticGame(dims=(1, 1), h=np.array([[1.0, 10.0], [-10.0, 1.0]]),
                          c=np.zeros(2))
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=3, m_max=1.0, c_r=1.0)
     with pytest.raises(ValueError, match="not certified contractive"):
         run_pbr(game, config, x0)
@@ -262,7 +265,7 @@ def test_complexity_requires_a_resolved_schedule():
 def test_default_shifted_rate_splits_the_gap_to_one():
     game = _reference_game(nu=math.sqrt(2.0))
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=100, m_max=1.0, c_r=1.0)
     # max(a, eta_br) = 0.7 so the default shifted rate is 0.85
     out = pbr_complexity(config, a=2 / 3, eps=0.5, n_players=2, c_start=1.0)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -535,6 +537,99 @@ def test_validate_rejects_solver_parameters_as_the_run_does(
     assert main(["validate", "--config", cfg, "--quiet"]) == 3
     assert capsys.readouterr().err == run_err
     assert run_err and "Traceback" not in run_err
+
+
+@pytest.mark.parametrize("doc,message", [
+    (dict(DIST_DOC, graph={"family": "ring", "nodes": 4}),
+     "graph has 4 nodes for 5 players"),
+    (dict(PGR_DOC, solver={"alpha": 0.2, "rho": 0.5, "max_iter": 1100}),
+     "max_iter must be at most 1022"),
+    (dict(PBR_DOC, solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 600}),
+     "max_iter must be at most 512"),
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=1)),
+     "rate fit needs at least 3 usable points, got 2"),
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=60),
+          fit={"window": [50, 70]}),
+     "window (50, 70) out of range for 61 error entries"),
+    (dict(PGR_DOC, x0=[0.0, 0.0, 0.0]),
+     "vector of size 3 does not split into blocks (1, 1)"),
+], ids=["graph-nodes", "pgr-batch-overflow", "pbr-batch-overflow",
+        "fit-too-few-points", "fit-window-out-of-range", "x0-size"])
+def test_validate_rejects_what_the_run_rejects_before_any_replication(
+        tmp_path: Path, capsys, monkeypatch, doc: dict, message: str):
+    """Each config used to pass validate and fail only in or after its
+    replications; now the run stops before the first one, with the line
+    validate prints."""
+    _no_replication(monkeypatch)
+    cfg = _write(tmp_path, doc)
+    assert main([doc["scheme"], "--config", cfg, "--quiet"]) == 3
+    run_err = capsys.readouterr().err
+    assert main(["validate", "--config", cfg, "--quiet"]) == 3
+    assert capsys.readouterr().err == run_err
+    assert run_err.startswith("invalid parameters: ")
+    assert run_err.endswith(f"{message}\n") and run_err.count("\n") == 1
+
+
+def _exit_and_stderr(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def _boundary_configs(draw) -> dict:
+    """Small configs around three pre-run boundaries: graph nodes against
+    players, max_iter against the iteration at which a batch size
+    overflows a double (3 or 5 for pgr, 3 or 6 for dist-pgr and pbr, none
+    within 8 for the last choice of each), and fit windows against the
+    iteration count."""
+    scheme = draw(st.sampled_from(["pgr", "dist-pgr", "pbr"]))
+    solver = {"max_iter": draw(st.integers(1, 8))}
+    if scheme == "pgr":
+        doc = dict(PGR_DOC, replications=1)
+        solver.update(alpha=0.2, rho=draw(st.sampled_from([1e-100, 1e-60,
+                                                           0.5])))
+        if draw(st.booleans()):
+            solver["target_eps"] = draw(st.sampled_from([1e-3, 0.05]))
+    elif scheme == "dist-pgr":
+        players = draw(st.integers(3, 5))
+        doc = dict(DIST_DOC, replications=1,
+                   game=dict(DIST_DOC["game"], a=[1.0] * players,
+                             b=[0.0] * players),
+                   graph={"family": "ring", "nodes": draw(st.integers(3, 5))})
+        solver["alpha"] = 0.02
+        beta = draw(st.sampled_from([None, 1e-200, 1e-100]))
+        if beta is not None:
+            solver["beta"] = beta
+    else:
+        doc = dict(PBR_DOC, replications=1)
+        solver.update(mu=1.0, eta_br=draw(st.sampled_from([1e-60, 1e-30,
+                                                           0.5])))
+    fit = draw(st.sampled_from(["default", "window", "skip"]))
+    if fit == "window":
+        doc["fit"] = {"window": draw(st.lists(st.integers(0, 10), min_size=2,
+                                              max_size=2))}
+    elif fit == "skip":
+        doc["fit"] = {"skip": draw(st.integers(0, 8))}
+    return dict(doc, solver=solver)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_boundary_configs())
+def test_validate_and_the_run_agree_on_pre_run_failures(doc: dict):
+    """validate exiting 0 means the run does not stop with a config or
+    parameter error (2 or 3); a validate failure is the run's failure,
+    with the same code and the same stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), doc)
+        checked = _exit_and_stderr(["validate", "--config", cfg, "--quiet"])
+        ran = _exit_and_stderr([doc["scheme"], "--config", cfg, "--quiet"])
+    if checked[0] == 0:
+        assert ran[0] not in (2, 3), ran
+    else:
+        assert ran == checked
+        assert checked[1].count("\n") == 1
 
 
 @pytest.mark.parametrize("doc", [PGR_DOC, DIST_DOC, PBR_DOC, BOUNDS_DOC],

@@ -13,7 +13,6 @@ from nashprox import (
     InvalidStep,
     PgrConfig,
     RootGeometricBatch,
-    StrategyProfile,
     complete_graph,
     consensus_apply,
     dist_complexity,
@@ -50,7 +49,7 @@ def test_noise_free_complete_graph_run_collapses_to_the_centralized_run():
     # matching schedules: ceil(0.25^-(k+1)/2) equals ceil(0.5^-(k+1))
     dist = run_dist_pgr(game, graph, DistConfig(alpha=0.05, max_iter=25, beta=0.25, seed=4),
                         x_star=x_star)
-    mid = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
+    mid = np.array([0.5, 0.5])
     central = run_pgr(game, PgrConfig(alpha=0.05, rho=0.5, max_iter=25, seed=4),
                       mid, x_star=x_star)
     assert dist.batches == central.batches
@@ -208,8 +207,10 @@ def test_default_start_is_the_box_midpoint():
     graph = complete_graph(2)
     trace = run_dist_pgr(game, graph, DistConfig(alpha=0.05, max_iter=1, beta=0.25, seed=0),
                          x_star=solve_ne_oracle(game))
-    mid = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
-    assert trace.errors[0, 0] == pytest.approx(mid.distance(solve_ne_oracle(game)) ** 2, abs=1e-12)
+    mid = np.array([0.5, 0.5])
+    assert np.array_equal(game.midpoint(), mid)
+    assert trace.errors[0, 0] == pytest.approx(
+        np.linalg.norm(mid - solve_ne_oracle(game)) ** 2, abs=1e-12)
 
 
 def _player_gradient(game: AggregativeGame, i: int, x_i, y) -> np.ndarray:
@@ -222,7 +223,7 @@ def _player_gradient(game: AggregativeGame, i: int, x_i, y) -> np.ndarray:
 
 
 def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
-                        x_star: StrategyProfile, replication: int):
+                        x_star: np.ndarray, replication: int):
     """Per-player loop run_dist_pgr replaces: _player_gradient and prox_apply
     one player at a time, player i's noise at iteration k drawn as entry
     (k, i) of the replication's standard-normal block from the stream
@@ -233,7 +234,7 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
         (config.max_iter, n))
     x = np.array([(l + h) / 2.0 for l, h in zip(game.lo, game.hi)])
     v = x.copy()
-    errors = [float(np.linalg.norm(x - x_star.vector) ** 2)]
+    errors = [float(np.linalg.norm(x - x_star) ** 2)]
     consensus_errors = []
     for k in range(config.max_iter):
         v_hat = consensus_apply(graph, v, k + 1)
@@ -248,7 +249,7 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
         v = (v - x) + x_next
         consensus_errors.append(float(np.max(np.abs(v_hat - np.mean(x)))))
         x = x_next
-        errors.append(float(np.linalg.norm(x - x_star.vector) ** 2))
+        errors.append(float(np.linalg.norm(x - x_star) ** 2))
     return np.array(errors), np.array(consensus_errors), x
 
 
@@ -270,3 +271,14 @@ def test_vectorized_run_matches_the_per_player_reference_loop():
     assert np.array_equal(trace.consensus_errors[0], consensus_errors)
     assert np.array_equal(trace.final[0], final)
     assert np.count_nonzero(final == game.hi) >= 1
+
+
+def test_rate_constants_and_run_reject_a_graph_without_a_node_per_player():
+    """dist_rate_constants, which the command line's pre-run checks call,
+    rejects the graph with the run's own message."""
+    game, message = _five_player_game(0.5), "graph has 4 nodes for 5 players"
+    with pytest.raises(ValueError, match=message):
+        dist_rate_constants(game, ring_graph(4), 0.02)
+    with pytest.raises(ValueError, match=message):
+        run_dist_pgr(game, ring_graph(4), DistConfig(alpha=0.02, max_iter=3))
+    assert dist_rate_constants(game, ring_graph(5), 0.02).c3 > 0.0

@@ -11,7 +11,6 @@ from nashprox import (
     GaussianNoise,
     NotStronglyMonotone,
     QuadraticGame,
-    StrategyProfile,
     generate_quadratic_game,
     gradient_map,
     monotonicity_constants,
@@ -63,9 +62,9 @@ def test_game_keeps_read_only_copies_of_h_and_c():
 
 def test_gradient_map_values_on_reference_game():
     game = _reference_game()
-    at_zero = gradient_map(game, StrategyProfile.zeros((1, 1)))
+    at_zero = gradient_map(game, np.zeros(2))
     assert np.array_equal(at_zero, [-1.0, -1.0])
-    at_ne = gradient_map(game, StrategyProfile.from_vector(np.array([1 / 3, 1 / 3]), (1, 1)))
+    at_ne = gradient_map(game, np.array([1 / 3, 1 / 3]))
     assert np.max(np.abs(at_ne)) <= 1e-12
 
 
@@ -92,10 +91,10 @@ def test_monotonicity_and_lipschitz_inequalities_hold_pointwise():
     rng = np.random.default_rng(3)
     dims = game.dims
     for _ in range(50):
-        x = StrategyProfile.from_vector(rng.normal(size=6) * 2.0, dims)
-        y = StrategyProfile.from_vector(rng.normal(size=6) * 2.0, dims)
+        x = rng.normal(size=sum(dims)) * 2.0
+        y = rng.normal(size=sum(dims)) * 2.0
         gx, gy = gradient_map(game, x), gradient_map(game, y)
-        diff = x.vector - y.vector
+        diff = x - y
         inner = float((gx - gy) @ diff)
         nrm2 = float(diff @ diff)
         assert inner >= const.eta * nrm2 - 1e-9 * max(1.0, nrm2)
@@ -113,8 +112,8 @@ def test_oracle_matches_linear_solve_on_unconstrained_game():
     game = _reference_game()
     x_star = solve_ne_oracle(game)
     direct = np.linalg.solve(REF_H, -REF_C)
-    assert np.allclose(x_star.vector, direct, atol=1e-9)
-    assert np.allclose(x_star.vector, [1 / 3, 1 / 3], atol=1e-9)
+    assert np.allclose(x_star, direct, atol=1e-9)
+    assert np.allclose(x_star, [1 / 3, 1 / 3], atol=1e-9)
 
 
 def test_oracle_respects_box_constraints():
@@ -123,14 +122,14 @@ def test_oracle_respects_box_constraints():
         regularizers=(BoxIndicator(np.array([1.0]), np.array([2.0])),))
     x_star = solve_ne_oracle(game)
     # unconstrained minimizer 0 projects onto the lower face of [1, 2]
-    assert np.allclose(x_star.vector, [1.0], atol=1e-10)
-    assert ne_residual(game, StrategyProfile.from_vector(np.array([1.0]), (1,)), 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(x_star, [1.0], atol=1e-10)
+    assert ne_residual(game, np.array([1.0]), 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cournot_player_gradient_and_constants():
     game = AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(10.0, 10.0))
-    at_zero = gradient_map(game, StrategyProfile.zeros((1, 1)))
+    at_zero = gradient_map(game, np.zeros(2))
     assert np.array_equal(at_zero, [-2.0, -2.0])
     const = monotonicity_constants(game)
     # interaction Jacobian [[3, 1], [1, 3]] has eigenvalues {2, 4}
@@ -143,7 +142,7 @@ def test_cournot_equilibrium_closed_form():
     game = AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(10.0, 10.0))
     x_star = solve_ne_oracle(game)
-    assert np.allclose(x_star.vector, [0.5, 0.5], atol=1e-10)
+    assert np.allclose(x_star, [0.5, 0.5], atol=1e-10)
 
 
 def test_cournot_five_player_symmetric_solution():
@@ -154,14 +153,14 @@ def test_cournot_five_player_symmetric_solution():
     assert const.lip == pytest.approx(7.0)
     assert const.m_compact == pytest.approx(5.0)
     x_star = solve_ne_oracle(game)
-    assert np.allclose(x_star.vector, np.full(5, 2 / 7), atol=1e-10)
+    assert np.allclose(x_star, np.full(5, 2 / 7), atol=1e-10)
 
 
 def test_cournot_binding_box_saturates():
     game = AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=50.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(0.1, 0.1))
     x_star = solve_ne_oracle(game)
-    assert np.allclose(x_star.vector, [0.1, 0.1], atol=1e-12)
+    assert np.allclose(x_star, [0.1, 0.1], atol=1e-12)
 
 
 def test_cournot_rejects_invalid_parameters():
@@ -211,7 +210,7 @@ def test_closed_form_cournot_oracle_matches_forward_backward(game):
     x_fb = _forward_backward(game, alpha, 1e-12, 200_000)
     # x_fb is within its certified bound of the equilibrium; x_star is
     # exact up to rounding.
-    assert x_star.distance(x_fb) <= ne_error_bound(game, x_fb) + 1e-13
+    assert np.linalg.norm(x_star - x_fb) <= ne_error_bound(game, x_fb) + 1e-13
 
 
 def test_cournot_with_negative_own_curvature_takes_the_forward_backward_path():
@@ -221,7 +220,7 @@ def test_cournot_with_negative_own_curvature_takes_the_forward_backward_path():
                            lo=(0.0, 0.0), hi=(1.0, 1.0))
     assert _aggregate_bisection(game) is None
     x_star = solve_ne_oracle(game)
-    distance = np.linalg.norm(x_star.vector - [1.0, 1.0 / 7.0])
+    distance = np.linalg.norm(x_star - [1.0, 1.0 / 7.0])
     assert distance <= ne_error_bound(game, x_star) <= 1e-9
 
 
@@ -230,11 +229,10 @@ def test_oracle_error_bound_covers_distance_on_unconstrained_quadratic_game():
     exact = np.linalg.solve(REF_H, -REF_C)
     x_star = solve_ne_oracle(game, tol=1e-6)
     rng = np.random.default_rng(3)
-    points = [x_star.vector] + [exact + rng.normal(scale=s, size=2)
-                                for s in (1e-8, 1e-3, 1.0)]
+    points = [x_star] + [exact + rng.normal(scale=s, size=2)
+                         for s in (1e-8, 1e-3, 1.0)]
     for p in points:
-        x = StrategyProfile.from_vector(p, (1, 1))
-        assert ne_error_bound(game, x) >= np.linalg.norm(p - exact)
+        assert ne_error_bound(game, p) >= np.linalg.norm(p - exact)
 
 
 def test_oracle_error_bound_covers_distance_on_symmetric_cournot_game():
@@ -244,11 +242,10 @@ def test_oracle_error_bound_covers_distance_on_symmetric_cournot_game():
     consts = monotonicity_constants(game)
     x_fb = _forward_backward(game, consts.eta / consts.lip ** 2, 1e-6, 200_000)
     rng = np.random.default_rng(4)
-    points = [x_fb.vector] + [exact + rng.normal(scale=s, size=5)
-                              for s in (1e-8, 1e-3, 1.0)]
+    points = [x_fb] + [exact + rng.normal(scale=s, size=5)
+                       for s in (1e-8, 1e-3, 1.0)]
     for p in points:
-        x = StrategyProfile.from_vector(p, (1,) * 5)
-        assert ne_error_bound(game, x) >= np.linalg.norm(p - exact)
+        assert ne_error_bound(game, p) >= np.linalg.norm(p - exact)
 
 
 def test_error_bound_needs_a_condition_number_whose_square_is_finite():
@@ -257,7 +254,7 @@ def test_error_bound_needs_a_condition_number_whose_square_is_finite():
     def game(a_min: float) -> AggregativeGame:
         return AggregativeGame(a=(1.0, a_min), b=(0.0, 0.0), d=2.0,
                                c_price=0.0, lo=(0.0, 0.0), hi=(1.0, 1.0))
-    x = StrategyProfile.from_vector(np.array([0.5, 0.5]), (1, 1))
+    x = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match=r"kappa = lip/eta = 1e\+170 must "
                                          r"be below 1e154"):
         ne_error_bound(game(1e-170), x)

@@ -22,7 +22,6 @@ from nashprox import (
     L1,
     BoxIndicator,
     QuadraticGame,
-    StrategyProfile,
     Zero,
     contraction_certificate,
     prox_apply,
@@ -56,7 +55,7 @@ def _reference_coupling(game, i, y):
     lin = game.c[sl].copy()
     for j in range(game.n_players):
         if j != i:
-            lin += game.block(i, j) @ y.blocks[j]
+            lin += game.block(i, j) @ y[game.block_slice(j)]
     return lin
 
 
@@ -141,25 +140,25 @@ def _check_within_bound(game, i, linear, anchor, mu, tol):
 def test_inner_solve_matches_the_reference_within_the_contraction_bound(
         drawn, mu, tol):
     game, rng = drawn
-    y = StrategyProfile.from_vector(2.0 * rng.standard_normal(game.dim),
-                                    game.dims)
+    y = 2.0 * rng.standard_normal(game.dim)
     for i in range(game.n_players):
+        anchor = y[game.block_slice(i)]
         linear = _reference_coupling(game, i, y) + rng.standard_normal(
             game.dims[i])
-        _check_within_bound(game, i, linear, y.blocks[i], mu, tol)
+        _check_within_bound(game, i, linear, anchor, mu, tol)
         if isinstance(game.regularizers[i], L1) and \
                 game.regularizers[i].weight == 1e4:
-            assert not np.any(_solve_anchored(game, i, linear, y.blocks[i],
-                                              mu, tol, 100_000)[0])
+            assert not np.any(_solve_anchored(game, i, linear, anchor, mu,
+                                              tol, 100_000)[0])
         # the coupling term is one mat-vec with the off-diagonal part of h
         lin, ref = _coupling_linear(game, i, y)[0], _reference_coupling(game, i, y)
         sl = game.block_slice(i)
-        scale = np.abs(game.c[sl]) + np.abs(game.h[sl]) @ np.abs(y.vector)
+        scale = np.abs(game.c[sl]) + np.abs(game.h[sl]) @ np.abs(y)
         assert np.all(np.abs(lin - ref) <= 2 * game.dim *
                       np.finfo(float).eps * scale)
         assert np.array_equal(
             proximal_best_response(game, i, y, mu, tol),
-            _solve_anchored(game, i, lin, y.blocks[i], mu, tol, 100_000)[0])
+            _solve_anchored(game, i, lin, anchor, mu, tol, 100_000)[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,7 +212,7 @@ def test_inner_solve_keeps_the_prox_step_and_shape_checks():
     box = BoxIndicator(np.zeros(2), np.ones(2))
     game = QuadraticGame(dims=(1,), h=np.array([[1.0]]), c=np.zeros(1),
                          regularizers=(box,))
-    y = StrategyProfile.zeros((1,))
+    y = np.zeros(1)
     with pytest.raises(ValueError, match=r"does not match box of shape \(2,\)"):
         proximal_best_response(game, 0, y, 1.0)
     # (mu + e_min) + (mu + e_max) overflows, so the step rounds to zero
@@ -337,7 +336,7 @@ def test_solver_cache_is_keyed_by_player_and_mu(drawn):
     """Every player at mu = 1 and then at mu = 2 on one game gives the
     bits that each solve gives on a game of its own."""
     game, rng = drawn
-    y = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
+    y = rng.standard_normal(game.dim)
     for mu in (1.0, 2.0):
         for i in range(game.n_players):
             fresh = QuadraticGame(dims=game.dims, h=game.h, c=game.c,

@@ -24,7 +24,6 @@ from nashprox import (
     PbrConfig,
     QuadraticGame,
     SampleCounter,
-    StrategyProfile,
     Zero,
     run_pbr,
     saa_best_response,
@@ -42,7 +41,7 @@ def _reference_run_pbr(game, config, x0, x_star, replication):
     counter = SampleCounter()
     errors = np.full(config.max_iter + 1, np.nan)
     y = x0
-    errors[0] = y.distance(x_star)
+    errors[0] = np.linalg.norm(y - x_star)
     batches, cum_samples, cum_inner = [], [], []
     for k in range(config.max_iter):
         n_k = schedule_size(schedule, k)
@@ -54,11 +53,11 @@ def _reference_run_pbr(game, config, x0, x_star, replication):
                 game, i, y, n_k, config.mu, w, inner_tol=config.inner_tol))
             counter.total_samples += n_k
             counter.inner_solves += 1
-        y = StrategyProfile(tuple(blocks))
+        y = np.concatenate(blocks)
         batches.append(n_k)
         cum_samples.append(counter.total_samples)
         cum_inner.append(counter.inner_solves)
-        errors[k + 1] = y.distance(x_star)
+        errors[k + 1] = np.linalg.norm(y - x_star)
     return errors, batches, cum_samples, cum_inner, counter, y
 
 
@@ -105,7 +104,7 @@ def test_run_matches_the_per_site_reference_loop_bit_for_bit(
     game, rng = drawn
     config = PbrConfig(mu=mu, eta_br=eta_br, max_iter=max_iter, seed=seed)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
+    x0 = rng.standard_normal(game.dim)
     trace = run_pbr(game, config, x0, x_star, replications=[replication])
     errors, batches, cum_samples, cum_inner, counter, final = \
         _reference_run_pbr(game, config, x0, x_star, replication)
@@ -115,5 +114,5 @@ def test_run_matches_the_per_site_reference_loop_bit_for_bit(
     assert trace.cum_samples == cum_samples
     assert trace.cum_inner == cum_inner
     assert trace.counter == counter
-    assert trace.final.shape == (1, sum(final.dims))
-    assert trace.final[0].tobytes() == final.vector.tobytes()
+    assert trace.final.shape == (1, final.size)
+    assert trace.final[0].tobytes() == final.tobytes()

@@ -11,7 +11,6 @@ from nashprox import (
     InvalidStep,
     PgrConfig,
     QuadraticGame,
-    StrategyProfile,
     complexity_K,
     complexity_M,
     contraction_factor_q,
@@ -191,7 +190,7 @@ def test_recommended_parameters_hit_the_kappa_squared_regime():
 def test_run_is_deterministic_and_counts_work():
     game = _reference_game(nu=1.0)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PgrConfig(alpha=0.2, rho=0.9, max_iter=60, seed=11)
     trace = run_pgr(game, config, x0, x_star=x_star)
     again = run_pgr(game, config, x0, x_star=x_star)
@@ -210,7 +209,7 @@ def test_noise_free_run_contracts_at_q_every_step():
     const = monotonicity_constants(game)
     q = contraction_factor_q(const.eta, const.lip, 0.2)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     trace = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=30, seed=0),
                     x0, x_star=x_star)
     for k in range(30):
@@ -219,7 +218,7 @@ def test_noise_free_run_contracts_at_q_every_step():
 
 def test_run_rejects_unstable_step():
     game = _reference_game()
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     with pytest.raises(InvalidStep):
         run_pgr(game, PgrConfig(alpha=50.0, rho=0.9, max_iter=10, seed=0), x0)
 
@@ -227,10 +226,11 @@ def test_run_rejects_unstable_step():
 def test_target_accuracy_run_stops_at_the_iteration_bound():
     game = _reference_game(nu=1.0)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     config = PgrConfig(alpha=1 / 9, rho=17 / 18, max_iter=500, seed=3, target_eps=1e-3)
     trace = run_pgr(game, config, x0, x_star=x_star)
-    rc = rate_constants(1.0, 3.0, 1 / 9, 17 / 18, 1.0, x0.distance(x_star) ** 2)
+    rc = rate_constants(1.0, 3.0, 1 / 9, 17 / 18, 1.0,
+                        float(np.linalg.norm(x0 - x_star)) ** 2)
     assert trace.iterations == math.ceil(complexity_K(rc, 17 / 18, 1e-3))
     with pytest.raises(ValueError):
         run_pgr(game, config, x0)  # a target needs the reference solution
@@ -239,7 +239,7 @@ def test_target_accuracy_run_stops_at_the_iteration_bound():
 def test_different_seeds_give_different_noisy_trajectories():
     game = _reference_game(nu=1.0)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     t1 = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=20, seed=1), x0, x_star=x_star)
     t2 = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=20, seed=2), x0, x_star=x_star)
     assert not np.array_equal(t1.errors, t2.errors)
@@ -248,7 +248,7 @@ def test_different_seeds_give_different_noisy_trajectories():
 def test_replication_index_shifts_the_stream():
     game = _reference_game(nu=1.0)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.zeros((1, 1))
+    x0 = np.zeros(2)
     cfg = PgrConfig(alpha=0.2, rho=0.9, max_iter=20, seed=1)
     t0 = run_pgr(game, cfg, x0, x_star=x_star, replications=[0])
     t1 = run_pgr(game, cfg, x0, x_star=x_star, replications=[1])
@@ -270,11 +270,11 @@ def test_noise_free_run_beats_the_envelope_on_random_games():
         const = monotonicity_constants(game)
         alpha = const.eta / const.lip ** 2
         x_star = solve_ne_oracle(game)
-        x0 = StrategyProfile.zeros(game.dims)
+        x0 = np.zeros(game.dim)
         trace = run_pgr(game, PgrConfig(alpha=alpha, rho=0.9, max_iter=40, seed=0),
                         x0, x_star=x_star)
         rc = rate_constants(const.eta, const.lip, alpha, 0.9, 0.0,
-                            x0.distance(x_star) ** 2)
+                            float(np.linalg.norm(x0 - x_star)) ** 2)
         constant, rate = envelope_params(rc, 0.9)
         for k, err in enumerate(trace.errors[0]):
             assert err <= constant * rate ** k + 1e-12

@@ -3,10 +3,10 @@ copies of the per-block forms they replace.
 
 The references below are the plain forms: the oracle error drawn per
 iteration from the replication's standard-normal block (the stream
-(seed, r, 1)) and scaled per player or for the joint gradient, a
-StrategyProfile per iterate, the generic per-block prox (np.clip for
-boxes) applied player by player, and the distance through
-StrategyProfile.distance. run_pgr, solve_ne_oracle and
+(seed, r, 1)) and scaled per player or for the joint gradient, the
+generic per-block prox (np.clip for boxes) applied player by player to
+slices of the stacked vector, and the distance through np.linalg.norm.
+run_pgr, solve_ne_oracle and
 ne_residual use the same floating-point operations in the same order, so
 their results must match the references bit for bit, signed zeros
 included.
@@ -29,7 +29,6 @@ from nashprox import (
     PgrConfig,
     QuadraticGame,
     SampleCounter,
-    StrategyProfile,
     Zero,
     complexity_K,
     contraction_factor_q,
@@ -45,6 +44,7 @@ from nashprox import (
 from nashprox import games as games_module
 from nashprox.errors import Divergence
 from nashprox.prox import compiled_prox
+from nashprox.profiles import StrategyProfile
 
 
 def _reference_prox_apply(reg, x, alpha):
@@ -57,10 +57,11 @@ def _reference_prox_apply(reg, x, alpha):
     return np.clip(x, reg.lo, reg.hi)
 
 
-def _reference_prox_profile(regs, x, alpha, counter):
-    out = StrategyProfile(tuple(
-        _reference_prox_apply(reg, block, alpha)
-        for reg, block in zip(regs, x.blocks)))
+def _reference_prox_blocks(regs, dims, vec, alpha, counter):
+    offsets = np.cumsum((0,) + tuple(dims))
+    out = np.concatenate([
+        _reference_prox_apply(reg, vec[a:b], alpha)
+        for reg, a, b in zip(regs, offsets[:-1], offsets[1:])])
     counter.prox_evals += 1
     return out
 
@@ -86,7 +87,7 @@ def _reference_batch_gradient(game, x, batch, z_k, counter):
     """The gradient plus row z_k of the standard-normal block scaled as the
     game's noise: nu / sqrt(n N_k) on the joint gradient of a quadratic
     game, nu_i / sqrt(N_k) on player i of a Cournot game."""
-    g = _reference_gradient(game, x.vector)
+    g = _reference_gradient(game, x)
     if isinstance(game, QuadraticGame):
         w = z_k * (game.noise.nu / math.sqrt(g.size * float(batch)))
     else:
@@ -102,7 +103,7 @@ def _reference_run_pgr(game, config, x0, x_star, replication):
     schedule = GeometricBatch(config.rho)
     n_iter = config.max_iter
     if config.target_eps is not None:
-        c_start = x0.distance(x_star) ** 2
+        c_start = float(np.linalg.norm(x0 - x_star)) ** 2
         rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                             consts.nu, c_start)
         n_iter = min(n_iter, max(1, math.ceil(
@@ -113,21 +114,20 @@ def _reference_run_pgr(game, config, x0, x_star, replication):
     errors = np.full(n_iter + 1, np.nan)
     batches, cum_samples, cum_prox = [], [], []
     x = x0
-    errors[0] = x.distance(x_star) ** 2
+    errors[0] = float(np.linalg.norm(x - x_star)) ** 2
     for k in range(n_iter):
         n_k = schedule_size(schedule, k)
         g = _reference_batch_gradient(game, x, n_k, z[k], counter)
-        step = x.vector - config.alpha * g
+        step = x - config.alpha * g
         if not np.all(np.isfinite(step)):
             raise Divergence(f"iterate became non-finite at iteration {k}",
                              iteration=k)
-        x = _reference_prox_profile(game.regularizers,
-                                    StrategyProfile.from_vector(step, game.dims),
-                                    config.alpha, counter)
+        x = _reference_prox_blocks(game.regularizers, game.dims, step,
+                                   config.alpha, counter)
         batches.append(n_k)
         cum_samples.append(counter.total_samples)
         cum_prox.append(counter.prox_evals)
-        errors[k + 1] = x.distance(x_star) ** 2
+        errors[k + 1] = float(np.linalg.norm(x - x_star)) ** 2
     return errors, batches, cum_samples, cum_prox, counter, x
 
 
@@ -143,9 +143,8 @@ def _reference_forward_backward(game, alpha, tol=1e-12):
 
 
 def _reference_residual(game, x, alpha):
-    vec = x.vector
-    step = vec - alpha * _reference_gradient(game, vec)
-    return float(np.linalg.norm(vec - _reference_prox_vector(game, step, alpha)))
+    step = x - alpha * _reference_gradient(game, x)
+    return float(np.linalg.norm(x - _reference_prox_vector(game, step, alpha)))
 
 
 def _assert_same_bits(got, want):
@@ -208,8 +207,7 @@ def _check_run(game, rng, step_share, rho, max_iter, seed, replication,
                        rho=rho, max_iter=max_iter, seed=seed,
                        target_eps=target_eps)
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.from_vector(2.0 * rng.standard_normal(game.dim),
-                                     game.dims)
+    x0 = 2.0 * rng.standard_normal(game.dim)
     trace = run_pgr(game, config, x0, x_star, replications=[replication])
     errors, batches, cum_samples, cum_prox, counter, final = \
         _reference_run_pgr(game, config, x0, x_star, replication)
@@ -218,8 +216,8 @@ def _check_run(game, rng, step_share, rho, max_iter, seed, replication,
     assert trace.cum_samples == cum_samples
     assert trace.cum_prox == cum_prox
     assert trace.counter == counter
-    assert trace.final.shape == (1, sum(final.dims))
-    _assert_same_bits(trace.final[0], final.vector)
+    assert trace.final.shape == (1, final.size)
+    _assert_same_bits(trace.final[0], final)
 
 
 _RUN_KEYS = dict(step_share=st.floats(0.05, 0.95), rho=st.floats(0.3, 0.95),
@@ -251,8 +249,8 @@ def test_oracle_and_residual_match_the_per_block_reference(drawn, share):
     consts = monotonicity_constants(game)
     alpha = consts.eta / consts.lip ** 2
     x_star = solve_ne_oracle(game)
-    _assert_same_bits(x_star.vector, _reference_forward_backward(game, alpha))
-    x = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
+    _assert_same_bits(x_star, _reference_forward_backward(game, alpha))
+    x = rng.standard_normal(game.dim)
     for at in (x, x_star):
         assert ne_residual(game, at, share * alpha) == \
             _reference_residual(game, at, share * alpha)
@@ -264,7 +262,7 @@ def test_cournot_residual_matches_the_per_block_reference(drawn, share):
     game, rng = drawn
     consts = monotonicity_constants(game)
     alpha = share * consts.eta / consts.lip ** 2
-    x = StrategyProfile.from_vector(rng.standard_normal(game.dim), game.dims)
+    x = rng.standard_normal(game.dim)
     assert ne_residual(game, x, alpha) == _reference_residual(game, x, alpha)
 
 
@@ -290,14 +288,17 @@ def test_sampled_gradient_takes_a_vector_and_an_explicit_noise():
                               lo=(0.0, 0.0), hi=(1.0, 1.0),
                               noises=(GaussianNoise(0.3), GaussianNoise(0.6)))
     for g in (game, cournot):
-        x = StrategyProfile.from_vector(np.linspace(0.1, 0.9, g.dim), g.dims)
-        exact = _reference_gradient(g, x.vector)
+        x = np.linspace(0.1, 0.9, g.dim)
+        exact = _reference_gradient(g, x)
         error = np.linspace(-0.3, 0.2, g.dim)
-        for at in (x, x.vector):
-            _assert_same_bits(sample_batch_gradient(g, at, 40, error),
-                              exact + error)
-        with pytest.raises(ValueError, match="does not match game dimension"):
-            sample_batch_gradient(g, np.zeros(g.dim + 1), 40, error)
+        _assert_same_bits(sample_batch_gradient(g, x, 40, error),
+                          exact + error)
+        # only the stacked vector: numpy would broadcast a size-1 vector
+        for wrong in (np.zeros(g.dim + 1), np.zeros(1),
+                      StrategyProfile.from_vector(x, g.dims), list(x)):
+            with pytest.raises(ValueError,
+                               match="does not match game dimension"):
+                sample_batch_gradient(g, wrong, 40, error)
 
 
 def test_run_builds_no_game_copy(monkeypatch):
@@ -310,6 +311,6 @@ def test_run_builds_no_game_copy(monkeypatch):
                         lambda self: builds.append(1) or checked(self))
     config = PgrConfig(alpha=0.2, rho=0.8, max_iter=10, seed=4)
     for r in range(3):
-        run_pgr(game, config, StrategyProfile.zeros((1, 1)), x_star,
+        run_pgr(game, config, np.zeros(2), x_star,
                 replications=[r])
     assert builds == []

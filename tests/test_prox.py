@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from nashprox import (
     BoxIndicator,
     L1,
-    StrategyProfile,
     Zero,
     prox_apply,
-    prox_profile,
 )
-from nashprox.prox import compiled_prox, prox_pieces
+from nashprox.profiles import StrategyProfile
+from nashprox.prox import compiled_prox, prox_pieces, prox_profile
 
 
 def test_zero_regularizer_prox_is_identity():

@@ -29,7 +29,6 @@ from nashprox import (
     PbrConfig,
     PgrConfig,
     RunTrace,
-    StrategyProfile,
     build_game,
     generate_cournot_game,
     ring_graph,
@@ -63,8 +62,7 @@ _RING = ring_graph(5)
 
 
 def _pgr(replications, seed=3):
-    x0 = StrategyProfile.from_vector(np.array([0.9, -0.7, 0.8, 1.2]),
-                                     _QUAD.dims)
+    x0 = np.array([0.9, -0.7, 0.8, 1.2])
     return run_pgr(_QUAD, PgrConfig(alpha=0.2, rho=0.8, max_iter=11,
                                     seed=seed), x0, _QUAD_STAR, replications)
 
@@ -77,7 +75,7 @@ def _dist(replications, seed=3):
 
 def _pbr(replications, seed=3):
     return run_pbr(_QUAD, PbrConfig(mu=1.0, eta_br=0.6, max_iter=7, seed=seed),
-                   StrategyProfile.zeros(_QUAD.dims), _QUAD_STAR,
+                   np.zeros(_QUAD.dim), _QUAD_STAR,
                    replications)
 
 
@@ -253,14 +251,14 @@ def test_a_diverging_run_exits_4_naming_the_iteration_and_replication(
     pytest.param([3], 3, id="3-3"), ([5, 2], 5)])
 def test_a_diverging_library_run_names_its_replication(replication, named):
     game = build_game(_DIVERGING_DOC["game"])
-    x0 = StrategyProfile.from_vector(np.array(_HUGE_START), game.dims)
+    x0 = np.array(_HUGE_START, dtype=float)
     with pytest.raises(Divergence, match=f"non-finite at iteration 0 of "
                        f"replication {named}$") as info:
         run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=5), x0,
                 replications=replication)
     assert info.value.iteration == 0
     # the aggregate N v_hat = 1.5e308 plus a_i x_i overflows
-    start = StrategyProfile.from_vector(np.full(5, 3e307), _COURNOT.dims)
+    start = np.full(5, 3e307)
     with pytest.raises(Divergence, match=f"non-finite at iteration 0 of "
                        f"replication {named}$"):
         run_dist_pgr(_COURNOT, _RING, DistConfig(alpha=0.02, max_iter=5),

@@ -12,7 +12,6 @@ from nashprox import (
     QuadraticGame,
     RootGeometricBatch,
     SampleCounter,
-    StrategyProfile,
     check_schedule,
     gradient_map,
     sample_batch_gradient,
@@ -98,7 +97,7 @@ def test_schedule_validation():
 def test_sampled_gradient_is_deterministic():
     game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
                          c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
-    x = StrategyProfile.zeros((1, 1))
+    x = np.zeros(2)
     errors = list(iteration_errors([game.noise.nu], [game.dim], 3, [0],
                                    [50] * 3))
     again = list(iteration_errors([game.noise.nu], [game.dim], 3, [0],
@@ -113,7 +112,7 @@ def test_sampled_gradient_is_deterministic():
 def test_sampled_gradient_centers_on_exact_gradient():
     game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
                          c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
-    x = StrategyProfile.zeros((1, 1))
+    x = np.zeros(2)
     exact = gradient_map(game, x)
     reps, batch = 4000, 25
     # rows 0..reps-1 of replication 5 of seed 3

@@ -28,7 +28,6 @@ from nashprox import (
     PbrConfig,
     PgrConfig,
     QuadraticGame,
-    StrategyProfile,
     ring_graph,
     run_dist_pgr,
     run_pbr,
@@ -163,7 +162,7 @@ def test_replication_zero_is_the_same_at_one_and_five_replications(
                          ids=["quadratic", "cournot"])
 def test_a_run_cut_short_by_target_eps_draws_the_leading_rows(game):
     x_star = solve_ne_oracle(game)
-    x0 = StrategyProfile.from_vector(np.full(game.dim, 0.9), game.dims)
+    x0 = np.full(game.dim, 0.9)
     full = PgrConfig(alpha=0.1, rho=0.8, max_iter=40, seed=9)
     short = PgrConfig(alpha=0.1, rho=0.8, max_iter=40, seed=9,
                       target_eps=0.05)
@@ -216,7 +215,7 @@ def _recorded(monkeypatch) -> list[list[np.ndarray]]:
 
 def _pgr_runs(game, reps):
     config = PgrConfig(alpha=0.1, rho=0.7, max_iter=12, seed=4)
-    x0 = StrategyProfile.zeros(game.dims)
+    x0 = np.zeros(game.dim)
     return run_pgr(game, config, x0, replications=range(reps))
 
 
@@ -228,7 +227,7 @@ def _dist_runs(game, reps):
 
 def _pbr_runs(game, reps):
     config = PbrConfig(mu=1.0, eta_br=0.6, max_iter=8, seed=8)
-    x0 = StrategyProfile.zeros(game.dims)
+    x0 = np.zeros(game.dim)
     return run_pbr(game, config, x0, replications=range(reps))
 
 

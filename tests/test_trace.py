@@ -14,7 +14,6 @@ from nashprox import (
     PbrConfig,
     PgrConfig,
     QuadraticGame,
-    StrategyProfile,
     generate_cournot_game,
     generate_quadratic_game,
     ring_graph,
@@ -28,22 +27,25 @@ _QUAD = generate_quadratic_game(3, 2, 0.3, seed=1, nu=0.5)
 _COURNOT = generate_cournot_game(4, seed=2, nu=0.3)
 
 
-def _pgr(x0=None):
-    x0 = x0 or StrategyProfile.zeros(_QUAD.dims)
+def _pgr(x0=None, x_star=None):
+    x0 = np.zeros(_QUAD.dim) if x0 is None else x0
+    x_star = solve_ne_oracle(_QUAD) if x_star is None else x_star
     return run_pgr(_QUAD, PgrConfig(alpha=0.05, rho=0.8, max_iter=12, seed=3),
-                   x0, solve_ne_oracle(_QUAD), replications=[1])
+                   x0, x_star, replications=[1])
 
 
-def _dist(x0=None):
+def _dist(x0=None, x_star=None):
+    x_star = solve_ne_oracle(_COURNOT) if x_star is None else x_star
     return run_dist_pgr(_COURNOT, ring_graph(4),
                         DistConfig(alpha=0.02, max_iter=12, seed=3),
-                        solve_ne_oracle(_COURNOT), replications=[1], x0=x0)
+                        x_star, replications=[1], x0=x0)
 
 
-def _pbr(x0=None):
-    x0 = x0 or StrategyProfile.zeros(_QUAD.dims)
+def _pbr(x0=None, x_star=None):
+    x0 = np.zeros(_QUAD.dim) if x0 is None else x0
+    x_star = solve_ne_oracle(_QUAD) if x_star is None else x_star
     return run_pbr(_QUAD, PbrConfig(mu=1.0, eta_br=0.6, max_iter=8, seed=3),
-                   x0, solve_ne_oracle(_QUAD), replications=[1])
+                   x0, x_star, replications=[1])
 
 
 _RUNS = {"pgr": _pgr, "dist-pgr": _dist, "pbr": _pbr}
@@ -92,11 +94,24 @@ def test_each_scheme_counts_its_own_effort():
 @pytest.mark.parametrize("scheme", sorted(_RUNS))
 def test_a_start_of_the_wrong_shape_is_rejected_by_every_solver(scheme):
     with pytest.raises(ValueError, match="x0 dims"):
-        _RUNS[scheme](StrategyProfile.zeros((1,) * 7))
+        _RUNS[scheme](np.zeros(7))
 
 
-def _far_start(game) -> StrategyProfile:
-    return StrategyProfile.from_vector(np.full(game.dim, 1e200), game.dims)
+@pytest.mark.parametrize("scheme", sorted(_RUNS))
+def test_a_size_one_start_or_reference_is_rejected_before_it_broadcasts(
+        scheme):
+    """numpy would broadcast a size-1 x0 or x_star against every row;
+    both are rejected by shape, as is anything but an ndarray."""
+    for x0 in (np.zeros(1), np.zeros((1, 6)), [0.0] * 6):
+        with pytest.raises(ValueError, match="x0 dims"):
+            _RUNS[scheme](x0)
+    for x_star in (np.zeros(1), np.zeros(7)):
+        with pytest.raises(ValueError, match="x_star dims"):
+            _RUNS[scheme](x_star=x_star)
+
+
+def _far_start(game) -> np.ndarray:
+    return np.full(game.dim, 1e200)
 
 
 @pytest.mark.parametrize("scheme", sorted(_RUNS))
@@ -105,7 +120,7 @@ def test_a_start_too_far_to_measure_is_rejected_by_every_solver(scheme):
     with pytest.raises(ValueError) as err:
         _RUNS[scheme](x0)
     assert str(err.value) == (
-        f"x0 = {x0.vector.tolist()} has squared distance inf to the "
+        f"x0 = {x0.tolist()} has squared distance inf to the "
         f"equilibrium; a run needs it finite")
 
 
