@@ -23,11 +23,10 @@ from .distributed import (DistComplexity, DistConfig, DistRateConstants,
                           dist_rate_constants, run_dist_pgr)
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
                      NoGeometricMixing, NonConvergence, NotStronglyMonotone)
-from .experiments import (ExperimentSpec, FitResult, RunReport,
-                          fit_linear_rate, generate_cournot_game,
-                          generate_quadratic_game, run_experiment,
-                          write_report_json, write_trace_csv)
+from .experiments import (ExperimentSpec, FitResult, fit_linear_rate,
+                          run_experiment, write_report_json, write_trace_csv)
 from .games import (AggregativeGame, GameConstants, QuadraticGame,
+                    generate_cournot_game, generate_quadratic_game,
                     gradient_map, monotonicity_constants, ne_error_bound,
                     ne_residual, solve_ne_oracle)
 from .graphs import (CommGraph, MixingParams, build_metropolis_weights,
@@ -57,7 +56,7 @@ __all__ = [
     "NoGeometricMixing", "NonConvergence",
     "NotStronglyMonotone", "PbrComplexity", "PbrConfig", "PgrConfig",
     "QuadraticGame", "RateConstants", "Regularizer", "RootGeometricBatch",
-    "RunReport", "RunTrace", "SampleCounter", "Zero",
+    "RunTrace", "SampleCounter", "Zero",
     "br_noise_gain", "build_game", "build_graph",
     "build_metropolis_weights", "check_schedule", "complete_graph",
     "complexity_K", "complexity_M", "consensus_apply",

@@ -84,6 +84,13 @@ def contraction_certificate(game: QuadraticGame, mu: float) -> ContractionCertif
                                   zeta_min=zeta_min, zeta_max=zeta_max)
 
 
+def check_contractive(cert: ContractionCertificate) -> None:
+    """Raise ValueError unless the certificate's a is below one."""
+    if not cert.a < 1.0:
+        raise ValueError(f"best-response map is not certified contractive: "
+                         f"a = {cert.a:.6f} >= 1")
+
+
 def br_noise_gain(mu: float, lip: float) -> float:
     """Gain c_r from gradient observation error to best-response error.
 
@@ -249,7 +256,8 @@ def pbr_envelope(config: PbrConfig, a: float, n_players: int,
     With c = max(a, eta_br) and eta_tilde in (c, 1) (default (1 + c) / 2),
     constant = sqrt(N) (c_start + d) with d = 1 / (e ln(eta_tilde / c))
     and c_start a per-player initial distance bound. Raises ValueError for
-    an eta_tilde outside (c, 1), which includes every game with a >= 1.
+    an eta_tilde outside (c, 1); a game with a >= 1 has none, and callers
+    reject it first (check_contractive).
     """
     c = max(a, config.eta_br)
     eta_tilde = config.eta_tilde if config.eta_tilde is not None \
@@ -287,10 +295,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: np.ndarray,
     the plain distance ||y_k - x*|| (not squared). Raises ValueError when
     the contraction certificate has a >= 1.
     """
-    cert = contraction_certificate(game, config.mu)
-    if cert.a >= 1.0:
-        raise ValueError(f"best-response map is not certified contractive: "
-                         f"a = {cert.a:.6f} >= 1")
+    check_contractive(contraction_certificate(game, config.mu))
     slices = [game.block_slice(i) for i in range(game.n_players)]
 
     def step(k, n_k, y, w, counter):

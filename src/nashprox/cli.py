@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_run_summary(report, out_dir) -> None:
-    d = report.as_dict()
+def _print_run_summary(d: dict, out_dir) -> None:
     print(f"scheme {d['scheme']}: seed {d['seed']}, "
           f"{d['replications']} replication(s)")
     if d["scheme"] == "bounds":

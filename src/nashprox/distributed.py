@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidStep
 from .games import AggregativeGame, GameConstants
 from .graphs import CommGraph, consensus_apply, mixing_params
-from .pgr import geometric_complexity, geometric_envelope
+from .pgr import geometric_complexity, geometric_envelope, power_or_inf
 from .prox import compiled_prox
 from .sampling import RootGeometricBatch
 from .trace import RunTrace, check_finite, check_run, iterate
@@ -184,6 +184,8 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
     beta = 0 (perfect mixing) short-circuits to c1 = M theta, c2 = 0,
     c3 = alpha^2 sum nu_i^2. Requires a graph node per player, and alpha
     in (0, eta/lip^2) so that the step factor varrho stays below one.
+    Raises ValueError naming c1, c2 or c3 when it leaves the float range
+    (boxes so wide that M or its square overflows).
     """
     _check_graph(game, graph)
     consts = game.constants
@@ -214,8 +216,14 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
         c2 = 4.0 * m_compact * theta / math.log(1.0 / beta)
         c3 = alpha ** 2 * sum_nu2 \
             + 4.0 * alpha * m_compact * n * (c1 * beta ** 0.5 + c2) * sum_l \
-            + 4.0 * alpha ** 2 * n ** 2 * (c1 ** 2 * beta ** 1.5 +
-                                           c2 ** 2 * beta ** 0.5) * sum_l2
+            + 4.0 * alpha ** 2 * n ** 2 * (
+                power_or_inf(c1, 2) * beta ** 1.5
+                + power_or_inf(c2, 2) * beta ** 0.5) * sum_l2
+    for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
+        if not math.isfinite(value):
+            raise ValueError(f"rate constant {name} = {value} leaves the float "
+                             f"range; the boxes give m_compact = "
+                             f"{m_compact:.6g}")
     return DistRateConstants(varrho=varrho, c1=c1, c2=c2, c3=c3,
                              m_compact=m_compact, l_i=tuple(l_i),
                              nu_i=tuple(nu_i), beta=float(beta),

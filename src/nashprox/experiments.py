@@ -1,5 +1,6 @@
-"""Experiment harness: synthetic game generators, rate fitting, replicated
-runs with envelope checks, and deterministic CSV/JSON outputs."""
+"""Experiments: replicated runs with envelope checks, rate fitting, and
+deterministic CSV/JSON outputs. A run's report is the dict that
+report.json holds, every value a JSON builtin where it is made."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .best_response import (PbrConfig, contraction_certificate, pbr_complexity,
+from .best_response import (PbrConfig, check_contractive,
+                            contraction_certificate, pbr_complexity,
                             pbr_envelope, resolved_schedule, run_pbr)
 from .distributed import (DistConfig, dist_complexity, dist_envelope_params,
                           dist_rate_constants, run_dist_pgr)
@@ -19,75 +21,12 @@ from .errors import ConfigError
 from .games import (AggregativeGame, Game, QuadraticGame,
                     monotonicity_constants, ne_error_bound, solve_ne_oracle)
 from .graphs import mixing_params
-from .noise import GaussianNoise, substream
 from .pgr import (PgrConfig, envelope_params, geometric_complexity, pgr_loop,
                   rate_constants, run_pgr)
 from .prox import compiled_prox
 from .sampling import RootGeometricBatch, check_schedule
-from .serialize import as_builtin, build_game, build_graph, validate_config
+from .serialize import build_game, build_graph, validate_config
 from .trace import RunTrace, check_start
-
-
-def generate_quadratic_game(n_players: int, dim: int, coupling_strength: float,
-                            seed: int = 0, nu: float = 0.0) -> QuadraticGame:
-    """Random strongly monotone block-quadratic game.
-
-    Own blocks are I + 0.5 A'A/dim (eigenvalues in [1, about 3]); coupling
-    blocks have spectral norm at most coupling_strength / (N - 1), so the
-    monotonicity modulus stays at least 1 - coupling_strength.
-    """
-    if n_players < 1 or dim < 1:
-        raise ValueError("n_players and dim must be >= 1")
-    if not (0.0 <= coupling_strength < 1.0):
-        raise ValueError(
-            f"coupling_strength must lie in [0, 1), got {coupling_strength}")
-    dims = (dim,) * n_players
-    n = n_players * dim
-    rng = substream(seed, 7001)
-    h = np.zeros((n, n))
-    for i in range(n_players):
-        a = rng.standard_normal((dim, dim))
-        block = np.eye(dim) + 0.5 * (a.T @ a) / dim
-        h[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
-    if n_players > 1:
-        cap = coupling_strength / (n_players - 1)
-        for i in range(n_players):
-            for j in range(n_players):
-                if i != j:
-                    b = rng.standard_normal((dim, dim))
-                    norm = np.linalg.norm(b, 2)
-                    if norm > 0:
-                        b = b * (cap / norm)
-                    h[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = b
-    return QuadraticGame(dims=dims, h=h, c=rng.standard_normal(n),
-                         noise=GaussianNoise(nu))
-
-
-def generate_cournot_game(n_players: int, seed: int = 0, a=None, b=None,
-                          d: float = 2.0, c_price: float = 1.0,
-                          lo=0.0, hi=1.0, nu=0.0) -> AggregativeGame:
-    """Cournot game with given or randomly drawn cost parameters.
-
-    a (quadratic cost) defaults to U[1, 2] draws, b (linear cost) to
-    U[0, 0.2]; lo, hi, nu broadcast over players.
-    """
-    if n_players < 1:
-        raise ValueError("n_players must be >= 1")
-    rng = substream(seed, 7002)
-    a = np.broadcast_to(np.asarray(
-        rng.uniform(1.0, 2.0, n_players) if a is None else a,
-        dtype=float), (n_players,))
-    b = np.broadcast_to(np.asarray(
-        rng.uniform(0.0, 0.2, n_players) if b is None else b,
-        dtype=float), (n_players,))
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n_players,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_players,))
-    nu = np.broadcast_to(np.asarray(nu, dtype=float), (n_players,))
-    return AggregativeGame(a=tuple(float(v) for v in a),
-                           b=tuple(float(v) for v in b), d=float(d),
-                           c_price=float(c_price), lo=tuple(float(v) for v in lo),
-                           hi=tuple(float(v) for v in hi),
-                           noises=tuple(map(GaussianNoise, nu)))
 
 
 @dataclass(frozen=True)
@@ -162,17 +101,6 @@ class ExperimentSpec:
                    replications=int(doc.get("replications", 1)),
                    x0=tuple(doc["x0"]) if "x0" in doc else None,
                    fit=doc.get("fit"))
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Summary of an experiment: the fields of report.json, which as_dict()
-    returns JSON-ready and deterministic."""
-
-    fields: dict
-
-    def as_dict(self) -> dict:
-        return as_builtin(self.fields)
 
 
 def _spec_x0(spec: ExperimentSpec, game: Game) -> np.ndarray:
@@ -284,6 +212,7 @@ def _pbr_setup(spec, game, x0, x_star):
                        eta_tilde=s.get("eta_tilde"),
                        inner_tol=s.get("inner_tol", 1e-12))
     cert = contraction_certificate(game, config.mu)
+    check_contractive(cert)
     schedule = resolved_schedule(game, config)
     config = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
     c_start = max(float(np.linalg.norm(x0[sl] - x_star[sl]))
@@ -333,15 +262,14 @@ SCHEMES = {
 }
 
 
-def _run_bounds(spec: ExperimentSpec) -> RunReport:
+def _run_bounds(spec: ExperimentSpec) -> dict:
     s = dict(spec.solver)
     theory, (constant, rate) = _pgr_theory(
         s["eta"], s["lip"], s["alpha"], s["rho"], s["nu"], s["c_start"],
         s["eps"], s.get("rho_tilde"))
     theory.update(envelope_constant=constant, envelope_rate=rate)
-    return RunReport({"scheme": "bounds", "seed": spec.seed,
-                      "replications": spec.replications, "solver": s,
-                      "theory": theory})
+    return {"scheme": "bounds", "seed": spec.seed,
+            "replications": spec.replications, "solver": s, "theory": theory}
 
 
 def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
@@ -353,7 +281,7 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     (report, trace), trace None for bounds."""
     if spec.scheme == "bounds":
         report = _run_bounds(spec)
-        return report.fields, lambda: (report, None)
+        return report, lambda: (report, None)
     if spec.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme '{spec.scheme}'")
     scheme = SCHEMES[spec.scheme]
@@ -374,8 +302,9 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     fit_linear_rate(np.ones(n_iter + 1), window=window)  # as the run's fit
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
-                  game_constants=asdict(consts),
-                  equilibrium=list(x_star),
+                  game_constants=dict(asdict(consts),
+                                      nu_i=list(consts.nu_i)),
+                  equilibrium=x_star.tolist(),
                   oracle_error_bound=oracle_error_bound)
 
     def run():
@@ -384,15 +313,15 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
         if finish is not None:
             finish(trace)
-        return RunReport(dict(
-            fields, counters=trace.counter.as_dict(), iterations=n_iter,
-            mean_final_error=float(mean_errors[-1]),
-            fit=_fit_dict(mean_errors, window))), trace
+        return dict(fields, counters=trace.counter.as_dict(),
+                    iterations=n_iter, mean_final_error=float(mean_errors[-1]),
+                    fit=_fit_dict(mean_errors, window)), trace
     return fields, run
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunReport:
-    """Run the replicated experiment an ExperimentSpec describes.
+def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
+    """Run the replicated experiment an ExperimentSpec describes and return
+    its report, the dict report.json holds.
 
     When out_dir is given, writes trace.csv (one row per executed iteration
     per replication) and report.json there; both byte-stable for a fixed
@@ -435,9 +364,9 @@ def write_trace_csv(path: str, scheme: str, trace: RunTrace) -> None:
             fh.write(template % tuple(values))
 
 
-def write_report_json(path: str, report: RunReport) -> None:
+def write_report_json(path: str, report: dict) -> None:
     import json
 
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStep, NonConvergence, NotStronglyMonotone
-from .noise import GaussianNoise
+from .noise import GaussianNoise, substream
 from .prox import BoxIndicator, Regularizer, Zero, compiled_prox
 
 
@@ -300,10 +300,15 @@ def gradient_map(game: Game, x: np.ndarray) -> np.ndarray:
 
 def check_lipschitz(lip: float) -> None:
     """Reject a Lipschitz constant whose square, which the step bounds and
-    rate constants divide by, could overflow a float."""
+    rate constants divide by, could overflow a float, or so small that a
+    step below 2 eta / lip^2 could have a square that overflows."""
     if not lip < 1e154:
         raise ValueError(f"Lipschitz constant lip = {lip:.6g} of the gradient "
                          f"map must be below 1e154, so that lip^2 stays finite")
+    if not lip > 1e-150:
+        raise ValueError(f"Lipschitz constant lip = {lip:.6g} of the gradient "
+                         f"map must be above 1e-150, so that the steps it "
+                         f"bounds have finite squares")
 
 
 def monotonicity_constants(game: Game) -> GameConstants:
@@ -383,7 +388,8 @@ def _aggregate_bisection(game: AggregativeGame) -> np.ndarray | None:
     stationary point) or the box sums overflow."""
     a, b, lo, hi = game._arrays
     curvature = a + game.c_price
-    y_lo, y_hi = float(np.sum(lo)), float(np.sum(hi))
+    with np.errstate(over="ignore"):  # an overflowing sum is checked below
+        y_lo, y_hi = float(np.sum(lo)), float(np.sum(hi))
     if not (np.min(curvature) > 0.0 and math.isfinite(y_lo + y_hi)):
         return None
 
@@ -407,13 +413,71 @@ def _forward_backward(game: Game, alpha: float, tol: float,
                       max_iter: int) -> np.ndarray:
     prox = compiled_prox(game.regularizers, game.dims, alpha)
     x = prox(np.zeros(game.dim))
-    for _ in range(max_iter):
-        step = x - alpha * gradient_map(game, x)
-        x_next = prox(step)
-        disp = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if disp <= tol:
-            return x
+    # a displacement norm past about 1.3e154 is inf, not a warning
+    with np.errstate(over="ignore"):
+        for _ in range(max_iter):
+            step = x - alpha * gradient_map(game, x)
+            x_next = prox(step)
+            disp = float(np.linalg.norm(x_next - x))
+            x = x_next
+            if disp <= tol:
+                return x
     raise NonConvergence(
         f"equilibrium solve did not reach displacement {tol} in {max_iter} "
         f"iterations", residual=disp, iterations=max_iter)
+
+
+def generate_quadratic_game(n_players: int, dim: int, coupling_strength: float,
+                            seed: int = 0, nu: float = 0.0) -> QuadraticGame:
+    """Random strongly monotone block-quadratic game.
+
+    Own blocks are I + 0.5 A'A/dim (eigenvalues in [1, about 3]); coupling
+    blocks have spectral norm at most coupling_strength / (N - 1), so the
+    monotonicity modulus stays at least 1 - coupling_strength.
+    """
+    if n_players < 1 or dim < 1:
+        raise ValueError("n_players and dim must be >= 1")
+    if not (0.0 <= coupling_strength < 1.0):
+        raise ValueError(
+            f"coupling_strength must lie in [0, 1), got {coupling_strength}")
+    dims = (dim,) * n_players
+    n = n_players * dim
+    rng = substream(seed, 7001)
+    h = np.zeros((n, n))
+    for i in range(n_players):
+        a = rng.standard_normal((dim, dim))
+        block = np.eye(dim) + 0.5 * (a.T @ a) / dim
+        h[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
+    cap = coupling_strength / max(1, n_players - 1)
+    for i in range(n_players):
+        for j in range(n_players):
+            if i != j:
+                b = rng.standard_normal((dim, dim))
+                norm = np.linalg.norm(b, 2)
+                if norm > 0:
+                    b = b * (cap / norm)
+                h[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = b
+    return QuadraticGame(dims=dims, h=h, c=rng.standard_normal(n),
+                         noise=GaussianNoise(nu))
+
+
+def generate_cournot_game(n_players: int, seed: int = 0, a=None, b=None,
+                          d: float = 2.0, c_price: float = 1.0,
+                          lo=0.0, hi=1.0, nu=0.0) -> AggregativeGame:
+    """Cournot game with given or randomly drawn cost parameters.
+
+    a (quadratic cost) defaults to U[1, 2] draws, b (linear cost) to
+    U[0, 0.2]; a, b, lo, hi, nu broadcast over players.
+    """
+    if n_players < 1:
+        raise ValueError("n_players must be >= 1")
+    rng = substream(seed, 7002) if a is None or b is None else None
+    if a is None:
+        a = rng.uniform(1.0, 2.0, n_players)
+    if b is None:
+        b = rng.uniform(0.0, 0.2, n_players)
+    a, b, lo, hi, nu = (np.broadcast_to(np.asarray(v, dtype=float),
+                                        (n_players,))
+                        for v in (a, b, lo, hi, nu))
+    return AggregativeGame(a=a, b=b, d=d, c_price=c_price, lo=lo, hi=hi,
+                           noises=tuple(map(GaussianNoise, nu)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStep
-from .games import Game, QuadraticGame
+from .games import Game, QuadraticGame, check_lipschitz
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
 from .trace import RunTrace, check_finite, check_run, check_start, iterate
@@ -76,17 +76,21 @@ class RateConstants:
 def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:
     """Mean-square contraction factor q = 1 - 2 alpha eta + alpha^2 lip^2.
 
-    Raises InvalidStep when q >= 1, i.e. alpha outside (0, 2 eta / lip^2).
+    Raises InvalidStep when alpha lies outside (0, 2 eta / lip^2), which
+    is checked before alpha^2 could overflow, or when q rounds to 1.
     """
     if not 0.0 < eta <= lip < 1e154:  # lip^2 must stay finite
         raise ValueError(f"need 0 < eta <= lip < 1e154, got eta={eta}, lip={lip}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise InvalidStep(f"alpha must be finite and > 0, got {alpha}")
+    check_lipschitz(lip)
+    bound = 2.0 * eta / lip ** 2
+    if not 0.0 < alpha < bound:
+        raise InvalidStep(f"alpha={alpha} outside (0, 2 eta/lip^2) = "
+                          f"(0, {bound})")
     q = 1.0 - 2.0 * alpha * eta + alpha ** 2 * lip ** 2
     if q >= 1.0:
         raise InvalidStep(
             f"alpha={alpha} gives contraction factor q={q} >= 1; "
-            f"need alpha in (0, {2.0 * eta / lip ** 2})")
+            f"need alpha in (0, {bound})")
     return q
 
 
@@ -187,11 +191,15 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
 
     This choice makes q = 1 - 1/kappa^2 < rho, so the batch growth is the
     binding rate and the bounds scale as K = O(kappa^2 ln(1/eps)) iterations
-    and M = O(kappa^2 / eps) samples.
+    and M = O(kappa^2 / eps) samples. Raises ValueError when kappa^2
+    could overflow a float, as ne_error_bound does.
     """
     if not 0.0 < eta <= lip < 1e154:  # lip^2 must stay finite
         raise ValueError(f"need 0 < eta <= lip < 1e154, got eta={eta}, lip={lip}")
     kappa = lip / eta
+    if not kappa < 1e154:
+        raise ValueError(f"condition number kappa = lip/eta = {kappa:.6g} must "
+                         f"be below 1e154, so that kappa^2 stays finite")
     return eta / lip ** 2, 1.0 - 1.0 / (2.0 * kappa ** 2)
 
 

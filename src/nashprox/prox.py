@@ -51,8 +51,11 @@ class BoxIndicator:
         object.__setattr__(self, "hi", hi)
 
     def corner_norm(self) -> float:
-        """max_{x in box} ||x||_2, attained at the componentwise larger corner."""
-        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
+        """max_{x in box} ||x||_2, attained at the componentwise larger corner;
+        inf, without a warning, past about 1.3e154."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(np.maximum(np.abs(self.lo),
+                                                   np.abs(self.hi))))
 
 
 Regularizer = Union[Zero, L1, BoxIndicator]

@@ -18,7 +18,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .games import AggregativeGame, Game, QuadraticGame
+from .games import (Game, QuadraticGame, generate_cournot_game,
+                    generate_quadratic_game)
 from .graphs import (CommGraph, build_metropolis_weights, complete_graph,
                      erdos_renyi_graph, grid_graph, path_graph, ring_graph)
 from .noise import GaussianNoise
@@ -432,22 +433,18 @@ def build_game(doc: dict, seed: int = 0) -> Game:
                              c=c, regularizers=built_regs,
                              noise=GaussianNoise(_noise_level(doc)))
     if kind == "quadratic-random":
-        from .experiments import generate_quadratic_game
         return generate_quadratic_game(
             n_players=int(doc["players"]), dim=int(doc["dim"]),
             coupling_strength=float(doc["coupling"]), seed=seed,
             nu=_noise_level(doc))
     if kind == "cournot":
-        a = [float(v) for v in doc["a"]]
-        n = len(a)
-        lo, hi, nu = (_spread(doc.get(key, 0.0), n, f"'{key}' entries for "
-                              f"{n} players") for key in ("lo", "hi", "nu"))
-        return AggregativeGame(a=tuple(a),
-                               b=tuple(float(v) for v in doc["b"]),
-                               d=float(doc["d"]),
-                               c_price=float(doc["c_price"]),
-                               lo=tuple(lo), hi=tuple(hi),
-                               noises=tuple(map(GaussianNoise, nu)))
+        n = len(doc["a"])
+        b, lo, hi, nu = (_spread(doc.get(key, 0.0), n, f"'{key}' entries for "
+                                 f"{n} players")
+                         for key in ("b", "lo", "hi", "nu"))
+        return generate_cournot_game(n, a=doc["a"], b=b, d=doc["d"],
+                                     c_price=doc["c_price"], lo=lo, hi=hi,
+                                     nu=nu)
     raise ConfigError(f"unknown game kind '{kind}'")
 
 
@@ -469,20 +466,3 @@ def build_graph(doc: dict) -> CommGraph:
         return erdos_renyi_graph(int(doc["nodes"]), float(doc["p"]),
                                  seed=int(doc.get("seed", 0)))
     raise ConfigError(f"unknown graph family '{family}'")
-
-
-def as_builtin(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {k: as_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [as_builtin(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [as_builtin(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj

@@ -408,13 +408,14 @@ def test_pbr_eta_tilde_outside_its_interval_is_rejected_before_any_run(
 
 def test_pbr_on_an_uncontractive_game_exits_3_and_has_no_override_key(
         tmp_path: Path, capsys):
-    # a = 1.25 >= 1: no eta_tilde in (max(a, eta_br), 1) exists
+    # a = 1.25 >= 1: the setup names a, before any eta_tilde is derived
     game = dict(PBR_DOC["game"], h=[[1.0, 1.5], [-1.5, 1.0]])
     doc = dict(PBR_DOC, game=game,
                solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 5})
     assert main(["pbr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
-    assert "eta_tilde must lie in (max(a, eta_br), 1) = (1.25, 1)" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid parameters: best-response map is not certified contractive: "
+        "a = 1.250000 >= 1\n")
     loose = dict(doc, solver=dict(doc["solver"], allow_uncontractive=True))
     assert main(["pbr", "--config", _write(tmp_path, loose, "loose.json"),
                  "--quiet"]) == 2

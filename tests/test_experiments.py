@@ -82,11 +82,10 @@ def test_rate_fit_drops_zeros_with_a_warning_and_rejects_short_windows():
 def test_pgr_experiment_report_and_trace(tmp_path: Path):
     spec = ExperimentSpec(**PGR_SPEC)
     report = run_experiment(spec, out_dir=str(tmp_path))
-    as_dict = report.as_dict()
-    assert as_dict["scheme"] == "pgr"
-    assert as_dict["replications"] == 5
-    assert as_dict["theory"]["q"] == pytest.approx(0.96, abs=1e-12)
-    assert as_dict["theory"]["envelope"]["ok"] is True
+    assert report["scheme"] == "pgr"
+    assert report["replications"] == 5
+    assert report["theory"]["q"] == pytest.approx(0.96, abs=1e-12)
+    assert report["theory"]["envelope"]["ok"] is True
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "k,N_k,cum_samples,cum_prox,sq_error,replication_id"
     assert len(lines) - 1 == 25 * 5
@@ -105,7 +104,7 @@ def test_experiment_outputs_are_byte_stable(tmp_path: Path):
 def test_envelope_verdict_matches_direct_recomputation(tmp_path: Path):
     spec = ExperimentSpec(**PGR_SPEC)
     report = run_experiment(spec, out_dir=str(tmp_path))
-    env = report.as_dict()["theory"]["envelope"]
+    env = report["theory"]["envelope"]
     lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
     per_k: dict[int, list[float]] = {}
     for line in lines:
@@ -127,7 +126,7 @@ def test_dist_experiment_report(tmp_path: Path):
               "c_price": 1.0, "lo": 0.0, "hi": 1.0, "nu": 0.5},
         graph={"family": "ring", "nodes": 5},
         seed=5, replications=3)
-    report = run_experiment(spec, out_dir=str(tmp_path)).as_dict()
+    report = run_experiment(spec, out_dir=str(tmp_path))
     assert report["theory"]["varrho"] == pytest.approx(0.9592, rel=1e-12)
     assert report["theory"]["consensus_bound_ok"] is True
     assert report["graph"]["nodes"] == 5
@@ -144,7 +143,7 @@ def test_pbr_experiment_report(tmp_path: Path):
         game={"kind": "quadratic", "h": [[2.0, 1.0], [1.0, 2.0]], "c": [-1.0, -1.0],
               "noise": {"kind": "gaussian", "nu": math.sqrt(2.0)}},
         seed=2, replications=3)
-    report = run_experiment(spec, out_dir=str(tmp_path)).as_dict()
+    report = run_experiment(spec, out_dir=str(tmp_path))
     assert report["theory"]["a"] == pytest.approx(2 / 3, rel=1e-9)
     assert report["theory"]["envelope"]["ok"] is True
     lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -157,7 +156,7 @@ def test_bounds_experiment_reports_formula_values():
         scheme="bounds",
         solver={"eta": 1.0, "lip": 2.0, "nu": 1.0, "alpha": 0.25, "rho": 0.875,
                 "c_start": 1.0, "eps": 0.01})
-    report = run_experiment(spec).as_dict()
+    report = run_experiment(spec)
     assert report["theory"]["q"] == pytest.approx(0.75, abs=1e-12)
     assert report["theory"]["k_eps"] == pytest.approx(37.20530118072842, rel=1e-9)
     assert report["theory"]["m_eps"] == pytest.approx(1267.5205930137872, rel=1e-9)
@@ -170,6 +169,56 @@ def test_random_game_experiment_round_trip(tmp_path: Path):
         game={"kind": "quadratic-random", "players": 3, "dim": 2, "coupling": 0.4,
               "noise": {"kind": "gaussian", "nu": 0.5}},
         seed=8, replications=2)
-    report = run_experiment(spec, out_dir=str(tmp_path)).as_dict()
+    report = run_experiment(spec, out_dir=str(tmp_path))
     assert report["replications"] == 2
     assert report["game_constants"]["eta"] >= 0.6 - 1e-12
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_BUILTINS = (dict, list, str, int, float, bool, type(None))
+
+
+def _non_builtins(value, where: str = "") -> list[str]:
+    """Where value holds anything but a JSON builtin, by exact type."""
+    if type(value) not in _BUILTINS:
+        return [f"{where}: {type(value).__name__}"]
+    if isinstance(value, dict):
+        return [bad for k, v in value.items()
+                for bad in _non_builtins(v, f"{where}/{k}")]
+    if isinstance(value, list):
+        return [bad for i, v in enumerate(value)
+                for bad in _non_builtins(v, f"{where}/{i}")]
+    return []
+
+
+_TARGETED = [
+    dict(PGR_SPEC, solver=dict(PGR_SPEC["solver"], target_eps=1e-3)),
+    dict(scheme="dist-pgr", solver={"alpha": 0.02, "max_iter": 10,
+                                    "target_eps": 1e-3},
+         game={"kind": "cournot", "a": [1.0] * 4, "b": [0.0] * 4, "d": 2.0,
+               "c_price": 1.0, "lo": 0.0, "hi": [1.0, 2.0, 1.0, 2.0],
+               "nu": [0.5, 0.1, 0.0, 0.2]},
+         graph={"family": "erdos-renyi", "nodes": 4, "p": 0.8}),
+    dict(scheme="pbr", solver={"mu": 1.0, "eta_br": 0.7, "max_iter": 6,
+                               "target_eps": 1e-2},
+         game={"kind": "quadratic-random", "players": 2, "dim": 2,
+               "coupling": 0.3, "noise": {"kind": "gaussian", "nu": 0.5}}),
+    dict(PGR_SPEC, game=dict(PGR_SPEC["game"], dims=[1, 1], regularizers=[
+        {"kind": "box", "lo": -1.0, "hi": 1.0},
+        {"kind": "l1", "weight": 0.1}])),
+]
+
+
+@pytest.mark.parametrize("spec", [
+    *(ExperimentSpec.from_config(json.loads(p.read_text()))
+      for p in sorted(GOLDEN.glob("*/config.json"))),
+    *(ExperimentSpec(**doc) for doc in _TARGETED)],
+    ids=[*(p.parent.name for p in sorted(GOLDEN.glob("*/config.json"))),
+         "pgr-target-eps", "dist-pgr-target-eps", "pbr-target-eps",
+         "pgr-box-l1"])
+def test_a_report_holds_only_json_builtins(spec: ExperimentSpec):
+    """run_experiment returns the dict report.json holds, built from
+    builtins where each field is made: no numpy scalar or tuple inside."""
+    report = run_experiment(spec)
+    assert _non_builtins(report) == []
+    assert json.loads(json.dumps(report)) == report

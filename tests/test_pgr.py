@@ -187,6 +187,20 @@ def test_recommended_parameters_hit_the_kappa_squared_regime():
     assert q < rho
 
 
+def test_calculators_reject_squares_past_the_float_range_before_squaring():
+    """A Python float power raises OverflowError where it overflows, which
+    no caller reports; alpha, kappa and a tiny lip are checked first."""
+    with pytest.raises(InvalidStep, match=r"alpha=1e\+300 outside \(0, "
+                                          r"2 eta/lip\^2\)"):
+        contraction_factor_q(1.0, 3.0, 1e300)
+    with pytest.raises(ValueError, match=r"kappa = lip/eta = 1e\+200 must be "
+                                         r"below 1e154"):
+        recommended_parameters(1e-200, 1.0)
+    # 2 eta / lip^2 = 2e200 would admit alpha = 1e190, whose square overflows
+    with pytest.raises(ValueError, match="must be above 1e-150"):
+        contraction_factor_q(1e-200, 1e-200, 1e190)
+
+
 def test_run_is_deterministic_and_counts_work():
     game = _reference_game(nu=1.0)
     x_star = solve_ne_oracle(game)
