@@ -21,8 +21,11 @@ Kunisch, SIAM J. Optim. 13, 2003): coordinates the prox clips (box) or
 zeroes (l1) stay fixed, the rest solve K_FF z_F = -(linear - mu anchor +
 w sign(z) + K z_fixed)_F (w the l1 weight) with K = Q_ii + mu I, inverted
 once per game, player and mu, and K_FF sliced once per active-set pattern
-of that player and mu; a zero player fixes nothing. The coupling
-term is one mat-vec with the player's cached rows of the off-diagonal h.
+of that player and mu; a zero player fixes nothing. K_FF is a principal
+submatrix of the positive definite K, so the step calls np.linalg.solve's
+LAPACK gufunc without the wrapper's checks. The coupling term is one
+mat-vec with the player's cached rows of the off-diagonal h. Mat-vecs use
+ndarray.dot, which skips the dispatch of @ (tests/test_kernel_bits.py).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's gufunc
 
 from .errors import InnerSolveFailure
 from .games import QuadraticGame
@@ -109,28 +113,30 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
                     max_inner: int) -> tuple[np.ndarray, int]:
     """Minimize 0.5 z'Q_ii z + linear'z + mu/2 ||z - anchor||^2 + r_i(z)
     as the module docstring says; returns (argmin, iterations used)."""
-    key, qii, d = ("anchored", i, mu), game.blocks[i][i], anchor.size
-    if key not in game.solver_cache:  # the step, prox, K and its inverse
+    key, d = ("anchored", i, mu), anchor.size
+    if key not in game.solver_cache:  # the step, prox, Q_ii, K and K^-1
         step = 2.0 / sum(mu + e for e in game.own_spectra[i])  # optimal
+        qii = np.ascontiguousarray(game.blocks[i][i])  # what .dot copies
         regs, k = game.regularizers[i:i + 1], qii + mu * np.eye(d)
         _, _, t, shrink = prox_pieces(regs, (d,), step)
-        game.solver_cache[key] = (step, compiled_prox(regs, (d,), step), k,
-                                  np.linalg.inv(k), t / step, shrink.any(),
-                                  isinstance(regs[0], Zero), {})
-    step, prox, k, k_inv, weight, l1, zero, systems = game.solver_cache[key]
+        game.solver_cache[key] = (step, compiled_prox(regs, (d,), step), qii,
+                                  k, np.linalg.inv(k), t / step, shrink.any(),
+                                  isinstance(regs[0], Zero), np.zeros(d), {})
+    step, prox, qii, k, k_inv, weight, l1, zero, zeros, systems = \
+        game.solver_cache[key]
     z, seen, newton = anchor, set(), d + 1  # z is never written in place
     for it in range(max_inner):
-        v = z - step * (qii @ z + linear + mu * (z - anchor))
-        z_next = prox(v)
+        v = z - step * (qii.dot(z) + linear + mu * (z - anchor))
+        z_next = v if zero else prox(v)  # v is a fresh array
         dz = z_next - z
         disp = math.sqrt(dz.dot(dz))  # what np.linalg.norm(dz) computes
         if disp <= tol:
             return z_next, it + 1
         if newton and zero and it + 1 < max_inner:  # no active set
-            newton, z_next = 0, k_inv @ -(linear - mu * anchor)
+            newton, z_next = 0, k_inv.dot(-(linear - mu * anchor))
         elif newton and it + 1 < max_inner:
             fixed = z_next == 0.0 if l1 else z_next != v
-            z_fix = np.where(fixed, z_next, 0.0) + 0.0  # drops -0.0
+            z_fix = np.where(fixed, z_next, zeros) + 0.0  # drops -0.0
             shift = weight * np.sign(z_next)
             system = (pattern := fixed.tobytes(), (z_fix + shift).tobytes())
             if system in seen:  # the active set recurred: Newton is done
@@ -138,17 +144,18 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
             else:
                 seen.add(system)
                 if pattern not in systems:  # (free, K_FF), None if all free
-                    free = ~fixed
-                    systems[pattern] = (free, None if free.all()
-                                        else k[free][:, free])
+                    free = np.flatnonzero(~fixed)
+                    systems[pattern] = (free, None if free.size == d
+                                        else k[np.ix_(free, free)])
                 free, k_ff = systems[pattern]
                 newton -= 1
-                rhs = -(linear - mu * anchor + shift + k @ z_fix)
+                rhs = -(linear - mu * anchor + shift + k.dot(z_fix))
                 if k_ff is None:
-                    z_next = k_inv @ rhs
-                else:
+                    z_next = k_inv.dot(rhs)
+                else:  # K_FF is positive definite, so never singular
                     z_next = z_fix
-                    z_next[free] = np.linalg.solve(k_ff, rhs[free])
+                    z_next[free] = solve1(k_ff, rhs.take(free),
+                                          signature="dd->d")
         z = z_next
     raise InnerSolveFailure(
         f"anchored best response of player {i} did not reach displacement "
@@ -166,10 +173,12 @@ def _coupling_linear(game: QuadraticGame, i: int, y: np.ndarray
         sl = game.block_slice(i)  # c_i and the rows of off_diagonal
         game.solver_cache[key] = (sl, game.c[sl], game.off_diagonal[sl])
     sl, c_i, rows = game.solver_cache[key]
-    return c_i + rows @ y, y[sl]
+    return c_i + rows.dot(y), y[sl]
 
 
-def _check_inner(tol: float, max_inner: int) -> None:
+def _check_inner(mu: float, tol: float, max_inner: int) -> None:
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not tol > 0.0:
         raise ValueError(f"inner tolerance must be > 0, got {tol}")
     if max_inner < 1:
@@ -181,9 +190,7 @@ def proximal_best_response(game: QuadraticGame, i: int, y: np.ndarray,
                            max_inner: int = 100_000) -> np.ndarray:
     """Exact anchored best response of player i at the stacked strategy
     vector y."""
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-    _check_inner(tol, max_inner)
+    _check_inner(mu, tol, max_inner)
     lin, anchor = _coupling_linear(game, i, y)
     z, _ = _solve_anchored(game, i, lin, anchor, mu, tol, max_inner)
     return z
@@ -200,7 +207,7 @@ def saa_best_response(game: QuadraticGame, i: int, y: np.ndarray,
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
-    _check_inner(inner_tol, max_inner)
+    _check_inner(mu, inner_tol, max_inner)
     lin, anchor = _coupling_linear(game, i, y)
     return _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
                            max_inner)[0]

@@ -294,7 +294,7 @@ def gradient_map(game: Game, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector of shape {np.shape(x)} does not match "
                          f"game dimension {game.dim}")
     if isinstance(game, QuadraticGame):
-        return game.h @ x + game.c
+        return game.h.dot(x) + game.c
     return game.gradients(x, float(np.sum(x)))
 
 

@@ -49,14 +49,14 @@ class CommGraph:
             raise ValueError("weight matrix rows must sum to one")
         if np.any(a < -_STRUCT_TOL):
             raise ValueError("weight matrix entries must be nonnegative")
-        for i in range(n):
-            for j in range(i + 1, n):
-                on_edge = (i, j) in edges
-                if on_edge and a[i, j] <= 0.0:
-                    raise ValueError(f"edge ({i}, {j}) must carry positive weight")
-                if not on_edge and abs(a[i, j]) > _STRUCT_TOL:
-                    raise ValueError(
-                        f"nonzero weight on missing edge ({i}, {j})")
+        on_edge = np.zeros((n, n), dtype=bool)
+        on_edge[tuple(np.array(list(edges), dtype=int).reshape(-1, 2).T)] = True
+        bad = np.triu(np.where(on_edge, a <= 0.0, abs(a) > _STRUCT_TOL), 1)
+        if bad.any():  # the first offending pair i < j, in row-major order
+            i, j = divmod(int(bad.argmax()), n)
+            if on_edge[i, j]:
+                raise ValueError(f"edge ({i}, {j}) must carry positive weight")
+            raise ValueError(f"nonzero weight on missing edge ({i}, {j})")
         if not _connected(n, edges):
             raise ValueError("graph is not connected")
         object.__setattr__(self, "n_nodes", n)

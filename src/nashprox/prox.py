@@ -102,7 +102,8 @@ def compiled_prox(regs, dims, step: float):
     prox_apply on its block: soft thresholding (all l1), the clip, a copy
     (all zero), or both branches selected by np.where (mixed)."""
     lo, hi, t, shrink = prox_pieces(regs, dims, step)
-    soft = lambda v: np.sign(v) * np.maximum(abs(v) - t, 0.0)
+    zeros = np.zeros_like(t)  # as 0.0, without converting it per call
+    soft = lambda v: np.sign(v) * np.maximum(abs(v) - t, zeros)
     clip = lambda v: np.minimum(np.maximum(v, lo), hi)
     if shrink.all():
         return soft

@@ -251,13 +251,17 @@ CONFIG_SCHEMAS: dict[str, dict] = {
 }
 
 
-# as in JSON Schema, a bool is not a number and 5.0 is an integer
+# as in JSON Schema, a bool is not a number and 5.0 is an integer; unlike
+# jsonschema, a number must convert to a float, which no int from
+# _FLOAT_LIMIT = 2^1024 - 2^970 on does
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
-    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool)
+    and not (isinstance(v, int) and abs(v) >= _FLOAT_LIMIT),
+    "integer": lambda v: _TYPES["number"](v) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
 # when a number fails a bound keyword, and how jsonschema says so
 _BOUNDS = {
@@ -310,9 +314,9 @@ def _check(value, schema: dict, path: tuple, errors: list) -> list:
                 fail(keyword, f"{value!r} is valid under each of "
                      + ", ".join(map(repr, valid[1:] + valid[:1])))
         elif isinstance(value, list):
-            # a list of plain ints and floats passes {"type": "number"} at once
+            # a list of plain floats passes {"type": "number"} at once
             if keyword == "items" and (arg != {"type": "number"} or not set(
-                    map(type, value)) <= {float, int}):
+                    map(type, value)) <= {float}):
                 for i, item in enumerate(value):
                     _check(item, arg, path + (i,), errors)
             elif keyword == "minItems" and len(value) < arg:
@@ -385,7 +389,7 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, or an int past int_max_str_digits
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     return doc
 

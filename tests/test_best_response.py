@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from nashprox.noise import iteration_errors
 from nashprox.sampling import BestResponseBatch
 from nashprox.errors import InnerSolveFailure
 from nashprox.profiles import StrategyProfile
+from nashprox.serialize import build_game
+
+GOLDEN = Path(__file__).parent / "golden"
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -105,6 +110,21 @@ def test_inner_solve_limits_are_validated():
             saa_best_response(game, 0, y, 4, 1.0, np.zeros(1), **kwargs)
     with pytest.raises(InnerSolveFailure):
         proximal_best_response(game, 0, y, 1.0, max_inner=1)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.inf, math.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_saa_best_response_rejects_a_mu_that_is_not_finite_and_positive(mu):
+    """K = Q_ii + mu I must be positive definite: the Newton step solves
+    with it unguarded. On the pbr-quad50 game, mu = 0 and -0.5 once
+    returned a point and inf failed with a misleading prox-step error."""
+    doc = json.loads((GOLDEN / "pbr-quad50-seed1" / "config.json").read_text())
+    game = build_game(doc["game"])
+    y, error = np.zeros(game.dim), np.zeros(game.dims[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu must be finite and > 0"):
+            saa_best_response(game, 0, y, 4, mu, error)
 
 
 def test_exact_best_response_scalar_closed_form():

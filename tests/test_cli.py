@@ -103,6 +103,23 @@ def test_unreadable_config_is_a_config_error(tmp_path: Path):
     assert main(["pgr", "--config", str(bad), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_an_integer_past_the_float_range_is_a_config_error(
+        tmp_path: Path, capsys, digits: int):
+    """An alpha of 1 and 400 zeros cannot become a float; one of 5000
+    zeros cannot even be read (Python's int_max_str_digits)."""
+    text = json.dumps(PGR_DOC).replace('"alpha": 0.2', '"alpha": 1'
+                                       + "0" * (digits - 1))
+    (tmp_path / "config.json").write_text(text)
+    cfg = str(tmp_path / "config.json")
+    want = "config invalid at solver/alpha: 1" if digits < 4300 else \
+        f"config {cfg} is not valid JSON: "
+    for command in ("validate", "pgr"):
+        assert main([command, "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and want in err, err
+
+
 def test_assumption_violations_exit_with_validation_code(tmp_path: Path):
     non_monotone = dict(PGR_DOC)
     non_monotone["game"] = {"kind": "quadratic", "h": [[1.0, 2.0], [0.0, 1.0]],

@@ -63,6 +63,35 @@ def test_weight_matrix_validation():
         CommGraph(2, frozenset({(0, 1)}), np.array([[0.9, 0.1], [0.2, 0.8]]))
 
 
+def _weights(n: int, off: dict) -> np.ndarray:
+    """Symmetric doubly stochastic matrix with the given off-diagonal
+    weights; the diagonal takes the slack."""
+    a = np.zeros((n, n))
+    for (i, j), w in off.items():
+        a[i, j] = a[j, i] = w
+    return a + np.diag(1.0 - a.sum(axis=1))
+
+
+PATH4 = frozenset({(0, 1), (1, 2), (2, 3)})
+
+
+@pytest.mark.parametrize("off,message", [
+    ({(0, 1): 0.25, (1, 2): 0.0, (2, 3): 0.25},
+     "edge (1, 2) must carry positive weight"),
+    ({(0, 1): 0.25, (1, 2): 0.25, (2, 3): 0.25, (1, 3): 0.1},
+     "nonzero weight on missing edge (1, 3)"),
+    # two faults: the pair first in row-major order is reported
+    ({(0, 1): 0.25, (1, 2): 0.25, (2, 3): 0.0, (0, 3): 0.1},
+     "nonzero weight on missing edge (0, 3)"),
+    ({(0, 1): 0.0, (1, 2): 0.25, (2, 3): 0.25, (0, 2): 0.1},
+     "edge (0, 1) must carry positive weight"),
+], ids=["zero-edge", "missing-edge", "missing-first", "edge-first"])
+def test_weights_off_the_edge_support_name_the_first_pair(off, message):
+    with pytest.raises(ValueError) as err:
+        CommGraph(4, PATH4, _weights(4, off))
+    assert str(err.value) == message
+
+
 def test_consensus_step_on_complete_graph_averages_exactly():
     out = consensus_apply(complete_graph(3), np.array([1.0, 2.0, 3.0]), 1)
     assert np.allclose(out, [2.0, 2.0, 2.0], atol=1e-15)

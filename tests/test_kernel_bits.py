@@ -1,0 +1,95 @@
+"""The two kernels of the pbr inner solve give numpy's own bits.
+
+`best_response._solve_anchored` calls numpy's solve gufunc directly, as
+np.linalg.solve does after its checks, and takes its 2-D by 1-D products
+with ndarray.dot instead of @. Both must equal the wrapped calls bit for
+bit on every operand the solvers pass: a principal submatrix of
+K = Q_ii + mu I (sizes 1 to 6), a C-contiguous copy of an own block Q_ii
+and its non-contiguous view into h, a row slice of off_diagonal, and the
+full h (gradient_map).
+
+One exception is pinned as it is: with a one-element operand (a player or
+a game of dimension 1), ndarray.dot multiplies by a scalar, so a zero
+product keeps its sign, where @ adds it to +0.0 and returns +0.0. Such a
+signed zero changes no output: a zero of either sign adds to a nonzero
+term exactly, the errors and the inner displacement are squares, the
+active-set keys compare with == or drop -0.0, and no iterate divides.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg._umath_linalg import solve1
+
+from nashprox import generate_quadratic_game
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def _dot_is_matmul(m: np.ndarray, v: np.ndarray, like: np.ndarray) -> bool:
+    """m.dot(v) has the bits of like @ v (like holds m's values). With a
+    one-element operand, ndarray.dot multiplies by a scalar and keeps the
+    sign of a zero product, where the BLAS product adds it to +0.0; the
+    solvers' outputs cannot see that sign (see the module docstring)."""
+    got = m.dot(v)
+    return _same_bits(got if min(m.size, v.size) > 1 else got + 0.0, like @ v)
+
+
+@st.composite
+def _games(draw):
+    """A random quadratic game and a vector at scale 10^e."""
+    game = generate_quadratic_game(
+        n_players=draw(st.integers(1, 4)), dim=draw(st.integers(1, 6)),
+        coupling_strength=draw(st.floats(0.0, 0.9)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return game, rng, 10.0 ** draw(st.integers(-8, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_games(), mu=st.floats(1e-6, 1e6), data=st.data())
+def test_solve1_equals_np_linalg_solve_on_principal_submatrices(case, mu,
+                                                                data):
+    game, rng, scale = case
+    i = data.draw(st.integers(0, game.n_players - 1))
+    d = game.dims[i]
+    k = np.ascontiguousarray(game.blocks[i][i]) + mu * np.eye(d)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=d,
+                                       max_size=d).filter(any)))
+    rhs, free = scale * rng.standard_normal(d), np.flatnonzero(mask)
+    want = np.linalg.solve(k[mask][:, mask], rhs[mask])
+    got = solve1(k[np.ix_(free, free)], rhs.take(free), signature="dd->d")
+    assert _same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_games())
+def test_dot_equals_matmul_on_the_solver_operands(case):
+    game, rng, scale = case
+    y = scale * rng.standard_normal(game.dim)
+    assert _dot_is_matmul(game.h, y, game.h)
+    for i in range(game.n_players):
+        sl, d = game.block_slice(i), game.dims[i]
+        view, z = game.blocks[i][i], scale * rng.standard_normal(d)
+        assert view.flags.c_contiguous == (game.n_players == 1 or d == 1)
+        copy = np.ascontiguousarray(view)
+        assert _dot_is_matmul(view, z, view)
+        assert _dot_is_matmul(copy, z, view)
+        rows = game.off_diagonal[sl]
+        assert _dot_is_matmul(rows, y, rows)
+        k = copy + 1.0 * np.eye(d)
+        k_inv = np.linalg.inv(k)
+        assert _dot_is_matmul(k, z, k) and _dot_is_matmul(k_inv, z, k_inv)
+
+
+def test_a_one_element_dot_keeps_the_sign_of_a_zero_product():
+    """Why _dot_is_matmul adds +0.0 for one-element operands."""
+    m, v = np.array([[0.0]]), np.array([-1.0])
+    assert np.signbit(m.dot(v)[0]) and not np.signbit((m @ v)[0])
+    assert not np.signbit((np.zeros((2, 2)) @ -np.ones(2))[0])
+    assert not np.signbit(np.zeros((2, 2)).dot(-np.ones(2))[0])

@@ -1,5 +1,6 @@
 """Config validation: the plain checker must accept and reject exactly what
-jsonschema.validate does, with the same error text."""
+jsonschema.validate does, with the same error text, once a number (or an
+integer) is also held to converting to a float."""
 
 from __future__ import annotations
 
@@ -29,6 +30,28 @@ REPLACEMENTS = [True, False, "a", None, [], [[0.0]], {}, math.nan, math.inf,
 @pytest.mark.parametrize("scheme", sorted(CONFIG_SCHEMAS))
 def test_every_schema_passes_the_metaschema(scheme: str):
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMAS[scheme])
+
+
+_STOCK = jsonschema.Draft202012Validator
+
+
+def _converting(kind: str):
+    """jsonschema's check of type `kind`, which must also convert to a
+    float: an int past the float range is neither a number nor an integer."""
+    def check(checker, value) -> bool:
+        if not _STOCK.TYPE_CHECKER.is_type(value, kind):
+            return False
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return check
+
+
+_ORACLE = jsonschema.validators.extend(
+    _STOCK, type_checker=_STOCK.TYPE_CHECKER.redefine_many(
+        {kind: _converting(kind) for kind in ("number", "integer")}))
 
 
 def _replace_leaf(draw, doc: dict) -> tuple:
@@ -67,7 +90,7 @@ def _config_error(doc, scheme: str | None) -> str | None:
 
 def _assert_matches_stock_jsonschema(doc, scheme: str, paths: list):
     try:
-        jsonschema.validate(doc, CONFIG_SCHEMAS[scheme])
+        jsonschema.validate(doc, CONFIG_SCHEMAS[scheme], cls=_ORACLE)
         stock = None
     except jsonschema.ValidationError as err:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
@@ -91,6 +114,36 @@ def test_validation_matches_stock_jsonschema(case):
 def test_the_error_picked_among_two_matches_stock_jsonschema(case):
     """With two faults, both report the same one of them."""
     _assert_matches_stock_jsonschema(*case)
+
+
+def _pgr_config_with(path: tuple, value) -> dict:
+    doc = copy.deepcopy(next(d for d in CONFIGS if d["scheme"] == "pgr"))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value", [
+    (("solver", "alpha"), 10 ** 400), (("game", "c", 1), -10 ** 400),
+    (("game", "h", 0, 1), 2 ** 1024 - 2 ** 970), (("seed",), 10 ** 400),
+    (("replications",), -10 ** 400)],
+    ids=["alpha", "list-item", "first-past-the-range", "seed", "replications"])
+def test_an_integer_past_the_float_range_is_not_a_number(path, value):
+    """float() would raise OverflowError on it, after validation."""
+    message = _config_error(_pgr_config_with(path, value), None)
+    assert message == (f"config invalid at {'/'.join(map(str, path))}: "
+                       f"{value!r} is not of type "
+                       + ("'integer'" if path[0] in ("seed", "replications")
+                          else "'number'"))
+
+
+def test_the_largest_integer_that_converts_to_a_float_is_a_number():
+    value = 2 ** 1024 - 2 ** 970 - 1
+    assert float(value) == sys.float_info.max
+    assert _config_error(_pgr_config_with(("game", "h", 0, 1), value),
+                         None) is None
 
 
 @pytest.mark.parametrize("scheme", [[], {"a": 1}, 3])
