@@ -64,11 +64,13 @@ def _print_run_summary(d: dict, out_dir) -> None:
     else:
         print(f"  iterations {d['iterations']}, mean final error "
               f"{d['mean_final_error']:.6e}")
-        env = d["theory"]["envelope"]
+        env, fit = d["theory"]["envelope"], d["fit"]
         print(f"  envelope rate {env['rate']:.6f} "
               f"({'holds' if env['ok'] else 'VIOLATED'}, max ratio "
-              f"{env['max_ratio']:.3f}); fitted log-slope "
-              f"{d['fit']['slope']:.6f} (r^2 {d['fit']['r_squared']:.4f})")
+              f"{env['max_ratio']:.3f}); " + (
+                  f"fitted log-slope {fit['slope']:.6f} (r^2 "
+                  f"{fit['r_squared']:.4f})" if "slope" in fit
+                  else f"no rate fit: {fit['reason']}"))
         c = d["counters"]
         print(f"  samples {c['total_samples']}, prox {c['prox_evals']}, "
               f"comm {c['comm_rounds']}, inner {c['inner_solves']}")

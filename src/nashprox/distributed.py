@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidStep
-from .games import AggregativeGame, GameConstants
+from .games import GameConstants, QuadraticGame
 from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import geometric_complexity, geometric_envelope, power_or_inf
 from .prox import compiled_prox
@@ -93,13 +93,14 @@ class DistComplexity(NamedTuple):
     samples: float
 
 
-def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
+def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
                  x_star: np.ndarray | None = None,
                  replications: Sequence[int] = (0,),
                  x0: np.ndarray | None = None,
                  on_state: Callable[[int, DistState], None] | None = None
                  ) -> RunTrace:
-    """Consensus-based growing-batch runs on an aggregative game, one RunTrace.
+    """Consensus-based growing-batch runs on a Cournot game (one with an
+    aggregate, as AggregativeGame builds it), one RunTrace.
 
     Player i's gradient error at iteration k of replication r is entry i
     of r's row of iteration_errors for config.seed. errors[j, k] is row
@@ -147,7 +148,9 @@ def run_dist_pgr(game: AggregativeGame, graph: CommGraph, config: DistConfig,
                    consensus_errors=np.array(consensus_errors).T)
 
 
-def _check_graph(game: AggregativeGame, graph: CommGraph) -> None:
+def _check_graph(game: QuadraticGame, graph: CommGraph) -> None:
+    if game.aggregate is None:
+        raise ValueError("the distributed scheme needs an aggregative game")
     if graph.n_nodes != game.n_players:
         raise ValueError(
             f"graph has {graph.n_nodes} nodes for {game.n_players} players")
@@ -163,7 +166,7 @@ def _check_step(alpha: float, consts: GameConstants) -> None:
             f"contraction needs the smaller range")
 
 
-def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
+def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
                         beta: float | None = None,
                         theta: float | None = None) -> DistRateConstants:
     """Envelope constants of the consensus-based run.
@@ -179,11 +182,13 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
 
         c3 = alpha^2 sum_i nu_i^2
            + 4 alpha M N (c1 beta^{1/2} + c2) sum_i L_i
-           + 4 alpha^2 N^2 (c1^2 beta^{3/2} + c2^2 beta^{1/2}) sum_i L_i^2.
+           + 4 alpha^2 N^2 (c1^2 beta^{3/2} + c2^2 beta^{1/2}) sum_i L_i^2,
 
-    beta = 0 (perfect mixing) short-circuits to c1 = M theta, c2 = 0,
-    c3 = alpha^2 sum nu_i^2. Requires a graph node per player, and alpha
-    in (0, eta/lip^2) so that the step factor varrho stays below one.
+    where L_i = c_price is the Lipschitz constant of player i's gradient in
+    the aggregate. beta = 0 (perfect mixing) short-circuits to
+    c1 = M theta, c2 = 0, c3 = alpha^2 sum nu_i^2. Requires a Cournot game
+    (one with an aggregate) with a graph node per player, and alpha in
+    (0, eta/lip^2) so that the step factor varrho stays below one.
     Raises ValueError naming c1, c2 or c3 when it leaves the float range
     (boxes so wide that M or its square overflows).
     """
@@ -198,7 +203,7 @@ def dist_rate_constants(game: AggregativeGame, graph: CommGraph, alpha: float,
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     varrho = 1.0 - 2.0 * alpha * consts.eta + 2.0 * alpha ** 2 * consts.lip ** 2
     m_compact = consts.m_compact
-    l_i = game.aggregate_lipschitz
+    l_i = (game.aggregate.c_price,) * game.n_players
     nu_i = consts.nu_i
     n = game.n_players
     sum_l = sum(l_i)

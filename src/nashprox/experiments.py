@@ -18,8 +18,8 @@ from .best_response import (PbrConfig, check_contractive,
 from .distributed import (DistConfig, dist_complexity, dist_envelope_params,
                           dist_rate_constants, run_dist_pgr)
 from .errors import ConfigError
-from .games import (AggregativeGame, Game, QuadraticGame,
-                    monotonicity_constants, ne_error_bound, solve_ne_oracle)
+from .games import (QuadraticGame, monotonicity_constants, ne_error_bound,
+                    solve_ne_oracle)
 from .graphs import mixing_params
 from .pgr import (PgrConfig, envelope_params, geometric_complexity, pgr_loop,
                   rate_constants, run_pgr)
@@ -103,10 +103,10 @@ class ExperimentSpec:
                    fit=doc.get("fit"))
 
 
-def _spec_x0(spec: ExperimentSpec, game: Game) -> np.ndarray:
+def _spec_x0(spec: ExperimentSpec, game: QuadraticGame) -> np.ndarray:
     if spec.x0 is not None:  # check_start checks its shape
         return np.array(spec.x0, dtype=float)
-    if isinstance(game, AggregativeGame):
+    if game.aggregate is not None:
         return game.midpoint()
     return compiled_prox(game.regularizers, game.dims, 1.0)(np.zeros(game.dim))
 
@@ -126,10 +126,16 @@ def _envelope_check(mean_errors: np.ndarray, constant: float,
 
 
 def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
+    """The rate fit over window, or, when mean errors that are exactly 0
+    leave it too few points, the reason it has none."""
     if not np.any(mean_errors):
-        raise ValueError("every mean error is 0, so there is no rate to fit "
-                         "(the run starts at the equilibrium and stays there)")
-    fit = fit_linear_rate(mean_errors, window=window)
+        return {"reason": "every mean error is 0, so there is no rate to fit "
+                          "(the run starts at the equilibrium and stays "
+                          "there)", "window": list(window)}
+    try:
+        fit = fit_linear_rate(mean_errors, window=window)
+    except ValueError as err:  # prepare_experiment checked the window
+        return {"reason": str(err), "window": list(window)}
     return {"slope": fit.slope, "intercept": fit.intercept,
             "r_squared": fit.r_squared, "n_points": fit.n_points,
             "window": list(window)}
@@ -172,8 +178,12 @@ def _pgr_theory(eta, lip, alpha, rho, nu, c_start, eps, rho_tilde=None):
 
 
 def _dist_setup(spec, game, x0, x_star):
-    s = spec.solver
-    graph = build_graph(spec.graph)
+    s, g = spec.solver, spec.graph
+    nodes = int(g["rows"]) * int(g["cols"]) if "rows" in g else int(g["nodes"])
+    if nodes != game.n_players:  # before the graph is built at that size
+        raise ValueError(f"graph has {nodes} nodes for {game.n_players} "
+                         f"players")
+    graph = build_graph(g)
     mp = mixing_params(graph)
     config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
                         beta=s.get("beta", mp.beta), seed=spec.seed)
@@ -232,33 +242,26 @@ def _pbr_setup(spec, game, x0, x_star):
 
 
 class _Scheme(NamedTuple):
-    """What a solver scheme adds to the shared experiment protocol: the
-    game type it needs with the error for any other, its setup step, and
-    its trace.csv columns between k and replication_id as (header,
-    RunTrace field) pairs."""
+    """What a solver scheme adds to the shared experiment protocol: its
+    setup step and its trace.csv columns between k and replication_id as
+    (header, RunTrace field) pairs."""
 
-    game_type: type | None
-    game_error: str | None
     setup: Callable
     columns: tuple[tuple[str, str], ...]
 
 
 SCHEMES = {
-    "pgr": _Scheme(None, None, _pgr_setup, (
+    "pgr": _Scheme(_pgr_setup, (
         ("N_k", "batches"), ("cum_samples", "cum_samples"),
         ("cum_prox", "cum_prox"), ("sq_error", "errors"))),
-    "dist-pgr": _Scheme(
-        AggregativeGame, "the distributed scheme needs an aggregative game",
-        _dist_setup, (
-            ("N_k", "batches"), ("tau_k", "taus"),
-            ("cum_samples", "cum_samples"), ("cum_prox", "cum_prox"),
-            ("cum_comm", "cum_comm"), ("consensus_error", "consensus_errors"),
-            ("sq_error", "errors"))),
-    "pbr": _Scheme(
-        QuadraticGame, "the best-response scheme needs a quadratic game",
-        _pbr_setup, (
-            ("batch_N_k", "batches"), ("cum_samples", "cum_samples"),
-            ("inner_solves", "cum_inner"), ("error_norm", "errors"))),
+    "dist-pgr": _Scheme(_dist_setup, (
+        ("N_k", "batches"), ("tau_k", "taus"),
+        ("cum_samples", "cum_samples"), ("cum_prox", "cum_prox"),
+        ("cum_comm", "cum_comm"), ("consensus_error", "consensus_errors"),
+        ("sq_error", "errors"))),
+    "pbr": _Scheme(_pbr_setup, (
+        ("batch_N_k", "batches"), ("cum_samples", "cum_samples"),
+        ("inner_solves", "cum_inner"), ("error_norm", "errors"))),
 }
 
 
@@ -286,8 +289,8 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         raise ConfigError(f"unknown scheme '{spec.scheme}'")
     scheme = SCHEMES[spec.scheme]
     game = build_game(spec.game, spec.seed)
-    if scheme.game_type is not None and not isinstance(game, scheme.game_type):
-        raise ConfigError(scheme.game_error)
+    if spec.scheme == "dist-pgr" and game.aggregate is None:
+        raise ConfigError("the distributed scheme needs an aggregative game")
     consts = monotonicity_constants(game)
     x_star = solve_ne_oracle(game)
     oracle_error_bound = ne_error_bound(game, x_star)

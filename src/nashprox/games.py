@@ -1,19 +1,21 @@
 """Game models with exact gradient maps and a deterministic equilibrium oracle.
 
-Two families are provided. Block-quadratic games couple players through a
-full block matrix H, so the joint gradient map is affine, G(x) = H x + c,
-and monotonicity constants are eigenvalue computations. Scalar aggregative
-games (Cournot competition with linear inverse demand) couple players only
-through the sum of strategies; each player's gradient depends on its own
-strategy and that aggregate, which is what a distributed solver estimates
-by consensus.
+Every game is a block-quadratic game: players couple through a full block
+matrix H, so the joint gradient map is affine, G(x) = H x + c, and the
+monotonicity constants are eigenvalue computations. A Cournot game with
+linear inverse demand is one with scalar players and box strategy sets,
+built by AggregativeGame: its H = diag(a + c_price) + c_price 11' couples
+players only through the sum of strategies, which its aggregate attribute
+keeps, so each player's gradient can be evaluated from its own strategy and
+an estimate of that sum, which is what a distributed solver estimates by
+consensus.
 
-A Nash equilibrium of either game with regularizers r_i is a fixed point of
+A Nash equilibrium with regularizers r_i is a fixed point of
 x = prox_{alpha r}(x - alpha G(x)) for every alpha > 0, which is how the
-residual and the forward-backward oracle are defined. When every player's
-own curvature a_i + c_price is positive, the equilibrium of an aggregative
-game is instead a best reply to one scalar, the aggregate, which the oracle
-finds by bisection.
+residual and the forward-backward oracle are defined. When every player of
+a Cournot game has positive own curvature a_i + c_price, the equilibrium is
+instead a best reply to one scalar, the aggregate, which the oracle finds
+by bisection.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -35,10 +38,11 @@ class GameConstants:
 
     eta is the strong monotonicity modulus, lip the Lipschitz constant,
     kappa = lip/eta. nu is the total noise level of the joint gradient
-    oracle; nu_i its per-player split (a quadratic game's components are
-    iid, so block i carries nu sqrt(d_i / n)). m_compact is
-    sum_i max_{x in R_i} ||x_i|| when every strategy set is a (compact) box,
-    else None.
+    oracle, and nu_i its per-player split, read from the game's noise
+    blocks: one block of level nu on all n coordinates gives player i
+    nu sqrt(d_i / n) (its components are iid), one block per player gives
+    each player its own level. m_compact is sum_i max_{x in R_i} ||x_i||
+    when every strategy set is a (compact) box, else None.
     """
 
     eta: float
@@ -47,6 +51,19 @@ class GameConstants:
     nu: float
     nu_i: tuple[float, ...]
     m_compact: float | None = None
+
+
+class Aggregate(NamedTuple):
+    """The Cournot structure of a game (AggregativeGame): per-player cost
+    arrays a and b, demand intercept d, price slope c_price and box arrays
+    lo and hi."""
+
+    a: np.ndarray
+    b: np.ndarray
+    d: float
+    c_price: float
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +79,10 @@ class QuadraticGame:
     h and c are stored as read-only copies, so the per-game data derived
     from them (block views, own-block spectra, block norms, and the game's
     GameConstants, `constants`, and stacked-vector shape `vector_shape`,
-    set at construction) is computed once and cannot go stale.
+    set at construction) is computed once and cannot go stale. The noise
+    is held as `noise_blocks`, (levels, block dims): ((nu,), (n,)), one
+    Gaussian level on the joint gradient. `aggregate` is None unless
+    AggregativeGame built the game.
     """
 
     dims: tuple[int, ...]
@@ -70,6 +90,10 @@ class QuadraticGame:
     c: np.ndarray
     regularizers: tuple[Regularizer, ...] = ()
     noise: GaussianNoise = GaussianNoise(0.0)
+
+    # AggregativeGame sets both on its instance before __post_init__ runs
+    aggregate: ClassVar[Aggregate | None] = None
+    noise_blocks: ClassVar[tuple | None] = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -82,7 +106,7 @@ class QuadraticGame:
             raise ValueError(f"coupling matrix must be {(n, n)}, got {h.shape}")
         if c.shape != (n,):
             raise ValueError(f"linear term must have shape {(n,)}, got {c.shape}")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(h).all() and np.isfinite(c).all()):
             raise ValueError("game parameters must be finite")
         regs = tuple(self.regularizers) if self.regularizers else tuple(
             Zero() for _ in dims)
@@ -90,18 +114,21 @@ class QuadraticGame:
             raise ValueError(f"{len(regs)} regularizers for {len(dims)} players")
         h.setflags(write=False)
         c.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "regularizers", regs)
-        offsets = np.cumsum((0,) + dims)
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "vector_shape", (n,))
-        for i in range(len(dims)):
-            qii = self.block(i, i)
-            if not np.allclose(qii, qii.T, atol=1e-9):
-                raise ValueError(f"diagonal block {i} must be symmetric")
-        eta = float(np.linalg.eigvalsh((h + h.T) / 2.0)[0])
+        # frozen: the instance dict takes what __setattr__ would refuse
+        vars(self).update(dims=dims, h=h, c=c, regularizers=regs,
+                          vector_shape=(n,), _offsets=np.cumsum((0,) + dims))
+        # the entries of the diagonal blocks in row order, tested as
+        # np.isclose(h, h.T, atol=1e-9), which np.allclose applies per block
+        owner = np.repeat(np.arange(len(dims)), dims)
+        rows, cols = np.nonzero(owner[:, None] == owner)
+        upper, lower = h[rows, cols], h[cols, rows]
+        asymmetric = np.abs(upper - lower) > 1e-9 + 1e-5 * np.abs(lower)
+        if asymmetric.any():
+            raise ValueError(f"diagonal block "
+                             f"{owner[rows[np.argmax(asymmetric)]]} "
+                             f"must be symmetric")
+        # halves first: h + h.T could overflow where h does not
+        eta = float(np.linalg.eigvalsh(h / 2.0 + h.T / 2.0)[0])
         if eta <= 0.0:
             raise NotStronglyMonotone(
                 f"symmetric part of the coupling matrix has minimum eigenvalue "
@@ -109,12 +136,15 @@ class QuadraticGame:
         lip = float(np.linalg.norm(h, 2))
         check_lipschitz(lip)
         nu = self.noise.nu
-        m_compact = float(sum(r.corner_norm() for r in regs)) \
-            if all(isinstance(r, BoxIndicator) for r in regs) else None
-        object.__setattr__(self, "constants", GameConstants(
-            eta=eta, lip=lip, kappa=lip / eta, nu=nu,
-            nu_i=tuple(nu * math.sqrt(d / n) for d in dims),
-            m_compact=m_compact))
+        levels, block_dims = self.noise_blocks or ((nu,), (n,))
+        nu_i = levels if block_dims == dims else tuple(
+            nu * math.sqrt(d / n) for d in dims)
+        corners = [r.corner_norm() for r in regs
+                   if isinstance(r, BoxIndicator)]
+        m_compact = float(sum(corners)) if len(corners) == len(regs) else None
+        vars(self).update(noise_blocks=(levels, block_dims),
+                          constants=GameConstants(eta, lip, lip / eta, nu,
+                                                  nu_i, m_compact))
 
     @property
     def n_players(self) -> int:
@@ -168,48 +198,48 @@ class QuadraticGame:
         """Solver data derived from the game, keyed by the solver."""
         return {}
 
+    def gradients(self, x: np.ndarray, y) -> np.ndarray:
+        """Own gradients of all players of a Cournot game at strategies x
+        against aggregate estimates y (one shared value or one per player):
+        a_i x_i + b_i - d + c_price y_i + c_price x_i."""
+        a, b, d, c_price, _, _ = self.aggregate
+        return a * x + b - d + c_price * y + c_price * x
 
-@dataclass(frozen=True, eq=False)
-class AggregativeGame:
+    def midpoint(self) -> np.ndarray:
+        """The strategy vector at the centre of a Cournot game's boxes."""
+        _, _, _, _, lo, hi = self.aggregate
+        return (lo + hi) / 2.0
+
+
+class AggregativeGame(QuadraticGame):
     """Scalar Cournot game with linear inverse demand p(y) = d - c_price * y.
 
     Player i chooses production x_i in [lo_i, hi_i] to minimize
     0.5 a_i x_i^2 + b_i x_i - x_i p(y) with y = sum_j x_j, so the own
     gradient (through its full dependence on x_i) is
-    a_i x_i + b_i - d + c_price * y + c_price * x_i.
-    Strategy sets are compact boxes by construction. The gradient map's
-    Jacobian diag(a_i + c_price) + c_price * ones must be positive definite,
-    and the total noise level nu^2 = sum_i nu_i^2 finite, like a single
-    Gaussian level's square. The game's GameConstants, `constants`, and
-    stacked-vector shape `vector_shape` are set at construction.
+    a_i x_i + b_i - d + c_price * y + c_price * x_i: the QuadraticGame with
+    h = diag(a + c_price) + c_price * ones, c = b - d, one box per player,
+    one noise block per player (levels nu_i = noises[i].nu) and total
+    level nu^2 = sum_i nu_i^2, which must be finite. The constructor keeps
+    its arguments (a, b, lo, hi and noises as tuples) and their Aggregate.
     """
 
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    d: float
-    c_price: float
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    noises: tuple[GaussianNoise, ...] = ()
-
-    def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
-        b = tuple(float(v) for v in self.b)
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
+    def __init__(self, a, b, d: float, c_price: float, lo, hi,
+                 noises: tuple[GaussianNoise, ...] = ()):
+        a, b, lo, hi = (tuple(float(v) for v in vs) for vs in (a, b, lo, hi))
+        d, c_price = float(d), float(c_price)
         n = len(a)
         if n < 1:
             raise ValueError("need at least one player")
         if not (len(b) == len(lo) == len(hi) == n):
             raise ValueError("a, b, lo, hi must all have one entry per player")
-        if not all(map(math.isfinite, a + b + lo + hi)) or not math.isfinite(self.d) \
-                or not math.isfinite(self.c_price):
+        if not all(map(math.isfinite, a + b + lo + hi + (d, c_price))):
             raise ValueError("game parameters must be finite")
-        if self.c_price < 0.0:
-            raise ValueError(f"price slope must be >= 0, got {self.c_price}")
+        if c_price < 0.0:
+            raise ValueError(f"price slope must be >= 0, got {c_price}")
         if any(l > h for l, h in zip(lo, hi)):
             raise ValueError("strategy boxes require lo <= hi")
-        noises = tuple(self.noises) or (GaussianNoise(0.0),) * n
+        noises = tuple(noises) or (GaussianNoise(0.0),) * n
         if len(noises) != n:
             raise ValueError(f"{len(noises)} noise models for {n} players")
         nu_i = tuple(nm.nu for nm in noises)
@@ -217,83 +247,29 @@ class AggregativeGame:
         if not math.isfinite(nu_sq):
             raise ValueError("total noise level nu must have nu^2 = "
                              "sum_i nu_i^2 finite, got nu^2 = inf")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "c_price", float(self.c_price))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "noises", noises)
-        object.__setattr__(self, "vector_shape", (n,))
-        jac = self.jacobian()
-        eta = float(np.linalg.eigvalsh(jac)[0])
-        if eta <= 0.0:
-            raise NotStronglyMonotone(
-                f"aggregative gradient map has minimum Jacobian eigenvalue "
-                f"{eta:.3e}; not strongly monotone")
-        lip = float(np.linalg.norm(jac, 2))
-        check_lipschitz(lip)
-        object.__setattr__(self, "constants", GameConstants(
-            eta=eta, lip=lip, kappa=lip / eta, nu=math.sqrt(nu_sq), nu_i=nu_i,
-            m_compact=float(sum(max(abs(l), abs(h))
-                                for l, h in zip(lo, hi)))))
-
-    @property
-    def n_players(self) -> int:
-        return len(self.a)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (1,) * self.n_players
-
-    @property
-    def dim(self) -> int:
-        return self.n_players
-
-    @cached_property
-    def regularizers(self) -> tuple[Regularizer, ...]:
-        return tuple(BoxIndicator(np.array([l]), np.array([h]))
-                     for l, h in zip(self.lo, self.hi))
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, lo, hi) as float arrays, one entry per player."""
-        return tuple(np.array(v) for v in (self.a, self.b, self.lo, self.hi))
-
-    @property
-    def aggregate_lipschitz(self) -> tuple[float, ...]:
-        """Per-player Lipschitz constants of the gradient in the aggregate."""
-        return (self.c_price,) * self.n_players
-
-    def jacobian(self) -> np.ndarray:
-        n = self.n_players
-        return np.diag(np.asarray(self.a) + self.c_price) + \
-            self.c_price * np.ones((n, n))
-
-    def gradients(self, x: np.ndarray, y) -> np.ndarray:
-        """Own gradients of all players at strategies x against aggregate
-        estimates y (one shared value or one per player):
-        a_i x_i + b_i - d + c_price y_i + c_price x_i."""
-        a, b, _, _ = self._arrays
-        return a * x + b - self.d + self.c_price * y + self.c_price * x
-
-    def midpoint(self) -> np.ndarray:
-        """The strategy vector at the centre of every player's box."""
-        _, _, lo, hi = self._arrays
-        return (lo + hi) / 2.0
+        agg = Aggregate(np.array(a), np.array(b), d, c_price, np.array(lo),
+                        np.array(hi))
+        with np.errstate(over="ignore"):  # __post_init__ rejects inf
+            h = np.diag(agg.a + c_price) + c_price * np.ones((n, n))
+            c = agg.b - d
+        vars(self).update(
+            a=a, b=b, d=d, c_price=c_price, lo=lo, hi=hi, noises=noises,
+            aggregate=agg, noise_blocks=(nu_i, (1,) * n), dims=(1,) * n,
+            h=h, c=c, noise=GaussianNoise(math.sqrt(nu_sq)),
+            regularizers=tuple(BoxIndicator(np.array([l]), np.array([u]))
+                               for l, u in zip(lo, hi)))
+        self.__post_init__()
 
 
-Game = QuadraticGame | AggregativeGame
-
-
-def gradient_map(game: Game, x: np.ndarray) -> np.ndarray:
+def gradient_map(game: QuadraticGame, x: np.ndarray) -> np.ndarray:
     """Exact joint gradient G(x) at a stacked strategy vector x, an array
     of shape (game.dim,); anything else, which numpy could broadcast, is
-    rejected. The test is inline: pgr calls this once per row."""
+    rejected. The test is inline: pgr calls this once per row. A Cournot
+    game's row is O(N), through its aggregate."""
     if not (isinstance(x, np.ndarray) and x.shape == game.vector_shape):
         raise ValueError(f"vector of shape {np.shape(x)} does not match "
                          f"game dimension {game.dim}")
-    if isinstance(game, QuadraticGame):
+    if game.aggregate is None:
         return game.h.dot(x) + game.c
     return game.gradients(x, float(np.sum(x)))
 
@@ -311,26 +287,29 @@ def check_lipschitz(lip: float) -> None:
                          f"bounds have finite squares")
 
 
-def monotonicity_constants(game: Game) -> GameConstants:
+def monotonicity_constants(game: QuadraticGame) -> GameConstants:
     """The game's own strong monotonicity modulus, Lipschitz constant and
     oracle constants (`game.constants`), computed once at construction,
     which rejects eta <= 0 and lip >= 1e154."""
     return game.constants
 
 
-def ne_residual(game: Game, x: np.ndarray, alpha: float) -> float:
+def ne_residual(game: QuadraticGame, x: np.ndarray, alpha: float) -> float:
     """Fixed-point residual ||x - prox_{alpha r}(x - alpha G(x))||.
 
-    Zero at exactly the Nash equilibria, for any alpha > 0.
+    Zero at exactly the Nash equilibria, for any alpha > 0. A step past
+    the float range is inf, which a box clips, and so is a residual past
+    about 1.3e154, without a warning.
     """
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    step = x - alpha * gradient_map(game, x)
     prox = compiled_prox(game.regularizers, game.dims, alpha)
-    return float(np.linalg.norm(x - prox(step)))
+    with np.errstate(over="ignore"):
+        step = x - alpha * gradient_map(game, x)
+        return float(np.linalg.norm(x - prox(step)))
 
 
-def ne_error_bound(game: Game, x: np.ndarray) -> float:
+def ne_error_bound(game: QuadraticGame, x: np.ndarray) -> float:
     """Certified bound on the distance from x to the equilibrium x*.
 
     For a strongly monotone map with modulus eta and Lipschitz constant L,
@@ -350,11 +329,12 @@ def ne_error_bound(game: Game, x: np.ndarray) -> float:
         ne_residual(game, x, alpha)
 
 
-def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
+def solve_ne_oracle(game: QuadraticGame, tol: float = 1e-12,
+                    alpha: float | None = None,
                     max_iter: int = 200_000) -> np.ndarray:
     """Deterministic solve of the equilibrium fixed point.
 
-    An aggregative game whose players all have positive own curvature
+    A Cournot game whose players all have positive own curvature
     a_i + c_price is solved through its aggregate: each player's best reply
     to the total y is x_i(y) = clip((d - b_i - c_price y) / (a_i + c_price),
     lo_i, hi_i), and phi(y) = sum_i x_i(y) - y is strictly decreasing on
@@ -375,41 +355,43 @@ def solve_ne_oracle(game: Game, tol: float = 1e-12, alpha: float | None = None,
         raise InvalidStep(
             f"oracle step {alpha} outside (0, 2 eta/L^2) = "
             f"(0, {2.0 * consts.eta / consts.lip ** 2})")
-    if isinstance(game, AggregativeGame):
+    if game.aggregate is not None:
         x = _aggregate_bisection(game)
         if x is not None:
             return x
     return _forward_backward(game, alpha, tol, max_iter)
 
 
-def _aggregate_bisection(game: AggregativeGame) -> np.ndarray | None:
-    """Equilibrium of an aggregative game via its aggregate, or None when
+def _aggregate_bisection(game: QuadraticGame) -> np.ndarray | None:
+    """Equilibrium of a Cournot game via its aggregate, or None when
     some a_i + c_price <= 0 (the best reply is then not a clip of the
     stationary point) or the box sums overflow."""
-    a, b, lo, hi = game._arrays
-    curvature = a + game.c_price
+    a, b, d, c_price, lo, hi = game.aggregate
+    curvature = a + c_price
     with np.errstate(over="ignore"):  # an overflowing sum is checked below
         y_lo, y_hi = float(np.sum(lo)), float(np.sum(hi))
     if not (np.min(curvature) > 0.0 and math.isfinite(y_lo + y_hi)):
         return None
 
     def reply(y: float) -> np.ndarray:
-        return np.clip((game.d - b - game.c_price * y) / curvature, lo, hi)
+        return np.clip((d - b - c_price * y) / curvature, lo, hi)
 
-    while True:
-        y = 0.5 * (y_lo + y_hi)
-        if y == y_lo or y == y_hi:
-            return reply(y)
-        phi = float(np.sum(reply(y))) - y
-        if phi == 0.0:
-            return reply(y)
-        if phi > 0.0:
-            y_lo = y
-        else:
-            y_hi = y
+    # a stationary point past the float range is inf, and clips to its box
+    with np.errstate(over="ignore"):
+        while True:
+            y = 0.5 * (y_lo + y_hi)
+            if y == y_lo or y == y_hi:
+                return reply(y)
+            phi = float(np.sum(reply(y))) - y
+            if phi == 0.0:
+                return reply(y)
+            if phi > 0.0:
+                y_lo = y
+            else:
+                y_hi = y
 
 
-def _forward_backward(game: Game, alpha: float, tol: float,
+def _forward_backward(game: QuadraticGame, alpha: float, tol: float,
                       max_iter: int) -> np.ndarray:
     prox = compiled_prox(game.regularizers, game.dims, alpha)
     x = prox(np.zeros(game.dim))

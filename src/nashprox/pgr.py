@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStep
-from .games import Game, QuadraticGame, check_lipschitz
+from .games import QuadraticGame, check_lipschitz
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
 from .trace import RunTrace, check_finite, check_run, check_start, iterate
@@ -203,11 +203,12 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
     return eta / lip ** 2, 1.0 - 1.0 / (2.0 * kappa ** 2)
 
 
-def pgr_loop(game: Game, config: PgrConfig, x0: np.ndarray,
+def pgr_loop(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
              x_star: np.ndarray | None = None) -> tuple:
     """(schedule, iterations, noise levels, noise dims) of run_pgr's loop:
-    max_iter iterations, or ceil(K(target_eps)) if fewer; one noise level
-    on a quadratic game's joint gradient, one per Cournot player."""
+    max_iter iterations, or ceil(K(target_eps)) if fewer; the noise is
+    the game's noise_blocks (one level on a quadratic game's joint
+    gradient, one per Cournot player)."""
     consts, n_iter = game.constants, config.max_iter
     if config.target_eps is not None:
         if x_star is None:
@@ -218,12 +219,10 @@ def pgr_loop(game: Game, config: PgrConfig, x0: np.ndarray,
         k_eps = complexity_K(rc, config.rho, config.target_eps)
         if k_eps < n_iter:
             n_iter = max(1, math.ceil(k_eps))
-    levels = ((consts.nu,), (game.dim,)) if isinstance(game, QuadraticGame) \
-        else (consts.nu_i, game.dims)
-    return GeometricBatch(config.rho), n_iter, *levels
+    return GeometricBatch(config.rho), n_iter, *game.noise_blocks
 
 
-def run_pgr(game: Game, config: PgrConfig, x0: np.ndarray,
+def run_pgr(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
             x_star: np.ndarray | None = None,
             replications: Sequence[int] = (0,)) -> RunTrace:
     """Growing-batch gradient-response runs in one RunTrace (trace.iterate).

@@ -43,16 +43,19 @@ class BoxIndicator:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have matching shapes")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("box bounds must be finite (compact strategy set)")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     def corner_norm(self) -> float:
         """max_{x in box} ||x||_2, attained at the componentwise larger corner;
-        inf, without a warning, past about 1.3e154."""
+        exact for a 1-D box, else inf, without a warning, past about
+        1.3e154."""
+        if self.lo.size == 1:  # where a 2-norm's square could leave the range
+            return max(abs(float(self.lo[0])), abs(float(self.hi[0])))
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(np.maximum(np.abs(self.lo),
                                                    np.abs(self.hi))))

@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from .games import Game, gradient_map
+from .games import QuadraticGame, gradient_map
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class SampleCounter:
         return asdict(self)
 
 
-def sample_batch_gradient(game: Game, x: np.ndarray, batch: int,
+def sample_batch_gradient(game: QuadraticGame, x: np.ndarray, batch: int,
                           error: np.ndarray) -> np.ndarray:
     """Average of `batch` noisy joint-gradient observations at the stacked
     strategy vector x: the exact gradient plus `error`, the batch-averaged

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .games import (Game, QuadraticGame, generate_cournot_game,
+from .games import (QuadraticGame, generate_cournot_game,
                     generate_quadratic_game)
 from .graphs import (CommGraph, build_metropolis_weights, complete_graph,
                      erdos_renyi_graph, grid_graph, path_graph, ring_graph)
@@ -421,7 +421,7 @@ def _build_regularizer(doc: dict, dim: int, i: int):
                           for key in ("lo", "hi")))
 
 
-def build_game(doc: dict, seed: int = 0) -> Game:
+def build_game(doc: dict, seed: int = 0) -> QuadraticGame:
     """Construct a validated game from its configuration object."""
     kind = doc["kind"]
     if kind == "quadratic":

@@ -588,6 +588,33 @@ def test_validate_rejects_what_the_run_rejects_before_any_replication(
     assert run_err.endswith(f"{message}\n") and run_err.count("\n") == 1
 
 
+@pytest.mark.parametrize("graph,nodes", [
+    ({"family": "ring", "nodes": 1_000_000_000}, 1_000_000_000),
+    ({"family": "complete", "nodes": 10 ** 12}, 10 ** 12),
+    ({"family": "path", "nodes": 6}, 6),
+    ({"family": "grid", "rows": 100_000, "cols": 100_000}, 10 ** 10),
+    ({"family": "erdos-renyi", "nodes": 10 ** 9, "p": 0.5}, 10 ** 9),
+    ({"nodes": 10 ** 9, "edges": [[0, 1]]}, 10 ** 9),
+], ids=["ring", "complete", "path", "grid", "erdos-renyi", "edges"])
+def test_a_graph_of_the_wrong_size_is_rejected_before_it_is_built(
+        tmp_path: Path, capsys, monkeypatch, graph: dict, nodes: int):
+    """The node count is read from the graph document, so a billion-node
+    graph is not built (every graph constructor fails here if called)."""
+    from nashprox import serialize
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+    for name in ("build_metropolis_weights", "complete_graph", "ring_graph",
+                 "path_graph", "grid_graph", "erdos_renyi_graph"):
+        monkeypatch.setattr(serialize, name, no_build)
+    cfg = _write(tmp_path, dict(DIST_DOC, graph=graph))
+    for argv in (["validate", "--config", cfg, "--quiet"],
+                 ["dist-pgr", "--config", cfg, "--quiet"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"invalid parameters: graph has {nodes} nodes for 5 players\n")
+
+
 def _exit_and_stderr(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -716,6 +743,8 @@ def test_per_player_arrays_must_hold_numbers(tmp_path: Path, capsys,
 
 def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
         tmp_path: Path, capsys):
+    """Mean errors that are all 0 leave no rate to fit: the report's fit
+    gives the reason, the envelope verdict decides, and the run exits 0."""
     # the box midpoint is the equilibrium of this noise-free game
     doc = {"scheme": "pgr",
            "game": {"kind": "cournot", "a": [1.0, 1.0], "b": [0.0, 0.0],
@@ -724,11 +753,18 @@ def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
            "solver": {"alpha": 0.1, "rho": 0.9, "max_iter": 30}}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["pgr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
+        assert main(["pgr", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "out")]) == 0
     assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert "every mean error is 0" in err
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert err == ""
+    reason = ("every mean error is 0, so there is no rate to fit (the run "
+              "starts at the equilibrium and stays there)")
+    assert f"no rate fit: {reason}" in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["fit"] == {"reason": reason, "window": [5, 30]}
+    assert report["theory"]["envelope"]["ok"] is True
+    assert report["mean_final_error"] == 0.0
 
 
 README_PBR_DOC = json.loads(

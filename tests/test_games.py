@@ -45,6 +45,52 @@ def test_a_game_holds_its_constants_once(game):
     assert monotonicity_constants(game) is monotonicity_constants(game)
 
 
+def _first_asymmetric_block(h, dims):
+    """The per-block np.allclose check the one-pass owner mask replaced."""
+    offsets = np.cumsum((0,) + tuple(dims))
+    for i in range(len(dims)):
+        q = h[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]]
+        if not np.allclose(q, q.T, atol=1e-9):
+            return i
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1), st.floats(-12.0, -2.0))
+def test_the_first_asymmetric_diagonal_block_is_named(dims, seed, scale):
+    """Sparse perturbations of a symmetric h around the tolerance: the
+    game names the block the per-block check names, or builds."""
+    rng = np.random.default_rng(seed)
+    n = sum(dims)
+    a = rng.standard_normal((n, n))
+    h = a @ a.T + n * np.eye(n)
+    h += np.where(rng.random((n, n)) < 0.2, 10.0 ** scale, 0.0) * \
+        rng.standard_normal((n, n))
+    first = _first_asymmetric_block(h, dims)
+    if first is None:
+        assert QuadraticGame(dims=tuple(dims), h=h, c=np.zeros(n)).dim == n
+    else:
+        with pytest.raises(ValueError, match=f"^diagonal block {first} "
+                                             f"must be symmetric$"):
+            QuadraticGame(dims=tuple(dims), h=h, c=np.zeros(n))
+
+
+def test_only_diagonal_blocks_need_symmetry():
+    h = 4.0 * np.eye(6)
+    h[0, 3] = 0.5  # a coupling entry with no mirror
+    assert QuadraticGame(dims=(2, 1, 3), h=h, c=np.zeros(6)).dim == 6
+    h[5, 4] = 1e-8  # inside block 2
+    h[1, 0] = 1e-8  # inside block 0
+    with pytest.raises(ValueError,
+                       match="^diagonal block 0 must be symmetric$"):
+        QuadraticGame(dims=(2, 1, 3), h=h, c=np.zeros(6))
+    h[1, 0] = 1e-10  # within the absolute tolerance
+    with pytest.raises(ValueError,
+                       match="^diagonal block 2 must be symmetric$"):
+        QuadraticGame(dims=(2, 1, 3), h=h, c=np.zeros(6))
+
+
 def test_game_keeps_read_only_copies_of_h_and_c():
     h, c = REF_H.copy(), REF_C.copy()
     game = QuadraticGame(dims=(1, 1), h=h, c=c)

@@ -67,7 +67,7 @@ def _reference_prox_blocks(regs, dims, vec, alpha, counter):
 
 
 def _reference_gradient(game, vec):
-    if isinstance(game, QuadraticGame):
+    if not isinstance(game, AggregativeGame):
         return game.h @ vec + game.c
     return game.gradients(vec, float(np.sum(vec)))
 
@@ -88,7 +88,7 @@ def _reference_batch_gradient(game, x, batch, z_k, counter):
     game's noise: nu / sqrt(n N_k) on the joint gradient of a quadratic
     game, nu_i / sqrt(N_k) on player i of a Cournot game."""
     g = _reference_gradient(game, x)
-    if isinstance(game, QuadraticGame):
+    if not isinstance(game, AggregativeGame):
         w = z_k * (game.noise.nu / math.sqrt(g.size * float(batch)))
     else:
         w = np.array([z_k[i] * (game.noises[i].nu / math.sqrt(batch))
