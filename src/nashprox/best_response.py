@@ -15,9 +15,11 @@ error, so batches N_k = ceil(max_i M_i^2 c_r^2 / eta_br^{2k}) keep the
 sampling error on the geometric decay eta_br.
 
 The subproblem is solved by proximal gradient until a step moves z by at
-most inner_tol; until the active set recurs, and at most d + 1 times, a step
-is replaced by a primal-dual active-set Newton point (Hintermueller, Ito and
-Kunisch, SIAM J. Optim. 13, 2003): coordinates the prox clips (box) or
+most inner_tol, or, once the Newton steps are spent, by at most a few ulps
+of ||z|| (the rounding floor, which no smaller tolerance can beat); until
+the active set recurs, and at most d + 1 times, a step is replaced by a
+primal-dual active-set Newton point (Hintermueller, Ito and Kunisch,
+SIAM J. Optim. 13, 2003): coordinates the prox clips (box) or
 zeroes (l1) stay fixed, the rest solve K_FF z_F = -(linear - mu anchor +
 w sign(z) + K z_fixed)_F (w the l1 weight) with K = Q_ii + mu I, inverted
 once per game, player and mu, and K_FF sliced once per active-set pattern
@@ -43,6 +45,10 @@ from .pgr import geometric_complexity, power_or_inf
 from .prox import Zero, compiled_prox, prox_pieces
 from .sampling import BestResponseBatch
 from .trace import RunTrace, check_run, iterate
+
+# A step that moves z by at most a few ulps of ||z|| has reached the
+# rounding floor, which lies above inner_tol once ||z|| passes about 1e3.
+_ULPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +136,7 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         z_next = v if zero else prox(v)  # v is a fresh array
         dz = z_next - z
         disp = math.sqrt(dz.dot(dz))  # what np.linalg.norm(dz) computes
-        if disp <= tol:
+        if disp <= tol or it > d + 1 and disp <= _ULPS * math.hypot(*z_next):
             return z_next, it + 1
         if newton and zero and it + 1 < max_inner:  # no active set
             newton, z_next = 0, k_inv.dot(-(linear - mu * anchor))

@@ -138,8 +138,9 @@ def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
         # Evaluated as (v - x) + x_next so that v stays bitwise equal to x
         # whenever v_0 = x_0.
         v = (v - x) + x_next
-        consensus_errors.append(np.max(np.abs(
-            v_hat - np.mean(x, axis=1)[:, None]), axis=1))
+        # the bits of np.max(np.abs(v_hat - np.mean(x, axis=1)[:, None]), 1)
+        consensus_errors.append(np.maximum.reduce(np.abs(
+            v_hat - (np.add.reduce(x, 1) / n)[:, None]), 1))
         return x_next
     trace = iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
                     config.max_iter, game.constants.nu_i, game.dims,
@@ -188,7 +189,8 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
     the aggregate. beta = 0 (perfect mixing) short-circuits to
     c1 = M theta, c2 = 0, c3 = alpha^2 sum nu_i^2. Requires a Cournot game
     (one with an aggregate) with a graph node per player, and alpha in
-    (0, eta/lip^2) so that the step factor varrho stays below one.
+    (0, eta/lip^2) so that the step factor varrho stays below one; raises
+    InvalidStep when varrho still rounds to 1 (alpha eta below an ulp).
     Raises ValueError naming c1, c2 or c3 when it leaves the float range
     (boxes so wide that M or its square overflows).
     """
@@ -202,6 +204,9 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
     if not (0.0 <= beta < 1.0):
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     varrho = 1.0 - 2.0 * alpha * consts.eta + 2.0 * alpha ** 2 * consts.lip ** 2
+    if varrho >= 1.0:  # alpha eta below an ulp of 1
+        raise InvalidStep(f"alpha={alpha} gives step factor varrho={varrho} "
+                          f">= 1; the distributed envelope needs it below 1")
     m_compact = consts.m_compact
     l_i = (game.aggregate.c_price,) * game.n_players
     nu_i = consts.nu_i

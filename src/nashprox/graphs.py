@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NoGeometricMixing
 
 _STRUCT_TOL = 1e-12
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +69,19 @@ class CommGraph:
         """(eigenvalues in ascending order, orthonormal eigenvectors as
         columns) of the weight matrix, read-only, computed once."""
         return _eigh(self.weights)
+
+    @cached_property
+    def deviation_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(V', V, lambda) without the consensus eigenpair (the last one),
+        views into spectrum that consensus_apply multiplies with."""
+        lam, vec = self.spectrum
+        basis = vec[:, :-1]
+        return basis.T, basis, lam[:-1]
+
+    @cached_property
+    def _powers(self) -> dict[int, np.ndarray]:
+        """{tau: lambda[:-1] ** tau} for the last tau consensus_apply took."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -209,24 +223,29 @@ def consensus_apply(g: CommGraph, values, tau: int) -> np.ndarray:
 
     values has one row per node (a 1-D array is treated as one scalar per
     node). A^tau is applied in closed form from the cached eigenpairs
-    (CommGraph.spectrum): the node mean is kept and the deviation from it
-    goes through V diag(lambda^tau) V' without the consensus eigenvector
-    (lambda = 1, the largest eigenvalue of a connected graph), then is
-    centred again, so the mean stays exact up to one rounding however
-    large tau is. tau = 0 returns a copy of the input.
+    (CommGraph.deviation_basis): the node mean is kept and the deviation
+    from it goes through V diag(lambda^tau) V' without the consensus
+    eigenvector (lambda = 1, the largest eigenvalue of a connected graph),
+    then is centred again, so the mean stays exact up to one rounding
+    however large tau is. tau = 0 returns a copy of the input. The powers
+    lambda^tau are kept for the last tau only, which every row of a
+    dist-pgr iteration shares.
     """
     if tau < 0:
         raise ValueError(f"consensus rounds must be >= 0, got {tau}")
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] != g.n_nodes:
-        raise ValueError(
-            f"values have {v.shape[0]} rows for {g.n_nodes} nodes")
+    v = values if type(values) is np.ndarray and values.dtype is _FLOAT \
+        else np.asarray(values, dtype=float)
+    n = g.n_nodes
+    if v.shape[0] != n:
+        raise ValueError(f"values have {v.shape[0]} rows for {n} nodes")
     if tau == 0:
         return v.copy()
-    lam, vec = g.spectrum
-    mean = v.sum(axis=0) / g.n_nodes
-    basis = vec[:, :-1]
-    coef = basis.T @ (v - mean)
-    out = basis @ (coef.T * lam[:-1] ** int(tau)).T
-    return out + (mean - out.sum(axis=0) / g.n_nodes)
-
+    basis_t, basis, lam = g.deviation_basis
+    powers = g._powers
+    if (power := powers.get(tau)) is None:
+        powers.clear()
+        power = powers[tau] = lam ** int(tau)
+    mean = np.add.reduce(v, 0) / n  # the bits of v.sum(axis=0) / n
+    coef = basis_t @ (v - mean)
+    out = basis @ (coef.T * power).T
+    return out + (mean - np.add.reduce(out, 0) / n)

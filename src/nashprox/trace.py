@@ -4,7 +4,7 @@ supplies only its update."""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,6 +119,7 @@ def iterate(step: Callable, x0: np.ndarray,
             errors[:, k] = [v ** power for v in norms]
         if k < n_iter:
             x = step(k, batches[k], x, next(noise), counter)
-            cums.append(astuple(counter))
+            cums.append((counter.total_samples, counter.prox_evals,
+                         counter.comm_rounds, counter.inner_solves))
     return RunTrace(errors, error_metric, batches, *map(list, zip(*cums)),
                     x, counter)

@@ -233,6 +233,23 @@ def test_pbr_with_tiny_mu_runs(tmp_path: Path):
     assert c_r == pytest.approx(2e8, rel=1e-12)
 
 
+def test_pbr_from_a_start_past_the_inner_tolerance_resolution_runs(
+        tmp_path: Path):
+    """The box-midpoint start anchors the first subproblem at 1.075e32,
+    where an ulp is 1.8e16, so no step can move z by at most inner_tol:
+    the inner solve stops at the rounding floor of ||z|| instead."""
+    doc = {"scheme": "pbr",
+           "game": {"kind": "cournot", "a": [0.7487], "b": [0.0],
+                    "d": -1.762, "c_price": 1.0, "lo": [-1.7036],
+                    "hi": [2.15e32], "nu": 0.5},
+           "solver": {"mu": 1.0, "eta_br": 0.7, "max_iter": 5}}
+    out = tmp_path / "out"
+    assert main(["pbr", "--config", _write(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["iterations"] == 5 and report["theory"]["envelope"]["ok"]
+
+
 @pytest.mark.parametrize("solver", [
     {"mu": 1.0, "eta_br": 0.7, "max_iter": 3, "target_eps": 1e-300},
     # eta_tilde next to max(a, eta_br): the envelope constant over eps
@@ -350,6 +367,24 @@ def test_condition_number_whose_square_overflows_stops_before_any_run(
     err = capsys.readouterr().err
     assert "condition number kappa = lip/eta = 1e+170 must be below 1e154" \
         in err
+    assert "Traceback" not in err
+
+
+# alpha eta = 9.4e-142 is below an ulp of 1, so varrho = 1 - 2 alpha eta +
+# 2 alpha^2 lip^2 rounds to exactly 1 although alpha < eta / lip^2
+_VARRHO_ONE = dict(
+    DIST_DOC, game=dict(DIST_DOC["game"], a=[0.0], b=[0.0], c_price=9.4e-141),
+    graph={"family": "complete", "nodes": 1},
+    solver={"alpha": 0.1, "beta": 0.5, "max_iter": 5, "target_eps": 1.0})
+
+
+@pytest.mark.parametrize("argv", [["dist-pgr"], ["validate"]])
+def test_a_step_factor_that_rounds_to_one_is_an_assumption_error(
+        tmp_path: Path, capsys, argv: list[str]):
+    assert main(argv + ["--config", _write(tmp_path, _VARRHO_ONE),
+                        "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "alpha=0.1 gives step factor varrho=1.0 >= 1" in err
     assert "Traceback" not in err
 
 

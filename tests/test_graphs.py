@@ -197,3 +197,61 @@ def test_closed_form_consensus_matches_repeated_averaging(g, tau, columns,
     assert out.shape == v.shape
     assert np.max(np.abs(out - want)) <= (tau / 2 + 16) * n * eps * size
     assert np.max(np.abs(out.mean(axis=0) - v.mean(axis=0))) <= 4 * eps * size
+
+
+def _uncached_consensus_apply(g: CommGraph, values, tau: int) -> np.ndarray:
+    """consensus_apply as written before it kept its basis views and the
+    last lambda^tau on the graph: the reference for its bits."""
+    if tau < 0:
+        raise ValueError(f"consensus rounds must be >= 0, got {tau}")
+    v = np.asarray(values, dtype=float)
+    if v.shape[0] != g.n_nodes:
+        raise ValueError(
+            f"values have {v.shape[0]} rows for {g.n_nodes} nodes")
+    if tau == 0:
+        return v.copy()
+    lam, vec = g.spectrum
+    mean = v.sum(axis=0) / g.n_nodes
+    basis = vec[:, :-1]
+    coef = basis.T @ (v - mean)
+    out = basis @ (coef.T * lam[:-1] ** int(tau)).T
+    return out + (mean - out.sum(axis=0) / g.n_nodes)
+
+
+@pytest.mark.parametrize("g", [
+    ring_graph(20), path_graph(7), complete_graph(6), grid_graph(3, 4),
+    erdos_renyi_graph(12, 0.4, seed=3)],
+    ids=["ring", "path", "complete", "grid", "erdos-renyi"])
+def test_consensus_apply_gives_the_bits_of_the_uncached_form(g: CommGraph):
+    """tau from 0 to 70 in the ascending order of a dist-pgr run, then
+    each twice more in shuffled order, on 1-D and (N, m) values with
+    signed zeros. Each tau is applied to g, then to a second graph, then
+    to g again, so g's cached lambda^tau is both missed and hit, and the
+    second graph's cache must not leak into g's."""
+    rng = np.random.default_rng(g.n_nodes)
+    other = ring_graph(9)
+    shuffled = list(range(71)) * 2
+    rng.shuffle(shuffled)
+    taus = list(range(71)) + shuffled
+
+    def draw(n, shape):
+        v = rng.standard_normal((n, *shape)) * 10.0 ** rng.integers(-3, 4)
+        v[rng.random(v.shape) < 0.2] = 0.0
+        v[rng.random(v.shape) < 0.2] = -0.0
+        return v
+
+    for tau in taus:
+        for graph in (g, other, g):
+            for shape in ((), (3,), (1,)):
+                v = draw(graph.n_nodes, shape)
+                got = consensus_apply(graph, v, tau)
+                want = _uncached_consensus_apply(graph, v, tau)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (tau, shape)
+    zeros = -np.zeros(g.n_nodes)  # every entry -0.0
+    for tau in (0, 1, 70):
+        assert consensus_apply(g, zeros, tau).tobytes() == \
+            _uncached_consensus_apply(g, zeros, tau).tobytes()
+    ints = list(range(g.n_nodes))  # through np.asarray
+    assert consensus_apply(g, ints, 5).tobytes() == \
+        _uncached_consensus_apply(g, ints, 5).tobytes()

@@ -330,6 +330,24 @@ def test_a_zero_player_stops_after_two_iterations_at_the_linear_solve(
     assert np.linalg.norm(got - want) <= tol + slack
 
 
+@pytest.mark.parametrize("anchor", [1.075e32, -3e20, 3e5])
+def test_a_solve_past_the_tolerance_resolution_stops_at_the_rounding_floor(
+        anchor):
+    """At |z| above 1e4 an ulp of z exceeds inner_tol, so prox gradient
+    steps one ulp back and forth forever. Once the Newton budget (d + 1 = 2
+    steps) is spent, a step of at most a few ulps of ||z|| ends the solve,
+    at the argmin (mu anchor - linear) / (q + mu) within those ulps."""
+    q, mu, linear = 2.7487, 1.0, np.array([1.762])
+    game = QuadraticGame(dims=(1,), h=np.array([[q]]), c=np.zeros(1),
+                         regularizers=(BoxIndicator(np.array([-1e33]),
+                                                    np.array([1e33])),))
+    got, used = _solve_anchored(game, 0, linear, np.array([anchor]), mu,
+                                1e-12, 100_000)
+    want = (mu * anchor - linear[0]) / (q + mu)
+    assert used <= 4
+    assert abs(got[0] - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(games())
 def test_solver_cache_is_keyed_by_player_and_mu(drawn):

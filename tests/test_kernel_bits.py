@@ -1,4 +1,5 @@
-"""The two kernels of the pbr inner solve give numpy's own bits.
+"""The kernels of the pbr inner solve and of dist-pgr's consensus give
+numpy's own bits.
 
 `best_response._solve_anchored` calls numpy's solve gufunc directly, as
 np.linalg.solve does after its checks, and takes its 2-D by 1-D products
@@ -14,6 +15,12 @@ product keeps its sign, where @ adds it to +0.0 and returns +0.0. Such a
 signed zero changes no output: a zero of either sign adds to a nonzero
 term exactly, the errors and the inner displacement are squares, the
 active-set keys compare with == or drop -0.0, and no iterate divides.
+
+`graphs.consensus_apply` takes its node means with np.add.reduce(v, 0),
+and `distributed.run_dist_pgr` its consensus errors with
+np.add.reduce(x, 1) / n and np.maximum.reduce: the reductions that
+v.sum(axis=0), np.mean(x, axis=1) and np.max call behind their Python
+wrappers.
 """
 
 from __future__ import annotations
@@ -93,3 +100,30 @@ def test_a_one_element_dot_keeps_the_sign_of_a_zero_product():
     assert np.signbit(m.dot(v)[0]) and not np.signbit((m @ v)[0])
     assert not np.signbit((np.zeros((2, 2)) @ -np.ones(2))[0])
     assert not np.signbit(np.zeros((2, 2)).dot(-np.ones(2))[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 40), columns=st.integers(0, 25),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-300, 300),
+       zeros=st.floats(0.0, 1.0))
+def test_the_consensus_reductions_equal_numpy_wrappers(rows, columns, seed,
+                                                       scale, zeros):
+    """On 1-D and 2-D operands at any scale, with signed zeros and
+    infinities (a diverging row): np.add.reduce(v, 0) is v.sum(axis=0),
+    np.add.reduce(x, 1) / n is np.mean(x, axis=1), and np.maximum.reduce
+    is np.max, bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = (rows,) if columns == 0 else (rows, columns)
+    v = rng.standard_normal(shape) * 10.0 ** scale
+    v[rng.random(shape) < zeros] = 0.0
+    v[rng.random(shape) < zeros / 2] = -0.0
+    if v.size > 2:
+        v.flat[int(rng.integers(v.size))] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(np.asarray(np.add.reduce(v, 0)),
+                          np.asarray(v.sum(axis=0)))
+        if columns:
+            assert _same_bits(np.add.reduce(v, 1) / columns,
+                              np.mean(v, axis=1))
+            assert _same_bits(np.maximum.reduce(np.abs(v), 1),
+                              np.max(np.abs(v), axis=1))
