@@ -50,7 +50,7 @@ def main() -> None:
     print(f"  beta = {beta:.4f}, varrho = {rc_d.varrho:.4f}, "
           f"envelope {constant:.4f} * {rate:.6f}^k")
     for eps in (1e-2, 1e-3):
-        comp = dist_complexity(rc_d, beta, eps, c_start=1.0)
+        comp = dist_complexity(rc_d, eps, c_start=1.0)
         print(f"  eps = {eps:g}: K = {comp.k_eps:7.2f}, "
               f"gossip rounds = {comp.comm_rounds:.3e}, "
               f"samples = {comp.samples:.3e}")

@@ -53,7 +53,7 @@ def main() -> None:
           f"(= K(K+1)/2 for K = {config.max_iter})")
 
     eps = 1e-3
-    comp = dist_complexity(rc, mp.beta, eps, c_start=c_start)
+    comp = dist_complexity(rc, eps, c_start=c_start)
     print(f"to reach eps = {eps:g}: about {comp.k_eps:.1f} iterations, "
           f"{comp.comm_rounds:.3e} gossip rounds, {comp.samples:.3e} samples "
           f"(worst-case bounds; the run above got there much sooner)")

@@ -81,8 +81,6 @@ class DistRateConstants:
     c2: float
     c3: float
     m_compact: float
-    l_i: tuple[float, ...]
-    nu_i: tuple[float, ...]
     beta: float
     theta: float
 
@@ -209,11 +207,10 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
                           f">= 1; the distributed envelope needs it below 1")
     m_compact = consts.m_compact
     l_i = (game.aggregate.c_price,) * game.n_players
-    nu_i = consts.nu_i
     n = game.n_players
     sum_l = sum(l_i)
     sum_l2 = sum(v ** 2 for v in l_i)
-    sum_nu2 = sum(v ** 2 for v in nu_i)
+    sum_nu2 = sum(v ** 2 for v in consts.nu_i)
     if beta == 0.0:
         c1 = m_compact * theta
         c2 = 0.0
@@ -235,38 +232,35 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
                              f"range; the boxes give m_compact = "
                              f"{m_compact:.6g}")
     return DistRateConstants(varrho=varrho, c1=c1, c2=c2, c3=c3,
-                             m_compact=m_compact, l_i=tuple(l_i),
-                             nu_i=tuple(nu_i), beta=float(beta),
+                             m_compact=m_compact, beta=float(beta),
                              theta=float(theta))
 
 
-def dist_envelope_params(rc: DistRateConstants, c_start: float,
-                         varrho_tilde: float | None = None) -> tuple[float, float]:
+def dist_envelope_params(rc: DistRateConstants,
+                         c_start: float) -> tuple[float, float]:
     """(constant, rate) of the distributed envelope constant * rate^k:
     pgr.geometric_envelope of c_start and the noise c3 at the rates
-    (varrho, sqrt(beta)), with varrho_tilde on the knife edge."""
+    (varrho, sqrt(beta)), with its default shifted rate on the knife
+    edge."""
     if c_start < 0.0:
         raise ValueError(f"c_start must be >= 0, got {c_start}")
-    return geometric_envelope(c_start, rc.c3, rc.varrho, math.sqrt(rc.beta),
-                              varrho_tilde)[:2]
+    return geometric_envelope(c_start, rc.c3, rc.varrho,
+                              math.sqrt(rc.beta))[:2]
 
 
-def dist_complexity(rc: DistRateConstants, beta: float, eps: float,
-                    c_start: float,
-                    varrho_tilde: float | None = None) -> DistComplexity:
+def dist_complexity(rc: DistRateConstants, eps: float,
+                    c_start: float) -> DistComplexity:
     """Iteration, communication, and sample bounds to reach eps.
 
     K(eps) and samples are pgr.geometric_complexity's for the envelope of
-    dist_envelope_params and batches at rate sqrt(beta); communications
+    dist_envelope_params and batches at rate sqrt(rc.beta); communications
     under tau_k = k + 1 sum to (K + 1)(K + 2) / 2.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if abs(beta - rc.beta) > 1e-9:
-        raise ValueError(
-            f"beta={beta} disagrees with rate constants built at {rc.beta}")
-    constant, rate = dist_envelope_params(rc, c_start, varrho_tilde)
-    k_eps, samples = geometric_complexity(constant, rate, math.sqrt(beta), eps)
+    if not (0.0 < rc.beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {rc.beta}")
+    constant, rate = dist_envelope_params(rc, c_start)
+    k_eps, samples = geometric_complexity(constant, rate, math.sqrt(rc.beta),
+                                          eps)
     return DistComplexity(k_eps=k_eps,
                           comm_rounds=(k_eps + 1.0) * (k_eps + 2.0) / 2.0,
                           samples=samples)

@@ -37,18 +37,14 @@ class FitResult:
     n_points: int
 
 
-def fit_linear_rate(errors, window: tuple[int, int] | None = None,
-                    skip: int = 5) -> FitResult:
+def fit_linear_rate(errors, window: tuple[int, int]) -> FitResult:
     """Least-squares fit of ln(errors[k]) against k.
 
-    window = (lo, hi) selects indices lo..hi inclusive; the default starts
-    at `skip` (transients excluded) and ends at the last index. Nonpositive
-    or non-finite entries are dropped with a warning; fewer than 3 usable
+    window = (lo, hi) selects indices lo..hi inclusive. Nonpositive or
+    non-finite entries are dropped with a warning; fewer than 3 usable
     points is an error. The slope estimates the empirical log-rate.
     """
     err = np.asarray(errors, dtype=float)
-    if window is None:
-        window = (skip, err.size - 1)
     lo, hi = int(window[0]), int(window[1])
     if not (0 <= lo <= hi < err.size):
         raise ValueError(
@@ -194,7 +190,7 @@ def _dist_setup(spec, game, x0, x_star):
               "m_compact": rc.m_compact, "beta": config.beta,
               "theta": mp.theta, "c_start": c_start}
     if s.get("target_eps") is not None:
-        comp = dist_complexity(rc, config.beta, s["target_eps"], c_start)
+        comp = dist_complexity(rc, s["target_eps"], c_start)
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
                       m_eps=comp.samples)
 

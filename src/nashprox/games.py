@@ -221,7 +221,8 @@ class AggregativeGame(QuadraticGame):
     h = diag(a + c_price) + c_price * ones, c = b - d, one box per player,
     one noise block per player (levels nu_i = noises[i].nu) and total
     level nu^2 = sum_i nu_i^2, which must be finite. The constructor keeps
-    its arguments (a, b, lo, hi and noises as tuples) and their Aggregate.
+    its arguments once: the costs, price and boxes in aggregate, the noise
+    levels in noise_blocks.
     """
 
     def __init__(self, a, b, d: float, c_price: float, lo, hi,
@@ -253,7 +254,6 @@ class AggregativeGame(QuadraticGame):
             h = np.diag(agg.a + c_price) + c_price * np.ones((n, n))
             c = agg.b - d
         vars(self).update(
-            a=a, b=b, d=d, c_price=c_price, lo=lo, hi=hi, noises=noises,
             aggregate=agg, noise_blocks=(nu_i, (1,) * n), dims=(1,) * n,
             h=h, c=c, noise=GaussianNoise(math.sqrt(nu_sq)),
             regularizers=tuple(BoxIndicator(np.array([l]), np.array([u]))

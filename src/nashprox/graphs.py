@@ -1,8 +1,10 @@
 """Communication graphs, Metropolis weights, and geometric mixing constants.
 
-Weight matrices are symmetric, doubly stochastic, and supported on the graph
-(positive exactly on edges, with nonnegative diagonal). For such matrices
-the consensus powers satisfy |[A^k]_ij - 1/N| <= theta * beta^k with theta=1
+A graph is its node count and edge list. Its Metropolis weight matrix
+follows from the edges alone: symmetric, doubly stochastic, positive
+exactly on the edges and on the diagonal (Xiao & Boyd, "Fast linear
+iterations for distributed averaging", 2004). For such matrices the
+consensus powers satisfy |[A^k]_ij - 1/N| <= theta * beta^k with theta=1
 and beta the second largest eigenvalue modulus, which is the geometric
 mixing estimate the distributed rate constants consume.
 """
@@ -16,22 +18,21 @@ import numpy as np
 
 from .errors import NoGeometricMixing
 
-_STRUCT_TOL = 1e-12
 _FLOAT = np.dtype(float)
+_ER_TRIES = 100
 
 
 @dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Undirected connected communication graph with consensus weights.
+    """Undirected connected communication graph with Metropolis consensus
+    weights.
 
-    edges are (i, j) pairs with i < j. The weight matrix is validated for
-    symmetry, double stochasticity, support on the edge set, and the graph
-    for connectivity (by traversal).
+    edges are (i, j) pairs with 0 <= i < j < n_nodes; the graph must be
+    connected (checked by traversal).
     """
 
     n_nodes: int
     edges: frozenset[tuple[int, int]]
-    weights: np.ndarray
 
     def __post_init__(self):
         n = int(self.n_nodes)
@@ -41,34 +42,32 @@ class CommGraph:
         for i, j in edges:
             if not (0 <= i < j < n):
                 raise ValueError(f"edge ({i}, {j}) is not ordered within 0..{n - 1}")
-        a = np.asarray(self.weights, dtype=float)
-        if a.shape != (n, n):
-            raise ValueError(f"weight matrix must be {(n, n)}, got {a.shape}")
-        if not np.allclose(a, a.T, atol=_STRUCT_TOL):
-            raise ValueError("weight matrix must be symmetric")
-        if not np.allclose(a.sum(axis=1), 1.0, atol=_STRUCT_TOL):
-            raise ValueError("weight matrix rows must sum to one")
-        if np.any(a < -_STRUCT_TOL):
-            raise ValueError("weight matrix entries must be nonnegative")
-        on_edge = np.zeros((n, n), dtype=bool)
-        on_edge[tuple(np.array(list(edges), dtype=int).reshape(-1, 2).T)] = True
-        bad = np.triu(np.where(on_edge, a <= 0.0, abs(a) > _STRUCT_TOL), 1)
-        if bad.any():  # the first offending pair i < j, in row-major order
-            i, j = divmod(int(bad.argmax()), n)
-            if on_edge[i, j]:
-                raise ValueError(f"edge ({i}, {j}) must carry positive weight")
-            raise ValueError(f"nonzero weight on missing edge ({i}, {j})")
         if not _connected(n, edges):
             raise ValueError("graph is not connected")
         object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", a)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Metropolis weights a_ij = 1/(1 + max(deg_i, deg_j)) on each edge;
+        the diagonal a_ii = 1 - a[i].sum() absorbs the slack, so rows sum
+        to one and the diagonal stays positive. Computed once."""
+        n = self.n_nodes
+        i, j = np.array(list(self.edges), dtype=int).reshape(-1, 2).T
+        deg = np.bincount(np.concatenate((i, j)), minlength=n)
+        a = np.zeros((n, n))
+        a[i, j] = a[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+        a[np.diag_indices(n)] = 1.0 - a.sum(axis=1)
+        return a
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues in ascending order, orthonormal eigenvectors as
         columns) of the weight matrix, read-only, computed once."""
-        return _eigh(self.weights)
+        lam, vec = np.linalg.eigh(self.weights)
+        lam.setflags(write=False)
+        vec.setflags(write=False)
+        return lam, vec
 
     @cached_property
     def deviation_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,31 +109,13 @@ def _connected(n: int, edges) -> bool:
 
 
 def build_metropolis_weights(n_nodes: int, edges) -> CommGraph:
-    """Metropolis weights a_ij = 1/(1 + max(deg_i, deg_j)) on an edge set.
-
-    Diagonal entries absorb the slack, so rows sum to one and the diagonal
-    stays positive. The result is symmetric and doubly stochastic on any
-    connected undirected graph.
-    """
-    n = int(n_nodes)
+    """The graph on a set of unordered node pairs, with the Metropolis
+    weights a_ij = 1/(1 + max(deg_i, deg_j)) that CommGraph derives."""
     edge_set = frozenset(tuple(sorted((int(i), int(j)))) for i, j in edges)
     for i, j in edge_set:
         if i == j:
             raise ValueError(f"self-loop ({i}, {j}) is not an edge")
-        if not (0 <= i < j < n):
-            raise ValueError(f"edge ({i}, {j}) is not ordered within 0..{n - 1}")
-    deg = [0] * n
-    for i, j in edge_set:
-        deg[i] += 1
-        deg[j] += 1
-    a = np.zeros((n, n))
-    for i, j in edge_set:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        a[i, j] = w
-        a[j, i] = w
-    for i in range(n):
-        a[i, i] = 1.0 - a[i].sum()
-    return CommGraph(n_nodes=n, edges=edge_set, weights=a)
+    return CommGraph(n_nodes, edge_set)
 
 
 def complete_graph(n: int) -> CommGraph:
@@ -169,48 +150,32 @@ def grid_graph(rows: int, cols: int) -> CommGraph:
     return build_metropolis_weights(rows * cols, edges)
 
 
-def erdos_renyi_graph(n: int, p: float, seed: int = 0,
-                      max_tries: int = 100) -> CommGraph:
-    """Random G(n, p) graph, resampled until connected."""
+def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> CommGraph:
+    """Random G(n, p) graph, resampled until connected, at most
+    _ER_TRIES times."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n)))
-    for _ in range(max_tries):
+    for _ in range(_ER_TRIES):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
         if _connected(n, edges):
             return build_metropolis_weights(n, edges)
     raise ValueError(
-        f"no connected graph in {max_tries} draws at n={n}, p={p}")
+        f"no connected graph in {_ER_TRIES} draws at n={n}, p={p}")
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lam, vec = np.linalg.eigh(a)
-    lam.setflags(write=False)
-    vec.setflags(write=False)
-    return lam, vec
+def mixing_params(g: CommGraph) -> MixingParams:
+    """theta and beta of the geometric mixing bound of a graph's weights:
+    theta = 1 and beta the second largest eigenvalue modulus.
 
-
-def mixing_params(g: CommGraph | np.ndarray) -> MixingParams:
-    """theta and beta of the geometric mixing bound for symmetric doubly
-    stochastic weights: theta = 1 and beta the second largest eigenvalue
-    modulus.
-
-    Accepts a validated graph or a raw symmetric stochastic matrix (useful
-    for diagnosing matrices that fail the graph invariants). Raises
-    NoGeometricMixing when beta >= 1 up to tolerance, e.g. on a disconnected
-    support.
+    Raises NoGeometricMixing when beta >= 1 up to tolerance, as on a
+    disconnected support.
     """
-    a = g.weights if isinstance(g, CommGraph) else np.asarray(g, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"weight matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-9):
-        raise ValueError("mixing constants require a symmetric weight matrix")
-    spectrum = (g.spectrum if isinstance(g, CommGraph) else _eigh(a))[0]
+    spectrum = g.spectrum[0]
     # Largest eigenvalue of a stochastic matrix is 1; beta is the runner-up
     # in modulus.
     beta = float(max(abs(spectrum[0]), abs(spectrum[-2]))) if len(spectrum) > 1 else 0.0
-    beta = max(beta, 0.0)
     if beta >= 1.0 - 1e-12:
         raise NoGeometricMixing(
             f"second largest eigenvalue modulus {beta} is not below one; "

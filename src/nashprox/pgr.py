@@ -128,8 +128,7 @@ def geometric_envelope(c_start: float, noise: float, base: float,
         if tilde is None:
             tilde = (1.0 + base) / 2.0
         if not (base < tilde < 1.0):
-            raise ValueError(f"rho_tilde / varrho_tilde must lie in "
-                             f"({base}, 1), got {tilde}")
+            raise ValueError(f"rho_tilde must lie in ({base}, 1), got {tilde}")
         constant = c_start + noise / (math.e * math.log(tilde / base))
         return constant, tilde, tilde
     gap = 1.0 - (other / base if other < base else base / other)

@@ -145,8 +145,7 @@ def test_distributed_rate_constants_reference_values():
     assert rc.c1 == pytest.approx(c1_hand, rel=1e-12)
     assert rc.c2 == pytest.approx(c2_hand, rel=1e-12)
     nu_sq = 5 * 0.25
-    l_sum = sum(rc.l_i)
-    l_sq_sum = sum(li ** 2 for li in rc.l_i)
+    l_sum = l_sq_sum = 5 * 1.0  # L_i = c_price = 1 for each of 5 players
     c3_hand = (0.02 ** 2 * nu_sq
                + 4 * 0.02 * 5.0 * 5 * (rc.c1 * math.sqrt(beta) + rc.c2) * l_sum
                + 4 * 0.02 ** 2 * 25 * (rc.c1 ** 2 * beta ** 1.5 + rc.c2 ** 2 * math.sqrt(beta)) * l_sq_sum)
@@ -164,7 +163,7 @@ def test_exact_mixing_short_circuits_the_error_constants():
 
 def test_distributed_envelope_and_complexity_hand_values():
     rc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=0.2, m_compact=1.0,
-                           l_i=(1.0,), nu_i=(1.0,), beta=0.5, theta=1.0)
+                           beta=0.5, theta=1.0)
     constant, rate = dist_envelope_params(rc, c_start=1.0)
     ratio = math.sqrt(0.5) / 0.8
     hand = 1.0 + 0.2 / (1.0 - ratio)
@@ -172,11 +171,11 @@ def test_distributed_envelope_and_complexity_hand_values():
     assert rate == pytest.approx(0.8, abs=1e-15)
     # a target hit at K = 3 envelope steps costs 10 communication rounds
     eps3 = hand * 0.8 ** 3
-    out = dist_complexity(rc, 0.5, eps3, c_start=1.0)
+    out = dist_complexity(rc, eps3, c_start=1.0)
     assert out.k_eps == pytest.approx(3.0, rel=1e-9)
     assert out.comm_rounds == pytest.approx(10.0, rel=1e-9)
     # at the envelope constant itself no iterations are needed
-    out0 = dist_complexity(rc, 0.5, hand, c_start=1.0)
+    out0 = dist_complexity(rc, hand, c_start=1.0)
     assert out0.k_eps == 0.0
     assert out0.comm_rounds == pytest.approx(1.0)
     # samples follow the root-geometric lead term plus the iteration count
@@ -185,17 +184,10 @@ def test_distributed_envelope_and_complexity_hand_values():
     assert out.samples == pytest.approx(lead + 3.0, rel=1e-9)
 
 
-def test_distributed_complexity_validates_beta_agreement():
-    rc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=0.2, m_compact=1.0,
-                           l_i=(1.0,), nu_i=(1.0,), beta=0.5, theta=1.0)
-    with pytest.raises(ValueError):
-        dist_complexity(rc, 0.25, 0.01, c_start=1.0)
-
-
 def test_matched_distributed_rates_use_the_shifted_envelope():
     # beta equal to varrho^2 is the boundary case with its own constant
     rc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=0.2, m_compact=1.0,
-                           l_i=(1.0,), nu_i=(1.0,), beta=0.64, theta=1.0)
+                           beta=0.64, theta=1.0)
     constant, rate = dist_envelope_params(rc, c_start=1.0)
     assert rate == pytest.approx(0.9, abs=1e-15)  # default shift (1 + 0.8)/2
     hand = 1.0 + 0.2 / (math.e * math.log(0.9 / 0.8))
@@ -218,8 +210,8 @@ def _player_gradient(game: AggregativeGame, i: int, x_i, y) -> np.ndarray:
     one player at a time (the former AggregativeGame.player_gradient)."""
     x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return game.a[i] * x_i + game.b[i] - game.d + \
-        game.c_price * y + game.c_price * x_i
+    a, b, d, c_price, _, _ = game.aggregate
+    return a[i] * x_i + b[i] - d + c_price * y + c_price * x_i
 
 
 def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
@@ -232,7 +224,8 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
     n = game.n_players
     z = substream(config.seed, replication, 1).standard_normal(
         (config.max_iter, n))
-    x = np.array([(l + h) / 2.0 for l, h in zip(game.lo, game.hi)])
+    agg = game.aggregate
+    x = np.array([(l + h) / 2.0 for l, h in zip(agg.lo, agg.hi)])
     v = x.copy()
     errors = [float(np.linalg.norm(x - x_star) ** 2)]
     consensus_errors = []
@@ -241,7 +234,7 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
         n_k = schedule_size(schedule, k)
         x_next = np.empty(n)
         for i in range(n):
-            e_i = z[k, i] * (game.noises[i].nu / math.sqrt(n_k))
+            e_i = z[k, i] * (game.noise_blocks[0][i] / math.sqrt(n_k))
             g_i = _player_gradient(game, i, x[i], n * v_hat[i]) + e_i
             x_next[i] = prox_apply(game.regularizers[i],
                                    x[i:i + 1] - config.alpha * g_i,
@@ -270,7 +263,7 @@ def test_vectorized_run_matches_the_per_player_reference_loop():
     assert np.array_equal(trace.errors[0], errors)
     assert np.array_equal(trace.consensus_errors[0], consensus_errors)
     assert np.array_equal(trace.final[0], final)
-    assert np.count_nonzero(final == game.hi) >= 1
+    assert np.count_nonzero(final == game.aggregate.hi) >= 1
 
 
 def test_rate_constants_and_run_reject_a_graph_without_a_node_per_player():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from nashprox import (
     CommGraph,
     NoGeometricMixing,
+    build_metropolis_weights,
     complete_graph,
     consensus_apply,
     erdos_renyi_graph,
@@ -54,42 +57,71 @@ def test_mixing_params_reports_theta_one():
 
 
 def test_disconnected_weight_matrix_has_no_geometric_mixing():
+    """A spectrum whose second eigenvalue has modulus 1, as the weights of
+    a disconnected support would have, stops mixing_params; a graph with
+    its cached spectrum replaced stands in for one, which CommGraph
+    itself rejects."""
+    g = path_graph(3)
+    vars(g)["spectrum"] = (np.array([0.0, 1.0, 1.0]), np.eye(3))
     with pytest.raises(NoGeometricMixing):
+        mixing_params(g)
+    vars(g)["spectrum"] = (np.array([-1.0, 0.5, 1.0]), np.eye(3))
+    with pytest.raises(NoGeometricMixing):
+        mixing_params(g)
+
+
+def test_a_graph_is_its_node_count_and_edge_list():
+    assert [f.name for f in dataclasses.fields(CommGraph)] == \
+        ["n_nodes", "edges"]
+    with pytest.raises(AttributeError):
         mixing_params(np.eye(2))
 
 
-def test_weight_matrix_validation():
-    with pytest.raises(ValueError):
-        CommGraph(2, frozenset({(0, 1)}), np.array([[0.9, 0.1], [0.2, 0.8]]))
-
-
-def _weights(n: int, off: dict) -> np.ndarray:
-    """Symmetric doubly stochastic matrix with the given off-diagonal
-    weights; the diagonal takes the slack."""
-    a = np.zeros((n, n))
-    for (i, j), w in off.items():
-        a[i, j] = a[j, i] = w
-    return a + np.diag(1.0 - a.sum(axis=1))
-
-
-PATH4 = frozenset({(0, 1), (1, 2), (2, 3)})
-
-
-@pytest.mark.parametrize("off,message", [
-    ({(0, 1): 0.25, (1, 2): 0.0, (2, 3): 0.25},
-     "edge (1, 2) must carry positive weight"),
-    ({(0, 1): 0.25, (1, 2): 0.25, (2, 3): 0.25, (1, 3): 0.1},
-     "nonzero weight on missing edge (1, 3)"),
-    # two faults: the pair first in row-major order is reported
-    ({(0, 1): 0.25, (1, 2): 0.25, (2, 3): 0.0, (0, 3): 0.1},
-     "nonzero weight on missing edge (0, 3)"),
-    ({(0, 1): 0.0, (1, 2): 0.25, (2, 3): 0.25, (0, 2): 0.1},
-     "edge (0, 1) must carry positive weight"),
-], ids=["zero-edge", "missing-edge", "missing-first", "edge-first"])
-def test_weights_off_the_edge_support_name_the_first_pair(off, message):
+@pytest.mark.parametrize("n,edges,message", [
+    (0, [], "graph needs at least one node, got 0"),
+    (3, [(0, 1), (1, 1)], "self-loop (1, 1) is not an edge"),
+    (3, [(0, 1), (1, 5)], "edge (1, 5) is not ordered within 0..2"),
+    (3, [(0, 1), (-1, 2)], "edge (-1, 2) is not ordered within 0..2"),
+    (4, [(0, 1), (2, 3)], "graph is not connected"),
+], ids=["no-nodes", "self-loop", "past-the-end", "negative", "disconnected"])
+def test_edge_lists_from_outside_are_checked(n, edges, message):
     with pytest.raises(ValueError) as err:
-        CommGraph(4, PATH4, _weights(4, off))
+        build_metropolis_weights(n, edges)
     assert str(err.value) == message
+
+
+def _parent_metropolis_weights(n: int, edges) -> np.ndarray:
+    """The weight loop graphs.build_metropolis_weights ran before CommGraph
+    derived its own weights: the reference for their bits."""
+    deg = [0] * n
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    a = np.zeros((n, n))
+    for i, j in edges:
+        w = 1.0 / (1.0 + max(deg[i], deg[j]))
+        a[i, j] = w
+        a[j, i] = w
+    for i in range(n):
+        a[i, i] = 1.0 - a[i].sum()
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(
+    st.integers(1, 300).map(complete_graph),
+    st.integers(3, 400).map(ring_graph),
+    st.integers(2, 400).map(path_graph),
+    st.tuples(st.integers(1, 20), st.integers(1, 20)).map(
+        lambda rc: grid_graph(*rc)),
+    st.tuples(st.integers(2, 150), st.floats(0.3, 1.0),
+              st.integers(0, 2 ** 16)).map(
+        lambda t: erdos_renyi_graph(t[0], t[1], seed=t[2]))))
+def test_derived_weights_have_the_bits_of_the_metropolis_loop(g):
+    """Sizes up to 400 reach numpy's blocked pairwise row sums (blocks of
+    128), where a different summation order would show."""
+    assert g.weights.tobytes() == \
+        _parent_metropolis_weights(g.n_nodes, g.edges).tobytes()
 
 
 def test_consensus_step_on_complete_graph_averages_exactly():
@@ -148,7 +180,7 @@ def test_erdos_renyi_graphs_are_connected_and_deterministic():
 
 def test_erdos_renyi_rejects_hopeless_density():
     with pytest.raises(ValueError):
-        erdos_renyi_graph(8, 0.0, seed=0, max_tries=5)
+        erdos_renyi_graph(8, 0.0, seed=0)
 
 
 def test_graph_family_sizes():

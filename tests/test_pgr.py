@@ -89,10 +89,9 @@ def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
     assert 1.9e4 < hand < 2.1e4
     assert complexity_M(rc, 0.9444, 1e-200) == math.inf
     drc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=1e300,
-                            m_compact=1.0, l_i=(1.0,), nu_i=(1.0,), beta=0.5,
-                            theta=1.0)
+                            m_compact=1.0, beta=0.5, theta=1.0)
     constant, rate = dist_envelope_params(drc, c_start=1.0)
-    out = dist_complexity(drc, 0.5, 1e-200, c_start=1.0)
+    out = dist_complexity(drc, 1e-200, c_start=1.0)
     assert out.k_eps == pytest.approx(
         (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate),
         rel=1e-12)

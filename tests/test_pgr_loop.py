@@ -74,7 +74,7 @@ def _reference_gradient(game, vec):
 
 def _reference_prox_vector(game, vec, alpha):
     if isinstance(game, AggregativeGame):
-        return np.clip(vec, game.lo, game.hi)
+        return np.clip(vec, game.aggregate.lo, game.aggregate.hi)
     pieces = []
     offset = 0
     for reg, d in zip(game.regularizers, game.dims):
@@ -91,7 +91,7 @@ def _reference_batch_gradient(game, x, batch, z_k, counter):
     if not isinstance(game, AggregativeGame):
         w = z_k * (game.noise.nu / math.sqrt(g.size * float(batch)))
     else:
-        w = np.array([z_k[i] * (game.noises[i].nu / math.sqrt(batch))
+        w = np.array([z_k[i] * (game.noise_blocks[0][i] / math.sqrt(batch))
                       for i in range(game.n_players)])
     counter.total_samples += int(batch)
     return g + w
