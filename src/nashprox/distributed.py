@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidStep
-from .games import GameConstants, QuadraticGame
+from .games import QuadraticGame
 from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import geometric_complexity, geometric_envelope, power_or_inf
 from .prox import compiled_prox
@@ -37,9 +37,10 @@ from .trace import RunTrace, check_finite, check_run, iterate
 class DistConfig:
     """Run parameters for the consensus-based solver.
 
-    beta, when given, overrides the mixing rate used by the batch schedule
-    (the default is the weight matrix's second largest eigenvalue modulus).
-    The consensus schedule is fixed at tau_k = k + 1 rounds at iteration k.
+    beta, when given, replaces the graph's mixing rate (its weights' second
+    largest eigenvalue modulus, 0 on a complete graph, which then needs
+    it) in the batch schedule and the consensus bound; it cannot be below
+    the graph's. The consensus schedule is tau_k = k + 1 rounds.
     """
 
     alpha: float
@@ -106,13 +107,11 @@ def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
     max_i |v_hat_{i,k} - mean_j(x_{j,k})| of row j, the aggregate
     estimation error before scaling by N. x0 defaults to the box midpoint.
     The on_state hook, when given, observes (k, DistState) after each
-    consensus refresh.
+    consensus refresh. Rejects what dist_rate_constants rejects, and a
+    beta of 0, which schedules no batches.
     """
-    _check_graph(game, graph)
-    _check_step(config.alpha, game.constants)
-    beta = config.beta if config.beta is not None else mixing_params(graph).beta
-    if not beta > 0.0:
-        raise ValueError("mixing rate beta must be positive to schedule batches")
+    schedule = RootGeometricBatch(
+        dist_rate_constants(game, graph, config.alpha, config.beta).beta)
     if x0 is None:
         x0 = game.midpoint()
     n = game.n_players
@@ -140,35 +139,17 @@ def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
         consensus_errors.append(np.maximum.reduce(np.abs(
             v_hat - (np.add.reduce(x, 1) / n)[:, None]), 1))
         return x_next
-    trace = iterate(step, x0, x_star, game.dims, RootGeometricBatch(beta),
+    trace = iterate(step, x0, x_star, game.dims, schedule,
                     config.max_iter, game.constants.nu_i, game.dims,
                     config.seed, replications, "squared_distance")
     return replace(trace, taus=list(range(1, config.max_iter + 1)),
                    consensus_errors=np.array(consensus_errors).T)
 
 
-def _check_graph(game: QuadraticGame, graph: CommGraph) -> None:
-    if game.aggregate is None:
-        raise ValueError("the distributed scheme needs an aggregative game")
-    if graph.n_nodes != game.n_players:
-        raise ValueError(
-            f"graph has {graph.n_nodes} nodes for {game.n_players} players")
-
-
-def _check_step(alpha: float, consts: GameConstants) -> None:
-    """Reject a step outside (0, eta/lip^2), where the distributed step
-    factor varrho = 1 - 2 alpha eta + 2 alpha^2 lip^2 is below one."""
-    if not 0.0 < alpha < consts.eta / consts.lip ** 2:
-        raise InvalidStep(
-            f"alpha={alpha} outside (0, eta/lip^2) = "
-            f"(0, {consts.eta / consts.lip ** 2}); the distributed step "
-            f"contraction needs the smaller range")
-
-
 def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
-                        beta: float | None = None,
-                        theta: float | None = None) -> DistRateConstants:
-    """Envelope constants of the consensus-based run.
+                        beta: float | None = None) -> DistRateConstants:
+    """Envelope constants of the consensus-based run, with its theta and
+    beta: mixing_params(graph)'s, or a given beta in [the graph's beta, 1).
 
     With M = sum_j max |x_j| over the boxes and mixing bound theta beta^k,
     the accumulated consensus deviation under tau_k = k + 1 satisfies the
@@ -185,29 +166,36 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
 
     where L_i = c_price is the Lipschitz constant of player i's gradient in
     the aggregate. beta = 0 (perfect mixing) short-circuits to
-    c1 = M theta, c2 = 0, c3 = alpha^2 sum nu_i^2. Requires a Cournot game
-    (one with an aggregate) with a graph node per player, and alpha in
-    (0, eta/lip^2) so that the step factor varrho stays below one; raises
-    InvalidStep when varrho still rounds to 1 (alpha eta below an ulp).
-    Raises ValueError naming c1, c2 or c3 when it leaves the float range
-    (boxes so wide that M or its square overflows).
+    c1 = M theta, c2 = 0, c3 = alpha^2 sum nu_i^2. It is dist-pgr's one
+    check of its preconditions: a Cournot game (one with an aggregate)
+    with a graph node per player, alpha in (0, eta/lip^2) so that the step
+    factor varrho stays below one (InvalidStep also when varrho rounds to
+    1: alpha eta below an ulp), and c1, c2, c3 in the float range (boxes
+    so wide that M or its square overflows give a ValueError naming one).
     """
-    _check_graph(game, graph)
+    if game.aggregate is None:
+        raise ValueError("the distributed scheme needs an aggregative game")
+    n = game.n_players
+    if graph.n_nodes != n:
+        raise ValueError(f"graph has {graph.n_nodes} nodes for {n} players")
     consts = game.constants
-    _check_step(alpha, consts)
-    if beta is None or theta is None:
-        mp = mixing_params(graph)
-        beta = mp.beta if beta is None else beta
-        theta = mp.theta if theta is None else theta
-    if not (0.0 <= beta < 1.0):
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    if not 0.0 < alpha < consts.eta / consts.lip ** 2:
+        raise InvalidStep(
+            f"alpha={alpha} outside (0, eta/lip^2) = "
+            f"(0, {consts.eta / consts.lip ** 2}); the distributed step "
+            f"contraction needs the smaller range")
+    mp = mixing_params(graph)
+    theta, beta = mp.theta, (mp.beta if beta is None else beta)
+    if not mp.beta <= beta < 1.0:
+        raise ValueError(
+            f"beta={beta} must lie in [{mp.beta}, 1): below the graph's "
+            f"mixing rate the consensus bound theta beta^tau fails")
     varrho = 1.0 - 2.0 * alpha * consts.eta + 2.0 * alpha ** 2 * consts.lip ** 2
     if varrho >= 1.0:  # alpha eta below an ulp of 1
         raise InvalidStep(f"alpha={alpha} gives step factor varrho={varrho} "
                           f">= 1; the distributed envelope needs it below 1")
     m_compact = consts.m_compact
-    l_i = (game.aggregate.c_price,) * game.n_players
-    n = game.n_players
+    l_i = (game.aggregate.c_price,) * n
     sum_l = sum(l_i)
     sum_l2 = sum(v ** 2 for v in l_i)
     sum_nu2 = sum(v ** 2 for v in consts.nu_i)
@@ -233,7 +221,7 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
                              f"{m_compact:.6g}")
     return DistRateConstants(varrho=varrho, c1=c1, c2=c2, c3=c3,
                              m_compact=m_compact, beta=float(beta),
-                             theta=float(theta))
+                             theta=theta)
 
 
 def dist_envelope_params(rc: DistRateConstants,

@@ -180,15 +180,12 @@ def _dist_setup(spec, game, x0, x_star):
         raise ValueError(f"graph has {nodes} nodes for {game.n_players} "
                          f"players")
     graph = build_graph(g)
-    mp = mixing_params(graph)
     config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
-                        beta=s.get("beta", mp.beta), seed=spec.seed)
-    rc = dist_rate_constants(game, graph, config.alpha, beta=config.beta,
-                             theta=mp.theta)
+                        beta=s.get("beta"), seed=spec.seed)
+    rc = dist_rate_constants(game, graph, config.alpha, config.beta)
+    schedule = RootGeometricBatch(rc.beta)
     c_start = float(np.linalg.norm(x0 - x_star)) ** 2
-    theory = {"varrho": rc.varrho, "c1": rc.c1, "c2": rc.c2, "c3": rc.c3,
-              "m_compact": rc.m_compact, "beta": config.beta,
-              "theta": mp.theta, "c_start": c_start}
+    theory = dict(asdict(rc), c_start=c_start)
     if s.get("target_eps") is not None:
         comp = dist_complexity(rc, s["target_eps"], c_start)
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
@@ -197,18 +194,17 @@ def _dist_setup(spec, game, x0, x_star):
     def finish(trace):
         cerr = np.max(trace.consensus_errors, axis=0)
         taus = np.asarray(trace.taus)
-        cerr_bound = rc.m_compact * mp.theta * config.beta ** taus
+        cerr_bound = rc.m_compact * rc.theta * rc.beta ** taus
         theory.update(
             consensus_bound_ok=bool(np.all(cerr <= cerr_bound + 1e-12)),
             max_consensus_error=float(np.max(cerr)))
     fields = {"theory": theory,
-              "graph": {"nodes": graph.n_nodes, "edges": len(graph.edges),
-                        "beta": mp.beta, "theta": mp.theta}}
+              "graph": dict(asdict(mixing_params(graph)), nodes=graph.n_nodes,
+                            edges=len(graph.edges))}
     return (lambda reps: run_dist_pgr(game, graph, config, x_star,
                                       replications=reps, x0=x0),
             fields, dist_envelope_params(rc, c_start), finish,
-            (RootGeometricBatch(config.beta), config.max_iter,
-             game.constants.nu_i, game.dims))
+            (schedule, config.max_iter, game.constants.nu_i, game.dims))
 
 
 def _pbr_setup(spec, game, x0, x_star):

@@ -27,7 +27,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidStep, NonConvergence, NotStronglyMonotone
+from .errors import NonConvergence, NotStronglyMonotone
 from .noise import GaussianNoise, substream
 from .prox import BoxIndicator, Regularizer, Zero, compiled_prox
 
@@ -330,7 +330,6 @@ def ne_error_bound(game: QuadraticGame, x: np.ndarray) -> float:
 
 
 def solve_ne_oracle(game: QuadraticGame, tol: float = 1e-12,
-                    alpha: float | None = None,
                     max_iter: int = 200_000) -> np.ndarray:
     """Deterministic solve of the equilibrium fixed point.
 
@@ -342,24 +341,20 @@ def solve_ne_oracle(game: QuadraticGame, tol: float = 1e-12,
     equilibrium is x(y). tol and max_iter do not apply to that path.
 
     Every other game is solved forward-backward: x <- prox_{alpha r}(x -
-    alpha G(x)) with the exact gradient until the displacement (equal to
-    the fixed-point residual at the current iterate) drops to tol. With
-    alpha < 2 eta / lip^2 the iteration is a contraction, so this
-    terminates for any validated game; the default step alpha = eta / lip^2
-    is always admissible.
+    alpha G(x)) at alpha = eta / lip^2 with the exact gradient until the
+    displacement (equal to the fixed-point residual at the current iterate)
+    drops to tol. The iteration contracts by sqrt(1 - 1/kappa^2) per step,
+    so it needs about 2 kappa^2 ln(distance / tol) steps. Past max_iter it
+    raises NonConvergence, which an ill-conditioned game reaches: h =
+    diag(1, 1000), c = (1, 1) (kappa = 1000) stops there.
     """
     consts = game.constants
-    if alpha is None:
-        alpha = consts.eta / consts.lip ** 2
-    if not (0.0 < alpha < 2.0 * consts.eta / consts.lip ** 2):
-        raise InvalidStep(
-            f"oracle step {alpha} outside (0, 2 eta/L^2) = "
-            f"(0, {2.0 * consts.eta / consts.lip ** 2})")
     if game.aggregate is not None:
         x = _aggregate_bisection(game)
         if x is not None:
             return x
-    return _forward_backward(game, alpha, tol, max_iter)
+    return _forward_backward(game, consts.eta / consts.lip ** 2, tol,
+                             max_iter)
 
 
 def _aggregate_bisection(game: QuadraticGame) -> np.ndarray | None:

@@ -152,13 +152,15 @@ def grid_graph(rows: int, cols: int) -> CommGraph:
 
 def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> CommGraph:
     """Random G(n, p) graph, resampled until connected, at most
-    _ER_TRIES times."""
+    _ER_TRIES times. Each try draws one uniform per node pair (i < j, row
+    by row) in one block and keeps the pairs below p."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n)))
+    i, j = np.triu_indices(n, 1)
     for _ in range(_ER_TRIES):
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p]
+        keep = rng.random(i.size) < p
+        edges = list(zip(i[keep].tolist(), j[keep].tolist()))
         if _connected(n, edges):
             return build_metropolis_weights(n, edges)
     raise ValueError(
@@ -167,16 +169,19 @@ def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> CommGraph:
 
 def mixing_params(g: CommGraph) -> MixingParams:
     """theta and beta of the geometric mixing bound of a graph's weights:
-    theta = 1 and beta the second largest eigenvalue modulus.
+    theta = 1 and beta the second largest eigenvalue modulus, read as 0
+    (mixing in one round, as on a complete graph) when it is at most 1e-12.
 
-    Raises NoGeometricMixing when beta >= 1 up to tolerance, as on a
-    disconnected support.
+    Raises NoGeometricMixing when beta >= 1 up to the same tolerance, as on
+    a disconnected support.
     """
     spectrum = g.spectrum[0]
     # Largest eigenvalue of a stochastic matrix is 1; beta is the runner-up
     # in modulus.
     beta = float(max(abs(spectrum[0]), abs(spectrum[-2]))) if len(spectrum) > 1 else 0.0
-    if beta >= 1.0 - 1e-12:
+    if beta <= 1e-12:
+        beta = 0.0
+    elif beta >= 1.0 - 1e-12:
         raise NoGeometricMixing(
             f"second largest eigenvalue modulus {beta} is not below one; "
             f"no geometric mixing (is the graph connected?)")

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashprox import (DistConfig, build_game, build_graph, dist_rate_constants,
+                      mixing_params, ring_graph, run_dist_pgr)
 from nashprox.cli import main
 
 PGR_DOC = {
@@ -175,10 +177,13 @@ def test_an_integral_float_max_iter_runs_as_its_integer(
 
 # One iteration past each limit the last batch size overflows a double:
 # 2 * 0.5^-1023 (the joint dimension is 2), 0.01^-154.5, and
-# (m_max c_r)^2 * 0.1^-308 with (m_max c_r)^2 about 3.6.
+# (m_max c_r)^2 * 0.1^-308 with (m_max c_r)^2 about 3.6. beta = 0.01 is
+# below a ring's mixing rate, so dist-pgr runs on a complete graph
+# (beta = 0), which accepts any beta in (0, 1).
 OVERFLOW_CASES = [
     ("pgr", PGR_DOC, {"alpha": 0.2, "rho": 0.5}, 1022),
-    ("dist-pgr", DIST_DOC, {"alpha": 0.02, "beta": 0.01}, 308),
+    ("dist-pgr", dict(DIST_DOC, graph={"family": "complete", "nodes": 5}),
+     {"alpha": 0.02, "beta": 0.01}, 308),
     ("pbr", PBR_DOC, {"mu": 1.0, "eta_br": 0.1}, 154),
 ]
 
@@ -388,6 +393,48 @@ def test_a_step_factor_that_rounds_to_one_is_an_assumption_error(
     assert "Traceback" not in err
 
 
+# three Cournot players with boxes [-1e160, 1e160]: c3 leaves the float range
+_BOXES_1E160 = dict(
+    DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 3, b=[0.0] * 3,
+                        lo=-1e160, hi=1e160),
+    graph={"family": "path", "nodes": 3},
+    solver={"alpha": 0.05, "max_iter": 10})
+# the 5-node ring's own mixing rate is 0.5393446629166316
+_BETA_BELOW_THE_RING = dict(
+    DIST_DOC, solver={"alpha": 0.02, "beta": 0.1, "max_iter": 15})
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_VARRHO_ONE, "alpha=0.1 gives step factor varrho=1.0 >= 1"),
+    (_BOXES_1E160, "rate constant c3 = inf leaves the float range"),
+    (_BETA_BELOW_THE_RING,
+     "beta=0.1 must lie in [0.5393446629166316, 1): below the graph's "
+     "mixing rate the consensus bound theta beta^tau fails"),
+], ids=["varrho-one", "boxes-1e160", "beta-below-the-graph"])
+def test_a_library_run_rejects_what_validate_rejects(
+        tmp_path: Path, capsys, doc: dict, message: str):
+    """run_dist_pgr checks its inputs through dist_rate_constants, so a
+    library run, a library rate call, the command-line run and validate
+    stop with one message."""
+    cfg = _write(tmp_path, doc)
+    lines = []
+    for argv in (["validate"], ["dist-pgr"]):
+        assert main(argv + ["--config", cfg, "--quiet"]) == 3
+        lines.append(capsys.readouterr().err)
+    game, graph = build_game(doc["game"]), build_graph(doc["graph"])
+    s = doc["solver"]
+    config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
+                        beta=s.get("beta"))
+    with pytest.raises(ValueError) as run_err:
+        run_dist_pgr(game, graph, config)
+    with pytest.raises(ValueError) as rate_err:
+        dist_rate_constants(game, graph, config.alpha, config.beta)
+    assert message in str(run_err.value)
+    assert str(rate_err.value) == str(run_err.value)
+    assert lines[0] == lines[1] and lines[0].count("\n") == 1
+    assert lines[0].endswith(f": {run_err.value}\n")
+
+
 FUZZ_PBR_GAME = {
     "kind": "quadratic", "dims": [1, 2, 1],
     "h": [[2.0, 0.2, -0.1, 0.0], [0.1, 1.5, 0.3, 0.1],
@@ -546,21 +593,33 @@ def test_fuzzed_pgr_configs_exit_with_a_documented_code(
     assert code in (0, 2, 3, 4)
 
 
+_RING5_BETA = mixing_params(ring_graph(5)).beta
+
+
 @settings(max_examples=40, deadline=None)
-@given(alpha=_log_uniform(-6, 0), beta=st.none() | st.floats(0.0, 1.0),
+@given(alpha=_log_uniform(-6, 0),
+       beta=st.none() | st.floats(0.0, 1.0)
+       | st.floats(0.5, 1.5).map(lambda f: f * _RING5_BETA),
        max_iter=st.integers(1, 25),
        target_eps=st.none() | _log_uniform(-12, 3),
        nu=st.just(0.0) | _log_uniform(-6, 300))
 def test_fuzzed_dist_pgr_configs_exit_with_a_documented_code(
         alpha, beta, max_iter, target_eps, nu):
+    """beta is drawn on both sides of the ring's own mixing rate; in (0,
+    that rate) the run exits 3, with the rate's message once alpha and nu
+    pass."""
     solver = _fuzz_solver({"alpha": alpha, "beta": beta, "max_iter": max_iter,
                            "target_eps": target_eps})
     doc = dict(DIST_DOC, game=dict(DIST_DOC["game"], nu=nu), solver=solver)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(Path(tmp), doc)
-        code = main(["dist-pgr", "--config", cfg, "--out",
-                     str(Path(tmp) / "out"), "--quiet"])
+        code, err = _exit_and_stderr(["dist-pgr", "--config", cfg, "--out",
+                                      str(Path(tmp) / "out"), "--quiet"])
     assert code in (0, 2, 3, 4)
+    if beta is not None and 0.0 < beta < _RING5_BETA:
+        assert code == 3
+        if alpha < 2 / 49 and nu < 1e150:
+            assert "below the graph's mixing rate" in err
 
 
 def _no_replication(monkeypatch):
@@ -577,10 +636,14 @@ def _no_replication(monkeypatch):
     dict(PGR_DOC, solver={"alpha": 5.0, "rho": 0.9, "max_iter": 20}),
     dict(PBR_DOC, game=dict(PBR_DOC["game"], h=[[2.0, 0.1], [0.1, 2.0]]),
          solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 5, "eta_tilde": 0.3}),
-    # a complete graph of 2 nodes mixes in one round: beta = 0
+    # a complete graph mixes in one round: beta = 0 schedules no batches
     dict(DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 2, b=[0.0] * 2),
          graph={"family": "complete", "nodes": 2}),
-], ids=["pgr-alpha", "pbr-eta-tilde", "dist-pgr-zero-beta"])
+    dict(DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 3, b=[0.0] * 3),
+         graph={"family": "complete", "nodes": 3}),
+    dict(DIST_DOC, graph={"family": "complete", "nodes": 5}),
+], ids=["pgr-alpha", "pbr-eta-tilde", "dist-pgr-zero-beta",
+        "dist-pgr-complete-3", "dist-pgr-complete-5"])
 def test_validate_rejects_solver_parameters_as_the_run_does(
         tmp_path: Path, capsys, monkeypatch, doc: dict):
     _no_replication(monkeypatch)

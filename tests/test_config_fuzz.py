@@ -187,7 +187,6 @@ def _validate_and_run(doc: dict) -> tuple[tuple, tuple]:
 
 
 _QUAD = {"kind": "quadratic", "h": [[2.0, 1.0], [1.0, 2.0]], "c": [-1.0, -1.0]}
-_RING3 = {"family": "ring", "nodes": 3}
 
 
 def _cournot(n: int, **kw) -> dict:
@@ -202,9 +201,12 @@ REPROS = [
       "solver": {"alpha": 1e300, "rho": 0.9, "max_iter": 10}}, 3,
      "assumption violated: alpha=1e+300 outside (0, 2 eta/lip^2) = "
      "(0, 0.22222222222222227)"),
+    # on a 3-node path (beta = 2/3); a 3-node ring is complete (beta = 0)
+    # and its constants stay finite
     ("dist-pgr-boxes-1e160",
      {"scheme": "dist-pgr", "game": _cournot(3, lo=-1e160, hi=1e160),
-      "graph": _RING3, "solver": {"alpha": 0.05, "max_iter": 10}}, 3,
+      "graph": {"family": "path", "nodes": 3},
+      "solver": {"alpha": 0.05, "max_iter": 10}}, 3,
      "invalid parameters: rate constant c3 = inf leaves the float range; "
      "the boxes give m_compact = 3e+160"),
     ("quadratic-box-lo-1e300",

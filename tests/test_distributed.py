@@ -161,6 +161,28 @@ def test_exact_mixing_short_circuits_the_error_constants():
     assert rc.c3 == pytest.approx(0.05 ** 2 * 2 * 0.25, rel=1e-12)
 
 
+def test_a_configured_beta_can_only_slow_the_schedule():
+    """A beta below the graph's own mixing rate breaks the consensus bound
+    theta beta^tau, so dist_rate_constants and the run reject it; the
+    graph's own rate and any larger one are accepted, and on a complete
+    graph (beta = 0) every beta in (0, 1) is."""
+    game, graph = _five_player_game(0.5), ring_graph(5)
+    own = mixing_params(graph).beta
+    below = np.nextafter(own, 0.0)
+    with pytest.raises(ValueError, match="below the graph's mixing rate") \
+            as rate_err:
+        dist_rate_constants(game, graph, 0.02, beta=below)
+    with pytest.raises(ValueError) as run_err:
+        run_dist_pgr(game, graph, DistConfig(alpha=0.02, max_iter=3,
+                                             beta=below))
+    assert str(run_err.value) == str(rate_err.value)
+    assert dist_rate_constants(game, graph, 0.02, beta=own) == \
+        dist_rate_constants(game, graph, 0.02)
+    assert dist_rate_constants(game, graph, 0.02, beta=0.9).beta == 0.9
+    assert dist_rate_constants(game, complete_graph(5), 0.02,
+                               beta=1e-300).beta == 1e-300
+
+
 def test_distributed_envelope_and_complexity_hand_values():
     rc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=0.2, m_compact=1.0,
                            beta=0.5, theta=1.0)

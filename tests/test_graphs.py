@@ -178,6 +178,43 @@ def test_erdos_renyi_graphs_are_connected_and_deterministic():
     assert mixing_params(g1).beta < 1.0
 
 
+def _per_pair_erdos_renyi(n: int, p: float, seed: int):
+    """(edges, tries) of the per-pair loop erdos_renyi_graph replaced: one
+    rng.random() call per node pair i < j, row by row, until the draw is
+    connected."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n)))
+    for tries in range(1, 101):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        try:
+            return CommGraph(n, edges).edges, tries
+        except ValueError:  # not connected: draw again
+            pass
+    raise AssertionError("no connected draw")
+
+
+def test_erdos_renyi_block_draw_matches_the_per_pair_loop():
+    cases = [(8, 0.4, 3), (12, 0.4, 3), (20, 0.15, 1), (30, 0.1, 0),
+             (40, 0.08, 0), (2, 1.0, 0)]
+    tries = []
+    for n, p, seed in cases:
+        edges, t = _per_pair_erdos_renyi(n, p, seed)
+        assert erdos_renyi_graph(n, p, seed=seed).edges == edges
+        tries.append(t)
+    assert max(tries) >= 4  # retries draw the same numbers too
+
+
+@pytest.mark.parametrize("g", [complete_graph(2), complete_graph(3),
+                               complete_graph(5), ring_graph(3)],
+                         ids=["complete-2", "complete-3", "complete-5",
+                              "ring-3"])
+def test_complete_graphs_mix_in_one_round(g):
+    """eigh leaves a second eigenvalue modulus of up to about 1e-16 on
+    these weights (all 1/n); mixing_params reads it as the exact 0."""
+    assert mixing_params(g).beta == 0.0
+    assert max_mixing_deviation(g, 1) <= 1e-12
+
+
 def test_erdos_renyi_rejects_hopeless_density():
     with pytest.raises(ValueError):
         erdos_renyi_graph(8, 0.0, seed=0)
