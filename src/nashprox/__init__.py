@@ -19,7 +19,7 @@ from .best_response import (ContractionCertificate, PbrComplexity, PbrConfig,
                             pbr_complexity, proximal_best_response, run_pbr,
                             saa_best_response)
 from .distributed import (DistComplexity, DistConfig, DistRateConstants,
-                          DistState, dist_complexity, dist_envelope_params,
+                          dist_complexity, dist_envelope_params,
                           dist_rate_constants, run_dist_pgr)
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
                      NoGeometricMixing, NonConvergence, NotStronglyMonotone)
@@ -50,7 +50,7 @@ __all__ = [
     "AggregativeGame", "BatchSchedule", "BestResponseBatch",
     "BoxIndicator", "CONFIG_SCHEMAS", "CommGraph", "ConfigError",
     "ContractionCertificate", "DistComplexity", "DistConfig",
-    "DistRateConstants", "DistState", "Divergence", "ExperimentSpec",
+    "DistRateConstants", "Divergence", "ExperimentSpec",
     "FitResult", "GameConstants", "GaussianNoise", "GeometricBatch",
     "InnerSolveFailure", "InvalidStep", "L1", "MixingParams",
     "NoGeometricMixing", "NonConvergence",

@@ -15,14 +15,12 @@ import sys
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
                      NoGeometricMixing, NonConvergence, NotStronglyMonotone)
 from .experiments import ExperimentSpec, prepare_experiment, run_experiment
-from .serialize import load_config
+from .serialize import CONFIG_SCHEMAS, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
-
-_RUN_SCHEMES = ("pgr", "dist-pgr", "pbr", "bounds")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -37,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nashprox",
         description="Variable sample-size solvers for stochastic Nash games")
     subs = parser.add_subparsers(dest="command", required=True)
-    for scheme in _RUN_SCHEMES:
+    for scheme in CONFIG_SCHEMAS:
         sub = subs.add_parser(
             scheme, help=f"run the {scheme} scheme from a config document")
         _add_common(sub)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,16 +57,6 @@ class DistConfig:
                 f"mixing rate beta must lie in (0, 1), got {self.beta}")
 
 
-@dataclass
-class DistState:
-    """Per-node state at one iteration, one row per replication: strategies
-    x, average-tracking estimates v, and their consensus refresh v_hat."""
-
-    x: np.ndarray
-    v: np.ndarray
-    v_hat: np.ndarray
-
-
 @dataclass(frozen=True)
 class DistRateConstants:
     """Constants of the distributed mean-square envelope.
@@ -95,9 +85,7 @@ class DistComplexity(NamedTuple):
 def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
                  x_star: np.ndarray | None = None,
                  replications: Sequence[int] = (0,),
-                 x0: np.ndarray | None = None,
-                 on_state: Callable[[int, DistState], None] | None = None
-                 ) -> RunTrace:
+                 x0: np.ndarray | None = None) -> RunTrace:
     """Consensus-based growing-batch runs on a Cournot game (one with an
     aggregate, as AggregativeGame builds it), one RunTrace.
 
@@ -106,9 +94,7 @@ def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
     j's ||x_k - x*||^2 when x_star is given. consensus_errors[j, k] records
     max_i |v_hat_{i,k} - mean_j(x_{j,k})| of row j, the aggregate
     estimation error before scaling by N. x0 defaults to the box midpoint.
-    The on_state hook, when given, observes (k, DistState) after each
-    consensus refresh. Rejects what dist_rate_constants rejects, and a
-    beta of 0, which schedules no batches.
+    Rejects what dist_rate_constants rejects.
     """
     schedule = RootGeometricBatch(
         dist_rate_constants(game, graph, config.alpha, config.beta).beta)
@@ -124,8 +110,6 @@ def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
         # a product per row: one (N, R) product would not keep each row's bits
         v_hat = np.array([consensus_apply(graph, v_r, k + 1) for v_r in v])
         counter.comm_rounds += k + 1
-        if on_state is not None:
-            on_state(k, DistState(x=x.copy(), v=v.copy(), v_hat=v_hat.copy()))
         counter.total_samples += n * n_k
         with np.errstate(over="ignore", invalid="ignore"):  # check_finite
             forward = x - config.alpha * (game.gradients(x, n * v_hat) + w)
@@ -165,13 +149,14 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
            + 4 alpha^2 N^2 (c1^2 beta^{3/2} + c2^2 beta^{1/2}) sum_i L_i^2,
 
     where L_i = c_price is the Lipschitz constant of player i's gradient in
-    the aggregate. beta = 0 (perfect mixing) short-circuits to
-    c1 = M theta, c2 = 0, c3 = alpha^2 sum nu_i^2. It is dist-pgr's one
-    check of its preconditions: a Cournot game (one with an aggregate)
-    with a graph node per player, alpha in (0, eta/lip^2) so that the step
-    factor varrho stays below one (InvalidStep also when varrho rounds to
-    1: alpha eta below an ulp), and c1, c2, c3 in the float range (boxes
-    so wide that M or its square overflows give a ValueError naming one).
+    the aggregate. It is dist-pgr's one check of its preconditions: a
+    Cournot game (one with an aggregate) with a graph node per player,
+    alpha in (0, eta/lip^2) so that the step factor varrho stays below one
+    (InvalidStep also when varrho rounds to 1: alpha eta below an ulp), a
+    beta above 0 (a complete graph mixes in one round, and its beta = 0
+    schedules no batches, so it needs the solver's beta key), and c1, c2,
+    c3 in the float range (boxes so wide that M or its square overflows
+    give a ValueError naming one).
     """
     if game.aggregate is None:
         raise ValueError("the distributed scheme needs an aggregative game")
@@ -199,21 +184,21 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
     sum_l = sum(l_i)
     sum_l2 = sum(v ** 2 for v in l_i)
     sum_nu2 = sum(v ** 2 for v in consts.nu_i)
-    if beta == 0.0:
-        c1 = m_compact * theta
-        c2 = 0.0
-        c3 = alpha ** 2 * sum_nu2
-    elif beta ** -0.5 == 1.0:
+    if beta <= 0.0:
+        raise ValueError(
+            "the graph mixes in one round (beta = 0), but batches N_k = "
+            "ceil(beta^(-(k+1)/2)) need beta in (0, 1): set the solver's "
+            "'beta' key (DistConfig.beta) to a rate in (0, 1)")
+    if beta ** -0.5 == 1.0:
         raise ValueError(f"beta={beta} is too close to 1: ln(beta^(-1/2)) is 0")
-    else:
-        c1 = m_compact * theta * (1.0 + 2.0 * math.e *
-                                  math.sqrt(1.0 / math.log(beta ** -0.5)))
-        c2 = 4.0 * m_compact * theta / math.log(1.0 / beta)
-        c3 = alpha ** 2 * sum_nu2 \
-            + 4.0 * alpha * m_compact * n * (c1 * beta ** 0.5 + c2) * sum_l \
-            + 4.0 * alpha ** 2 * n ** 2 * (
-                power_or_inf(c1, 2) * beta ** 1.5
-                + power_or_inf(c2, 2) * beta ** 0.5) * sum_l2
+    c1 = m_compact * theta * (1.0 + 2.0 * math.e *
+                              math.sqrt(1.0 / math.log(beta ** -0.5)))
+    c2 = 4.0 * m_compact * theta / math.log(1.0 / beta)
+    c3 = alpha ** 2 * sum_nu2 \
+        + 4.0 * alpha * m_compact * n * (c1 * beta ** 0.5 + c2) * sum_l \
+        + 4.0 * alpha ** 2 * n ** 2 * (
+            power_or_inf(c1, 2) * beta ** 1.5
+            + power_or_inf(c2, 2) * beta ** 0.5) * sum_l2
     for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
         if not math.isfinite(value):
             raise ValueError(f"rate constant {name} = {value} leaves the float "

@@ -138,13 +138,13 @@ def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
 
 
 # A scheme's setup step takes (spec, game, x0, x*) and returns (solve,
-# fields, envelope, finish, loop): solve(ids) runs those replications into
-# one RunTrace with the solver config the setup resolved, fields holds the
-# scheme's report fields known before the run ("theory", and "graph" for
-# dist-pgr), envelope is the (constant, rate) the mean errors are checked
-# against, finish(trace), or None, adds what the run showed to theory, and
-# loop is the (schedule, iterations, noise levels, noise dims) of its run.
-# Solvers are called through their module globals at call time.
+# fields, envelope, loop): solve(ids) runs those replications into one
+# RunTrace with the solver config the setup resolved, fields holds the
+# scheme's report fields ("theory", and "graph" for dist-pgr; dist-pgr's
+# solve adds what the run showed of consensus to theory), envelope is the
+# (constant, rate) the mean errors are checked against, and loop is the
+# (schedule, iterations, noise levels, noise dims) of its run. Solvers are
+# called through their module globals at call time.
 
 def _pgr_setup(spec, game, x0, x_star):
     s, consts = spec.solver, game.constants
@@ -156,8 +156,7 @@ def _pgr_setup(spec, game, x0, x_star):
                                    config.target_eps)
     theory["c_start"] = c_start
     return (lambda reps: run_pgr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, envelope, None,
-            pgr_loop(game, config, x0, x_star))
+            {"theory": theory}, envelope, pgr_loop(game, config, x0, x_star))
 
 
 def _pgr_theory(eta, lip, alpha, rho, nu, c_start, eps, rho_tilde=None):
@@ -191,19 +190,20 @@ def _dist_setup(spec, game, x0, x_star):
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
                       m_eps=comp.samples)
 
-    def finish(trace):
+    def solve(reps):
+        trace = run_dist_pgr(game, graph, config, x_star, replications=reps,
+                             x0=x0)
         cerr = np.max(trace.consensus_errors, axis=0)
-        taus = np.asarray(trace.taus)
-        cerr_bound = rc.m_compact * rc.theta * rc.beta ** taus
+        cerr_bound = rc.m_compact * rc.theta * rc.beta ** np.asarray(
+            trace.taus)
         theory.update(
             consensus_bound_ok=bool(np.all(cerr <= cerr_bound + 1e-12)),
             max_consensus_error=float(np.max(cerr)))
+        return trace
     fields = {"theory": theory,
               "graph": dict(asdict(mixing_params(graph)), nodes=graph.n_nodes,
                             edges=len(graph.edges))}
-    return (lambda reps: run_dist_pgr(game, graph, config, x_star,
-                                      replications=reps, x0=x0),
-            fields, dist_envelope_params(rc, c_start), finish,
+    return (solve, fields, dist_envelope_params(rc, c_start),
             (schedule, config.max_iter, game.constants.nu_i, game.dims))
 
 
@@ -229,7 +229,7 @@ def _pbr_setup(spec, game, x0, x_star):
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
     return (lambda reps: run_pbr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, (constant, eta_tilde), None,
+            {"theory": theory}, (constant, eta_tilde),
             (schedule, config.max_iter, game.constants.nu_i, game.dims))
 
 
@@ -288,7 +288,7 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
     check_start(x0, x_star, game.dims)
-    solve, fields, envelope, finish, (schedule, n_iter, _, noise_dims) = \
+    solve, fields, envelope, (schedule, n_iter, _, noise_dims) = \
         scheme.setup(spec, game, x0, x_star)
     check_schedule(schedule, n_iter, max(noise_dims))
     fit_doc = spec.fit or {}
@@ -306,8 +306,6 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         trace = solve(range(spec.replications))
         mean_errors = np.mean(trace.errors, axis=0)
         fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
-        if finish is not None:
-            finish(trace)
         return dict(fields, counters=trace.counter.as_dict(),
                     iterations=n_iter, mean_final_error=float(mean_errors[-1]),
                     fit=_fit_dict(mean_errors, window)), trace

@@ -636,7 +636,8 @@ def _no_replication(monkeypatch):
     dict(PGR_DOC, solver={"alpha": 5.0, "rho": 0.9, "max_iter": 20}),
     dict(PBR_DOC, game=dict(PBR_DOC["game"], h=[[2.0, 0.1], [0.1, 2.0]]),
          solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 5, "eta_tilde": 0.3}),
-    # a complete graph mixes in one round: beta = 0 schedules no batches
+    # a complete graph mixes in one round (beta = 0): without a beta key,
+    # dist_rate_constants rejects it before any batch is scheduled
     dict(DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 2, b=[0.0] * 2),
          graph={"family": "complete", "nodes": 2}),
     dict(DIST_DOC, game=dict(DIST_DOC["game"], a=[1.0] * 3, b=[0.0] * 3),

@@ -201,8 +201,8 @@ REPROS = [
       "solver": {"alpha": 1e300, "rho": 0.9, "max_iter": 10}}, 3,
      "assumption violated: alpha=1e+300 outside (0, 2 eta/lip^2) = "
      "(0, 0.22222222222222227)"),
-    # on a 3-node path (beta = 2/3); a 3-node ring is complete (beta = 0)
-    # and its constants stay finite
+    # on a 3-node path (beta = 2/3); a 3-node ring is complete (beta = 0),
+    # which is rejected before its constants are computed
     ("dist-pgr-boxes-1e160",
      {"scheme": "dist-pgr", "game": _cournot(3, lo=-1e160, hi=1e160),
       "graph": {"family": "path", "nodes": 3},

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nashprox import distributed
+from nashprox.cli import main
 from nashprox import (
     AggregativeGame,
     DistConfig,
@@ -12,6 +15,7 @@ from nashprox import (
     GaussianNoise,
     InvalidStep,
     PgrConfig,
+    QuadraticGame,
     RootGeometricBatch,
     complete_graph,
     consensus_apply,
@@ -30,8 +34,8 @@ from nashprox import (
 )
 
 
-def _two_player_game(nu: float = 0.0) -> AggregativeGame:
-    noises = (GaussianNoise(nu),) * 2
+def _two_player_game() -> AggregativeGame:
+    noises = (GaussianNoise(0.0),) * 2
     return AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(1.0, 1.0), noises=noises)
 
@@ -57,19 +61,32 @@ def test_noise_free_complete_graph_run_collapses_to_the_centralized_run():
     assert np.array_equal(dist.final, central.final)
 
 
-def test_tracking_identity_holds_under_noise():
+def test_tracking_identity_holds_under_noise(monkeypatch):
+    """mean(v_k) = mean(x_k) at every iteration, read at the module
+    boundary: consensus_apply receives each row's v_k and the game's
+    gradients the stacked x_k."""
     game = _five_player_game(nu_i=0.5)
     graph = ring_graph(5)
     x_star = solve_ne_oracle(game)
-    worst = 0.0
+    vs, xs = [], []
+    apply, gradients = distributed.consensus_apply, QuadraticGame.gradients
 
-    def watch(k, state):
-        nonlocal worst
-        worst = max(worst, abs(float(np.mean(state.v)) - float(np.mean(state.x))))
+    def watch_apply(g, v, tau):
+        vs.append(v.copy())
+        return apply(g, v, tau)
 
+    def watch_gradients(self, x, y):
+        xs.append(x.copy())
+        return gradients(self, x, y)
+
+    monkeypatch.setattr(distributed, "consensus_apply", watch_apply)
+    monkeypatch.setattr(QuadraticGame, "gradients", watch_gradients)
     run_dist_pgr(game, graph, DistConfig(alpha=0.02, max_iter=30, seed=7),
-                 x_star=x_star, on_state=watch)
-    assert worst <= 1e-12
+                 x_star=x_star, replications=[0, 1])
+    assert len(xs) == 30 and len(vs) == 2 * 30
+    gaps = [abs(np.mean(v) - np.mean(x_row))
+            for v, x_row in zip(vs, (row for x in xs for row in x))]
+    assert max(gaps) <= 1e-12
 
 
 def test_communication_rounds_grow_triangularly():
@@ -152,13 +169,38 @@ def test_distributed_rate_constants_reference_values():
     assert rc.c3 == pytest.approx(c3_hand, rel=1e-12)
 
 
-def test_exact_mixing_short_circuits_the_error_constants():
-    game = _two_player_game(nu=0.5)
-    graph = complete_graph(2)
-    rc = dist_rate_constants(game, graph, 0.05, beta=0.0)
-    assert rc.c1 == pytest.approx(rc.m_compact * rc.theta)
-    assert rc.c2 == 0.0
-    assert rc.c3 == pytest.approx(0.05 ** 2 * 2 * 0.25, rel=1e-12)
+def test_a_complete_graph_without_beta_is_rejected_with_one_message(
+        tmp_path, capsys):
+    """A complete graph mixes in one round, and its beta = 0 schedules no
+    batches: the calculator, the library run, `nashprox dist-pgr` and
+    `nashprox validate` all reject it with one message that names the
+    solver's beta key, and the same config with a beta in (0, 1) runs."""
+    game, graph = _five_player_game(0.5), complete_graph(5)
+    with pytest.raises(ValueError) as rate_err:
+        dist_rate_constants(game, graph, 0.02)
+    message = str(rate_err.value)
+    assert "'beta' key" in message
+    with pytest.raises(ValueError, match="'beta' key") as run_err:
+        run_dist_pgr(game, graph, DistConfig(alpha=0.02, max_iter=5))
+    assert str(run_err.value) == message
+    doc = {"scheme": "dist-pgr",
+           "game": {"kind": "cournot", "a": [1.0] * 5, "b": [0.0] * 5,
+                    "d": 2.0, "c_price": 1.0, "lo": 0.0, "hi": 1.0,
+                    "nu": 0.5},
+           "graph": {"family": "complete", "nodes": 5},
+           "solver": {"alpha": 0.02, "max_iter": 5}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for command in ("dist-pgr", "validate"):
+        assert main([command, "--config", str(config), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"invalid parameters: {message}\n"
+    doc["solver"]["beta"] = 0.5
+    config.write_text(json.dumps(doc))
+    for command in ("dist-pgr", "validate"):
+        assert main([command, "--config", str(config), "--quiet"]) == 0
+    assert dist_rate_constants(game, graph, 0.02, beta=0.5).beta == 0.5
+    assert run_dist_pgr(game, graph, DistConfig(alpha=0.02, max_iter=5,
+                                                beta=0.5)).iterations == 5
 
 
 def test_a_configured_beta_can_only_slow_the_schedule():

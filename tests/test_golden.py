@@ -14,6 +14,10 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,46 @@ def test_golden_outputs_are_reproduced(tmp_path: Path, case: str):
     assert not diffs, "\n".join(diffs[:20])
     assert (tmp_path / "validate.txt").read_bytes() == \
         (want_dir / "validate.txt").read_bytes()
+
+
+def test_check_names_the_largest_change_of_each_differing_file(
+        tmp_path: Path):
+    """regenerate.py --check, run on a copy of one case with one number
+    changed in report.json and one in trace.csv, names both files and,
+    under each, the place and size of that change."""
+    case = "readme-dist-pgr"
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN / case, copy / case)
+    shutil.copy(GOLDEN / "regenerate.py", copy)
+    report = json.loads((copy / case / "report.json").read_text())
+    c_start = report["theory"]["c_start"]
+    report["theory"]["c_start"] = edited = c_start + 0.25
+    (copy / case / "report.json").write_text(json.dumps(report))
+    rows = (copy / case / "trace.csv").read_text().split("\n")
+    header, cells = rows[0].split(","), rows[3].split(",")
+    column = header.index("sq_error")
+    error = float(cells[column])
+    cells[column] = repr(error * 2.0)
+    rows[3] = ",".join(cells)
+    (copy / case / "trace.csv").write_text("\n".join(rows))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(GOLDEN.parent.parent / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(copy / "regenerate.py"),
+                           "--check", case], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    where, old, new = "/theory/c_start", edited, c_start
+    cell, before, after = "row 3, column sq_error", error * 2.0, error
+    assert proc.stdout.splitlines() == [
+        f"differs: {case}/report.json",
+        f"  largest absolute change {abs(new - old):.3g} at {where}: "
+        f"{old!r} -> {new!r}",
+        f"  largest relative change {abs(new - old) / old:.3g} at {where}: "
+        f"{old!r} -> {new!r}",
+        f"differs: {case}/trace.csv",
+        f"  largest absolute change {error:.3g} at {cell}: "
+        f"{before!r} -> {after!r}",
+        f"  largest relative change 0.5 at {cell}: {before!r} -> {after!r}",
+    ]
+    assert proc.stderr.endswith("2 golden file(s) differ\n")
