@@ -209,12 +209,16 @@ def saa_best_response(game: QuadraticGame, i: int, y: np.ndarray,
     """Sampled anchored best response at the stacked strategy vector y:
     the smooth gradient carries `error`, the averaged observation error
     over `batch` draws, drawn by the caller (run_pbr passes player i's
-    block of its row of noise.iteration_errors).
+    block of its row of noise.iteration_errors), an array of that block's
+    shape.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     _check_inner(mu, inner_tol, max_inner)
     lin, anchor = _coupling_linear(game, i, y)
+    if not (isinstance(error, np.ndarray) and error.shape == anchor.shape):
+        raise ValueError(f"error must be an array of player {i}'s block "
+                         f"shape {anchor.shape}, got shape {np.shape(error)}")
     return _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
                            max_inner)[0]
 

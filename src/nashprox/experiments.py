@@ -358,8 +358,29 @@ def write_trace_csv(path: str, scheme: str, trace: RunTrace) -> None:
 
 
 def write_report_json(path: str, report: dict) -> None:
+    """Write a report as strict JSON. Each non-finite float is written as
+    null and listed in a top-level `nonfinite` object, which maps its key
+    path ("m_eps", "theory.envelope.values[3]") to the token it stands for
+    ("Infinity", "-Infinity" or "NaN"); the key is written only when some
+    value is non-finite. The report itself is not changed."""
     import json
 
+    def strict(value, key: str):
+        if isinstance(value, float) and not math.isfinite(value):
+            nonfinite[key] = json.dumps(value)
+            return None
+        if isinstance(value, dict):
+            return {k: strict(v, f"{key}.{k}" if key else k)
+                    for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(v, f"{key}[{i}]") for i, v in enumerate(value)]
+        return value
+
+    nonfinite = {}
+    try:  # the walk is paid only by a report that needs it
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(dict(strict(report, ""), nonfinite=nonfinite),
+                          sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
+from numpy import ndarray  # the per-row checks skip a lookup in np
 
 from .errors import NonConvergence, NotStronglyMonotone
 from .noise import GaussianNoise, substream
@@ -261,17 +262,46 @@ class AggregativeGame(QuadraticGame):
         self.__post_init__()
 
 
-def gradient_map(game: QuadraticGame, x: np.ndarray) -> np.ndarray:
+def gradient_map(game: QuadraticGame, x: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Exact joint gradient G(x) at a stacked strategy vector x, an array
     of shape (game.dim,); anything else, which numpy could broadcast, is
     rejected. The test is inline: pgr calls this once per row. A Cournot
-    game's row is O(N), through its aggregate."""
-    if not (isinstance(x, np.ndarray) and x.shape == game.vector_shape):
+    game's row is O(N), through its aggregate.
+
+    The gradient is written into `out` (a new array if None) and `out` is
+    returned; `out` must be a writeable C-contiguous float64 array of
+    x's shape. A quadratic game computes h.dot(x, out), then adds c in
+    place, the same bits as h @ x + c."""
+    if not (isinstance(x, ndarray) and x.shape == game.vector_shape):
         raise ValueError(f"vector of shape {np.shape(x)} does not match "
                          f"game dimension {game.dim}")
+    if out is None:
+        out = np.empty(game.vector_shape)
     if game.aggregate is None:
-        return game.h.dot(x) + game.c
-    return game.gradients(x, float(np.sum(x)))
+        try:  # ndarray.dot rejects an unusable out itself
+            game.h.dot(x, out)
+        except (TypeError, ValueError):
+            _check_out(out, game.vector_shape)
+            raise
+        out += game.c
+        return out
+    _check_out(out, game.vector_shape)
+    out[...] = game.gradients(x, float(np.sum(x)))
+    return out
+
+
+def _check_out(out, shape: tuple[int, ...]) -> None:
+    """Reject an `out` that is not a writeable C-contiguous float64 array
+    of the given shape, in a ValueError that names it."""
+    if not (isinstance(out, ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable):
+        got = (f"{out.dtype} array of shape {out.shape}, C-contiguous "
+               f"{out.flags.c_contiguous}, writeable {out.flags.writeable}"
+               if isinstance(out, ndarray) else type(out).__name__)
+        raise ValueError(f"out must be a writeable C-contiguous float64 "
+                         f"array of shape {shape}, got {got}")
 
 
 def check_lipschitz(lip: float) -> None:

@@ -240,10 +240,10 @@ def run_pgr(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
-        g = np.empty_like(x)
+        g = np.empty(x.shape)  # C-contiguous rows, written in place
         with np.errstate(over="ignore", invalid="ignore"):  # check_finite
             for xr, wr, gr in zip(x, w, g):
-                gr[:] = sample_batch_gradient(game, xr, n_k, wr)
+                sample_batch_gradient(game, xr, n_k, wr, out=gr)
             forward = x - config.alpha * g
         counter.total_samples += n_k
         check_finite(forward, k, replications)

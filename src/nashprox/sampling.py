@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
+from numpy import ndarray  # the per-row check skips a lookup in np
 
 from .games import QuadraticGame, gradient_map
 
@@ -139,12 +140,23 @@ class SampleCounter:
 
 
 def sample_batch_gradient(game: QuadraticGame, x: np.ndarray, batch: int,
-                          error: np.ndarray) -> np.ndarray:
+                          error: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Average of `batch` noisy joint-gradient observations at the stacked
     strategy vector x: the exact gradient plus `error`, the batch-averaged
     observation error drawn by the caller (the solvers pass their row of
-    noise.iteration_errors).
+    noise.iteration_errors), an array of x's shape.
+
+    The result is written into `out` (a new array if None), as
+    gradient_map does, and `out` is returned. `out` must not share memory
+    with `error`, which is read after the gradient is written; this is not
+    checked (a check would cost more than writing in place saves).
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
-    return gradient_map(game, x) + error
+    if not (isinstance(error, ndarray) and error.shape == game.vector_shape):
+        raise ValueError(f"error must be an array of x's shape "
+                         f"{game.vector_shape}, got shape {np.shape(error)}")
+    out = gradient_map(game, x, out)
+    out += error
+    return out

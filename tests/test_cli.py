@@ -269,9 +269,13 @@ def test_pbr_sample_bound_past_the_float_range_is_infinity(
     assert main(["pbr", "--config", _write(tmp_path, doc), "--out", str(out),
                  "--quiet"]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    theory = json.loads((out / "report.json").read_text())["theory"]
-    assert theory["m_eps"] == float("inf")
-    assert theory["m_eps_order"] == float("inf")
+    report = json.loads((out / "report.json").read_text())
+    theory = report["theory"]
+    # report.json is strict JSON: an infinite value is null, named in
+    # nonfinite
+    assert theory["m_eps"] is None and theory["m_eps_order"] is None
+    assert report["nonfinite"] == {"theory.m_eps": "Infinity",
+                                   "theory.m_eps_order": "Infinity"}
     assert 0 < theory["k_eps"] < 10 ** 5
 
 
@@ -283,9 +287,17 @@ def test_bounds_past_the_float_range_keep_a_finite_iteration_bound(
     out = tmp_path / "out"
     assert main(["bounds", "--config", _write(tmp_path, dict(
         BOUNDS_DOC, solver=solver)), "--out", str(out)]) == 0
-    theory = json.loads((out / "report.json").read_text())["theory"]
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    # strict JSON: M(eps) = inf is null, named in nonfinite
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=reject)
+    theory = report["theory"]
     assert 1.9e4 < theory["k_eps"] < 2.1e4
-    assert theory["m_eps"] == float("inf")
+    assert theory["m_eps"] is None
+    assert report["nonfinite"] == {"theory.m_eps": "Infinity"}
     assert f"K(eps) = {theory['k_eps']:.12g}, M(eps) = inf" in \
         capsys.readouterr().out
 

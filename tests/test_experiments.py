@@ -14,6 +14,7 @@ from nashprox import (
     generate_quadratic_game,
     monotonicity_constants,
     run_experiment,
+    write_report_json,
 )
 
 PGR_SPEC = dict(
@@ -222,3 +223,39 @@ def test_a_report_holds_only_json_builtins(spec: ExperimentSpec):
     report = run_experiment(spec)
     assert _non_builtins(report) == []
     assert json.loads(json.dumps(report)) == report
+
+
+def _strict_json(text: str):
+    """json.loads that rejects Infinity, -Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_report_with_non_finite_values_is_written_as_strict_json(
+        tmp_path: Path):
+    report = {"a": math.inf, "b": {"c": [1.0, -math.inf, math.nan], "d": 2},
+              "e": (0.5, math.inf), "f": "Infinity", "g": None}
+    path = tmp_path / "report.json"
+    write_report_json(str(path), report)
+    assert _strict_json(path.read_text()) == {
+        "a": None, "b": {"c": [1.0, None, None], "d": 2},
+        "e": [0.5, None], "f": "Infinity", "g": None,
+        "nonfinite": {"a": "Infinity", "b.c[1]": "-Infinity",
+                      "b.c[2]": "NaN", "e[1]": "Infinity"}}
+    assert report["a"] == math.inf and report["b"]["c"][1] == -math.inf
+    assert "nonfinite" not in report
+    # a finite report is written as json.dump writes it, without the key
+    write_report_json(str(path), {"b": [1.0, 2], "a": 0.1})
+    assert path.read_text() == json.dumps({"a": 0.1, "b": [1.0, 2]},
+                                          indent=2) + "\n"
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("case", sorted(
+    p.parent.name for p in _GOLDEN.glob("*/report.json")))
+def test_every_golden_report_is_strict_json(case: str):
+    text = (_GOLDEN / case / "report.json").read_text()
+    assert "nonfinite" not in _strict_json(text)

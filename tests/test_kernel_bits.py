@@ -7,7 +7,8 @@ with ndarray.dot instead of @. Both must equal the wrapped calls bit for
 bit on every operand the solvers pass: a principal submatrix of
 K = Q_ii + mu I (sizes 1 to 6), a C-contiguous copy of an own block Q_ii
 and its non-contiguous view into h, a row slice of off_diagonal, and the
-full h (gradient_map).
+full h (gradient_map). pgr's gradient_map writes h.dot(x, out) into its
+row of the (R, n) gradient block, which must equal h @ x too.
 
 One exception is pinned as it is: with a one-element operand (a player or
 a game of dimension 1), ndarray.dot multiplies by a scalar, so a zero
@@ -92,6 +93,19 @@ def test_dot_equals_matmul_on_the_solver_operands(case):
         k = copy + 1.0 * np.eye(d)
         k_inv = np.linalg.inv(k)
         assert _dot_is_matmul(k, z, k) and _dot_is_matmul(k_inv, z, k_inv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_games(), rows=st.integers(1, 5), data=st.data())
+def test_dot_into_a_row_of_a_block_equals_matmul(case, rows, data):
+    game, rng, scale = case
+    x = scale * rng.standard_normal((rows, game.dim))
+    block = np.empty((rows, game.dim))
+    r = data.draw(st.integers(0, rows - 1))
+    row = block[r]
+    assert game.h.dot(x[r], row) is row
+    # a one-element dot keeps a zero product's sign (see _dot_is_matmul)
+    assert _same_bits(row if game.dim > 1 else row + 0.0, game.h @ x[r])
 
 
 def test_a_one_element_dot_keeps_the_sign_of_a_zero_product():

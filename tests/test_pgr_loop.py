@@ -301,6 +301,36 @@ def test_sampled_gradient_takes_a_vector_and_an_explicit_noise():
                 sample_batch_gradient(g, wrong, 40, error)
 
 
+def test_each_oracle_row_is_written_into_its_row_of_one_block(monkeypatch):
+    """Every oracle call of an iteration gets out= set to row r of one
+    C-contiguous (R, n) gradient block, and returns that row: the step
+    takes no per-row copy."""
+    from nashprox import pgr as pgr_module
+
+    game = QuadraticGame(dims=(2, 1), h=np.diag([2.0, 3.0, 4.0]),
+                         c=np.array([1.0, -1.0, 0.5]),
+                         noise=GaussianNoise(0.7))
+    gradient, calls = pgr_module.sample_batch_gradient, []
+
+    def recording(*args, **kwargs):
+        got = gradient(*args, **kwargs)
+        calls.append((kwargs["out"], got))
+        return got
+
+    monkeypatch.setattr(pgr_module, "sample_batch_gradient", recording)
+    reps, k = 3, 4
+    run_pgr(game, PgrConfig(alpha=0.1, rho=0.8, max_iter=k), np.zeros(3),
+            replications=range(reps))
+    assert len(calls) == reps * k
+    for it in range(k):
+        rows = calls[it * reps:(it + 1) * reps]
+        block = rows[0][0].base
+        assert block.shape == (reps, game.dim) and block.flags.c_contiguous
+        for r, (out, got) in enumerate(rows):
+            assert got is out and out.base is block
+            assert out.ctypes.data == block[r].ctypes.data
+
+
 def test_run_builds_no_game_copy(monkeypatch):
     game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
                          c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))

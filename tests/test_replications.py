@@ -233,10 +233,12 @@ def test_a_diverging_run_exits_4_naming_the_iteration_and_replication(
     # iteration 2 of the second of three replications (the 8th call)
     gradient, calls = pgr_module.sample_batch_gradient, [0]
 
-    def overflowing(*args):
+    def overflowing(*args, **kwargs):
         calls[0] += 1
-        g = gradient(*args)
-        return np.full_like(g, np.inf) if calls[0] == 2 * 3 + 2 else g
+        g = gradient(*args, **kwargs)
+        if calls[0] == 2 * 3 + 2:
+            g[...] = np.inf  # g is the step's row, kwargs["out"]
+        return g
 
     monkeypatch.setattr(pgr_module, "sample_batch_gradient", overflowing)
     doc = {k: v for k, v in _DIVERGING_DOC.items() if k != "x0"}

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashprox import (
+    AggregativeGame,
     BestResponseBatch,
     GaussianNoise,
     GeometricBatch,
@@ -13,6 +17,7 @@ from nashprox import (
     RootGeometricBatch,
     SampleCounter,
     check_schedule,
+    generate_quadratic_game,
     gradient_map,
     sample_batch_gradient,
     schedule_size,
@@ -170,3 +175,80 @@ def test_iteration_errors_rows_survive_collection_at_chunk_edges(reps, n_iter):
         for k, n_k in enumerate(batches):
             want = z[k] * (nu / np.sqrt(d * float(n_k)))
             assert rows[k][j].tobytes() == want.tobytes()
+
+
+def _two_kinds():
+    """A quadratic game of blocks (2, 1) and a 3-player Cournot game."""
+    return (QuadraticGame(dims=(2, 1), h=np.diag([2.0, 3.0, 4.0]),
+                          c=np.array([1.0, -1.0, 0.5]),
+                          noise=GaussianNoise(0.7)),
+            AggregativeGame(a=(1.0, 2.0, 1.5), b=(0.0, 0.1, 0.2), d=2.0,
+                            c_price=1.0, lo=(0.0,) * 3, hi=(1.0,) * 3))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A quadratic or Cournot game, a point and an error at scale 10^e."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        game = generate_quadratic_game(
+            n_players=draw(st.integers(1, 4)), dim=draw(st.integers(1, 5)),
+            coupling_strength=draw(st.floats(0.0, 0.9)),
+            seed=draw(st.integers(0, 2 ** 32 - 1)))
+    else:
+        n = draw(st.integers(1, 6))
+        game = AggregativeGame(a=rng.uniform(0.5, 2.0, n),
+                               b=rng.uniform(0.0, 0.2, n), d=2.0,
+                               c_price=draw(st.floats(0.0, 2.0)),
+                               lo=np.zeros(n), hi=np.ones(n))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    return (game, scale * rng.standard_normal(game.dim),
+            scale * rng.standard_normal(game.dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_oracle_cases(), rows=st.integers(1, 4), data=st.data())
+def test_an_oracle_row_written_into_its_block_has_the_allocating_bits(
+        case, rows, data):
+    """out= is filled and returned, with the bits of the allocating call,
+    and the block's other rows are left alone."""
+    game, x, error = case
+    block = np.full((rows, game.dim), np.nan)
+    r = data.draw(st.integers(0, rows - 1))
+    row = block[r]
+    want = sample_batch_gradient(game, x, 3, error)
+    assert sample_batch_gradient(game, x, 3, error, out=row) is row
+    assert row.tobytes() == want.tobytes()
+    assert np.isnan(np.delete(block, r, axis=0)).all()
+    assert gradient_map(game, x, row) is row
+    assert row.tobytes() == gradient_map(game, x).tobytes()
+
+
+def test_an_unusable_out_is_rejected_naming_out():
+    for game in _two_kinds():
+        x, error = np.linspace(0.1, 0.9, game.dim), np.zeros(game.dim)
+        read_only = np.empty(game.dim)
+        read_only.flags.writeable = False
+        for out in (np.empty(game.dim + 1), np.empty((1, game.dim)),
+                    np.empty((2, game.dim)),
+                    np.empty(game.dim, dtype=np.float32),
+                    np.empty(2 * game.dim)[::2], read_only,
+                    [0.0] * game.dim):
+            with pytest.raises(ValueError, match="^out must be a"):
+                sample_batch_gradient(game, x, 3, error, out=out)
+            with pytest.raises(ValueError, match="^out must be a"):
+                gradient_map(game, x, out)
+
+
+def test_an_error_not_of_x_s_shape_is_rejected_naming_error():
+    """A scalar, a size-1 array or a stack of rows would broadcast into a
+    gradient, or into a stack of gradients."""
+    for game in _two_kinds():
+        x = np.zeros(game.dim)
+        for error in (0.5, np.float64(0.5), np.array([0.5]),
+                      np.zeros((2, game.dim)), np.zeros(game.dim + 1),
+                      [0.0] * game.dim):
+            message = (f"error must be an array of x's shape ({game.dim},), "
+                       f"got shape {np.shape(error)}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample_batch_gradient(game, x, 5, error)
