@@ -377,10 +377,9 @@ def write_report_json(path: str, report: dict) -> None:
         return value
 
     nonfinite = {}
-    try:  # the walk is paid only by a report that needs it
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(dict(strict(report, ""), nonfinite=nonfinite),
-                          sort_keys=True, indent=2, allow_nan=False)
+    clean = strict(report, "")
+    if nonfinite:
+        clean["nonfinite"] = nonfinite
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        json.dump(clean, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")

@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from numpy import ndarray  # the per-row checks skip a lookup in np
 
 from .errors import NonConvergence, NotStronglyMonotone
 from .noise import GaussianNoise, substream
@@ -273,33 +272,36 @@ def gradient_map(game: QuadraticGame, x: np.ndarray,
     returned; `out` must be a writeable C-contiguous float64 array of
     x's shape. A quadratic game computes h.dot(x, out), then adds c in
     place, the same bits as h @ x + c."""
-    if not (isinstance(x, ndarray) and x.shape == game.vector_shape):
+    if not (isinstance(x, np.ndarray) and x.shape == game.vector_shape):
         raise ValueError(f"vector of shape {np.shape(x)} does not match "
                          f"game dimension {game.dim}")
+    if game.aggregate is not None:
+        g = game.gradients(x, float(np.sum(x)))
+        if out is None:
+            return g
+        _check_out(out, game.vector_shape)  # out[...] = would broadcast
+        out[...] = g
+        return out
     if out is None:
         out = np.empty(game.vector_shape)
-    if game.aggregate is None:
-        try:  # ndarray.dot rejects an unusable out itself
-            game.h.dot(x, out)
-        except (TypeError, ValueError):
-            _check_out(out, game.vector_shape)
-            raise
-        out += game.c
-        return out
-    _check_out(out, game.vector_shape)
-    out[...] = game.gradients(x, float(np.sum(x)))
+    try:
+        game.h.dot(x, out)
+    except (TypeError, ValueError):  # numpy's message does not name out
+        _check_out(out, game.vector_shape)
+        raise
+    out += game.c
     return out
 
 
 def _check_out(out, shape: tuple[int, ...]) -> None:
     """Reject an `out` that is not a writeable C-contiguous float64 array
     of the given shape, in a ValueError that names it."""
-    if not (isinstance(out, ndarray) and out.shape == shape
+    if not (isinstance(out, np.ndarray) and out.shape == shape
             and out.dtype == np.float64 and out.flags.c_contiguous
             and out.flags.writeable):
         got = (f"{out.dtype} array of shape {out.shape}, C-contiguous "
                f"{out.flags.c_contiguous}, writeable {out.flags.writeable}"
-               if isinstance(out, ndarray) else type(out).__name__)
+               if isinstance(out, np.ndarray) else type(out).__name__)
         raise ValueError(f"out must be a writeable C-contiguous float64 "
                          f"array of shape {shape}, got {got}")
 

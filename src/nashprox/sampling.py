@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
-from numpy import ndarray  # the per-row check skips a lookup in np
 
 from .games import QuadraticGame, gradient_map
 
@@ -154,7 +153,8 @@ def sample_batch_gradient(game: QuadraticGame, x: np.ndarray, batch: int,
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
-    if not (isinstance(error, ndarray) and error.shape == game.vector_shape):
+    if not (isinstance(error, np.ndarray)
+            and error.shape == game.vector_shape):
         raise ValueError(f"error must be an array of x's shape "
                          f"{game.vector_shape}, got shape {np.shape(error)}")
     out = gradient_map(game, x, out)
