@@ -27,7 +27,18 @@ of that player and mu; a zero player fixes nothing. K_FF is a principal
 submatrix of the positive definite K, so the step calls np.linalg.solve's
 LAPACK gufunc without the wrapper's checks. The coupling term is one
 mat-vec with the player's cached rows of the off-diagonal h. Mat-vecs use
-ndarray.dot, which skips the dispatch of @ (tests/test_kernel_bits.py).
+ndarray.dot, which skips the dispatch of @, and step and mu are 0-d arrays,
+which numpy combines faster than a Python float (tests/test_kernel_bits.py).
+An l1 player fixes zeros, so its z_fixed is +0.0 and K z_fixed, a sum of
+signed zeros with K_jj * +0.0 among them, is +0.0 without a product. A box
+player's shift is w = +0.0 times a sign, a signed zero, which leaves
+z_fixed (it holds no -0.0) and the right-hand side at a free j unchanged
+unless (K z_fixed)_j is -0.0, which takes a product in it that underflows.
+None can while the nonzero entries of K and of the bounds are at least
+2^-484: all products and sums are then multiples of 2^-1074, and only such
+players skip the shift. A NaN iterate ends the solve at once (but for the
+one a zero player's first Newton point replaces): the dot, the clip and
+soft thresholding keep a NaN, so no later step could converge.
 """
 
 from __future__ import annotations
@@ -120,31 +131,46 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
     """Minimize 0.5 z'Q_ii z + linear'z + mu/2 ||z - anchor||^2 + r_i(z)
     as the module docstring says; returns (argmin, iterations used)."""
     key, d = ("anchored", i, mu), anchor.size
-    if key not in game.solver_cache:  # the step, prox, Q_ii, K and K^-1
+    if (cached := game.solver_cache.get(key)) is None:
         step = 2.0 / sum(mu + e for e in game.own_spectra[i])  # optimal
         qii = np.ascontiguousarray(game.blocks[i][i])  # what .dot copies
         regs, k = game.regularizers[i:i + 1], qii + mu * np.eye(d)
-        _, _, t, shrink = prox_pieces(regs, (d,), step)
-        game.solver_cache[key] = (step, compiled_prox(regs, (d,), step), qii,
-                                  k, np.linalg.inv(k), t / step, shrink.any(),
-                                  isinstance(regs[0], Zero), np.zeros(d), {})
-    step, prox, qii, k, k_inv, weight, l1, zero, zeros, systems = \
-        game.solver_cache[key]
+        lo, hi, t, shrink = prox_pieces(regs, (d,), step)
+        ends = np.abs(np.concatenate((lo, hi, k.ravel())))
+        skip = np.all((ends == 0.0) | (ends >= 2.0 ** -484))  # docstring
+        cached = game.solver_cache[key] = (  # step and mu as 0-d arrays
+            np.array(step), np.array(float(mu)),
+            compiled_prox(regs, (d,), step), qii, k, np.linalg.inv(k),
+            t / step, shrink.any(), skip, isinstance(regs[0], Zero),
+            np.zeros(d), {})
+    step, mu_, prox, qii, k, k_inv, weight, l1, skip, zero, zeros, systems = \
+        cached
     z, seen, newton = anchor, set(), d + 1  # z is never written in place
+    b = linear - mu_ * anchor
     for it in range(max_inner):
-        v = z - step * (qii.dot(z) + linear + mu * (z - anchor))
+        v = z - step * (qii.dot(z) + linear + mu_ * (z - anchor))
         z_next = v if zero else prox(v)  # v is a fresh array
         dz = z_next - z
         disp = math.sqrt(dz.dot(dz))  # what np.linalg.norm(dz) computes
         if disp <= tol or it > d + 1 and disp <= _ULPS * math.hypot(*z_next):
             return z_next, it + 1
         if newton and zero and it + 1 < max_inner:  # no active set
-            newton, z_next = 0, k_inv.dot(-(linear - mu * anchor))
+            newton, z_next = 0, k_inv.dot(-b)
+        elif disp != disp and np.isnan(z_next).any():  # NaN stays in z
+            raise InnerSolveFailure(
+                f"anchored best response of player {i} has a NaN iterate "
+                f"at inner iteration {it + 1}", residual=disp)
         elif newton and it + 1 < max_inner:
-            fixed = z_next == 0.0 if l1 else z_next != v
-            z_fix = np.where(fixed, z_next, zeros) + 0.0  # drops -0.0
-            shift = weight * np.sign(z_next)
-            system = (pattern := fixed.tobytes(), (z_fix + shift).tobytes())
+            if l1:  # z_fix = +0.0 and K z_fix = +0.0 (module docstring)
+                fixed, shift = z_next == zeros, weight * np.sign(z_next)
+                z_fix, z_shift = zeros, shift + zeros  # z_fix + shift
+                rhs = -(b + z_shift)
+            else:  # the shift, a signed zero, is skipped where exact
+                fixed = z_next != v
+                z_fix = z_shift = np.where(fixed, z_next, zeros) + zeros
+                rhs = b if skip else b + weight * np.sign(z_next)
+                rhs = -(rhs + k.dot(z_fix))
+            system = (pattern := fixed.tobytes(), z_shift.tobytes())
             if system in seen:  # the active set recurred: Newton is done
                 newton = 0
             else:
@@ -155,40 +181,51 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
                                         else k[np.ix_(free, free)])
                 free, k_ff = systems[pattern]
                 newton -= 1
-                rhs = -(linear - mu * anchor + shift + k.dot(z_fix))
                 if k_ff is None:
                     z_next = k_inv.dot(rhs)
                 else:  # K_FF is positive definite, so never singular
-                    z_next = z_fix
-                    z_next[free] = solve1(k_ff, rhs.take(free),
-                                          signature="dd->d")
+                    z_next = z_fix.copy() if l1 else z_fix
+                    z_next[free] = solve1(k_ff, rhs.take(free))
         z = z_next
     raise InnerSolveFailure(
         f"anchored best response of player {i} did not reach displacement "
         f"{tol} in {max_inner} iterations", residual=disp)
 
 
-def _coupling_linear(game: QuadraticGame, i: int, y: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Player i's linear term c_i + sum_{j != i} Q_ij y_j and its anchor
-    y_i, at the stacked strategy vector y (as gradient_map checks it)."""
-    if not (isinstance(y, np.ndarray) and y.shape == game.vector_shape):
-        raise ValueError(f"vector of shape {np.shape(y)} does not match "
-                         f"game dimension {game.dim}")
-    if (key := ("coupling", i)) not in game.solver_cache:
-        sl = game.block_slice(i)  # c_i and the rows of off_diagonal
-        game.solver_cache[key] = (sl, game.c[sl], game.off_diagonal[sl])
-    sl, c_i, rows = game.solver_cache[key]
-    return c_i + rows.dot(y), y[sl]
-
-
-def _check_inner(mu: float, tol: float, max_inner: int) -> None:
+def _checked_coupling(game: QuadraticGame, i: int, y, mu: float,
+                      tol: float, max_inner: int, batch: int = 1,
+                      error=None) -> tuple[slice, np.ndarray, np.ndarray]:
+    """Player i's block slice, c_i and rows of the off-diagonal h (its
+    linear term is c_i + rows y), cached, once the call passes one combined
+    test; else the first failing check, in the order below, raises."""
+    coupling = game.solver_cache.get(("coupling", i))
+    if (coupling and batch >= 1 and 0.0 < mu < math.inf and tol > 0.0
+            and max_inner >= 1 and isinstance(y, np.ndarray)
+            and y.shape == game.vector_shape
+            and (error is None or isinstance(error, np.ndarray)
+                 and error.shape == coupling[1].shape)):
+        return coupling
+    if batch < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch}")
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not tol > 0.0:
         raise ValueError(f"inner tolerance must be > 0, got {tol}")
     if max_inner < 1:
         raise ValueError(f"max_inner must be >= 1, got {max_inner}")
+    if not (isinstance(y, np.ndarray) and y.shape == game.vector_shape):
+        raise ValueError(f"vector of shape {np.shape(y)} does not match "
+                         f"game dimension {game.dim}")
+    if coupling is None:
+        sl = game.block_slice(i)
+        coupling = game.solver_cache[("coupling", i)] = (
+            sl, game.c[sl], game.off_diagonal[sl])
+    if error is not None and not (isinstance(error, np.ndarray)
+                                  and error.shape == coupling[1].shape):
+        raise ValueError(f"error must be an array of player {i}'s block "
+                         f"shape {coupling[1].shape}, got shape "
+                         f"{np.shape(error)}")
+    return coupling
 
 
 def proximal_best_response(game: QuadraticGame, i: int, y: np.ndarray,
@@ -196,10 +233,9 @@ def proximal_best_response(game: QuadraticGame, i: int, y: np.ndarray,
                            max_inner: int = 100_000) -> np.ndarray:
     """Exact anchored best response of player i at the stacked strategy
     vector y."""
-    _check_inner(mu, tol, max_inner)
-    lin, anchor = _coupling_linear(game, i, y)
-    z, _ = _solve_anchored(game, i, lin, anchor, mu, tol, max_inner)
-    return z
+    sl, c_i, rows = _checked_coupling(game, i, y, mu, tol, max_inner)
+    return _solve_anchored(game, i, c_i + rows.dot(y), y[sl], mu, tol,
+                           max_inner)[0]
 
 
 def saa_best_response(game: QuadraticGame, i: int, y: np.ndarray,
@@ -212,15 +248,10 @@ def saa_best_response(game: QuadraticGame, i: int, y: np.ndarray,
     block of its row of noise.iteration_errors), an array of that block's
     shape.
     """
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
-    _check_inner(mu, inner_tol, max_inner)
-    lin, anchor = _coupling_linear(game, i, y)
-    if not (isinstance(error, np.ndarray) and error.shape == anchor.shape):
-        raise ValueError(f"error must be an array of player {i}'s block "
-                         f"shape {anchor.shape}, got shape {np.shape(error)}")
-    return _solve_anchored(game, i, lin + error, anchor, mu, inner_tol,
-                           max_inner)[0]
+    sl, c_i, rows = _checked_coupling(game, i, y, mu, inner_tol, max_inner,
+                                      batch, error)
+    return _solve_anchored(game, i, c_i + rows.dot(y) + error, y[sl], mu,
+                           inner_tol, max_inner)[0]
 
 
 @dataclass(frozen=True)
@@ -314,6 +345,7 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: np.ndarray,
     """
     check_contractive(contraction_certificate(game, config.mu))
     slices = [game.block_slice(i) for i in range(game.n_players)]
+    mu, tol = config.mu, config.inner_tol
 
     def step(k, n_k, y, w, counter):
         counter.total_samples += len(slices) * n_k
@@ -322,8 +354,8 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: np.ndarray,
         try:
             for r, y_r, w_r, x_r in zip(replications, y, w, x):
                 for i, sl in enumerate(slices):
-                    x_r[sl] = saa_best_response(game, i, y_r, n_k, config.mu,
-                                                w_r[sl], config.inner_tol)
+                    x_r[sl] = saa_best_response(game, i, y_r, n_k, mu,
+                                                w_r[sl], tol)
         except InnerSolveFailure as err:
             raise InnerSolveFailure(f"{err} at iteration {k} of replication "
                                     f"{r}", residual=err.residual) from err

@@ -42,7 +42,8 @@ class Divergence(RuntimeError):
 
 
 class InnerSolveFailure(RuntimeError):
-    """Best-response subproblem solver exhausted its iteration budget."""
+    """Best-response subproblem solver exhausted its iteration budget or
+    reached a NaN iterate."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -98,18 +99,52 @@ def test_noise_gain_has_no_cancellation_for_small_mu():
     assert br_noise_gain(1e300, 3.0) == pytest.approx(1e-300, rel=1e-15)
 
 
+# Each rejected limit of the best-response calls and its message, in the
+# order in which the checks run.
+_LIMITS = (
+    ({"batch": 0}, r"batch size must be >= 1, got 0"),
+    ({"mu": 0.0}, r"mu must be finite and > 0, got 0\.0"),
+    ({"tol": 0.0}, r"inner tolerance must be > 0, got 0\.0"),
+    ({"tol": -1e-12}, r"inner tolerance must be > 0, got -1e-12"),
+    ({"tol": math.nan}, r"inner tolerance must be > 0, got nan"),
+    ({"max_inner": 0}, r"max_inner must be >= 1, got 0"),
+    ({"y": np.zeros(3)}, r"vector of shape \(3,\) does not match game "
+                         r"dimension 2"),
+    ({"y": [0.0, 0.0]}, r"vector of shape \(2,\) does not match game "
+                        r"dimension 2"),
+    ({"error": np.zeros(2)}, r"error must be an array of player 0's block "
+                             r"shape \(1,\), got shape \(2,\)"),
+)
+
+
+def _best_response_calls(game, bad):
+    """saa_best_response, and proximal_best_response unless `bad` sets an
+    argument it does not take, on the reference game with `bad` in place."""
+    a = {"y": np.zeros(2), "batch": 4, "mu": 1.0, "error": np.zeros(1),
+         "tol": 1e-12, "max_inner": 100_000, **bad}
+    yield lambda: saa_best_response(game, 0, a["y"], a["batch"], a["mu"],
+                                    a["error"], a["tol"], a["max_inner"])
+    if "batch" not in bad and "error" not in bad:
+        yield lambda: proximal_best_response(game, 0, a["y"], a["mu"],
+                                             a["tol"], a["max_inner"])
+
+
 def test_inner_solve_limits_are_validated():
-    game = _reference_game()
-    y = np.zeros(2)
-    for kwargs in ({"max_inner": 0}, {"tol": 0.0}, {"tol": -1e-12}):
-        with pytest.raises(ValueError):
-            proximal_best_response(game, 0, y, 1.0, **kwargs)
-    for kwargs in ({"max_inner": 0}, {"inner_tol": 0.0},
-                   {"inner_tol": float("nan")}):
-        with pytest.raises(ValueError):
-            saa_best_response(game, 0, y, 4, 1.0, np.zeros(1), **kwargs)
+    """Every rejected limit raises its own message, on a game whose solver
+    cache is empty (cold) or filled by an earlier call (warm); where two
+    limits fail, the earlier check's message wins."""
+    for warm, (j, (bad, message)) in itertools.product(
+            (False, True), enumerate(_LIMITS)):
+        for other, _ in ((({}, None),) + _LIMITS[j + 1:]):
+            game = _reference_game()
+            if warm:
+                saa_best_response(game, 0, np.zeros(2), 4, 1.0, np.zeros(1))
+            for call in _best_response_calls(game, {**other, **bad}):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    call()
     with pytest.raises(InnerSolveFailure):
-        proximal_best_response(game, 0, y, 1.0, max_inner=1)
+        proximal_best_response(_reference_game(), 0, np.zeros(2), 1.0,
+                               max_inner=1)
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.5, math.inf, math.nan],

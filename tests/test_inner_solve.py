@@ -13,6 +13,8 @@ rounding of one evaluation of the map.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,9 @@ from nashprox import (
     contraction_certificate,
     prox_apply,
     proximal_best_response,
+    saa_best_response,
 )
-from nashprox.best_response import _coupling_linear, _solve_anchored
+from nashprox.best_response import _checked_coupling, _solve_anchored
 from nashprox.errors import InnerSolveFailure
 from nashprox.prox import prox_pieces
 
@@ -84,6 +87,9 @@ def _regularizer(kind: str, dim: int, rng: np.random.Generator):
     if kind == "point":  # lo == hi
         lo = rng.uniform(-1.0, 1.0, dim)
         return BoxIndicator(lo, lo.copy())
+    if kind == "tiny":  # bounds whose products with K can underflow
+        return BoxIndicator(-(10.0 ** rng.uniform(-323.0, -300.0, dim)),
+                            10.0 ** rng.uniform(-323.0, -300.0, dim))
     if kind == "l1":
         return L1(float(rng.uniform(0.0, 1.0)))
     if kind == "l1-zero":
@@ -97,11 +103,11 @@ def _regularizer(kind: str, dim: int, rng: np.random.Generator):
 def games(draw):
     """A strongly monotone game with blocks of size 1-6 and a mix of box,
     l1 and zero regularizers, degenerate ones included (a box with
-    lo == hi, l1 weight 0, and an l1 weight that zeroes every coordinate),
-    plus an rng for points."""
+    lo == hi, a box with subnormal-scale bounds, l1 weight 0, and an l1
+    weight that zeroes every coordinate), plus an rng for points."""
     dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
-    kinds = [draw(st.sampled_from(("box", "point", "l1", "l1-zero", "l1-all",
-                                   "zero"))) for _ in dims]
+    kinds = [draw(st.sampled_from(("box", "point", "tiny", "l1", "l1-zero",
+                                   "l1-all", "zero"))) for _ in dims]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = sum(dims)
     a = rng.standard_normal((n, n))
@@ -151,8 +157,8 @@ def test_inner_solve_matches_the_reference_within_the_contraction_bound(
             assert not np.any(_solve_anchored(game, i, linear, anchor, mu,
                                               tol, 100_000)[0])
         # the coupling term is one mat-vec with the off-diagonal part of h
-        lin, ref = _coupling_linear(game, i, y)[0], _reference_coupling(game, i, y)
-        sl = game.block_slice(i)
+        sl, c_i, rows = _checked_coupling(game, i, y, mu, tol, 100_000)
+        lin, ref = c_i + rows.dot(y), _reference_coupling(game, i, y)
         scale = np.abs(game.c[sl]) + np.abs(game.h[sl]) @ np.abs(y)
         assert np.all(np.abs(lin - ref) <= 2 * game.dim *
                       np.finfo(float).eps * scale)
@@ -289,14 +295,28 @@ def _joint_rule_solve(game, i, linear, anchor, mu, tol, max_inner):
     raise InnerSolveFailure("joint-rule solve did not converge", residual=0.0)
 
 
+def _signed_zeros(rng, v, share):
+    """v with about `share` of its entries set to +0.0 or -0.0."""
+    v[rng.random(v.size) < share] = 0.0
+    v[rng.random(v.size) < share / 2] = -0.0
+    return v
+
+
 @settings(max_examples=150, deadline=None)
-@given(games(), st.floats(0.1, 10.0), st.sampled_from((1e-12, 1e-9, 1e-6)))
+@given(games(), st.floats(0.1, 10.0), st.sampled_from((1e-12, 1e-9, 1e-6)),
+       st.integers(-8, 8), st.floats(0.0, 1.0))
 def test_per_player_active_set_rules_give_the_bits_of_the_joint_rule(
-        drawn, mu, tol):
+        drawn, mu, tol, e, share):
+    """linear and anchor at scale 10^e, with signed zeros: linear = -0.0
+    against anchor = +0.0 gives linear - mu anchor = -0.0, which a dropped
+    or reordered +-0.0 addition would turn into +0.0. The tolerance grows
+    with the scale above 1, so that it stays above the rounding of z."""
     game, rng = drawn
+    tol *= max(1.0, 10.0 ** e)
     for i, d in enumerate(game.dims):
-        linear = 3.0 * rng.standard_normal(d)
-        anchor = rng.standard_normal(d)
+        linear = _signed_zeros(rng, 3.0 * 10.0 ** e * rng.standard_normal(d),
+                               share)
+        anchor = _signed_zeros(rng, 10.0 ** e * rng.standard_normal(d), share)
         got, used = _solve_anchored(game, i, linear, anchor, mu, tol, 100_000)
         want, plain = _joint_rule_solve(game, i, linear, anchor, mu, tol,
                                         100_000)
@@ -346,6 +366,53 @@ def test_a_solve_past_the_tolerance_resolution_stops_at_the_rounding_floor(
     want = (mu * anchor - linear[0]) / (q + mu)
     assert used <= 4
     assert abs(got[0] - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
+def _rival_game(reg):
+    """Player 0 (two coordinates, regularizer reg) against two rivals of
+    one coordinate each, both coupled to both of player 0's coordinates."""
+    h = np.array([[2.0, 0.5, 1.0, 1.0], [0.5, 3.0, 1.0, 1.0],
+                  [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
+    return QuadraticGame(dims=(2, 1, 1), h=h, c=np.zeros(4),
+                         regularizers=(reg, Zero(), Zero()))
+
+
+@pytest.mark.parametrize("reg", [
+    BoxIndicator(np.array([-1.0, -2.0]), np.array([1.0, 2.0])), L1(0.3),
+    Zero()], ids=["box", "l1", "zero"])
+@pytest.mark.parametrize("y, error", [
+    ([0.0, 0.0, np.nan, 0.0], [0.0, 0.0]),  # a NaN rival
+    ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0]),  # a NaN anchor
+    ([0.0, 0.0, np.inf, -np.inf], [0.0, 0.0]),  # inf - inf in the coupling
+    ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0]),  # a NaN observation error
+], ids=["rival", "anchor", "inf-inf", "error"])
+def test_a_nan_iterate_stops_the_inner_solve_at_once(reg, y, error):
+    """The dot, the clip and soft thresholding all keep a NaN, so a NaN
+    iterate never converges: the solve raises at the first one (the second
+    step for a zero player, whose first Newton point ignores the iterate)
+    instead of running all max_inner iterations."""
+    game, y = _rival_game(reg), np.array(y)
+    first = 2 if isinstance(reg, Zero) else 1
+    message = (r"^anchored best response of player 0 has a NaN iterate at "
+               rf"inner iteration {first}")
+    with np.errstate(all="ignore"):
+        with pytest.raises(InnerSolveFailure, match=message + "$") as err:
+            saa_best_response(game, 0, y, 1, 1.0, np.array(error))
+        assert math.isnan(err.value.residual)
+        if not any(error):
+            with pytest.raises(InnerSolveFailure, match=message + "$"):
+                proximal_best_response(game, 0, y, 1.0)
+
+
+def test_a_box_player_against_an_infinite_rival_stops_at_its_bound():
+    """An infinite linear term clips every step to the box: the solve
+    converges to the bound, with no NaN on the way."""
+    game = _rival_game(BoxIndicator(np.array([-1.0, -2.0]),
+                                    np.array([1.0, 2.0])))
+    for sign in (1.0, -1.0):
+        y = np.array([0.0, 0.0, sign * np.inf, 0.0])
+        got = proximal_best_response(game, 0, y, 1.0)
+        assert got.tolist() == ([-1.0, -2.0] if sign > 0 else [1.0, 2.0])
 
 
 @settings(max_examples=60, deadline=None)

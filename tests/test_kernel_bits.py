@@ -8,7 +8,10 @@ bit on every operand the solvers pass: a principal submatrix of
 K = Q_ii + mu I (sizes 1 to 6), a C-contiguous copy of an own block Q_ii
 and its non-contiguous view into h, a row slice of off_diagonal, and the
 full h (gradient_map). pgr's gradient_map writes h.dot(x, out) into its
-row of the (R, n) gradient block, which must equal h @ x too.
+row of the (R, n) gradient block, which must equal h @ x too. The solve
+gufunc is called without a signature (float64 operands select its dd->d
+loop), and the inner solve holds step and mu as 0-d float64 arrays, which
+must give the bits of the Python floats they hold.
 
 One exception is pinned as it is: with a one-element operand (a player or
 a game of dimension 1), ndarray.dot multiplies by a scalar, so a zero
@@ -25,6 +28,8 @@ wrappers.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,10 +64,9 @@ def _games(draw):
     return game, rng, 10.0 ** draw(st.integers(-8, 8))
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_games(), mu=st.floats(1e-6, 1e6), data=st.data())
-def test_solve1_equals_np_linalg_solve_on_principal_submatrices(case, mu,
-                                                                data):
+def _principal_system(case, mu, data):
+    """A principal submatrix K_FF of K = Q_ii + mu I of a drawn player, its
+    right-hand side and np.linalg.solve's solution."""
     game, rng, scale = case
     i = data.draw(st.integers(0, game.n_players - 1))
     d = game.dims[i]
@@ -71,8 +75,45 @@ def test_solve1_equals_np_linalg_solve_on_principal_submatrices(case, mu,
                                        max_size=d).filter(any)))
     rhs, free = scale * rng.standard_normal(d), np.flatnonzero(mask)
     want = np.linalg.solve(k[mask][:, mask], rhs[mask])
-    got = solve1(k[np.ix_(free, free)], rhs.take(free), signature="dd->d")
+    return k[np.ix_(free, free)], rhs.take(free), want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_games(), mu=st.floats(1e-6, 1e6), data=st.data())
+def test_solve1_equals_np_linalg_solve_on_principal_submatrices(case, mu,
+                                                                data):
+    k_ff, rhs, want = _principal_system(case, mu, data)
+    got = solve1(k_ff, rhs, signature="dd->d")
     assert _same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_games(), mu=st.floats(1e-6, 1e6), data=st.data())
+def test_solve1_without_a_signature_equals_np_linalg_solve(case, mu, data):
+    """Float64 operands select the dd->d loop that the signature names."""
+    k_ff, rhs, want = _principal_system(case, mu, data)
+    assert _same_bits(solve1(k_ff, rhs), want)
+
+
+_ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan)),
+                     st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(_ENTRIES, min_size=1, max_size=6), s=_ENTRIES,
+       e=st.integers(-8, 8), f=st.integers(-8, 8))
+def test_a_0d_float64_operand_gives_the_bits_of_the_python_float(v, s, e, f):
+    """The inner solve holds step and mu as 0-d float64 arrays, which numpy
+    2 combines with an array faster than a Python float: the same
+    products, differences, sums and comparisons, bit for bit, on either
+    side, at scales 10^e and 10^f with signed zeros, infinities and NaN."""
+    v, s = np.array(v) * 10.0 ** e, s * 10.0 ** f
+    a = np.array(s)
+    assert a.shape == () and a.dtype == np.float64
+    with np.errstate(all="ignore"):
+        for op in (operator.mul, operator.sub, operator.add, operator.eq):
+            assert _same_bits(op(a, v), op(s, v))
+            assert _same_bits(op(v, a), op(v, s))
 
 
 @settings(max_examples=200, deadline=None)
