@@ -31,12 +31,8 @@ ndarray.dot, which skips the dispatch of @, and step and mu are 0-d arrays,
 which numpy combines faster than a Python float (tests/test_kernel_bits.py).
 An l1 player fixes zeros, so its z_fixed is +0.0 and K z_fixed, a sum of
 signed zeros with K_jj * +0.0 among them, is +0.0 without a product. A box
-player's shift is w = +0.0 times a sign, a signed zero, which leaves
-z_fixed (it holds no -0.0) and the right-hand side at a free j unchanged
-unless (K z_fixed)_j is -0.0, which takes a product in it that underflows.
-None can while the nonzero entries of K and of the bounds are at least
-2^-484: all products and sums are then multiples of 2^-1074, and only such
-players skip the shift. A NaN iterate ends the solve at once (but for the
+player's shift w sign(z) is a signed zero, so z_fixed + shift is z_fixed
+(which holds no -0.0). A NaN iterate ends the solve at once (but for the
 one a zero player's first Newton point replaces): the dot, the clip and
 soft thresholding keep a NaN, so no later step could converge.
 """
@@ -135,16 +131,12 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         step = 2.0 / sum(mu + e for e in game.own_spectra[i])  # optimal
         qii = np.ascontiguousarray(game.blocks[i][i])  # what .dot copies
         regs, k = game.regularizers[i:i + 1], qii + mu * np.eye(d)
-        lo, hi, t, shrink = prox_pieces(regs, (d,), step)
-        ends = np.abs(np.concatenate((lo, hi, k.ravel())))
-        skip = np.all((ends == 0.0) | (ends >= 2.0 ** -484))  # docstring
+        _, _, t, shrink = prox_pieces(regs, (d,), step)
         cached = game.solver_cache[key] = (  # step and mu as 0-d arrays
-            np.array(step), np.array(float(mu)),
-            compiled_prox(regs, (d,), step), qii, k, np.linalg.inv(k),
-            t / step, shrink.any(), skip, isinstance(regs[0], Zero),
-            np.zeros(d), {})
-    step, mu_, prox, qii, k, k_inv, weight, l1, skip, zero, zeros, systems = \
-        cached
+            np.array(step), np.array(float(mu)), qii, k, np.linalg.inv(k),
+            compiled_prox(regs, (d,), step), t / step, shrink.any(),
+            isinstance(regs[0], Zero), np.zeros(d), {})
+    step, mu_, qii, k, k_inv, prox, weight, l1, zero, zeros, systems = cached
     z, seen, newton = anchor, set(), d + 1  # z is never written in place
     b = linear - mu_ * anchor
     for it in range(max_inner):
@@ -162,14 +154,12 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
                 f"at inner iteration {it + 1}", residual=disp)
         elif newton and it + 1 < max_inner:
             if l1:  # z_fix = +0.0 and K z_fix = +0.0 (module docstring)
-                fixed, shift = z_next == zeros, weight * np.sign(z_next)
-                z_fix, z_shift = zeros, shift + zeros  # z_fix + shift
-                rhs = -(b + z_shift)
-            else:  # the shift, a signed zero, is skipped where exact
+                fixed = z_next == zeros
+                rhs = -(b + (z_shift := weight * np.sign(z_next) + zeros))
+            else:  # the shift is a signed zero: z_fix + shift is z_fix
                 fixed = z_next != v
                 z_fix = z_shift = np.where(fixed, z_next, zeros) + zeros
-                rhs = b if skip else b + weight * np.sign(z_next)
-                rhs = -(rhs + k.dot(z_fix))
+                rhs = -(b + weight * np.sign(z_next) + k.dot(z_fix))
             system = (pattern := fixed.tobytes(), z_shift.tobytes())
             if system in seen:  # the active set recurred: Newton is done
                 newton = 0
@@ -184,7 +174,7 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
                 if k_ff is None:
                     z_next = k_inv.dot(rhs)
                 else:  # K_FF is positive definite, so never singular
-                    z_next = z_fix.copy() if l1 else z_fix
+                    z_next = zeros.copy() if l1 else z_fix
                     z_next[free] = solve1(k_ff, rhs.take(free))
         z = z_next
     raise InnerSolveFailure(
@@ -192,21 +182,11 @@ def _solve_anchored(game: QuadraticGame, i: int, linear: np.ndarray,
         f"{tol} in {max_inner} iterations", residual=disp)
 
 
-def _checked_coupling(game: QuadraticGame, i: int, y, mu: float,
-                      tol: float, max_inner: int, batch: int = 1,
-                      error=None) -> tuple[slice, np.ndarray, np.ndarray]:
+def _checked_coupling(game: QuadraticGame, i: int, y, mu: float, tol: float,
+                      max_inner: int) -> tuple[slice, np.ndarray, np.ndarray]:
     """Player i's block slice, c_i and rows of the off-diagonal h (its
-    linear term is c_i + rows y), cached, once the call passes one combined
-    test; else the first failing check, in the order below, raises."""
-    coupling = game.solver_cache.get(("coupling", i))
-    if (coupling and batch >= 1 and 0.0 < mu < math.inf and tol > 0.0
-            and max_inner >= 1 and isinstance(y, np.ndarray)
-            and y.shape == game.vector_shape
-            and (error is None or isinstance(error, np.ndarray)
-                 and error.shape == coupling[1].shape)):
-        return coupling
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
+    linear term is c_i + rows y), cached, once mu, the inner limits and
+    the stacked strategy vector y pass their checks, in this order."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not tol > 0.0:
@@ -216,15 +196,10 @@ def _checked_coupling(game: QuadraticGame, i: int, y, mu: float,
     if not (isinstance(y, np.ndarray) and y.shape == game.vector_shape):
         raise ValueError(f"vector of shape {np.shape(y)} does not match "
                          f"game dimension {game.dim}")
-    if coupling is None:
+    if (coupling := game.solver_cache.get(key := ("coupling", i))) is None:
         sl = game.block_slice(i)
-        coupling = game.solver_cache[("coupling", i)] = (
-            sl, game.c[sl], game.off_diagonal[sl])
-    if error is not None and not (isinstance(error, np.ndarray)
-                                  and error.shape == coupling[1].shape):
-        raise ValueError(f"error must be an array of player {i}'s block "
-                         f"shape {coupling[1].shape}, got shape "
-                         f"{np.shape(error)}")
+        coupling = game.solver_cache[key] = (sl, game.c[sl],
+                                             game.off_diagonal[sl])
     return coupling
 
 
@@ -248,8 +223,12 @@ def saa_best_response(game: QuadraticGame, i: int, y: np.ndarray,
     block of its row of noise.iteration_errors), an array of that block's
     shape.
     """
-    sl, c_i, rows = _checked_coupling(game, i, y, mu, inner_tol, max_inner,
-                                      batch, error)
+    if batch < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch}")
+    sl, c_i, rows = _checked_coupling(game, i, y, mu, inner_tol, max_inner)
+    if not (isinstance(error, np.ndarray) and error.shape == c_i.shape):
+        raise ValueError(f"error must be an array of player {i}'s block "
+                         f"shape {c_i.shape}, got shape {np.shape(error)}")
     return _solve_anchored(game, i, c_i + rows.dot(y) + error, y[sl], mu,
                            inner_tol, max_inner)[0]
 

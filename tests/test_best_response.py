@@ -401,13 +401,13 @@ def test_complexity_near_eta_br_one_is_fast_and_matches_the_loop():
 
 
 def test_an_error_not_of_the_player_s_block_shape_is_rejected_naming_it():
-    """A scalar, a size-1 array, a stack of rows or another length would
-    broadcast into the linear term, or fail naming no argument."""
+    """A scalar, a size-1 array, a stack of rows, another length or None
+    would broadcast into the linear term, or fail naming no argument."""
     game = generate_quadratic_game(n_players=3, dim=2, coupling_strength=0.5,
                                    seed=1)
     y = np.zeros(game.dim)
     for error in (0.5, np.array([0.5]), np.zeros((2, 2)), np.zeros(3),
-                  np.zeros(game.dim), [0.0, 0.0]):
+                  np.zeros(game.dim), [0.0, 0.0], None):
         with pytest.raises(ValueError, match=(
                 r"^error must be an array of player 1's block shape \(2,\), "
                 r"got shape ")):
