@@ -186,7 +186,8 @@ def _checked_coupling(game: QuadraticGame, i: int, y, mu: float, tol: float,
                       max_inner: int) -> tuple[slice, np.ndarray, np.ndarray]:
     """Player i's block slice, c_i and rows of the off-diagonal h (its
     linear term is c_i + rows y), cached, once mu, the inner limits and
-    the stacked strategy vector y pass their checks, in this order."""
+    the stacked strategy vector y pass their checks, in this order; an
+    index i outside the players is rejected before anything is cached."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not tol > 0.0:
@@ -197,6 +198,10 @@ def _checked_coupling(game: QuadraticGame, i: int, y, mu: float, tol: float,
         raise ValueError(f"vector of shape {np.shape(y)} does not match "
                          f"game dimension {game.dim}")
     if (coupling := game.solver_cache.get(key := ("coupling", i))) is None:
+        n = game.n_players
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+            raise ValueError(f"player index must be an integer in [0, {n}) "
+                             f"for a {n}-player game, got {i!r}")
         sl = game.block_slice(i)
         coupling = game.solver_cache[key] = (sl, game.c[sl],
                                              game.off_diagonal[sl])

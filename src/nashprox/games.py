@@ -202,13 +202,18 @@ class QuadraticGame:
         """Own gradients of all players of a Cournot game at strategies x
         against aggregate estimates y (one shared value or one per player):
         a_i x_i + b_i - d + c_price y_i + c_price x_i."""
-        a, b, d, c_price, _, _ = self.aggregate
+        a, b, d, c_price, _, _ = self._cournot()
         return a * x + b - d + c_price * y + c_price * x
 
     def midpoint(self) -> np.ndarray:
         """The strategy vector at the centre of a Cournot game's boxes."""
-        _, _, _, _, lo, hi = self.aggregate
+        _, _, _, _, lo, hi = self._cournot()
         return (lo + hi) / 2.0
+
+    def _cournot(self) -> Aggregate:
+        if self.aggregate is None:
+            raise TypeError("a Cournot game (one with an aggregate) is needed")
+        return self.aggregate
 
 
 class AggregativeGame(QuadraticGame):

@@ -110,6 +110,8 @@ def check_schedule(schedule: BatchSchedule, n_iter: int, dim: int = 1) -> None:
             return False
         return True
 
+    if n_iter < 1:
+        raise ValueError(f"a run needs at least one iteration, got {n_iter}")
     if fits(n_iter - 1):
         return
     good, bad = -1, n_iter - 1

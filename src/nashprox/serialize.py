@@ -4,14 +4,15 @@ A configuration is a single JSON object naming a scheme ("pgr", "dist-pgr",
 "pbr", or "bounds"), a game description, an optional communication graph,
 and the solver parameters. Documents are validated against the published
 schema for their scheme before anything is built; unknown keys are
-rejected.
+rejected. Validation stops at the first violation, in jsonschema's words;
+a game, regularizer or graph is checked against the one schema its "kind"
+or "family" selects (a graph without "family" is an edge list).
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from collections import namedtuple
 from numbers import Number
 from typing import Any
 
@@ -270,88 +271,73 @@ _BOUNDS = {
     "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
     "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
 }
-_Error = namedtuple("_Error", "path message context rank")
 
 
-def _is(value, types) -> bool:
-    return any(_TYPES[t](value)
-               for t in ([types] if isinstance(types, str) else types))
+def _invalid(path: tuple, message: str) -> ConfigError:
+    return ConfigError(
+        f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
-def _check(value, schema: dict, path: tuple, errors: list) -> list:
-    """Append to `errors`, and return it, what jsonschema's Draft 2020-12
-    validator finds in `value`, in its order and words ($schema is ignored)."""
-    def fail(keyword, message, context=()):
-        # jsonschema's relevance: shallower, later, non-oneOf, mistyped rank higher
-        errors.append(_Error(path, message, context, (
-            -len(path), path, keyword != "oneOf",
-            not _is(value, schema.get("type", ())))))
+def _check(value, schema: dict, path: tuple) -> None:
+    """Raise ConfigError at the first violation of `schema` by `value`, in
+    schema order and in jsonschema's words ($schema is ignored)."""
     for keyword, arg in schema.items():
-        if keyword == "type" and not _is(value, arg):
-            fail(keyword, f"{value!r} is not of type " + ", ".join(
-                map(repr, [arg] if isinstance(arg, str) else arg)))
+        if keyword == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_TYPES[t](value) for t in types):
+                raise _invalid(path, f"{value!r} is not of type "
+                               + ", ".join(map(repr, types)))
         # enums and consts hold strings only, which == compares as JSON does
         elif keyword == "enum" and value not in arg:
-            fail(keyword, f"{value!r} is not one of {arg!r}")
+            raise _invalid(path, f"{value!r} is not one of {arg!r}")
         elif keyword == "const" and value != arg:
-            fail(keyword, f"{arg!r} was expected")
+            raise _invalid(path, f"{arg!r} was expected")
         elif keyword in _BOUNDS and _TYPES["number"](value) \
                 and _BOUNDS[keyword][0](value, arg):
-            fail(keyword, f"{value!r} is {_BOUNDS[keyword][1]} {arg!r}")
-        elif keyword == "oneOf":
-            # A "kind" matching the const of one branch is checked against
-            # that branch alone: the others reject that "kind", and the error
-            # then names the failing key instead of the whole object.
-            kinds = [b["properties"].get("kind", {}).get("const") for b in arg]
-            if isinstance(value, dict) and kinds.count(value.get("kind", ...)) == 1:
-                arg = [arg[kinds.index(value["kind"])]]
-            found = [_check(value, branch, path, []) for branch in arg]
-            valid = [branch for branch, f in zip(arg, found) if not f]
-            if not valid:
-                fail(keyword, f"{value!r} is not valid under any of the given "
-                     "schemas", [err for f in found for err in f])
-            elif len(valid) > 1:  # the first valid branch is named last
-                fail(keyword, f"{value!r} is valid under each of "
-                     + ", ".join(map(repr, valid[1:] + valid[:1])))
+            raise _invalid(path, f"{value!r} is {_BOUNDS[keyword][1]} {arg!r}")
+        elif keyword == "oneOf":  # after "type": "object", so value is a dict
+            # The branches exclude each other by their first property, the
+            # discriminator: its value picks the one branch to check, and its
+            # absence the branch without it (a graph's edge list).
+            key, accepted = next(iter(arg[0]["properties"])), []
+            for branch in arg:
+                sub = branch["properties"].get(key)
+                names = sub.get("enum", [sub.get("const")]) if sub else []
+                if value[key] in names if key in value else sub is None:
+                    _check(value, branch, path)
+                    break
+                accepted += names
+            else:
+                raise _invalid(path + (key,), (
+                    f"{value[key]!r} is not one of" if key in value
+                    else f"{key!r} is a required property, one of")
+                    + f" {accepted!r}")
         elif isinstance(value, list):
             # a list of plain floats passes {"type": "number"} at once
             if keyword == "items" and (arg != {"type": "number"} or not set(
                     map(type, value)) <= {float}):
                 for i, item in enumerate(value):
-                    _check(item, arg, path + (i,), errors)
+                    _check(item, arg, path + (i,))
             elif keyword == "minItems" and len(value) < arg:
-                fail(keyword, f"{value!r} " + ("should be non-empty" if arg == 1
-                                             else "is too short"))
+                raise _invalid(path, f"{value!r} " + (
+                    "should be non-empty" if arg == 1 else "is too short"))
             elif keyword == "maxItems" and len(value) > arg:  # arg > 0 here
-                fail(keyword, f"{value!r} is too long")
+                raise _invalid(path, f"{value!r} is too long")
         elif isinstance(value, dict):
             if keyword == "properties":
                 for name, sub in arg.items():
                     if name in value:
-                        _check(value[name], sub, path + (name,), errors)
+                        _check(value[name], sub, path + (name,))
             elif keyword == "required":
                 for name in arg:
                     if name not in value:
-                        fail(keyword, f"{name!r} is a required property")
+                        raise _invalid(path, f"{name!r} is a required property")
             elif keyword == "additionalProperties":  # always false here
                 if extra := sorted(value.keys() - schema["properties"], key=str):
                     verb = "was" if len(extra) == 1 else "were"
-                    fail(keyword, "Additional properties are not allowed ("
-                         f"{', '.join(map(repr, extra))} {verb} unexpected)")
-    return errors
-
-
-def _best_match(errors: list) -> _Error | None:
-    """The error jsonschema's best_match (4.26) reports: the first of highest
-    rank, then down each context to its lowest-ranked error while unique."""
-    rank = operator.attrgetter("rank")
-    best = max(errors, key=rank, default=None)
-    while best is not None and best.context:
-        low = sorted(best.context, key=rank)[:2]
-        if len(low) == 2 and low[0].rank == low[1].rank:
-            break
-        best = low[0]
-    return best
+                    raise _invalid(path, "Additional properties are not "
+                                   f"allowed ({', '.join(map(repr, extra))} "
+                                   f"{verb} unexpected)")
 
 
 def validate_config(doc: Any, scheme: str | None = None) -> dict:
@@ -375,10 +361,7 @@ def validate_config(doc: Any, scheme: str | None = None) -> dict:
         raise ConfigError(
             f"unknown scheme '{scheme}'; expected one of "
             f"{sorted(CONFIG_SCHEMAS)}")
-    err = _best_match(_check(doc, CONFIG_SCHEMAS[scheme], (), []))
-    if err is not None:
-        path = "/".join(map(str, err.path)) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {err.message}")
+    _check(doc, CONFIG_SCHEMAS[scheme], ())
     return doc
 
 

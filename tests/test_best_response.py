@@ -412,3 +412,23 @@ def test_an_error_not_of_the_player_s_block_shape_is_rejected_naming_it():
                 r"^error must be an array of player 1's block shape \(2,\), "
                 r"got shape ")):
             saa_best_response(game, 1, y, 5, 1.0, error)
+
+
+@pytest.mark.parametrize("i", [-1, 3, 1.0])
+@pytest.mark.parametrize("solve", ["proximal", "saa"])
+def test_a_player_index_outside_the_game_is_rejected_before_it_is_cached(
+        solve: str, i):
+    """-1 would cache an empty block slice; 3 would index past the last,
+    and 1.0 is no index."""
+    game = generate_quadratic_game(n_players=3, dim=2, coupling_strength=0.5,
+                                   seed=1)
+    y = np.zeros(game.dim)
+    with pytest.raises(ValueError, match=(
+            rf"^player index must be an integer in \[0, 3\) for a 3-player "
+            rf"game, got {i!r}$")):
+        if solve == "proximal":
+            proximal_best_response(game, i, y, 1.0)
+        else:
+            saa_best_response(game, i, y, 5, 1.0, np.zeros(2))
+    assert game.solver_cache == {}
+    proximal_best_response(game, np.int64(2), y, 1.0)

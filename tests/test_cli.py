@@ -998,3 +998,16 @@ def test_a_document_that_is_not_an_object_is_a_config_error_with_overrides(
     assert main(["pgr", "--config", str(bad), "--seed", "3",
                  "--replications", "2", "--quiet"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pbr", "validate"])
+def test_a_misspelled_game_kind_is_one_short_line_naming_it(
+        tmp_path: Path, capsys, command: str):
+    """The 57 KB game block of the pbr benchmark config is not echoed."""
+    doc = json.loads((Path(__file__).parent / "golden" / "pbr-quad50-seed1"
+                      / "config.json").read_text())
+    doc["game"]["kind"] = "quadratc"
+    assert main([command, "--config", _write(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config invalid at game/kind: 'quadratc' is not one "
+        "of ['quadratic', 'quadratic-random', 'cournot']\n")

@@ -184,6 +184,14 @@ def test_cournot_player_gradient_and_constants():
     assert const.m_compact == pytest.approx(20.0)
 
 
+def test_the_cournot_methods_of_a_game_without_an_aggregate_say_so():
+    game = _reference_game()
+    for call in (game.midpoint, lambda: game.gradients(np.zeros(2), 0.0)):
+        with pytest.raises(TypeError, match=(
+                r"^a Cournot game \(one with an aggregate\) is needed$")):
+            call()
+
+
 def test_cournot_equilibrium_closed_form():
     game = AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                            lo=(0.0, 0.0), hi=(10.0, 10.0))

@@ -15,6 +15,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -132,3 +133,20 @@ def test_check_names_the_largest_change_of_each_differing_file(
         f"  largest relative change 0.5 at {cell}: {before!r} -> {after!r}",
     ]
     assert proc.stderr.endswith("2 golden file(s) differ\n")
+
+
+def test_each_readme_config_is_a_golden_case():
+    """Each json block of README.md is, key order and spacing aside, the
+    config of exactly one readme-* case, and each such case has its block,
+    so the README cannot drift from the outputs these cases pin."""
+    def canonical(doc) -> str:  # keeps 1 apart from 1.0
+        return json.dumps(doc, sort_keys=True)
+    readme = (GOLDEN.parent.parent / "README.md").read_text("utf-8")
+    blocks = [canonical(json.loads(block)) for block in
+              re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+    cases = {path.parent.name: canonical(json.loads(path.read_text()))
+             for path in GOLDEN.glob("readme-*/config.json")}
+    matches = [[name for name, doc in cases.items() if doc == block]
+               for block in blocks]
+    assert all(len(names) == 1 for names in matches), matches
+    assert sorted(names[0] for names in matches) == sorted(cases)

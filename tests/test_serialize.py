@@ -1,6 +1,10 @@
 """Config validation: the plain checker must accept and reject exactly what
-jsonschema.validate does, with the same error text, once a number (or an
-integer) is also held to converting to a float."""
+jsonschema.validate does, once a number (or an integer) is also held to
+converting to a float. It stops at the first violation in schema order, in
+jsonschema's words. A oneOf block is checked only against the branch its
+discriminator selects (a game's or regularizer's "kind", a graph's "family"
+or its absence), so the message names the key at fault where jsonschema
+names the whole block."""
 
 from __future__ import annotations
 
@@ -23,8 +27,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # the three benchmark workloads and the README examples
 CONFIGS = [json.loads(p.read_text())
            for p in sorted(GOLDEN.glob("*/config.json"))]
+# valid values of other branches too ("grid", "cournot", "l1"), so that a
+# replaced discriminator switches its block to another branch
 REPLACEMENTS = [True, False, "a", None, [], [[0.0]], {}, math.nan, math.inf,
-                -math.inf, 10 ** 400, -1, 5.0, -0.0, (0.0, 1.0)]
+                -math.inf, 10 ** 400, -1, 5.0, -0.0, (0.0, 1.0), "grid",
+                "cournot", "l1"]
 
 
 @pytest.mark.parametrize("scheme", sorted(CONFIG_SCHEMAS))
@@ -88,32 +95,94 @@ def _config_error(doc, scheme: str | None) -> str | None:
     return None
 
 
-def _assert_matches_stock_jsonschema(doc, scheme: str, paths: list):
+def _stock(doc, scheme: str) -> tuple[str | None, str | None]:
+    """jsonschema's best match as our message, and its keyword; (None,
+    None) for a valid document."""
     try:
         jsonschema.validate(doc, CONFIG_SCHEMAS[scheme], cls=_ORACLE)
-        stock = None
     except jsonschema.ValidationError as err:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        stock = f"config invalid at {where}: {err.message}"
-    ours = _config_error(doc, scheme)
-    assert (ours is None) == (stock is None), (paths, ours, stock)
-    # a game error names its key, where stock stops at a oneOf branch; a
-    # changed "scheme" is reported as a mismatch before the schema is read
-    if all(path[0] not in ("game", "scheme") for path in paths):
-        assert ours == stock
+        return f"config invalid at {where}: {err.message}", err.validator
+    return None, None
+
+
+def _names_a_fault(message: str, paths: list) -> bool:
+    """Whether `message` is at a replaced path or under it, or, for a
+    required or additional-property error, at the object holding it."""
+    where, _, what = message.removeprefix("config invalid at ").partition(
+        ": ")
+    for path in ("/".join(map(str, p)) for p in paths):
+        parent = path.rpartition("/")[0] or "<root>"
+        if where == path or where.startswith(path + "/") or where == parent \
+                and ("required property" in what
+                     or what.startswith("Additional properties")):
+            return True
+    return False
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_mutated())
 def test_validation_matches_stock_jsonschema(case):
-    _assert_matches_stock_jsonschema(*case)
+    """One fault: jsonschema's message, except where jsonschema stops at a
+    oneOf block; there ours names the fault."""
+    doc, scheme, paths = case
+    ours, (stock, keyword) = _config_error(doc, scheme), _stock(doc, scheme)
+    assert (ours is None) == (stock is None), (paths, ours, stock)
+    # a changed "scheme" is reported as a mismatch before the schema is read
+    if ours is not None and paths[0][0] != "scheme":
+        if keyword == "oneOf":
+            assert _names_a_fault(ours, paths), (paths, ours)
+        else:
+            assert ours == stock, (paths, ours, stock)
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_mutated(leaves=2))
-def test_the_error_picked_among_two_matches_stock_jsonschema(case):
-    """With two faults, both report the same one of them."""
-    _assert_matches_stock_jsonschema(*case)
+@given(case=st.integers(2, 3).flatmap(lambda n: _mutated(leaves=n)))
+def test_of_several_faults_one_is_named(case):
+    """Two or three faults: accepted and rejected as by jsonschema, and the
+    message (the first violation) names one of them."""
+    doc, scheme, paths = case
+    ours, (stock, _) = _config_error(doc, scheme), _stock(doc, scheme)
+    assert (ours is None) == (stock is None), (paths, ours, stock)
+    if ours is not None and all(path[0] != "scheme" for path in paths):
+        assert _names_a_fault(ours, paths), (paths, ours)
+
+
+def _golden(name: str) -> dict:
+    return json.loads((GOLDEN / name / "config.json").read_text())
+
+
+@pytest.mark.parametrize("config,block,value,message", [
+    ("dist-cournot-ring-seed1", "graph", {"family": "ring", "nodes": 0},
+     "graph/nodes: 0 is less than the minimum of 1"),
+    ("dist-cournot-ring-seed1", "graph", {"family": "rung", "nodes": 20},
+     "graph/family: 'rung' is not one of ['complete', 'ring', 'path', "
+     "'grid', 'erdos-renyi']"),
+    ("dist-cournot-ring-seed1", "graph", {"nodes": 20},
+     "graph: 'edges' is a required property"),
+    ("pbr-quad50-seed1", "game/kind", "quadratc",
+     "game/kind: 'quadratc' is not one of ['quadratic', 'quadratic-random', "
+     "'cournot']"),
+    ("pbr-quad50-seed1", "game/kind", ...,
+     "game/kind: 'kind' is a required property, one of ['quadratic', "
+     "'quadratic-random', 'cournot']"),
+    ("readme-pgr", "game/regularizers", [{"kind": "huber"}],
+     "game/regularizers/0/kind: 'huber' is not one of ['zero', 'l1', 'box']"),
+], ids=["graph-nodes", "graph-family", "edge-list", "game-kind",
+        "game-kind-missing", "regularizer-kind"])
+def test_a_fault_in_a_block_names_its_key(config, block, value, message):
+    """The discriminator picks the branch; an unknown one, or a missing
+    "kind", is reported at its key with the values it may take."""
+    doc = _golden(config)
+    *parents, key = block.split("/")
+    node = doc
+    for name in parents:
+        node = node[name]
+    if value is ...:
+        del node[key]
+    else:
+        node[key] = value
+    assert _config_error(doc, None) == f"config invalid at {message}"
 
 
 def _pgr_config_with(path: tuple, value) -> dict:

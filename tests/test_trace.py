@@ -11,9 +11,11 @@ import pytest
 from nashprox import (
     DistConfig,
     GaussianNoise,
+    GeometricBatch,
     PbrConfig,
     PgrConfig,
     QuadraticGame,
+    check_schedule,
     generate_cournot_game,
     generate_quadratic_game,
     ring_graph,
@@ -132,3 +134,29 @@ def test_a_target_eps_run_from_a_start_too_far_to_measure_is_rejected():
     with pytest.raises(ValueError, match=r"^x0 = \[1e\+200, 1e\+200\] has "
                                          r"squared distance inf"):
         run_pgr(game, config, _far_start(game), solve_ne_oracle(game))
+
+
+@pytest.mark.parametrize("config", [
+    lambda **run: PgrConfig(alpha=0.05, rho=0.8, **run),
+    lambda **run: DistConfig(alpha=0.02, **run),
+    lambda **run: PbrConfig(mu=1.0, eta_br=0.6, **run)],
+    ids=["pgr", "dist-pgr", "pbr"])
+@pytest.mark.parametrize("run,name", [
+    ({"max_iter": 2.5, "seed": 1}, "max_iter"),
+    ({"max_iter": True, "seed": 1}, "max_iter"),
+    ({"max_iter": 5, "seed": 1.5}, "seed"),
+    ({"max_iter": 5, "seed": False}, "seed")],
+    ids=["float-max-iter", "bool-max-iter", "float-seed", "bool-seed"])
+def test_every_solver_config_takes_integer_max_iter_and_seed(config, run,
+                                                             name):
+    """A float max_iter failed inside the run; a seed of 1.5 ran seed 1."""
+    with pytest.raises(ValueError, match=(
+            rf"^{name} must be an integer, got {run[name]!r}$")):
+        config(**run)
+    config(max_iter=np.int64(5), seed=np.uint32(1))
+
+
+def test_a_run_of_no_iterations_is_rejected_saying_so():
+    with pytest.raises(ValueError, match=(
+            "^a run needs at least one iteration, got 0$")):
+        check_schedule(GeometricBatch(0.5), 0)
