@@ -10,6 +10,7 @@ failure of an iterative procedure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
@@ -83,10 +84,22 @@ def _run(args) -> int:
     if isinstance(doc, dict):  # from_config rejects any other document
         doc.update((k, v) for k, v in overrides.items() if v is not None)
     spec = ExperimentSpec.from_config(doc, scheme=args.command)
+    if args.out is not None:
+        _check_out_dir(args.out)
     report = run_experiment(spec, out_dir=args.out)
     if not args.quiet:
         _print_run_summary(report, args.out)
     return EXIT_OK
+
+
+def _check_out_dir(path: str) -> None:
+    """Reject an --out where no directory can be made, before the run."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {path}: {existing} exists and is not a "
+                          f"directory")
 
 
 def _validate(args) -> int:
@@ -128,7 +141,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"invalid parameters: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NonConvergence, Divergence, InnerSolveFailure) as err:
+    except (NonConvergence, Divergence, InnerSolveFailure, MemoryError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

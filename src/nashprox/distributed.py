@@ -101,12 +101,14 @@ def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
     if x0 is None:
         x0 = game.midpoint()
     n = game.n_players
-    v = np.tile(x0, (np.size(replications), 1))
+    v = None  # the rows' aggregate trackers
     consensus_errors: list[np.ndarray] = []
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
         nonlocal v
+        if k == 0:  # v_0 = x_0; neither is changed in place
+            v = x
         # a product per row: one (N, R) product would not keep each row's bits
         v_hat = np.array([consensus_apply(graph, v_r, k + 1) for v_r in v])
         counter.comm_rounds += k + 1

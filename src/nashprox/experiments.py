@@ -8,19 +8,14 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, replace
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .best_response import (PbrConfig, check_contractive,
-                            contraction_certificate, pbr_complexity,
-                            pbr_envelope, resolved_schedule, run_pbr)
-from .distributed import (DistConfig, dist_complexity, dist_envelope_params,
-                          dist_rate_constants, run_dist_pgr)
 from .errors import ConfigError
 from .games import (QuadraticGame, monotonicity_constants, ne_error_bound,
                     solve_ne_oracle)
-from .graphs import mixing_params
 from .pgr import (PgrConfig, envelope_params, geometric_complexity, pgr_loop,
                   rate_constants, run_pgr)
 from .prox import compiled_prox
@@ -88,6 +83,9 @@ class ExperimentSpec:
         """The spec of a config document, which is validated here only."""
         doc = validate_config(doc, scheme)
         scheme = scheme or doc["scheme"]
+        if scheme in SCHEMES:  # so that set-up, not the run, loads them
+            for module in SCHEMES[scheme].modules:
+                import_module(module, __package__)
         solver = dict(doc["solver"])
         if "max_iter" in solver:  # the one integer solver key; may be 5.0
             solver["max_iter"] = int(solver["max_iter"])
@@ -143,8 +141,10 @@ def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
 # scheme's report fields ("theory", and "graph" for dist-pgr; dist-pgr's
 # solve adds what the run showed of consensus to theory), envelope is the
 # (constant, rate) the mean errors are checked against, and loop is the
-# (schedule, iterations, noise levels, noise dims) of its run. Solvers are
-# called through their module globals at call time.
+# (schedule, iterations, noise levels, noise dims) of its run. The dist-pgr
+# and pbr steps import their solver modules when they run, so a process
+# loads only the schemes it runs, and a solver patched or wrapped on its
+# defining module is the one they call.
 
 def _pgr_setup(spec, game, x0, x_star):
     s, consts = spec.solver, game.constants
@@ -173,6 +173,11 @@ def _pgr_theory(eta, lip, alpha, rho, nu, c_start, eps, rho_tilde=None):
 
 
 def _dist_setup(spec, game, x0, x_star):
+    from .distributed import (DistConfig, dist_complexity,
+                              dist_envelope_params, dist_rate_constants,
+                              run_dist_pgr)
+    from .graphs import mixing_params
+
     s, g = spec.solver, spec.graph
     nodes = int(g["rows"]) * int(g["cols"]) if "rows" in g else int(g["nodes"])
     if nodes != game.n_players:  # before the graph is built at that size
@@ -208,6 +213,10 @@ def _dist_setup(spec, game, x0, x_star):
 
 
 def _pbr_setup(spec, game, x0, x_star):
+    from .best_response import (PbrConfig, check_contractive,
+                                contraction_certificate, pbr_complexity,
+                                pbr_envelope, resolved_schedule, run_pbr)
+
     s = spec.solver
     config = PbrConfig(mu=s["mu"], eta_br=s["eta_br"], max_iter=s["max_iter"],
                        seed=spec.seed, m_max=s.get("m_max"), c_r=s.get("c_r"),
@@ -235,11 +244,13 @@ def _pbr_setup(spec, game, x0, x_star):
 
 class _Scheme(NamedTuple):
     """What a solver scheme adds to the shared experiment protocol: its
-    setup step and its trace.csv columns between k and replication_id as
-    (header, RunTrace field) pairs."""
+    setup step, its trace.csv columns between k and replication_id as
+    (header, RunTrace field) pairs, and the modules its setup step
+    imports, which ExperimentSpec.from_config loads."""
 
     setup: Callable
     columns: tuple[tuple[str, str], ...]
+    modules: tuple[str, ...] = ()
 
 
 SCHEMES = {
@@ -250,10 +261,11 @@ SCHEMES = {
         ("N_k", "batches"), ("tau_k", "taus"),
         ("cum_samples", "cum_samples"), ("cum_prox", "cum_prox"),
         ("cum_comm", "cum_comm"), ("consensus_error", "consensus_errors"),
-        ("sq_error", "errors"))),
+        ("sq_error", "errors")), (".distributed",)),
     "pbr": _Scheme(_pbr_setup, (
         ("batch_N_k", "batches"), ("cum_samples", "cum_samples"),
-        ("inner_solves", "cum_inner"), ("error_norm", "errors"))),
+        ("inner_solves", "cum_inner"), ("error_norm", "errors")),
+        (".best_response",)),
 }
 
 

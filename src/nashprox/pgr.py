@@ -178,9 +178,11 @@ def geometric_complexity(constant: float, rate: float, batch_rate: float,
 
 
 def power_or_inf(base: float, exponent: float) -> float:
-    """base ** exponent, or inf where that overflows a float."""
+    """base ** exponent, or inf where that overflows a float. Both are
+    taken as Python floats, whose power raises OverflowError where numpy's
+    scalar power would warn."""
     try:
-        return base ** exponent
+        return float(base) ** float(exponent)
     except OverflowError:
         return math.inf
 

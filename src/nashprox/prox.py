@@ -8,11 +8,12 @@ prox splits across players and coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .profiles import StrategyProfile
+if TYPE_CHECKING:  # prox_profile imports profiles when it runs
+    from .profiles import StrategyProfile
 
 
 @dataclass(frozen=True)
@@ -117,5 +118,7 @@ def compiled_prox(regs, dims, step: float):
 
 def prox_profile(regs, x: StrategyProfile, alpha: float) -> StrategyProfile:
     """Blockwise prox across players: one composite prox evaluation."""
+    from .profiles import StrategyProfile
+
     out = compiled_prox(regs, x.dims, alpha)(x.vector)
     return StrategyProfile.from_vector(out, x.dims)

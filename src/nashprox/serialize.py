@@ -14,17 +14,18 @@ from __future__ import annotations
 import json
 import operator
 from numbers import Number
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import ConfigError
 from .games import (QuadraticGame, generate_cournot_game,
                     generate_quadratic_game)
-from .graphs import (CommGraph, build_metropolis_weights, complete_graph,
-                     erdos_renyi_graph, grid_graph, path_graph, ring_graph)
 from .noise import GaussianNoise
 from .prox import BoxIndicator, L1, Zero
+
+if TYPE_CHECKING:  # build_graph imports graphs when it runs
+    from .graphs import CommGraph
 
 _NOISE_SCHEMA = {
     "type": "object",
@@ -437,6 +438,10 @@ def build_game(doc: dict, seed: int = 0) -> QuadraticGame:
 
 def build_graph(doc: dict) -> CommGraph:
     """Construct a validated communication graph from its configuration."""
+    from .graphs import (build_metropolis_weights, complete_graph,
+                         erdos_renyi_graph, grid_graph, path_graph,
+                         ring_graph)
+
     if "edges" in doc:
         return build_metropolis_weights(int(doc["nodes"]),
                                         [tuple(e) for e in doc["edges"]])

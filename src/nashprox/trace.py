@@ -101,18 +101,29 @@ def iterate(step: Callable, x0: np.ndarray,
     once, for all rows. errors[j, k] is ||x_k - x*|| of row j, squared for
     error_metric "squared_distance"; check_start rejects an x0 or x* that
     is not a stacked vector of dims, and an x0 too far from x* to measure.
+    Raises MemoryError naming R when the (R, n) blocks cannot be allocated.
     """
-    if np.ndim(replications) != 1 or not len(replications):
+    if isinstance(replications, range):  # np.ndim would build its array,
+        r = replications                  # and len() stops at sys.maxsize
+        rows = max(0, -((r.start - r.stop) // r.step))
+    else:
+        rows = len(replications) if np.ndim(replications) == 1 else 0
+    if not rows:
         raise ValueError(f"a run needs at least one replication id, as [r] "
                          f"or range(R), got {replications!r}")
     check_start(x0, x_star, dims)
     check_schedule(schedule, n_iter, max(noise_dims))
     batches = [schedule_size(schedule, k) for k in range(n_iter)]
+    try:  # the (R, .) blocks, before any replication's noise is seeded
+        errors = np.full((rows, n_iter + 1), np.nan)
+        x = np.tile(x0.astype(float, copy=False), (rows, 1))
+    except (MemoryError, OverflowError, ValueError) as err:
+        raise MemoryError(f"{rows} replications do not fit in memory: a run "
+                          f"holds {rows} rows of {n_iter + 1} errors and "
+                          f"{x0.size} coordinates") from err
     noise = iteration_errors(nus, noise_dims, seed, replications, batches)
     counter, cums = SampleCounter(), []
-    errors = np.full((len(replications), n_iter + 1), np.nan)
     power = 2 if error_metric == "squared_distance" else 1
-    x = np.tile(x0.astype(float, copy=False), (len(replications), 1))
     for k in range(n_iter + 1):
         if x_star is not None:
             dx = x - x_star

@@ -373,12 +373,12 @@ _ILL_CONDITIONED = dict(
 @pytest.mark.parametrize("argv", [["dist-pgr"], ["validate"]])
 def test_condition_number_whose_square_overflows_stops_before_any_run(
         tmp_path: Path, capsys, monkeypatch, argv: list[str]):
-    from nashprox import experiments
+    from nashprox import distributed
 
     def no_run(*args, **kwargs):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(experiments, "run_dist_pgr", no_run)
+    monkeypatch.setattr(distributed, "run_dist_pgr", no_run)
     assert main(argv + ["--config", _write(tmp_path, _ILL_CONDITIONED),
                         "--quiet"]) == 3
     err = capsys.readouterr().err
@@ -503,12 +503,12 @@ def test_fuzzed_pbr_configs_exit_with_a_documented_code(
 ])
 def test_pbr_eta_tilde_outside_its_interval_is_rejected_before_any_run(
         tmp_path: Path, capsys, monkeypatch, solver: dict):
-    from nashprox import experiments
+    from nashprox import best_response
 
     def no_run(*args, **kwargs):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(experiments, "run_pbr", no_run)
+    monkeypatch.setattr(best_response, "run_pbr", no_run)
     doc = dict(PBR_DOC, game=dict(PBR_DOC["game"], h=[[2.0, 0.1], [0.1, 2.0]]),
                solver=dict(solver, mu=1.0, eta_br=0.5, max_iter=5))
     assert main(["pbr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
@@ -569,13 +569,13 @@ def test_non_finite_quadratic_game_is_an_assumption_error(
 def test_overflowing_noise_level_is_rejected_before_any_replication(
         tmp_path: Path, capsys, monkeypatch, command: str, doc: dict,
         game: dict):
-    from nashprox import experiments
+    from nashprox import distributed, experiments
 
     def no_run(*args, **kwargs):
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(experiments, "run_pgr", no_run)
-    monkeypatch.setattr(experiments, "run_dist_pgr", no_run)
+    monkeypatch.setattr(distributed, "run_dist_pgr", no_run)
     over = dict(doc, game=dict(doc["game"], **game))
     assert main([command, "--config", _write(tmp_path, over), "--quiet"]) == 3
     err = capsys.readouterr().err
@@ -635,13 +635,18 @@ def test_fuzzed_dist_pgr_configs_exit_with_a_documented_code(
 
 
 def _no_replication(monkeypatch):
-    from nashprox import experiments
+    """Make every solver fail if called, where the experiment driver looks
+    it up: run_pgr on experiments, the others on their defining modules,
+    which the dist-pgr and pbr setup steps import from when they run."""
+    from nashprox import best_response, distributed, experiments
 
     def no_run(*args, **kwargs):
         raise AssertionError("a replication ran")
 
-    for name in ("run_pgr", "run_dist_pgr", "run_pbr"):
-        monkeypatch.setattr(experiments, name, no_run)
+    for module, name in ((experiments, "run_pgr"),
+                         (distributed, "run_dist_pgr"),
+                         (best_response, "run_pbr")):
+        monkeypatch.setattr(module, name, no_run)
 
 
 @pytest.mark.parametrize("doc", [
@@ -711,13 +716,13 @@ def test_a_graph_of_the_wrong_size_is_rejected_before_it_is_built(
         tmp_path: Path, capsys, monkeypatch, graph: dict, nodes: int):
     """The node count is read from the graph document, so a billion-node
     graph is not built (every graph constructor fails here if called)."""
-    from nashprox import serialize
+    from nashprox import graphs
 
     def no_build(*args, **kwargs):
         raise AssertionError("a graph was built")
     for name in ("build_metropolis_weights", "complete_graph", "ring_graph",
                  "path_graph", "grid_graph", "erdos_renyi_graph"):
-        monkeypatch.setattr(serialize, name, no_build)
+        monkeypatch.setattr(graphs, name, no_build)
     cfg = _write(tmp_path, dict(DIST_DOC, graph=graph))
     for argv in (["validate", "--config", cfg, "--quiet"],
                  ["dist-pgr", "--config", cfg, "--quiet"]):
@@ -949,6 +954,25 @@ def test_validate_builds_the_game_and_the_graph_once(
     counting(CommGraph, "graph")
     assert main(["validate", "--config", _write(tmp_path, doc)]) == 0
     assert built == {"game": 1, "graph": graphs}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("pgr", PGR_DOC), ("pbr", PBR_DOC), ("bounds", BOUNDS_DOC)])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_the_run(
+        tmp_path: Path, capsys, monkeypatch, command: str, doc: dict,
+        out: str):
+    """It used to run the whole experiment and then fail to write, with a
+    FileExistsError traceback and exit 1."""
+    _no_replication(monkeypatch)
+    (tmp_path / "file").write_text("kept")
+    path = tmp_path / out
+    assert main([command, "--config", _write(tmp_path, doc), "--out",
+                 str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out {path}: {tmp_path / 'file'} exists and is not "
+        f"a directory\n")
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 @pytest.mark.parametrize("argv", [["pgr"], ["validate"],

@@ -24,7 +24,7 @@ from nashprox import (
     run_pgr,
     solve_ne_oracle,
 )
-from nashprox.pgr import geometric_complexity
+from nashprox.pgr import geometric_complexity, power_or_inf
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -198,6 +198,17 @@ def test_calculators_reject_squares_past_the_float_range_before_squaring():
     # 2 eta / lip^2 = 2e200 would admit alpha = 1e190, whose square overflows
     with pytest.raises(ValueError, match="must be above 1e-150"):
         contraction_factor_q(1e-200, 1e-200, 1e190)
+
+
+@pytest.mark.parametrize("base,exponent", [
+    (np.float64(1e300), 2.0), (1e300, np.float64(2.0)),
+    (np.float64(1e300), np.float64(2.0)), (np.float64(1e200), 2)])
+def test_power_or_inf_returns_inf_quietly_for_numpy_floats(base, exponent):
+    """numpy's scalar power warns where a Python float power raises
+    OverflowError; a RuntimeWarning is an error under pytest here."""
+    assert power_or_inf(base, exponent) == math.inf
+    value = power_or_inf(np.float64(3.0), np.float64(2.0))
+    assert type(value) is float and value == 9.0
 
 
 def test_run_is_deterministic_and_counts_work():

@@ -142,6 +142,35 @@ def test_a_bare_replication_id_is_rejected(scheme):
         _RUNS[scheme](50)
 
 
+@pytest.mark.parametrize("scheme", sorted(_RUNS))
+def test_a_range_of_ids_is_counted_without_an_array(scheme):
+    """np.ndim(range(R)) built an array of R ids: MemoryError at 10**12,
+    and at 10**20 a range it read as holding no id."""
+    run = _RUNS[scheme]
+    _assert_same_row(run(range(5, 0, -2)), 1, run([3]))
+    assert len(run(range(4, 7, 2)).errors) == 2
+    with pytest.raises(ValueError, match="at least one replication id"):
+        run(range(3, 3))
+    # numpy refuses either block size without touching memory
+    for count in (10 ** 12, 10 ** 20):
+        with pytest.raises(MemoryError, match=f"^{count} replications do "
+                                              f"not fit in memory"):
+            run(range(count))
+
+
+@pytest.mark.parametrize("scheme", sorted(_RUNS))
+@pytest.mark.parametrize("count", [10 ** 12, 10 ** 20])
+def test_a_replication_count_too_large_to_allocate_exits_4(
+        capsys, scheme: str, count: int):
+    cfg = Path(__file__).parent / "golden" / f"readme-{scheme}" / "config.json"
+    assert main([scheme, "--config", str(cfg), "--replications", str(count),
+                 "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {count} replications do not "
+                          f"fit in memory: a run holds {count} rows of ")
+    assert err.count("\n") == 1
+
+
 def test_replications_differ_and_each_trace_owns_its_columns():
     trace, again = _pgr([0, 1]), _pgr([0, 1])
     assert _bits(trace.errors[0]) != _bits(trace.errors[1])

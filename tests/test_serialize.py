@@ -222,8 +222,11 @@ def test_a_scheme_that_is_not_a_string_is_a_config_error(scheme):
 
 
 def test_importing_nashprox_loads_no_jsonschema():
-    """Config validation is plain Python; jsonschema is the tests' oracle."""
-    code = ("import sys, nashprox; print(sorted(m for m in sys.modules if "
+    """Config validation is plain Python; jsonschema is the tests' oracle.
+    The package loads its modules on first use, so every public name and
+    the command line are loaded here."""
+    code = ("import sys, nashprox.cli; from nashprox import *; "
+            "print(sorted(m for m in sys.modules if "
             "m.startswith(('jsonschema', 'referencing'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
