@@ -75,5 +75,5 @@ def test_an_unknown_name_is_an_attribute_error():
     import nashprox
 
     with pytest.raises(AttributeError, match="has no attribute 'run_pgx'"):
-        nashprox.run_pgx  # noqa: B018
+        nashprox.run_pgx
     assert not hasattr(nashprox, "StrategyProfile")
