@@ -10,8 +10,6 @@ from __future__ import annotations
 from nashprox import (
     AggregativeGame,
     PbrConfig,
-    complexity_K,
-    complexity_M,
     contraction_factor_q,
     dist_complexity,
     dist_envelope_params,
@@ -23,6 +21,7 @@ from nashprox import (
     recommended_parameters,
     ring_graph,
 )
+from nashprox.pgr import geometric_complexity
 
 
 def main() -> None:
@@ -37,8 +36,8 @@ def main() -> None:
     constant, rate = envelope_params(rc, rho)
     print(f"  envelope {constant:.4f} * {rate:.6f}^k")
     for eps in (1e-2, 1e-3, 1e-4):
-        print(f"  eps = {eps:g}: K = {complexity_K(rc, rho, eps):8.2f}, "
-              f"M = {complexity_M(rc, rho, eps):12.1f}")
+        k_eps, m_eps = geometric_complexity(constant, rate, rho, eps)
+        print(f"  eps = {eps:g}: K = {k_eps:8.2f}, M = {m_eps:12.1f}")
 
     print("distributed scheme (ring of 5)")
     graph = ring_graph(5)

@@ -14,8 +14,6 @@ from nashprox import (
     GaussianNoise,
     PgrConfig,
     QuadraticGame,
-    complexity_K,
-    complexity_M,
     envelope_params,
     monotonicity_constants,
     rate_constants,
@@ -23,6 +21,7 @@ from nashprox import (
     run_pgr,
     solve_ne_oracle,
 )
+from nashprox.pgr import geometric_complexity
 
 
 def main() -> None:
@@ -55,9 +54,9 @@ def main() -> None:
               f"{trace.cum_samples[k - 1] if k else 0}")
 
     eps = 1e-3
-    print(f"iterations to reach eps = {eps:g}: "
-          f"K = {complexity_K(rc, rho, eps):.2f}, "
-          f"samples M = {complexity_M(rc, rho, eps):.1f}")
+    k_eps, m_eps = geometric_complexity(constant, rate, rho, eps)
+    print(f"iterations to reach eps = {eps:g}: K = {k_eps:.2f}, "
+          f"samples M = {m_eps:.1f}")
     print(f"run used {trace.counter.total_samples} samples and "
           f"{trace.counter.prox_evals} proximal evaluations")
 

@@ -43,9 +43,9 @@ _EXPORTS = {
                "complete_graph", "consensus_apply", "erdos_renyi_graph",
                "grid_graph", "mixing_params", "path_graph", "ring_graph"),
     "noise": ("GaussianNoise", "substream"),
-    "pgr": ("PgrConfig", "RateConstants", "complexity_K", "complexity_M",
-            "contraction_factor_q", "envelope_params", "rate_constants",
-            "recommended_parameters", "run_pgr"),
+    "pgr": ("PgrConfig", "RateConstants", "contraction_factor_q",
+            "envelope_params", "rate_constants", "recommended_parameters",
+            "run_pgr"),
     "prox": ("BoxIndicator", "L1", "Regularizer", "Zero", "prox_apply"),
     "sampling": ("BatchSchedule", "BestResponseBatch", "GeometricBatch",
                  "RootGeometricBatch", "SampleCounter", "check_schedule",

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's gufunc
 
 from .errors import InnerSolveFailure
-from .games import QuadraticGame
+from .games import QuadraticGame, vector_error
 from .pgr import geometric_complexity, power_or_inf
 from .prox import Zero, compiled_prox, prox_pieces
 from .sampling import BestResponseBatch
@@ -195,8 +195,7 @@ def _checked_coupling(game: QuadraticGame, i: int, y, mu: float, tol: float,
     if max_inner < 1:
         raise ValueError(f"max_inner must be >= 1, got {max_inner}")
     if not (isinstance(y, np.ndarray) and y.shape == game.vector_shape):
-        raise ValueError(f"vector of shape {np.shape(y)} does not match "
-                         f"game dimension {game.dim}")
+        raise vector_error(y, game)
     if (coupling := game.solver_cache.get(key := ("coupling", i))) is None:
         n = game.n_players
         if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
@@ -302,16 +301,12 @@ def pbr_envelope(config: PbrConfig, a: float, n_players: int,
     return eta_tilde, d, math.sqrt(n_players) * (c_start + d)
 
 
-def _own_block_lip(game: QuadraticGame) -> float:
-    return float(np.max(np.diagonal(game.block_norms)))
-
-
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:
     """Batch schedule with config defaults filled in from the game."""
     m_max = config.m_max if config.m_max is not None else \
         max(game.constants.nu_i)
     c_r = config.c_r if config.c_r is not None else \
-        br_noise_gain(config.mu, _own_block_lip(game))
+        br_noise_gain(config.mu, float(np.max(np.diagonal(game.block_norms))))
     return BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
 
 

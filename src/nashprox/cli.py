@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .errors import (ConfigError, Divergence, InnerSolveFailure, InvalidStep,
                      NoGeometricMixing, NonConvergence, NotStronglyMonotone)
@@ -94,6 +95,8 @@ def _run(args) -> int:
 
 def _check_out_dir(path: str) -> None:
     """Reject an --out where no directory can be made, before the run."""
+    if not path:  # abspath would read it as the working directory
+        raise ConfigError("--out is empty; it must name a directory")
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -146,5 +149,12 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None) -> None:
+    """warnings.showwarning for the console: one line, no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main_exit() -> None:
+    warnings.showwarning = _print_warning
     sys.exit(main())

@@ -130,9 +130,7 @@ def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
         fit = fit_linear_rate(mean_errors, window=window)
     except ValueError as err:  # prepare_experiment checked the window
         return {"reason": str(err), "window": list(window)}
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "n_points": fit.n_points,
-            "window": list(window)}
+    return dict(asdict(fit), window=list(window))
 
 
 # A scheme's setup step takes (spec, game, x0, x*) and returns (solve,
@@ -318,7 +316,7 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         trace = solve(range(spec.replications))
         mean_errors = np.mean(trace.errors, axis=0)
         fields["theory"]["envelope"] = _envelope_check(mean_errors, *envelope)
-        return dict(fields, counters=trace.counter.as_dict(),
+        return dict(fields, counters=asdict(trace.counter),
                     iterations=n_iter, mean_final_error=float(mean_errors[-1]),
                     fit=_fit_dict(mean_errors, window)), trace
     return fields, run

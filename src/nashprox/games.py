@@ -278,8 +278,7 @@ def gradient_map(game: QuadraticGame, x: np.ndarray,
     x's shape. A quadratic game computes h.dot(x, out), then adds c in
     place, the same bits as h @ x + c."""
     if not (isinstance(x, np.ndarray) and x.shape == game.vector_shape):
-        raise ValueError(f"vector of shape {np.shape(x)} does not match "
-                         f"game dimension {game.dim}")
+        raise vector_error(x, game)
     if game.aggregate is not None:
         g = game.gradients(x, float(np.sum(x)))
         if out is None:
@@ -296,6 +295,17 @@ def gradient_map(game: QuadraticGame, x: np.ndarray,
         raise
     out += game.c
     return out
+
+
+def vector_error(x, game: QuadraticGame) -> ValueError:
+    """The rejection of an x that is not a stacked strategy vector of
+    game: its shape if it is an array, else its type."""
+    if isinstance(x, np.ndarray):
+        return ValueError(f"vector of shape {x.shape} does not match game "
+                          f"dimension {game.dim}")
+    return ValueError(f"vector of type {type(x).__name__} does not match "
+                      f"game dimension {game.dim}: it must be a numpy array "
+                      f"of shape {game.vector_shape}")
 
 
 def _check_out(out, shape: tuple[int, ...]) -> None:

@@ -142,17 +142,6 @@ def envelope_params(rc: RateConstants, rho: float) -> tuple[float, float]:
     return rc.c_rho_q, max(rho, rc.q)
 
 
-def complexity_K(rc: RateConstants, rho: float, eps: float) -> float:
-    """Iterations for rc's envelope to reach eps (geometric_complexity)."""
-    return geometric_complexity(*envelope_params(rc, rho), rho, eps)[0]
-
-
-def complexity_M(rc: RateConstants, rho: float, eps: float) -> float:
-    """Oracle samples consumed up to K(eps) under N_k = ceil(rho^{-(k+1)})
-    (geometric_complexity)."""
-    return geometric_complexity(*envelope_params(rc, rho), rho, eps)[1]
-
-
 def geometric_complexity(constant: float, rate: float, batch_rate: float,
                          eps: float) -> tuple[float, float]:
     """(K, samples) for the envelope constant * rate^k to reach eps under
@@ -217,7 +206,8 @@ def pgr_loop(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
         check_start(x0, x_star, game.dims)
         rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                             consts.nu, float(np.linalg.norm(x0 - x_star)) ** 2)
-        k_eps = complexity_K(rc, config.rho, config.target_eps)
+        k_eps = geometric_complexity(*envelope_params(rc, config.rho),
+                                     config.rho, config.target_eps)[0]
         if k_eps < n_iter:
             n_iter = max(1, math.ceil(k_eps))
     return GeometricBatch(config.rho), n_iter, *game.noise_blocks

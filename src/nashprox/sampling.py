@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -101,7 +101,8 @@ def check_schedule(schedule: BatchSchedule, n_iter: int, dim: int = 1) -> None:
     Noise draws scale by 1/sqrt(dim * N_k), so dim * N_k must convert to a
     finite float for every k < n_iter. Batch sizes never shrink, so the last
     iteration decides; on failure the message names the largest usable
-    iteration count, found by bisection.
+    iteration count, found by bisection, or says that none is when N_0
+    already overflows.
     """
     def fits(k: int) -> bool:
         try:
@@ -114,7 +115,10 @@ def check_schedule(schedule: BatchSchedule, n_iter: int, dim: int = 1) -> None:
         raise ValueError(f"a run needs at least one iteration, got {n_iter}")
     if fits(n_iter - 1):
         return
-    good, bad = -1, n_iter - 1
+    if not fits(0):
+        raise ValueError(f"batch size N_0 of {schedule} overflows a float at "
+                         f"iteration 0, so no max_iter fits this schedule")
+    good, bad = 0, n_iter - 1
     while bad - good > 1:
         mid = (good + bad) // 2
         if fits(mid):
@@ -135,9 +139,6 @@ class SampleCounter:
     prox_evals: int = 0
     comm_rounds: int = 0
     inner_solves: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def sample_batch_gradient(game: QuadraticGame, x: np.ndarray, batch: int,

@@ -73,9 +73,11 @@ def check_start(x0: np.ndarray, x_star: np.ndarray | None,
     for name, x in (("x0", x0), ("x_star", x_star)):
         if x is not None and not (isinstance(x, np.ndarray)
                                   and x.shape == (sum(dims),)):
-            raise ValueError(f"{name} dims do not match game dims: vector of "
-                             f"size {np.size(x)} does not split into blocks "
-                             f"{tuple(dims)}")
+            raise ValueError(f"{name} dims do not match game dims: " + (
+                f"vector of size {x.size} does not split into blocks "
+                f"{tuple(dims)}" if isinstance(x, np.ndarray) else
+                f"got a {type(x).__name__}, not a numpy array of {sum(dims)} "
+                f"entries"))
     if x_star is None:
         return
     with np.errstate(over="ignore", invalid="ignore"):

@@ -20,6 +20,7 @@ import numpy as np
 from nashprox import distributed
 from nashprox.best_response import resolved_schedule
 from nashprox.noise import iteration_errors
+from nashprox.pgr import geometric_complexity
 
 from nashprox import (
     AggregativeGame,
@@ -30,8 +31,6 @@ from nashprox import (
     QuadraticGame,
     br_noise_gain,
     complete_graph,
-    complexity_K,
-    complexity_M,
     contraction_certificate,
     contraction_factor_q,
     dist_envelope_params,
@@ -170,8 +169,8 @@ def test_acceptance_04_complexity_bounds(capfd):
     eps = 1e-3
     rc = rate_constants(const.eta, const.lip, alpha, rho, 1.0,
                         float(np.linalg.norm(x0 - x_star)) ** 2)
-    k_bound = complexity_K(rc, rho, eps)
-    m_bound = complexity_M(rc, rho, eps)
+    k_bound, m_bound = geometric_complexity(*envelope_params(rc, rho), rho,
+                                            eps)
     config = PgrConfig(alpha=alpha, rho=rho, max_iter=math.ceil(k_bound) + 6, seed=3)
     trace = run_pgr(game, config, x0, x_star=x_star, replications=range(100))
     mean = np.mean(trace.errors, axis=0)
@@ -180,11 +179,13 @@ def test_acceptance_04_complexity_bounds(capfd):
     samples_at_first = sum(trace.batches[:first])
     # frozen hand-plugged calculator values
     rc_a = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    k_hand_ok = abs(complexity_K(rc_a, 0.5, 0.01)
+    k_hand_ok = abs(geometric_complexity(*envelope_params(rc_a, 0.5), 0.5,
+                                         0.01)[0]
                     - math.log(118.75) / math.log(4 / 3)) <= 1e-9 * 17
     rc_b = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    m_hand = rc_b.c_rho_q / (0.75 * math.log(4 / 3) * 0.01) + complexity_K(rc_b, 0.75, 0.01)
-    m_hand_ok = abs(complexity_M(rc_b, 0.75, 0.01) - m_hand) <= 1e-9 * m_hand
+    k_b, m_b = geometric_complexity(*envelope_params(rc_b, 0.75), 0.75, 0.01)
+    m_hand = rc_b.c_rho_q / (0.75 * math.log(4 / 3) * 0.01) + k_b
+    m_hand_ok = abs(m_b - m_hand) <= 1e-9 * m_hand
     ok = (first <= math.ceil(k_bound) + 2 and samples_at_first <= m_bound
           and k_hand_ok and m_hand_ok)
     elapsed = _verdict(capfd, 4, "iteration and oracle complexity bounds", ok, started, budget)

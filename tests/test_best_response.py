@@ -110,8 +110,9 @@ _LIMITS = (
     ({"max_inner": 0}, r"max_inner must be >= 1, got 0"),
     ({"y": np.zeros(3)}, r"vector of shape \(3,\) does not match game "
                          r"dimension 2"),
-    ({"y": [0.0, 0.0]}, r"vector of shape \(2,\) does not match game "
-                        r"dimension 2"),
+    ({"y": [0.0, 0.0]}, r"vector of type list does not match game "
+                        r"dimension 2: it must be a numpy array of shape "
+                        r"\(2,\)"),
     ({"error": np.zeros(2)}, r"error must be an array of player 0's block "
                              r"shape \(1,\), got shape \(2,\)"),
 )

@@ -17,8 +17,6 @@ import pytest
 from nashprox import (
     DistRateConstants,
     PbrConfig,
-    complexity_K,
-    complexity_M,
     contraction_factor_q,
     dist_complexity,
     dist_envelope_params,
@@ -26,6 +24,7 @@ from nashprox import (
     pbr_complexity,
     rate_constants,
 )
+from nashprox.pgr import geometric_complexity
 
 # (eta, lip, alpha): q = 0.75, q = 8/9 and q = 0
 STEPS = {"q075": (1.0, 2.0, 0.25), "q089": (1.0, 3.0, 1.0 / 9.0),
@@ -53,7 +52,7 @@ def _pgr_cases():
                             rho_tilde=rho_tilde)
         out = [*dataclasses.astuple(rc), *envelope_params(rc, rho)]
         for eps in (1e-2, 1e-7, 1e3):
-            out += [complexity_K(rc, rho, eps), complexity_M(rc, rho, eps)]
+            out += geometric_complexity(*envelope_params(rc, rho), rho, eps)
         yield f"pgr-{step}-{rho!r}-{nu}-{c_start}-{rho_tilde}", out
 
 

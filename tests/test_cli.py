@@ -202,6 +202,32 @@ def test_batch_schedule_overflow_is_an_assumption_error(
                  "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("command", ["pbr", "validate"])
+def test_a_first_batch_that_overflows_says_no_run_length_fits(
+        tmp_path: Path, capsys, command: str):
+    """mu = 1e-300 makes c_r about 2e300, so N_0 already overflows; the
+    message used to advise max_iter at most 0."""
+    doc = dict(PBR_DOC, solver=dict(PBR_DOC["solver"], mu=1e-300))
+    assert main([command, "--config", _write(tmp_path, doc), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters: batch size N_0 of "
+                          "BestResponseBatch(")
+    assert err.endswith(" overflows a float at iteration 0, so no max_iter "
+                        "fits this schedule\n")
+
+
+def test_an_equilibrium_solve_past_its_budget_exits_4(tmp_path: Path, capsys):
+    """h = diag(1, 1000) (kappa = 1000) exhausts the oracle's 200,000
+    forward-backward steps."""
+    doc = dict(PGR_DOC, game={"kind": "quadratic", "h": [[1.0, 0.0],
+                                                         [0.0, 1000.0]],
+                              "c": [1.0, 1.0]})
+    assert main(["validate", "--config", _write(tmp_path, doc)]) == 4
+    assert capsys.readouterr().err == (
+        "runtime failure: equilibrium solve did not reach displacement "
+        "1e-12 in 200000 iterations\n")
+
+
 def test_overflowing_pgr_config_exits_cleanly_from_the_console(tmp_path: Path):
     doc = dict(PGR_DOC, solver={"alpha": 0.2, "rho": 0.5, "max_iter": 1100})
     proc = subprocess.run(
@@ -883,6 +909,22 @@ def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
     assert report["mean_final_error"] == 0.0
 
 
+def test_a_warning_of_a_console_run_is_one_line_without_its_source(
+        tmp_path: Path):
+    """With c_price = 0, 20 mean errors in the fit window of the ring-5
+    example are not positive, and the rate fit drops them with a warning,
+    which the console used to print with its file path and source line."""
+    doc = json.loads((Path(__file__).parent / "golden" / "readme-dist-pgr"
+                      / "config.json").read_text())
+    doc["game"]["c_price"] = 0.0
+    proc = subprocess.run(
+        [sys.executable, "-m", "nashprox", "dist-pgr", "--config",
+         _write(tmp_path, doc), "--quiet"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: dropped 20 nonpositive or non-finite "
+                           "error entries from the rate fit\n")
+
+
 README_PBR_DOC = json.loads(
     (Path(__file__).parent / "golden" / "readme-pbr" / "config.json")
     .read_text())
@@ -958,20 +1000,21 @@ def test_validate_builds_the_game_and_the_graph_once(
 
 @pytest.mark.parametrize("command,doc", [
     ("pgr", PGR_DOC), ("pbr", PBR_DOC), ("bounds", BOUNDS_DOC)])
-@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("out", ["file", "file/sub", ""])
 def test_an_out_that_cannot_be_a_directory_exits_2_before_the_run(
         tmp_path: Path, capsys, monkeypatch, command: str, doc: dict,
         out: str):
     """It used to run the whole experiment and then fail to write, with a
-    FileExistsError traceback and exit 1."""
+    FileExistsError traceback (FileNotFoundError for an empty --out) and
+    exit 1."""
     _no_replication(monkeypatch)
     (tmp_path / "file").write_text("kept")
-    path = tmp_path / out
+    path = str(tmp_path / out) if out else ""
     assert main([command, "--config", _write(tmp_path, doc), "--out",
-                 str(path), "--quiet"]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: --out {path}: {tmp_path / 'file'} exists and is not "
-        f"a directory\n")
+                 path, "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: " + (
+        f"--out {path}: {tmp_path / 'file'} exists and is not a directory"
+        if out else "--out is empty; it must name a directory") + "\n"
     assert (tmp_path / "file").read_text() == "kept"
 
 

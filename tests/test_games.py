@@ -9,6 +9,7 @@ from nashprox import (
     AggregativeGame,
     BoxIndicator,
     GaussianNoise,
+    NonConvergence,
     NotStronglyMonotone,
     QuadraticGame,
     generate_quadratic_game,
@@ -112,6 +113,25 @@ def test_gradient_map_values_on_reference_game():
     assert np.array_equal(at_zero, [-1.0, -1.0])
     at_ne = gradient_map(game, np.array([1 / 3, 1 / 3]))
     assert np.max(np.abs(at_ne)) <= 1e-12
+
+
+def test_gradient_map_names_the_type_of_a_list():
+    """A list of the right size was rejected as a "vector of shape (2,)"
+    that does not match dimension 2."""
+    with pytest.raises(ValueError, match=r"^vector of type list does not "
+                       r"match game dimension 2: it must be a numpy array "
+                       r"of shape \(2,\)$"):
+        gradient_map(_reference_game(), [0.0, 0.0])
+
+
+def test_an_ill_conditioned_solve_past_its_budget_raises_nonconvergence():
+    """kappa = 1000 needs about 2e6 ln(1/1e-12) forward-backward steps."""
+    game = QuadraticGame(dims=(1, 1), h=np.diag([1.0, 1000.0]),
+                         c=np.array([1.0, 1.0]))
+    with pytest.raises(NonConvergence) as info:
+        solve_ne_oracle(game, max_iter=100)
+    assert info.value.iterations == 100
+    assert info.value.residual > 1e-12
 
 
 def test_decoupled_game_constants_equal_shared_curvature():

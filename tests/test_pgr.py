@@ -11,8 +11,6 @@ from nashprox import (
     InvalidStep,
     PgrConfig,
     QuadraticGame,
-    complexity_K,
-    complexity_M,
     contraction_factor_q,
     dist_complexity,
     dist_envelope_params,
@@ -28,6 +26,11 @@ from nashprox.pgr import geometric_complexity, power_or_inf
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
+
+
+def _bounds(rc, rho, eps):
+    """(K(eps), M(eps)) of rc's envelope under N_k = ceil(rho^{-(k+1)})."""
+    return geometric_complexity(*envelope_params(rc, rho), rho, eps)
 
 
 def _reference_game(nu: float = 0.0) -> QuadraticGame:
@@ -73,10 +76,10 @@ def test_rate_constants_rejects_negative_or_overflowing_nu():
 
 def test_iteration_bound_hand_value():
     rc = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    k01 = complexity_K(rc, 0.5, 0.01)
+    k01 = _bounds(rc, 0.5, 0.01)[0]
     assert k01 == pytest.approx(math.log(118.75) / math.log(4 / 3), rel=1e-9)
     # the target equal to the envelope constant is reached at iteration zero
-    assert complexity_K(rc, 0.5, 1.1875) == 0.0
+    assert _bounds(rc, 0.5, 1.1875)[0] == 0.0
 
 
 def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
@@ -85,9 +88,9 @@ def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
     constant, rate = envelope_params(rc, 0.9444)
     assert constant / 1e-200 == math.inf
     hand = (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate)
-    assert complexity_K(rc, 0.9444, 1e-200) == pytest.approx(hand, rel=1e-12)
+    assert _bounds(rc, 0.9444, 1e-200)[0] == pytest.approx(hand, rel=1e-12)
     assert 1.9e4 < hand < 2.1e4
-    assert complexity_M(rc, 0.9444, 1e-200) == math.inf
+    assert _bounds(rc, 0.9444, 1e-200)[1] == math.inf
     drc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=1e300,
                             m_compact=1.0, beta=0.5, theta=1.0)
     constant, rate = dist_envelope_params(drc, c_start=1.0)
@@ -101,7 +104,7 @@ def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
 def test_a_zero_envelope_needs_no_iterations_and_no_samples():
     assert geometric_complexity(0.0, 0.9, 0.8, 1e-3) == (0.0, 0.0)
     rc = rate_constants(1.0, 3.0, 0.1, 0.95, 0.0, 0.0)
-    assert (complexity_K(rc, 0.95, 1e-3), complexity_M(rc, 0.95, 1e-3)) \
+    assert (_bounds(rc, 0.95, 1e-3)[0], _bounds(rc, 0.95, 1e-3)[1]) \
         == (0.0, 0.0)
     # a noise-free run from x* stops after the one iteration a run makes
     game = _reference_game()
@@ -118,28 +121,28 @@ def test_iteration_bound_is_symmetric_in_rho_and_q():
     rc_b = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
     assert rc_b.q == pytest.approx(0.5, abs=1e-12)
     assert rc_b.c_rho_q == pytest.approx(rc_a.c_rho_q, rel=1e-12)
-    assert complexity_K(rc_b, 0.75, 0.01) == pytest.approx(
-        complexity_K(rc_a, 0.5, 0.01), rel=1e-12)
+    assert _bounds(rc_b, 0.75, 0.01)[0] == pytest.approx(
+        _bounds(rc_a, 0.5, 0.01)[0], rel=1e-12)
 
 
 def test_oracle_bound_hand_values_both_orderings():
     # sampling-rate-dominated branch: rho > q, exponent one
     rc = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    k = complexity_K(rc, 0.75, 0.01)
-    m = complexity_M(rc, 0.75, 0.01)
+    k = _bounds(rc, 0.75, 0.01)[0]
+    m = _bounds(rc, 0.75, 0.01)[1]
     hand = rc.c_rho_q / (0.75 * math.log(4 / 3) * 0.01) + k
     assert m == pytest.approx(hand, rel=1e-9)
     # contraction-dominated branch: q > rho, exponent ln(1/rho)/ln(1/q)
     rc2 = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    k2 = complexity_K(rc2, 0.5, 0.01)
+    k2 = _bounds(rc2, 0.5, 0.01)[0]
     expo = math.log(2.0) / math.log(4 / 3)
     hand2 = (1.0 / (0.5 * math.log(2.0))) * (rc2.c_rho_q / 0.01) ** expo + k2
-    assert complexity_M(rc2, 0.5, 0.01) == pytest.approx(hand2, rel=1e-9)
+    assert _bounds(rc2, 0.5, 0.01)[1] == pytest.approx(hand2, rel=1e-9)
 
 
 def test_oracle_bound_at_target_equal_to_constant():
     rc = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    assert complexity_M(rc, 0.75, rc.c_rho_q) == pytest.approx(
+    assert _bounds(rc, 0.75, rc.c_rho_q)[1] == pytest.approx(
         1.0 / (0.75 * math.log(4 / 3)), rel=1e-9)
 
 
@@ -152,11 +155,11 @@ def test_matched_rates_use_the_slowed_envelope():
     constant, rate = envelope_params(rc, 0.75)
     assert constant == pytest.approx(d_hand, rel=1e-12)
     assert rate == pytest.approx(0.875, abs=1e-15)
-    k = complexity_K(rc, 0.75, 0.01)
+    k = _bounds(rc, 0.75, 0.01)[0]
     assert k == pytest.approx(math.log(d_hand / 0.01) / math.log(1 / 0.875), rel=1e-9)
     expo = math.log(1 / 0.75) / math.log(1 / 0.875)
     m_hand = (1.0 / (0.75 * math.log(4 / 3))) * (d_hand / 0.01) ** expo + k
-    assert complexity_M(rc, 0.75, 0.01) == pytest.approx(m_hand, rel=1e-9)
+    assert _bounds(rc, 0.75, 0.01)[1] == pytest.approx(m_hand, rel=1e-9)
 
 
 def test_bounds_are_same_order_across_the_branch_boundary():
@@ -167,11 +170,11 @@ def test_bounds_are_same_order_across_the_branch_boundary():
     rho_near = 0.75 + delta
     rc_branch = rate_constants(1.0, 2.0, 0.25, rho_near, 1.0, 1.0)
     rc_knife = rate_constants(1.0, 2.0, 0.25, 0.75, 1.0, 1.0, rho_tilde=rho_near)
-    k_branch = complexity_K(rc_branch, rho_near, 0.01)
-    k_knife = complexity_K(rc_knife, 0.75, 0.01)
+    k_branch = _bounds(rc_branch, rho_near, 0.01)[0]
+    k_knife = _bounds(rc_knife, 0.75, 0.01)[0]
     assert 0.85 <= k_knife / k_branch <= 1.15
-    m_branch = complexity_M(rc_branch, rho_near, 0.01)
-    m_knife = complexity_M(rc_knife, 0.75, 0.01)
+    m_branch = _bounds(rc_branch, rho_near, 0.01)[1]
+    m_knife = _bounds(rc_knife, 0.75, 0.01)[1]
     assert 1.0 < m_branch / m_knife < 10.0
 
 
@@ -255,7 +258,7 @@ def test_target_accuracy_run_stops_at_the_iteration_bound():
     trace = run_pgr(game, config, x0, x_star=x_star)
     rc = rate_constants(1.0, 3.0, 1 / 9, 17 / 18, 1.0,
                         float(np.linalg.norm(x0 - x_star)) ** 2)
-    assert trace.iterations == math.ceil(complexity_K(rc, 17 / 18, 1e-3))
+    assert trace.iterations == math.ceil(_bounds(rc, 17 / 18, 1e-3)[0])
     with pytest.raises(ValueError):
         run_pgr(game, config, x0)  # a target needs the reference solution
 

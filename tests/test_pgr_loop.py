@@ -30,8 +30,8 @@ from nashprox import (
     QuadraticGame,
     SampleCounter,
     Zero,
-    complexity_K,
     contraction_factor_q,
+    envelope_params,
     monotonicity_constants,
     ne_residual,
     rate_constants,
@@ -43,6 +43,7 @@ from nashprox import (
 )
 from nashprox import games as games_module
 from nashprox.errors import Divergence
+from nashprox.pgr import geometric_complexity
 from nashprox.prox import compiled_prox
 from nashprox.profiles import StrategyProfile
 
@@ -107,7 +108,8 @@ def _reference_run_pgr(game, config, x0, x_star, replication):
         rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
                             consts.nu, c_start)
         n_iter = min(n_iter, max(1, math.ceil(
-            complexity_K(rc, config.rho, config.target_eps))))
+            geometric_complexity(*envelope_params(rc, config.rho),
+                                 config.rho, config.target_eps)[0])))
     z = substream(config.seed, replication, 1).standard_normal(
         (n_iter, game.dim))
     counter = SampleCounter()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -130,13 +131,16 @@ def test_sampled_gradient_centers_on_exact_gradient():
 
 
 def test_counter_as_dict_round_trip():
+    """report.json's counters are dataclasses.asdict of the counter: its
+    four fields, in this order."""
     counter = SampleCounter()
     counter.total_samples += 5
     counter.prox_evals += 2
     counter.comm_rounds += 3
     counter.inner_solves += 1
-    assert counter.as_dict() == {
-        "total_samples": 5, "prox_evals": 2, "comm_rounds": 3, "inner_solves": 1}
+    assert list(asdict(counter).items()) == [
+        ("total_samples", 5), ("prox_evals", 2), ("comm_rounds", 3),
+        ("inner_solves", 1)]
 
 
 def test_schedule_check_names_the_largest_usable_iteration_count():
@@ -146,8 +150,13 @@ def test_schedule_check_names_the_largest_usable_iteration_count():
         check_schedule(GeometricBatch(0.5), 1100)
     with pytest.raises(ValueError, match="at most 1022"):
         check_schedule(GeometricBatch(0.5), 1100, dim=2)
-    with pytest.raises(ValueError, match="at most 0"):
-        check_schedule(BestResponseBatch(1e200, 1e200, 0.5), 5)
+    # N_0 already overflows: no max_iter fits
+    for schedule in (BestResponseBatch(1e200, 1e200, 0.5),
+                     GeometricBatch(1e-320)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"batch size N_0 of {schedule} overflows a float at "
+                f"iteration 0, so no max_iter fits this schedule")):
+            check_schedule(schedule, 5)
 
     class Fixed:
         def size(self, k: int) -> int:

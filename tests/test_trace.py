@@ -112,6 +112,15 @@ def test_a_size_one_start_or_reference_is_rejected_before_it_broadcasts(
             _RUNS[scheme](x_star=x_star)
 
 
+@pytest.mark.parametrize("scheme", sorted(_RUNS))
+def test_a_start_that_is_a_list_is_rejected_naming_its_type(scheme):
+    """A list of the right size was said not to split into the blocks."""
+    dim = (_COURNOT if scheme == "dist-pgr" else _QUAD).dim
+    with pytest.raises(ValueError, match=r"^x0 dims do not match game dims: "
+                       rf"got a list, not a numpy array of {dim} entries$"):
+        _RUNS[scheme]([0.0] * dim)
+
+
 def _far_start(game) -> np.ndarray:
     return np.full(game.dim, 1e200)
 
