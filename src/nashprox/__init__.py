@@ -49,7 +49,7 @@ _EXPORTS = {
     "prox": ("BoxIndicator", "L1", "Regularizer", "Zero", "prox_apply"),
     "sampling": ("BatchSchedule", "BestResponseBatch", "GeometricBatch",
                  "RootGeometricBatch", "SampleCounter", "check_schedule",
-                 "sample_batch_gradient", "schedule_size"),
+                 "sample_batch_gradient"),
     "serialize": ("CONFIG_SCHEMAS", "build_game", "build_graph",
                   "load_config", "validate_config"),
     "trace": ("RunTrace",),

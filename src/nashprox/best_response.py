@@ -302,11 +302,24 @@ def pbr_envelope(config: PbrConfig, a: float, n_players: int,
 
 
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:
-    """Batch schedule with config defaults filled in from the game."""
+    """Batch schedule with config defaults filled in from the game.
+
+    Player i's anchored subproblem is (mu + zeta_min[i])-strongly convex,
+    so its argmin moves by at most nu_i / (mu + zeta_min[i]) per unit of
+    noise; a batch constant m_max * c_r below the largest of these is
+    rejected. The defaults (m_max = max nu_i, c_r >= 1 / mu) pass, within
+    a few ulps of slack for rounding."""
     m_max = config.m_max if config.m_max is not None else \
         max(game.constants.nu_i)
     c_r = config.c_r if config.c_r is not None else \
         br_noise_gain(config.mu, float(np.max(np.diagonal(game.block_norms))))
+    need = max(nu / (config.mu + lo) for nu, (lo, _) in
+               zip(game.constants.nu_i, game.own_spectra))
+    if m_max * c_r * (1.0 + _ULPS) < need:
+        raise ValueError(
+            f"batch constant m_max * c_r = {m_max * c_r:.6g} is below "
+            f"max_i nu_i / (mu + zeta_min_i) = {need:.6g}, so the batches "
+            f"do not cover the best responses' noise")
     return BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=config.eta_br)
 
 

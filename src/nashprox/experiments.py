@@ -16,8 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .games import (QuadraticGame, monotonicity_constants, ne_error_bound,
                     solve_ne_oracle)
-from .pgr import (PgrConfig, envelope_params, geometric_complexity, pgr_loop,
-                  rate_constants, run_pgr)
+from .pgr import PgrConfig, pgr_loop, pgr_theory, run_pgr
 from .prox import compiled_prox
 from .sampling import RootGeometricBatch, check_schedule
 from .serialize import build_game, build_graph, validate_config
@@ -120,15 +119,16 @@ def _envelope_check(mean_errors: np.ndarray, constant: float,
 
 
 def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
-    """The rate fit over window, or, when mean errors that are exactly 0
-    leave it too few points, the reason it has none."""
+    """The rate fit over window, or, when it has too few points (mean
+    errors that are exactly 0, or the two of a one-iteration run's
+    default window), the reason it has none."""
     if not np.any(mean_errors):
         return {"reason": "every mean error is 0, so there is no rate to fit "
                           "(the run starts at the equilibrium and stays "
                           "there)", "window": list(window)}
     try:
         fit = fit_linear_rate(mean_errors, window=window)
-    except ValueError as err:  # prepare_experiment checked the window
+    except ValueError as err:  # prepare_experiment checked the range
         return {"reason": str(err), "window": list(window)}
     return dict(asdict(fit), window=list(window))
 
@@ -145,29 +145,14 @@ def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
 # defining module is the one they call.
 
 def _pgr_setup(spec, game, x0, x_star):
-    s, consts = spec.solver, game.constants
-    config = PgrConfig(alpha=s["alpha"], rho=s["rho"], max_iter=s["max_iter"],
-                       seed=spec.seed, target_eps=s.get("target_eps"))
+    consts, config = game.constants, PgrConfig(**spec.solver, seed=spec.seed)
     c_start = float(np.linalg.norm(x0 - x_star)) ** 2
-    theory, envelope = _pgr_theory(consts.eta, consts.lip, config.alpha,
-                                   config.rho, consts.nu, c_start,
-                                   config.target_eps)
+    theory, envelope = pgr_theory(consts.eta, consts.lip, config.alpha,
+                                  config.rho, consts.nu, c_start,
+                                  config.target_eps)
     theory["c_start"] = c_start
     return (lambda reps: run_pgr(game, config, x0, x_star, replications=reps),
             {"theory": theory}, envelope, pgr_loop(game, config, x0, x_star))
-
-
-def _pgr_theory(eta, lip, alpha, rho, nu, c_start, eps, rho_tilde=None):
-    """The theory fields a pgr run and `bounds` share (K(eps) and M(eps)
-    when eps is given) and the envelope's (constant, rate)."""
-    rc = rate_constants(eta, lip, alpha, rho, nu, c_start, rho_tilde)
-    theory = {"q": rc.q, "c_rho_q": rc.c_rho_q, "d_tilde": rc.d_tilde,
-              "rho_tilde": rc.rho_tilde}
-    envelope = envelope_params(rc, rho)
-    if eps is not None:
-        theory["k_eps"], theory["m_eps"] = geometric_complexity(
-            *envelope, rho, eps)
-    return theory, envelope
 
 
 def _dist_setup(spec, game, x0, x_star):
@@ -176,20 +161,20 @@ def _dist_setup(spec, game, x0, x_star):
                               run_dist_pgr)
     from .graphs import mixing_params
 
-    s, g = spec.solver, spec.graph
+    s, g = dict(spec.solver), spec.graph
+    eps = s.pop("target_eps", None)  # DistConfig has no such field
     nodes = int(g["rows"]) * int(g["cols"]) if "rows" in g else int(g["nodes"])
     if nodes != game.n_players:  # before the graph is built at that size
         raise ValueError(f"graph has {nodes} nodes for {game.n_players} "
                          f"players")
     graph = build_graph(g)
-    config = DistConfig(alpha=s["alpha"], max_iter=s["max_iter"],
-                        beta=s.get("beta"), seed=spec.seed)
+    config = DistConfig(**s, seed=spec.seed)
     rc = dist_rate_constants(game, graph, config.alpha, config.beta)
     schedule = RootGeometricBatch(rc.beta)
     c_start = float(np.linalg.norm(x0 - x_star)) ** 2
     theory = dict(asdict(rc), c_start=c_start)
-    if s.get("target_eps") is not None:
-        comp = dist_complexity(rc, s["target_eps"], c_start)
+    if eps is not None:
+        comp = dist_complexity(rc, eps, c_start)
         theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
                       m_eps=comp.samples)
 
@@ -215,11 +200,9 @@ def _pbr_setup(spec, game, x0, x_star):
                                 contraction_certificate, pbr_complexity,
                                 pbr_envelope, resolved_schedule, run_pbr)
 
-    s = spec.solver
-    config = PbrConfig(mu=s["mu"], eta_br=s["eta_br"], max_iter=s["max_iter"],
-                       seed=spec.seed, m_max=s.get("m_max"), c_r=s.get("c_r"),
-                       eta_tilde=s.get("eta_tilde"),
-                       inner_tol=s.get("inner_tol", 1e-12))
+    s = dict(spec.solver)
+    eps = s.pop("target_eps", None)  # PbrConfig has no such field
+    config = PbrConfig(**s, seed=spec.seed)
     cert = contraction_certificate(game, config.mu)
     check_contractive(cert)
     schedule = resolved_schedule(game, config)
@@ -230,9 +213,8 @@ def _pbr_setup(spec, game, x0, x_star):
                                           c_start)
     theory = {"a": cert.a, "c_r": config.c_r, "m_max": config.m_max,
               "eta_tilde": eta_tilde, "d": d, "c_start": c_start}
-    if s.get("target_eps") is not None:
-        comp = pbr_complexity(config, cert.a, s["target_eps"],
-                              game.n_players, c_start)
+    if eps is not None:
+        comp = pbr_complexity(config, cert.a, eps, game.n_players, c_start)
         theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
                       m_eps_order=comp.order_value)
     return (lambda reps: run_pbr(game, config, x0, x_star, replications=reps),
@@ -269,7 +251,7 @@ SCHEMES = {
 
 def _run_bounds(spec: ExperimentSpec) -> dict:
     s = dict(spec.solver)
-    theory, (constant, rate) = _pgr_theory(
+    theory, (constant, rate) = pgr_theory(
         s["eta"], s["lip"], s["alpha"], s["rho"], s["nu"], s["c_start"],
         s["eps"], s.get("rho_tilde"))
     theory.update(envelope_constant=constant, envelope_rate=rate)
@@ -302,9 +284,11 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         scheme.setup(spec, game, x0, x_star)
     check_schedule(schedule, n_iter, max(noise_dims))
     fit_doc = spec.fit or {}
-    window = tuple(map(int, fit_doc["window"])) if "window" in fit_doc else \
-        (min(int(fit_doc.get("skip", 5)), max(0, n_iter - 3)), n_iter)
-    fit_linear_rate(np.ones(n_iter + 1), window=window)  # as the run's fit
+    if "window" in fit_doc:  # rejected as the run's fit would reject it
+        window = tuple(map(int, fit_doc["window"]))
+        fit_linear_rate(np.ones(n_iter + 1), window=window)
+    else:  # in range; on a one-iteration run, two points and no fit
+        window = (min(int(fit_doc.get("skip", 5)), max(0, n_iter - 3)), n_iter)
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
                   game_constants=dict(asdict(consts),

@@ -176,6 +176,22 @@ def power_or_inf(base: float, exponent: float) -> float:
         return math.inf
 
 
+def pgr_theory(eta: float, lip: float, alpha: float, rho: float, nu: float,
+               c_start: float, eps: float | None,
+               rho_tilde: float | None = None) -> tuple[dict, tuple]:
+    """The theory fields of a pgr run and of `bounds` (q, c_rho_q, d_tilde,
+    rho_tilde, and K(eps) and M(eps) when eps is given) and the envelope's
+    (constant, rate); pgr_loop cuts a target_eps run at this K(eps)."""
+    rc = rate_constants(eta, lip, alpha, rho, nu, c_start, rho_tilde)
+    theory = {"q": rc.q, "c_rho_q": rc.c_rho_q, "d_tilde": rc.d_tilde,
+              "rho_tilde": rc.rho_tilde}
+    envelope = envelope_params(rc, rho)
+    if eps is not None:
+        theory["k_eps"], theory["m_eps"] = geometric_complexity(
+            *envelope, rho, eps)
+    return theory, envelope
+
+
 def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
     """Step and batch ratio (alpha, rho) = (eta/lip^2, 1 - 1/(2 kappa^2)).
 
@@ -204,10 +220,9 @@ def pgr_loop(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
         if x_star is None:
             raise ValueError("target_eps requires a reference equilibrium x_star")
         check_start(x0, x_star, game.dims)
-        rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
-                            consts.nu, float(np.linalg.norm(x0 - x_star)) ** 2)
-        k_eps = geometric_complexity(*envelope_params(rc, config.rho),
-                                     config.rho, config.target_eps)[0]
+        k_eps = pgr_theory(consts.eta, consts.lip, config.alpha, config.rho,
+                           consts.nu, float(np.linalg.norm(x0 - x_star)) ** 2,
+                           config.target_eps)[0]["k_eps"]
         if k_eps < n_iter:
             n_iter = max(1, math.ceil(k_eps))
     return GeometricBatch(config.rho), n_iter, *game.noise_blocks

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -88,46 +89,33 @@ class BestResponseBatch:
 BatchSchedule = Union[GeometricBatch, RootGeometricBatch, BestResponseBatch]
 
 
-def schedule_size(schedule: BatchSchedule, k: int) -> int:
-    """Batch size N_k of a schedule at iteration k >= 0."""
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k}")
-    return int(schedule.size(int(k)))
-
-
 def check_schedule(schedule: BatchSchedule, n_iter: int, dim: int = 1) -> None:
     """Reject a schedule whose batches overflow a float within n_iter steps.
 
     Noise draws scale by 1/sqrt(dim * N_k), so dim * N_k must convert to a
-    finite float for every k < n_iter. Batch sizes never shrink, so the last
-    iteration decides; on failure the message names the largest usable
-    iteration count, found by bisection, or says that none is when N_0
+    finite float for every k < n_iter. Batch sizes never shrink, so the
+    first iteration that overflows is found by bisection; the message names
+    it as the largest usable iteration count, or says that none is when N_0
     already overflows.
     """
-    def fits(k: int) -> bool:
+    def overflows(k: int) -> bool:
         try:
-            float(dim * schedule_size(schedule, k))
+            float(dim * schedule.size(k))
         except OverflowError:
-            return False
-        return True
+            return True
+        return False
 
     if n_iter < 1:
         raise ValueError(f"a run needs at least one iteration, got {n_iter}")
-    if fits(n_iter - 1):
+    bad = bisect.bisect_left(range(n_iter), True, key=overflows)
+    if bad == n_iter:
         return
-    if not fits(0):
+    if bad == 0:
         raise ValueError(f"batch size N_0 of {schedule} overflows a float at "
                          f"iteration 0, so no max_iter fits this schedule")
-    good, bad = 0, n_iter - 1
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if fits(mid):
-            good = mid
-        else:
-            bad = mid
     raise ValueError(
         f"batch size N_k of {schedule} overflows a float at iteration {bad}; "
-        f"max_iter must be at most {good + 1}")
+        f"max_iter must be at most {bad}")
 
 
 @dataclass

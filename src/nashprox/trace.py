@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import Divergence
 from .noise import iteration_errors
-from .sampling import (BatchSchedule, SampleCounter, check_schedule,
-                       schedule_size)
+from .sampling import BatchSchedule, SampleCounter, check_schedule
 
 
 @dataclass
@@ -115,7 +114,7 @@ def iterate(step: Callable, x0: np.ndarray,
                          f"or range(R), got {replications!r}")
     check_start(x0, x_star, dims)
     check_schedule(schedule, n_iter, max(noise_dims))
-    batches = [schedule_size(schedule, k) for k in range(n_iter)]
+    batches = [schedule.size(k) for k in range(n_iter)]
     try:  # the (R, .) blocks, before any replication's noise is seeded
         errors = np.full((rows, n_iter + 1), np.nan)
         x = np.tile(x0.astype(float, copy=False), (rows, 1))

@@ -24,7 +24,6 @@ from nashprox import (
     proximal_best_response,
     run_pbr,
     saa_best_response,
-    schedule_size,
     solve_ne_oracle,
 )
 from nashprox.best_response import resolved_schedule
@@ -240,7 +239,24 @@ def test_schedule_resolution_uses_calibrated_noise_and_gain():
     sched = resolved_schedule(game, config)
     assert sched.m_max == pytest.approx(1.0, rel=1e-12)
     assert sched.c_r == pytest.approx(br_noise_gain(1.0, 2.0), rel=1e-12)
-    assert [schedule_size(sched, k) for k in range(4)] == [4, 8, 15, 31]
+    assert [sched.size(k) for k in range(4)] == [4, 8, 15, 31]
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-3, 1.0, 1e3, 1e12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_batch_constant_covers_the_subproblem_noise(mu, seed):
+    """m_max * c_r must be at least max_i nu_i / (mu + zeta_min_i); the
+    defaults meet it at every mu, and a smaller m_max or c_r stops
+    run_pbr before its first iteration."""
+    game = generate_quadratic_game(3, 2, 0.4, seed=seed, nu=0.7)
+    need = max(nu / (mu + lo) for nu, (lo, _) in
+               zip(game.constants.nu_i, game.own_spectra))
+    sched = resolved_schedule(game, PbrConfig(mu=mu, eta_br=0.7, max_iter=1))
+    assert sched.m_max * sched.c_r >= need
+    for cut in ({"m_max": 0.0}, {"c_r": 0.5 * need / sched.m_max}):
+        config = PbrConfig(mu=mu, eta_br=0.7, max_iter=1, **cut)
+        with pytest.raises(ValueError, match="batch constant m_max \\* c_r"):
+            run_pbr(game, config, np.zeros(game.dim))
 
 
 def test_run_records_norm_errors_and_exact_counters():
@@ -334,7 +350,7 @@ def _loop_total(schedule, n):
     """The reference schedule sum: size(k) one k at a time, infinite
     where a batch or the sum overflows a float."""
     try:
-        total = sum(schedule_size(schedule, k) for k in range(n))
+        total = sum(schedule.size(k) for k in range(n))
         float(total)
         return total
     except OverflowError:
@@ -356,7 +372,7 @@ def test_batch_total_equals_the_per_k_loop(m_max, c_r, eta_br, n):
         got = schedule.total(n)
     except OverflowError:
         got = math.inf
-    if want == math.inf or n == 0 or schedule_size(schedule, n - 1) < 2 ** 32:
+    if want == math.inf or n == 0 or schedule.size(n - 1) < 2 ** 32:
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-14)
@@ -367,7 +383,7 @@ def test_batch_total_past_the_float_range_raises_without_a_warning():
     OverflowError that pbr_complexity reports as Infinity comes with no
     numpy RuntimeWarning."""
     schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.9)
-    assert math.isfinite(schedule_size(schedule, 3364))
+    assert math.isfinite(schedule.size(3364))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError):

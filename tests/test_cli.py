@@ -706,15 +706,26 @@ def test_validate_rejects_solver_parameters_as_the_run_does(
      "max_iter must be at most 1022"),
     (dict(PBR_DOC, solver={"mu": 1.0, "eta_br": 0.5, "max_iter": 600}),
      "max_iter must be at most 512"),
-    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=1)),
+    (dict(PGR_DOC, fit={"window": [0, 1]}),
      "rate fit needs at least 3 usable points, got 2"),
     (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=60),
           fit={"window": [50, 70]}),
      "window (50, 70) out of range for 61 error entries"),
     (dict(PGR_DOC, x0=[0.0, 0.0, 0.0]),
      "vector of size 3 does not split into blocks (1, 1)"),
+    # each player's best response moves by up to nu_i / (mu + zeta_min_i)
+    # = 1 / 3 per unit of noise, which m_max * c_r must cover
+    (dict(PBR_DOC, solver=dict(PBR_DOC["solver"], m_max=0.0)),
+     "batch constant m_max * c_r = 0 is below max_i nu_i / (mu + "
+     "zeta_min_i) = 0.333333, so the batches do not cover the best "
+     "responses' noise"),
+    (dict(PBR_DOC, solver=dict(PBR_DOC["solver"], c_r=1e-3)),
+     "batch constant m_max * c_r = 0.001 is below max_i nu_i / (mu + "
+     "zeta_min_i) = 0.333333, so the batches do not cover the best "
+     "responses' noise"),
 ], ids=["graph-nodes", "pgr-batch-overflow", "pbr-batch-overflow",
-        "fit-too-few-points", "fit-window-out-of-range", "x0-size"])
+        "fit-too-few-points", "fit-window-out-of-range", "x0-size",
+        "pbr-zero-m-max", "pbr-small-c-r"])
 def test_validate_rejects_what_the_run_rejects_before_any_replication(
         tmp_path: Path, capsys, monkeypatch, doc: dict, message: str):
     """Each config used to pass validate and fail only in or after its
@@ -907,6 +918,25 @@ def test_a_run_that_starts_at_its_equilibrium_names_its_zero_errors(
     assert report["fit"] == {"reason": reason, "window": [5, 30]}
     assert report["theory"]["envelope"]["ok"] is True
     assert report["mean_final_error"] == 0.0
+
+
+@pytest.mark.parametrize("solver", [{"target_eps": 1.0}, {"max_iter": 1}],
+                         ids=["target-eps-cut", "max-iter-1"])
+def test_a_one_iteration_run_reports_why_it_has_no_rate_fit(
+        tmp_path: Path, capsys, solver: dict):
+    """The default fit window of a one-iteration run holds two points: the
+    run and validate exit 0, and the report's fit gives the reason (K(1.0)
+    of this game is below 1, so target_eps 1.0 cuts the run to one)."""
+    doc = dict(PGR_DOC, solver=dict(PGR_DOC["solver"], **solver))
+    cfg, out = _write(tmp_path, doc), tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    assert main(["pgr", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["iterations"] == 1
+    assert report["fit"] == {
+        "reason": "rate fit needs at least 3 usable points, got 2",
+        "window": [0, 1]}
 
 
 def test_a_warning_of_a_console_run_is_one_line_without_its_source(

@@ -28,7 +28,6 @@ from nashprox import (
     ring_graph,
     run_dist_pgr,
     run_pgr,
-    schedule_size,
     solve_ne_oracle,
     substream,
 )
@@ -295,7 +294,7 @@ def _reference_dist_run(game: AggregativeGame, graph, config: DistConfig,
     consensus_errors = []
     for k in range(config.max_iter):
         v_hat = consensus_apply(graph, v, k + 1)
-        n_k = schedule_size(schedule, k)
+        n_k = schedule.size(k)
         x_next = np.empty(n)
         for i in range(n):
             e_i = z[k, i] * (game.noise_blocks[0][i] / math.sqrt(n_k))

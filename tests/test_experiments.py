@@ -94,6 +94,22 @@ def test_pgr_experiment_report_and_trace(tmp_path: Path):
     assert payload["theory"]["q"] == pytest.approx(0.96, abs=1e-12)
 
 
+@pytest.mark.parametrize("target_eps", [0.5, 1.0])
+def test_a_pgr_run_stops_at_the_iteration_bound_its_report_gives(
+        tmp_path: Path, target_eps: float):
+    """The report's K(target_eps) and the run's cut come from one
+    calculator: with K below max_iter, the run makes max(1, ceil(K))
+    iterations and writes that many trace rows per replication."""
+    spec = ExperimentSpec(**dict(PGR_SPEC, solver=dict(
+        PGR_SPEC["solver"], target_eps=target_eps)))
+    report = run_experiment(spec, out_dir=str(tmp_path))
+    k_eps = report["theory"]["k_eps"]
+    assert k_eps < spec.solver["max_iter"]
+    assert report["iterations"] == max(1, math.ceil(k_eps))
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == report["iterations"] * spec.replications
+
+
 def test_experiment_outputs_are_byte_stable(tmp_path: Path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     run_experiment(ExperimentSpec(**PGR_SPEC), out_dir=str(d1))

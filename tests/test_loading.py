@@ -68,7 +68,7 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
             "missing = [n for n in nashprox.__all__ if n not in globals()]; "
             "assert set(nashprox.__all__) <= set(dir(nashprox)); "
             "print(missing, len(nashprox.__all__))")
-    assert _fresh(code).strip() == "[] 77"
+    assert _fresh(code).strip() == "[] 76"
 
 
 def test_an_unknown_name_is_an_attribute_error():
@@ -80,3 +80,5 @@ def test_an_unknown_name_is_an_attribute_error():
     # geometric_complexity(*envelope_params(rc, rho), rho, eps) gives both
     assert not hasattr(nashprox, "complexity_K")
     assert not hasattr(nashprox, "complexity_M")
+    # schedule.size(k) is the batch size
+    assert not hasattr(nashprox, "schedule_size")

@@ -27,7 +27,6 @@ from nashprox import (
     Zero,
     run_pbr,
     saa_best_response,
-    schedule_size,
     solve_ne_oracle,
     substream,
 )
@@ -44,7 +43,7 @@ def _reference_run_pbr(game, config, x0, x_star, replication):
     errors[0] = np.linalg.norm(y - x_star)
     batches, cum_samples, cum_inner = [], [], []
     for k in range(config.max_iter):
-        n_k = schedule_size(schedule, k)
+        n_k = schedule.size(k)
         blocks = []
         for i, d in enumerate(game.dims):
             nu_i = game.noise.nu * math.sqrt(d / game.dim)

@@ -37,7 +37,6 @@ from nashprox import (
     rate_constants,
     run_pgr,
     sample_batch_gradient,
-    schedule_size,
     solve_ne_oracle,
     substream,
 )
@@ -118,7 +117,7 @@ def _reference_run_pgr(game, config, x0, x_star, replication):
     x = x0
     errors[0] = float(np.linalg.norm(x - x_star)) ** 2
     for k in range(n_iter):
-        n_k = schedule_size(schedule, k)
+        n_k = schedule.size(k)
         g = _reference_batch_gradient(game, x, n_k, z[k], counter)
         step = x - config.alpha * g
         if not np.all(np.isfinite(step)):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import asdict
@@ -21,7 +22,6 @@ from nashprox import (
     generate_quadratic_game,
     gradient_map,
     sample_batch_gradient,
-    schedule_size,
     substream,
 )
 from nashprox.noise import DRAW_CHUNK, iteration_errors
@@ -72,22 +72,22 @@ def test_second_moment_scales_inversely_with_batch(batch):
 
 def test_geometric_schedule_values():
     sched = GeometricBatch(0.5)
-    assert schedule_size(sched, 0) == 2
-    assert schedule_size(sched, 4) == 32
+    assert sched.size(0) == 2
+    assert sched.size(4) == 32
 
 
 def test_root_geometric_schedule_value():
-    assert schedule_size(RootGeometricBatch(0.25), 1) == 4
+    assert RootGeometricBatch(0.25).size(1) == 4
 
 
 def test_best_response_schedule_value():
-    assert schedule_size(BestResponseBatch(1.0, 2.0, 0.5), 1) == 16
+    assert BestResponseBatch(1.0, 2.0, 0.5).size(1) == 16
 
 
 def test_schedules_are_nondecreasing():
     for sched in (GeometricBatch(0.8), RootGeometricBatch(0.6),
                   BestResponseBatch(1.0, 1.5, 0.9)):
-        sizes = [schedule_size(sched, k) for k in range(40)]
+        sizes = [sched.size(k) for k in range(40)]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
 
@@ -96,8 +96,6 @@ def test_schedule_validation():
         GeometricBatch(1.0)
     with pytest.raises(ValueError):
         GeometricBatch(0.0)
-    with pytest.raises(ValueError):
-        schedule_size(GeometricBatch(0.5), -1)
 
 
 def test_sampled_gradient_is_deterministic():
@@ -143,6 +141,17 @@ def test_counter_as_dict_round_trip():
         ("inner_solves", 1)]
 
 
+def _first_overflow(schedule, dim: int) -> int:
+    """The first k at which dim * N_k overflows a float, by a linear scan."""
+    k = 0
+    while True:
+        try:
+            float(dim * schedule.size(k))
+        except OverflowError:
+            return k
+        k += 1
+
+
 def test_schedule_check_names_the_largest_usable_iteration_count():
     # 0.5^-1023 is the last power of two below the largest double
     check_schedule(GeometricBatch(0.5), 1023)
@@ -164,6 +173,25 @@ def test_schedule_check_names_the_largest_usable_iteration_count():
 
     # a schedule that never grows passes however many iterations run
     check_schedule(Fixed(), 10 ** 9)
+    # for n_iter on both sides of the first overflowing iteration b, the
+    # check passes up to b and past it names b (or, at b = 0, says that
+    # no run length fits)
+    for schedule, dim in itertools.product([
+            GeometricBatch(0.5), GeometricBatch(0.3), GeometricBatch(0.97),
+            RootGeometricBatch(0.5), RootGeometricBatch(0.8),
+            BestResponseBatch(1.0, 2.0, 0.5), BestResponseBatch(3.0, 1.5, 0.8),
+            GeometricBatch(1e-320)], [1, 2, 3]):
+        b = _first_overflow(schedule, dim)
+        for n_iter in sorted({max(1, b + d) for d in (-1, 0, 1, 2, 37)}):
+            if n_iter <= b:
+                check_schedule(schedule, n_iter, dim)
+                continue
+            message = (f"batch size N_k of {schedule} overflows a float at "
+                       f"iteration {b}; max_iter must be at most {b}" if b
+                       else f"batch size N_0 of {schedule} overflows a float "
+                       f"at iteration 0, so no max_iter fits this schedule")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_schedule(schedule, n_iter, dim)
 
 
 @pytest.mark.parametrize("reps", [1, 3])
