@@ -9,19 +9,16 @@ from __future__ import annotations
 
 from nashprox import (
     AggregativeGame,
-    PbrConfig,
+    BestResponseBatch,
     contraction_factor_q,
-    dist_complexity,
-    dist_envelope_params,
     dist_rate_constants,
-    envelope_params,
+    dist_theory,
     mixing_params,
-    pbr_complexity,
-    rate_constants,
+    pbr_theory,
+    pgr_theory,
     recommended_parameters,
     ring_graph,
 )
-from nashprox.pgr import geometric_complexity
 
 
 def main() -> None:
@@ -32,12 +29,12 @@ def main() -> None:
               f"{contraction_factor_q(eta, lip, alpha):.4f}")
     alpha, rho = recommended_parameters(eta, lip)
     print(f"  recommended alpha = {alpha:.6f}, rho = {rho:.6f}")
-    rc = rate_constants(eta, lip, alpha, rho, nu, c_start=1.0)
-    constant, rate = envelope_params(rc, rho)
+    _, (constant, rate) = pgr_theory(eta, lip, alpha, rho, nu, 1.0, None)
     print(f"  envelope {constant:.4f} * {rate:.6f}^k")
     for eps in (1e-2, 1e-3, 1e-4):
-        k_eps, m_eps = geometric_complexity(constant, rate, rho, eps)
-        print(f"  eps = {eps:g}: K = {k_eps:8.2f}, M = {m_eps:12.1f}")
+        theory, _ = pgr_theory(eta, lip, alpha, rho, nu, 1.0, eps)
+        print(f"  eps = {eps:g}: K = {theory['k_eps']:8.2f}, "
+              f"M = {theory['m_eps']:12.1f}")
 
     print("distributed scheme (ring of 5)")
     graph = ring_graph(5)
@@ -45,23 +42,23 @@ def main() -> None:
                            lo=(0.0,) * 5, hi=(1.0,) * 5)
     beta = mixing_params(graph).beta
     rc_d = dist_rate_constants(game, graph, alpha=0.02)
-    constant, rate = dist_envelope_params(rc_d, c_start=1.0)
+    _, (constant, rate) = dist_theory(rc_d, 1.0, None)
     print(f"  beta = {beta:.4f}, varrho = {rc_d.varrho:.4f}, "
           f"envelope {constant:.4f} * {rate:.6f}^k")
     for eps in (1e-2, 1e-3):
-        comp = dist_complexity(rc_d, eps, c_start=1.0)
-        print(f"  eps = {eps:g}: K = {comp.k_eps:7.2f}, "
-              f"gossip rounds = {comp.comm_rounds:.3e}, "
-              f"samples = {comp.samples:.3e}")
+        theory, _ = dist_theory(rc_d, 1.0, eps)
+        print(f"  eps = {eps:g}: K = {theory['k_eps']:7.2f}, "
+              f"gossip rounds = {theory['comm_eps']:.3e}, "
+              f"samples = {theory['m_eps']:.3e}")
 
     print("best-response scheme")
-    config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=1, m_max=1.0, c_r=1.9)
+    schedule = BestResponseBatch(m_max=1.0, c_r=1.9, eta_br=0.7)
     for eps in (1e-1, 1e-2, 1e-3):
-        comp = pbr_complexity(config, a=2.0 / 3.0, eps=eps, n_players=2,
-                              c_start=1.0)
-        print(f"  eps = {eps:g}: K = {comp.k_eps:3d}, "
-              f"samples = {comp.samples:10d}, "
-              f"order value = {comp.order_value:12.1f}")
+        theory, _ = pbr_theory(schedule, a=2.0 / 3.0, n_players=2,
+                               c_start=1.0, eps=eps)
+        print(f"  eps = {eps:g}: K = {theory['k_eps']:3d}, "
+              f"samples = {theory['m_eps']:10d}, "
+              f"order value = {theory['m_eps_order']:12.1f}")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ from nashprox import (
     AggregativeGame,
     DistConfig,
     GaussianNoise,
-    dist_complexity,
-    dist_envelope_params,
     dist_rate_constants,
+    dist_theory,
     mixing_params,
     ring_graph,
     run_dist_pgr,
@@ -41,7 +40,8 @@ def main() -> None:
 
     rc = dist_rate_constants(game, graph, config.alpha)
     c_start = float(np.sum((np.full(n, 0.5) - x_star) ** 2))
-    constant, rate = dist_envelope_params(rc, c_start=c_start)
+    eps = 1e-3
+    theory, (constant, rate) = dist_theory(rc, c_start, eps)
     print(f"contraction varrho = {rc.varrho:.6f}, envelope rate = {rate:.6f}")
     for k in (0, 10, 20, 40):
         print(f"  k = {k:3d}  error^2 = {trace.errors[0, k]:.3e}  "
@@ -52,10 +52,9 @@ def main() -> None:
     print(f"communication rounds used: {trace.counter.comm_rounds} "
           f"(= K(K+1)/2 for K = {config.max_iter})")
 
-    eps = 1e-3
-    comp = dist_complexity(rc, eps, c_start=c_start)
-    print(f"to reach eps = {eps:g}: about {comp.k_eps:.1f} iterations, "
-          f"{comp.comm_rounds:.3e} gossip rounds, {comp.samples:.3e} samples "
+    print(f"to reach eps = {eps:g}: about {theory['k_eps']:.1f} iterations, "
+          f"{theory['comm_eps']:.3e} gossip rounds, "
+          f"{theory['m_eps']:.3e} samples "
           f"(worst-case bounds; the run above got there much sooner)")
 
 

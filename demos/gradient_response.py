@@ -14,14 +14,12 @@ from nashprox import (
     GaussianNoise,
     PgrConfig,
     QuadraticGame,
-    envelope_params,
     monotonicity_constants,
-    rate_constants,
+    pgr_theory,
     recommended_parameters,
     run_pgr,
     solve_ne_oracle,
 )
-from nashprox.pgr import geometric_complexity
 
 
 def main() -> None:
@@ -43,9 +41,10 @@ def main() -> None:
     config = PgrConfig(alpha=alpha, rho=rho, max_iter=80, seed=7)
     trace = run_pgr(game, config, x0, x_star=x_star)
 
-    rc = rate_constants(consts.eta, consts.lip, alpha, rho, 1.0,
-                        float(np.linalg.norm(x0 - x_star)) ** 2)
-    constant, rate = envelope_params(rc, rho)
+    eps = 1e-3
+    theory, (constant, rate) = pgr_theory(
+        consts.eta, consts.lip, alpha, rho, 1.0,
+        float(np.linalg.norm(x0 - x_star)) ** 2, eps)
     print(f"envelope: {constant:.4f} * {rate:.6f}^k")
     for k in (0, 10, 20, 40, 80):
         bound = constant * rate ** k
@@ -53,10 +52,8 @@ def main() -> None:
               f"bound = {bound:.3e}  batch so far = "
               f"{trace.cum_samples[k - 1] if k else 0}")
 
-    eps = 1e-3
-    k_eps, m_eps = geometric_complexity(constant, rate, rho, eps)
-    print(f"iterations to reach eps = {eps:g}: K = {k_eps:.2f}, "
-          f"samples M = {m_eps:.1f}")
+    print(f"iterations to reach eps = {eps:g}: K = {theory['k_eps']:.2f}, "
+          f"samples M = {theory['m_eps']:.1f}")
     print(f"run used {trace.counter.total_samples} samples and "
           f"{trace.counter.prox_evals} proximal evaluations")
 

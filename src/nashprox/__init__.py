@@ -24,13 +24,12 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines; __all__ and __getattr__ read it
 _EXPORTS = {
-    "best_response": ("ContractionCertificate", "PbrComplexity", "PbrConfig",
-                      "br_noise_gain", "contraction_certificate",
-                      "pbr_complexity", "proximal_best_response", "run_pbr",
+    "best_response": ("ContractionCertificate", "PbrConfig", "br_noise_gain",
+                      "contraction_certificate", "pbr_theory",
+                      "proximal_best_response", "run_pbr",
                       "saa_best_response"),
-    "distributed": ("DistComplexity", "DistConfig", "DistRateConstants",
-                    "dist_complexity", "dist_envelope_params",
-                    "dist_rate_constants", "run_dist_pgr"),
+    "distributed": ("DistConfig", "DistRateConstants", "dist_rate_constants",
+                    "dist_theory", "run_dist_pgr"),
     "errors": ("ConfigError", "Divergence", "InnerSolveFailure", "InvalidStep",
                "NoGeometricMixing", "NonConvergence", "NotStronglyMonotone"),
     "experiments": ("ExperimentSpec", "FitResult", "fit_linear_rate",
@@ -43,9 +42,8 @@ _EXPORTS = {
                "complete_graph", "consensus_apply", "erdos_renyi_graph",
                "grid_graph", "mixing_params", "path_graph", "ring_graph"),
     "noise": ("GaussianNoise", "substream"),
-    "pgr": ("PgrConfig", "RateConstants", "contraction_factor_q",
-            "envelope_params", "rate_constants", "recommended_parameters",
-            "run_pgr"),
+    "pgr": ("PgrConfig", "contraction_factor_q", "pgr_theory",
+            "recommended_parameters", "run_pgr"),
     "prox": ("BoxIndicator", "L1", "Regularizer", "Zero", "prox_apply"),
     "sampling": ("BatchSchedule", "BestResponseBatch", "GeometricBatch",
                  "RootGeometricBatch", "SampleCounter", "check_schedule",

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's gufunc
@@ -273,34 +273,6 @@ class PbrConfig:
             raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
 
 
-class PbrComplexity(NamedTuple):
-    k_eps: int
-    samples: int | float
-    order_value: float
-
-
-def pbr_envelope(config: PbrConfig, a: float, n_players: int,
-                 c_start: float) -> tuple[float, float, float]:
-    """(eta_tilde, d, constant) of the envelope E||y_k - x*|| <= constant *
-    eta_tilde^k of a pbr run.
-
-    With c = max(a, eta_br) and eta_tilde in (c, 1) (default (1 + c) / 2),
-    constant = sqrt(N) (c_start + d) with d = 1 / (e ln(eta_tilde / c))
-    and c_start a per-player initial distance bound. Raises ValueError for
-    an eta_tilde outside (c, 1); a game with a >= 1 has none, and callers
-    reject it first (check_contractive).
-    """
-    c = max(a, config.eta_br)
-    eta_tilde = config.eta_tilde if config.eta_tilde is not None \
-        else (1.0 + c) / 2.0
-    if not (c < eta_tilde < 1.0):
-        raise ValueError(
-            f"eta_tilde must lie in (max(a, eta_br), 1) = ({c}, 1), "
-            f"got {eta_tilde}")
-    d = 1.0 / (math.e * math.log(eta_tilde / c))
-    return eta_tilde, d, math.sqrt(n_players) * (c_start + d)
-
-
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:
     """Batch schedule with config defaults filled in from the game.
 
@@ -358,38 +330,50 @@ def run_pbr(game: QuadraticGame, config: PbrConfig, x0: np.ndarray,
                    replications, "distance")
 
 
-def pbr_complexity(config: PbrConfig, a: float, eps: float, n_players: int,
-                   c_start: float) -> PbrComplexity:
-    """Iteration and sample counts for the best-response envelope
-    (pbr_envelope).
+def pbr_theory(schedule: BestResponseBatch, a: float, n_players: int,
+               c_start: float, eps: float | None,
+               eta_tilde: float | None = None) -> tuple[dict, tuple]:
+    """(theory, (constant, eta_tilde)) of a pbr run with the resolved
+    schedule, the certificate's a and c_start, a per-player initial
+    distance bound: the envelope is E||y_k - x*|| <= constant *
+    eta_tilde^k.
 
-    k_eps is the smallest integer k with envelope <= eps; samples is
-    the schedule sum N * sum_{k < k_eps} N_k (BestResponseBatch.total:
-    exact while every N_k is below 2^32); order_value evaluates
-    the asymptotic form (sqrt(N)(c_start + d)/eps)^{2 ln(1/eta_br) /
-    ln(1/eta_tilde)} that the exact sum tracks up to constants. samples
-    and order_value are inf where a batch size or the power overflows a
-    float.
+    With c = max(a, eta_br) and eta_tilde in (c, 1) (default (1 + c) / 2),
+    constant = sqrt(N) (c_start + d) with d = 1 / (e ln(eta_tilde / c)).
+    Given eps, k_eps is the smallest integer k with envelope <= eps; m_eps
+    is the schedule sum N * sum_{k < k_eps} N_k (BestResponseBatch.total:
+    exact while every N_k is below 2^32); m_eps_order evaluates the
+    asymptotic form (constant / eps)^{2 ln(1/eta_br) / ln(1/eta_tilde)}
+    that the exact sum tracks up to constants. Both are inf where a batch
+    size or the power overflows a float. Raises ValueError for an
+    eta_tilde outside (c, 1); a game with a >= 1 has none, and callers
+    reject it first (check_contractive).
     """
     if n_players < 1:
         raise ValueError(f"n_players must be >= 1, got {n_players}")
     if c_start < 0.0 or a < 0.0:
         raise ValueError("a and c_start must be >= 0")
-    eta_tilde, _, envelope0 = pbr_envelope(config, a, n_players, c_start)
-    # the batches grow by 1 / eta_br^2 per iteration
-    k_eps = math.ceil(geometric_complexity(envelope0, eta_tilde,
-                                           config.eta_br ** 2, eps)[0])
-    if config.m_max is None or config.c_r is None:
+    eta_br = schedule.eta_br
+    c = max(a, eta_br)
+    if eta_tilde is None:
+        eta_tilde = (1.0 + c) / 2.0
+    if not (c < eta_tilde < 1.0):
         raise ValueError(
-            "pbr_complexity needs m_max and c_r resolved in the config "
-            "(see resolved_schedule)")
-    schedule = BestResponseBatch(config.m_max, config.c_r, config.eta_br)
-    try:
-        samples = n_players * schedule.total(k_eps)
-    except OverflowError:
-        samples = math.inf
-    order_value = power_or_inf(envelope0 / eps,
-                               2.0 * math.log(1.0 / config.eta_br) /
-                               math.log(1.0 / eta_tilde))
-    return PbrComplexity(k_eps=int(k_eps), samples=samples,
-                         order_value=float(order_value))
+            f"eta_tilde must lie in (max(a, eta_br), 1) = ({c}, 1), "
+            f"got {eta_tilde}")
+    d = 1.0 / (math.e * math.log(eta_tilde / c))
+    constant = math.sqrt(n_players) * (c_start + d)
+    theory = {"a": a, "c_r": schedule.c_r, "m_max": schedule.m_max,
+              "eta_tilde": eta_tilde, "d": d, "c_start": c_start}
+    if eps is not None:
+        # the batches grow by 1 / eta_br^2 per iteration
+        k_eps = math.ceil(geometric_complexity(constant, eta_tilde,
+                                               eta_br ** 2, eps)[0])
+        try:
+            m_eps = n_players * schedule.total(k_eps)
+        except OverflowError:
+            m_eps = math.inf
+        theory.update(k_eps=k_eps, m_eps=m_eps, m_eps_order=power_or_inf(
+            constant / eps, 2.0 * math.log(1.0 / eta_br) /
+            math.log(1.0 / eta_tilde)))
+    return theory, (constant, eta_tilde)

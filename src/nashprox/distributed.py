@@ -19,8 +19,8 @@ varrho = 1 - 2 alpha eta + 2 alpha^2 lip^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class DistRateConstants:
     m_compact: float
     beta: float
     theta: float
-
-
-class DistComplexity(NamedTuple):
-    k_eps: float
-    comm_rounds: float
-    samples: float
 
 
 def run_dist_pgr(game: QuadraticGame, graph: CommGraph, config: DistConfig,
@@ -211,31 +205,26 @@ def dist_rate_constants(game: QuadraticGame, graph: CommGraph, alpha: float,
                              theta=theta)
 
 
-def dist_envelope_params(rc: DistRateConstants,
-                         c_start: float) -> tuple[float, float]:
-    """(constant, rate) of the distributed envelope constant * rate^k:
-    pgr.geometric_envelope of c_start and the noise c3 at the rates
-    (varrho, sqrt(beta)), with its default shifted rate on the knife
-    edge."""
+def dist_theory(rc: DistRateConstants, c_start: float,
+                eps: float | None) -> tuple[dict, tuple[float, float]]:
+    """(theory, (constant, rate)) of a dist-pgr run. The envelope
+    constant * rate^k is pgr.geometric_envelope of c_start and the noise
+    c3 at the rates (varrho, sqrt(beta)), with its default shifted rate on
+    the knife edge. theory holds rc's fields and c_start and, when eps is
+    given, pgr.geometric_complexity's K(eps) and samples under batches at
+    rate sqrt(beta) as k_eps and m_eps, and the communications under
+    tau_k = k + 1, (K + 1)(K + 2) / 2, as comm_eps.
+    """
     if c_start < 0.0:
         raise ValueError(f"c_start must be >= 0, got {c_start}")
-    return geometric_envelope(c_start, rc.c3, rc.varrho,
-                              math.sqrt(rc.beta))[:2]
-
-
-def dist_complexity(rc: DistRateConstants, eps: float,
-                    c_start: float) -> DistComplexity:
-    """Iteration, communication, and sample bounds to reach eps.
-
-    K(eps) and samples are pgr.geometric_complexity's for the envelope of
-    dist_envelope_params and batches at rate sqrt(rc.beta); communications
-    under tau_k = k + 1 sum to (K + 1)(K + 2) / 2.
-    """
-    if not (0.0 < rc.beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {rc.beta}")
-    constant, rate = dist_envelope_params(rc, c_start)
-    k_eps, samples = geometric_complexity(constant, rate, math.sqrt(rc.beta),
-                                          eps)
-    return DistComplexity(k_eps=k_eps,
-                          comm_rounds=(k_eps + 1.0) * (k_eps + 2.0) / 2.0,
-                          samples=samples)
+    constant, rate, _ = geometric_envelope(c_start, rc.c3, rc.varrho,
+                                           math.sqrt(rc.beta))
+    theory = dict(asdict(rc), c_start=c_start)
+    if eps is not None:
+        if not (0.0 < rc.beta < 1.0):
+            raise ValueError(f"beta must lie in (0, 1), got {rc.beta}")
+        k_eps, m_eps = geometric_complexity(constant, rate,
+                                            math.sqrt(rc.beta), eps)
+        theory.update(k_eps=k_eps, comm_eps=(k_eps + 1.0) * (k_eps + 2.0) / 2.0,
+                      m_eps=m_eps)
+    return theory, (constant, rate)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from importlib import import_module
 from typing import Callable, NamedTuple
 
@@ -156,8 +156,7 @@ def _pgr_setup(spec, game, x0, x_star):
 
 
 def _dist_setup(spec, game, x0, x_star):
-    from .distributed import (DistConfig, dist_complexity,
-                              dist_envelope_params, dist_rate_constants,
+    from .distributed import (DistConfig, dist_rate_constants, dist_theory,
                               run_dist_pgr)
     from .graphs import mixing_params
 
@@ -170,13 +169,8 @@ def _dist_setup(spec, game, x0, x_star):
     graph = build_graph(g)
     config = DistConfig(**s, seed=spec.seed)
     rc = dist_rate_constants(game, graph, config.alpha, config.beta)
-    schedule = RootGeometricBatch(rc.beta)
-    c_start = float(np.linalg.norm(x0 - x_star)) ** 2
-    theory = dict(asdict(rc), c_start=c_start)
-    if eps is not None:
-        comp = dist_complexity(rc, eps, c_start)
-        theory.update(k_eps=comp.k_eps, comm_eps=comp.comm_rounds,
-                      m_eps=comp.samples)
+    theory, envelope = dist_theory(
+        rc, float(np.linalg.norm(x0 - x_star)) ** 2, eps)
 
     def solve(reps):
         trace = run_dist_pgr(game, graph, config, x_star, replications=reps,
@@ -191,14 +185,15 @@ def _dist_setup(spec, game, x0, x_star):
     fields = {"theory": theory,
               "graph": dict(asdict(mixing_params(graph)), nodes=graph.n_nodes,
                             edges=len(graph.edges))}
-    return (solve, fields, dist_envelope_params(rc, c_start),
-            (schedule, config.max_iter, game.constants.nu_i, game.dims))
+    return (solve, fields, envelope, (RootGeometricBatch(rc.beta),
+                                      config.max_iter, game.constants.nu_i,
+                                      game.dims))
 
 
 def _pbr_setup(spec, game, x0, x_star):
     from .best_response import (PbrConfig, check_contractive,
-                                contraction_certificate, pbr_complexity,
-                                pbr_envelope, resolved_schedule, run_pbr)
+                                contraction_certificate, pbr_theory,
+                                resolved_schedule, run_pbr)
 
     s = dict(spec.solver)
     eps = s.pop("target_eps", None)  # PbrConfig has no such field
@@ -206,19 +201,12 @@ def _pbr_setup(spec, game, x0, x_star):
     cert = contraction_certificate(game, config.mu)
     check_contractive(cert)
     schedule = resolved_schedule(game, config)
-    config = replace(config, m_max=schedule.m_max, c_r=schedule.c_r)
     c_start = max(float(np.linalg.norm(x0[sl] - x_star[sl]))
                   for sl in map(game.block_slice, range(game.n_players)))
-    eta_tilde, d, constant = pbr_envelope(config, cert.a, game.n_players,
-                                          c_start)
-    theory = {"a": cert.a, "c_r": config.c_r, "m_max": config.m_max,
-              "eta_tilde": eta_tilde, "d": d, "c_start": c_start}
-    if eps is not None:
-        comp = pbr_complexity(config, cert.a, eps, game.n_players, c_start)
-        theory.update(k_eps=comp.k_eps, m_eps=comp.samples,
-                      m_eps_order=comp.order_value)
+    theory, envelope = pbr_theory(schedule, cert.a, game.n_players, c_start,
+                                  eps, config.eta_tilde)
     return (lambda reps: run_pbr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, (constant, eta_tilde),
+            {"theory": theory}, envelope,
             (schedule, config.max_iter, game.constants.nu_i, game.dims))
 
 
@@ -354,9 +342,10 @@ def write_trace_csv(path: str, scheme: str, trace: RunTrace) -> None:
 def write_report_json(path: str, report: dict) -> None:
     """Write a report as strict JSON. Each non-finite float is written as
     null and listed in a top-level `nonfinite` object, which maps its key
-    path ("m_eps", "theory.envelope.values[3]") to the token it stands for
-    ("Infinity", "-Infinity" or "NaN"); the key is written only when some
-    value is non-finite. The report itself is not changed."""
+    path ("mean_final_error", "theory.envelope.values[3]") to the token
+    it stands for ("Infinity", "-Infinity" or "NaN"); the key is written
+    only when some value is non-finite. The report itself is not
+    changed."""
     import json
 
     def strict(value, key: str):

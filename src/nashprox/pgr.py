@@ -8,8 +8,8 @@ where w_k is the averaged oracle error over N_k = ceil(rho^{-(k+1)}) samples.
 With alpha < 2 eta / lip^2 the exact map contracts in mean square at factor
 q = 1 - 2 alpha eta + alpha^2 lip^2, and the growing batches turn that into
 a linear rate max(rho, q) for the mean squared distance to the equilibrium.
-The companion calculators give the matching rate constants, iteration bound
-K(eps), and oracle-sample bound M(eps).
+pgr_theory gives the matching envelope, iteration bound K(eps) and
+oracle-sample bound M(eps).
 """
 
 from __future__ import annotations
@@ -56,23 +56,6 @@ class PgrConfig:
             raise ValueError(f"target_eps must be > 0, got {self.target_eps}")
 
 
-@dataclass(frozen=True)
-class RateConstants:
-    """Constants of the mean-square linear rate envelope.
-
-    Off the knife edge rho == q the envelope is c_rho_q * max(rho, q)^k and
-    d_tilde/rho_tilde are None; on it the envelope is d_tilde * rho_tilde^k
-    for a chosen rho_tilde in (rho, 1) and c_rho_q is None. c_start is the
-    initial squared distance bound used in both.
-    """
-
-    q: float
-    c_start: float
-    c_rho_q: float | None
-    d_tilde: float | None
-    rho_tilde: float | None
-
-
 def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:
     """Mean-square contraction factor q = 1 - 2 alpha eta + alpha^2 lip^2.
 
@@ -92,25 +75,6 @@ def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:
             f"alpha={alpha} gives contraction factor q={q} >= 1; "
             f"need alpha in (0, {bound})")
     return q
-
-
-def rate_constants(eta: float, lip: float, alpha: float, rho: float, nu: float,
-                   c_start: float, rho_tilde: float | None = None) -> RateConstants:
-    """Envelope constants for the mean squared error of the growing-batch run:
-    geometric_envelope of c_start, a bound on E||x_0 - x*||^2, and the noise
-    alpha^2 nu^2 at the rates (rho, q). Off the knife edge rho == q its
-    constant is c_rho_q; on it, d_tilde at rate rho_tilde.
-    """
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if not (c_start >= 0.0 and nu >= 0.0 and nu * nu < math.inf):
-        raise ValueError(f"need c_start >= 0 and nu >= 0 with nu^2 finite, "
-                         f"got c_start={c_start}, nu={nu}")
-    q = contraction_factor_q(eta, lip, alpha)
-    constant, _, rho_tilde = geometric_envelope(c_start, alpha ** 2 * nu ** 2,
-                                                rho, q, rho_tilde)
-    c_rho_q, d_tilde = (None, constant) if rho_tilde else (constant, None)
-    return RateConstants(q, c_start, c_rho_q, d_tilde, rho_tilde)
 
 
 def geometric_envelope(c_start: float, noise: float, base: float,
@@ -133,13 +97,6 @@ def geometric_envelope(c_start: float, noise: float, base: float,
         return constant, tilde, tilde
     gap = 1.0 - (other / base if other < base else base / other)
     return c_start + noise / gap, max(base, other), None
-
-
-def envelope_params(rc: RateConstants, rho: float) -> tuple[float, float]:
-    """(constant, rate) of the envelope constant * rate^k encoded by rc."""
-    if rc.d_tilde is not None:
-        return rc.d_tilde, rc.rho_tilde
-    return rc.c_rho_q, max(rho, rc.q)
 
 
 def geometric_complexity(constant: float, rate: float, batch_rate: float,
@@ -179,17 +136,27 @@ def power_or_inf(base: float, exponent: float) -> float:
 def pgr_theory(eta: float, lip: float, alpha: float, rho: float, nu: float,
                c_start: float, eps: float | None,
                rho_tilde: float | None = None) -> tuple[dict, tuple]:
-    """The theory fields of a pgr run and of `bounds` (q, c_rho_q, d_tilde,
-    rho_tilde, and K(eps) and M(eps) when eps is given) and the envelope's
-    (constant, rate); pgr_loop cuts a target_eps run at this K(eps)."""
-    rc = rate_constants(eta, lip, alpha, rho, nu, c_start, rho_tilde)
-    theory = {"q": rc.q, "c_rho_q": rc.c_rho_q, "d_tilde": rc.d_tilde,
-              "rho_tilde": rc.rho_tilde}
-    envelope = envelope_params(rc, rho)
+    """(theory, (constant, rate)) of a pgr run and of `bounds`. The envelope
+    constant * rate^k on E||x_k - x*||^2 is geometric_envelope of c_start
+    and the noise alpha^2 nu^2 at the rates (rho, q); theory holds q, the
+    constant as c_rho_q off the knife edge rho == q or as d_tilde on it,
+    rho_tilde, and K(eps) and M(eps) as k_eps and m_eps when eps is given.
+    """
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    if not (c_start >= 0.0 and nu >= 0.0 and nu * nu < math.inf):
+        raise ValueError(f"need c_start >= 0 and nu >= 0 with nu^2 finite, "
+                         f"got c_start={c_start}, nu={nu}")
+    q = contraction_factor_q(eta, lip, alpha)
+    constant, rate, rho_tilde = geometric_envelope(
+        c_start, alpha ** 2 * nu ** 2, rho, q, rho_tilde)
+    theory = {"q": q, "c_rho_q": None if rho_tilde else constant,
+              "d_tilde": constant if rho_tilde else None,
+              "rho_tilde": rho_tilde}
     if eps is not None:
         theory["k_eps"], theory["m_eps"] = geometric_complexity(
-            *envelope, rho, eps)
-    return theory, envelope
+            constant, rate, rho, eps)
+    return theory, (constant, rate)
 
 
 def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:

@@ -12,7 +12,6 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from nashprox import distributed
 from nashprox.best_response import resolved_schedule
 from nashprox.noise import iteration_errors
-from nashprox.pgr import geometric_complexity
 
 from nashprox import (
     AggregativeGame,
@@ -33,9 +31,8 @@ from nashprox import (
     complete_graph,
     contraction_certificate,
     contraction_factor_q,
-    dist_envelope_params,
     dist_rate_constants,
-    envelope_params,
+    dist_theory,
     erdos_renyi_graph,
     fit_linear_rate,
     generate_quadratic_game,
@@ -44,9 +41,9 @@ from nashprox import (
     monotonicity_constants,
     ne_residual,
     path_graph,
-    pbr_complexity,
+    pbr_theory,
+    pgr_theory,
     proximal_best_response,
-    rate_constants,
     recommended_parameters,
     ring_graph,
     run_dist_pgr,
@@ -144,9 +141,9 @@ def test_acceptance_03_growing_batch_linear_rate(capfd):
     x0 = np.zeros(2)
     config = PgrConfig(alpha=0.2, rho=0.9, max_iter=60, seed=11)
     mean = _mean_errors(game, config, x0, x_star, run_pgr, 100)
-    rc = rate_constants(const.eta, const.lip, 0.2, 0.9, 1.0,
-                        float(np.linalg.norm(x0 - x_star)) ** 2)
-    constant, rate = envelope_params(rc, 0.9)
+    _, (constant, rate) = pgr_theory(const.eta, const.lip, 0.2, 0.9, 1.0,
+                                     float(np.linalg.norm(x0 - x_star)) ** 2,
+                                     None)
     max_ratio = max(mean[k] / (constant * rate ** k) for k in range(61))
     slope = fit_linear_rate(mean, window=(5, 60)).slope
     slope_cap = math.log(rate) + 0.05
@@ -167,10 +164,9 @@ def test_acceptance_04_complexity_bounds(capfd):
     x_star = solve_ne_oracle(game)
     x0 = np.zeros(2)
     eps = 1e-3
-    rc = rate_constants(const.eta, const.lip, alpha, rho, 1.0,
-                        float(np.linalg.norm(x0 - x_star)) ** 2)
-    k_bound, m_bound = geometric_complexity(*envelope_params(rc, rho), rho,
-                                            eps)
+    theory, _ = pgr_theory(const.eta, const.lip, alpha, rho, 1.0,
+                           float(np.linalg.norm(x0 - x_star)) ** 2, eps)
+    k_bound, m_bound = theory["k_eps"], theory["m_eps"]
     config = PgrConfig(alpha=alpha, rho=rho, max_iter=math.ceil(k_bound) + 6, seed=3)
     trace = run_pgr(game, config, x0, x_star=x_star, replications=range(100))
     mean = np.mean(trace.errors, axis=0)
@@ -178,13 +174,11 @@ def test_acceptance_04_complexity_bounds(capfd):
     first = int(reached[0]) if reached.size else 10 ** 9
     samples_at_first = sum(trace.batches[:first])
     # frozen hand-plugged calculator values
-    rc_a = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    k_hand_ok = abs(geometric_complexity(*envelope_params(rc_a, 0.5), 0.5,
-                                         0.01)[0]
-                    - math.log(118.75) / math.log(4 / 3)) <= 1e-9 * 17
-    rc_b = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    k_b, m_b = geometric_complexity(*envelope_params(rc_b, 0.75), 0.75, 0.01)
-    m_hand = rc_b.c_rho_q / (0.75 * math.log(4 / 3) * 0.01) + k_b
+    k_a = pgr_theory(1.0, 2.0, 0.25, 0.5, 1.0, 1.0, 0.01)[0]["k_eps"]
+    k_hand_ok = abs(k_a - math.log(118.75) / math.log(4 / 3)) <= 1e-9 * 17
+    theory_b = pgr_theory(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0, 0.01)[0]
+    k_b, m_b = theory_b["k_eps"], theory_b["m_eps"]
+    m_hand = theory_b["c_rho_q"] / (0.75 * math.log(4 / 3) * 0.01) + k_b
     m_hand_ok = abs(m_b - m_hand) <= 1e-9 * m_hand
     ok = (first <= math.ceil(k_bound) + 2 and samples_at_first <= m_bound
           and k_hand_ok and m_hand_ok)
@@ -280,8 +274,8 @@ def test_acceptance_07_distributed_linear_rate(capfd):
     mean = np.mean(trace.errors, axis=0)
     rc = dist_rate_constants(game, graph, alpha)
     mid = np.full(5, 0.5)
-    constant, rate = dist_envelope_params(
-        rc, c_start=float(np.linalg.norm(mid - x_star)) ** 2)
+    _, (constant, rate) = dist_theory(
+        rc, float(np.linalg.norm(mid - x_star)) ** 2, None)
     max_ratio = max(mean[k] / (constant * rate ** k) for k in range(41))
     slope = fit_linear_rate(mean, window=(5, 40)).slope
     slope_cap = math.log(rate) + 0.05
@@ -379,17 +373,16 @@ def test_acceptance_10_best_response_rate_and_complexity(capfd):
     envelope0 = math.sqrt(2.0) * (c_start + d)
     max_ratio = max(mean[k] / (envelope0 * 0.75 ** k) for k in range(26))
     eps = 1e-2
-    sched = resolved_schedule(game, config)
-    full = replace(config, m_max=sched.m_max, c_r=sched.c_r)
-    out = pbr_complexity(full, a=cert.a, eps=eps, n_players=2, c_start=c_start)
+    k_eps = pbr_theory(resolved_schedule(game, config), cert.a, 2, c_start,
+                       eps, config.eta_tilde)[0]["k_eps"]
     reached = np.nonzero(mean <= eps)[0]
     first = int(reached[0]) if reached.size else 10 ** 9
     counters_ok = trace.counter.total_samples == 2 * sum(trace.batches)
-    ok = max_ratio <= 1.0 and first <= out.k_eps + 2 and counters_ok
+    ok = max_ratio <= 1.0 and first <= k_eps + 2 and counters_ok
     elapsed = _verdict(capfd, 10, "best-response decay inside the shifted envelope",
                        ok, started, budget)
     assert max_ratio <= 1.0, max_ratio
-    assert first <= out.k_eps + 2, (first, out.k_eps)
+    assert first <= k_eps + 2, (first, k_eps)
     assert counters_ok
     assert elapsed < budget
 

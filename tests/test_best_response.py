@@ -20,7 +20,7 @@ from nashprox import (
     contraction_certificate,
     generate_quadratic_game,
     monotonicity_constants,
-    pbr_complexity,
+    pbr_theory,
     proximal_best_response,
     run_pbr,
     saa_best_response,
@@ -302,48 +302,44 @@ def test_uncontractive_game_is_rejected():
 
 
 def test_iteration_bound_hand_value():
-    config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=100, eta_tilde=0.75,
-                       m_max=1.0, c_r=1.0)
-    out = pbr_complexity(config, a=2 / 3, eps=0.01, n_players=2, c_start=1.0)
+    schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.7)
+    out, (constant, rate) = pbr_theory(schedule, a=2 / 3, n_players=2,
+                                       c_start=1.0, eps=0.01, eta_tilde=0.75)
     d = 1.0 / (math.e * math.log(0.75 / 0.7))
+    assert out["d"] == d and out["eta_tilde"] == rate == 0.75
+    assert constant == math.sqrt(2.0) * (1.0 + d)
     k_hand = math.ceil(math.log(math.sqrt(2.0) * (1.0 + d) / 0.01) / math.log(1 / 0.75))
-    assert out.k_eps == k_hand == 24
+    assert out["k_eps"] == k_hand == 24
     order_hand = (math.sqrt(2.0) * (1.0 + d) / 0.01) ** (2 * math.log(1 / 0.7) / math.log(1 / 0.75))
-    assert out.order_value == pytest.approx(order_hand, rel=1e-9)
+    assert out["m_eps_order"] == pytest.approx(order_hand, rel=1e-9)
 
 
 def test_sample_total_is_the_exact_schedule_sum():
     # five iterations of the unit schedule at ratio one half cost
     # 2 * (1 + 4 + 16 + 64 + 256) samples across two players
-    config = PbrConfig(mu=1.0, eta_br=0.5, max_iter=100, eta_tilde=5 / 6,
-                       m_max=1.0, c_r=1.0)
+    schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.5)
     d = 1.0 / (math.e * math.log((5 / 6) / (2 / 3)))
     env0 = math.sqrt(2.0) * (1.0 + d)
     eps = env0 * (5 / 6) ** 5 * 1.0000001
-    out = pbr_complexity(config, a=2 / 3, eps=eps, n_players=2, c_start=1.0)
-    assert out.k_eps == 5
-    assert out.samples == 682
-    at_start = pbr_complexity(config, a=2 / 3, eps=env0, n_players=2, c_start=1.0)
-    assert at_start.k_eps == 0
-    assert at_start.samples == 0
-
-
-def test_complexity_requires_a_resolved_schedule():
-    config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=10)
-    with pytest.raises(ValueError):
-        pbr_complexity(config, a=2 / 3, eps=0.01, n_players=2, c_start=1.0)
+    out = pbr_theory(schedule, 2 / 3, 2, 1.0, eps, eta_tilde=5 / 6)[0]
+    assert out["k_eps"] == 5
+    assert out["m_eps"] == 682
+    at_start = pbr_theory(schedule, 2 / 3, 2, 1.0, env0, eta_tilde=5 / 6)[0]
+    assert at_start["k_eps"] == 0
+    assert at_start["m_eps"] == 0
 
 
 def test_default_shifted_rate_splits_the_gap_to_one():
     game = _reference_game(nu=math.sqrt(2.0))
     x_star = solve_ne_oracle(game)
     x0 = np.zeros(2)
-    config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=100, m_max=1.0, c_r=1.0)
+    schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.7)
     # max(a, eta_br) = 0.7 so the default shifted rate is 0.85
-    out = pbr_complexity(config, a=2 / 3, eps=0.5, n_players=2, c_start=1.0)
+    out = pbr_theory(schedule, a=2 / 3, n_players=2, c_start=1.0, eps=0.5)[0]
+    assert out["eta_tilde"] == 0.85
     d = 1.0 / (math.e * math.log(0.85 / 0.7))
     k_hand = math.ceil(math.log(math.sqrt(2.0) * (1.0 + d) / 0.5) / math.log(1 / 0.85))
-    assert out.k_eps == k_hand
+    assert out["k_eps"] == k_hand
 
 
 def _loop_total(schedule, n):
@@ -380,7 +376,7 @@ def test_batch_total_equals_the_per_k_loop(m_max, c_r, eta_br, n):
 
 def test_batch_total_past_the_float_range_raises_without_a_warning():
     """Every batch below k = 3365 is finite, their sum is not: the
-    OverflowError that pbr_complexity reports as Infinity comes with no
+    OverflowError that pbr_theory reports as Infinity comes with no
     numpy RuntimeWarning."""
     schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.9)
     assert math.isfinite(schedule.size(3364))
@@ -405,15 +401,15 @@ def test_complexity_near_eta_br_one_is_fast_and_matches_the_loop():
     # loop took 16 s for this sum on a 2-vCPU VM (50.7 s through the CLI),
     # and gave 4206940740105320469573366437542859785038862
     import time
-    config = PbrConfig(mu=1.0, eta_br=0.999999, max_iter=2,
-                       m_max=1.0000000000000002, c_r=1.8944271909999157)
+    schedule = BestResponseBatch(m_max=1.0000000000000002,
+                                 c_r=1.8944271909999157, eta_br=0.999999)
     start = time.perf_counter()
-    out = pbr_complexity(config, a=2 / 3, eps=1e-3, n_players=2,
-                         c_start=0.3333333333321395)
+    out = pbr_theory(schedule, a=2 / 3, n_players=2,
+                     c_start=0.3333333333321395, eps=1e-3)[0]
     elapsed = time.perf_counter() - start
-    assert out.k_eps == 41_525_963
+    assert out["k_eps"] == 41_525_963
     loop = 4206940740105320469573366437542859785038862
-    assert abs(out.samples - loop) <= 1e-15 * loop
+    assert abs(out["m_eps"] - loop) <= 1e-15 * loop
     assert elapsed < 10.0
 
 

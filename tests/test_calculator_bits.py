@@ -9,22 +9,18 @@ cases sit on both sides of each knife edge: rho == q for pgr, sqrt(beta)
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import pytest
 
 from nashprox import (
+    BestResponseBatch,
     DistRateConstants,
-    PbrConfig,
     contraction_factor_q,
-    dist_complexity,
-    dist_envelope_params,
-    envelope_params,
-    pbr_complexity,
-    rate_constants,
+    dist_theory,
+    pbr_theory,
+    pgr_theory,
 )
-from nashprox.pgr import geometric_complexity
 
 # (eta, lip, alpha): q = 0.75, q = 8/9 and q = 0
 STEPS = {"q075": (1.0, 2.0, 0.25), "q089": (1.0, 3.0, 1.0 / 9.0),
@@ -48,11 +44,15 @@ def _pgr_cases():
         ("q0", 0.5, 1.0, 1.0, None),               # gap 1 at q = 0
     ]
     for step, rho, nu, c_start, rho_tilde in rows:
-        rc = rate_constants(*STEPS[step], rho, nu, c_start,
-                            rho_tilde=rho_tilde)
-        out = [*dataclasses.astuple(rc), *envelope_params(rc, rho)]
+        args = (*STEPS[step], rho, nu, c_start)
+        theory, envelope = pgr_theory(*args, None, rho_tilde)
+        # the columns of the rate-constants record the names were captured
+        # with: q, c_start, c_rho_q, d_tilde, rho_tilde
+        out = [theory["q"], c_start, theory["c_rho_q"], theory["d_tilde"],
+               theory["rho_tilde"], *envelope]
         for eps in (1e-2, 1e-7, 1e3):
-            out += geometric_complexity(*envelope_params(rc, rho), rho, eps)
+            theory = pgr_theory(*args, eps, rho_tilde)[0]
+            out += [theory["k_eps"], theory["m_eps"]]
         yield f"pgr-{step}-{rho!r}-{nu}-{c_start}-{rho_tilde}", out
 
 
@@ -70,9 +70,10 @@ def _dist_cases():
     for varrho, beta, c3, c_start in rows:
         rc = DistRateConstants(varrho=varrho, c1=0.0, c2=0.0, c3=c3,
                                m_compact=1.0, beta=beta, theta=1.0)
-        out = list(dist_envelope_params(rc, c_start))
+        out = list(dist_theory(rc, c_start, None)[1])
         for eps in ((1e-2, 1e-9, 1e12) if beta > 0.0 else ()):
-            out += list(dist_complexity(rc, eps, c_start))
+            theory = dist_theory(rc, c_start, eps)[0]
+            out += [theory["k_eps"], theory["comm_eps"], theory["m_eps"]]
         # the trailing None is the varrho_tilde column the names were
         # captured with
         yield f"dist-{varrho}-{beta!r}-{c3}-{c_start}-None", out
@@ -87,11 +88,12 @@ def _pbr_cases():
         (0.0, 0.3, None, 0.0, 1.0, 1, 0.0),        # no noise, zero start
     ]
     for a, eta_br, eta_tilde, m_max, c_r, n_players, c_start in rows:
-        config = PbrConfig(mu=1.0, eta_br=eta_br, max_iter=1, m_max=m_max,
-                           c_r=c_r, eta_tilde=eta_tilde)
+        schedule = BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=eta_br)
         out = []
         for eps in (1e-1, 1e-3, 1e-9, 1e-320, 1e3):
-            out += list(pbr_complexity(config, a, eps, n_players, c_start))
+            theory = pbr_theory(schedule, a, n_players, c_start, eps,
+                                eta_tilde)[0]
+            out += [theory["k_eps"], theory["m_eps"], theory["m_eps_order"]]
         yield f"pbr-{a!r}-{eta_br}-{eta_tilde}-{m_max}-{c_r}-{n_players}", out
 
 

@@ -1,5 +1,6 @@
 """Every script in demos/, and the Python quick start of README.md, runs
-to completion against the package."""
+to completion against the package and writes nothing to stderr, so that
+a leaked warning fails."""
 
 from __future__ import annotations
 
@@ -29,3 +30,4 @@ def test_demo_runs(argv: list[str]):
     proc = subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

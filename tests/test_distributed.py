@@ -19,9 +19,8 @@ from nashprox import (
     RootGeometricBatch,
     complete_graph,
     consensus_apply,
-    dist_complexity,
-    dist_envelope_params,
     dist_rate_constants,
+    dist_theory,
     mixing_params,
     monotonicity_constants,
     prox_apply,
@@ -227,31 +226,34 @@ def test_a_configured_beta_can_only_slow_the_schedule():
 def test_distributed_envelope_and_complexity_hand_values():
     rc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=0.2, m_compact=1.0,
                            beta=0.5, theta=1.0)
-    constant, rate = dist_envelope_params(rc, c_start=1.0)
+    theory, (constant, rate) = dist_theory(rc, 1.0, None)
+    assert theory == {"varrho": 0.8, "c1": 0.0, "c2": 0.0, "c3": 0.2,
+                      "m_compact": 1.0, "beta": 0.5, "theta": 1.0,
+                      "c_start": 1.0}
     ratio = math.sqrt(0.5) / 0.8
     hand = 1.0 + 0.2 / (1.0 - ratio)
     assert constant == pytest.approx(hand, rel=1e-12)
     assert rate == pytest.approx(0.8, abs=1e-15)
     # a target hit at K = 3 envelope steps costs 10 communication rounds
     eps3 = hand * 0.8 ** 3
-    out = dist_complexity(rc, eps3, c_start=1.0)
-    assert out.k_eps == pytest.approx(3.0, rel=1e-9)
-    assert out.comm_rounds == pytest.approx(10.0, rel=1e-9)
+    out = dist_theory(rc, 1.0, eps3)[0]
+    assert out["k_eps"] == pytest.approx(3.0, rel=1e-9)
+    assert out["comm_eps"] == pytest.approx(10.0, rel=1e-9)
     # at the envelope constant itself no iterations are needed
-    out0 = dist_complexity(rc, hand, c_start=1.0)
-    assert out0.k_eps == 0.0
-    assert out0.comm_rounds == pytest.approx(1.0)
+    out0 = dist_theory(rc, 1.0, hand)[0]
+    assert out0["k_eps"] == 0.0
+    assert out0["comm_eps"] == pytest.approx(1.0)
     # samples follow the root-geometric lead term plus the iteration count
     expo = math.log(1 / math.sqrt(0.5)) / math.log(1 / 0.8)
     lead = (hand / eps3) ** expo / (math.sqrt(0.5) * math.log(1 / math.sqrt(0.5)))
-    assert out.samples == pytest.approx(lead + 3.0, rel=1e-9)
+    assert out["m_eps"] == pytest.approx(lead + 3.0, rel=1e-9)
 
 
 def test_matched_distributed_rates_use_the_shifted_envelope():
     # beta equal to varrho^2 is the boundary case with its own constant
     rc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=0.2, m_compact=1.0,
                            beta=0.64, theta=1.0)
-    constant, rate = dist_envelope_params(rc, c_start=1.0)
+    _, (constant, rate) = dist_theory(rc, 1.0, None)
     assert rate == pytest.approx(0.9, abs=1e-15)  # default shift (1 + 0.8)/2
     hand = 1.0 + 0.2 / (math.e * math.log(0.9 / 0.8))
     assert constant == pytest.approx(hand, rel=1e-12)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
             "missing = [n for n in nashprox.__all__ if n not in globals()]; "
             "assert set(nashprox.__all__) <= set(dir(nashprox)); "
             "print(missing, len(nashprox.__all__))")
-    assert _fresh(code).strip() == "[] 76"
+    assert _fresh(code).strip() == "[] 71"
 
 
 def test_an_unknown_name_is_an_attribute_error():
@@ -77,8 +78,17 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'run_pgx'"):
         nashprox.run_pgx
     assert not hasattr(nashprox, "StrategyProfile")
-    # geometric_complexity(*envelope_params(rc, rho), rho, eps) gives both
+    # pgr_theory(..., eps) gives both as k_eps and m_eps
     assert not hasattr(nashprox, "complexity_K")
     assert not hasattr(nashprox, "complexity_M")
     # schedule.size(k) is the batch size
     assert not hasattr(nashprox, "schedule_size")
+    # each scheme's one calculator, pgr_theory, dist_theory or pbr_theory,
+    # returns its theory fields and envelope
+    for name in ("RateConstants", "rate_constants", "envelope_params",
+                 "dist_envelope_params", "dist_complexity", "DistComplexity",
+                 "pbr_complexity", "PbrComplexity", "pbr_envelope"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(nashprox, name)
+        assert not any(hasattr(import_module(f"nashprox.{module}"), name)
+                       for module in ("pgr", "distributed", "best_response"))

@@ -8,7 +8,8 @@ names; the game generators live in games.py, so building a game from a
 config does not import the experiment runner.
 Each bullet of the README's "Library tour" opens with the modules it
 describes, and every name in backticks in its first sentence must be an
-attribute of one of them.
+attribute of one of them. A scheme's complexity keys are named only by
+its own theory calculator, and by cli.py, which prints `bounds`' keys.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nashprox"
 EXPERIMENTS_IMPORTERS = {"cli.py"}
+COMPLEXITY_KEYS = ("k_eps", "m_eps", "comm_eps", "m_eps_order")
 
 
 def _imports_experiments(tree: ast.AST) -> bool:
@@ -49,6 +51,15 @@ def test_only_the_command_line_and_the_package_import_experiments():
     assert importers == EXPERIMENTS_IMPORTERS
     import nashprox
     assert nashprox.run_experiment.__module__ == "nashprox.experiments"
+
+
+def test_only_the_theory_calculators_name_the_complexity_keys():
+    """pgr_theory, dist_theory and pbr_theory write k_eps and the sample
+    and communication bounds; the driver passes their dicts on."""
+    naming = {m.name for m in SRC.glob("*.py")
+              if any(key in m.read_text("utf-8") for key in COMPLEXITY_KEYS)}
+    assert naming == {"pgr.py", "distributed.py", "best_response.py",
+                      "cli.py"}
 
 
 def _tour_bullets() -> list[tuple[list[str], str]]:

@@ -12,12 +12,10 @@ from nashprox import (
     PgrConfig,
     QuadraticGame,
     contraction_factor_q,
-    dist_complexity,
-    dist_envelope_params,
-    envelope_params,
+    dist_theory,
     generate_quadratic_game,
     monotonicity_constants,
-    rate_constants,
+    pgr_theory,
     recommended_parameters,
     run_pgr,
     solve_ne_oracle,
@@ -28,9 +26,15 @@ REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
 
 
-def _bounds(rc, rho, eps):
-    """(K(eps), M(eps)) of rc's envelope under N_k = ceil(rho^{-(k+1)})."""
-    return geometric_complexity(*envelope_params(rc, rho), rho, eps)
+def _theory(*args, rho_tilde=None):
+    """pgr_theory's fields of (eta, lip, alpha, rho, nu, c_start), no eps."""
+    return pgr_theory(*args, None, rho_tilde)[0]
+
+
+def _bounds(args, eps, rho_tilde=None):
+    """(K(eps), M(eps)) of pgr_theory(*args) under N_k = ceil(rho^{-(k+1)})."""
+    theory = pgr_theory(*args, eps, rho_tilde)[0]
+    return theory["k_eps"], theory["m_eps"]
 
 
 def _reference_game(nu: float = 0.0) -> QuadraticGame:
@@ -53,59 +57,58 @@ def test_contraction_factor_rejects_steps_outside_stable_range():
 
 
 def test_rate_constants_envelope_value():
-    rc = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    assert rc.q == pytest.approx(0.75, abs=1e-15)
-    assert rc.c_rho_q == pytest.approx(1.1875, rel=1e-12)
-    constant, rate = envelope_params(rc, 0.5)
+    theory, (constant, rate) = pgr_theory(1.0, 2.0, 0.25, 0.5, 1.0, 1.0,
+                                          None)
+    assert theory["q"] == pytest.approx(0.75, abs=1e-15)
+    assert theory["c_rho_q"] == pytest.approx(1.1875, rel=1e-12)
+    assert theory["d_tilde"] is None and theory["rho_tilde"] is None
+    assert "k_eps" not in theory and "m_eps" not in theory
     assert constant == pytest.approx(1.1875, rel=1e-12)
     assert rate == pytest.approx(0.75, abs=1e-15)
 
 
 def test_rate_constants_rejects_invalid_rho():
     with pytest.raises(ValueError):
-        rate_constants(1.0, 2.0, 0.25, 1.2, 1.0, 1.0)
+        _theory(1.0, 2.0, 0.25, 1.2, 1.0, 1.0)
     with pytest.raises(ValueError):
-        rate_constants(1.0, 2.0, 0.25, 0.0, 1.0, 1.0)
+        _theory(1.0, 2.0, 0.25, 0.0, 1.0, 1.0)
 
 
 def test_rate_constants_rejects_negative_or_overflowing_nu():
     for nu in (-1.0, 1e160, float("nan")):
         with pytest.raises(ValueError, match="nu"):
-            rate_constants(1.0, 2.0, 0.25, 0.5, nu, 1.0)
+            _theory(1.0, 2.0, 0.25, 0.5, nu, 1.0)
 
 
 def test_iteration_bound_hand_value():
-    rc = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    k01 = _bounds(rc, 0.5, 0.01)[0]
+    args = (1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
+    k01 = _bounds(args, 0.01)[0]
     assert k01 == pytest.approx(math.log(118.75) / math.log(4 / 3), rel=1e-9)
     # the target equal to the envelope constant is reached at iteration zero
-    assert _bounds(rc, 0.5, 1.1875)[0] == 0.0
+    assert _bounds(args, 1.1875)[0] == 0.0
 
 
 def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
     # constant / eps is past the float range, its logarithm is about 1,150
-    rc = rate_constants(1.0, 3.0, 0.1111, 0.9444, 1e150, 1.0)
-    constant, rate = envelope_params(rc, 0.9444)
+    args = (1.0, 3.0, 0.1111, 0.9444, 1e150, 1.0)
+    _, (constant, rate) = pgr_theory(*args, None)
     assert constant / 1e-200 == math.inf
     hand = (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate)
-    assert _bounds(rc, 0.9444, 1e-200)[0] == pytest.approx(hand, rel=1e-12)
+    assert _bounds(args, 1e-200)[0] == pytest.approx(hand, rel=1e-12)
     assert 1.9e4 < hand < 2.1e4
-    assert _bounds(rc, 0.9444, 1e-200)[1] == math.inf
+    assert _bounds(args, 1e-200)[1] == math.inf
     drc = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=1e300,
                             m_compact=1.0, beta=0.5, theta=1.0)
-    constant, rate = dist_envelope_params(drc, c_start=1.0)
-    out = dist_complexity(drc, 1e-200, c_start=1.0)
-    assert out.k_eps == pytest.approx(
+    out, (constant, rate) = dist_theory(drc, 1.0, 1e-200)
+    assert out["k_eps"] == pytest.approx(
         (math.log(constant) - math.log(1e-200)) / math.log(1.0 / rate),
         rel=1e-12)
-    assert out.samples == math.inf
+    assert out["m_eps"] == math.inf
 
 
 def test_a_zero_envelope_needs_no_iterations_and_no_samples():
     assert geometric_complexity(0.0, 0.9, 0.8, 1e-3) == (0.0, 0.0)
-    rc = rate_constants(1.0, 3.0, 0.1, 0.95, 0.0, 0.0)
-    assert (_bounds(rc, 0.95, 1e-3)[0], _bounds(rc, 0.95, 1e-3)[1]) \
-        == (0.0, 0.0)
+    assert _bounds((1.0, 3.0, 0.1, 0.95, 0.0, 0.0), 1e-3) == (0.0, 0.0)
     # a noise-free run from x* stops after the one iteration a run makes
     game = _reference_game()
     x_star = solve_ne_oracle(game)
@@ -117,49 +120,51 @@ def test_a_zero_envelope_needs_no_iterations_and_no_samples():
 
 def test_iteration_bound_is_symmetric_in_rho_and_q():
     # (q, rho) = (0.75, 0.5) and (0.5, 0.75) share the envelope constant and rate
-    rc_a = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    rc_b = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    assert rc_b.q == pytest.approx(0.5, abs=1e-12)
-    assert rc_b.c_rho_q == pytest.approx(rc_a.c_rho_q, rel=1e-12)
-    assert _bounds(rc_b, 0.75, 0.01)[0] == pytest.approx(
-        _bounds(rc_a, 0.5, 0.01)[0], rel=1e-12)
+    a = (1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
+    b = (1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
+    assert _theory(*b)["q"] == pytest.approx(0.5, abs=1e-12)
+    assert _theory(*b)["c_rho_q"] == pytest.approx(_theory(*a)["c_rho_q"],
+                                                   rel=1e-12)
+    assert _bounds(b, 0.01)[0] == pytest.approx(_bounds(a, 0.01)[0],
+                                                rel=1e-12)
 
 
 def test_oracle_bound_hand_values_both_orderings():
     # sampling-rate-dominated branch: rho > q, exponent one
-    rc = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    k = _bounds(rc, 0.75, 0.01)[0]
-    m = _bounds(rc, 0.75, 0.01)[1]
-    hand = rc.c_rho_q / (0.75 * math.log(4 / 3) * 0.01) + k
+    args = (1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
+    k, m = _bounds(args, 0.01)
+    hand = _theory(*args)["c_rho_q"] / (0.75 * math.log(4 / 3) * 0.01) + k
     assert m == pytest.approx(hand, rel=1e-9)
     # contraction-dominated branch: q > rho, exponent ln(1/rho)/ln(1/q)
-    rc2 = rate_constants(1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
-    k2 = _bounds(rc2, 0.5, 0.01)[0]
+    args2 = (1.0, 2.0, 0.25, 0.5, 1.0, 1.0)
+    k2, m2 = _bounds(args2, 0.01)
     expo = math.log(2.0) / math.log(4 / 3)
-    hand2 = (1.0 / (0.5 * math.log(2.0))) * (rc2.c_rho_q / 0.01) ** expo + k2
-    assert _bounds(rc2, 0.5, 0.01)[1] == pytest.approx(hand2, rel=1e-9)
+    c_rho_q = _theory(*args2)["c_rho_q"]
+    hand2 = (1.0 / (0.5 * math.log(2.0))) * (c_rho_q / 0.01) ** expo + k2
+    assert m2 == pytest.approx(hand2, rel=1e-9)
 
 
 def test_oracle_bound_at_target_equal_to_constant():
-    rc = rate_constants(1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
-    assert _bounds(rc, 0.75, rc.c_rho_q)[1] == pytest.approx(
+    args = (1.0, math.sqrt(2.0), 0.5, 0.75, 0.5, 1.0)
+    assert _bounds(args, _theory(*args)["c_rho_q"])[1] == pytest.approx(
         1.0 / (0.75 * math.log(4 / 3)), rel=1e-9)
 
 
 def test_matched_rates_use_the_slowed_envelope():
     # rho equal to q switches to the shifted-rate envelope with its own constant
-    rc = rate_constants(1.0, 2.0, 0.25, 0.75, 1.0, 1.0)
+    args = (1.0, 2.0, 0.25, 0.75, 1.0, 1.0)
+    theory, (constant, rate) = pgr_theory(*args, None)
     d_hand = 1.0 + 0.0625 / (math.e * math.log(0.875 / 0.75))
-    assert rc.rho_tilde == pytest.approx(0.875, abs=1e-15)
-    assert rc.d_tilde == pytest.approx(d_hand, rel=1e-12)
-    constant, rate = envelope_params(rc, 0.75)
+    assert theory["rho_tilde"] == pytest.approx(0.875, abs=1e-15)
+    assert theory["d_tilde"] == pytest.approx(d_hand, rel=1e-12)
+    assert theory["c_rho_q"] is None
     assert constant == pytest.approx(d_hand, rel=1e-12)
     assert rate == pytest.approx(0.875, abs=1e-15)
-    k = _bounds(rc, 0.75, 0.01)[0]
+    k = _bounds(args, 0.01)[0]
     assert k == pytest.approx(math.log(d_hand / 0.01) / math.log(1 / 0.875), rel=1e-9)
     expo = math.log(1 / 0.75) / math.log(1 / 0.875)
     m_hand = (1.0 / (0.75 * math.log(4 / 3))) * (d_hand / 0.01) ** expo + k
-    assert _bounds(rc, 0.75, 0.01)[1] == pytest.approx(m_hand, rel=1e-9)
+    assert _bounds(args, 0.01)[1] == pytest.approx(m_hand, rel=1e-9)
 
 
 def test_bounds_are_same_order_across_the_branch_boundary():
@@ -168,13 +173,10 @@ def test_bounds_are_same_order_across_the_branch_boundary():
     # oracle bounds stay within one order of magnitude of each other
     delta = 1e-6
     rho_near = 0.75 + delta
-    rc_branch = rate_constants(1.0, 2.0, 0.25, rho_near, 1.0, 1.0)
-    rc_knife = rate_constants(1.0, 2.0, 0.25, 0.75, 1.0, 1.0, rho_tilde=rho_near)
-    k_branch = _bounds(rc_branch, rho_near, 0.01)[0]
-    k_knife = _bounds(rc_knife, 0.75, 0.01)[0]
+    k_branch, m_branch = _bounds((1.0, 2.0, 0.25, rho_near, 1.0, 1.0), 0.01)
+    k_knife, m_knife = _bounds((1.0, 2.0, 0.25, 0.75, 1.0, 1.0), 0.01,
+                               rho_tilde=rho_near)
     assert 0.85 <= k_knife / k_branch <= 1.15
-    m_branch = _bounds(rc_branch, rho_near, 0.01)[1]
-    m_knife = _bounds(rc_knife, 0.75, 0.01)[1]
     assert 1.0 < m_branch / m_knife < 10.0
 
 
@@ -256,9 +258,9 @@ def test_target_accuracy_run_stops_at_the_iteration_bound():
     x0 = np.zeros(2)
     config = PgrConfig(alpha=1 / 9, rho=17 / 18, max_iter=500, seed=3, target_eps=1e-3)
     trace = run_pgr(game, config, x0, x_star=x_star)
-    rc = rate_constants(1.0, 3.0, 1 / 9, 17 / 18, 1.0,
-                        float(np.linalg.norm(x0 - x_star)) ** 2)
-    assert trace.iterations == math.ceil(_bounds(rc, 17 / 18, 1e-3)[0])
+    args = (1.0, 3.0, 1 / 9, 17 / 18, 1.0,
+            float(np.linalg.norm(x0 - x_star)) ** 2)
+    assert trace.iterations == math.ceil(_bounds(args, 1e-3)[0])
     with pytest.raises(ValueError):
         run_pgr(game, config, x0)  # a target needs the reference solution
 
@@ -300,8 +302,8 @@ def test_noise_free_run_beats_the_envelope_on_random_games():
         x0 = np.zeros(game.dim)
         trace = run_pgr(game, PgrConfig(alpha=alpha, rho=0.9, max_iter=40, seed=0),
                         x0, x_star=x_star)
-        rc = rate_constants(const.eta, const.lip, alpha, 0.9, 0.0,
-                            float(np.linalg.norm(x0 - x_star)) ** 2)
-        constant, rate = envelope_params(rc, 0.9)
+        _, (constant, rate) = pgr_theory(
+            const.eta, const.lip, alpha, 0.9, 0.0,
+            float(np.linalg.norm(x0 - x_star)) ** 2, None)
         for k, err in enumerate(trace.errors[0]):
             assert err <= constant * rate ** k + 1e-12

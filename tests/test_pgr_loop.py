@@ -31,10 +31,8 @@ from nashprox import (
     SampleCounter,
     Zero,
     contraction_factor_q,
-    envelope_params,
     monotonicity_constants,
     ne_residual,
-    rate_constants,
     run_pgr,
     sample_batch_gradient,
     solve_ne_oracle,
@@ -42,7 +40,7 @@ from nashprox import (
 )
 from nashprox import games as games_module
 from nashprox.errors import Divergence
-from nashprox.pgr import geometric_complexity
+from nashprox.pgr import geometric_complexity, geometric_envelope
 from nashprox.prox import compiled_prox
 from nashprox.profiles import StrategyProfile
 
@@ -99,16 +97,15 @@ def _reference_batch_gradient(game, x, batch, z_k, counter):
 
 def _reference_run_pgr(game, config, x0, x_star, replication):
     consts = monotonicity_constants(game)
-    contraction_factor_q(consts.eta, consts.lip, config.alpha)
+    q = contraction_factor_q(consts.eta, consts.lip, config.alpha)
     schedule = GeometricBatch(config.rho)
     n_iter = config.max_iter
     if config.target_eps is not None:
         c_start = float(np.linalg.norm(x0 - x_star)) ** 2
-        rc = rate_constants(consts.eta, consts.lip, config.alpha, config.rho,
-                            consts.nu, c_start)
-        n_iter = min(n_iter, max(1, math.ceil(
-            geometric_complexity(*envelope_params(rc, config.rho),
-                                 config.rho, config.target_eps)[0])))
+        constant, rate, _ = geometric_envelope(
+            c_start, config.alpha ** 2 * consts.nu ** 2, config.rho, q)
+        n_iter = min(n_iter, max(1, math.ceil(geometric_complexity(
+            constant, rate, config.rho, config.target_eps)[0])))
     z = substream(config.seed, replication, 1).standard_normal(
         (n_iter, game.dim))
     counter = SampleCounter()
