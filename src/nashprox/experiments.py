@@ -276,7 +276,12 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
         window = tuple(map(int, fit_doc["window"]))
         fit_linear_rate(np.ones(n_iter + 1), window=window)
     else:  # in range; on a one-iteration run, two points and no fit
-        window = (min(int(fit_doc.get("skip", 5)), max(0, n_iter - 3)), n_iter)
+        skip, largest = int(fit_doc.get("skip", 5)), max(0, n_iter - 3)
+        if "skip" in fit_doc and skip > largest:  # only 5 is clamped
+            raise ValueError(f"fit.skip = {skip} is too large for the run's "
+                             f"{n_iter} iterations; the largest skip is "
+                             f"{largest}")
+        window = (min(skip, largest), n_iter)
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
                   game_constants=dict(asdict(consts),

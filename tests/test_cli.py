@@ -723,9 +723,25 @@ def test_validate_rejects_solver_parameters_as_the_run_does(
      "batch constant m_max * c_r = 0.001 is below max_i nu_i / (mu + "
      "zeta_min_i) = 0.333333, so the batches do not cover the best "
      "responses' noise"),
+    # an explicit skip is not moved into range, as the default 5 is
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=60),
+          fit={"skip": 100}),
+     "fit.skip = 100 is too large for the run's 60 iterations; the largest "
+     "skip is 57"),
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=60),
+          fit={"skip": 58}),
+     "fit.skip = 58 is too large for the run's 60 iterations; the largest "
+     "skip is 57"),
+    # counted after the target_eps cut at ceil(K(0.5)) = 14 of 20
+    # iterations, where skip 12 would fit
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], target_eps=0.5),
+          fit={"skip": 12}),
+     "fit.skip = 12 is too large for the run's 14 iterations; the largest "
+     "skip is 11"),
 ], ids=["graph-nodes", "pgr-batch-overflow", "pbr-batch-overflow",
         "fit-too-few-points", "fit-window-out-of-range", "x0-size",
-        "pbr-zero-m-max", "pbr-small-c-r"])
+        "pbr-zero-m-max", "pbr-small-c-r", "fit-skip-past-the-run",
+        "fit-skip-one-past-the-largest", "fit-skip-after-a-target-cut"])
 def test_validate_rejects_what_the_run_rejects_before_any_replication(
         tmp_path: Path, capsys, monkeypatch, doc: dict, message: str):
     """Each config used to pass validate and fail only in or after its
@@ -996,6 +1012,24 @@ def test_a_fit_window_of_integral_floats_writes_the_report_of_its_ints(
         written.append((out / "report.json").read_bytes())
     assert written[0] == written[1]
     assert json.loads(written[0])["fit"]["window"] == [1, 4]
+
+
+@pytest.mark.parametrize("max_iter,fit,window", [
+    (20, None, [5, 20]), (4, None, [1, 4]), (1, None, [0, 1]),
+    (20, {"skip": 17}, [17, 20]), (20, {"skip": 0}, [0, 20]),
+    (60, {"skip": 57}, [57, 60]), (1, {"skip": 0}, [0, 1])],
+    ids=["default", "default-clamped", "default-one-iteration", "skip-17",
+         "skip-0", "skip-57", "skip-0-one-iteration"])
+def test_the_default_skip_is_clamped_and_an_explicit_one_in_range_is_kept(
+        tmp_path: Path, max_iter: int, fit: dict | None, window: list[int]):
+    doc = dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=max_iter))
+    if fit is not None:
+        doc["fit"] = fit
+    cfg, out = _write(tmp_path, doc), tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    assert main(["pgr", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["fit"]["window"] == window
 
 
 @pytest.mark.parametrize("doc,graphs", [
