@@ -186,8 +186,7 @@ def _dist_setup(spec, game, x0, x_star):
               "graph": dict(asdict(mixing_params(graph)), nodes=graph.n_nodes,
                             edges=len(graph.edges))}
     return (solve, fields, envelope, (RootGeometricBatch(rc.beta),
-                                      config.max_iter, game.constants.nu_i,
-                                      game.dims))
+            config.max_iter, game.constants.nu_i, game.dims))
 
 
 def _pbr_setup(spec, game, x0, x_star):

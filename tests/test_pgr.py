@@ -26,9 +26,9 @@ REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
 
 
-def _theory(*args, rho_tilde=None):
+def _theory(*args):
     """pgr_theory's fields of (eta, lip, alpha, rho, nu, c_start), no eps."""
-    return pgr_theory(*args, None, rho_tilde)[0]
+    return pgr_theory(*args, None)[0]
 
 
 def _bounds(args, eps, rho_tilde=None):
