@@ -243,8 +243,7 @@ class PbrConfig:
 
     m_max (default: the largest per-player noise level) and c_r (default:
     br_noise_gain at the game's own-block curvature) size the batch
-    schedule; eta_br is its decay target. eta_tilde, used by the complexity
-    bound, defaults to (1 + max(a, eta_br)) / 2.
+    schedule; eta_br is its decay target.
     """
 
     mu: float
@@ -253,7 +252,6 @@ class PbrConfig:
     seed: int = 0
     m_max: float | None = None
     c_r: float | None = None
-    eta_tilde: float | None = None
     inner_tol: float = 1e-12
 
     def __post_init__(self):
@@ -266,9 +264,6 @@ class PbrConfig:
             raise ValueError(f"m_max must be >= 0, got {self.m_max}")
         if self.c_r is not None and not self.c_r > 0.0:
             raise ValueError(f"c_r must be > 0, got {self.c_r}")
-        if self.eta_tilde is not None and not (0.0 < self.eta_tilde < 1.0):
-            raise ValueError(
-                f"eta_tilde must lie in (0, 1), got {self.eta_tilde}")
         if not self.inner_tol > 0.0:
             raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
 

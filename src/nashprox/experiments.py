@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import import_module
 from typing import Callable, NamedTuple
 
@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConfigError
 from .games import (QuadraticGame, monotonicity_constants, ne_error_bound,
                     solve_ne_oracle)
-from .pgr import PgrConfig, pgr_loop, pgr_theory, run_pgr
+from .pgr import PgrConfig, pgr_iterations, pgr_theory, run_pgr
 from .prox import compiled_prox
-from .sampling import RootGeometricBatch, check_schedule
+from .sampling import GeometricBatch, RootGeometricBatch, check_schedule
 from .serialize import build_game, build_graph, validate_config
 from .trace import RunTrace, check_start
 
@@ -133,7 +133,8 @@ def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
     return dict(asdict(fit), window=list(window))
 
 
-# A scheme's setup step takes (spec, game, x0, x*) and returns (solve,
+# A scheme's setup step takes (spec, game, x0, x*, eps), where spec.solver
+# holds no target_eps and eps is its value or None, and returns (solve,
 # fields, envelope, loop): solve(ids) runs those replications into one
 # RunTrace with the solver config the setup resolved, fields holds the
 # scheme's report fields ("theory", and "graph" for dist-pgr; dist-pgr's
@@ -144,30 +145,30 @@ def _fit_dict(mean_errors: np.ndarray, window: tuple[int, int]) -> dict:
 # loads only the schemes it runs, and a solver patched or wrapped on its
 # defining module is the one they call.
 
-def _pgr_setup(spec, game, x0, x_star):
+def _pgr_setup(spec, game, x0, x_star, eps):
     consts, config = game.constants, PgrConfig(**spec.solver, seed=spec.seed)
     c_start = float(np.linalg.norm(x0 - x_star)) ** 2
     theory, envelope = pgr_theory(consts.eta, consts.lip, config.alpha,
-                                  config.rho, consts.nu, c_start,
-                                  config.target_eps)
+                                  config.rho, consts.nu, c_start, eps)
     theory["c_start"] = c_start
+    config = replace(config, max_iter=pgr_iterations(theory, config.max_iter))
     return (lambda reps: run_pgr(game, config, x0, x_star, replications=reps),
-            {"theory": theory}, envelope, pgr_loop(game, config, x0, x_star))
+            {"theory": theory}, envelope, (GeometricBatch(config.rho),
+            config.max_iter, *game.noise_blocks))
 
 
-def _dist_setup(spec, game, x0, x_star):
+def _dist_setup(spec, game, x0, x_star, eps):
     from .distributed import (DistConfig, dist_rate_constants, dist_theory,
                               run_dist_pgr)
     from .graphs import mixing_params
 
-    s, g = dict(spec.solver), spec.graph
-    eps = s.pop("target_eps", None)  # DistConfig has no such field
+    g = spec.graph
     nodes = int(g["rows"]) * int(g["cols"]) if "rows" in g else int(g["nodes"])
     if nodes != game.n_players:  # before the graph is built at that size
         raise ValueError(f"graph has {nodes} nodes for {game.n_players} "
                          f"players")
     graph = build_graph(g)
-    config = DistConfig(**s, seed=spec.seed)
+    config = DistConfig(**spec.solver, seed=spec.seed)
     rc = dist_rate_constants(game, graph, config.alpha, config.beta)
     theory, envelope = dist_theory(
         rc, float(np.linalg.norm(x0 - x_star)) ** 2, eps)
@@ -189,13 +190,13 @@ def _dist_setup(spec, game, x0, x_star):
             config.max_iter, game.constants.nu_i, game.dims))
 
 
-def _pbr_setup(spec, game, x0, x_star):
+def _pbr_setup(spec, game, x0, x_star, eps):
     from .best_response import (PbrConfig, check_contractive,
                                 contraction_certificate, pbr_theory,
                                 resolved_schedule, run_pbr)
 
     s = dict(spec.solver)
-    eps = s.pop("target_eps", None)  # PbrConfig has no such field
+    eta_tilde = s.pop("eta_tilde", None)  # pbr_theory's, not the run's
     config = PbrConfig(**s, seed=spec.seed)
     cert = contraction_certificate(game, config.mu)
     check_contractive(cert)
@@ -203,7 +204,7 @@ def _pbr_setup(spec, game, x0, x_star):
     c_start = max(float(np.linalg.norm(x0[sl] - x_star[sl]))
                   for sl in map(game.block_slice, range(game.n_players)))
     theory, envelope = pbr_theory(schedule, cert.a, game.n_players, c_start,
-                                  eps, config.eta_tilde)
+                                  eps, eta_tilde)
     return (lambda reps: run_pbr(game, config, x0, x_star, replications=reps),
             {"theory": theory}, envelope,
             (schedule, config.max_iter, game.constants.nu_i, game.dims))
@@ -267,20 +268,25 @@ def prepare_experiment(spec: ExperimentSpec) -> tuple[dict, Callable]:
     oracle_error_bound = ne_error_bound(game, x_star)
     x0 = _spec_x0(spec, game)
     check_start(x0, x_star, game.dims)
+    solver = dict(spec.solver)
+    eps = solver.pop("target_eps", None)
     solve, fields, envelope, (schedule, n_iter, _, noise_dims) = \
-        scheme.setup(spec, game, x0, x_star)
+        scheme.setup(replace(spec, solver=solver), game, x0, x_star, eps)
     check_schedule(schedule, n_iter, max(noise_dims))
     fit_doc = spec.fit or {}
     if "window" in fit_doc:  # rejected as the run's fit would reject it
         window = tuple(map(int, fit_doc["window"]))
         fit_linear_rate(np.ones(n_iter + 1), window=window)
-    else:  # in range; on a one-iteration run, two points and no fit
-        skip, largest = int(fit_doc.get("skip", 5)), max(0, n_iter - 3)
-        if "skip" in fit_doc and skip > largest:  # only 5 is clamped
-            raise ValueError(f"fit.skip = {skip} is too large for the run's "
-                             f"{n_iter} iterations; the largest skip is "
+    elif "skip" in fit_doc:  # the window (skip, n_iter), held to its rule
+        window = (int(fit_doc["skip"]), n_iter)
+        if window[0] > n_iter - 2:  # a fit needs 3 points
+            largest = (f"the largest skip is {n_iter - 2}" if n_iter > 1
+                       else "no skip leaves the 3 points a rate fit needs")
+            raise ValueError(f"fit.skip = {window[0]} is too large for the "
+                             f"run's {n_iter} iteration{'s' * (n_iter > 1)}; "
                              f"{largest}")
-        window = (min(skip, largest), n_iter)
+    else:  # in range; on a one-iteration run, two points and no fit
+        window = (min(5, max(0, n_iter - 3)), n_iter)
     fields.update(scheme=spec.scheme, seed=spec.seed,
                   replications=spec.replications, solver=dict(spec.solver),
                   game_constants=dict(asdict(consts),

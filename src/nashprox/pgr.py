@@ -24,7 +24,7 @@ from .errors import InvalidStep
 from .games import QuadraticGame, check_lipschitz
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
-from .trace import RunTrace, check_finite, check_run, check_start, iterate
+from .trace import RunTrace, check_finite, check_run, iterate
 
 # Absolute width of the band |base - other| in which geometric_envelope treats
 # the rates (rho and q for pgr, varrho and sqrt(beta) for dist-pgr) as equal.
@@ -33,18 +33,12 @@ BRANCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PgrConfig:
-    """Run parameters for the growing-batch gradient-response solver.
-
-    target_eps, when set, stops the run at the theoretical iteration bound
-    ceil(K(target_eps)) if that comes before max_iter (requires a reference
-    equilibrium so the initial error is known).
-    """
+    """Run parameters for the growing-batch gradient-response solver."""
 
     alpha: float
     rho: float
     max_iter: int
     seed: int = 0
-    target_eps: float | None = None
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
@@ -52,8 +46,6 @@ class PgrConfig:
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         check_run(self.max_iter, self.seed)
-        if self.target_eps is not None and not self.target_eps > 0.0:
-            raise ValueError(f"target_eps must be > 0, got {self.target_eps}")
 
 
 def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:
@@ -176,23 +168,11 @@ def recommended_parameters(eta: float, lip: float) -> tuple[float, float]:
     return eta / lip ** 2, 1.0 - 1.0 / (2.0 * kappa ** 2)
 
 
-def pgr_loop(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
-             x_star: np.ndarray | None = None) -> tuple:
-    """(schedule, iterations, noise levels, noise dims) of run_pgr's loop:
-    max_iter iterations, or ceil(K(target_eps)) if fewer; the noise is
-    the game's noise_blocks (one level on a quadratic game's joint
-    gradient, one per Cournot player)."""
-    consts, n_iter = game.constants, config.max_iter
-    if config.target_eps is not None:
-        if x_star is None:
-            raise ValueError("target_eps requires a reference equilibrium x_star")
-        check_start(x0, x_star, game.dims)
-        k_eps = pgr_theory(consts.eta, consts.lip, config.alpha, config.rho,
-                           consts.nu, float(np.linalg.norm(x0 - x_star)) ** 2,
-                           config.target_eps)[0]["k_eps"]
-        if k_eps < n_iter:
-            n_iter = max(1, math.ceil(k_eps))
-    return GeometricBatch(config.rho), n_iter, *game.noise_blocks
+def pgr_iterations(theory: dict, max_iter: int) -> int:
+    """The iteration count of a pgr run cut at pgr_theory's K(eps):
+    max_iter, or ceil(k_eps) (at least 1) where k_eps is below it."""
+    k_eps = theory.get("k_eps", math.inf)
+    return max(1, math.ceil(k_eps)) if k_eps < max_iter else max_iter
 
 
 def run_pgr(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
@@ -205,12 +185,9 @@ def run_pgr(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
     quadratic game, or one entry per player of a Cournot game.
     Replications and reruns are reproducible, and a run cut short draws
     the leading rows of the full run. When x_star is given, errors[j, k]
-    records ||x_k - x*||^2 of row j for k = 0..K; when config.target_eps is
-    also set, the run stops at ceil(K(target_eps)) if that bound is smaller
-    than max_iter.
+    records ||x_k - x*||^2 of row j for k = 0..max_iter.
     """
     contraction_factor_q(game.constants.eta, game.constants.lip, config.alpha)
-    loop = pgr_loop(game, config, x0, x_star)
     prox = compiled_prox(game.regularizers, game.dims, config.alpha)
 
     def step(k, n_k, x, w, counter):
@@ -223,5 +200,6 @@ def run_pgr(game: QuadraticGame, config: PgrConfig, x0: np.ndarray,
         check_finite(forward, k, replications)
         counter.prox_evals += 1
         return prox(forward)
-    return iterate(step, x0, x_star, game.dims, *loop, config.seed,
+    return iterate(step, x0, x_star, game.dims, GeometricBatch(config.rho),
+                   config.max_iter, *game.noise_blocks, config.seed,
                    replications, "squared_distance")

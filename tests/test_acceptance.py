@@ -363,7 +363,7 @@ def test_acceptance_10_best_response_rate_and_complexity(capfd):
     game = _reference_quadratic(nu=math.sqrt(2.0))
     x_star = solve_ne_oracle(game)
     x0 = np.zeros(2)
-    config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=27, seed=5, eta_tilde=0.75)
+    config = PbrConfig(mu=1.0, eta_br=0.7, max_iter=27, seed=5)
     trace = run_pbr(game, config, x0, x_star=x_star, replications=range(100))
     mean = np.mean(trace.errors, axis=0)
     cert = contraction_certificate(game, 1.0)
@@ -374,7 +374,7 @@ def test_acceptance_10_best_response_rate_and_complexity(capfd):
     max_ratio = max(mean[k] / (envelope0 * 0.75 ** k) for k in range(26))
     eps = 1e-2
     k_eps = pbr_theory(resolved_schedule(game, config), cert.a, 2, c_start,
-                       eps, config.eta_tilde)[0]["k_eps"]
+                       eps, 0.75)[0]["k_eps"]
     reached = np.nonzero(mean <= eps)[0]
     first = int(reached[0]) if reached.size else 10 ** 9
     counters_ok = trace.counter.total_samples == 2 * sum(trace.batches)

@@ -445,3 +445,46 @@ def test_a_player_index_outside_the_game_is_rejected_before_it_is_cached(
             saa_best_response(game, i, y, 5, 1.0, np.zeros(2))
     assert game.solver_cache == {}
     proximal_best_response(game, np.int64(2), y, 1.0)
+
+
+_SCHEDULE = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PbrConfig(mu=0.0, eta_br=0.5, max_iter=5),
+     "mu must be finite and > 0, got 0.0"),
+    (lambda: PbrConfig(mu=math.inf, eta_br=0.5, max_iter=5),
+     "mu must be finite and > 0, got inf"),
+    (lambda: PbrConfig(mu=1.0, eta_br=1.0, max_iter=5),
+     "eta_br must lie in (0, 1), got 1.0"),
+    (lambda: PbrConfig(mu=1.0, eta_br=0.5, max_iter=5, m_max=-1.0),
+     "m_max must be >= 0, got -1.0"),
+    (lambda: PbrConfig(mu=1.0, eta_br=0.5, max_iter=5, c_r=0.0),
+     "c_r must be > 0, got 0.0"),
+    (lambda: PbrConfig(mu=1.0, eta_br=0.5, max_iter=5, inner_tol=0.0),
+     "inner_tol must be > 0, got 0.0"),
+    (lambda: BestResponseBatch(m_max=math.inf, c_r=1.0, eta_br=0.5),
+     "m_max must be finite and >= 0, got inf"),
+    (lambda: BestResponseBatch(m_max=1.0, c_r=0.0, eta_br=0.5),
+     "c_r must be finite and > 0, got 0.0"),
+    (lambda: BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=1.0),
+     "eta_br must lie in (0, 1), got 1.0"),
+    (lambda: pbr_theory(_SCHEDULE, 0.5, 0, 1.0, None),
+     "n_players must be >= 1, got 0"),
+    (lambda: pbr_theory(_SCHEDULE, -0.5, 2, 1.0, None),
+     "a and c_start must be >= 0"),
+    (lambda: pbr_theory(_SCHEDULE, 0.5, 2, -1.0, None),
+     "a and c_start must be >= 0"),
+    (lambda: br_noise_gain(0.0, 1.0),
+     "need mu > 0 and lip >= 0, got mu=0.0, lip=1.0"),
+    (lambda: br_noise_gain(1.0, -1.0),
+     "need mu > 0 and lip >= 0, got mu=1.0, lip=-1.0"),
+], ids=["config-mu-zero", "config-mu-inf", "config-eta-br", "config-m-max",
+        "config-c-r", "config-inner-tol", "batch-m-max", "batch-c-r",
+        "batch-eta-br", "theory-n-players", "theory-negative-a",
+        "theory-negative-c-start", "noise-gain-mu-zero",
+        "noise-gain-negative-lip"])
+def test_pbr_inputs_outside_their_range_are_rejected(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

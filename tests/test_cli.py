@@ -723,25 +723,32 @@ def test_validate_rejects_solver_parameters_as_the_run_does(
      "batch constant m_max * c_r = 0.001 is below max_i nu_i / (mu + "
      "zeta_min_i) = 0.333333, so the batches do not cover the best "
      "responses' noise"),
-    # an explicit skip is not moved into range, as the default 5 is
+    # an explicit skip s is the window (s, K), which a fit needs to hold 3
+    # points, so s <= K - 2; it is not moved into range, as the default 5 is
     (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=60),
           fit={"skip": 100}),
      "fit.skip = 100 is too large for the run's 60 iterations; the largest "
-     "skip is 57"),
+     "skip is 58"),
     (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=60),
-          fit={"skip": 58}),
-     "fit.skip = 58 is too large for the run's 60 iterations; the largest "
-     "skip is 57"),
+          fit={"skip": 59}),
+     "fit.skip = 59 is too large for the run's 60 iterations; the largest "
+     "skip is 58"),
     # counted after the target_eps cut at ceil(K(0.5)) = 14 of 20
-    # iterations, where skip 12 would fit
+    # iterations, where skip 13 would fit
     (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], target_eps=0.5),
-          fit={"skip": 12}),
-     "fit.skip = 12 is too large for the run's 14 iterations; the largest "
-     "skip is 11"),
+          fit={"skip": 13}),
+     "fit.skip = 13 is too large for the run's 14 iterations; the largest "
+     "skip is 12"),
+    # as the window (0, 1) is
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=1),
+          fit={"skip": 0}),
+     "fit.skip = 0 is too large for the run's 1 iteration; no skip leaves "
+     "the 3 points a rate fit needs"),
 ], ids=["graph-nodes", "pgr-batch-overflow", "pbr-batch-overflow",
         "fit-too-few-points", "fit-window-out-of-range", "x0-size",
         "pbr-zero-m-max", "pbr-small-c-r", "fit-skip-past-the-run",
-        "fit-skip-one-past-the-largest", "fit-skip-after-a-target-cut"])
+        "fit-skip-one-past-the-largest", "fit-skip-after-a-target-cut",
+        "fit-skip-1-iter"])
 def test_validate_rejects_what_the_run_rejects_before_any_replication(
         tmp_path: Path, capsys, monkeypatch, doc: dict, message: str):
     """Each config used to pass validate and fail only in or after its
@@ -1017,9 +1024,9 @@ def test_a_fit_window_of_integral_floats_writes_the_report_of_its_ints(
 @pytest.mark.parametrize("max_iter,fit,window", [
     (20, None, [5, 20]), (4, None, [1, 4]), (1, None, [0, 1]),
     (20, {"skip": 17}, [17, 20]), (20, {"skip": 0}, [0, 20]),
-    (60, {"skip": 57}, [57, 60]), (1, {"skip": 0}, [0, 1])],
+    (60, {"skip": 57}, [57, 60]), (60, {"skip": 58}, [58, 60])],
     ids=["default", "default-clamped", "default-one-iteration", "skip-17",
-         "skip-0", "skip-57", "skip-0-one-iteration"])
+         "skip-0", "skip-57", "skip-58"])
 def test_the_default_skip_is_clamped_and_an_explicit_one_in_range_is_kept(
         tmp_path: Path, max_iter: int, fit: dict | None, window: list[int]):
     doc = dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=max_iter))

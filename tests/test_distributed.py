@@ -340,3 +340,34 @@ def test_rate_constants_and_run_reject_a_graph_without_a_node_per_player():
     with pytest.raises(ValueError, match=message):
         run_dist_pgr(game, ring_graph(4), DistConfig(alpha=0.02, max_iter=3))
     assert dist_rate_constants(game, ring_graph(5), 0.02).c3 > 0.0
+
+
+_RATE_CONSTANTS = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=1.0,
+                                    m_compact=1.0, beta=1.0, theta=1.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    # beta^(-1/2) = 1 + 2^-54 rounds to 1, so ln(beta^(-1/2)) is 0
+    (lambda: dist_rate_constants(_five_player_game(0.5), ring_graph(5), 0.02,
+                                 beta=1 - 2 ** -53),
+     "beta=0.9999999999999999 is too close to 1: ln(beta^(-1/2)) is 0"),
+    (lambda: DistConfig(alpha=0.0, max_iter=5),
+     "alpha must be finite and > 0, got 0.0"),
+    (lambda: DistConfig(alpha=math.inf, max_iter=5),
+     "alpha must be finite and > 0, got inf"),
+    (lambda: DistConfig(alpha=0.1, max_iter=5, beta=0.0),
+     "mixing rate beta must lie in (0, 1), got 0.0"),
+    (lambda: DistConfig(alpha=0.1, max_iter=5, beta=1.0),
+     "mixing rate beta must lie in (0, 1), got 1.0"),
+    (lambda: dist_theory(_RATE_CONSTANTS, -1.0, None),
+     "c_start must be >= 0, got -1.0"),
+    # a beta of 1 schedules no batch growth: there is no K(eps)
+    (lambda: dist_theory(_RATE_CONSTANTS, 1.0, 1e-3),
+     "beta must lie in (0, 1), got 1.0"),
+], ids=["rate-constants-beta-near-1", "config-alpha-zero", "config-alpha-inf",
+        "config-beta-zero", "config-beta-one", "theory-c-start",
+        "theory-beta-one"])
+def test_dist_inputs_outside_their_range_are_rejected(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

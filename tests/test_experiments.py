@@ -110,6 +110,43 @@ def test_a_pgr_run_stops_at_the_iteration_bound_its_report_gives(
     assert len(rows) == report["iterations"] * spec.replications
 
 
+def test_a_pgr_experiment_evaluates_its_theory_once(monkeypatch):
+    """The driver computes K(target_eps) once, for the report and for the
+    run's cut; the run itself reads only max_iter."""
+    from nashprox import experiments, pgr
+
+    calls, theory = [], pgr.pgr_theory
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return theory(*args, **kwargs)
+    for module in (experiments, pgr):
+        monkeypatch.setattr(module, "pgr_theory", counted)
+    doc = json.loads((Path(__file__).parent / "golden" / "pgr-one-iteration"
+                      / "config.json").read_text())
+    report = run_experiment(ExperimentSpec.from_config(doc))
+    assert report["iterations"] == 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme,config", [
+    ("pgr", "nashprox.pgr.PgrConfig"),
+    ("dist-pgr", "nashprox.distributed.DistConfig"),
+    ("pbr", "nashprox.best_response.PbrConfig")])
+def test_a_solver_config_holds_what_its_loop_reads(scheme: str, config: str):
+    """target_eps and eta_tilde are theory inputs, which the driver passes
+    to the scheme's calculator; every other solver key is a run field."""
+    from dataclasses import fields
+    from importlib import import_module
+
+    from nashprox.serialize import CONFIG_SCHEMAS
+
+    module, name = config.rsplit(".", 1)
+    names = {f.name for f in fields(getattr(import_module(module), name))}
+    keys = set(CONFIG_SCHEMAS[scheme]["properties"]["solver"]["properties"])
+    assert not names & {"target_eps", "eta_tilde"}
+    assert keys - {"target_eps", "eta_tilde"} <= names
+
+
 def test_experiment_outputs_are_byte_stable(tmp_path: Path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     run_experiment(ExperimentSpec(**PGR_SPEC), out_dir=str(d1))

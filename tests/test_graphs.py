@@ -324,3 +324,22 @@ def test_consensus_apply_gives_the_bits_of_the_uncached_form(g: CommGraph):
     ints = list(range(g.n_nodes))  # through np.asarray
     assert consensus_apply(g, ints, 5).tobytes() == \
         _uncached_consensus_apply(g, ints, 5).tobytes()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: erdos_renyi_graph(5, 1.5),
+     "edge probability must lie in [0, 1], got 1.5"),
+    (lambda: erdos_renyi_graph(5, -0.1),
+     "edge probability must lie in [0, 1], got -0.1"),
+    (lambda: grid_graph(0, 3), "grid dimensions must be positive"),
+    (lambda: grid_graph(2, 0), "grid dimensions must be positive"),
+    (lambda: consensus_apply(ring_graph(3), np.zeros(3), -1),
+     "consensus rounds must be >= 0, got -1"),
+    (lambda: consensus_apply(ring_graph(3), np.zeros((4, 2)), 1),
+     "values have 4 rows for 3 nodes"),
+], ids=["erdos-renyi-p-above-1", "erdos-renyi-p-below-0", "grid-no-rows",
+        "grid-no-cols", "consensus-negative-tau", "consensus-row-count"])
+def test_graph_inputs_outside_their_range_are_rejected(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

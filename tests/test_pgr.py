@@ -20,7 +20,8 @@ from nashprox import (
     run_pgr,
     solve_ne_oracle,
 )
-from nashprox.pgr import geometric_complexity, power_or_inf
+from nashprox.pgr import (geometric_complexity, geometric_envelope,
+                          pgr_iterations, power_or_inf)
 
 REF_H = np.array([[2.0, 1.0], [1.0, 2.0]])
 REF_C = np.array([-1.0, -1.0])
@@ -109,11 +110,13 @@ def test_iteration_bound_stays_finite_when_only_constant_over_eps_overflows():
 def test_a_zero_envelope_needs_no_iterations_and_no_samples():
     assert geometric_complexity(0.0, 0.9, 0.8, 1e-3) == (0.0, 0.0)
     assert _bounds((1.0, 3.0, 0.1, 0.95, 0.0, 0.0), 1e-3) == (0.0, 0.0)
-    # a noise-free run from x* stops after the one iteration a run makes
+    # a noise-free run from x* is cut to the one iteration a run makes
     game = _reference_game()
     x_star = solve_ne_oracle(game)
-    trace = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=30,
-                                    target_eps=1e-3), x_star, x_star)
+    theory = pgr_theory(1.0, 3.0, 0.2, 0.9, 0.0, 0.0, 1e-3)[0]
+    assert theory["k_eps"] == 0.0 and pgr_iterations(theory, 30) == 1
+    trace = run_pgr(game, PgrConfig(alpha=0.2, rho=0.9, max_iter=1), x_star,
+                    x_star)
     assert trace.iterations == 1
     assert trace.errors.shape == (1, 2) and trace.errors[0, 0] == 0.0
 
@@ -256,13 +259,16 @@ def test_target_accuracy_run_stops_at_the_iteration_bound():
     game = _reference_game(nu=1.0)
     x_star = solve_ne_oracle(game)
     x0 = np.zeros(2)
-    config = PgrConfig(alpha=1 / 9, rho=17 / 18, max_iter=500, seed=3, target_eps=1e-3)
-    trace = run_pgr(game, config, x0, x_star=x_star)
     args = (1.0, 3.0, 1 / 9, 17 / 18, 1.0,
             float(np.linalg.norm(x0 - x_star)) ** 2)
-    assert trace.iterations == math.ceil(_bounds(args, 1e-3)[0])
-    with pytest.raises(ValueError):
-        run_pgr(game, config, x0)  # a target needs the reference solution
+    theory = pgr_theory(*args, 1e-3)[0]
+    n_iter = pgr_iterations(theory, 500)
+    assert n_iter == math.ceil(theory["k_eps"]) < 500
+    # a max_iter below K(eps), or no eps, leaves the run uncut
+    assert pgr_iterations(theory, n_iter - 1) == n_iter - 1
+    assert pgr_iterations(pgr_theory(*args, None)[0], 500) == 500
+    config = PgrConfig(alpha=1 / 9, rho=17 / 18, max_iter=n_iter, seed=3)
+    assert run_pgr(game, config, x0, x_star=x_star).iterations == n_iter
 
 
 def test_different_seeds_give_different_noisy_trajectories():
@@ -307,3 +313,30 @@ def test_noise_free_run_beats_the_envelope_on_random_games():
             float(np.linalg.norm(x0 - x_star)) ** 2, None)
         for k, err in enumerate(trace.errors[0]):
             assert err <= constant * rate ** k + 1e-12
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # 1 - 2e-20 + 1e-40 rounds to 1.0, though alpha is in range
+    (lambda: contraction_factor_q(1.0, 1.0, 1e-20), InvalidStep,
+     "alpha=1e-20 gives contraction factor q=1.0 >= 1; need alpha in "
+     "(0, 2.0)"),
+    (lambda: geometric_envelope(1.0, 1.0, 0.5, 0.5, 0.5), ValueError,
+     "rho_tilde must lie in (0.5, 1), got 0.5"),
+    (lambda: geometric_envelope(1.0, 1.0, 0.5, 0.5, 1.0), ValueError,
+     "rho_tilde must lie in (0.5, 1), got 1.0"),
+    (lambda: geometric_complexity(1.0, 0.5, 0.5, 0.0), ValueError,
+     "eps must be > 0, got 0.0"),
+    (lambda: geometric_complexity(1.0, 0.5, 0.5, -1.0), ValueError,
+     "eps must be > 0, got -1.0"),
+    (lambda: recommended_parameters(0.0, 1.0), ValueError,
+     "need 0 < eta <= lip < 1e154, got eta=0.0, lip=1.0"),
+    (lambda: recommended_parameters(2.0, 1.0), ValueError,
+     "need 0 < eta <= lip < 1e154, got eta=2.0, lip=1.0"),
+], ids=["q-rounds-to-1", "rho-tilde-at-the-rate", "rho-tilde-at-1",
+        "eps-zero", "eps-negative", "recommended-eta-zero",
+        "recommended-eta-above-lip"])
+def test_the_pgr_calculators_reject_inputs_outside_their_range(
+        call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

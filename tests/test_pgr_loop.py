@@ -40,7 +40,6 @@ from nashprox import (
 )
 from nashprox import games as games_module
 from nashprox.errors import Divergence
-from nashprox.pgr import geometric_complexity, geometric_envelope
 from nashprox.prox import compiled_prox
 from nashprox.profiles import StrategyProfile
 
@@ -97,15 +96,9 @@ def _reference_batch_gradient(game, x, batch, z_k, counter):
 
 def _reference_run_pgr(game, config, x0, x_star, replication):
     consts = monotonicity_constants(game)
-    q = contraction_factor_q(consts.eta, consts.lip, config.alpha)
+    contraction_factor_q(consts.eta, consts.lip, config.alpha)
     schedule = GeometricBatch(config.rho)
     n_iter = config.max_iter
-    if config.target_eps is not None:
-        c_start = float(np.linalg.norm(x0 - x_star)) ** 2
-        constant, rate, _ = geometric_envelope(
-            c_start, config.alpha ** 2 * consts.nu ** 2, config.rho, q)
-        n_iter = min(n_iter, max(1, math.ceil(geometric_complexity(
-            constant, rate, config.rho, config.target_eps)[0])))
     z = substream(config.seed, replication, 1).standard_normal(
         (n_iter, game.dim))
     counter = SampleCounter()
@@ -198,12 +191,10 @@ def cournot_games(draw):
     return game, rng
 
 
-def _check_run(game, rng, step_share, rho, max_iter, seed, replication,
-               target_eps):
+def _check_run(game, rng, step_share, rho, max_iter, seed, replication):
     consts = monotonicity_constants(game)
     config = PgrConfig(alpha=step_share * 2.0 * consts.eta / consts.lip ** 2,
-                       rho=rho, max_iter=max_iter, seed=seed,
-                       target_eps=target_eps)
+                       rho=rho, max_iter=max_iter, seed=seed)
     x_star = solve_ne_oracle(game)
     x0 = 2.0 * rng.standard_normal(game.dim)
     trace = run_pgr(game, config, x0, x_star, replications=[replication])
@@ -220,24 +211,21 @@ def _check_run(game, rng, step_share, rho, max_iter, seed, replication,
 
 _RUN_KEYS = dict(step_share=st.floats(0.05, 0.95), rho=st.floats(0.3, 0.95),
                  max_iter=st.integers(1, 25), seed=st.integers(0, 2 ** 16),
-                 replication=st.integers(0, 5),
-                 target_eps=st.none() | st.floats(1e-6, 1.0))
+                 replication=st.integers(0, 5))
 
 
 @settings(max_examples=100, deadline=None)
 @given(drawn=quadratic_games(), **_RUN_KEYS)
 def test_quadratic_run_matches_the_reference_loop_bit_for_bit(
-        drawn, step_share, rho, max_iter, seed, replication, target_eps):
-    _check_run(*drawn, step_share, rho, max_iter, seed, replication,
-               target_eps)
+        drawn, step_share, rho, max_iter, seed, replication):
+    _check_run(*drawn, step_share, rho, max_iter, seed, replication)
 
 
 @settings(max_examples=60, deadline=None)
 @given(drawn=cournot_games(), **_RUN_KEYS)
 def test_cournot_run_matches_the_reference_loop_bit_for_bit(
-        drawn, step_share, rho, max_iter, seed, replication, target_eps):
-    _check_run(*drawn, step_share, rho, max_iter, seed, replication,
-               target_eps)
+        drawn, step_share, rho, max_iter, seed, replication):
+    _check_run(*drawn, step_share, rho, max_iter, seed, replication)
 
 
 @settings(max_examples=100, deadline=None)

@@ -277,6 +277,15 @@ def test_an_unusable_out_is_rejected_naming_out():
                 gradient_map(game, x, out)
 
 
+@pytest.mark.parametrize("batch", [0, -3])
+def test_a_batch_below_one_sample_is_rejected(batch: int):
+    for game in _two_kinds():
+        with pytest.raises(ValueError) as err:
+            sample_batch_gradient(game, np.zeros(game.dim), batch,
+                                  np.zeros(game.dim))
+        assert str(err.value) == f"batch size must be >= 1, got {batch}"
+
+
 def test_an_error_not_of_x_s_shape_is_rejected_naming_error():
     """A scalar, a size-1 array or a stack of rows would broadcast into a
     gradient, or into a stack of gradients."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nashprox import (
     PbrConfig,
     PgrConfig,
     QuadraticGame,
+    pgr_theory,
     ring_graph,
     run_dist_pgr,
     run_pbr,
@@ -38,6 +40,7 @@ from nashprox import (
 from nashprox import trace as trace_module
 from nashprox.cli import main
 from nashprox.noise import DRAW_CHUNK, iteration_errors
+from nashprox.pgr import pgr_iterations
 
 # one word, zero, and two or more words (at and above 2^32)
 component = (st.integers(0, 2 ** 32 - 1) | st.just(0)
@@ -163,9 +166,11 @@ def test_replication_zero_is_the_same_at_one_and_five_replications(
 def test_a_run_cut_short_by_target_eps_draws_the_leading_rows(game):
     x_star = solve_ne_oracle(game)
     x0 = np.full(game.dim, 0.9)
+    consts = game.constants
+    theory = pgr_theory(consts.eta, consts.lip, 0.1, 0.8, consts.nu,
+                        float(np.linalg.norm(x0 - x_star)) ** 2, 0.05)[0]
     full = PgrConfig(alpha=0.1, rho=0.8, max_iter=40, seed=9)
-    short = PgrConfig(alpha=0.1, rho=0.8, max_iter=40, seed=9,
-                      target_eps=0.05)
+    short = replace(full, max_iter=pgr_iterations(theory, 40))
     whole = run_pgr(game, full, x0, x_star, replications=[2])
     cut = run_pgr(game, short, x0, x_star, replications=[2])
     k = len(cut.batches)

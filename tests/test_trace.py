@@ -10,17 +10,17 @@ import pytest
 
 from nashprox import (
     DistConfig,
-    GaussianNoise,
+    ExperimentSpec,
     GeometricBatch,
     PbrConfig,
     PgrConfig,
-    QuadraticGame,
     check_schedule,
     generate_cournot_game,
     generate_quadratic_game,
     ring_graph,
     run_dist_pgr,
     run_pbr,
+    run_experiment,
     run_pgr,
     solve_ne_oracle,
 )
@@ -137,12 +137,14 @@ def test_a_start_too_far_to_measure_is_rejected_by_every_solver(scheme):
 
 def test_a_target_eps_run_from_a_start_too_far_to_measure_is_rejected():
     # the start is checked before its distance sets the iteration bound
-    game = QuadraticGame(dims=(1, 1), h=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                         c=np.array([-1.0, -1.0]), noise=GaussianNoise(1.0))
-    config = PgrConfig(alpha=0.2, rho=0.9, max_iter=50, target_eps=1e-3)
+    spec = ExperimentSpec(
+        scheme="pgr", x0=(1e200, 1e200),
+        solver={"alpha": 0.2, "rho": 0.9, "max_iter": 50, "target_eps": 1e-3},
+        game={"kind": "quadratic", "h": [[2.0, 1.0], [1.0, 2.0]],
+              "c": [-1.0, -1.0], "noise": {"kind": "gaussian", "nu": 1.0}})
     with pytest.raises(ValueError, match=r"^x0 = \[1e\+200, 1e\+200\] has "
                                          r"squared distance inf"):
-        run_pgr(game, config, _far_start(game), solve_ne_oracle(game))
+        run_experiment(spec)
 
 
 @pytest.mark.parametrize("config", [
@@ -163,6 +165,17 @@ def test_every_solver_config_takes_integer_max_iter_and_seed(config, run,
             rf"^{name} must be an integer, got {run[name]!r}$")):
         config(**run)
     config(max_iter=np.int64(5), seed=np.uint32(1))
+
+
+@pytest.mark.parametrize("config", [
+    lambda **run: PgrConfig(alpha=0.05, rho=0.8, **run),
+    lambda **run: DistConfig(alpha=0.02, **run),
+    lambda **run: PbrConfig(mu=1.0, eta_br=0.6, **run)],
+    ids=["pgr", "dist-pgr", "pbr"])
+def test_every_solver_config_rejects_a_negative_seed(config):
+    with pytest.raises(ValueError) as err:
+        config(max_iter=5, seed=-1)
+    assert str(err.value) == "seed must be >= 0, got -1"
 
 
 def test_a_run_of_no_iterations_is_rejected_saying_so():
