@@ -51,7 +51,8 @@ from .games import QuadraticGame, vector_error
 from .pgr import geometric_complexity, power_or_inf
 from .prox import Zero, compiled_prox, prox_pieces
 from .sampling import BestResponseBatch
-from .trace import RunTrace, check_run, iterate
+from .serialize import check_solver
+from .trace import RunTrace, iterate
 
 # A step that moves z by at most a few ulps of ||z|| has reached the
 # rounding floor, which lies above inner_tol once ||z|| passes about 1e3.
@@ -255,17 +256,7 @@ class PbrConfig:
     inner_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not (0.0 < self.eta_br < 1.0):
-            raise ValueError(f"eta_br must lie in (0, 1), got {self.eta_br}")
-        check_run(self.max_iter, self.seed)
-        if self.m_max is not None and self.m_max < 0.0:
-            raise ValueError(f"m_max must be >= 0, got {self.m_max}")
-        if self.c_r is not None and not self.c_r > 0.0:
-            raise ValueError(f"c_r must be > 0, got {self.c_r}")
-        if not self.inner_tol > 0.0:
-            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
+        check_solver("pbr", self)
 
 
 def resolved_schedule(game: QuadraticGame, config: PbrConfig) -> BestResponseBatch:

@@ -30,7 +30,8 @@ from .graphs import CommGraph, consensus_apply, mixing_params
 from .pgr import geometric_complexity, geometric_envelope, power_or_inf
 from .prox import compiled_prox
 from .sampling import RootGeometricBatch
-from .trace import RunTrace, check_finite, check_run, iterate
+from .serialize import check_solver
+from .trace import RunTrace, check_finite, iterate
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,7 @@ class DistConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        check_run(self.max_iter, self.seed)
-        if self.beta is not None and not (0.0 < self.beta < 1.0):
-            raise ValueError(
-                f"mixing rate beta must lie in (0, 1), got {self.beta}")
+        check_solver("dist-pgr", self)
 
 
 @dataclass(frozen=True)

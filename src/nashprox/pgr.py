@@ -24,7 +24,8 @@ from .errors import InvalidStep
 from .games import QuadraticGame, check_lipschitz
 from .prox import compiled_prox
 from .sampling import GeometricBatch, sample_batch_gradient
-from .trace import RunTrace, check_finite, check_run, iterate
+from .serialize import check_solver
+from .trace import RunTrace, check_finite, iterate
 
 # Absolute width of the band |base - other| in which geometric_envelope treats
 # the rates (rho and q for pgr, varrho and sqrt(beta) for dist-pgr) as equal.
@@ -41,11 +42,7 @@ class PgrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        check_run(self.max_iter, self.seed)
+        check_solver("pgr", self)
 
 
 def contraction_factor_q(eta: float, lip: float, alpha: float) -> float:

@@ -10,6 +10,7 @@ from typing import Union
 import numpy as np
 
 from .games import QuadraticGame, gradient_map
+from .serialize import check_solver
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,8 @@ class BestResponseBatch:
     c_r: float
     eta_br: float
 
-    def __post_init__(self):
-        if not (self.m_max >= 0.0 and math.isfinite(self.m_max)):
-            raise ValueError(f"m_max must be finite and >= 0, got {self.m_max}")
-        if not (self.c_r > 0.0 and math.isfinite(self.c_r)):
-            raise ValueError(f"c_r must be finite and > 0, got {self.c_r}")
-        if not (0.0 < self.eta_br < 1.0):
-            raise ValueError(f"eta_br must lie in (0, 1), got {self.eta_br}")
+    def __post_init__(self):  # its keys are pbr's solver keys
+        check_solver("pbr", self)
 
     def size(self, k: int) -> int:
         return max(1, math.ceil((self.m_max * self.c_r) ** 2 *

@@ -12,8 +12,10 @@ or "family" selects (a graph without "family" is an edge list).
 from __future__ import annotations
 
 import json
+import math
 import operator
-from numbers import Number
+from dataclasses import fields
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -254,16 +256,15 @@ CONFIG_SCHEMAS: dict[str, dict] = {
 
 
 # as in JSON Schema, a bool is not a number and 5.0 is an integer; unlike
-# jsonschema, a number must convert to a float, which no int from
-# _FLOAT_LIMIT = 2^1024 - 2^970 on does
+# jsonschema, a number must convert to a finite float, which NaN, +-inf and
+# every int from _FLOAT_LIMIT = 2^1024 - 2^970 on do not
 _FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
-    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool)
-    and not (isinstance(v, int) and abs(v) >= _FLOAT_LIMIT),
-    "integer": lambda v: _TYPES["number"](v) and (
-        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, Real) and not isinstance(v, bool) and (
+        abs(v) < _FLOAT_LIMIT if isinstance(v, Integral) else math.isfinite(v)),
+    "integer": lambda v: _TYPES["number"](v) and v == int(v),
 }
 # when a number fails a bound keyword, and how jsonschema says so
 _BOUNDS = {
@@ -274,13 +275,12 @@ _BOUNDS = {
 }
 
 
-def _invalid(path: tuple, message: str) -> ConfigError:
-    return ConfigError(
-        f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
+def _invalid(path: tuple, message: str) -> ValueError:
+    return ValueError(f"{'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def _check(value, schema: dict, path: tuple) -> None:
-    """Raise ConfigError at the first violation of `schema` by `value`, in
+    """Raise ValueError at the first violation of `schema` by `value`, in
     schema order and in jsonschema's words ($schema is ignored)."""
     for keyword, arg in schema.items():
         if keyword == "type":
@@ -314,9 +314,9 @@ def _check(value, schema: dict, path: tuple) -> None:
                     else f"{key!r} is a required property, one of")
                     + f" {accepted!r}")
         elif isinstance(value, list):
-            # a list of plain floats passes {"type": "number"} at once
-            if keyword == "items" and (arg != {"type": "number"} or not set(
-                    map(type, value)) <= {float}):
+            # a list of finite plain floats passes {"type": "number"} at once
+            if keyword == "items" and not (arg == {"type": "number"} and set(
+                    map(type, value)) <= {float} and all(map(math.isfinite, value))):
                 for i, item in enumerate(value):
                     _check(item, arg, path + (i,))
             elif keyword == "minItems" and len(value) < arg:
@@ -362,8 +362,27 @@ def validate_config(doc: Any, scheme: str | None = None) -> dict:
         raise ConfigError(
             f"unknown scheme '{scheme}'; expected one of "
             f"{sorted(CONFIG_SCHEMAS)}")
-    _check(doc, CONFIG_SCHEMAS[scheme], ())
+    try:
+        _check(doc, CONFIG_SCHEMAS[scheme], ())
+    except ValueError as err:
+        raise ConfigError(f"config invalid at {err}") from None
     return doc
+
+
+def check_solver(scheme: str, config) -> None:
+    """Raise ValueError, in validate_config's words, unless each field of a
+    solver config passes its key's schema in `scheme`, or is None where that
+    is its default. A float is no integer: from_config makes 5.0 a 5."""
+    top = CONFIG_SCHEMAS[scheme]["properties"]
+    for field in fields(config):
+        name, value = field.name, getattr(config, field.name)
+        if value is None and field.default is None:
+            continue
+        path, schema = ((name,), top[name]) if name == "seed" else \
+            (("solver", name), top["solver"]["properties"][name])
+        if isinstance(value, float) and schema["type"] == "integer":
+            raise _invalid(path, f"{value!r} is not of type 'integer'")
+        _check(value, schema, path)
 
 
 def load_config(path: str) -> dict:

@@ -46,17 +46,6 @@ class RunTrace:
         return len(self.batches)
 
 
-def check_run(max_iter: int, seed: int) -> None:
-    """The checks every solver config makes on the values the loop takes."""
-    for name, value in (("max_iter", max_iter), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def check_finite(forward: np.ndarray, k: int, reps: Sequence[int]) -> None:
     """Raise Divergence naming reps[j] for the first non-finite row j."""
     if not np.isfinite(forward).all():

@@ -452,23 +452,23 @@ _SCHEDULE = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.5)
 
 @pytest.mark.parametrize("call,message", [
     (lambda: PbrConfig(mu=0.0, eta_br=0.5, max_iter=5),
-     "mu must be finite and > 0, got 0.0"),
+     "solver/mu: 0.0 is less than or equal to the minimum of 0.0"),
     (lambda: PbrConfig(mu=math.inf, eta_br=0.5, max_iter=5),
-     "mu must be finite and > 0, got inf"),
+     "solver/mu: inf is not of type 'number'"),
     (lambda: PbrConfig(mu=1.0, eta_br=1.0, max_iter=5),
-     "eta_br must lie in (0, 1), got 1.0"),
+     "solver/eta_br: 1.0 is greater than or equal to the maximum of 1.0"),
     (lambda: PbrConfig(mu=1.0, eta_br=0.5, max_iter=5, m_max=-1.0),
-     "m_max must be >= 0, got -1.0"),
+     "solver/m_max: -1.0 is less than the minimum of 0.0"),
     (lambda: PbrConfig(mu=1.0, eta_br=0.5, max_iter=5, c_r=0.0),
-     "c_r must be > 0, got 0.0"),
+     "solver/c_r: 0.0 is less than or equal to the minimum of 0.0"),
     (lambda: PbrConfig(mu=1.0, eta_br=0.5, max_iter=5, inner_tol=0.0),
-     "inner_tol must be > 0, got 0.0"),
+     "solver/inner_tol: 0.0 is less than or equal to the minimum of 0.0"),
     (lambda: BestResponseBatch(m_max=math.inf, c_r=1.0, eta_br=0.5),
-     "m_max must be finite and >= 0, got inf"),
+     "solver/m_max: inf is not of type 'number'"),
     (lambda: BestResponseBatch(m_max=1.0, c_r=0.0, eta_br=0.5),
-     "c_r must be finite and > 0, got 0.0"),
+     "solver/c_r: 0.0 is less than or equal to the minimum of 0.0"),
     (lambda: BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=1.0),
-     "eta_br must lie in (0, 1), got 1.0"),
+     "solver/eta_br: 1.0 is greater than or equal to the maximum of 1.0"),
     (lambda: pbr_theory(_SCHEDULE, 0.5, 0, 1.0, None),
      "n_players must be >= 1, got 0"),
     (lambda: pbr_theory(_SCHEDULE, -0.5, 2, 1.0, None),

@@ -340,6 +340,24 @@ def test_bounds_of_a_zero_envelope_need_no_iterations(tmp_path: Path, capsys):
     assert "K(eps) = 0, M(eps) = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key", ["rho_tilde", "nu", "eps"])
+@pytest.mark.parametrize("token,shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ("1e400", "inf")])
+def test_a_non_finite_bounds_value_exits_2_naming_its_key(
+        tmp_path: Path, capsys, key: str, token: str, shown: str):
+    """Python's json reads these tokens (1e400 as inf), but none of them is
+    a JSON number. A NaN rho_tilde passed every bound and exited 0."""
+    text = json.dumps(dict(BOUNDS_DOC, solver=dict(BOUNDS_DOC["solver"],
+                                                   **{key: "@"})))
+    path = tmp_path / "config.json"
+    path.write_text(text.replace('"@"', token))
+    assert main(["bounds", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config invalid at solver/{key}: {shown} is not of "
+        f"type 'number'\n")
+
+
 @pytest.mark.parametrize("command,doc", [
     ("pgr", dict(PGR_DOC, solver={"alpha": 0.05, "rho": 0.9, "max_iter": 20})),
     ("dist-pgr", DIST_DOC),
@@ -581,11 +599,15 @@ def test_surplus_regularizers_are_an_assumption_error(tmp_path: Path, capsys):
 
 @pytest.mark.parametrize("field,value", [("h", [[float("nan"), 1.0], [1.0, 2.0]]),
                                          ("c", [float("inf"), -1.0])])
-def test_non_finite_quadratic_game_is_an_assumption_error(
+def test_non_finite_quadratic_game_is_a_config_error(
         tmp_path: Path, capsys, field: str, value: list):
+    """NaN and Infinity are not JSON numbers, so the schema rejects them."""
     doc = dict(PGR_DOC, game=dict(PGR_DOC["game"], **{field: value}))
-    assert main(["pgr", "--config", _write(tmp_path, doc), "--quiet"]) == 3
-    assert "game parameters must be finite" in capsys.readouterr().err
+    assert main(["pgr", "--config", _write(tmp_path, doc), "--quiet"]) == 2
+    at = "h/0/0: nan" if field == "h" else "c/0: inf"
+    assert capsys.readouterr().err == (
+        f"config error: config invalid at game/{at} is not of type "
+        f"'number'\n")
 
 
 @pytest.mark.parametrize("command,doc,game", [
@@ -984,27 +1006,32 @@ README_PBR_DOC = json.loads(
 
 
 @pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])
-@pytest.mark.parametrize("doc,x0,shown", [
+@pytest.mark.parametrize("doc,x0,code,stderr", [
     # the squared distance overflows although x0 is finite
-    (PGR_DOC, [1e200, 1e200], "[1e+200, 1e+200] has squared distance inf"),
-    (README_PBR_DOC, [1e300, 1e300],
-     "[1e+300, 1e+300] has squared distance inf"),
-    (PGR_DOC, [float("nan"), 0.0], "[nan, 0.0] has squared distance nan"),
-    (PGR_DOC, [float("inf"), 0.0], "[inf, 0.0] has squared distance inf"),
+    (PGR_DOC, [1e200, 1e200], 3, "invalid parameters: x0 = [1e+200, 1e+200] "
+     "has squared distance inf to the equilibrium; a run needs it finite"),
+    (README_PBR_DOC, [1e300, 1e300], 3, "invalid parameters: x0 = [1e+300, "
+     "1e+300] has squared distance inf to the equilibrium; a run needs it "
+     "finite"),
+    # NaN and Infinity are not JSON numbers: the schema rejects them
+    (PGR_DOC, [float("nan"), 0.0], 2,
+     "config error: config invalid at x0/0: nan is not of type 'number'"),
+    (PGR_DOC, [float("inf"), 0.0], 2,
+     "config error: config invalid at x0/0: inf is not of type 'number'"),
 ], ids=["pgr-1e200", "pbr-1e300", "pgr-nan", "pgr-inf"])
 def test_a_start_too_far_to_measure_exits_3_before_any_replication(
-        tmp_path: Path, capsys, doc: dict, x0: list, shown: str,
+        tmp_path: Path, capsys, doc: dict, x0: list, code: int, stderr: str,
         validate: bool):
+    """A finite start too far to measure exits 3; a NaN or infinite one
+    is no JSON number and exits 2. Neither writes a report."""
     out = tmp_path / "out"
     argv = ["validate"] if validate else [doc["scheme"], "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv + ["--config", _write(tmp_path, dict(doc, x0=x0)),
-                            "--quiet"]) == 3
+                            "--quiet"]) == code
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == (
-        f"invalid parameters: x0 = {shown} to the equilibrium; a run needs "
-        f"it finite\n")
+    assert capsys.readouterr().err == stderr + "\n"
     assert not (out / "report.json").exists()
 
 

@@ -352,13 +352,13 @@ _RATE_CONSTANTS = DistRateConstants(varrho=0.8, c1=0.0, c2=0.0, c3=1.0,
                                  beta=1 - 2 ** -53),
      "beta=0.9999999999999999 is too close to 1: ln(beta^(-1/2)) is 0"),
     (lambda: DistConfig(alpha=0.0, max_iter=5),
-     "alpha must be finite and > 0, got 0.0"),
+     "solver/alpha: 0.0 is less than or equal to the minimum of 0.0"),
     (lambda: DistConfig(alpha=math.inf, max_iter=5),
-     "alpha must be finite and > 0, got inf"),
+     "solver/alpha: inf is not of type 'number'"),
     (lambda: DistConfig(alpha=0.1, max_iter=5, beta=0.0),
-     "mixing rate beta must lie in (0, 1), got 0.0"),
+     "solver/beta: 0.0 is less than or equal to the minimum of 0.0"),
     (lambda: DistConfig(alpha=0.1, max_iter=5, beta=1.0),
-     "mixing rate beta must lie in (0, 1), got 1.0"),
+     "solver/beta: 1.0 is greater than or equal to the maximum of 1.0"),
     (lambda: dist_theory(_RATE_CONSTANTS, -1.0, None),
      "c_start must be >= 0, got -1.0"),
     # a beta of 1 schedules no batch growth: there is no K(eps)

@@ -12,6 +12,7 @@ from nashprox import (
     NonConvergence,
     NotStronglyMonotone,
     QuadraticGame,
+    generate_cournot_game,
     generate_quadratic_game,
     gradient_map,
     monotonicity_constants,
@@ -244,6 +245,66 @@ def test_cournot_rejects_invalid_parameters():
     with pytest.raises(ValueError):
         AggregativeGame(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
                         lo=(2.0, 2.0), hi=(1.0, 1.0))
+
+
+def _cournot(**kwargs) -> AggregativeGame:
+    args = dict(a=(1.0, 1.0), b=(0.0, 0.0), d=2.0, c_price=1.0,
+                lo=(0.0, 0.0), hi=(1.0, 1.0))
+    return AggregativeGame(**dict(args, **kwargs))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: QuadraticGame(dims=(), h=np.eye(1), c=np.zeros(1)),
+     "player dimensions must be positive, got ()"),
+    (lambda: QuadraticGame(dims=(1, 0), h=np.eye(1), c=np.zeros(1)),
+     "player dimensions must be positive, got (1, 0)"),
+    (lambda: QuadraticGame(dims=(2,), h=np.eye(3), c=np.zeros(2)),
+     "coupling matrix must be (2, 2), got (3, 3)"),
+    (lambda: QuadraticGame(dims=(2,), h=np.eye(2), c=np.zeros(3)),
+     "linear term must have shape (2,), got (3,)"),
+    (lambda: QuadraticGame(dims=(1, 1), h=[[np.nan, 1.0], [1.0, 2.0]],
+                           c=REF_C),
+     "game parameters must be finite"),
+    (lambda: QuadraticGame(dims=(1, 1), h=REF_H, c=[np.inf, -1.0]),
+     "game parameters must be finite"),
+    (lambda: _reference_game(regularizers=(BoxIndicator(0.0, 1.0),)),
+     "1 regularizers for 2 players"),
+    (lambda: _cournot(a=(), b=(), lo=(), hi=()), "need at least one player"),
+    (lambda: _cournot(b=(0.0,)),
+     "a, b, lo, hi must all have one entry per player"),
+    (lambda: _cournot(d=np.inf), "game parameters must be finite"),
+    (lambda: _cournot(c_price=-1.0), "price slope must be >= 0, got -1.0"),
+    (lambda: _cournot(lo=(2.0, 0.0)), "strategy boxes require lo <= hi"),
+    (lambda: _cournot(noises=(GaussianNoise(1.0),)),
+     "1 noise models for 2 players"),
+    (lambda: _cournot(noises=(GaussianNoise(1e154),) * 2),
+     "total noise level nu must have nu^2 = sum_i nu_i^2 finite, got "
+     "nu^2 = inf"),
+    (lambda: generate_quadratic_game(0, 2, 0.5),
+     "n_players and dim must be >= 1"),
+    (lambda: generate_quadratic_game(2, 0, 0.5),
+     "n_players and dim must be >= 1"),
+    (lambda: generate_quadratic_game(2, 2, 1.0),
+     "coupling_strength must lie in [0, 1), got 1.0"),
+    (lambda: generate_quadratic_game(2, 2, -0.1),
+     "coupling_strength must lie in [0, 1), got -0.1"),
+    (lambda: generate_cournot_game(0), "n_players must be >= 1"),
+    (lambda: ne_residual(_reference_game(), np.zeros(2), 0.0),
+     "alpha must be finite and > 0, got 0.0"),
+    (lambda: ne_residual(_reference_game(), np.zeros(2), np.inf),
+     "alpha must be finite and > 0, got inf"),
+], ids=["quadratic-no-players", "quadratic-zero-dim", "quadratic-h-shape",
+        "quadratic-c-shape", "quadratic-h-nan", "quadratic-c-inf",
+        "quadratic-regularizer-count", "cournot-no-players",
+        "cournot-entry-count", "cournot-d-inf", "cournot-price-slope",
+        "cournot-box", "cournot-noise-count", "cournot-noise-overflow",
+        "random-no-players", "random-zero-dim", "random-coupling-one",
+        "random-coupling-negative", "random-cournot-no-players",
+        "residual-alpha-zero", "residual-alpha-inf"])
+def test_game_arguments_outside_their_range_are_rejected(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_player_noise_splits_total_second_moment_by_block_size():

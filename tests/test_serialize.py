@@ -1,10 +1,10 @@
 """Config validation: the plain checker must accept and reject exactly what
 jsonschema.validate does, once a number (or an integer) is also held to
-converting to a float. It stops at the first violation in schema order, in
-jsonschema's words. A oneOf block is checked only against the branch its
-discriminator selects (a game's or regularizer's "kind", a graph's "family"
-or its absence), so the message names the key at fault where jsonschema
-names the whole block."""
+converting to a finite float. It stops at the first violation in schema
+order, in jsonschema's words. A oneOf block is checked only against the
+branch its discriminator selects (a game's or regularizer's "kind", a
+graph's "family" or its absence), so the message names the key at fault
+where jsonschema names the whole block."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -20,8 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashprox.best_response import PbrConfig
+from nashprox.distributed import DistConfig
 from nashprox.errors import ConfigError
-from nashprox.serialize import CONFIG_SCHEMAS, validate_config
+from nashprox.pgr import PgrConfig
+from nashprox.sampling import BestResponseBatch
+from nashprox.serialize import (CONFIG_SCHEMAS, build_game, build_graph,
+                                validate_config)
 
 GOLDEN = Path(__file__).parent / "golden"
 # the three benchmark workloads and the README examples
@@ -44,15 +50,15 @@ _STOCK = jsonschema.Draft202012Validator
 
 def _converting(kind: str):
     """jsonschema's check of type `kind`, which must also convert to a
-    float: an int past the float range is neither a number nor an integer."""
+    finite float: an int past the float range, NaN and +-inf are neither
+    numbers nor integers."""
     def check(checker, value) -> bool:
         if not _STOCK.TYPE_CHECKER.is_type(value, kind):
             return False
         try:
-            float(value)
+            return math.isfinite(float(value))
         except OverflowError:
             return False
-        return True
     return check
 
 
@@ -213,6 +219,82 @@ def test_the_largest_integer_that_converts_to_a_float_is_a_number():
     assert float(value) == sys.float_info.max
     assert _config_error(_pgr_config_with(("game", "h", 0, 1), value),
                          None) is None
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("path", [("solver", "alpha"), ("game", "c", 1)],
+                         ids=["alpha", "float-list-item"])
+def test_a_non_finite_number_is_not_a_number(path, token):
+    """Python's json reads NaN and Infinity, and 1e400 as inf; none of them
+    is a JSON number, in a list of plain floats either."""
+    doc = _pgr_config_with(path, json.loads(token))
+    assert set(map(type, doc["game"]["c"])) == {float}
+    value = float(token)
+    assert _config_error(doc, None) == (
+        f"config invalid at {'/'.join(map(str, path))}: {value!r} is not of "
+        f"type 'number'")
+
+
+# each solver config class, the scheme whose solver block (and seed) holds
+# its keys, and arguments it accepts
+_SOLVER_CONFIGS = {
+    PgrConfig: ("pgr", {"alpha": 0.2, "rho": 0.9, "max_iter": 5}),
+    DistConfig: ("dist-pgr", {"alpha": 0.02, "max_iter": 5}),
+    PbrConfig: ("pbr", {"mu": 1.0, "eta_br": 0.7, "max_iter": 5}),
+    BestResponseBatch: ("pbr", {"m_max": 1.0, "c_r": 1.0, "eta_br": 0.7}),
+}
+_SOLVER_KEYS = [(cls, f.name) for cls in _SOLVER_CONFIGS for f in fields(cls)]
+_EDGES = [0.0, -0.0, 5e-324, 1.0, 1.0 - 2.0 ** -53, math.nan, math.inf,
+          -math.inf, True, 2.5]
+
+
+def _paths_agree(cls, key: str, value) -> bool:
+    """Whether the config class accepts `value` at key exactly when
+    validate_config accepts the scheme's readme-<scheme> golden document
+    with it there, raising exactly ValueError when it does not. A library
+    float is never an integer: from_config turns a document's 5.0 into 5."""
+    scheme, args = _SOLVER_CONFIGS[cls]
+    doc = _golden(f"readme-{scheme}")
+    block, schema = doc, CONFIG_SCHEMAS[scheme]["properties"]
+    if key != "seed":
+        block, schema = doc["solver"], schema["solver"]["properties"]
+    block[key] = value
+    expected = _config_error(doc, None) is None and not (
+        isinstance(value, float) and schema[key]["type"] == "integer")
+    try:
+        cls(**dict(args, **{key: value}))
+    except ValueError as err:
+        assert type(err) is ValueError
+        return not expected
+    return expected
+
+
+@pytest.mark.parametrize("cls,key", _SOLVER_KEYS,
+                         ids=[f"{c.__name__}-{k}" for c, k in _SOLVER_KEYS])
+def test_a_solver_config_accepts_what_its_document_accepts(cls, key):
+    """The schema states each solver key's range once, for documents and
+    for the config classes alike, at the range's edges."""
+    for value in _EDGES:
+        assert _paths_agree(cls, key, value), value
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(_SOLVER_KEYS),
+       value=st.floats() | st.integers(-3, 3) | st.sampled_from(_EDGES))
+def test_any_solver_value_is_accepted_by_both_paths_or_neither(key, value):
+    assert _paths_agree(*key, value)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: build_game({"kind": "nope"}), "unknown game kind 'nope'"),
+    (lambda: build_graph({"family": "nope"}), "unknown graph family 'nope'"),
+], ids=["game", "graph"])
+def test_a_library_document_of_unknown_kind_is_a_config_error(build, message):
+    """build_game and build_graph take documents validate_config has not
+    seen."""
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("scheme", [[], {"a": 1}, 3])
