@@ -57,7 +57,7 @@ def main() -> None:
         theory, _ = pbr_theory(schedule, a=2.0 / 3.0, n_players=2,
                                c_start=1.0, eps=eps)
         print(f"  eps = {eps:g}: K = {theory['k_eps']:3d}, "
-              f"samples = {theory['m_eps']:10d}, "
+              f"samples <= {theory['m_eps']:.4e}, "
               f"order value = {theory['m_eps_order']:12.1f}")
 
 

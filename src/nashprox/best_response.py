@@ -48,7 +48,7 @@ from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's gufunc
 
 from .errors import InnerSolveFailure
 from .games import QuadraticGame, vector_error
-from .pgr import geometric_complexity, power_or_inf
+from .pgr import geometric_iterations, power_or_inf
 from .prox import Zero, compiled_prox, prox_pieces
 from .sampling import BestResponseBatch
 from .serialize import check_solver
@@ -326,14 +326,14 @@ def pbr_theory(schedule: BestResponseBatch, a: float, n_players: int,
 
     With c = max(a, eta_br) and eta_tilde in (c, 1) (default (1 + c) / 2),
     constant = sqrt(N) (c_start + d) with d = 1 / (e ln(eta_tilde / c)).
-    Given eps, k_eps is the smallest integer k with envelope <= eps; m_eps
-    is the schedule sum N * sum_{k < k_eps} N_k (BestResponseBatch.total:
-    exact while every N_k is below 2^32); m_eps_order evaluates the
-    asymptotic form (constant / eps)^{2 ln(1/eta_br) / ln(1/eta_tilde)}
-    that the exact sum tracks up to constants. Both are inf where a batch
-    size or the power overflows a float. Raises ValueError for an
-    eta_tilde outside (c, 1); a game with a >= 1 has none, and callers
-    reject it first (check_contractive).
+    Given eps, k_eps = K is the smallest integer k with envelope <= eps.
+    Every batch is at most b r^k + 1 (b = (m_max c_r)^2, r = eta_br^-2), so
+    m_eps = N (b (r^K - 1) / (r - 1) + K) bounds the samples of K
+    iterations, to within N K above their sum (N K for b = 0); m_eps_order
+    is the form (constant / eps)^{2 ln(1/eta_br) / ln(1/eta_tilde)} that
+    the sum tracks up to constants. Both are inf where they overflow a
+    float. Raises ValueError for an eta_tilde outside (c, 1); a game with
+    a >= 1 has none, and callers reject it first (check_contractive).
     """
     if n_players < 1:
         raise ValueError(f"n_players must be >= 1, got {n_players}")
@@ -352,14 +352,22 @@ def pbr_theory(schedule: BestResponseBatch, a: float, n_players: int,
     theory = {"a": a, "c_r": schedule.c_r, "m_max": schedule.m_max,
               "eta_tilde": eta_tilde, "d": d, "c_start": c_start}
     if eps is not None:
-        # the batches grow by 1 / eta_br^2 per iteration
-        k_eps = math.ceil(geometric_complexity(constant, eta_tilde,
-                                               eta_br ** 2, eps)[0])
-        try:
-            m_eps = n_players * schedule.total(k_eps)
-        except OverflowError:
-            m_eps = math.inf
-        theory.update(k_eps=k_eps, m_eps=m_eps, m_eps_order=power_or_inf(
-            constant / eps, 2.0 * math.log(1.0 / eta_br) /
-            math.log(1.0 / eta_tilde)))
+        k_eps = math.ceil(geometric_iterations(constant, eta_tilde, eps))
+        m, geo = schedule.m_max * schedule.c_r, 0.0
+        if m * m > 0.0 and k_eps > 0:
+            # b (r^K - 1) / (r - 1) = b q 2^u, q = expm1(-K l) / expm1(-l)
+            # in [1, K], l = ln r, u = (K - 1) log2(r), scaled exactly by
+            # b's exponent and u's integer part (inf only past a float) and
+            # rounded up by (K l + 16) 2^-52, which covers its own error
+            log_r = -2.0 * math.log(eta_br)
+            u = -2.0 * (k_eps - 1) * math.log2(eta_br)
+            x, e = math.frexp(m * m)
+            x, f = math.frexp(x * 2.0 ** (u % 1.0) * math.expm1(
+                -k_eps * log_r) / math.expm1(-log_r) * (
+                1.0 + (k_eps * log_r + 16.0) * 2.0 ** -52))
+            e += f + int(u)
+            geo = math.ldexp(x, e) if e <= 1024 else math.inf
+        theory.update(k_eps=k_eps, m_eps=n_players * (k_eps + geo),
+                      m_eps_order=power_or_inf(constant / eps, 2.0 * math.log(
+                          1.0 / eta_br) / math.log(1.0 / eta_tilde)))
     return theory, (constant, eta_tilde)

@@ -88,28 +88,31 @@ def geometric_envelope(c_start: float, noise: float, base: float,
     return c_start + noise / gap, max(base, other), None
 
 
-def geometric_complexity(constant: float, rate: float, batch_rate: float,
-                         eps: float) -> tuple[float, float]:
-    """(K, samples) for the envelope constant * rate^k to reach eps under
-    batches N_k = ceil(batch_rate^{-(k+1)}).
-
-    K = ln(constant / eps) / ln(1 / rate), clamped at 0 (finite when only
-    the ratio overflows). The batch sum is at most (constant / eps)^p /
-    (batch_rate ln(1 / batch_rate)), p = ln(1 / batch_rate) / ln(1 / rate),
-    plus one ceiling per iteration, K; samples is inf where that overflows.
-    A zero ratio (a zero constant) gives K = 0 and samples = 0.
-    """
+def geometric_iterations(constant: float, rate: float, eps: float) -> float:
+    """K = ln(constant / eps) / ln(1 / rate), clamped at 0: the real k at
+    which the envelope constant * rate^k reaches eps. K is finite when only
+    the ratio overflows, and 0 for a zero constant."""
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     ratio = constant / eps
     if ratio == 0.0:  # ln would fail; the envelope is below eps at k = 0
-        return 0.0, 0.0
+        return 0.0
     log_ratio = math.log(ratio) if ratio < math.inf \
         else math.log(constant) - math.log(eps)
-    k_eps = max(0.0, log_ratio / math.log(1.0 / rate))
+    return max(0.0, log_ratio / math.log(1.0 / rate))
+
+
+def geometric_complexity(constant: float, rate: float, batch_rate: float,
+                         eps: float) -> tuple[float, float]:
+    """(K, samples) for the envelope constant * rate^k to reach eps under
+    batches N_k = ceil(batch_rate^{-(k+1)}): K is geometric_iterations',
+    and the batch sum is at most (constant / eps)^p / (batch_rate ln(1 /
+    batch_rate)), p = ln(1 / batch_rate) / ln(1 / rate), plus one ceiling
+    per iteration, K; samples is inf where that overflows."""
+    k_eps = geometric_iterations(constant, rate, eps)
     lead = 1.0 / (batch_rate * math.log(1.0 / batch_rate))
     exponent = math.log(1.0 / batch_rate) / math.log(1.0 / rate)
-    return k_eps, lead * power_or_inf(ratio, exponent) + k_eps
+    return k_eps, lead * power_or_inf(constant / eps, exponent) + k_eps
 
 
 def power_or_inf(base: float, exponent: float) -> float:

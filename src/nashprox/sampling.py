@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -54,33 +53,6 @@ class BestResponseBatch:
         return max(1, math.ceil((self.m_max * self.c_r) ** 2 *
                                 self.eta_br ** (-2 * k)))
 
-    def total(self, n: int) -> int:
-        """sum_{k < n} size(k); OverflowError where a batch or the sum does.
-
-        The leading run of 1s is counted in closed form, the rest in numpy
-        chunks. A batch below 2^32 that np.power, an ulp apart from pow,
-        could move is redone by size(k): exact while batches stay below
-        2^32, double precision above."""
-        if n < 1:
-            return 0
-        self.size(n - 1)  # batch sizes never shrink
-        base = (self.m_max * self.c_r) ** 2
-        # size(k) = 1 for k <= ln(base) / (2 ln eta_br), less one for rounding
-        total = n if base == 0.0 else min(n, max(0, math.floor(
-            math.log(base) / (2.0 * math.log(self.eta_br))) - 1))
-        for start in range(total, n, 1 << 20):
-            v = base * np.power(self.eta_br, np.arange(
-                -2.0 * start, -2.0 * min(n, start + (1 << 20)), -2.0))
-            sizes = np.ceil(v)
-            cut = int(np.searchsorted(sizes, 2.0 ** 32))
-            gap = sizes[:cut] - v[:cut]
-            for j in np.flatnonzero(abs(gap - 0.5) > 0.5 - 2.0 ** -18):
-                sizes[j] = self.size(start + int(j))
-            with np.errstate(over="ignore"):  # int(inf) raises below
-                tail = sizes[cut:].sum()
-            total += int(sizes[:cut].sum()) + int(tail)
-        return total
-
 
 BatchSchedule = Union[GeometricBatch, RootGeometricBatch, BestResponseBatch]
 
@@ -103,7 +75,10 @@ def check_schedule(schedule: BatchSchedule, n_iter: int, dim: int = 1) -> None:
 
     if n_iter < 1:
         raise ValueError(f"a run needs at least one iteration, got {n_iter}")
-    bad = bisect.bisect_left(range(n_iter), True, key=overflows)
+    lo, bad = 0, n_iter  # n_iter may pass sys.maxsize, where range stops
+    while lo < bad:
+        mid = (lo + bad) // 2
+        lo, bad = (lo, mid) if overflows(mid) else (mid + 1, bad)
     if bad == n_iter:
         return
     if bad == 0:

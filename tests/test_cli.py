@@ -766,11 +766,29 @@ def test_validate_rejects_solver_parameters_as_the_run_does(
           fit={"skip": 0}),
      "fit.skip = 0 is too large for the run's 1 iteration; no skip leaves "
      "the 3 points a rate fit needs"),
+    # a max_iter past sys.maxsize, where range() stops, still finds the
+    # first overflowing batch
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=10 ** 19)),
+     "max_iter must be at most 6730"),
+    (dict(PGR_DOC, solver=dict(PGR_DOC["solver"], max_iter=1e300)),
+     "max_iter must be at most 6730"),
+    (dict(DIST_DOC, solver=dict(DIST_DOC["solver"], max_iter=10 ** 19)),
+     "max_iter must be at most 2299"),
+    (dict(PBR_DOC, solver=dict(PBR_DOC["solver"], max_iter=10 ** 19)),
+     "max_iter must be at most 994"),
+    # pbr's complexity bound once divided by eta_br^2 = 0 here
+    (dict(PBR_DOC, solver=dict(PBR_DOC["solver"], eta_br=5e-324,
+                               target_eps=1e-3)),
+     "BestResponseBatch(m_max=1.0000000000000002, c_r=1.8944271909999157, "
+     "eta_br=5e-324) overflows a float at iteration 1; max_iter must be at "
+     "most 1"),
 ], ids=["graph-nodes", "pgr-batch-overflow", "pbr-batch-overflow",
         "fit-too-few-points", "fit-window-out-of-range", "x0-size",
         "pbr-zero-m-max", "pbr-small-c-r", "fit-skip-past-the-run",
         "fit-skip-one-past-the-largest", "fit-skip-after-a-target-cut",
-        "fit-skip-1-iter"])
+        "fit-skip-1-iter", "pgr-max-iter-1e19", "pgr-max-iter-1e300",
+        "dist-pgr-max-iter-1e19", "pbr-max-iter-1e19",
+        "pbr-least-eta-br"])
 def test_validate_rejects_what_the_run_rejects_before_any_replication(
         tmp_path: Path, capsys, monkeypatch, doc: dict, message: str):
     """Each config used to pass validate and fail only in or after its

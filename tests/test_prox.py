@@ -101,6 +101,20 @@ def test_regularizer_constructor_validation():
         BoxIndicator(np.array([-np.inf]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: BoxIndicator(np.zeros(2), np.ones(3)), ValueError,
+     "box bounds must have matching shapes"),
+    (lambda: prox_pieces((Zero(),), (1, 1), 1.0), ValueError,
+     "1 regularizers for 2 players"),
+    (lambda: prox_pieces(("box",), (1,), 1.0), TypeError,
+     "unknown regularizer str"),
+], ids=["box-shapes", "regularizer-count", "unknown-regularizer"])
+def test_prox_inputs_outside_their_range_are_rejected(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_box_corner_norm():
     assert BoxIndicator(np.array([0.0, 0.0]), np.array([1.0, 1.0])).corner_norm() == pytest.approx(np.sqrt(2.0))
     assert BoxIndicator(np.array([-2.0]), np.array([1.0])).corner_norm() == pytest.approx(2.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -194,6 +195,22 @@ def test_schedule_check_names_the_largest_usable_iteration_count():
                 check_schedule(schedule, n_iter, dim)
 
 
+def test_the_schedule_check_bisects_past_sys_maxsize():
+    """At ratio 1 - 2^-53 a root schedule's first overflowing batch lies
+    past sys.maxsize, where range() and bisect stop."""
+    schedule = RootGeometricBatch(1.0 - 2.0 ** -53)
+    with pytest.raises(ValueError) as err:
+        check_schedule(schedule, 10 ** 20)
+    b = int(str(err.value).rsplit(" ", 1)[1])
+    assert sys.maxsize < b < 10 ** 20
+    assert str(err.value) == (f"batch size N_k of {schedule} overflows a "
+                              f"float at iteration {b}; max_iter must be at "
+                              f"most {b}")
+    check_schedule(schedule, b)
+    with pytest.raises(OverflowError):
+        float(schedule.size(b))
+
+
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("n_iter", [1, DRAW_CHUNK + 1, 2 * DRAW_CHUNK - 1])
 def test_iteration_errors_rows_survive_collection_at_chunk_edges(reps, n_iter):
@@ -275,6 +292,17 @@ def test_an_unusable_out_is_rejected_naming_out():
                 sample_batch_gradient(game, x, 3, error, out=out)
             with pytest.raises(ValueError, match="^out must be a"):
                 gradient_map(game, x, out)
+
+
+def test_a_complex_x_with_a_usable_out_raises_numpy_s_error():
+    """out passes its check, so the error h.dot raises is numpy's own."""
+    game = _two_kinds()[0]
+    with pytest.raises(ValueError) as err:
+        gradient_map(game, np.zeros(game.dim, dtype=complex),
+                     np.empty(game.dim))
+    assert type(err.value) is ValueError and str(err.value) == (
+        "output array is not acceptable (must have the right datatype, "
+        "number of dimensions, and be a C-Array)")
 
 
 @pytest.mark.parametrize("batch", [0, -3])

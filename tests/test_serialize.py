@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from nashprox.best_response import PbrConfig
 from nashprox.distributed import DistConfig
 from nashprox.errors import ConfigError
+from nashprox.experiments import ExperimentSpec, prepare_experiment
 from nashprox.pgr import PgrConfig
 from nashprox.sampling import BestResponseBatch
 from nashprox.serialize import (CONFIG_SCHEMAS, build_game, build_graph,
@@ -174,8 +175,10 @@ def _golden(name: str) -> dict:
      "'quadratic-random', 'cournot']"),
     ("readme-pgr", "game/regularizers", [{"kind": "huber"}],
      "game/regularizers/0/kind: 'huber' is not one of ['zero', 'l1', 'box']"),
+    ("dist-cournot-ring-seed1", "graph", {"nodes": 20, "edges": [[0, 1, 2]]},
+     "graph/edges/0: [0, 1, 2] is too long"),
 ], ids=["graph-nodes", "graph-family", "edge-list", "game-kind",
-        "game-kind-missing", "regularizer-kind"])
+        "game-kind-missing", "regularizer-kind", "edge-too-long"])
 def test_a_fault_in_a_block_names_its_key(config, block, value, message):
     """The discriminator picks the branch; an unknown one, or a missing
     "kind", is reported at its key with the values it may take."""
@@ -288,10 +291,12 @@ def test_any_solver_value_is_accepted_by_both_paths_or_neither(key, value):
 @pytest.mark.parametrize("build,message", [
     (lambda: build_game({"kind": "nope"}), "unknown game kind 'nope'"),
     (lambda: build_graph({"family": "nope"}), "unknown graph family 'nope'"),
-], ids=["game", "graph"])
+    (lambda: prepare_experiment(ExperimentSpec(scheme="nope", solver={})),
+     "unknown scheme 'nope'"),
+], ids=["game", "graph", "scheme"])
 def test_a_library_document_of_unknown_kind_is_a_config_error(build, message):
-    """build_game and build_graph take documents validate_config has not
-    seen."""
+    """build_game, build_graph and prepare_experiment take documents and
+    specs that validate_config has not seen."""
     with pytest.raises(ConfigError) as err:
         build()
     assert str(err.value) == message
