@@ -371,16 +371,30 @@ def _schedule_sum(schedule, n):
     return total
 
 
-# k = 3365 at eta_br = 0.9: every batch is finite, their sum is not; k =
-# 512 at eta_br = 0.5: the sum, 2^1024 / 3, is finite though r^k is not;
-# and the three schedules where np.power and pow once rounded a batch
-# apart
-@example(m_max=1.0, c_r=1.0, eta_br=0.9, n_players=1, k=3365)
+def _m_eps_at(schedule, n_players, k):
+    """pbr_theory at an eps halfway, in logs, from the envelope at k - 1
+    to that at k, with k cut where eps would fall below about 1e-300;
+    (theory, k) with numpy warnings raised as errors."""
+    constant, rate = pbr_theory(schedule, 0.0, n_players, 1.0, None)[1]
+    k = min(k, math.floor((math.log(constant) + 690.0) / -math.log(rate)))
+    eps = math.exp(math.log(constant) + (k - 0.5) * math.log(rate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pbr_theory(schedule, 0.0, n_players, 1.0, eps)[0]
+    return out, k
+
+
+def _assert_m_eps_bounds(out, exact, n_players, k):
+    assert exact <= out["m_eps"]
+    if exact > sys.float_info.max:
+        assert out["m_eps"] == math.inf
+    else:
+        assert out["m_eps"] <= (exact + n_players * k) * (1 + 1e-12)
+
+
+# k = 512 at eta_br = 0.5: the sum, 2^1024 / 3, is finite though r^k is not
 @example(m_max=1.0, c_r=1.0, eta_br=0.5, n_players=1, k=512)
 @example(m_max=1.0, c_r=1.0, eta_br=0.5, n_players=1, k=513)
-@example(m_max=199.26668856005162, c_r=1.0, eta_br=0.8, n_players=1, k=7)
-@example(m_max=392.1684773700256, c_r=1.0, eta_br=0.95, n_players=1, k=5)
-@example(m_max=44.16192488944523, c_r=1.0, eta_br=0.95, n_players=1, k=51)
 @settings(max_examples=300, deadline=None)
 @given(m_max=st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1e3)
        | st.floats(1e100, 1e200),
@@ -392,21 +406,67 @@ def test_m_eps_bounds_the_exact_schedule_sum(m_max, c_r, eta_br, n_players,
     """exact <= m_eps <= exact + N k, but for rounding, and inf where the
     exact sum is; no numpy warning on the way."""
     schedule = BestResponseBatch(m_max=m_max, c_r=c_r, eta_br=eta_br)
-    constant, rate = pbr_theory(schedule, 0.0, n_players, 1.0, None)[1]
-    # eps halfway, in logs, from the envelope at k - 1 to that at k, with
-    # k cut where eps would fall below about 1e-300
-    k = min(k, math.floor((math.log(constant) + 690.0) / -math.log(rate)))
-    eps = math.exp(math.log(constant) + (k - 0.5) * math.log(rate))
+    out, k = _m_eps_at(schedule, n_players, k)
+    assert out["k_eps"] == k
+    _assert_m_eps_bounds(out, n_players * _schedule_sum(schedule, k),
+                         n_players, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m_max=st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1e3)
+       | st.floats(1e100, 1e200),
+       c_r=st.sampled_from((1.0, 2.0)) | st.floats(1e-6, 1e3),
+       eta_br=st.sampled_from((0.5, 0.25, 0.9)) | st.floats(0.01, 0.9999),
+       n=st.integers(1, 400))
+def test_batch_total_equals_the_per_k_loop(m_max, c_r, eta_br, n):
+    """The samples an n-iteration run counts are N sum_k size(k), k < n;
+    a run whose batch overflows a float first is rejected naming it."""
+    game = _reference_game()
+    config = PbrConfig(mu=1.0, eta_br=eta_br, max_iter=n, m_max=m_max,
+                       c_r=c_r)
+    schedule = resolved_schedule(game, config)
+    try:
+        want = 2 * sum(schedule.size(k) for k in range(n))
+    except OverflowError:
+        with pytest.raises(ValueError, match="overflows a float"):
+            run_pbr(game, config, np.zeros(2))
+        return
+    assert run_pbr(game, config, np.zeros(2)).counter.total_samples == want
+
+
+def test_batch_total_past_the_float_range_raises_without_a_warning():
+    """Every batch below k = 3365 is finite, their sum is not: m_eps is
+    inf there, and N_3369, the first batch past a float, raises
+    OverflowError; no numpy RuntimeWarning comes with either."""
+    schedule = BestResponseBatch(m_max=1.0, c_r=1.0, eta_br=0.9)
+    assert math.isfinite(schedule.size(3364))
+    assert _schedule_sum(schedule, 3365) == math.inf
+    out, k = _m_eps_at(schedule, 1, 3365)
+    assert k == out["k_eps"] == 3365 and out["m_eps"] == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = pbr_theory(schedule, 0.0, n_players, 1.0, eps)[0]
-    assert out["k_eps"] == k
-    exact = n_players * _schedule_sum(schedule, k)
-    assert exact <= out["m_eps"]
-    if exact > sys.float_info.max:
-        assert out["m_eps"] == math.inf
-    else:
-        assert out["m_eps"] <= (exact + n_players * k) * (1 + 1e-12)
+        assert float(schedule.size(3368)) < math.inf
+        with pytest.raises(OverflowError):
+            schedule.size(3369)
+
+
+# np.power (SVML on AVX-512) and the scalar pow once rounded eta_br^(-2k)
+# an ulp apart here, which puts m_max^2 eta_br^(-2k) on both sides of an
+# integer: a run counts the exact sum of size(k), which m_eps bounds
+@pytest.mark.parametrize("m_max,eta_br,k", [
+    (199.26668856005162, 0.8, 6), (392.1684773700256, 0.95, 4),
+    (44.16192488944523, 0.95, 50)])
+def test_batch_total_is_exact_where_an_ulp_moves_a_batch(m_max, eta_br, k):
+    schedule = BestResponseBatch(m_max=m_max, c_r=1.0, eta_br=eta_br)
+    exact = _schedule_sum(schedule, k + 1)
+    assert exact == sum(schedule.size(j) for j in range(k + 1))
+    trace = run_pbr(_reference_game(), PbrConfig(
+        mu=1.0, eta_br=eta_br, max_iter=k + 1, m_max=m_max, c_r=1.0),
+        np.zeros(2))
+    assert trace.counter.total_samples == 2 * exact
+    out, cut = _m_eps_at(schedule, 1, k + 1)
+    assert cut == out["k_eps"] == k + 1
+    _assert_m_eps_bounds(out, exact, 1, k + 1)
 
 
 def test_complexity_near_eta_br_one_is_fast_and_matches_the_loop():
